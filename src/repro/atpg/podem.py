@@ -7,6 +7,14 @@ works on the *combinational view* of a gate netlist -- flip-flop outputs
 are assignable pseudo-primary inputs and flip-flop D pins are observed,
 which is exactly the situation full-scan/HSCAN cores present.
 
+Implication is event-driven over a per-netlist compiled structure
+(:class:`_PodemNetlist`): after each decision, flip, or backtrack only
+the gates downstream of the sources that changed are re-evaluated, in
+topological order, and the D-frontier scan is confined to the fault
+sites' fanout cone.  Net values are a pure function of the source
+assignment, so re-propagating from the changed sources is exact and no
+value trail is kept (see DESIGN.md, "PODEM engine contract").
+
 A fault proven untestable by exhausting the decision tree is *redundant*;
 hitting the backtrack limit *aborts*.  Both outcomes feed the paper's
 test-efficiency metric.
@@ -16,19 +24,39 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AtpgError
 from repro.obs import METRICS
 from repro.obs.attrib import ATTRIB
-from repro.atpg.values import CONTROLLING, ONE, X, ZERO, eval_gate3, v_not
+from repro.atpg.values import (
+    CONTROLLING,
+    K_AND,
+    K_BUF,
+    K_CONST0,
+    K_CONST1,
+    K_INPUT,
+    K_MUX2,
+    K_NAND,
+    K_NOR,
+    K_NOT,
+    K_OR,
+    K_OUTPUT,
+    K_STATE,
+    K_XNOR,
+    K_XOR,
+    KIND_CODE,
+    ONE,
+    X,
+    ZERO,
+    eval3,
+    v_not,
+)
 from repro.faults.model import Fault
-from repro.gates.cells import STATE_KINDS, GateKind
+from repro.gates.cells import STATE_KINDS
 from repro.gates.levelize import depth_levels, levelize
-from repro.gates.netlist import Gate, GateNetlist
-
-#: PODEM's assignable sources exclude constants (they cannot be set)
-_SOURCE_KINDS = (GateKind.INPUT,) + STATE_KINDS
+from repro.gates.netlist import GateNetlist, NetlistCache
 
 _CALLS = METRICS.counter("atpg.podem.calls")
 _BACKTRACKS = METRICS.counter("atpg.podem.backtracks")
@@ -83,7 +111,7 @@ def podem(
     elif result.status is PodemStatus.REDUNDANT:
         _REDUNDANT.inc()
     if ATTRIB.enabled:
-        gate = engine.gates[fault.gate]
+        gate = netlist.gate(fault.gate)
         if fault.pin is None:
             site = "stem"
         elif gate.kind in STATE_KINDS:
@@ -107,6 +135,68 @@ def podem(
     return result
 
 
+class _PodemNetlist:
+    """A netlist compiled for PODEM, shared by every call on it.
+
+    Gate ids are positions in :func:`levelize` order, so sources and
+    constants come first and every gate's id exceeds its fanins' ids:
+    sorting ids *is* topological order.  Per id: a kind code, fanin ids,
+    and the combinational readers (flip-flops excluded -- a D pin is
+    observed, not propagated) in ascending id order.  ``base`` holds the
+    values with every source at X, followed by two stuck-value slots
+    (``base[stuck_slot + v] == v``) that pin faults read in place of the
+    faulty operand.
+    """
+
+    __slots__ = (
+        "names", "index", "codes", "fanins", "readers", "observe", "sources",
+        "base", "stuck_slot",
+    )
+
+    def __init__(self, netlist: GateNetlist) -> None:
+        names = levelize(netlist)
+        index = {name: gid for gid, name in enumerate(names)}
+        gates = [netlist.gate(name) for name in names]
+        codes = [KIND_CODE[gate.kind] for gate in gates]
+        fanins = [tuple(index[source] for source in gate.fanins) for gate in gates]
+        readers: List[List[int]] = [[] for _ in names]
+        for gid, operands in enumerate(fanins):
+            if codes[gid] == K_STATE:
+                continue
+            for source in operands:
+                if not readers[source] or readers[source][-1] != gid:
+                    readers[source].append(gid)
+        observe = {index[gate.name] for gate in netlist.outputs}
+        observe.update(index[flop.fanins[0]] for flop in netlist.flops)
+
+        self.names: Tuple[str, ...] = names
+        self.index: Dict[str, int] = index
+        self.codes: List[int] = codes
+        self.fanins: List[Tuple[int, ...]] = fanins
+        self.readers: List[Tuple[int, ...]] = [tuple(r) for r in readers]
+        self.observe: FrozenSet[int] = frozenset(observe)
+        self.sources: FrozenSet[int] = frozenset(
+            gid for gid, code in enumerate(codes) if code in (K_INPUT, K_STATE)
+        )
+        self.stuck_slot = len(names)
+        base = [X] * len(names) + [ZERO, ONE]
+        for gid, code in enumerate(codes):
+            if code == K_CONST0:
+                base[gid] = ZERO
+            elif code == K_CONST1:
+                base[gid] = ONE
+            elif code <= K_MUX2:
+                base[gid] = eval3(code, fanins[gid], base)
+        self.base: Tuple[int, ...] = tuple(base)
+
+
+_COMPILED: "NetlistCache[_PodemNetlist]" = NetlistCache()
+
+
+def _compiled(netlist: GateNetlist) -> _PodemNetlist:
+    return _COMPILED.get(netlist, lambda: _PodemNetlist(netlist))
+
+
 class _PodemEngine:
     def __init__(
         self,
@@ -116,125 +206,168 @@ class _PodemEngine:
         backtrack_limit: int,
         extra_sites: Sequence[Fault] = (),
     ) -> None:
-        self.netlist = netlist
+        net = _compiled(netlist)
+        self.net = net
         self.fault = fault
-        self.extra_sites = list(extra_sites)
         self.backtrack_limit = backtrack_limit
-        self.gates: Dict[str, Gate] = {name: netlist.gate(name) for name in netlist.names()}
-        self.order = [
-            name for name in levelize(netlist)
-            if self.gates[name].kind not in _SOURCE_KINDS
-            and self.gates[name].kind not in (GateKind.CONST0, GateKind.CONST1)
-        ]
-        self.level = {name: i for i, name in enumerate(self.order)}
-        self.sources = [g.name for g in netlist.gates() if g.kind in _SOURCE_KINDS]
+        site = net.index.get(fault.gate)
+        if site is None:
+            raise AtpgError(f"fault site {fault.gate!r} is not in netlist {netlist.name!r}")
+        self.site = site
         if assignable is None:
-            self.assignable = set(self.sources)
+            self.assignable: AbstractSet[int] = net.sources
         else:
-            self.assignable = set(assignable)
-        self.observe: Set[str] = {g.name for g in netlist.outputs}
-        for flop in netlist.flops:
-            self.observe.add(flop.fanins[0])
+            self.assignable = {net.index[name] for name in assignable if name in net.index}
+        self.assignment: Dict[int, int] = {}
+        self.good: List[int] = list(net.base)
+        self.faulty: List[int] = list(net.base)
+        codes, fanins = net.codes, net.fanins
 
-        self.fanout = netlist.fanout_map()
-        self.assignment: Dict[str, int] = {}
-        self.good: Dict[str, int] = {}
-        self.faulty: Dict[str, int] = {}
+        #: stem sites: the faulty value is forced, never evaluated
+        self.stem: Dict[int, int] = {}
+        pin_sites: Dict[Tuple[int, int], int] = {}
+        for site_fault in [fault, *extra_sites]:
+            gid = net.index.get(site_fault.gate)
+            if gid is None:
+                continue
+            if site_fault.pin is None:
+                self.stem[gid] = site_fault.stuck
+            else:
+                pin_sites[(gid, site_fault.pin)] = site_fault.stuck
+        #: pin sites on evaluated gates: the faulty machine reads the
+        #: faulty operand from a stuck-value slot (flop pins have no
+        #: operand -- their fault is observed at capture)
+        self.faulty_fanins: Dict[int, Tuple[int, ...]] = {}
+        for (gid, pin), stuck in pin_sites.items():
+            if codes[gid] > K_MUX2 or not 0 <= pin < len(fanins[gid]):
+                continue
+            operands = list(self.faulty_fanins.get(gid, fanins[gid]))
+            operands[pin] = net.stuck_slot + stuck
+            self.faulty_fanins[gid] = tuple(operands)
+
+        # only the sites' fanout cone can carry a D: the faulty machine
+        # equals the good one everywhere else
+        roots = list(self.stem) + list(self.faulty_fanins)
+        cone = set(roots)
+        stack = list(roots)
+        while stack:
+            for reader in net.readers[stack.pop()]:
+                if reader not in cone:
+                    cone.add(reader)
+                    stack.append(reader)
+        self.cone: Set[int] = cone
+        self.cone_observe = [gid for gid in cone if gid in net.observe]
+        #: D-frontier candidates (evaluated non-OUTPUT cone gates), deepest first
+        self.frontier_scan = [
+            gid for gid in sorted(cone, reverse=True)
+            if codes[gid] <= K_MUX2 and codes[gid] != K_OUTPUT
+        ]
 
         # a fault on a flop input pin is observed directly at capture: the
         # engine then only needs to *justify* the pin net to the non-stuck value
-        gate = self.gates[fault.gate]
-        self.justify_only: Optional[Tuple[str, int]] = None
-        if fault.pin is not None and gate.kind in STATE_KINDS:
-            self.justify_only = (gate.fanins[fault.pin], v_not(fault.stuck))
+        self.justify_only: Optional[Tuple[int, int]] = None
+        if fault.pin is not None and codes[site] == K_STATE:
+            self.justify_only = (fanins[site][fault.pin], v_not(fault.stuck))
 
     # ------------------------------------------------------------------
-    # simulation
+    # implication
     # ------------------------------------------------------------------
-    def simulate(self) -> None:
-        good, faulty = {}, {}
-        gates = self.gates
-        all_sites = [self.fault] + self.extra_sites
-        stem_sites = {f.gate: f.stuck for f in all_sites if f.pin is None}
-        pin_sites = {(f.gate, f.pin): f.stuck for f in all_sites if f.pin is not None}
-        for name, gate in gates.items():
-            kind = gate.kind
-            if kind in _SOURCE_KINDS:
-                value = self.assignment.get(name, X)
-                good[name] = value
-                faulty[name] = value
-            elif kind is GateKind.CONST0:
-                good[name] = ZERO
-                faulty[name] = ZERO
-            elif kind is GateKind.CONST1:
-                good[name] = ONE
-                faulty[name] = ONE
-        for site_name, stuck in stem_sites.items():
-            if site_name in faulty:
-                faulty[site_name] = stuck
+    def _inject(self) -> None:
+        """First implication pass: the fault sites against all-X sources."""
+        net = self.net
+        dirty = list(self.faulty_fanins)
+        for gid, stuck in self.stem.items():
+            if net.codes[gid] > K_MUX2:  # source or constant: set, not evaluated
+                self.faulty[gid] = stuck
+                dirty.extend(net.readers[gid])
+            else:
+                dirty.append(gid)
+        self._propagate(dirty)
 
-        for name in self.order:
-            gate = gates[name]
-            good[name] = eval_gate3(gate.kind, [good[s] for s in gate.fanins])
-            if name in stem_sites:
-                faulty[name] = stem_sites[name]
-                continue
-            operands = [faulty[s] for s in gate.fanins]
-            if pin_sites and gate.kind not in STATE_KINDS:
-                for pin in range(len(operands)):
-                    stuck = pin_sites.get((name, pin))
-                    if stuck is not None:
-                        operands[pin] = stuck
-            faulty[name] = eval_gate3(gate.kind, operands)
-        self.good, self.faulty = good, faulty
+    def _imply(self, sources: Iterable[int]) -> None:
+        """Implication pass after the assignment of ``sources`` changed."""
+        good, faulty, stem, readers = self.good, self.faulty, self.stem, self.net.readers
+        dirty: List[int] = []
+        for source in sources:
+            value = self.assignment.get(source, X)
+            if good[source] != value:
+                good[source] = value
+                if source not in stem:
+                    faulty[source] = value
+                dirty.extend(readers[source])
+        self._propagate(dirty)
+
+    def _propagate(self, dirty: Iterable[int]) -> None:
+        """Re-evaluate ``dirty`` gates, and every reader of a gate whose
+        value pair changed, in topological (id) order."""
+        good, faulty = self.good, self.faulty
+        net = self.net
+        codes, fanins, readers = net.codes, net.fanins, net.readers
+        cone, stem, faulty_fanins = self.cone, self.stem, self.faulty_fanins
+        heap = sorted(set(dirty))  # a sorted list is a valid heap
+        queued = set(heap)
+        while heap:
+            gid = heappop(heap)
+            code = codes[gid]
+            operands = fanins[gid]
+            new_good = eval3(code, operands, good)
+            if gid not in cone:
+                new_faulty = new_good
+            elif gid in stem:
+                new_faulty = stem[gid]
+            else:
+                new_faulty = eval3(code, faulty_fanins.get(gid, operands), faulty)
+            if new_good != good[gid] or new_faulty != faulty[gid]:
+                good[gid] = new_good
+                faulty[gid] = new_faulty
+                for reader in readers[gid]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        heappush(heap, reader)
 
     # ------------------------------------------------------------------
     # predicates
     # ------------------------------------------------------------------
-    def _has_d(self, net: str) -> bool:
+    def _has_d(self, net: int) -> bool:
         g, f = self.good[net], self.faulty[net]
         return g != X and f != X and g != f
 
-    def _unknown(self, net: str) -> bool:
+    def _unknown(self, net: int) -> bool:
         return self.good[net] == X or self.faulty[net] == X
 
     def detected(self) -> bool:
         if self.justify_only is not None:
             net, value = self.justify_only
             return self.good[net] == value
-        return any(self._has_d(net) for net in self.observe)
+        return any(self._has_d(net) for net in self.cone_observe)
 
-    def _activation_net(self) -> str:
+    def _activation_net(self) -> int:
         """The net whose good value must differ from the stuck value."""
         if self.fault.pin is None:
-            return self.fault.gate
-        return self.gates[self.fault.gate].fanins[self.fault.pin]
+            return self.site
+        return self.net.fanins[self.site][self.fault.pin]
 
-    def _d_frontier(self) -> List[Gate]:
-        frontier = []
-        for name in self.order:
-            gate = self.gates[name]
-            if gate.kind is GateKind.OUTPUT:
-                continue
-            if self._unknown(name) and any(self._has_d(s) for s in gate.fanins):
-                frontier.append(gate)
-        return frontier
+    def _d_frontier(self) -> List[int]:
+        """Gates with an X output and a D on an input, deepest first."""
+        fanins = self.net.fanins
+        return [
+            gid for gid in self.frontier_scan
+            if self._unknown(gid) and any(self._has_d(s) for s in fanins[gid])
+        ]
 
-    def _xpath_exists(self, frontier: Sequence[Gate]) -> bool:
+    def _xpath_exists(self, frontier: Sequence[int]) -> bool:
         """Can a D still reach an observation point through X nets?"""
-        stack = [g.name for g in frontier]
+        observe, readers, codes = self.net.observe, self.net.readers, self.net.codes
+        stack = list(frontier)
         visited = set(stack)
         while stack:
-            name = stack.pop()
-            if name in self.observe:
+            gid = stack.pop()
+            if gid in observe:
                 return True
-            for reader in self.fanout[name]:
+            for reader in readers[gid]:
                 if reader in visited:
                     continue
-                reader_gate = self.gates[reader]
-                if reader_gate.kind in STATE_KINDS:
-                    continue
-                if reader_gate.kind is GateKind.OUTPUT or self._unknown(reader):
+                if codes[reader] == K_OUTPUT or self._unknown(reader):
                     visited.add(reader)
                     stack.append(reader)
         return False
@@ -242,7 +375,7 @@ class _PodemEngine:
     # ------------------------------------------------------------------
     # objective and backtrace
     # ------------------------------------------------------------------
-    def objective(self) -> Optional[Tuple[str, int]]:
+    def objective(self) -> Optional[Tuple[int, int]]:
         """Next (net, value) goal, or None if the fault is blocked."""
         if self.justify_only is not None:
             net, value = self.justify_only
@@ -259,11 +392,11 @@ class _PodemEngine:
 
         # a pin fault also needs the faulty gate's *other* pins sensitized
         # before a D appears at its output
-        if self.fault.pin is not None and not self._has_d(self.fault.gate):
+        if self.fault.pin is not None and not self._has_d(self.site):
             goal = self._expose_pin_fault()
             if goal is not None:
                 return goal
-            if not self._unknown(self.fault.gate):
+            if not self._unknown(self.site):
                 return None  # output fully known and equal: fault masked here
 
         frontier = self._d_frontier()
@@ -274,22 +407,23 @@ class _PodemEngine:
         # try frontier gates closest to an output first; the objective must
         # target an input that is X in the *good* machine (backtrace steers
         # good values -- faulty-only X inputs resolve via implication)
-        for gate in sorted(frontier, key=lambda g: -self.level.get(g.name, 0)):
-            controlling = CONTROLLING.get(gate.kind)
-            for source in gate.fanins:
+        for gid in frontier:
+            controlling = CONTROLLING.get(self.net.codes[gid])
+            for source in self.net.fanins[gid]:
                 if self.good[source] == X:
                     if controlling is not None:
                         return (source, v_not(controlling))
                     return (source, ZERO)
         return None
 
-    def _expose_pin_fault(self) -> Optional[Tuple[str, int]]:
+    def _expose_pin_fault(self) -> Optional[Tuple[int, int]]:
         """Objective making the faulty gate's output show the pin difference."""
-        gate = self.gates[self.fault.gate]
+        code = self.net.codes[self.site]
+        fanins = self.net.fanins[self.site]
         pin = self.fault.pin
         assert pin is not None
-        if gate.kind is GateKind.MUX2:
-            d0, d1, select = gate.fanins
+        if code == K_MUX2:
+            d0, d1, select = fanins
             if pin in (0, 1):
                 # route the faulty data pin: select must equal the pin index
                 if self.good[select] == X:
@@ -303,8 +437,8 @@ class _PodemEngine:
             if self.good[d0] == X:
                 return (d0, ZERO)
             return None
-        controlling = CONTROLLING.get(gate.kind)
-        for index, source in enumerate(gate.fanins):
+        controlling = CONTROLLING.get(code)
+        for index, source in enumerate(fanins):
             if index == pin:
                 continue
             if self.good[source] == X:
@@ -313,29 +447,29 @@ class _PodemEngine:
                 return (source, ZERO)
         return None
 
-    def backtrace(self, net: str, value: int) -> Optional[Tuple[str, int]]:
+    def backtrace(self, net: int, value: int) -> Optional[Tuple[int, int]]:
         """Walk the objective back to an unassigned assignable source."""
+        codes, fanins, good = self.net.codes, self.net.fanins, self.good
         current, target = net, value
-        for _ in range(len(self.gates) + 1):
-            gate = self.gates[current]
-            kind = gate.kind
-            if kind in _SOURCE_KINDS:
+        for _ in range(len(codes) + 1):
+            code = codes[current]
+            if code in (K_INPUT, K_STATE):
                 if current in self.assignable and current not in self.assignment:
                     return (current, target)
                 return None
-            if kind in (GateKind.CONST0, GateKind.CONST1):
+            if code in (K_CONST0, K_CONST1):
                 return None
-            if kind in (GateKind.BUF, GateKind.OUTPUT):
-                current = gate.fanins[0]
+            if code in (K_BUF, K_OUTPUT):
+                current = fanins[current][0]
                 continue
-            if kind is GateKind.NOT:
-                current, target = gate.fanins[0], v_not(target)
+            if code == K_NOT:
+                current, target = fanins[current][0], v_not(target)
                 continue
-            if kind in (GateKind.AND, GateKind.NAND, GateKind.OR, GateKind.NOR):
-                if kind in (GateKind.NAND, GateKind.NOR):
+            if K_AND <= code <= K_NOR:
+                if code in (K_NAND, K_NOR):
                     target = v_not(target)
-                controlling = CONTROLLING[GateKind.AND if kind in (GateKind.AND, GateKind.NAND) else GateKind.OR]
-                unknowns = [s for s in gate.fanins if self.good[s] == X]
+                controlling = CONTROLLING[K_AND if code in (K_AND, K_NAND) else K_OR]
+                unknowns = [s for s in fanins[current] if good[s] == X]
                 if not unknowns:
                     return None
                 if target == controlling:
@@ -345,59 +479,65 @@ class _PodemEngine:
                     current = unknowns[0]  # all inputs must be non-controlling
                     target = v_not(controlling)
                 continue
-            if kind in (GateKind.XOR, GateKind.XNOR):
-                a, b = gate.fanins
-                if kind is GateKind.XNOR:
+            if code in (K_XOR, K_XNOR):
+                a, b = fanins[current]
+                if code == K_XNOR:
                     target = v_not(target)
-                if self.good[a] == X:
-                    other = self.good[b]
+                if good[a] == X:
+                    other = good[b]
                     current, target = a, (target if other in (ZERO, X) else v_not(target))
-                elif self.good[b] == X:
-                    other = self.good[a]
+                elif good[b] == X:
+                    other = good[a]
                     current, target = b, (target if other in (ZERO, X) else v_not(target))
                 else:
                     return None
                 continue
-            if kind is GateKind.MUX2:
-                d0, d1, select = gate.fanins
-                select_value = self.good[select]
+            if code == K_MUX2:
+                d0, d1, select = fanins[current]
+                select_value = good[select]
                 if select_value == ZERO:
                     current = d0
                 elif select_value == ONE:
                     current = d1
-                elif self.good[d0] == target and self.good[d0] != X:
+                elif good[d0] == target and good[d0] != X:
                     current, target = select, ZERO
-                elif self.good[d1] == target and self.good[d1] != X:
+                elif good[d1] == target and good[d1] != X:
                     current, target = select, ONE
-                elif self.good[d0] == X:
+                elif good[d0] == X:
                     current = d0
-                elif self.good[d1] == X:
+                elif good[d1] == X:
                     current, target = select, ONE
                 else:
                     current, target = select, ZERO
                 continue
-            raise AtpgError(f"backtrace cannot handle gate kind {kind}")
+            raise AtpgError(f"backtrace cannot handle kind code {code}")
         raise AtpgError("backtrace did not terminate (cyclic netlist?)")
 
     # ------------------------------------------------------------------
     # main search
     # ------------------------------------------------------------------
+    def _result(self, status: PodemStatus, *counts: int) -> PodemResult:
+        assignment: Dict[str, int] = {}
+        if status is PodemStatus.DETECTED:
+            names = self.net.names
+            assignment = {names[source]: value for source, value in self.assignment.items()}
+        return PodemResult(status, assignment, *counts)
+
     def search(self) -> PodemResult:
         backtracks = 0
         tried = 0
         implications = 0
         restarts = 0
-        decisions: List[Tuple[str, int, bool]] = []  # (source, value, both_tried)
-        self.simulate()
+        decisions: List[Tuple[int, int, bool]] = []  # (source, value, both_tried)
+        self._inject()
         implications += 1
         while True:
             if self.detected():
-                return PodemResult(
-                    PodemStatus.DETECTED, dict(self.assignment), backtracks,
-                    tried, implications, restarts,
+                return self._result(
+                    PodemStatus.DETECTED, backtracks, tried, implications, restarts
                 )
 
-            step: Optional[Tuple[str, int]] = None
+            step: Optional[Tuple[int, int]] = None
             goal = self.objective()
             if goal is not None:
                 step = self.backtrace(*goal)
@@ -409,21 +549,22 @@ class _PodemEngine:
                 decisions.append((source, value, False))
                 self.assignment[source] = value
                 tried += 1
-                self.simulate()
+                self._imply((source,))
                 implications += 1
                 continue
 
             # conflict: backtrack
             flipped = False
+            undone: List[int] = []
             while decisions:
                 source, value, both_tried = decisions.pop()
                 del self.assignment[source]
+                undone.append(source)
                 if not both_tried:
                     backtracks += 1
                     if backtracks > self.backtrack_limit:
-                        return PodemResult(
-                            PodemStatus.ABORTED, {}, backtracks, tried,
-                            implications, restarts,
+                        return self._result(
+                            PodemStatus.ABORTED, backtracks, tried, implications, restarts
                         )
                     decisions.append((source, v_not(value), True))
                     self.assignment[source] = v_not(value)
@@ -431,9 +572,8 @@ class _PodemEngine:
                     flipped = True
                     break
             if not flipped:
-                return PodemResult(
-                    PodemStatus.REDUNDANT, {}, backtracks, tried,
-                    implications, restarts,
+                return self._result(
+                    PodemStatus.REDUNDANT, backtracks, tried, implications, restarts
                 )
-            self.simulate()
+            self._imply(undone)
             implications += 1

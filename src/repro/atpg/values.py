@@ -3,98 +3,90 @@
 The fault machine is simulated as a *pair* of three-valued machines
 (good, faulty); a net carries a D when good=1/faulty=0 and a D-bar when
 good=0/faulty=1.  Values are small ints: 0, 1, and 2 for X.
+
+Gates are evaluated through integer *kind codes* rather than
+:class:`~repro.gates.cells.GateKind` members: PODEM's compiled netlist
+stores one code per gate and :func:`eval3` dispatches on it.  Codes
+below :data:`K_OUTPUT` come in (plain, inverted) pairs, so bit 0 of such
+a code is the output inversion.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
+from repro.errors import AtpgError
 from repro.gates.cells import GateKind
 
 ZERO, ONE, X = 0, 1, 2
 
+#: three-valued NOT as a lookup table
+_NOT = (ONE, ZERO, X)
+
 
 def v_not(a: int) -> int:
-    if a == X:
-        return X
-    return 1 - a
+    return _NOT[a]
 
 
-def v_and(operands: Sequence[int]) -> int:
-    result = ONE
-    for a in operands:
-        if a == ZERO:
-            return ZERO
-        if a == X:
-            result = X
-    return result
+# evaluated kinds: (plain, inverted) pairs first, then OUTPUT and MUX2
+K_BUF, K_NOT, K_AND, K_NAND, K_OR, K_NOR, K_XOR, K_XNOR, K_OUTPUT, K_MUX2 = range(10)
+# kinds whose value is set, never evaluated
+K_INPUT, K_STATE, K_CONST0, K_CONST1 = range(10, 14)
 
-
-def v_or(operands: Sequence[int]) -> int:
-    result = ZERO
-    for a in operands:
-        if a == ONE:
-            return ONE
-        if a == X:
-            result = X
-    return result
-
-
-def v_xor(a: int, b: int) -> int:
-    if a == X or b == X:
-        return X
-    return a ^ b
-
-
-def v_mux(d0: int, d1: int, select: int) -> int:
-    if select == ZERO:
-        return d0
-    if select == ONE:
-        return d1
-    if d0 == d1:
-        return d0
-    return X
-
-
-def eval_gate3(kind: GateKind, operands: Sequence[int]) -> int:
-    """Three-valued evaluation of one gate."""
-    if kind in (GateKind.BUF, GateKind.OUTPUT):
-        return operands[0]
-    if kind is GateKind.NOT:
-        return v_not(operands[0])
-    if kind is GateKind.AND:
-        return v_and(operands)
-    if kind is GateKind.NAND:
-        return v_not(v_and(operands))
-    if kind is GateKind.OR:
-        return v_or(operands)
-    if kind is GateKind.NOR:
-        return v_not(v_or(operands))
-    if kind is GateKind.XOR:
-        return v_xor(operands[0], operands[1])
-    if kind is GateKind.XNOR:
-        return v_not(v_xor(operands[0], operands[1]))
-    if kind is GateKind.MUX2:
-        return v_mux(operands[0], operands[1], operands[2])
-    if kind is GateKind.CONST0:
-        return ZERO
-    if kind is GateKind.CONST1:
-        return ONE
-    raise ValueError(f"cannot evaluate kind {kind} in three-valued logic")
-
-
-#: controlling input value per gate kind (None if the kind has none)
-CONTROLLING = {
-    GateKind.AND: ZERO,
-    GateKind.NAND: ZERO,
-    GateKind.OR: ONE,
-    GateKind.NOR: ONE,
+KIND_CODE: Dict[GateKind, int] = {
+    GateKind.BUF: K_BUF,
+    GateKind.NOT: K_NOT,
+    GateKind.AND: K_AND,
+    GateKind.NAND: K_NAND,
+    GateKind.OR: K_OR,
+    GateKind.NOR: K_NOR,
+    GateKind.XOR: K_XOR,
+    GateKind.XNOR: K_XNOR,
+    GateKind.OUTPUT: K_OUTPUT,
+    GateKind.MUX2: K_MUX2,
+    GateKind.INPUT: K_INPUT,
+    GateKind.DFF: K_STATE,
+    GateKind.SDFF: K_STATE,
+    GateKind.CONST0: K_CONST0,
+    GateKind.CONST1: K_CONST1,
 }
 
-#: whether the gate inverts on the controlled/non-controlled path
-INVERTS = {
-    GateKind.NAND: True,
-    GateKind.NOR: True,
-    GateKind.NOT: True,
-    GateKind.XNOR: True,
-}
+#: controlling input value per kind code (absent if the kind has none)
+CONTROLLING = {K_AND: ZERO, K_NAND: ZERO, K_OR: ONE, K_NOR: ONE}
+
+
+def eval3(code: int, fanins: Sequence[int], values: List[int]) -> int:
+    """Three-valued output of a gate of kind ``code`` whose inputs are
+    ``values[f]`` for ``f`` in ``fanins``."""
+    if code == K_MUX2:
+        select = values[fanins[2]]
+        if select != X:
+            return values[fanins[select]]
+        d0 = values[fanins[0]]
+        return d0 if d0 == values[fanins[1]] else X
+    if code <= K_NOT or code == K_OUTPUT:
+        value = values[fanins[0]]
+    elif code <= K_NAND:
+        value = ONE
+        for f in fanins:
+            a = values[f]
+            if a == ZERO:
+                value = ZERO
+                break
+            if a == X:
+                value = X
+    elif code <= K_NOR:
+        value = ZERO
+        for f in fanins:
+            a = values[f]
+            if a == ONE:
+                value = ONE
+                break
+            if a == X:
+                value = X
+    elif code <= K_XNOR:
+        a, b = values[fanins[0]], values[fanins[1]]
+        value = X if a == X or b == X else a ^ b
+    else:
+        raise AtpgError(f"cannot evaluate kind code {code} in three-valued logic")
+    return _NOT[value] if code & 1 else value

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -20,7 +19,7 @@ from repro.faults.model import Fault
 from repro.gates.cells import SOURCE_KINDS, GateKind
 from repro.gates.kernel import resolve_backend
 from repro.gates.levelize import depth_levels
-from repro.gates.netlist import GateNetlist
+from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.gates.simulator import CombinationalSimulator, eval_kind
 from repro.gates.sequential import SequentialSimulator
 from repro.gates.simulator import FaultSite
@@ -44,9 +43,7 @@ SEQUENCE_PACK_LIMIT = 256
 #: netlist -> {(observe key, fault site): cone} -- shared by every
 #: FaultSimulator on the same netlist (ATPG, compaction, and repeated
 #: grade calls re-walk identical fanout cones otherwise)
-_SHARED_CONES: "weakref.WeakKeyDictionary[GateNetlist, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
+_SHARED_CONES: "NetlistCache[Dict]" = NetlistCache()
 
 
 def clear_cone_caches() -> None:
@@ -64,9 +61,7 @@ def clear_cone_caches() -> None:
 
 #: netlist -> {"netlist": profile, ("cone", observe_key, site): profile}
 #: -- per-(level, kind) gate populations feeding effort attribution
-_ATTRIB_PROFILES: "weakref.WeakKeyDictionary[GateNetlist, Dict]" = (
-    weakref.WeakKeyDictionary()
-)
+_ATTRIB_PROFILES: "NetlistCache[Dict]" = NetlistCache()
 
 
 def attrib_netlist_profile(netlist: GateNetlist) -> Dict[str, int]:
@@ -77,10 +72,7 @@ def attrib_netlist_profile(netlist: GateNetlist) -> Dict[str, int]:
     :func:`depth_levels` definition, so the scalar oracle and the numpy
     kernels attribute identical populations.
     """
-    try:
-        store = _ATTRIB_PROFILES.setdefault(netlist, {})
-    except TypeError:  # unweakrefable netlist stand-in (tests)
-        store = {}
+    store = _ATTRIB_PROFILES.get(netlist, dict)
     profile = store.get("netlist")
     if profile is None:
         levels = depth_levels(netlist)
@@ -98,10 +90,7 @@ def attrib_cone_profile(
     fsim: "FaultSimulator", site_gate: str, cone: Sequence[str]
 ) -> Dict[str, int]:
     """``level:kind`` profile of one detection cone (cached per site)."""
-    try:
-        store = _ATTRIB_PROFILES.setdefault(fsim.netlist, {})
-    except TypeError:
-        store = {}
+    store = _ATTRIB_PROFILES.get(fsim.netlist, dict)
     key = ("cone", fsim._observe_key, site_gate)
     profile = store.get(key)
     if profile is None:
@@ -169,12 +158,9 @@ class FaultSimulator:
         # cones depend only on (netlist, observe set), so simulators on
         # the same netlist share one cache keyed by the observe set
         self._observe_key = frozenset(self._observe)
-        try:
-            self._cone_cache: Dict[Tuple, Tuple[List[str], List[str]]] = (
-                _SHARED_CONES.setdefault(netlist, {})
-            )
-        except TypeError:  # unweakrefable netlist stand-in (tests)
-            self._cone_cache = {}
+        self._cone_cache: Dict[Tuple, Tuple[List[str], List[str]]] = (
+            _SHARED_CONES.get(netlist, dict)
+        )
 
     # ------------------------------------------------------------------
     def _cone(self, site_gate: str) -> Tuple[List[str], List[str]]:

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import logging
 import os
-import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind
 from repro.gates.levelize import depth_levels
-from repro.gates.netlist import GateNetlist
+from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.obs import METRICS, profile_section
 
 logger = logging.getLogger("repro.gates.kernel")
@@ -414,34 +413,30 @@ class CompiledProgram:
 # ----------------------------------------------------------------------
 # compiled-program cache (mirrors the shared fanout-cone cache)
 # ----------------------------------------------------------------------
-_PROGRAMS: "weakref.WeakKeyDictionary[GateNetlist, CompiledProgram]" = (
-    weakref.WeakKeyDictionary()
-)
+_PROGRAMS: "NetlistCache[CompiledProgram]" = NetlistCache()
 
 
 def compiled_program(netlist: GateNetlist) -> CompiledProgram:
-    """The netlist's compiled program, compiled once per process.
+    """The netlist's compiled program, compiled once per netlist.
 
-    Keyed weakly by the netlist object (like ``_SHARED_CONES``): every
-    simulator, ATPG pass, and compaction run on the same netlist shares
-    one program.  ``kernel.compiles`` / ``kernel.cache.reuses`` count
+    Cached per netlist object under the :class:`NetlistCache` rule (like
+    ``_SHARED_CONES``): every simulator, ATPG pass, and compaction run on
+    the same netlist shares one program, and an edited netlist
+    recompiles.  ``kernel.compiles`` / ``kernel.cache.reuses`` count
     cache behaviour; :func:`clear_kernel_caches` restores cold-state
     counting for the bench harness.
     """
-    try:
-        program = _PROGRAMS.get(netlist)
-        cacheable = True
-    except TypeError:  # unweakrefable netlist stand-in (tests)
-        program = None
-        cacheable = False
+    program = _PROGRAMS.get(netlist)
     if program is not None:
         _CACHE_REUSES.inc()
         return program
+    return _PROGRAMS.get(netlist, lambda: _compile(netlist))
+
+
+def _compile(netlist: GateNetlist) -> CompiledProgram:
     with profile_section("kernel.compile", netlist=netlist.name, gates=len(netlist)):
         program = CompiledProgram(netlist)
     _COMPILES.inc()
-    if cacheable:
-        _PROGRAMS[netlist] = program
     return program
 
 

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
-from weakref import WeakKeyDictionary
+from typing import Dict, List, Tuple
 
 from repro.errors import NetlistError
 from repro.gates.cells import SOURCE_KINDS
-from repro.gates.netlist import GateNetlist
+from repro.gates.netlist import GateNetlist, NetlistCache
 
-_DEPTH_CACHE: "WeakKeyDictionary[GateNetlist, Dict[str, int]]" = WeakKeyDictionary()
+_ORDER_CACHE: "NetlistCache[Tuple[str, ...]]" = NetlistCache()
+_DEPTH_CACHE: "NetlistCache[Dict[str, int]]" = NetlistCache()
 
 
-def levelize(netlist: GateNetlist) -> List[str]:
+def levelize(netlist: GateNetlist) -> Tuple[str, ...]:
     """Return gate names in evaluation order.
 
     Sources (inputs, constants, flip-flop outputs) come first, then every
     combinational gate after all of its fanins.  Raises
-    :class:`NetlistError` on a combinational cycle.
+    :class:`NetlistError` on a combinational cycle.  Computed once per
+    netlist (until it is edited) and returned as a read-only tuple.
     """
+    return _ORDER_CACHE.get(netlist, lambda: _levelize(netlist))
+
+
+def _levelize(netlist: GateNetlist) -> Tuple[str, ...]:
     order: List[str] = []
     pending: Dict[str, int] = {}
     ready: List[str] = []
@@ -35,11 +40,9 @@ def levelize(netlist: GateNetlist) -> List[str]:
                 ready.append(gate.name)
 
     fanout = netlist.fanout_map()
-    resolved = 0
     while ready:
         name = ready.pop()
         order.append(name)
-        resolved += 1
         for reader in fanout[name]:
             if reader in pending:
                 pending[reader] -= 1
@@ -52,7 +55,7 @@ def levelize(netlist: GateNetlist) -> List[str]:
         raise NetlistError(
             f"combinational cycle involving {sorted(unresolved)[:5]} in {netlist.name!r}"
         )
-    return order
+    return tuple(order)
 
 
 def depth_levels(netlist: GateNetlist) -> Dict[str, int]:
@@ -62,11 +65,12 @@ def depth_levels(netlist: GateNetlist) -> Dict[str, int]:
     This is the level definition the compiled kernels group their ops
     by, shared here so scalar-side consumers (effort attribution, the
     PODEM ledger) bucket identically without importing numpy.  Cached
-    per netlist; treat the result as read-only.
+    per netlist like :func:`levelize`; treat the result as read-only.
     """
-    cached = _DEPTH_CACHE.get(netlist)
-    if cached is not None:
-        return cached
+    return _DEPTH_CACHE.get(netlist, lambda: _depth_levels(netlist))
+
+
+def _depth_levels(netlist: GateNetlist) -> Dict[str, int]:
     levels: Dict[str, int] = {}
     for name in levelize(netlist):
         gate = netlist.gate(name)
@@ -81,5 +85,4 @@ def depth_levels(netlist: GateNetlist) -> Dict[str, int]:
                 ),
                 default=0,
             )
-    _DEPTH_CACHE[netlist] = levels
     return levels

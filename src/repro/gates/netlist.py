@@ -9,8 +9,9 @@ pseudo-primary outputs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import NetlistError
 from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind, gate_area
@@ -39,6 +40,10 @@ class GateNetlist:
         self.name = name
         self._gates: Dict[str, Gate] = {}
         self._fanout_cache: Optional[Dict[str, List[str]]] = None
+        #: mutation stamp: bumped by every structural edit, so derived
+        #: per-netlist structures (see :class:`NetlistCache`) can tell
+        #: they went stale
+        self.stamp = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -49,7 +54,7 @@ class GateNetlist:
         fanin_tuple = tuple(fanins)
         _check_arity(name, kind, len(fanin_tuple))
         self._gates[name] = Gate(name, kind, fanin_tuple)
-        self._fanout_cache = None
+        self._mutated()
         return name
 
     def replace_gate(self, name: str, kind: GateKind, fanins: Iterable[str]) -> None:
@@ -59,7 +64,11 @@ class GateNetlist:
         fanin_tuple = tuple(fanins)
         _check_arity(name, kind, len(fanin_tuple))
         self._gates[name] = Gate(name, kind, fanin_tuple)
+        self._mutated()
+
+    def _mutated(self) -> None:
         self._fanout_cache = None
+        self.stamp += 1
 
     # ------------------------------------------------------------------
     # lookup
@@ -159,6 +168,43 @@ class GateNetlist:
         clone = GateNetlist(new_name or self.name)
         clone._gates = {name: Gate(g.name, g.kind, g.fanins) for name, g in self._gates.items()}
         return clone
+
+
+T = TypeVar("T")
+
+
+class NetlistCache(Generic[T]):
+    """Structures derived from a netlist, cached once per netlist.
+
+    Entries are keyed weakly on the netlist object and tagged with its
+    :attr:`GateNetlist.stamp`; after ``add_gate``/``replace_gate`` the tag
+    no longer matches and the next lookup rebuilds.  Every per-netlist
+    cache (levelization, depth levels, compiled kernels, fault cones,
+    the PODEM structure) goes through this one invalidation rule.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "weakref.WeakKeyDictionary[GateNetlist, Tuple[int, T]]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def get(self, netlist: GateNetlist, build: Optional[Callable[[], T]] = None) -> Optional[T]:
+        """The fresh entry for ``netlist``; on a miss, ``build()``'s result
+        (stored) or ``None`` without a builder."""
+        try:
+            entry = self._entries.get(netlist)
+        except TypeError:  # unweakrefable netlist stand-in (tests): never cached
+            return build() if build is not None else None
+        if entry is not None and entry[0] == netlist.stamp:
+            return entry[1]
+        if build is None:
+            return None
+        value = build()
+        self._entries[netlist] = (netlist.stamp, value)
+        return value
+
+    def clear(self) -> None:
+        self._entries.clear()
 
 
 def _check_arity(name: str, kind: GateKind, count: int) -> None:
