@@ -78,25 +78,6 @@ class LintError(ReproError):
         self.diagnostics = list(diagnostics or [])
 
 
-class ServeError(ReproError):
-    """A planning-daemon failure (see :mod:`repro.serve`).
-
-    Raised client-side when the daemon answers a request with an error
-    envelope; carries the wire-protocol error code in :attr:`code`.
-    """
-
-    def __init__(self, message: str, code: str = "error") -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class ProtocolError(ServeError):
-    """A malformed ``repro-serve`` request or response envelope."""
-
-    def __init__(self, message: str, code: str = "bad-request") -> None:
-        super().__init__(message, code=code)
-
-
 class ObservabilityError(ReproError):
     """A problem in the tracing/metrics/bench-format layer."""
 

@@ -1,25 +1,15 @@
-"""Parallel evaluation engine: worker-pool fan-out + incremental caching.
+"""Incremental evaluation: the plan cache.
 
-Two cooperating parts, both deterministic by construction:
-
-* :mod:`repro.exec.pool` -- :class:`ParallelExecutor`, a process-based
-  worker pool with ordered result collection, worker-metrics merging,
-  and a serial fallback that is the pre-existing code path (``--jobs 1``
-  / ``REPRO_JOBS`` / default);
-* :mod:`repro.exec.cache` -- :class:`PlanCache`, the incremental
-  planning cache that memoizes per-core test plans under a dependency
-  footprint of the ``(core, version)`` pairs each plan consulted, keyed
-  by a stable SOC fingerprint.
-
-The three hot paths fan out through the executor: per-core ATPG + fault
-grading (:func:`repro.flow.evaluate.evaluate_system`,
-:func:`repro.flow.corelevel.prepare_cores`), the design-space sweep
-(:func:`repro.soc.optimizer.design_space`), and per-point scheduling
-(:func:`repro.flow.chiplevel.schedule_points`).  Parallel and serial
-runs are bit-identical under a fixed seed; see README "Parallelism".
+:mod:`repro.exec.cache` holds :class:`PlanCache`, the incremental
+planning cache that memoizes per-core test plans under a dependency
+footprint of the ``(core, version)`` pairs each plan consulted, keyed
+by a stable SOC fingerprint.  The design-space sweep
+(:func:`repro.soc.optimizer.design_space`) and the iterative-improvement
+optimizer re-plan mostly unchanged cores, so most of their planning is
+cache hits; cached and uncached runs are bit-identical (see README,
+"Plan cache").
 """
 
-from repro.exec.pool import JOBS_ENV, ParallelExecutor, resolve_jobs
 from repro.exec.cache import (
     CACHE_ENV,
     PlanCache,
@@ -31,9 +21,6 @@ from repro.exec.cache import (
 )
 
 __all__ = [
-    "JOBS_ENV",
-    "ParallelExecutor",
-    "resolve_jobs",
     "CACHE_ENV",
     "PlanCache",
     "cache_enabled",

@@ -92,50 +92,28 @@ class SocetRun:
         return rows
 
 
-def _schedule_chunk(context, plans) -> List[TestSchedule]:
-    """Schedule one chunk of finished plans (runs inside a worker)."""
-    from repro.schedule import schedule_plan
-
-    algorithm, power_budget, include_bist = context
-    return [
-        schedule_plan(
-            plan,
-            algorithm=algorithm,
-            power_budget=power_budget,
-            include_bist=include_bist,
-        )
-        for plan in plans
-    ]
-
-
 def schedule_points(
     points: List[DesignPoint],
     algorithm: str = "greedy",
     power_budget: Optional[int] = None,
     include_bist: bool = False,
-    jobs: Optional[int] = None,
 ) -> List[TestSchedule]:
-    """Concurrent-session schedules for every design point, in order.
-
-    Scheduling each point's plan is independent of every other point,
-    so the list fans out over worker processes (``jobs``); results are
-    bit-identical to scheduling each point serially.
-    """
-    from repro.exec import ParallelExecutor
-    from repro.soc.optimizer import _chunked
+    """Concurrent-session schedules for every design point, in order."""
+    from repro.schedule import schedule_plan
 
     with profile_section("chiplevel.schedule_points", points=len(points)):
-        context = (algorithm, power_budget, include_bist)
-        with ParallelExecutor(jobs, context=context) as executor:
-            chunks = _chunked([p.plan for p in points], executor.jobs * 2)
-            return [
-                schedule
-                for chunk in executor.map(_schedule_chunk, chunks, chunksize=1)
-                for schedule in chunk
-            ]
+        return [
+            schedule_plan(
+                point.plan,
+                algorithm=algorithm,
+                power_budget=power_budget,
+                include_bist=include_bist,
+            )
+            for point in points
+        ]
 
 
-def run_socet(soc: Soc, jobs: Optional[int] = None, strict: bool = False) -> SocetRun:
+def run_socet(soc: Soc, strict: bool = False) -> SocetRun:
     """Sweep the design space and pick the paper's two extreme points.
 
     ``strict=True`` runs the structural design rules (:mod:`repro.lint`)
@@ -148,23 +126,19 @@ def run_socet(soc: Soc, jobs: Optional[int] = None, strict: bool = False) -> Soc
 
         strict_gate_soc(soc, gate="run_socet(strict=True)")
     with profile_section("chiplevel.run_socet", soc=soc.name):
-        return _run_socet(soc, jobs)
-
-
-def _run_socet(soc: Soc, jobs: Optional[int] = None) -> SocetRun:
-    points = design_space(soc, jobs=jobs)
-    min_area = min(points, key=lambda p: (p.chip_cells, p.tat))
-    min_tat = min(points, key=lambda p: (p.tat, p.chip_cells))
-    schedules = schedule_points([min_area, min_tat], jobs=jobs)
-    return SocetRun(
-        soc=soc,
-        points=points,
-        min_area_plan=min_area.plan,
-        min_tat_plan=min_tat.plan,
-        baseline=fscan_bscan_report(soc),
-        min_area_schedule=schedules[0],
-        min_tat_schedule=schedules[1],
-    )
+        points = design_space(soc)
+        min_area = min(points, key=lambda p: (p.chip_cells, p.tat))
+        min_tat = min(points, key=lambda p: (p.tat, p.chip_cells))
+        schedules = schedule_points([min_area, min_tat])
+        return SocetRun(
+            soc=soc,
+            points=points,
+            min_area_plan=min_area.plan,
+            min_tat_plan=min_tat.plan,
+            baseline=fscan_bscan_report(soc),
+            min_area_schedule=schedules[0],
+            min_tat_schedule=schedules[1],
+        )
 
 
 def optimize_to_area(soc: Soc, max_chip_cells: int):

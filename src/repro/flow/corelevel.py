@@ -9,7 +9,7 @@ tables, and area numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.atpg.combinational import AtpgOutcome, CombinationalAtpg
 from repro.dft.hscan import HscanResult, insert_hscan
@@ -68,25 +68,13 @@ def prepare_core(circuit: RTLCircuit, seed: int = 0, backtrack_limit: int = 150)
     )
 
 
-def _prepare_task(context, circuit: RTLCircuit) -> CorePreparation:
-    seed, backtrack_limit = context
-    return prepare_core(circuit, seed=seed, backtrack_limit=backtrack_limit)
-
-
 def prepare_cores(
     circuits: Sequence[RTLCircuit],
     seed: int = 0,
     backtrack_limit: int = 150,
-    jobs: Optional[int] = None,
 ) -> List[CorePreparation]:
-    """Prepare many cores, fanning the per-core flows over worker processes.
-
-    Each core's HSCAN insertion, version synthesis, and ATPG are
-    independent (the core provider's one-time job), so this is the
-    natural unit of parallelism; results come back in input order and
-    match :func:`prepare_core` run serially.
-    """
-    from repro.exec import ParallelExecutor
-
-    with ParallelExecutor(jobs, context=(seed, backtrack_limit)) as executor:
-        return executor.map(_prepare_task, list(circuits))
+    """Prepare many cores (the core provider's one-time job), in input order."""
+    return [
+        prepare_core(circuit, seed=seed, backtrack_limit=backtrack_limit)
+        for circuit in circuits
+    ]

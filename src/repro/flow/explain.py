@@ -13,8 +13,7 @@ The metrics registry and the attribution collector are reset together
 at run start, so the artifact's reconciliation section can hold the
 attributed totals to the ``atpg.*``/``faultsim.*`` counters *exactly*;
 a mismatch means an instrumentation bug, not noise.  Schedulers are
-skipped: they search nothing, and leaving them out keeps the artifact
-invariant under ``--jobs``.
+skipped: they search nothing.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ def explain_system(
     system: str,
     seed: int = 0,
     max_faults: Optional[int] = None,
-    jobs: Optional[int] = None,
     top_k: int = 10,
     mode: Optional[str] = None,
 ) -> ExplainReport:
@@ -88,16 +86,12 @@ def explain_system(
     ``mode`` overrides ``REPRO_ATTRIB`` (``on``/``deep``); an unset or
     ``off`` resolution is promoted to ``on`` -- explain without
     collection would be an empty report.  ``max_faults`` is the same
-    quick-mode cap as :func:`repro.flow.profile.profile_system`;
-    ``jobs`` fans per-core ATPG and the design-space sweep out, and the
-    artifact is bit-identical for any job count because worker deltas
-    merge in submission order.  The previous attribution mode is
-    restored on exit, so a surrounding always-on session keeps its
-    setting.
+    quick-mode cap as :func:`repro.flow.profile.profile_system`.  The
+    previous attribution mode is restored on exit, so a surrounding
+    always-on session keeps its setting.
     """
     from repro.designs import system_builders
-    from repro.exec import ParallelExecutor
-    from repro.flow.profile import _profile_atpg_task
+    from repro.flow.profile import regenerate_atpg
     from repro.soc.optimizer import SocetOptimizer, design_space
     from repro.soc.plan import plan_soc_test
 
@@ -119,14 +113,13 @@ def explain_system(
             soc = builders[system]()
 
             # plane 1+2: per-core ATPG regeneration drives PODEM and the
-            # fault simulator; attribution deltas ship back with metrics
-            circuits = [core.circuit for core in soc.testable_cores()]
-            with ParallelExecutor(jobs, context=(seed, max_faults)) as executor:
-                executor.map(_profile_atpg_task, circuits)
+            # fault simulator
+            for core in soc.testable_cores():
+                regenerate_atpg(core.circuit, seed, max_faults)
 
             # plane 3: the design-space sweep plus iterative improvement
             plan_soc_test(soc)
-            points = design_space(soc, jobs=jobs)
+            points = design_space(soc)
             budget = max(point.chip_cells for point in points)
             SocetOptimizer(soc).minimize_tat(budget)
 

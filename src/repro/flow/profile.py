@@ -37,8 +37,7 @@ class ProfileReport:
     #: the full registry counter snapshot after the run, zeros included
     #: (the run ledger needs "zero" and "absent" to be different facts)
     all_counters: Dict[str, int] = field(default_factory=dict)
-    #: histogram summaries after the run (stage times, serve latencies
-    #: when profiling through the daemon) -- feeds the ledger's SLO gate
+    #: histogram summaries after the run (stage times)
     histograms: Dict[str, Dict] = field(default_factory=dict)
 
     def stage(self, name: str) -> Dict:
@@ -58,8 +57,8 @@ class ProfileReport:
         """This run as a ``repro-ledger`` record (see :mod:`repro.obs.ledger`).
 
         ``bench`` defaults to ``profile-<system>``; pass an explicit
-        series key when variants (``--quick``, job counts) must not
-        share a baseline window.
+        series key when variants (``--quick``) must not share a
+        baseline window.
         """
         from repro.obs.ledger import make_record
 
@@ -86,8 +85,12 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _profile_atpg_task(context, circuit) -> int:
-    """One core's ATPG regeneration (runs inside a worker)."""
+def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]) -> None:
+    """Regenerate one core's test set.
+
+    ``max_faults`` caps the fault list at a seeded sample of the
+    collapsed universe (quick mode).
+    """
     import random
 
     from repro.atpg.combinational import CombinationalAtpg
@@ -95,21 +98,18 @@ def _profile_atpg_task(context, circuit) -> int:
     from repro.faults.collapse import collapse_faults
     from repro.faults.model import full_fault_universe
 
-    seed, max_faults = context
     netlist = elaborate(circuit).netlist
     faults = None
     if max_faults is not None:
         universe = collapse_faults(netlist, full_fault_universe(netlist))
         if len(universe) > max_faults:
             faults = random.Random(seed).sample(universe, max_faults)
-    outcome = CombinationalAtpg(netlist, seed=seed).run(faults)
-    return len(outcome.patterns)
+    CombinationalAtpg(netlist, seed=seed).run(faults)
 
 
-#: quick mode's per-core fault cap (``--quick`` in the CLI, the
-#: ``quick`` param of a serve ``profile`` job): small enough for
-#: seconds-long runs, large enough that PODEM still backtracks on
-#: every example core
+#: quick mode's per-core fault cap (``--quick`` in the CLI): small
+#: enough for seconds-long runs, large enough that PODEM still
+#: backtracks on every example core
 QUICK_MAX_FAULTS = 60
 
 
@@ -117,19 +117,14 @@ def profile_system(
     system: str,
     seed: int = 0,
     max_faults: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> ProfileReport:
     """Run every pipeline stage on ``system`` and collect the breakdown.
 
     ``max_faults`` caps the per-core ATPG fault list (a seeded sample of
     the collapsed universe) -- the CLI's ``--quick`` mode, which keeps
     every stage and counter live while cutting minutes to seconds.
-    ``jobs`` fans per-core ATPG and the design-space sweep over worker
-    processes; worker counters and stage timings merge back into the
-    registry, so the breakdown stays complete.
     """
     from repro.designs import system_builders
-    from repro.exec import ParallelExecutor
     from repro.soc.optimizer import SocetOptimizer, design_space
     from repro.soc.plan import plan_soc_test
 
@@ -146,14 +141,13 @@ def profile_system(
 
         # ATPG + fault-sim: regenerate each core's precomputed test set
         # (system builders ship vendor vector counts, so run it explicitly)
-        circuits = [core.circuit for core in soc.testable_cores()]
-        with ParallelExecutor(jobs, context=(seed, max_faults)) as executor:
-            executor.map(_profile_atpg_task, circuits)
+        for core in soc.testable_cores():
+            regenerate_atpg(core.circuit, seed, max_faults)
 
         # chip-level: the reservation-aware path search over the whole
         # design space (every version selection)
         plan = plan_soc_test(soc)
-        points = design_space(soc, jobs=jobs)
+        points = design_space(soc)
 
         # optimizer: iterative improvement up to the largest design's area
         budget = max(point.chip_cells for point in points)

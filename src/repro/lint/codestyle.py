@@ -1,9 +1,9 @@
 """AST-based determinism lint for the codebase itself.
 
-The parallel executor (:mod:`repro.exec`) promises bit-identical results
-at any job count, and the plan cache replays side effects verbatim --
-both collapse if library code consults ambient nondeterminism.  Three
-rules, enforced in CI over ``src/``:
+Plans, counters, and artifacts are pure functions of the seed, and the
+plan cache (:mod:`repro.exec`) replays side effects verbatim -- both
+collapse if library code consults ambient nondeterminism.  Four rules,
+enforced in CI over ``src/``:
 
 * **DET001 unseeded-random** -- module-level ``random.*`` calls (the
   shared, unseeded RNG) anywhere in the library; use

@@ -61,7 +61,6 @@ from repro.obs.profiler import (
 )
 from repro.obs.regress import (
     GatePolicy,
-    HistogramComparison,
     RegressionReport,
     compare_ledgers,
     compare_records,
@@ -72,7 +71,6 @@ from repro.obs.tracer import (
     NOOP_SPAN,
     Span,
     Tracer,
-    new_span_id,
     span_tree_problems,
 )
 
@@ -97,7 +95,6 @@ __all__ = [
     "Tracer",
     "TRACER",
     "NOOP_SPAN",
-    "new_span_id",
     "span_tree_problems",
     "render_exposition",
     "parse_exposition",
@@ -110,7 +107,6 @@ __all__ = [
     "environment_fingerprint",
     "pooled_samples",
     "GatePolicy",
-    "HistogramComparison",
     "RegressionReport",
     "compare_ledgers",
     "compare_records",

@@ -27,14 +27,13 @@ Three attribution planes feed one collector:
   append-only stream, summarized into wasted-move ratio, plateau
   length, and per-move-kind yield.
 
-The collector mirrors the metrics registry's cross-process discipline:
-:meth:`AttribCollector.mark` / :meth:`AttribCollector.delta_since` /
-:meth:`AttribCollector.merge_delta` ship plain picklable deltas through
-the ``ParallelExecutor`` result tuples, merged in submission order so
-any job count folds to the same state.  Collection is off by default;
-``REPRO_ATTRIB`` (``off``/``on``/``deep``) or
-:meth:`AttribCollector.configure` turns it on.  Every hook early-returns
-on one attribute check when off.
+Collection is off by default; ``REPRO_ATTRIB`` (``off``/``on``/``deep``)
+or :meth:`AttribCollector.configure` turns it on.  Every hook
+early-returns on one attribute check when off.
+:meth:`AttribCollector.mark` / :meth:`AttribCollector.delta_since`
+scope the collected state to a stretch of a run without a reset, and
+:meth:`AttribCollector.merge_delta` folds such a delta into another
+collector.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
 (version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
@@ -117,9 +116,8 @@ def _band(value: int) -> str:
 class AttribCollector:
     """Append-only effort ledgers for the three attribution planes.
 
-    State is plain ints/lists/dicts so deltas pickle across worker
-    processes; merge order (submission order in the executor) is the
-    only order, which makes the folded state independent of job count.
+    State is plain ints/lists/dicts appended in execution order, so
+    the collected state is a pure function of the seed.
     """
 
     __slots__ = ("mode", "_podem", "_sim", "_scalars", "_cones", "_moves",
@@ -239,7 +237,7 @@ class AttribCollector:
         })
         _MOVE_EVENTS.inc()
 
-    # -- cross-process deltas ------------------------------------------
+    # -- snapshots and deltas ------------------------------------------
     def mark(self) -> Dict[str, Any]:
         """Snapshot for a later :meth:`delta_since` (cheap, by-value)."""
         return {
@@ -254,10 +252,10 @@ class AttribCollector:
         }
 
     def delta_since(self, mark: Mapping[str, Any]) -> Dict[str, Any]:
-        """Picklable increment of the collector state since ``mark``.
+        """Plain-data increment of the collector state since ``mark``.
 
-        Zero increments are dropped so an idle worker ships an empty
-        delta; list planes ship the appended suffix.
+        Zero increments are dropped so an idle stretch yields an empty
+        delta; list planes yield the appended suffix.
         """
         sim: Dict[str, List[int]] = {}
         base_sim = mark["sim"]
@@ -294,10 +292,11 @@ class AttribCollector:
         return delta
 
     def merge_delta(self, delta: Mapping[str, Any]) -> None:
-        """Fold a worker's delta in (idempotence is the caller's job).
+        """Fold a :meth:`delta_since` result in (idempotence is the
+        caller's job).
 
         The companion metric counters are *not* re-incremented here --
-        they ship through the metrics registry's own delta machinery.
+        they were counted where the delta was recorded.
         """
         self._podem.extend(delta.get("podem", ()))
         self._moves.extend(delta.get("moves", ()))
@@ -314,8 +313,7 @@ class AttribCollector:
             self._cones[site] = self._cones.get(site, 0) + grown
 
 
-#: process-wide collector; worker processes inherit its state at fork
-#: and ship increments back through the executor's result tuples.
+#: process-wide collector every hook feeds
 ATTRIB = AttribCollector()
 
 

@@ -4,12 +4,11 @@
 into the Prometheus text format (version 0.0.4): counters and gauges
 as single samples, histograms as *summary* metrics with ``quantile``
 labels plus ``_sum``/``_count`` series.  No client library is
-involved -- the format is line-oriented text, and generating it
-directly keeps the daemon dependency-free.
+involved -- the format is line-oriented text, generated directly.
 
 Dotted instrument names are mapped to the Prometheus grammar by
 prefixing ``repro_`` and replacing every non-alphanumeric character
-with ``_`` (``serve.queue.depth`` → ``repro_serve_queue_depth``); the
+with ``_`` (``exec.cache.hits`` → ``repro_exec_cache_hits``); the
 original dotted name is preserved in the ``# HELP`` line so the
 mapping is reversible by eye.
 
@@ -18,9 +17,8 @@ An empty histogram renders as its well-defined empty summary: a
 quantile of nothing is not a number, so it is not a sample).
 
 :func:`parse_exposition` is the matching validator/reader: it checks
-the text parses line-by-line and returns the samples, which is what
-``repro top`` and the CI scrape check consume.  ``python -m
-repro.obs.expo FILE`` validates a scraped exposition from the shell.
+the text parses line-by-line and returns the samples.  ``python -m
+repro.obs.expo FILE`` validates an exposition file from the shell.
 """
 
 from __future__ import annotations

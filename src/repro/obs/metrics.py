@@ -196,9 +196,8 @@ class MetricsRegistry:
 
         Unlike :meth:`histograms` (ledger records, where an empty
         histogram is dead weight), the snapshot keeps empty histograms
-        as their well-defined empty summary -- a scraper should see
-        ``serve.job_latency`` exist with count 0 before the first job
-        finishes, not have the series pop into existence later.
+        as their well-defined empty summary, so the ``--metrics`` table
+        lists every registered instrument.
         """
         return {
             "counters": {k: v for k, v in self.counters().items() if v},
@@ -217,49 +216,6 @@ class MetricsRegistry:
         for table in (self._counters, self._gauges, self._histograms):
             for instrument in table.values():
                 instrument.reset()
-
-    # ------------------------------------------------------------------
-    # cross-process accounting (worker pools)
-    # ------------------------------------------------------------------
-    def mark(self) -> Dict[str, Dict[str, Number]]:
-        """A cheap position marker for :meth:`delta_since`.
-
-        Worker processes inherit the parent registry's state at fork, so
-        a (mark, delta) pair brackets exactly the work one task did.
-        """
-        return {
-            "counters": {name: c.value for name, c in self._counters.items()},
-            "histograms": {name: h.count for name, h in self._histograms.items()},
-        }
-
-    def delta_since(self, mark: Dict[str, Dict[str, Number]]) -> Dict[str, Dict]:
-        """Everything recorded since ``mark`` (picklable, mergeable).
-
-        Counters come back as increments, histograms as the list of new
-        observations; gauges are point-in-time values and are excluded.
-        """
-        counter_base = mark["counters"]
-        histogram_base = mark["histograms"]
-        counters = {}
-        for name, c in self._counters.items():
-            increment = c.value - counter_base.get(name, 0)
-            if increment:
-                counters[name] = increment
-        histograms = {}
-        for name, h in self._histograms.items():
-            base = int(histogram_base.get(name, 0))
-            if h.count > base:
-                histograms[name] = list(h._values[base:])
-        return {"counters": counters, "histograms": histograms}
-
-    def merge_delta(self, delta: Dict[str, Dict]) -> None:
-        """Fold a worker's :meth:`delta_since` result into this registry."""
-        for name, increment in delta.get("counters", {}).items():
-            self.counter(name).inc(increment)
-        for name, values in delta.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            for value in values:
-                histogram.observe(value)
 
 
 #: the process-wide registry every instrumented module shares

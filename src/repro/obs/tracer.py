@@ -12,18 +12,8 @@ shared no-op context manager without touching the clock, so leaving
 ``with TRACER.span("atpg.run"):`` in library code costs one attribute
 check per call.  Spans nest naturally through the ``with`` statement;
 a thread-local stack tracks depth and parent for the JSONL export
-(Chrome infers nesting from timestamps on the same thread).
-
-Cross-process stitching: :meth:`Tracer.context` serializes the current
-position in the trace (trace id, innermost span id, epoch, depth) into
-a plain dict that survives pickling into a pool worker.  The worker
-calls :meth:`Tracer.adopt` on its own process-local tracer, which
-enables recording, re-bases depth under the shipped parent, and adopts
-the parent's perf-counter epoch so timestamps share one timebase
-(``CLOCK_MONOTONIC`` is system-wide on Linux).  Worker spans travel
-back as plain event dicts and are merged with :meth:`Tracer.absorb`;
-span ids are ``"<pid hex>-<seq hex>"`` so ids from different worker
-processes never collide.
+(Chrome infers nesting from timestamps on the same thread).  Span ids
+are ``"<pid hex>-<seq hex>"``, unique within the trace.
 """
 
 from __future__ import annotations
@@ -35,18 +25,8 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
-#: process-wide span-id sequence; combined with the pid so ids minted in
-#: forked workers (which inherit the counter position) stay unique
+#: process-wide span-id sequence
 _SPAN_IDS = itertools.count(1)
-
-
-def new_span_id() -> str:
-    """Mint a span id (``"<pid hex>-<seq hex>"``) outside any tracer.
-
-    Used by synthesized span trees (serve jobs) so their ids share the
-    allocator with live tracer spans and never collide with them.
-    """
-    return f"{os.getpid():x}-{next(_SPAN_IDS):x}"
 
 
 class _NoopSpan:
@@ -98,11 +78,9 @@ class Span:
     def __enter__(self) -> "Span":
         tracer = self.tracer
         stack = tracer._stack()
-        self._depth = tracer._depth_base + len(stack)
+        self._depth = len(stack)
         if stack:
             self._parent, self._parent_id = stack[-1]
-        else:
-            self._parent, self._parent_id = tracer._context_parent
         self.span_id = f"{tracer.pid:x}-{next(_SPAN_IDS):x}"
         stack.append((self.name, self.span_id))
         self._start_ns = time.perf_counter_ns()
@@ -145,10 +123,6 @@ class Tracer:
         self._events: List[Dict] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        #: (name, span_id) adopted from a shipped context; parents any
-        #: span opened while the thread-local stack is empty
-        self._context_parent: Tuple[Optional[str], Optional[str]] = (None, None)
-        self._depth_base = 0
 
     # ------------------------------------------------------------------
     def span(self, name: str, **args):
@@ -168,82 +142,6 @@ class Tracer:
             self._events.clear()
         self.epoch_ns = time.perf_counter_ns()
         self.trace_id = f"{self.pid:x}.{self.epoch_ns:x}"
-        self._context_parent = (None, None)
-        self._depth_base = 0
-
-    # ------------------------------------------------------------------
-    # cross-process propagation
-    # ------------------------------------------------------------------
-    def context(self, parent: Optional[Span] = None) -> Optional[Dict]:
-        """Serialize the current trace position for shipping to a worker.
-
-        Returns ``None`` while tracing is disabled (the no-overhead
-        signal for the worker side).  ``parent`` pins the span that
-        shipped work should nest under; without it the innermost open
-        span on the calling thread is used.
-        """
-        if not self.enabled:
-            return None
-        if parent is not None and parent.span_id is not None:
-            parent_name: Optional[str] = parent.name
-            parent_id: Optional[str] = parent.span_id
-            depth = parent._depth + 1
-        else:
-            stack = self._stack()
-            if stack:
-                parent_name, parent_id = stack[-1]
-                depth = self._depth_base + len(stack)
-            else:
-                parent_name, parent_id = self._context_parent
-                depth = self._depth_base
-        return {
-            "trace": self.trace_id,
-            "parent": parent_name,
-            "parent_id": parent_id,
-            "depth": depth,
-            "epoch_ns": self.epoch_ns,
-        }
-
-    def adopt(self, context: Optional[Dict]) -> None:
-        """Follow a shipped trace context (worker side).
-
-        ``None`` disables recording — worker enablement always mirrors
-        the parent's, so a worker never buffers spans nobody collects
-        and never silently drops spans the parent wanted.
-        """
-        # a forked worker inherits the forking thread's span stack (the
-        # parent's open spans, which the worker will never exit); a task
-        # starts from a clean stack with the shipped context as parent
-        self._stack().clear()
-        if context is None:
-            self.enabled = False
-            self._context_parent = (None, None)
-            self._depth_base = 0
-            return
-        self.pid = os.getpid()  # cached pid is stale after fork
-        self.enabled = True
-        self.trace_id = context["trace"]
-        self.epoch_ns = context["epoch_ns"]
-        self._context_parent = (context.get("parent"), context.get("parent_id"))
-        self._depth_base = context.get("depth", 0)
-
-    def mark(self) -> int:
-        """Current event count; pair with :meth:`events_since`."""
-        with self._lock:
-            return len(self._events)
-
-    def events_since(self, mark: int) -> List[Dict]:
-        """Events recorded after ``mark`` (for shipping back to a parent)."""
-        with self._lock:
-            return list(self._events[mark:])
-
-    def absorb(self, events: List[Dict]) -> int:
-        """Merge events shipped back from a worker; returns the count."""
-        if not events:
-            return 0
-        with self._lock:
-            self._events.extend(events)
-        return len(events)
 
     # ------------------------------------------------------------------
     def _stack(self) -> List[Tuple[str, str]]:
@@ -288,7 +186,7 @@ class Tracer:
 
 
 def span_tree_problems(events: List[Dict]) -> List[str]:
-    """Structural checks on a stitched span set: ids and parent links.
+    """Structural checks on a span set: ids and parent links.
 
     Returns human-readable problems; empty means every span id is
     unique and every non-root parent link resolves — i.e. zero orphan

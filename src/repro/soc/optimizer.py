@@ -55,40 +55,9 @@ class DesignPoint:
         return ", ".join(parts)
 
 
-def sweep_context(
-    soc: Soc,
-    forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    use_cache: Optional[bool] = None,
-) -> Tuple:
-    """The shared worker context for a parallel design-space sweep.
-
-    Pass this to ``ParallelExecutor(jobs, context=sweep_context(...))``
-    when reusing one warm executor across several sweeps of the same SOC
-    (the executor hands it to every worker once, at pool start).
-    """
-    core_names = [core.name for core in soc.testable_cores()]
-    return (soc, forced_muxes, use_cache, tuple(core_names))
-
-
-def _sweep_chunk(context: Tuple, combos: List[Tuple[int, ...]]) -> List[SocTestPlan]:
-    """Plan one chunk of version combinations (runs inside a worker)."""
-    soc, forced_muxes, use_cache, core_names = context
-    plans: List[SocTestPlan] = []
-    for combo in combos:
-        selection = dict(zip(core_names, combo))
-        plan = plan_soc_test(
-            soc, selection, forced_muxes=forced_muxes, use_cache=use_cache
-        )
-        plan.soc = None  # type: ignore[assignment]  # don't pickle the SOC per point
-        plans.append(plan)
-    return plans
-
-
 def design_space(
     soc: Soc,
     forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    jobs: Optional[int] = None,
-    executor=None,
     use_cache: Optional[bool] = None,
 ) -> List[DesignPoint]:
     """Evaluate every combination of core versions (Figure 10's points).
@@ -96,69 +65,28 @@ def design_space(
     Points are sorted by chip-level DFT cells (ascending), so point 1 is
     the minimum-area design and the last point uses the minimum-latency
     version of every core.
-
-    ``jobs`` fans the sweep out over a worker pool (``None`` follows
-    ``REPRO_JOBS``, default serial); an ``executor`` built around
-    :func:`sweep_context` can be passed instead to reuse a warm pool.
-    Parallel sweeps are bit-identical to serial ones.
     """
     with profile_section("chiplevel.design_space", soc=soc.name):
-        return _design_space(soc, forced_muxes, jobs, executor, use_cache)
-
-
-def _design_space(
-    soc: Soc,
-    forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    jobs: Optional[int] = None,
-    executor=None,
-    use_cache: Optional[bool] = None,
-) -> List[DesignPoint]:
-    from repro.exec import ParallelExecutor
-
-    cores = soc.testable_cores()
-    ranges = [range(core.version_count) for core in cores]
-    combos = list(itertools.product(*ranges))
-
-    owns_executor = executor is None
-    if owns_executor:
-        executor = ParallelExecutor(
-            jobs, context=sweep_context(soc, forced_muxes, use_cache)
-        )
-    try:
-        chunks = _chunked(combos, executor.jobs * 2)
-        plans = [
-            plan
-            for chunk_plans in executor.map(_sweep_chunk, chunks, chunksize=1)
-            for plan in chunk_plans
-        ]
-    finally:
-        if owns_executor:
-            executor.close()
-
-    points: List[DesignPoint] = []
-    for combo, plan in zip(combos, plans):
-        plan.soc = soc  # reattach (workers return plans with the SOC stripped)
-        points.append(
-            DesignPoint(
-                index=0,
-                selection={core.name: index for core, index in zip(cores, combo)},
-                tat=plan.total_tat,
-                chip_cells=plan.chip_dft_cells,
-                plan=plan,
+        cores = soc.testable_cores()
+        points: List[DesignPoint] = []
+        for combo in itertools.product(*(range(core.version_count) for core in cores)):
+            selection = {core.name: index for core, index in zip(cores, combo)}
+            plan = plan_soc_test(
+                soc, selection, forced_muxes=forced_muxes, use_cache=use_cache
             )
-        )
-    points.sort(key=lambda p: (p.chip_cells, p.tat))
-    for i, point in enumerate(points):
-        point.index = i + 1
-    return points
-
-
-def _chunked(items: List, parts: int) -> List[List]:
-    """Split into at most ``parts`` contiguous runs (order preserved)."""
-    if not items:
-        return []
-    size = max(1, -(-len(items) // max(1, parts)))
-    return [items[i : i + size] for i in range(0, len(items), size)]
+            points.append(
+                DesignPoint(
+                    index=0,
+                    selection=selection,
+                    tat=plan.total_tat,
+                    chip_cells=plan.chip_dft_cells,
+                    plan=plan,
+                )
+            )
+        points.sort(key=lambda p: (p.chip_cells, p.tat))
+        for i, point in enumerate(points):
+            point.index = i + 1
+        return points
 
 
 class SocetOptimizer:

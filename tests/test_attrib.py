@@ -201,8 +201,12 @@ class TestExplain:
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_byte_identical_across_job_counts(self, jobs):
-        serial = explain(jobs=1).artifact_json()
-        assert explain(jobs=jobs).artifact_json() == serial
+        # the collector and the caches are process-wide: System1's
+        # artifact must not depend on how many explain jobs ran before it
+        alone = explain().artifact_json()
+        for number in range(2, jobs + 1):
+            explain(f"System{number}")
+        assert explain().artifact_json() == alone
 
     @pytest.mark.parametrize(
         "system", ["System1", "System2", "System3", "System4"]
@@ -360,6 +364,54 @@ class TestCli:
         except SystemExit as error:
             return error.code
 
+    @pytest.mark.parametrize("argv", [
+        ["explain", "System1", "--top", "0", "--json"],
+        ["explain", "System1", "--quick", "--top", "-3"],
+        ["report", "System1", "--quick", "--top", "0"],
+        ["report", "System1", "--quick", "--top", "-2"],
+        ["report", "System1", "--quick", "--top", "many"],
+    ])
+    def test_bad_top_exits_2_before_any_work(self, argv, capsys, monkeypatch):
+        def pipeline(*_args, **_kwargs):
+            raise AssertionError("the pipeline ran before --top was checked")
+
+        monkeypatch.setattr("repro.flow.explain.explain_system", pipeline)
+        monkeypatch.setattr("repro.flow.profile.profile_system", pipeline)
+        assert self.run_cli(argv) == 2
+        assert "--top" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["regress", "--ledger", "{dir}"],
+        ["regress", "--ledger", "{ledger}", "--baseline", "{dir}"],
+        ["regress", "--ledger", "{bogus}"],
+        ["regress", "--ledger", "{ledger}", "--baseline", "{bogus}"],
+        ["report", "System1", "--quick", "--baseline", "{dir}"],
+        ["explain", "System1", "--quick", "--baseline", "{dir}"],
+        ["profile", "System1", "--quick", "--ledger", "{dir}"],
+        ["report", "System1", "--quick", "-o", "{dir}"],
+        ["plan", "System1", "--trace", "{dir}"],
+    ])
+    def test_path_mistake_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        from repro.obs.ledger import RunLedger, make_record
+
+        paths = {
+            "dir": tmp_path / "a-directory",
+            "bogus": tmp_path / "not-a-ledger.txt",
+            "ledger": tmp_path / "ledger.jsonl",
+        }
+        paths["dir"].mkdir()
+        paths["bogus"].write_text("not a ledger\n")
+        RunLedger(paths["ledger"]).append(make_record("b", [1.0], counters={}))
+        argv = [arg.format(**paths) for arg in argv]
+        bad = next(str(paths[key]) for key in ("dir", "bogus")
+                   if str(paths[key]) in argv)
+        assert self.run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if bad in line] == [
+            err.strip()
+        ]
+
     def test_report_missing_baseline_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         code = self.run_cli(
@@ -437,7 +489,7 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# executor integration: attribution deltas ship like metrics deltas
+# attribution deltas and the regression gate
 # ----------------------------------------------------------------------
 class TestExecutorDeltas:
     def test_regress_gate_ignores_attrib_counters(self):
@@ -446,17 +498,3 @@ class TestExecutorDeltas:
         ignored = GatePolicy().counter_ignore
         assert "attrib." in ignored
         assert "explain." in ignored
-
-    def test_serve_explain_job(self):
-        from repro.serve.jobs import Job
-        from repro.serve.state import WarmState, run_batch
-
-        state = WarmState(jobs=1)
-        job = Job(id="j0001", seq=0, type="explain", system="System1",
-                  params={"quick": True, "seed": 0, "top_k": 4})
-        ((_job, (outcome, result, error)),) = run_batch(state, [job])
-        assert error is None
-        assert outcome == "done"
-        assert validate_artifact(result["artifact"]) == []
-        assert len(result["artifact"]["planes"]["atpg"]["hard_faults"]) <= 4
-        state.close()

@@ -37,7 +37,7 @@ class TestDet002WallClock:
 
     def test_datetime_now_flagged(self):
         src = "from datetime import datetime\nd = datetime.now()\n"
-        issues = check_source(src, "src/repro/exec/pool.py")
+        issues = check_source(src, "src/repro/exec/cache.py")
         assert codes(issues) == ["DET002"]
 
     def test_obs_layer_exempt(self):

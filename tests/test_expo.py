@@ -15,47 +15,47 @@ from repro.obs.metrics import MetricsRegistry
 
 def snapshot_with_everything():
     registry = MetricsRegistry()
-    registry.counter("serve.requests").inc(7)
-    registry.counter("exec.pool.spans_shipped").inc(3)
-    registry.gauge("serve.queue.depth").set(2)
-    hist = registry.histogram("serve.queue_wait")
+    registry.counter("atpg.podem.calls").inc(7)
+    registry.counter("exec.cache.hits").inc(3)
+    registry.gauge("exec.cache.entries").set(2)
+    hist = registry.histogram("schedule.pack.time")
     for value in (0.01, 0.02, 0.03, 0.04, 0.10):
         hist.observe(value)
-    registry.histogram("serve.job_latency")  # stays empty
+    registry.histogram("profile.total.time")  # stays empty
     return registry.snapshot()
 
 
 class TestRender:
     def test_names_are_prometheus_legal(self):
-        assert metric_name("serve.queue_wait") == "repro_serve_queue_wait"
+        assert metric_name("schedule.pack.time") == "repro_schedule_pack_time"
         assert metric_name("a-b c") == "repro_a_b_c"
 
     def test_counters_gauges_histograms(self):
         text = render_exposition(snapshot_with_everything())
-        assert "# TYPE repro_serve_requests counter" in text
-        assert "repro_serve_requests 7" in text
-        assert "# TYPE repro_serve_queue_depth gauge" in text
-        assert "# TYPE repro_serve_queue_wait summary" in text
-        assert 'repro_serve_queue_wait{quantile="0.99"}' in text
-        assert "repro_serve_queue_wait_count 5" in text
+        assert "# TYPE repro_atpg_podem_calls counter" in text
+        assert "repro_atpg_podem_calls 7" in text
+        assert "# TYPE repro_exec_cache_entries gauge" in text
+        assert "# TYPE repro_schedule_pack_time summary" in text
+        assert 'repro_schedule_pack_time{quantile="0.99"}' in text
+        assert "repro_schedule_pack_time_count 5" in text
         # the HELP line preserves the dotted name (reversible mapping)
-        assert "# HELP repro_serve_queue_wait histogram serve.queue_wait" in text
+        assert "# HELP repro_schedule_pack_time histogram schedule.pack.time" in text
 
     def test_empty_histogram_renders_count_sum_only(self):
         text = render_exposition(snapshot_with_everything())
-        assert "repro_serve_job_latency_count 0" in text
-        assert "repro_serve_job_latency_sum 0.0" in text
-        assert 'repro_serve_job_latency{' not in text  # no quantile of nothing
+        assert "repro_profile_total_time_count 0" in text
+        assert "repro_profile_total_time_sum 0.0" in text
+        assert 'repro_profile_total_time{' not in text  # no quantile of nothing
 
 
 class TestParseRoundTrip:
     def test_round_trip(self):
         text = render_exposition(snapshot_with_everything())
         parsed = parse_exposition(text)
-        requests = parsed["repro_serve_requests"]
+        requests = parsed["repro_atpg_podem_calls"]
         assert requests["type"] == "counter"
         assert requests["samples"] == [({}, 7.0)]
-        wait = parsed["repro_serve_queue_wait"]
+        wait = parsed["repro_schedule_pack_time"]
         assert wait["type"] == "summary"
         # _sum/_count fold into the base series
         kinds = {labels.get("__series__") for labels, _ in wait["samples"]}
@@ -63,10 +63,10 @@ class TestParseRoundTrip:
 
     def test_summary_reconstruction(self):
         parsed = parse_exposition(render_exposition(snapshot_with_everything()))
-        summary = summary_from_series(parsed, "serve.queue_wait")
+        summary = summary_from_series(parsed, "schedule.pack.time")
         assert summary["count"] == 5
         assert summary["p99"] == pytest.approx(0.10)
-        empty = summary_from_series(parsed, "serve.job_latency")
+        empty = summary_from_series(parsed, "profile.total.time")
         assert empty["count"] == 0 and empty["p99"] is None
         assert summary_from_series(parsed, "not.exposed") is None
 

@@ -20,7 +20,7 @@ from repro.obs.ledger import (
 )
 
 #: a fixed fingerprint so record-construction tests are hermetic
-ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8, "repro_jobs": None}
+ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
 
 
 def record(bench="schedule", samples=(0.004, 0.005), counters=None, **kwargs):
@@ -62,7 +62,7 @@ class TestRecordConstruction:
 
     def test_environment_fingerprint_fields(self):
         env = environment_fingerprint()
-        assert set(env) == {"python", "platform", "cpus", "repro_jobs"}
+        assert set(env) == {"python", "platform", "cpus"}
         assert env["cpus"] >= 1
 
     def test_utc_timestamp_format(self):
@@ -88,6 +88,7 @@ class TestValidation:
             (lambda r: r.update(samples=[-0.1]), "sample 0 is negative"),
             (lambda r: r.update(samples=[True]), "sample 0 is not a number"),
             (lambda r: r.update(kind="trace"), "kind 'trace'"),
+            (lambda r: r.update(kind="serve"), "kind 'serve'"),
             (lambda r: r.update(bench=""), "bench name is empty"),
             (lambda r: r.update(schema="other"), "schema is 'other'"),
             (lambda r: r.update(schema_version=99), "newer than"),
@@ -103,6 +104,11 @@ class TestValidation:
         mutate(rec)
         with pytest.raises(LedgerSchemaError, match=fragment):
             validate_record(rec)
+
+    def test_older_env_keys_still_validate(self):
+        # records written before the job-count knob was retired carry
+        # a ``repro_jobs`` env key; extra env keys are allowed
+        validate_record(record(env=dict(ENV, repro_jobs=None)))
 
     def test_collects_all_problems_in_one_error(self):
         rec = record()
@@ -229,20 +235,24 @@ class TestRunLedger:
         assert validate_file(str(single)) == "ledger-record"
 
 
+# ----------------------------------------------------------------------
+# schema v3: the optional 'histograms' field
+# ----------------------------------------------------------------------
 class TestFanOutDeterminism:
-    """Worker-pool counter merges land in ledger records bit-identically
-    at any job count (``exec.*`` is execution-strategy bookkeeping --
-    chunk counts, pool sizing -- and explicitly outside the guarantee)."""
+    """``design_space`` fans out over every version combination in one
+    loop; its counters land in ledger records bit-identically however
+    many planning jobs ran before it in the process (``exec.*`` is plan
+    cache bookkeeping and explicitly outside the guarantee)."""
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_design_space_counters_identical_across_jobs(self, tmp_path, jobs):
-        from repro.designs import build_system1
+        from repro import designs
         from repro.soc.optimizer import design_space
 
-        def run(job_count):
-            soc = build_system1()
+        def run(number):
+            soc = getattr(designs, f"build_system{number}")()
             METRICS.reset()
-            design_space(soc, jobs=job_count, use_cache=False)
+            design_space(soc, use_cache=False)
             return make_record(
                 "fanout",
                 [1.0],
@@ -259,20 +269,20 @@ class TestFanOutDeterminism:
                 if not name.startswith("exec.")
             }
 
-        serial, fanned = run(1), run(jobs)
-        assert stable(serial) == stable(fanned)
-        assert stable(serial)  # the run actually counted work
+        alone = run(1)
+        for number in range(2, jobs + 1):
+            run(number)
+        after = run(1)
+        assert stable(alone) == stable(after)
+        assert stable(alone)  # the run actually counted work
 
         ledger = RunLedger(tmp_path / "ledger.jsonl")
-        ledger.append(serial)
-        ledger.append(fanned)
+        ledger.append(alone)
+        ledger.append(after)
         first, second = ledger.records("fanout")
         assert stable(first) == stable(second)
 
 
-# ----------------------------------------------------------------------
-# schema v3: the optional 'histograms' field
-# ----------------------------------------------------------------------
 class TestHistogramsField:
     def summary(self, values):
         from repro.obs.metrics import MetricsRegistry
@@ -283,13 +293,13 @@ class TestHistogramsField:
         return hist.summary()
 
     def test_v3_record_round_trips(self, tmp_path):
-        rec = record(histograms={"serve.queue_wait": self.summary([0.01, 0.02])})
+        rec = record(histograms={"schedule.pack.time": self.summary([0.01, 0.02])})
         assert rec["schema_version"] == LEDGER_SCHEMA_VERSION >= 3
         validate_record(rec)
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(rec)
         (read_back,) = ledger.records("schedule")
-        assert read_back["histograms"]["serve.queue_wait"]["count"] == 2
+        assert read_back["histograms"]["schedule.pack.time"]["count"] == 2
 
     def test_histograms_field_is_optional(self):
         rec = record()

@@ -223,13 +223,13 @@ class TestBenchJson:
 
     def test_v3_histograms(self):
         registry = MetricsRegistry()
-        registry.histogram("serve.queue_wait").observe(0.01)
+        registry.histogram("schedule.pack.time").observe(0.01)
         payload = bench_payload(
             "x", 0.1, {}, registry=registry, samples=[0.1, 0.2],
             histograms=registry.histograms(),
         )
         assert payload["schema_version"] == 3
-        assert payload["histograms"]["serve.queue_wait"]["count"] == 1
+        assert payload["histograms"]["schedule.pack.time"]["count"] == 1
         # the well-defined empty summary validates too
         from repro.obs.metrics import EMPTY_SUMMARY
 

@@ -14,7 +14,7 @@ from repro.obs.report import (
     stage_waterfall,
 )
 
-ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8, "repro_jobs": None}
+ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
 
 
 def record(counters=None, samples=(0.5,)):

@@ -1,22 +1,24 @@
-"""Trace stitching under concurrency: threads + pool workers, one tree.
+"""Trace nesting under concurrency: threads + a thread pool, one tree.
 
-The satellite contract: a traced run that fans work over threads *and*
-worker processes must export a single coherent Chrome trace -- every
-span id unique, every worker span's parent chain terminating inside
-the trace (zero orphans), and the JSON loadable by the validator.
+The contract: a traced run that spreads work over plain threads *and*
+a two-worker thread pool must export a single coherent Chrome trace --
+every span id unique, every parent inside the trace (zero orphans),
+each span nested under its parent on its own thread, and the JSON
+loadable by the validator.  The tracer keeps one span stack per
+thread behind one lock, which is what this checks.
 """
 
 import json
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
-from repro.exec import ParallelExecutor
-from repro.obs import METRICS, TRACER, enable_tracing, span_tree_problems
+from repro.obs import TRACER, enable_tracing, span_tree_problems
 from repro.obs.benchjson import validate_chrome_trace
 
 
 def _traced_task(item):
-    """Pool worker body: two nested spans around trivial work."""
+    """Work body: two nested spans around trivial work."""
     with TRACER.span("stitch.work", item=item):
         with TRACER.span("stitch.inner"):
             return item * 2
@@ -24,6 +26,16 @@ def _traced_task(item):
 
 def _by_id(events):
     return {e["args"]["span_id"]: e for e in events if "span_id" in e["args"]}
+
+
+def _assert_inner_nests_on_its_thread(events):
+    spans = _by_id(events)
+    inner = [e for e in events if e["name"] == "stitch.inner"]
+    assert len(inner) == 4
+    for event in inner:
+        parent = spans[event["args"]["parent_id"]]
+        assert parent["name"] == "stitch.work"
+        assert parent["tid"] == event["tid"]
 
 
 class TestPoolStitching:
@@ -34,59 +46,33 @@ class TestPoolStitching:
         TRACER.disable()
         TRACER.clear()
 
-    def _run(self, jobs):
+    def test_serial_fallback_same_tree_shape(self):
+        # the flow's fan-out sites run their items in-process, in order
         with TRACER.span("stitch.root"):
-            with ParallelExecutor(jobs) as executor:
-                results = executor.map(_traced_task, [1, 2, 3, 4])
-        assert results == [2, 4, 6, 8]  # order preserved
-        return TRACER.events()
+            results = [_traced_task(item) for item in [1, 2, 3, 4]]
+        assert results == [2, 4, 6, 8]
+        events = TRACER.events()
 
-    def _assert_coherent(self, events):
         assert span_tree_problems(events) == []
         payload = json.loads(json.dumps(TRACER.chrome_trace()))
         validate_chrome_trace(payload)
         assert payload["metadata"]["trace_id"] == TRACER.trace_id
-        spans = _by_id(events)
-        dispatch = [e for e in events if e["name"] == "exec.pool.dispatch"]
-        assert len(dispatch) == 1
-        dispatch_id = dispatch[0]["args"]["span_id"]
-        assert dispatch[0]["args"]["parent"] == "stitch.root"
+        root = next(e for e in events if e["name"] == "stitch.root")
         work = [e for e in events if e["name"] == "stitch.work"]
-        assert len(work) == 4
+        assert [e["args"]["item"] for e in work] == [1, 2, 3, 4]
         for event in work:
-            # every shipped span nests under the dispatching span
-            assert event["args"]["parent_id"] == dispatch_id
-            assert event["args"]["depth"] == dispatch[0]["args"]["depth"] + 1
-        inner = [e for e in events if e["name"] == "stitch.inner"]
-        assert len(inner) == 4
-        for event in inner:
-            parent = spans[event["args"]["parent_id"]]
-            assert parent["name"] == "stitch.work"
-        return work
-
-    def test_two_workers_stitch_into_one_tree(self):
-        before = int(METRICS.counter("exec.pool.spans_shipped").value)
-        events = self._run(jobs=2)
-        work = self._assert_coherent(events)
-        if {e["pid"] for e in work} != {os.getpid()}:
-            # real worker processes: their spans were shipped + counted
-            shipped = int(METRICS.counter("exec.pool.spans_shipped").value)
-            assert shipped - before == 8  # 4x (work + inner)
-
-    def test_serial_fallback_same_tree_shape(self):
-        # jobs=None runs in-process; the tree contract is identical
-        events = self._run(jobs=None)
-        self._assert_coherent(events)
+            assert event["args"]["parent_id"] == root["args"]["span_id"]
+            assert event["args"]["depth"] == root["args"]["depth"] + 1
+        _assert_inner_nests_on_its_thread(events)
         assert {e["pid"] for e in events} == {os.getpid()}
 
     def test_disabled_tracing_ships_nothing(self):
         TRACER.disable()
         TRACER.clear()
-        before = int(METRICS.counter("exec.pool.spans_shipped").value)
-        with ParallelExecutor(2) as executor:
-            assert executor.map(_traced_task, [1, 2]) == [2, 4]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(_traced_task, [1, 2])) == [2, 4]
+        assert [_traced_task(item) for item in [1, 2]] == [2, 4]
         assert TRACER.events() == []
-        assert int(METRICS.counter("exec.pool.spans_shipped").value) == before
 
 
 class TestThreadsPlusWorkers:
@@ -108,8 +94,8 @@ class TestThreadsPlusWorkers:
         with TRACER.span("stitch.root"):
             for thread in threads:
                 thread.start()
-            with ParallelExecutor(2) as executor:
-                executor.map(_traced_task, [1, 2, 3, 4])
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                assert list(pool.map(_traced_task, [1, 2, 3, 4])) == [2, 4, 6, 8]
             for thread in threads:
                 thread.join()
         TRACER.disable()
@@ -118,20 +104,16 @@ class TestThreadsPlusWorkers:
         assert span_tree_problems(events) == []  # unique ids, zero orphans
         validate_chrome_trace(json.loads(json.dumps(TRACER.chrome_trace())))
         spans = _by_id(events)
-        assert len(spans) == len([e for e in events if "span_id" in e["args"]])
+        assert len(spans) == len(events) == 1 + 4 * 2 + 4 * 2
         # per-thread nesting survived concurrency: each step's parent is
         # a thread span recorded on the same thread
-        for event in events:
-            if event["name"] != "stitch.thread.step":
-                continue
+        steps = [e for e in events if e["name"] == "stitch.thread.step"]
+        assert len(steps) == 4
+        for event in steps:
             parent = spans[event["args"]["parent_id"]]
             assert parent["name"] == "stitch.thread"
             assert parent["tid"] == event["tid"]
-        # and the pool workers' spans still chain to the dispatch span
-        dispatch_id = next(
-            e["args"]["span_id"] for e in events
-            if e["name"] == "exec.pool.dispatch"
-        )
-        for event in events:
-            if event["name"] == "stitch.work":
-                assert event["args"]["parent_id"] == dispatch_id
+        # and the pool workers' spans nest on their own worker threads
+        _assert_inner_nests_on_its_thread(events)
+        work = [e for e in events if e["name"] == "stitch.work"]
+        assert len({e["tid"] for e in work}) <= 2
