@@ -6,25 +6,31 @@ detected/undetected fault lists in the same order, the same
 ``first_detection`` indices, and the same ``faultsim.*`` counter values
 -- while doing the arithmetic as dense numpy sweeps.
 
+Every faulty machine lives on the *word axis*: a chunk of F faults runs
+as one ``(rows, F * W)`` value plane in which word block ``f`` (columns
+``f*W`` to ``(f+1)*W``) is fault ``f``'s machine, so the compiled program
+evaluates all of them in one pass per level and a fault is forced by
+writing its row inside its own block.
+
 Combinational grading keeps the scalar path's batch structure (64
 patterns per batch, fault dropping between batches -- anything coarser
 would change which faults are still alive when) but replaces its
 per-fault work with whole-fault-list vector ops: one gather computes
 every stem fault's activation, one padded gather per gate kind computes
 every pin fault's forced value, and only the faults that actually
-activate enter a dense ``(faults, rows, words)`` propagation cube that
-runs the compiled program once with per-fault row forcing between
-levels.  A cheap replay of the scalar batch loop then re-derives the
-exact counters and orderings -- including ``faultsim.cone.*``, by
-touching the simulator's real cone cache precisely when the scalar
-activation checks would have.
+activate enter a dense plane -- the good plane tiled once per fault --
+whose faulty rows are forced between levels.  A cheap replay of the
+scalar batch loop then re-derives the exact counters and orderings --
+including ``faultsim.cone.*``, by touching the simulator's real cone
+cache precisely when the scalar activation checks would have.
 
-Sequential grading runs the good machine once and the whole faulty batch
-cycle by cycle with carried per-fault state, mirroring the scalar
-per-fault :class:`SequentialSimulator` semantics (flop input-pin faults
-are inert there, stem faults force their row every cycle, combinational
-pin faults are corrected from the *faulty* plane because corrupted state
-feeds back).
+Sequential grading puts the good machine in block 0 of the same plane
+(fault ``f`` in block ``f + 1``) and runs every machine cycle by cycle
+with carried per-block state, mirroring the scalar per-fault
+:class:`SequentialSimulator` semantics (flop input-pin faults are inert
+there, stem faults force their row every cycle, combinational pin faults
+are recomputed from the *faulty* block because corrupted state feeds
+back).
 
 One documented divergence: the scalar path discovers a pattern that
 misses a source lazily, batch by batch, so on malformed input it may
@@ -34,7 +40,7 @@ Well-formed pattern sets behave identically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
@@ -50,6 +56,7 @@ from repro.gates.kernel import (
     ALL_ONES,
     CompiledProgram,
     _PAD_ROW,
+    ONE_ROW,
     ZERO_ROW,
     compiled_program,
     eval_group_ops,
@@ -69,7 +76,7 @@ _EVENTS = METRICS.counter("faultsim.events")
 _DROPPED = METRICS.counter("faultsim.faults.dropped")
 _CONE_REUSES = METRICS.counter("faultsim.cone.reuses")
 
-#: faults evaluated per dense propagation sweep (bounds the value cube)
+#: most faults evaluated per dense value plane
 FAULT_CHUNK = 1024
 
 # fault plan kinds
@@ -78,12 +85,19 @@ _PIN = 1  # combinational input-pin fault: recompute the gate with one pin force
 _FLOP_PIN = 2  # flop input-pin fault: special-cased by the scalar simulator
 
 
+def _faults_per_plane(program: CompiledProgram, words: int) -> int:
+    """Faults per ``(rows, faults * words)`` plane: at most :data:`FAULT_CHUNK`,
+    and fewer (but at least 16) where the plane would pass ~64 MB, so wide
+    pattern sets stay in cache."""
+    return min(FAULT_CHUNK, max(16, (64 << 20) // (program.rows * words * 8)))
+
+
 class _Plan:
-    """Per-fault lowering: how to force one fault into the value cube."""
+    """Per-fault lowering: how to force one fault into a value plane."""
 
     __slots__ = (
         "fault", "kind", "row", "level", "stuck", "gate_kind", "fanin_rows",
-        "pin", "pin_row", "src_row",
+        "pin_row", "src_row",
     )
 
     def __init__(self, program: CompiledProgram, fault: Fault) -> None:
@@ -94,7 +108,6 @@ class _Plan:
         self.level = program.level[fault.gate]
         self.gate_kind = gate.kind
         self.fanin_rows = None
-        self.pin = fault.pin
         self.pin_row = -1
         self.src_row = -1
         if fault.pin is None:
@@ -104,34 +117,31 @@ class _Plan:
             self.src_row = program.row[gate.fanins[fault.pin]]
         else:
             self.kind = _PIN
-            self.fanin_rows = np.array(
-                [program.row[f] for f in gate.fanins], dtype=np.intp
-            )
-            self.pin_row = int(self.fanin_rows[fault.pin])
+            # the faulty pin reads the reserved constant row of its stuck
+            # value, so one gather yields the forced operands
+            rows = [program.row[f] for f in gate.fanins]
+            self.pin_row = rows[fault.pin]
+            rows[fault.pin] = ONE_ROW if fault.stuck else ZERO_ROW
+            self.fanin_rows = rows
 
 
-def _forced_pin_value(plan: _Plan, plane) -> "np.ndarray":
-    """The faulty gate-output words with one input pin forced, ``(W,)``.
-
-    ``plane`` is a per-fault ``(rows, W)`` slice of the faulty cube --
-    used by sequential grading, where corrupted state feeds the gate so
-    the correction must read the faulty machine, not the good one.
-    """
-    ops = plane[plan.fanin_rows, :].copy()
-    ops[plan.pin, :] = plan.stuck
-    return eval_group_ops(plan.gate_kind, ops)
+def _plan(program: CompiledProgram, fault: Fault) -> _Plan:
+    """The fault's plan, cached on the program (gradings re-use faults)."""
+    plan = program.plan_cache.get(fault)
+    if plan is None:
+        plan = program.plan_cache[fault] = _Plan(program, fault)
+    return plan
 
 
 class _PinGroup:
-    """All combinational pin faults of one gate kind, padded to one arity.
+    """Pin faults of one gate kind, padded to one arity.
 
-    One gather + one vector gate evaluation yields every group member's
-    forced output word at once (the combinational shortcut: a pin
-    fault's gate reads only fault-free upstream values, so the forced
-    output is computable from the good plane alone).
+    One gather + one vector gate evaluation yields every member's forced
+    output word at once.  ``idx`` names each member's slot: its fault
+    index in combinational grading, its word block in sequential grading.
     """
 
-    __slots__ = ("kind", "idx", "fanin_rows", "pin_slot", "pin_rows", "out_rows", "stuck")
+    __slots__ = ("kind", "idx", "fanin_rows", "pin_rows", "out_rows", "stuck")
 
     def __init__(self, kind: GateKind, plans: List[Tuple[int, _Plan]]) -> None:
         arity = max(len(plan.fanin_rows) for _, plan in plans)
@@ -141,7 +151,6 @@ class _PinGroup:
         self.fanin_rows = np.full((len(plans), arity), pad, dtype=np.intp)
         for j, (_, plan) in enumerate(plans):
             self.fanin_rows[j, : len(plan.fanin_rows)] = plan.fanin_rows
-        self.pin_slot = np.array([plan.pin for _, plan in plans], dtype=np.intp)
         self.pin_rows = np.array([plan.pin_row for _, plan in plans], dtype=np.intp)
         self.out_rows = np.array([plan.row for _, plan in plans], dtype=np.intp)
         self.stuck = np.array([plan.stuck for _, plan in plans], dtype=np.uint64)
@@ -170,20 +179,15 @@ def grade_combinational(
             ATTRIB.sim_good(attrib_netlist_profile(netlist))
         return result
 
-    # ---- static per-fault lowering (one plan per distinct fault,
-    # cached on the program: ATPG re-grades the same universe often) ----
-    plan_cache = program.plan_cache
+    # ---- static per-fault lowering (one plan per distinct fault) ----
     plan_of: Dict[Fault, int] = {}
     plan_list: List[_Plan] = []
     cone_keys: List[Tuple] = []
     observe_key = fsim._observe_key
     for fault in alive:
         if fault not in plan_of:
-            plan = plan_cache.get(fault)
-            if plan is None:
-                plan = plan_cache[fault] = _Plan(program, fault)
             plan_of[fault] = len(plan_list)
-            plan_list.append(plan)
+            plan_list.append(_plan(program, fault))
             cone_keys.append((observe_key, fault.gate))
     n_plans = len(plan_list)
     alive_idx: List[int] = [plan_of[fault] for fault in alive]
@@ -242,9 +246,9 @@ def grade_combinational(
         # observed directly at scan capture; never activates a cone
         detect[flop_idx] = (good_all[flop_rows, :] ^ flop_stuck[:, None]) & masks_all
     for group in pin_groups:
-        ops = good_all[group.fanin_rows, :]
-        ops[np.arange(len(group.idx)), group.pin_slot, :] = group.stuck[:, None]
-        fv = eval_group_ops(group.kind, ops)
+        # a pin fault's gate reads only fault-free upstream values, so
+        # its forced output comes from the good plane alone
+        fv = eval_group_ops(group.kind, good_all[group.fanin_rows])
         act[group.idx] = (
             (((good_all[group.pin_rows, :] ^ group.stuck[:, None]) & masks_all) != 0)
             & (((fv ^ good_all[group.out_rows, :]) & masks_all) != 0)
@@ -254,38 +258,38 @@ def grade_combinational(
     def dense_sweep(need: List[int], w0: int, w1: int) -> None:
         """Propagate faults ``need`` over words [w0, w1) into ``detect``.
 
-        Runs the fault batch through the compiled program as a
-        ``(F, rows, words)`` cube: each fault's row is forced to its
-        faulty value between levels, everything downstream re-evaluates,
-        and the detect word is the OR over observed rows of (faulty XOR
-        good).  Nets outside the fault's fanout cone see identical
-        inputs and contribute exactly zero, so no explicit cone masking
-        is needed for bit-identity with the scalar overlay propagation.
+        Tiles the good plane once per fault -- block ``j`` is fault
+        ``need[j]`` -- forces each fault's row inside its block between
+        levels, re-evaluates everything downstream, and takes the detect
+        word as the OR over observed rows of (faulty XOR good).  Nets
+        outside the fault's fanout cone see identical inputs and
+        contribute exactly zero, so no explicit cone masking is needed
+        for bit-identity with the scalar overlay propagation.
         """
         Wc = w1 - w0
-        plane = good_all[:, w0:w1]
-        # cap the cube around ~64 MB so wide pattern sets stay in cache
-        cap = max(16, min(FAULT_CHUNK, (64 << 20) // (program.rows * Wc * 8)))
-        for start in range(0, len(need), cap):
-            sel = np.array(need[start : start + cap], dtype=np.intp)
-            cube = np.broadcast_to(plane, (len(sel),) + plane.shape).copy()
+        good = good_all[:, w0:w1]
+        chunk = _faults_per_plane(program, Wc)
+        for start in range(0, len(need), chunk):
+            sel = np.array(need[start : start + chunk], dtype=np.intp)
+            plane = np.tile(good, (1, len(sel)))
+            blocks = plane.reshape(program.rows, len(sel), Wc)
             lv, rw, fv = levels_of[sel], rows_of[sel], forced[sel][:, w0:w1]
             by_level: Dict[int, Tuple] = {}
             for level in np.unique(lv):
-                at = lv == level
-                by_level[int(level)] = (np.nonzero(at)[0], rw[at], fv[at])
+                at = np.flatnonzero(lv == level)
+                by_level[int(level)] = (rw[at], at, fv[at])
 
-            def force(level: int, values) -> None:
+            def force(level: int, _plane) -> None:
                 entry = by_level.get(level)
                 if entry is not None:
-                    idx, frows, fvals = entry
-                    values[idx, frows, :] = fvals
+                    frows, fblocks, fvals = entry
+                    blocks[frows, fblocks] = fvals
 
-            program.eval(cube, after_level=force)
+            program.eval(plane, after_level=force)
             if len(obs_rows):
-                diff = cube[:, obs_rows, :] ^ plane[obs_rows, :]
+                diff = blocks[obs_rows] ^ good[obs_rows][:, None, :]
                 detect[sel, w0:w1] = (
-                    np.bitwise_or.reduce(diff, axis=1) & masks_all[w0:w1]
+                    np.bitwise_or.reduce(diff, axis=0) & masks_all[w0:w1]
                 )
 
     # Word 0 sees every fault, but most die there under random patterns,
@@ -351,17 +355,32 @@ def grade_combinational(
 # sequential grading
 # ----------------------------------------------------------------------
 def _next_states(program: CompiledProgram, values):
-    """Flop capture values ``(..., flops, W)`` from a value cube."""
-    states = np.empty(values.shape[:-2] + (len(program.flop_rows), values.shape[-1]),
-                      dtype=np.uint64)
+    """Flop capture values ``(flops, words)`` from a value plane."""
+    states = np.empty((len(program.flop_rows), values.shape[1]), dtype=np.uint64)
     if len(program.dff_pos):
-        states[..., program.dff_pos, :] = values[..., program.dff_d_rows, :]
+        states[program.dff_pos] = values[program.dff_d_rows]
     if len(program.sdff_pos):
-        d = values[..., program.sdff_d_rows, :]
-        si = values[..., program.sdff_si_rows, :]
-        se = values[..., program.sdff_se_rows, :]
-        states[..., program.sdff_pos, :] = (d & ~se) | (si & se)
+        d = values[program.sdff_d_rows]
+        si = values[program.sdff_si_rows]
+        se = values[program.sdff_se_rows]
+        states[program.sdff_pos] = (d & ~se) | (si & se)
     return states
+
+
+def _pack_inputs(program: CompiledProgram, sequences, length: int, words: int):
+    """Per-cycle input words ``(length, inputs, words)``; bit ``p`` is
+    sequence ``p``'s value, and a missing input reads 0 (no error), exactly
+    like the scalar packer."""
+    names = program.input_names
+    packed = np.zeros((length, len(names), words * 8), dtype=np.uint8)
+    for cycle in range(length):
+        bits = np.array(
+            [[sequence[cycle].get(name, 0) for name in names] for sequence in sequences],
+            dtype=bool,
+        )
+        cycle_bytes = np.packbits(bits.T, axis=-1, bitorder="little")
+        packed[cycle, :, : cycle_bytes.shape[1]] = cycle_bytes
+    return packed.view("<u8")
 
 
 def grade_sequence_group(
@@ -373,92 +392,28 @@ def grade_sequence_group(
 ) -> List[Fault]:
     """Numpy-backend equivalent of :func:`_grade_sequence_group`.
 
-    Grades one packed group (<= ``SEQUENCE_PACK_LIMIT`` sequences) and
-    returns the survivors; detected faults and ``first_detection`` cycles
-    land in ``result`` in the scalar path's order.
+    Grades one packed group (<= ``SEQUENCE_PACK_LIMIT`` sequences of
+    ``length`` cycles each) and returns the survivors; detected faults
+    and ``first_detection`` cycles land in ``result`` in the scalar
+    path's order.
     """
     program = compiled_program(netlist)
-    count = len(sequences)
-    Wg = word_count(count)
-    gmasks = tail_masks(count)
-
-    # per-cycle packed input words, exactly like the scalar packer
-    # (missing inputs default to 0 -- no error here)
-    input_rows = program.input_rows
-    cycle_words = np.zeros((length, len(input_rows), Wg), dtype=np.uint64)
-    for cycle in range(length):
-        for n, name in enumerate(program.input_names):
-            word = 0
-            for position, sequence in enumerate(sequences):
-                if sequence[cycle].get(name, 0):
-                    word |= 1 << position
-            cycle_words[cycle, n, :] = int_to_words(word, Wg)
-
-    n_out = len(program.output_rows)
-
-    # ---- good machine trace (primary outputs per cycle) ----
-    good_po = np.zeros((length, n_out, Wg), dtype=np.uint64)
-    values = program.new_values(Wg)
-    state = np.zeros((len(program.flop_rows), Wg), dtype=np.uint64)
-    for cycle in range(length):
-        values[input_rows, :] = cycle_words[cycle]
-        values[program.flop_rows, :] = state
-        program.eval(values)
-        good_po[cycle] = values[program.output_rows, :]
-        state = _next_states(program, values)
-
+    Wg = word_count(len(sequences))
+    cycle_words = _pack_inputs(program, sequences, length, Wg)
+    masks = tail_masks(len(sequences))
+    # flop input-pin faults never perturb the scalar sequential
+    # simulation (flops are sources, never re-evaluated): inert
+    plans = [
+        plan
+        for plan in (_plan(program, fault) for fault in dict.fromkeys(alive))
+        if plan.kind is not _FLOP_PIN
+    ]
     detected_cycle: Dict[Fault, int] = {}
-    dense: List[_Plan] = []
-    for fault in dict.fromkeys(alive):
-        plan = _Plan(program, fault)
-        if plan.kind is _FLOP_PIN:
-            # flop input-pin faults never perturb the scalar sequential
-            # simulation (flops are sources, never re-evaluated): inert
-            continue
-        dense.append(plan)
-
-    for start in range(0, len(dense), FAULT_CHUNK):
-        sub = dense[start : start + FAULT_CHUNK]
-        F = len(sub)
-        stem_by_level: Dict[int, Tuple[List[int], List[int], "np.ndarray"]] = {}
-        pins_by_level: Dict[int, List[Tuple[int, _Plan]]] = {}
-        for i, plan in enumerate(sub):
-            if plan.kind is _STEM:
-                idx, rows, _ = stem_by_level.setdefault(plan.level, ([], [], None))
-                idx.append(i)
-                rows.append(plan.row)
-            else:
-                pins_by_level.setdefault(plan.level, []).append((i, plan))
-        for level, (idx, rows, _) in list(stem_by_level.items()):
-            stuck = np.array([sub[i].stuck for i in idx], dtype=np.uint64)
-            stem_by_level[level] = (idx, rows, stuck[:, None])
-
-        def force(level: int, cube) -> None:
-            entry = stem_by_level.get(level)
-            if entry is not None:
-                idx, rows, stuck = entry
-                cube[idx, rows, :] = stuck
-            for i, plan in pins_by_level.get(level, ()):
-                # corrupted state feeds back, so the correction reads the
-                # *faulty* plane -- unlike the combinational shortcut
-                cube[i, plan.row, :] = _forced_pin_value(plan, cube[i])
-
-        cube = program.new_values(Wg, batch=(F,))
-        state_f = np.zeros((F, len(program.flop_rows), Wg), dtype=np.uint64)
-        pending = set(range(F))
-        for cycle in range(length):
-            cube[:, input_rows, :] = cycle_words[cycle]
-            cube[:, program.flop_rows, :] = state_f
-            program.eval(cube, after_level=force)
-            if n_out:
-                diff = (cube[:, program.output_rows, :] ^ good_po[cycle]) & gmasks
-                hits = diff.any(axis=(1, 2))
-                for i in [i for i in pending if hits[i]]:
-                    detected_cycle[sub[i].fault] = cycle
-                    pending.discard(i)
-            if not pending:
-                break
-            state_f = _next_states(program, cube)
+    chunk = _faults_per_plane(program, Wg)
+    for start in range(0, len(plans), chunk):
+        _grade_plane(
+            program, plans[start : start + chunk], cycle_words, masks, detected_cycle
+        )
 
     survivors: List[Fault] = []
     for fault in alive:
@@ -469,3 +424,69 @@ def grade_sequence_group(
             result.detected.append(fault)
             result.first_detection[fault] = cycle
     return survivors
+
+
+def _grade_plane(
+    program: CompiledProgram,
+    plans: List[_Plan],
+    cycle_words,
+    masks,
+    detected_cycle: Dict[Fault, int],
+) -> None:
+    """Run the good machine (block 0) and ``plans[f]`` (block ``f + 1``)
+    on one plane through every cycle, recording first detections."""
+    machines = len(plans) + 1
+    Wg = cycle_words.shape[-1]
+    plane = program.new_values(machines * Wg)
+    blocks = plane.reshape(program.rows, machines, Wg)
+    # one Wg-word cell per (row, block): cell row * machines + block
+    cells = plane.reshape(program.rows * machines, Wg)
+
+    # per-level forcing: one store for the stems, one gather + gate
+    # evaluation + store per gate kind for the pin faults
+    stems: Dict[int, List[Tuple[int, _Plan]]] = {}
+    pins: Dict[Tuple[int, GateKind], List[Tuple[int, _Plan]]] = {}
+    for block, plan in enumerate(plans, start=1):
+        if plan.kind is _STEM:
+            stems.setdefault(plan.level, []).append((block, plan))
+        else:
+            pins.setdefault((plan.level, plan.gate_kind), []).append((block, plan))
+    stem_at: List[Optional[Tuple]] = [None] * (program.depth + 1)
+    for level, members in stems.items():
+        stem_at[level] = (
+            np.array([plan.row * machines + b for b, plan in members], dtype=np.intp),
+            np.array([plan.stuck for _, plan in members], dtype=np.uint64)[:, None],
+        )
+    pins_at: List[List[Tuple]] = [[] for _ in range(program.depth + 1)]
+    for (level, kind), members in pins.items():
+        group = _PinGroup(kind, members)
+        pins_at[level].append((
+            kind,
+            group.fanin_rows * machines + group.idx[:, None],
+            group.out_rows * machines + group.idx,
+        ))
+
+    def force(level: int, _plane) -> None:
+        stem = stem_at[level]
+        if stem is not None:
+            where, stuck = stem
+            cells[where] = stuck
+        # corrupted state feeds back, so each pin fault's gate reads its
+        # own (faulty) block -- unlike the combinational shortcut
+        for kind, operands, where in pins_at[level]:
+            cells[where] = eval_group_ops(kind, cells.take(operands, axis=0))
+
+    state = np.zeros((len(program.flop_rows), plane.shape[1]), dtype=np.uint64)
+    pending = np.ones(len(plans), dtype=bool)
+    for cycle, words in enumerate(cycle_words):
+        blocks[program.input_rows] = words[:, None, :]
+        plane[program.flop_rows] = state
+        program.eval(plane, after_level=force)
+        outputs = blocks[program.output_rows]
+        hits = (((outputs[:, 1:] ^ outputs[:, :1]) & masks) != 0).any(axis=(0, 2))
+        for f in np.flatnonzero(hits & pending).tolist():
+            detected_cycle[plans[f].fault] = cycle
+        pending &= ~hits
+        if not pending.any():
+            break
+        state = _next_states(program, plane)

@@ -337,11 +337,14 @@ def sequential_fault_grade(
     ``sample`` randomly subsamples the fault list (statistical fault
     grading) to bound runtime on large netlists; coverage is then an
     estimate over the sample, reported against ``total = len(sample)``.
+    A negative ``sample`` is a :class:`SimulationError`.
 
     ``backend`` pins grading to ``"scalar"`` or ``"numpy"``; ``None``
     defers to ``REPRO_SIM_BACKEND``.
     """
     chosen: List[Fault] = list(faults)
+    if sample is not None and sample < 0:
+        raise SimulationError(f"fault sample size must be >= 0, got {sample}")
     if sample is not None and sample < len(chosen):
         rng = random.Random(seed)
         chosen = rng.sample(chosen, sample)

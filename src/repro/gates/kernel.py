@@ -5,10 +5,12 @@ words -- perfectly general, but every gate evaluation is an interpreter
 step.  This module lowers a levelized :class:`GateNetlist` once into a
 *flat numpy program*: contiguous fanin index arrays grouped by (level,
 gate kind), evaluated with vectorized ``uint64`` bitwise ops over
-``W``-word value planes (64 patterns per word, so a W=8 plane carries
-512 patterns per pass).  An optional leading *batch* dimension carries
-hundreds of faulty machines through the same program in one sweep
-(:mod:`repro.faults.kernel` builds the per-fault force plans).
+``(rows, W)`` value planes (64 patterns per word, so a W=8 plane carries
+512 patterns per pass).  Many machines share one plane along the word
+axis: :mod:`repro.faults.kernel` gives each faulty machine (and, in
+sequential grading, the good machine) its own block of words and forces
+each fault inside its block between levels, so one pass evaluates
+hundreds of machines.
 
 Backend selection is environment-driven: ``REPRO_SIM_BACKEND`` picks
 ``scalar`` or ``numpy`` (the default).  When numpy is missing or broken
@@ -309,13 +311,13 @@ class CompiledProgram:
         self.plan_cache: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
-    def new_values(self, words: int, batch: Tuple[int, ...] = ()):
-        """A fresh value plane ``(*batch, rows, words)`` with reserved and
-        constant rows filled."""
-        values = np.zeros(batch + (self.rows, words), dtype=np.uint64)
-        values[..., ONE_ROW, :] = np.uint64(ALL_ONES)
+    def new_values(self, words: int):
+        """A fresh ``(rows, words)`` value plane with reserved and constant
+        rows filled."""
+        values = np.zeros((self.rows, words), dtype=np.uint64)
+        values[ONE_ROW] = np.uint64(ALL_ONES)
         if len(self.const1_rows):
-            values[..., self.const1_rows, :] = np.uint64(ALL_ONES)
+            values[self.const1_rows] = np.uint64(ALL_ONES)
         return values
 
     def eval(
@@ -323,21 +325,21 @@ class CompiledProgram:
         values,
         after_level: Optional[Callable[[int, object], None]] = None,
     ) -> None:
-        """Run the flat program over ``values`` ``(..., rows, words)`` in place.
+        """Run the flat program over a ``(rows, words)`` plane in place.
 
         ``after_level(level, values)`` -- when given -- is called once
         for level 0 *before* any op (source-row forcing) and once after
         each computed level (stem forcing / faulty-pin corrections must
         land before the next level reads the row).
         """
-        batch = int(np.prod(values.shape[:-2], dtype=np.int64)) if values.ndim > 2 else 1
-        _WORDS.inc(self.op_outputs * values.shape[-1] * batch)
+        _WORDS.inc(self.op_outputs * values.shape[1])
         if after_level is not None:
             after_level(0, values)
         for lvl in range(1, self.depth + 1):
             for group in self.levels[lvl]:
-                ops = values[..., group.fanin_rows, :]
-                values[..., group.out_rows, :] = eval_group_ops(group.kind, ops)
+                values[group.out_rows] = eval_group_ops(
+                    group.kind, values.take(group.fanin_rows, axis=0)
+                )
             if after_level is not None:
                 after_level(lvl, values)
 
@@ -389,7 +391,7 @@ class CompiledProgram:
         if fault.pin is None:
             def hook(level: int, values) -> None:
                 if level == lvl:
-                    values[..., row, :] = stuck_word
+                    values[row] = stuck_word
             return hook
 
         # pin fault: only meaningful on evaluated (combinational) gates;
@@ -404,9 +406,9 @@ class CompiledProgram:
         def hook(level: int, values) -> None:
             if level != lvl:
                 return
-            ops = values[..., fanin_rows, :].copy()
-            ops[..., pin, :] = stuck_word
-            values[..., row, :] = eval_group_ops(gate.kind, ops)
+            ops = values[fanin_rows]
+            ops[pin] = stuck_word
+            values[row] = eval_group_ops(gate.kind, ops)
         return hook
 
 

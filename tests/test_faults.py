@@ -180,6 +180,17 @@ class TestSequentialGrade:
         result = sequential_fault_grade(n, sequences, faults, sample=2, seed=1)
         assert result.total == 2
 
+    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
+    def test_negative_sample_rejected(self, backend):
+        from repro.errors import SimulationError
+
+        n = self.toggle()
+        faults = collapse_faults(n, full_fault_universe(n))
+        with pytest.raises(SimulationError, match=r"got -1"):
+            sequential_fault_grade(
+                n, [[{"en": 1}]], faults, sample=-1, backend=backend
+            )
+
     def test_unequal_lengths_rejected(self):
         n = self.toggle()
         with pytest.raises(Exception):

@@ -14,7 +14,7 @@ import pytest
 
 from repro.designs import build_system1, build_system2, build_system3, build_system4
 from repro.errors import SimulationError
-from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
+from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
 from repro.faults.simulator import (
     SEQUENCE_PACK_LIMIT,
     clear_cone_caches,
@@ -50,7 +50,7 @@ _KINDS2 = [
 ]
 
 
-def random_seq_netlist(seed: int) -> GateNetlist:
+def random_seq_netlist(seed: int, outputs: bool = True) -> GateNetlist:
     """Random netlist with DFF state feedback for sequential grading."""
     rng = random.Random(seed)
     n = GateNetlist(f"s{seed}")
@@ -72,9 +72,18 @@ def random_seq_netlist(seed: int) -> GateNetlist:
     comb = [x for x in nets if not x.startswith("ff")]
     for name in flops:
         n.add_gate(name, GateKind.DFF, [rng.choice(comb)])
-    for i, net in enumerate(nets[-2:]):
+    for i, net in enumerate(nets[-2:] if outputs else ()):
         n.add_gate(f"O{i}", GateKind.OUTPUT, [net])
     return n.validate()
+
+
+def random_sequences(netlist: GateNetlist, count: int, cycles: int, seed: int):
+    rng = random.Random(seed)
+    inputs = [g.name for g in netlist.inputs]
+    return [
+        [{name: rng.randint(0, 1) for name in inputs} for _ in range(cycles)]
+        for _ in range(count)
+    ]
 
 
 def grade_both_backends(run):
@@ -308,16 +317,98 @@ class TestFaultSimParity:
 
 
 # ----------------------------------------------------------------------
+# sequential grading edge cases
+# ----------------------------------------------------------------------
+def grade_sequential_both(netlist, sequences, faults):
+    return grade_both_backends(
+        lambda backend: sequential_fault_grade(netlist, sequences, faults, backend=backend)
+    )
+
+
+@needs_numpy
+class TestSequentialEdgeCases:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fault_list_crosses_chunk_boundaries(self, monkeypatch, seed):
+        import repro.faults.kernel as fk
+
+        netlist = random_seq_netlist(seed)
+        faults = full_fault_universe(netlist)
+        sequences = random_sequences(netlist, 70, 4, seed)
+        monkeypatch.setattr(fk, "FAULT_CHUNK", 3)
+        assert len(faults) > 2 * fk.FAULT_CHUNK
+        assert_identical(grade_sequential_both(netlist, sequences, faults))
+        # the combinational dense sweep chunks by the same rule
+        rng = random.Random(seed)
+        sources = [g.name for g in netlist.inputs] + [f.name for f in netlist.flops]
+        patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(130)]
+        assert_identical(grade_both_backends(
+            lambda backend: FaultSimulator(netlist, backend=backend).run(patterns, faults)
+        ))
+
+    def test_duplicate_faults(self):
+        netlist = random_seq_netlist(4)
+        faults = full_fault_universe(netlist)
+        doubled = faults + faults[::3] + faults[:2]
+        random.Random(4).shuffle(doubled)
+        out = grade_sequential_both(netlist, random_sequences(netlist, 5, 4, 4), doubled)
+        assert_identical(out)
+        result = out["numpy"][0]
+        assert result.total == len(doubled)
+        assert len(result.detected) + len(result.undetected) == len(doubled)
+
+    def test_flop_pin_faults_mixed_with_stem_and_pin_faults(self):
+        netlist = random_seq_netlist(6)
+        faults = full_fault_universe(netlist)
+        flop_pins = [Fault(flop.name, 0, v) for flop in netlist.flops for v in (0, 1)]
+        mixed = faults + flop_pins
+        random.Random(6).shuffle(mixed)
+        assert any(f.pin is not None and f not in flop_pins for f in mixed)
+        out = grade_sequential_both(netlist, random_sequences(netlist, 8, 5, 6), mixed)
+        assert_identical(out)
+        assert not set(flop_pins) & set(out["numpy"][0].detected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scan_flops_identical(self, seed):
+        """SDFF next state (scan-in reads the previous chain flop) matches."""
+        from repro.dft.fscan import apply_fscan
+
+        netlist = apply_fscan(random_seq_netlist(seed)).netlist
+        faults = full_fault_universe(netlist)
+        out = grade_sequential_both(netlist, random_sequences(netlist, 20, 6, seed), faults)
+        assert_identical(out)
+
+    def test_zero_cycle_sequences(self):
+        netlist = random_seq_netlist(7)
+        faults = full_fault_universe(netlist)
+        out = grade_sequential_both(netlist, [[] for _ in range(3)], faults)
+        assert_identical(out)
+        assert out["numpy"][0].undetected == faults
+
+    def test_netlist_without_primary_outputs(self):
+        netlist = random_seq_netlist(8, outputs=False)
+        assert not netlist.outputs
+        faults = full_fault_universe(netlist)
+        out = grade_sequential_both(netlist, random_sequences(netlist, 6, 3, 8), faults)
+        assert_identical(out)
+        assert out["numpy"][0].undetected == faults
+
+
+# ----------------------------------------------------------------------
 # the four systems
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestSystemsParity:
     @pytest.mark.parametrize(
-        "build", [build_system1, build_system2, build_system3, build_system4]
+        "build, with_hscan",
+        [
+            pytest.param(build, with_hscan, id=build.__name__ + ("-hscan" if with_hscan else ""))
+            for build in (build_system1, build_system2, build_system3, build_system4)
+            for with_hscan in (False, True)
+        ],
     )
-    def test_flattened_chip_grading_identical(self, build):
+    def test_flattened_chip_grading_identical(self, build, with_hscan):
         soc = build(atpg_seed=0)
-        netlist = flatten_soc(soc, with_hscan=False, scan_access="none")
+        netlist = flatten_soc(soc, with_hscan=with_hscan, scan_access="none")
         faults = collapse_faults(netlist, full_fault_universe(netlist))
         rng = random.Random(0)
         inputs = [g.name for g in netlist.inputs]
