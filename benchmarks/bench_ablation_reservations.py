@@ -48,8 +48,14 @@ def test_ablation_shared_resource_rule(benchmark, system1_paper_vectors, results
         "ablation_reservations",
         benchmark,
         {
-            name: {"reserved": combined, "naive": naive, "tat": correct}
-            for name, combined, naive, correct, _naive_tat in rows
+            name: {
+                "reserved": combined,
+                "naive": naive,
+                "tat": correct,
+                "naive_tat": naive_tat,
+                "underestimate_percent": 100 * (correct - naive_tat) / correct,
+            }
+            for name, combined, naive, correct, naive_tat in rows
         },
         rounds=3,
     )

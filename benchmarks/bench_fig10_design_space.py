@@ -31,6 +31,13 @@ def sweep(soc):
 def test_fig10_design_space(benchmark, system1, results_dir):
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
     points = benchmark.pedantic(sweep, args=(system1,), rounds=ROUNDS, iterations=1)
+    # Pareto front: strictly improving TAT for increasing cells
+    front = []
+    best = None
+    for p in points:  # already sorted by cells
+        if best is None or p.tat < best:
+            best = p.tat
+            front.append(p)
     write_bench_json(
         results_dir,
         "fig10_design_space",
@@ -40,6 +47,8 @@ def test_fig10_design_space(benchmark, system1, results_dir):
             "min_tat": min(p.tat for p in points),
             "max_tat": max(p.tat for p in points),
             "min_area_cells": points[0].chip_cells,
+            "pareto_points": len(front),
+            "test_vectors": {c.name: c.test_vectors for c in system1.testable_cores()},
         },
         rounds=ROUNDS,
     )
@@ -65,13 +74,6 @@ def test_fig10_design_space(benchmark, system1, results_dir):
         "minimum TAT should not require the maximum-area versions"
     )
 
-    # Pareto front: strictly improving TAT for increasing cells
-    front = []
-    best = None
-    for p in points:  # already sorted by cells
-        if best is None or p.tat < best:
-            best = p.tat
-            front.append(p)
     assert len(front) >= 3, "expected a non-trivial trade-off curve"
     front_tats = [p.tat for p in front]
     assert front_tats == sorted(front_tats, reverse=True)

@@ -43,6 +43,8 @@ def test_fig6_cpu_version_tradeoff(benchmark, results_dir):
         benchmark,
         {
             version.name: {
+                "low_latency": version.justify_latency("Address", 0, 8),
+                "high_latency": version.justify_latency("Address", 8, 4),
                 "total_latency": version.justify_latency("Address"),
                 "extra_cells": version.extra_cells,
             }

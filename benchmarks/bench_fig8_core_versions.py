@@ -47,8 +47,24 @@ def test_fig8_core_version_tradeoffs(benchmark, results_dir):
         "fig8_core_versions",
         benchmark,
         {
-            core: [version.extra_cells for version in versions]
-            for core, versions in results.items()
+            "PREPROCESSOR": {
+                "cells": [v.extra_cells for v in results["PREPROCESSOR"]],
+                "latencies": [
+                    [v.justify_latency("DB", 0, 8), _address_latency(v)]
+                    for v in results["PREPROCESSOR"]
+                ],
+            },
+            "DISPLAY": {
+                "cells": [v.extra_cells for v in results["DISPLAY"]],
+                "latencies": [
+                    [v.propagate_paths["D"].latency, v.propagate_paths["A"].latency]
+                    for v in results["DISPLAY"]
+                ],
+                "justify_latencies": [
+                    {key[0]: path.latency for key, path in sorted(v.justify_paths.items())}
+                    for v in results["DISPLAY"]
+                ],
+            },
         },
         rounds=3,
     )

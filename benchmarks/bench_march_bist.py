@@ -34,23 +34,28 @@ def test_march_bist_grading(benchmark, system1, results_dir):
 
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
     results = benchmark.pedantic(grade_all, rounds=1, iterations=1)
-    write_bench_json(
-        results_dir,
-        "march_bist",
-        benchmark,
-        {
-            name: {"stuck_detected": s_det, "coupling_detected": c_det}
-            for name, (s_det, _s_total, c_det, _c_total) in results.items()
-        },
-        rounds=1,
-    )
+    plan = plan_memory_bist(system1)
+    payload = {
+        name: {
+            "stuck_detected": s_det,
+            "stuck_total": s_total,
+            "coupling_detected": c_det,
+            "coupling_total": c_total,
+        }
+        for name, (s_det, s_total, c_det, c_total) in results.items()
+    }
+    payload["system1_bist"] = {
+        "cycles": {row.core: row.cycles for row in plan.rows},
+        "total_cycles": plan.total_cycles,
+        "total_cells": plan.total_cells,
+    }
+    write_bench_json(results_dir, "march_bist", benchmark, payload, rounds=1)
 
     rows = []
     for name, (s_detected, s_total, c_detected, c_total) in results.items():
         rows.append(
             [name, f"{100 * s_detected / s_total:.1f}", f"{100 * c_detected / c_total:.1f}"]
         )
-    plan = plan_memory_bist(system1)
     rows.append(["-- System 1 BIST --", f"{plan.total_cycles} cycles", f"{plan.total_cells} cells"])
     text = render_table(
         ["March test", "stuck-at coverage %", "coupling coverage %"],

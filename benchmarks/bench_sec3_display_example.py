@@ -42,13 +42,20 @@ def test_sec3_display_worked_example(benchmark, system1_paper_vectors, results_d
 
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
     plans = benchmark.pedantic(plan_display_tests, args=(soc,), rounds=3, iterations=1)
-    write_bench_json(
-        results_dir,
-        "sec3_display_example",
-        benchmark,
-        {f"cpu_v{cpu_version + 1}_tat": plan.tat for (cpu_version, _), plan in zip(CASES, plans)},
-        rounds=3,
+    fscan_bscan = fscan_bscan_core_tat(66, 20, 105)
+    results = {
+        f"cpu_v{cpu_version + 1}_tat": plan.tat for (cpu_version, _), plan in zip(CASES, plans)
+    }
+    results.update(
+        cadences=[plan.cadence for plan in plans],
+        scan_steps=plans[0].scan_steps,
+        flush=plans[0].flush,
+        display_flip_flops=display.flip_flops,
+        display_input_bits=display.input_bits,
+        display_scan_depth=display.scan_depth,
+        fscan_bscan_tat=fscan_bscan,
     )
+    write_bench_json(results_dir, "sec3_display_example", benchmark, results, rounds=3)
 
     rows = []
     for (cpu_version, expected), plan in zip(CASES, plans):
@@ -58,7 +65,6 @@ def test_sec3_display_worked_example(benchmark, system1_paper_vectors, results_d
         )
         assert plan.tat == expected, f"CPU V{cpu_version + 1}"
 
-    fscan_bscan = fscan_bscan_core_tat(66, 20, 105)
     rows.append(["FSCAN-BSCAN", "-", "-", "-", fscan_bscan, 9115])
     assert fscan_bscan == 9115
 

@@ -39,25 +39,29 @@ def test_sec5_latency_number_example(benchmark, system1, results_dir):
     plan, gains = benchmark.pedantic(
         improvement_numbers, args=(system1,), rounds=3, iterations=1
     )
+    usage = plan.usage_counts()
+    db_uses = usage[("PREPROCESSOR", "justify", ("DB", 0, 8))]
+    eoc_uses = usage[("PREPROCESSOR", "justify", ("Eoc", 0, 1))]
+    pre = system1.cores["PREPROCESSOR"]
     write_bench_json(
         results_dir,
         "sec5_iterative_improvement",
         benchmark,
         {
-            core: list(gain) if gain is not None else None
-            for core, gain in sorted(gains.items())
+            "gains": {
+                core: list(gain) if gain is not None else None
+                for core, gain in sorted(gains.items())
+            },
+            "db_uses": db_uses,
+            "eoc_uses": eoc_uses,
+            "db_latencies": [v.justify_latency("DB", 0, 8) for v in pre.versions],
         },
         rounds=3,
     )
-
-    usage = plan.usage_counts()
-    db_uses = usage[("PREPROCESSOR", "justify", ("DB", 0, 8))]
-    eoc_uses = usage[("PREPROCESSOR", "justify", ("Eoc", 0, 1))]
     # the paper's counting: (NUM, DB) twice for the DISPLAY + once for the CPU
     assert db_uses == 3, f"expected 3 DB uses, got {db_uses}"
     assert eoc_uses == 1
 
-    pre = system1.cores["PREPROCESSOR"]
     v1_db = pre.version(0).justify_latency("DB", 0, 8)
     v2_db = pre.version(1).justify_latency("DB", 0, 8)
     expected_delta = db_uses * (v1_db - v2_db)  # 3 x (5 - 1) = 12, as in the paper

@@ -37,12 +37,17 @@ def test_table2_area_overheads(benchmark, system1, system2, results_dir):
         "table2_area_overheads",
         benchmark,
         {
-            row.system: {
-                "fscan_percent": row.fscan_percent,
-                "hscan_percent": row.hscan_percent,
-                "socet_total_percent": row.socet_total_percent,
+            rows[0].system: {
+                "original_area": rows[0].original_area,
+                "fscan_percent": rows[0].fscan_percent,
+                "hscan_percent": rows[0].hscan_percent,
+                "bscan_percent": rows[0].bscan_percent,
+                "fscan_bscan_total_percent": rows[0].fscan_bscan_total_percent,
+                # min-area first, then min-TApp (the table's row order)
+                "socet_chip_percent": [row.socet_chip_percent for row in rows],
+                "socet_total_percent": [row.socet_total_percent for row in rows],
             }
-            for row in (run1.area_rows()[0], run2.area_rows()[0])
+            for rows in (run1.area_rows(), run2.area_rows())
         },
         rounds=1,
     )

@@ -2,8 +2,10 @@
 
 :mod:`repro.exec.cache` holds :class:`PlanCache`, the incremental
 planning cache that memoizes per-core test plans under a dependency
-footprint of the ``(core, version)`` pairs each plan consulted, keyed
-by a stable SOC fingerprint.  The design-space sweep
+footprint of the ``(core, version)`` pairs each plan consulted.  The
+footprint leaves out the planned core's own version, which does not
+change its output slicing, and a hit replays the plan's test muxes and
+planning counters.  The design-space sweep
 (:func:`repro.soc.optimizer.design_space`) and the iterative-improvement
 optimizer re-plan mostly unchanged cores, so most of their planning is
 cache hits; cached and uncached runs are bit-identical (see README,
@@ -16,7 +18,6 @@ from repro.exec.cache import (
     cache_enabled,
     invalidate_plan_cache,
     plan_cache_for,
-    soc_fingerprint,
     soc_signature,
 )
 
@@ -26,6 +27,5 @@ __all__ = [
     "cache_enabled",
     "invalidate_plan_cache",
     "plan_cache_for",
-    "soc_fingerprint",
     "soc_signature",
 ]

@@ -9,19 +9,22 @@ same result.  The cache makes that observation explicit:
 
 * while a core is planned, the planner records every ``(core, version)``
   it consulted -- the plan's *dependency footprint*;
+* the footprint leaves out the core's own version unless its paths loop
+  back through it: the planner reads the core's output slicing from the
+  core, and ``RCG.output_slices`` skips the arcs a version adds, so that
+  slicing is the same in every version;
 * the finished :class:`~repro.soc.plan.CoreTestPlan` is stored under
   that footprint (plus the test-mux state the planner entered with, and
-  the forced-mux sets, which also shape the search);
+  the forced-mux sets, which also shape the search), together with the
+  test muxes, test-mux fallbacks and resource reservations planning it
+  produced;
 * a later ``plan_soc_test`` call reuses the entry whenever the current
-  selection agrees with the footprint -- turning the O(cores x versions)
-  inner loop of iterative improvement into mostly cache hits.
+  selection agrees with the footprint, and replays those side effects --
+  so ``chiplevel.mux.fallbacks`` and ``chiplevel.resource.reservations``
+  count plans, not cache misses.
 
 Correctness contract (see DESIGN.md, "Plan cache"):
 
-* cache entries are keyed under a SHA-1 **fingerprint** of everything
-  the planner reads -- interconnect nets, chip pins, per-version path
-  latencies/resources/terminals, scan depths, vector counts -- computed
-  when the cache is attached to the SOC;
 * every lookup re-checks a cheap structural **signature** (core names,
   version counts, net count); if the SOC gained a core, a net, or a
   version since the cache was built, the stale cache is dropped and
@@ -35,15 +38,14 @@ Correctness contract (see DESIGN.md, "Plan cache"):
 
 Set ``REPRO_PLAN_CACHE=0`` to disable caching globally; callers can
 force it per call via ``plan_soc_test(..., use_cache=...)``.  Cached and
-uncached runs are bit-identical (a regression test sweeps every system
-both ways).
+uncached runs are bit-identical, counters included (regression tests
+sweep and optimize every system both ways).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import UsageError
@@ -82,7 +84,7 @@ def cache_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
-# fingerprints
+# structural signature
 # ----------------------------------------------------------------------
 def soc_signature(soc) -> Tuple:
     """Cheap structural signature checked on every cache lookup."""
@@ -92,62 +94,6 @@ def soc_signature(soc) -> Tuple:
         tuple(sorted(soc.cores)),
         tuple(core.version_count for _, core in sorted(soc.cores.items())),
     )
-
-
-def soc_fingerprint(soc) -> str:
-    """SHA-1 over everything the planner reads from the SOC.
-
-    Stable across processes and runs (no ids, no hash randomization):
-    two structurally identical SOCs fingerprint identically.
-    """
-    parts: List = [
-        soc.name,
-        sorted(soc.chip_inputs.items()),
-        sorted(soc.chip_outputs.items()),
-        sorted(str(net) for net in soc.nets),
-    ]
-    for name, core in sorted(soc.cores.items()):
-        entry: List = [
-            name,
-            core.is_memory,
-            core.test_vectors,
-            core.scan_depth,
-            core.hscan_vectors,
-        ]
-        for version in core.versions:
-            vp: List = [version.name, version.extra_cells]
-            for key, path in sorted(version.justify_paths.items()):
-                vp.append(
-                    (
-                        key,
-                        path.latency,
-                        sorted(path.terminal_ports),
-                        sorted(map(repr, path.arcs_used)),
-                    )
-                )
-            for port, path in sorted(version.propagate_paths.items()):
-                vp.append(
-                    (
-                        port,
-                        path.latency,
-                        [(t.comp, t.lo, t.width) for t in path.terminals],
-                        sorted(map(repr, path.arcs_used)),
-                    )
-                )
-            if version.rcg is not None:
-                for output in sorted(version.rcg.output_names()):
-                    vp.append(
-                        (
-                            output,
-                            [
-                                (piece.lo, piece.width)
-                                for piece in version.rcg.output_slices(output)
-                            ],
-                        )
-                    )
-            entry.append(vp)
-        parts.append(entry)
-    return hashlib.sha1(repr(parts).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +107,8 @@ class _CacheEntry:
     plan: object  # CoreTestPlan (kept untyped to avoid an import cycle)
     added_muxes: List  # TestMux objects created while planning this core
     added_mux_keys: FrozenSet
+    fallbacks: int  # test-mux fallbacks taken while planning this core
+    reservations: int  # resource-cycles its cadence reserved
 
 
 class PlanCache:
@@ -168,7 +116,6 @@ class PlanCache:
 
     def __init__(self, soc) -> None:
         self.signature = soc_signature(soc)
-        self.fingerprint = soc_fingerprint(soc)
         #: (core, forced_key, entry mux state) -> entries, probed in insertion order
         self._entries: Dict[Tuple, List[_CacheEntry]] = {}
 
@@ -196,6 +143,8 @@ class PlanCache:
         plan,
         added_muxes: List,
         added_mux_keys: FrozenSet,
+        fallbacks: int,
+        reservations: int,
     ) -> None:
         self._entries.setdefault((core, forced_key, mux_state), []).append(
             _CacheEntry(
@@ -203,6 +152,8 @@ class PlanCache:
                 plan=plan,
                 added_muxes=list(added_muxes),
                 added_mux_keys=frozenset(added_mux_keys),
+                fallbacks=fallbacks,
+                reservations=reservations,
             )
         )
 
@@ -237,7 +188,15 @@ def plan_cache_for(soc, create: bool = True) -> Optional[PlanCache]:
 
 
 def invalidate_plan_cache(soc) -> None:
-    """Drop the SOC's plan cache (required after in-place version edits)."""
+    """Drop what planning derived from the SOC (required after in-place edits).
+
+    That is the plan cache, the passed interconnect check and each
+    version's mux-select names.
+    """
+    soc._validated = False
+    for core in soc.cores.values():
+        for version in core.versions:
+            version.__dict__.pop("mux_selects", None)
     if getattr(soc, _ATTR, None) is not None:
         _INVALIDATIONS.inc()
         setattr(soc, _ATTR, None)

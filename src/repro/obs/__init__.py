@@ -44,7 +44,6 @@ from repro.obs.ledger import (
     make_record,
     pooled_samples,
 )
-from repro.obs.expo import parse_exposition, render_exposition
 from repro.obs.metrics import (
     Counter,
     DEFAULT_REGISTRY,
@@ -96,8 +95,6 @@ __all__ = [
     "TRACER",
     "NOOP_SPAN",
     "span_tree_problems",
-    "render_exposition",
-    "parse_exposition",
     "Timer",
     "PIPELINE_STAGES",
     "profile_section",

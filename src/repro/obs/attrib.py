@@ -30,10 +30,6 @@ Three attribution planes feed one collector:
 Collection is off by default; ``REPRO_ATTRIB`` (``off``/``on``/``deep``)
 or :meth:`AttribCollector.configure` turns it on.  Every hook
 early-returns on one attribute check when off.
-:meth:`AttribCollector.mark` / :meth:`AttribCollector.delta_since`
-scope the collected state to a stretch of a run without a reset, and
-:meth:`AttribCollector.merge_delta` folds such a delta into another
-collector.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
 (version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
@@ -236,81 +232,6 @@ class AttribCollector:
             "version_to": version_to,
         })
         _MOVE_EVENTS.inc()
-
-    # -- snapshots and deltas ------------------------------------------
-    def mark(self) -> Dict[str, Any]:
-        """Snapshot for a later :meth:`delta_since` (cheap, by-value)."""
-        return {
-            "cones": dict(sorted(self._cones.items())),
-            "moves": len(self._moves),
-            "podem": len(self._podem),
-            "scalars": dict(sorted(self._scalars.items())),
-            "sim": {
-                bucket: (row[0], row[1])
-                for bucket, row in sorted(self._sim.items())
-            },
-        }
-
-    def delta_since(self, mark: Mapping[str, Any]) -> Dict[str, Any]:
-        """Plain-data increment of the collector state since ``mark``.
-
-        Zero increments are dropped so an idle stretch yields an empty
-        delta; list planes yield the appended suffix.
-        """
-        sim: Dict[str, List[int]] = {}
-        base_sim = mark["sim"]
-        for bucket, row in sorted(self._sim.items()):
-            base = base_sim.get(bucket, (0, 0))
-            good, sweep = row[0] - base[0], row[1] - base[1]
-            if good or sweep:
-                sim[bucket] = [good, sweep]
-        scalars: Dict[str, int] = {}
-        base_scalars = mark["scalars"]
-        for name, value in sorted(self._scalars.items()):
-            grown = value - base_scalars.get(name, 0)
-            if grown:
-                scalars[name] = grown
-        cones: Dict[str, int] = {}
-        base_cones = mark["cones"]
-        for site, walks in sorted(self._cones.items()):
-            grown = walks - base_cones.get(site, 0)
-            if grown:
-                cones[site] = grown
-        delta: Dict[str, Any] = {}
-        podem = self._podem[mark["podem"]:]
-        if podem:
-            delta["podem"] = podem
-        moves = self._moves[mark["moves"]:]
-        if moves:
-            delta["moves"] = moves
-        if sim:
-            delta["sim"] = sim
-        if scalars:
-            delta["scalars"] = scalars
-        if cones:
-            delta["cones"] = cones
-        return delta
-
-    def merge_delta(self, delta: Mapping[str, Any]) -> None:
-        """Fold a :meth:`delta_since` result in (idempotence is the
-        caller's job).
-
-        The companion metric counters are *not* re-incremented here --
-        they were counted where the delta was recorded.
-        """
-        self._podem.extend(delta.get("podem", ()))
-        self._moves.extend(delta.get("moves", ()))
-        sim = self._sim
-        for bucket, grown in sorted(delta.get("sim", {}).items()):
-            row = sim.get(bucket)
-            if row is None:
-                row = sim[bucket] = [0, 0]
-            row[0] += grown[0]
-            row[1] += grown[1]
-        for name, grown in sorted(delta.get("scalars", {}).items()):
-            self._scalars[name] = self._scalars.get(name, 0) + grown
-        for site, grown in sorted(delta.get("cones", {}).items()):
-            self._cones[site] = self._cones.get(site, 0) + grown
 
 
 #: process-wide collector every hook feeds

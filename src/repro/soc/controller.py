@@ -10,7 +10,7 @@ chip-level DFT accounting includes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.soc.plan import CoreTestPlan, SocTestPlan
@@ -41,43 +41,54 @@ class TestController:
 
     @property
     def area(self) -> int:
-        return (
-            _CELLS_PER_SIGNAL * len(self.signals)
-            + _CELLS_PER_COUNTER_BIT * self.counter_bits
-            + _CELLS_FSM_BASE
-        )
+        return _controller_cells(len(self.signals), self.counter_bits)
+
+
+def _controller_cells(signals: int, counter_bits: int) -> int:
+    """Cells of a controller driving ``signals`` lines with a ``counter_bits`` counter."""
+    return (
+        _CELLS_PER_SIGNAL * signals
+        + _CELLS_PER_COUNTER_BIT * counter_bits
+        + _CELLS_FSM_BASE
+    )
+
+
+def _counter_bits(plan: "SocTestPlan") -> int:
+    """Width of the cycle counter that spans the whole serial test."""
+    return max(1, max(plan.total_tat, 1).bit_length())
 
 
 def synthesize_controller(plan: "SocTestPlan") -> TestController:
     """Derive the controller for a finished SOC test plan."""
+    cores = plan.soc.testable_cores()
     signals: List[ControlSignal] = []
-    mux_selects: Dict[Tuple[str, str], None] = {}
-
-    for core in plan.soc.testable_cores():
+    for core in cores:
         signals.append(ControlSignal(f"tctrl_clk_{core.name}", "clock-gate"))
         signals.append(ControlSignal(f"tctrl_se_{core.name}", "scan-enable"))
-        version = core.version(plan.selection.get(core.name, 0))
-        for path in list(version.justify_paths.values()) + list(
-            version.propagate_paths.values()
-        ):
-            for key in path.arcs_used:
-                source, dest, mux_path = key
-                for mux_name, _ in mux_path:
-                    mux_selects.setdefault((core.name, mux_name), None)
-    for core_name, mux_name in sorted(mux_selects):
-        signals.append(ControlSignal(f"tctrl_sel_{core_name}_{mux_name}", "mux-select"))
+    for core in sorted(cores, key=lambda c: c.name):
+        for mux_name in core.version(plan.selection.get(core.name, 0)).mux_selects:
+            signals.append(ControlSignal(f"tctrl_sel_{core.name}_{mux_name}", "mux-select"))
     for index, _ in enumerate(plan.test_muxes):
         signals.append(ControlSignal(f"tctrl_tmux_{index}", "test-mux"))
 
-    total_tat = max(plan.total_tat, 1)
-    counter_bits = max(1, (total_tat).bit_length())
     phase_count = 3 * max(1, len(plan.core_plans))  # deliver / shift / flush per core
-    return TestController(signals=signals, counter_bits=counter_bits, phase_count=phase_count)
+    return TestController(
+        signals=signals, counter_bits=_counter_bits(plan), phase_count=phase_count
+    )
 
 
 def estimate_controller_area(plan: "SocTestPlan") -> int:
-    """Area of the synthesized controller in cells."""
-    return synthesize_controller(plan).area
+    """Area of the synthesized controller in cells, counted without listing it.
+
+    Equals ``synthesize_controller(plan).area``: a clock gate and a scan
+    enable per core, one select per mux name of each selected version,
+    one line per test mux.
+    """
+    cores = plan.soc.testable_cores()
+    signals = 2 * len(cores) + len(plan.test_muxes)
+    for core in cores:
+        signals += len(core.version(plan.selection.get(core.name, 0)).mux_selects)
+    return _controller_cells(signals, _counter_bits(plan))
 
 
 def clock_enable_trace(core_plan: "CoreTestPlan") -> Iterator[bool]:

@@ -16,6 +16,7 @@ from repro.dft.hscan import HscanResult, insert_hscan
 from repro.dft.tat import hscan_vector_count
 from repro.errors import SocError
 from repro.rtl.circuit import RTLCircuit
+from repro.rtl.types import Slice
 from repro.transparency.versions import CoreVersion, generate_versions
 
 
@@ -108,3 +109,15 @@ class Core:
 
     def port_width(self, port: str) -> int:
         return self.circuit.get(port).width
+
+    def output_slices(self) -> List[Slice]:
+        """Every output port cut at its incoming-arc boundaries, ports by name.
+
+        The slicing is the core's, not a version's: ``RCG.output_slices``
+        skips the arcs a version adds, so every version cuts alike.
+        """
+        rcg = self.versions[0].rcg
+        assert rcg is not None
+        return [
+            piece for output in sorted(rcg.output_names()) for piece in rcg.output_slices(output)
+        ]

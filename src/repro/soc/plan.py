@@ -146,6 +146,9 @@ class SocTestPlan:
     selection: Dict[str, int]
     core_plans: Dict[str, CoreTestPlan]
     test_muxes: List[TestMux]
+    _usage_counts: Optional[Counter] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def total_tat(self) -> int:
@@ -201,10 +204,16 @@ class SocTestPlan:
         return self.version_cells + self.test_mux_cells + self.controller_cells
 
     def usage_counts(self) -> Counter:
-        total: Counter = Counter()
-        for plan in self.core_plans.values():
-            total.update(plan.all_usages())
-        return total
+        """Transfers per scan step over all core tests, counted once per plan.
+
+        The returned counter is shared; treat it as read-only.
+        """
+        if self._usage_counts is None:
+            total: Counter = Counter()
+            for plan in self.core_plans.values():
+                total.update(plan.all_usages())
+            self._usage_counts = total
+        return self._usage_counts
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +236,10 @@ class _Planner:
         #: dependency footprint of the core currently being planned
         #: (core consulted -> version index), None when not tracking
         self._deps: Optional[Dict[str, int]] = None
+        #: test-mux fallbacks taken and resource-cycles reserved by the
+        #: core plans of this call, cached ones included
+        self.fallbacks = 0
+        self.reservations = 0
 
     def version_of(self, core_name: str) -> CoreVersion:
         core = self.soc.cores[core_name]
@@ -306,7 +319,7 @@ class _Planner:
         if result is None:
             if not self.allow_test_muxes:
                 return None
-            _MUX_FALLBACKS.inc()
+            self.fallbacks += 1
             self._note_input_mux(core_name, port)
             return 0, Counter()
         return result
@@ -389,7 +402,7 @@ class _Planner:
         if result is None:
             if not self.allow_test_muxes:
                 return None
-            _MUX_FALLBACKS.inc()
+            self.fallbacks += 1
             self._note_output_mux(core_name, port, lo, width)
             return 0, Counter()
         return result
@@ -402,8 +415,13 @@ class _Planner:
 
     # ------------------------------------------------------------------
     def plan_core(self, core_name: str) -> CoreTestPlan:
+        """Plan one core's test; only the cores its paths cross are consulted.
+
+        The output slicing comes from the core, the same in every version,
+        so the core's own version enters the footprint only where its
+        paths loop back through it.
+        """
         core = self.soc.cores[core_name]
-        version = self.version_of(core_name)
 
         deliveries: List[Delivery] = []
         for port in sorted(p.name for p in core.circuit.inputs):
@@ -422,29 +440,27 @@ class _Planner:
             )
 
         observations: List[Observation] = []
-        assert version.rcg is not None
-        for output in sorted(n for n in version.rcg.output_names()):
-            for piece in version.rcg.output_slices(output):
-                result = self._observe_or_mux(
-                    core_name, output, piece.lo, piece.width, frozenset()
+        for piece in core.output_slices():
+            output = piece.comp
+            result = self._observe_or_mux(core_name, output, piece.lo, piece.width, frozenset())
+            if result is None:
+                raise SocError(f"cannot observe {core_name}.{output}")
+            latency, usages = result
+            observations.append(
+                Observation(
+                    core=core_name,
+                    port=output,
+                    lo=piece.lo,
+                    width=piece.width,
+                    latency=latency,
+                    usages=usages,
+                    via_test_mux=("output", core_name, output, piece.lo, piece.width)
+                    in self._mux_keys,
                 )
-                if result is None:
-                    raise SocError(f"cannot observe {core_name}.{output}")
-                latency, usages = result
-                observations.append(
-                    Observation(
-                        core=core_name,
-                        port=output,
-                        lo=piece.lo,
-                        width=piece.width,
-                        latency=latency,
-                        usages=usages,
-                        via_test_mux=("output", core_name, output, piece.lo, piece.width)
-                        in self._mux_keys,
-                    )
-                )
+            )
 
-        cadence = _cadence(self.version_of, deliveries, observations)
+        cadence, reserved = _cadence(self.version_of, deliveries, observations)
+        self.reservations += reserved
         depth = core.scan_depth
         flush = max(0, depth - 1) + max((o.latency for o in observations), default=0)
         return CoreTestPlan(
@@ -468,9 +484,10 @@ def _cadence(
     version_of,
     deliveries: List[Delivery],
     observations: List[Observation],
-) -> int:
+) -> Tuple[int, int]:
     """max(longest path latency, busiest shared transparency resource).
 
+    Returns the cadence and the resource-cycles reserved per scan step.
     ``version_of`` is the planner's (dependency-tracking) version lookup,
     so the plan cache sees the versions the cadence computation reads.
     """
@@ -501,9 +518,8 @@ def _cadence(
             busy[(core_name, resource)] += count * path.latency
         for port in path.terminal_ports:
             busy[(core_name, "port", port)] += count * path.latency
-    _RESERVATIONS.inc(sum(busy.values()))
     busiest = max(busy.values(), default=0)
-    return max(longest, busiest)
+    return max(longest, busiest), sum(busy.values())
 
 
 # ----------------------------------------------------------------------
@@ -578,11 +594,15 @@ def plan_soc_test(
                     # replay the side effects the original planning had
                     planner._mux_keys.update(entry.added_mux_keys)
                     planner.test_muxes.extend(entry.added_muxes)
+                    planner.fallbacks += entry.fallbacks
+                    planner.reservations += entry.reservations
                     core_plans[name] = entry.plan
                     continue
                 planner._deps = {}
                 muxes_before = len(planner.test_muxes)
                 keys_before = set(planner._mux_keys)
+                fallbacks_before = planner.fallbacks
+                reservations_before = planner.reservations
                 core_plans[name] = planner.plan_core(name)
                 cache.store(
                     name,
@@ -592,6 +612,8 @@ def plan_soc_test(
                     core_plans[name],
                     planner.test_muxes[muxes_before:],
                     frozenset(planner._mux_keys - keys_before),
+                    planner.fallbacks - fallbacks_before,
+                    planner.reservations - reservations_before,
                 )
                 planner._deps = None
         plan = SocTestPlan(
@@ -601,6 +623,8 @@ def plan_soc_test(
             test_muxes=planner.test_muxes,
         )
         _PLANS.inc()
+        _MUX_FALLBACKS.inc(planner.fallbacks)
+        _RESERVATIONS.inc(planner.reservations)
         _DELIVERIES.inc(sum(len(p.deliveries) for p in core_plans.values()))
         _OBSERVATIONS.inc(sum(len(p.observations) for p in core_plans.values()))
         section.set(total_tat=plan.total_tat, test_muxes=len(plan.test_muxes))

@@ -49,6 +49,11 @@ class Soc:
         self.chip_inputs: Dict[str, int] = {}
         self.chip_outputs: Dict[str, int] = {}
         self.nets: List[Net] = []
+        #: every net filed under its (core, port) ends, in connection order
+        self._drivers: Dict[Tuple[Optional[str], str], Tuple[Net, ...]] = {}
+        self._readers: Dict[Tuple[Optional[str], str], Tuple[Net, ...]] = {}
+        #: whether :meth:`validate` has passed since the last structural change
+        self._validated = False
 
     # ------------------------------------------------------------------
     # construction
@@ -57,6 +62,7 @@ class Soc:
         if core.name in self.cores:
             raise SocError(f"duplicate core {core.name!r}")
         self.cores[core.name] = core
+        self._validated = False
         return core
 
     def add_input(self, name: str, width: int) -> None:
@@ -76,6 +82,11 @@ class Soc:
         self._check_ref(dest, driving=False)
         net = Net(source, dest)
         self.nets.append(net)
+        sink = (dest.core, dest.port)
+        self._drivers[sink] = self._drivers.get(sink, ()) + (net,)
+        driver = (source.core, source.port)
+        self._readers[driver] = self._readers.get(driver, ()) + (net,)
+        self._validated = False
         return net
 
     def wire(
@@ -125,20 +136,27 @@ class Soc:
     # ------------------------------------------------------------------
     # queries used by planning
     # ------------------------------------------------------------------
-    def drivers_of(self, core: Optional[str], port: str) -> List[Net]:
+    def drivers_of(self, core: Optional[str], port: str) -> Tuple[Net, ...]:
         """Nets whose destination lies in the given port."""
-        return [n for n in self.nets if n.dest.core == core and n.dest.port == port]
+        return self._drivers.get((core, port), ())
 
-    def readers_of(self, core: Optional[str], port: str) -> List[Net]:
+    def readers_of(self, core: Optional[str], port: str) -> Tuple[Net, ...]:
         """Nets whose source lies in the given port."""
-        return [n for n in self.nets if n.source.core == core and n.source.port == port]
+        return self._readers.get((core, port), ())
 
     def testable_cores(self) -> List[Core]:
         """Cores tested through transparency (memories use BIST instead)."""
         return [c for c in self.cores.values() if not c.is_memory]
 
     def validate(self) -> "Soc":
-        """Every input bit of every non-memory core must have one driver."""
+        """Every input bit of every non-memory core must have one driver.
+
+        The check runs once per structural state: :meth:`add_core`,
+        :meth:`connect` and :func:`repro.exec.invalidate_plan_cache`
+        make the next call check again.
+        """
+        if self._validated:
+            return self
         for core in self.testable_cores():
             for port in core.circuit.inputs:
                 covered = 0
@@ -153,6 +171,7 @@ class Soc:
                     raise SocError(
                         f"input {core.name}.{port.name} has {covered}/{port.width} bits driven"
                     )
+        self._validated = True
         return self
 
     def total_functional_area(self) -> int:

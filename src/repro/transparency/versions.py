@@ -19,6 +19,7 @@ set) that the CCG consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.dft.hscan import HscanResult, insert_hscan
@@ -112,6 +113,20 @@ class CoreVersion:
                 raise TransparencyError(f"no justification for {key} in {self.name}")
             paths.append(path)
         return _combined_latency(paths)
+
+    @cached_property
+    def mux_selects(self) -> Tuple[str, ...]:
+        """Sorted names of the muxes whose selects this version's paths force.
+
+        The test controller drives one select line per name.  Computed on
+        first use, once: :func:`repro.exec.invalidate_plan_cache` drops it
+        after an in-place edit of the paths.
+        """
+        names = set()
+        for path in list(self.justify_paths.values()) + list(self.propagate_paths.values()):
+            for _, _, mux_path in path.arcs_used:
+                names.update(mux_name for mux_name, _ in mux_path)
+        return tuple(sorted(names))
 
     def signature(self) -> Tuple:
         """Per-port latencies; identical signatures mean redundant versions."""

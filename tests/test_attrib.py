@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.errors import AttribSchemaError, LedgerSchemaError, UsageError
-from repro.obs import METRICS
 from repro.obs.attrib import (
     ATTRIB,
     ATTRIB_MODES,
@@ -33,6 +32,11 @@ def attribution_off():
     yield
     ATTRIB.configure("off")
     ATTRIB.reset()
+
+
+def artifact_of(collector, top_k=5):
+    """The collector's state as the ``repro-attrib`` artifact reports it."""
+    return build_artifact(collector, {}, system="t", seed=0, quick=True, top_k=top_k)
 
 
 def explain(system="System1", **kwargs):
@@ -104,31 +108,14 @@ class TestCollector:
         collector = self.build("deep")
         collector.reset()
         assert collector.mode == "deep"
-        assert collector.mark() == AttribCollector().mark()
-
-    def test_delta_roundtrip_rebuilds_state(self):
-        source = self.build()
-        delta = source.delta_since(AttribCollector().mark())
-        sink = AttribCollector()
-        sink.configure("on")
-        sink.merge_delta(delta)
-        assert sink.mark() == source.mark()
-
-    def test_idle_delta_is_empty(self):
-        collector = self.build()
-        assert collector.delta_since(collector.mark()) == {}
-
-    def test_merge_does_not_reincrement_metric_counters(self):
-        source = self.build()
-        delta = source.delta_since(AttribCollector().mark())
-        before = METRICS.counters()["attrib.podem.records"]
-        AttribCollector().merge_delta(delta)
-        assert METRICS.counters()["attrib.podem.records"] == before
+        fresh = AttribCollector()
+        fresh.configure("deep")
+        assert artifact_of(collector) == artifact_of(fresh)
 
     def test_deep_mode_tracks_cone_sites(self):
         collector = self.build("deep")
         collector.sim_cone({"1:and": 1}, "n::g1")
-        assert collector.mark()["cones"] == {"n::g1": 2}
+        assert artifact_of(collector)["planes"]["sim"]["cones"] == {"n::g1": 2}
 
     def test_revisited_point_classifies_as_cache_hit(self):
         collector = self.build()
@@ -137,10 +124,9 @@ class TestCollector:
             tat_before=90, tat_after=95, outcome="reject-no-gain",
             point=(("CPU", 1),),
         )
-        events = collector.mark()["moves"]
-        assert events == 2
-        delta = collector.delta_since(AttribCollector().mark())
-        assert [event["cache"] for event in delta["moves"]] == ["miss", "hit"]
+        plane = artifact_of(collector)["planes"]["optimizer"]
+        assert [event["cache"] for event in plane["events"]] == ["miss", "hit"]
+        assert plane["summary"]["revisits"] == 1
 
     def test_hooks_are_noops_when_off(self):
         collector = AttribCollector()
@@ -165,12 +151,12 @@ class TestPodemPlane:
             result = podem(netlist, fault)
             assert result.implications >= 1
             assert result.restarts >= 0
-        records = ATTRIB.delta_since(AttribCollector().mark())["podem"]
-        assert len(records) == 6
-        for record in records:
-            assert record["site"] in ("stem", "pin", "flop-pin")
-            assert record["status"] in ("detected", "aborted", "redundant")
-            assert record["cone_depth"] >= 0
+        atpg = artifact_of(ATTRIB, top_k=6)["planes"]["atpg"]
+        assert atpg["totals"]["calls"] == 6
+        for entry in atpg["hard_faults"]:
+            assert entry["site"] in ("stem", "pin", "flop-pin")
+            assert entry["status"] in ("detected", "aborted", "redundant")
+            assert entry["cone_depth"] >= 0
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.designs import build_system1, build_system2
+from repro.designs import build_system1, build_system2, system_builders
+from repro.errors import SocError
 from repro.flow.report import (
     AreaRow,
     TestabilityRow as ResultRow,
@@ -11,9 +12,12 @@ from repro.flow.report import (
 )
 from repro.soc import build_ccg, plan_soc_test, synthesize_controller
 from repro.soc.ccg import shortest_justification
-from repro.soc.controller import clock_enable_trace
+from repro.soc.controller import clock_enable_trace, estimate_controller_area
 from repro.soc.plan import TestMux as SystemTestMux
-from repro.soc.optimizer import SocetOptimizer
+from repro.soc.optimizer import SocetOptimizer, design_space
+from repro.soc.system import PortRef
+
+SYSTEMS = sorted(system_builders())
 
 
 @pytest.fixture(scope="module")
@@ -123,11 +127,59 @@ class TestControllerDetails:
         assert any("CPU_M" in name for name in named)
         assert controller.counter_bits >= system1_plan.total_tat.bit_length() - 1
 
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_area_estimate_equals_synthesized_controller(self, system):
+        """Counting the controller's signals prices it exactly as listing them.
+
+        Every design point, every plan on both optimizers' trajectories,
+        and a sweep with a test mux forced on one core's first input.
+        """
+        soc = system_builders()[system]()
+        points = design_space(soc)
+        optimizer = SocetOptimizer(soc)
+        fast, fast_steps = optimizer.minimize_tat(max(p.chip_cells for p in points))
+        tat_budget = fast.total_tat + (points[0].tat - fast.total_tat) // 2
+        _, small_steps = optimizer.minimize_area(tat_budget)
+        first = min(soc.testable_cores(), key=lambda core: core.name)
+        forced = design_space(soc, forced_muxes={(first.name, first.circuit.inputs[0].name)})
+        plans = [p.plan for p in points + fast_steps + small_steps + forced]
+        assert all(plan.test_muxes for plan in (p.plan for p in forced))
+        for plan in plans:
+            assert estimate_controller_area(plan) == synthesize_controller(plan).area
+            assert plan.controller_cells == synthesize_controller(plan).area
+
     def test_trace_flush_is_free_running(self, system1_plan):
         core_plan = system1_plan.core_plans["CPU"]
         trace = list(clock_enable_trace(core_plan))
         flush = trace[-core_plan.flush :] if core_plan.flush else []
         assert all(flush)
+
+
+class TestInterconnect:
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_lookups_match_a_scan_of_the_nets(self, system):
+        soc = system_builders()[system]()
+        ends = {(None, pin) for pin in list(soc.chip_inputs) + list(soc.chip_outputs)}
+        for core in soc.cores.values():
+            ends.update((core.name, component.name) for component in core.circuit.inputs)
+            ends.update((core.name, component.name) for component in core.circuit.outputs)
+        for core_name, port in sorted(ends, key=str):
+            assert list(soc.drivers_of(core_name, port)) == [
+                n for n in soc.nets if n.dest.core == core_name and n.dest.port == port
+            ]
+            assert list(soc.readers_of(core_name, port)) == [
+                n for n in soc.nets if n.source.core == core_name and n.source.port == port
+            ]
+
+    def test_connect_after_validation_is_checked_again(self):
+        soc = build_system1()
+        plan_soc_test(soc)  # validates once
+        core = soc.cores["CPU"]
+        port = core.circuit.inputs[0]
+        soc.add_input("EXTRA", 1)
+        soc.connect(PortRef(None, "EXTRA", 0, 1), PortRef("CPU", port.name, 0, 1))
+        with pytest.raises(SocError, match="multiple drivers"):
+            plan_soc_test(soc)
 
 
 class TestOptimizerDetails:
