@@ -168,7 +168,8 @@ def write_bench_json(
     from repro.obs.ledger import RunLedger, make_record
 
     samples = [float(value) for value in benchmark.stats.stats.data]
-    histograms = METRICS.histograms()
+    # the v3 "histograms" field carries each timed section's totals
+    histograms = METRICS.sections()
     payload = bench_payload(
         bench=name,
         wall_time_s=benchmark.stats.stats.mean,

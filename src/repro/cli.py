@@ -15,7 +15,7 @@ Usage (after ``pip install -e .``)::
     python -m repro certify System3 --json    # transparency proof certificate
     python -m repro certify System1 --replay  # ...checked against the simulator
     python -m repro profile System3           # per-stage time/counter breakdown
-    python -m repro regress --ledger L.jsonl  # statistical regression gates
+    python -m repro regress --ledger L.jsonl  # exact counter gate
     python -m repro report System1 --quick    # markdown/HTML run report
     python -m repro explain System1 --quick   # search-effort attribution report
     python -m repro explain System1 --json    # ...as the repro-attrib artifact
@@ -377,24 +377,18 @@ def cmd_profile(args) -> int:
 
 def cmd_regress(args) -> int:
     from repro.errors import RegressionError
-    from repro.obs.regress import GatePolicy, compare_ledgers
+    from repro.obs.regress import COUNTER_IGNORE, compare_ledgers
 
     candidate = _read_ledger(args.ledger, "ledger")
     baseline = _read_ledger(args.baseline, "baseline ledger") if args.baseline else None
     # empty prefixes would match every counter; drop them defensively
     ignore = tuple(p for p in (args.ignore_counter or ()) if p)
-    policy = GatePolicy(
-        window=args.window,
-        min_ratio=args.min_ratio,
-        alpha=args.alpha,
-        small_sample_ratio=args.small_sample_ratio,
-        counter_ignore=ignore if args.ignore_counter else GatePolicy.counter_ignore,
-        wall_gate=args.wall_gate,
-        counter_gate=not args.no_counter_gate,
-    )
     try:
         report = compare_ledgers(
-            candidate, baseline, benches=args.bench or None, policy=policy
+            candidate,
+            baseline,
+            benches=args.bench or None,
+            ignore=ignore if args.ignore_counter else COUNTER_IGNORE,
         )
     except RegressionError as error:
         raise UsageError(str(error))
@@ -404,7 +398,7 @@ def cmd_regress(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.flow.profile import QUICK_MAX_FAULTS, profile_system
-    from repro.obs import METRICS, TRACER, enable_tracing
+    from repro.obs import METRICS
     from repro.obs.ledger import RunLedger
     from repro.obs.report import build_run_report
 
@@ -414,18 +408,11 @@ def cmd_report(args) -> int:
     baseline_record = None
     if args.baseline:
         baseline_record = _baseline_record(args.baseline, series)
-    was_enabled = TRACER.enabled
-    if not was_enabled:
-        enable_tracing()  # the waterfall is derived from trace spans
-    try:
-        profile = profile_system(
-            args.system,
-            seed=args.seed,
-            max_faults=QUICK_MAX_FAULTS if args.quick else None,
-        )
-    finally:
-        if not was_enabled:
-            TRACER.disable()
+    profile = profile_system(
+        args.system,
+        seed=args.seed,
+        max_faults=QUICK_MAX_FAULTS if args.quick else None,
+    )
     record = profile.ledger_record(bench=series)
     if args.ledger:
         RunLedger(args.ledger).append(record)
@@ -433,7 +420,6 @@ def cmd_report(args) -> int:
         title=f"{args.system} pipeline",
         record=record,
         baseline=baseline_record,
-        trace_events=TRACER.events(),
         registry=METRICS,
         summary=profile.summary,
         top_k=args.top,
@@ -497,6 +483,7 @@ def cmd_explain(args) -> int:
         registry=METRICS,
         summary=record.get("results"),
         top_k=args.top,
+        root="explain.total",
     )
     rendered = run_report.to_html() if args.html else run_report.to_markdown()
     if args.output:
@@ -686,16 +673,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.set_defaults(func=cmd_profile)
 
     p_regress = sub.add_parser(
-        "regress", help="statistical regression gates over a run ledger",
+        "regress", help="exact counter gate over a run ledger",
         parents=[obs],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
-            "  0  pass: no wall-time regression or counter drift\n"
-            "  1  regression: a series got significantly slower and/or a\n"
-            "     deterministic counter drifted (correctness alarm)\n"
+            "  0  pass: every gated counter matches the baseline record\n"
+            "  1  drift: a deterministic counter changed, appeared, or\n"
+            "     disappeared (correctness alarm)\n"
             "  2  usage error (missing or non-ledger file, unknown series)\n"
-            "  3  nothing compared (no series had enough baseline records)\n"
+            "  3  nothing compared (no series had a baseline record)\n"
         ),
     )
     p_regress.add_argument(
@@ -709,40 +696,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_regress.add_argument(
         "--baseline", metavar="FILE",
-        help="baseline ledger (e.g. the committed one); without it the "
-             "candidate ledger's own earlier records form the window",
-    )
-    p_regress.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="baseline records pooled per series (default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--min-ratio", type=float, default=1.25, metavar="X",
-        help="median slowdown ratio below which the wall gate never trips "
-             "(default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--alpha", type=float, default=0.05, metavar="A",
-        help="one-sided significance level of the rank test (default %(default)s)",
-    )
-    p_regress.add_argument(
-        "--small-sample-ratio", type=float, default=2.0, metavar="X",
-        help="pure-threshold fallback when significance is unreachable "
-             "(default %(default)s)",
+        help="baseline ledger (e.g. the committed one): each series is "
+             "gated against its newest record there; without it, against "
+             "the record before the newest in --ledger",
     )
     p_regress.add_argument(
         "--ignore-counter", action="append", metavar="PREFIX",
         help="counter prefix excluded from the exact gate (repeatable; "
              "default: exec., attrib., explain.)",
-    )
-    p_regress.add_argument(
-        "--wall-gate", default="auto", choices=["auto", "always", "off"],
-        help="auto (default) downgrades the wall gate to advisory when the "
-             "environment fingerprints differ",
-    )
-    p_regress.add_argument(
-        "--no-counter-gate", action="store_true",
-        help="disable the exact counter comparison",
     )
     p_regress.add_argument(
         "--json", action="store_true",
@@ -755,9 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "The report combines the stage waterfall (from trace spans), the\n"
-            "top-k hotspots (from the profiler), and a counter diff against\n"
-            "the baseline ledger's newest record of the same series.\n"
+            "The report combines the stage table (self times plus the run's\n"
+            "unaccounted time), the top-k hotspots by self time, and a counter\n"
+            "diff against the baseline ledger's newest record of the same series.\n"
         ),
     )
     p_report.add_argument("system")

@@ -135,11 +135,10 @@ def explain_system(
     finally:
         ATTRIB.configure(previous)
 
-    time_hist = METRICS.histogram("explain.total.time")
     return ExplainReport(
         system=system,
         seed=seed,
-        total_seconds=time_hist.sum,
+        total_seconds=METRICS.section("explain.total").seconds,
         artifact=artifact,
         all_counters=counters,
     )

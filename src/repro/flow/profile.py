@@ -7,7 +7,10 @@ simulation, iterative-improvement optimization, and concurrent-session
 scheduling -- then reports where the time and the work went, stage by
 stage, from the shared metrics registry.
 
-The registry is reset at the start of a profile run so the numbers
+Each stage's time is the self time of its sections (time in a nested
+section counts only there), and an ``unaccounted`` row holds the time
+spent outside every section, so the rows sum to the run's total.  The
+registry is reset at the start of a profile run so the numbers
 describe exactly one pipeline execution; with ``--trace`` the same run
 also produces a Chrome ``trace_event`` file for Perfetto.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import UsageError
-from repro.obs import METRICS, PIPELINE_STAGES, profile_section, stage_rows
+from repro.obs import METRICS, profile_section, stage_rows
 
 logger = logging.getLogger("repro.flow.profile")
 
@@ -37,21 +40,8 @@ class ProfileReport:
     #: the full registry counter snapshot after the run, zeros included
     #: (the run ledger needs "zero" and "absent" to be different facts)
     all_counters: Dict[str, int] = field(default_factory=dict)
-    #: histogram summaries after the run (stage times)
-    histograms: Dict[str, Dict] = field(default_factory=dict)
-
-    def stage(self, name: str) -> Dict:
-        for row in self.stages:
-            if row["stage"] == name or row["prefix"] == name:
-                return row
-        raise KeyError(name)
-
-    def counters(self) -> Dict[str, int]:
-        merged: Dict[str, int] = {}
-        for row in self.stages:
-            for name, value in row["counters"].items():
-                merged[f"{row['prefix']}.{name}"] = value
-        return merged
+    #: every section's totals after the run (calls, inclusive, self)
+    sections: Dict[str, Dict] = field(default_factory=dict)
 
     def ledger_record(self, bench: Optional[str] = None, results=None) -> Dict:
         """This run as a ``repro-ledger`` record (see :mod:`repro.obs.ledger`).
@@ -68,7 +58,7 @@ class ProfileReport:
             counters=self.all_counters,
             kind="profile",
             results=results if results is not None else dict(self.summary),
-            histograms=self.histograms or None,
+            histograms=self.sections or None,
         )
 
     def render(self) -> str:
@@ -76,8 +66,8 @@ class ProfileReport:
 
         lines = [render_stage_table(self.stages, title=f"{self.system}: pipeline profile")]
         lines.append(
-            f"\ntotal {self.total_seconds:.3f}s (stage times are inclusive; "
-            "fault-sim runs inside ATPG, planning inside the optimizer)"
+            f"\ntotal {self.total_seconds:.3f}s (stage times are self times; "
+            "with unaccounted they sum to the total)"
         )
         if self.summary:
             pairs = ", ".join(f"{k} {v}" for k, v in self.summary.items())
@@ -157,13 +147,11 @@ def profile_system(
         greedy = plan.schedule(algorithm="greedy")
         plan.schedule(algorithm="sessions")
 
-    time_hist = METRICS.histogram("profile.total.time")
-    total_seconds = time_hist.sum
     report = ProfileReport(
         system=system,
         seed=seed,
-        total_seconds=total_seconds,
-        stages=stage_rows(METRICS, PIPELINE_STAGES),
+        total_seconds=METRICS.section("profile.total").seconds,
+        stages=stage_rows(METRICS, "profile.total"),
         summary={
             "serial TAT": plan.total_tat,
             "scheduled TAT": greedy.makespan,
@@ -171,6 +159,6 @@ def profile_system(
             "min-area DFT cells": plan.chip_dft_cells,
         },
         all_counters=dict(METRICS.counters()),
-        histograms=METRICS.histograms(),
+        sections=METRICS.sections(),
     )
     return report

@@ -168,40 +168,40 @@ def render_stage_table(stages: List[Dict], title: str = "pipeline profile") -> s
     """The per-stage breakdown of one profiled pipeline run.
 
     ``stages`` rows come from :func:`repro.obs.stage_rows`: display
-    name, inclusive seconds, timed-section count, and the stage's
-    counters.
+    name, self seconds, timed-section calls, and the stage's counters;
+    the last row is the run's ``unaccounted`` time.
     """
+    total = sum(row["self_seconds"] for row in stages)
     body = []
     for row in stages:
         body.append(
             [
                 row["stage"],
-                f"{row['seconds'] * 1000.0:.1f}",
+                f"{row['self_seconds'] * 1000.0:.1f}",
+                f"{100.0 * row['self_seconds'] / total:.1f}" if total else "-",
                 row["calls"],
                 _format_counters(row["counters"]),
             ]
         )
-    return render_table(["Stage", "Time(ms)", "Sections", "Key counters"], body, title=title)
+    return render_table(
+        ["Stage", "Self(ms)", "Share(%)", "Sections", "Key counters"], body, title=title
+    )
 
 
 def render_metrics_table(snapshot: Dict) -> str:
-    """The ``--metrics`` section: every counter, gauge, and histogram.
+    """The ``--metrics`` section: every counter and timed section.
 
     ``snapshot`` is :meth:`repro.obs.MetricsRegistry.snapshot` output.
     """
     rows = []
     for name, value in snapshot.get("counters", {}).items():
         rows.append([name, "counter", f"{value:,}"])
-    for name, value in snapshot.get("gauges", {}).items():
-        rows.append([name, "gauge", value])
-    for name, summary in snapshot.get("histograms", {}).items():
-        p50, p99 = summary.get("p50"), summary.get("p99")
+    for name, totals in snapshot.get("sections", {}).items():
         rendered = (
-            f"n={summary['count']} sum={summary['sum']:.4g} "
-            f"p50={'-' if p50 is None else format(p50, '.4g')} "
-            f"p99={'-' if p99 is None else format(p99, '.4g')}"
+            f"n={totals['count']} sum={totals['sum']:.4g}s "
+            f"self={totals['self']:.4g}s"
         )
-        rows.append([name, "histogram", rendered])
+        rows.append([name, "section", rendered])
     if not rows:
         rows.append(["(no instruments recorded)", "-", "-"])
     return render_table(["Instrument", "Kind", "Value"], rows, title="Metrics")

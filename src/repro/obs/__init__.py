@@ -4,13 +4,14 @@ Zero-dependency subsystem with three cooperating parts:
 
 * :mod:`repro.obs.tracer` -- a span tracer (Chrome ``trace_event`` JSON
   + JSONL export) that is a shared no-op until enabled;
-* :mod:`repro.obs.metrics` -- an always-on registry of counters, gauges,
-  and percentile histograms the hot paths feed through cached
-  instruments (PODEM backtracks, fault-sim events, BFS expansions,
-  scheduler reservation waits, optimizer moves, ...);
-* :mod:`repro.obs.profiler` -- :func:`profile_section`, which feeds a
-  ``<name>.time`` histogram (and a span when tracing) and powers the
-  per-stage breakdown of ``repro profile``.
+* :mod:`repro.obs.metrics` -- an always-on registry of counters the hot
+  paths feed through cached instruments (PODEM backtracks, fault-sim
+  events, BFS expansions, scheduler reservation waits, optimizer moves,
+  ...) and of timed-section totals;
+* :mod:`repro.obs.profiler` -- :func:`profile_section`, the one way code
+  is timed: it keeps calls, inclusive and self seconds per section name
+  (and records a span when tracing), and powers the per-stage self-time
+  table of ``repro profile``, ``repro report`` and ``repro explain``.
 
 Typical instrumentation, cached at module scope::
 
@@ -38,28 +39,11 @@ from repro.obs.attrib import (
     resolve_attrib_mode,
     validate_artifact,
 )
-from repro.obs.ledger import (
-    RunLedger,
-    environment_fingerprint,
-    make_record,
-    pooled_samples,
-)
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_REGISTRY,
-    EMPTY_SUMMARY,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profiler import (
-    PIPELINE_STAGES,
-    Timer,
-    profile_section,
-    stage_rows,
-)
+from repro.obs.ledger import RunLedger, environment_fingerprint, make_record
+from repro.obs.metrics import Counter, DEFAULT_REGISTRY, MetricsRegistry
+from repro.obs.profiler import PIPELINE_STAGES, profile_section, stage_rows
 from repro.obs.regress import (
-    GatePolicy,
+    COUNTER_IGNORE,
     RegressionReport,
     compare_ledgers,
     compare_records,
@@ -85,9 +69,6 @@ __all__ = [
     "resolve_attrib_mode",
     "validate_artifact",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "EMPTY_SUMMARY",
     "MetricsRegistry",
     "METRICS",
     "Span",
@@ -95,30 +76,22 @@ __all__ = [
     "TRACER",
     "NOOP_SPAN",
     "span_tree_problems",
-    "Timer",
     "PIPELINE_STAGES",
     "profile_section",
     "stage_rows",
     "RunLedger",
     "make_record",
     "environment_fingerprint",
-    "pooled_samples",
-    "GatePolicy",
+    "COUNTER_IGNORE",
     "RegressionReport",
     "compare_ledgers",
     "compare_records",
     "RunReport",
     "build_run_report",
-    "span",
     "enable_tracing",
     "disable_tracing",
     "configure_logging",
 ]
-
-
-def span(name: str, **args):
-    """Shorthand for ``TRACER.span`` (no-op while tracing is disabled)."""
-    return TRACER.span(name, **args)
 
 
 def enable_tracing(clear: bool = True) -> Tracer:

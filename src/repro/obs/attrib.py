@@ -1,7 +1,7 @@
 """Deterministic search-effort attribution (the *why* behind the cost).
 
 The metrics registry answers "how much work happened" (counters) and the
-profiler answers "where did the wall time go" (stage waterfall).  This
+profiler answers "where did the wall time go" (per-stage self times).  This
 module answers the question between the two: *which faults, which gate
 populations, and which optimizer moves consumed the search effort?*
 Three attribution planes feed one collector:

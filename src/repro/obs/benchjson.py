@@ -24,10 +24,10 @@ Version history:
   included, so a counter diff can distinguish "zero" from "absent".
   v1 files still validate (the ``samples`` requirement is gated on the
   declared ``schema_version``).
-* **v3** -- adds the optional ``histograms`` field (summary dicts from
-  :meth:`MetricsRegistry.histograms`; the well-defined empty-summary
-  shape -- count 0, null order statistics -- validates too), matching
-  run-ledger schema v3.
+* **v3** -- adds the optional ``histograms`` field, matching run-ledger
+  schema v3: first percentile summaries (null order statistics when
+  empty), now each timed section's ``count``/``sum``/``self`` from
+  :meth:`MetricsRegistry.sections`.  Both shapes validate.
 
 Run ``python -m repro.obs.benchjson FILE...`` to validate bench files,
 exported Chrome traces, and ``*.jsonl`` run ledgers (CI fails the job
@@ -70,7 +70,7 @@ def bench_payload(
 
     With ``samples`` (the per-round raw wall times) the payload is
     schema v2; without, it stays a v1 document for callers that only
-    have a mean.  ``histograms`` (summary dicts, requires ``samples``)
+    have a mean.  ``histograms`` (section totals, requires ``samples``)
     makes it v3.  Counters record every touched instrument, zeros
     included -- the regression gate needs "zero" and "absent" to be
     different facts.

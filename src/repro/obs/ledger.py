@@ -16,14 +16,18 @@ versioned::
       "samples": [0.0041, 0.0043],      # per-round raw wall times (seconds)
       "counters": {"atpg.podem.backtracks": 7010, ...},  # zeros included
       "env": {"python": "3.12.1", "platform": "linux", "cpus": 8},
-      "histograms": {"profile.total.time": {"count": 1, "sum": 0.8,
-                     "p50": 0.8, ...}, ...},  # optional (v3), summaries
+      "histograms": {"atpg.run": {"count": 4, "sum": 0.8,
+                     "self": 0.6}, ...},  # optional (v3), section totals
       "results": {...}                  # optional free-form payload
     }
 
 Counters record *every* touched instrument (including zero values):
-the regression gate in :mod:`repro.obs.regress` needs "counter is
-zero" and "counter never existed" to be distinguishable facts.
+the counter gate in :mod:`repro.obs.regress` needs "counter is zero"
+and "counter never existed" to be distinguishable facts.  The
+``histograms`` field keeps its v3 name; records written now fill it
+with each timed section's calls (``count``), inclusive seconds
+(``sum``) and self seconds (``self``).  Older records carry
+percentile summaries there, which still validate.
 
 Appends are atomic: each record is serialized to one line and written
 with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
@@ -39,7 +43,7 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import LedgerSchemaError
 from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
@@ -53,8 +57,8 @@ LEDGER_SCHEMA = "repro-ledger"
 #: version history: 1 -- initial (kinds "bench"/"profile");
 #: 2 -- adds kind "serve" (a planning-daemon session; the daemon and
 #: the kind are since retired, so such records no longer validate);
-#: 3 -- adds the optional ``histograms`` field ({name: summary dict},
-#: the well-defined empty-summary shape included);
+#: 3 -- adds the optional ``histograms`` field ({name: summary dict};
+#: first percentile summaries, now section totals);
 #: 4 -- adds kind "explain" and the optional ``attrib`` field (a full
 #: ``repro-attrib`` search-effort artifact, validated against
 #: :mod:`repro.obs.attrib` on append)
@@ -81,13 +85,12 @@ _ENV_FIELDS = ("python", "platform", "cpus")
 # record construction
 # ----------------------------------------------------------------------
 def environment_fingerprint() -> Dict:
-    """The run environment facts a comparison must hold constant.
+    """The run environment facts a wall time depends on.
 
-    Python version and CPU count move the wall-time distribution.  The
-    regression gate downgrades the wall-time comparison to advisory
-    when fingerprints differ (cross-machine baselines) while keeping
-    the counter gate exact -- counters are pure functions of the seed.
-    Extra keys (older records carry ``repro_jobs``) are allowed.
+    Python version and CPU count move wall times, so a record's samples
+    are read together with its fingerprint; counters are pure functions
+    of the seed and do not depend on it.  Extra keys (older records
+    carry ``repro_jobs``) are allowed.
     """
     return {
         "python": platform.python_version(),
@@ -138,8 +141,8 @@ def make_record(
     registry when neither is given), zeros included.  ``git_sha="auto"``
     resolves HEAD; pass ``None`` to record an unversioned run.
     ``histograms`` (optional, schema v3) carries summary dicts keyed by
-    instrument name -- :meth:`MetricsRegistry.histograms` output;
-    omitted entirely when not given.
+    section name -- :meth:`MetricsRegistry.sections` output; omitted
+    entirely when not given.
     ``attrib`` (optional, schema v4) embeds a ``repro-attrib``
     search-effort artifact, schema-checked on its own terms.
     """
@@ -227,8 +230,8 @@ def _histogram_problems(histograms) -> List[str]:
     """Schema checks for the optional v3 ``histograms`` field.
 
     Each entry is a summary dict; ``count``/``sum`` are required and
-    numeric, order statistics may be ``None`` (the empty-histogram
-    shape) but never anything non-numeric.
+    numeric, any other field (``self``, or an older record's order
+    statistics, ``None`` when empty) is a number or ``None``.
     """
     if not isinstance(histograms, dict):
         return ["field 'histograms' must be an object"]
@@ -320,18 +323,6 @@ class RunLedger:
         _APPENDS.inc()
         return record
 
-    def append_from_registry(
-        self,
-        bench: str,
-        samples: Sequence[float],
-        registry: Optional[MetricsRegistry] = None,
-        **kwargs,
-    ) -> Dict:
-        """Shorthand: build a record from a registry snapshot and append."""
-        return self.append(
-            make_record(bench, samples, registry=registry, **kwargs)
-        )
-
     # ------------------------------------------------------------------
     def records(self, bench: Optional[str] = None) -> List[Dict]:
         """Every record (oldest first), optionally for one series."""
@@ -360,21 +351,3 @@ class RunLedger:
         """The newest record of one series (file order, not timestamps)."""
         series = self.records(bench)
         return series[-1] if series else None
-
-    def window(self, bench: str, size: int, before: Optional[int] = None) -> List[Dict]:
-        """The last ``size`` records of a series (optionally ending at
-        index ``before``, exclusive) -- the regression baseline window."""
-        series = self.records(bench)
-        if before is not None:
-            series = series[:before]
-        if size <= 0:
-            return series
-        return series[-size:]
-
-
-def pooled_samples(records: Iterable[Dict]) -> List[float]:
-    """Every raw wall-time sample across records, in record order."""
-    samples: List[float] = []
-    for record in records:
-        samples.extend(float(value) for value in record["samples"])
-    return samples

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, and percentile histograms.
+"""Process-local metrics: counters and timed-section totals.
 
 The registry is the always-on half of the observability layer: counting
 is cheap enough (one integer add through a cached instrument object) to
@@ -11,30 +11,20 @@ at module scope by the instrumented code::
     ...
     _BACKTRACKS.inc(result.backtracks)
 
+Timed sections (:func:`repro.obs.profile_section`) keep three running
+totals per section name -- calls, inclusive seconds, self seconds -- so
+a section costs the same memory after one call as after a million.
+
 ``reset()`` zeroes instruments *in place* so those cached references
 stay valid across benchmark iterations and ``repro profile`` runs.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 Number = Union[int, float]
-
-#: the well-defined shape of an empty histogram summary: all keys
-#: present, order statistics ``None`` (JSON ``null``)
-EMPTY_SUMMARY: Dict[str, Optional[float]] = {
-    "count": 0,
-    "sum": 0.0,
-    "min": None,
-    "max": None,
-    "mean": None,
-    "p50": None,
-    "p90": None,
-    "p99": None,
-}
 
 
 class Counter:
@@ -57,85 +47,29 @@ class Counter:
         self._value = 0
 
 
-class Gauge:
-    """A point-in-time value (last cadence, current budget headroom)."""
+class SectionTotals:
+    """Running totals of one timed section.
 
-    __slots__ = ("name", "_value")
+    ``seconds`` is inclusive wall time, counted once however deeply the
+    section re-enters itself; ``self_seconds`` leaves out the time of the
+    sections opened inside it on the same thread, so the self times of
+    every section under a root add up to the root's inclusive time.
+    """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value: Optional[Number] = None
-
-    def set(self, value: Number) -> None:
-        self._value = value
-
-    @property
-    def value(self) -> Optional[Number]:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = None
-
-
-class Histogram:
-    """A distribution of observations with nearest-rank percentiles."""
-
-    __slots__ = ("name", "_values")
+    __slots__ = ("name", "calls", "seconds", "self_seconds")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._values: List[float] = []
+        self.reset()
 
-    def observe(self, value: Number) -> None:
-        self._values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def sum(self) -> float:
-        return sum(self._values)
-
-    def percentile(self, p: float) -> Optional[float]:
-        """Nearest-rank percentile of the observations (p in 0..100).
-
-        An empty histogram has no ranks: the percentile is ``None``
-        (never an exception), matching the ``None``-valued percentile
-        fields of :meth:`summary` so callers and renderers share one
-        well-defined empty shape.
-        """
-        if not self._values:
-            return None
-        ordered = sorted(self._values)
-        if p <= 0:
-            return ordered[0]
-        if p >= 100:
-            return ordered[-1]
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def summary(self) -> Dict[str, Optional[float]]:
-        """count / sum / min / max / mean / p50 / p90 / p99.
-
-        Every key is always present; on an empty histogram the count is
-        0, the sum 0.0, and the order statistics ``None``.
-        """
-        if not self._values:
-            return dict(EMPTY_SUMMARY)
-        return {
-            "count": len(self._values),
-            "sum": self.sum,
-            "min": min(self._values),
-            "max": max(self._values),
-            "mean": self.sum / len(self._values),
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
+    def summary(self) -> Dict[str, Number]:
+        """The ledger shape: ``count`` calls, ``sum`` inclusive, ``self``."""
+        return {"count": self.calls, "sum": self.seconds, "self": self.self_seconds}
 
     def reset(self) -> None:
-        self._values.clear()
+        self.calls = 0
+        self.seconds = 0.0
+        self.self_seconds = 0.0
 
 
 class MetricsRegistry:
@@ -148,18 +82,14 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._sections: Dict[str, SectionTotals] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         return self._get(self._counters, Counter, name)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(self._gauges, Gauge, name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(self._histograms, Histogram, name)
+    def section(self, name: str) -> SectionTotals:
+        return self._get(self._sections, SectionTotals, name)
 
     def _get(self, table, factory, name: str):
         instrument = table.get(name)
@@ -167,7 +97,7 @@ class MetricsRegistry:
             with self._lock:
                 instrument = table.get(name)
                 if instrument is None:
-                    for other in (self._counters, self._gauges, self._histograms):
+                    for other in (self._counters, self._sections):
                         if other is not table and name in other:
                             raise ValueError(
                                 f"instrument {name!r} already registered with a different kind"
@@ -184,36 +114,24 @@ class MetricsRegistry:
             if name.startswith(prefix)
         }
 
-    def histograms(self, prefix: str = "") -> Dict[str, Dict[str, float]]:
+    def sections(self, prefix: str = "") -> Dict[str, Dict[str, Number]]:
+        """Totals of every section that ran, optionally under a prefix."""
         return {
-            name: h.summary()
-            for name, h in sorted(self._histograms.items())
-            if name.startswith(prefix) and h.count
+            name: s.summary()
+            for name, s in sorted(self._sections.items())
+            if name.startswith(prefix) and s.calls
         }
 
     def snapshot(self) -> Dict[str, Dict]:
-        """JSON-ready view of every instrument with data.
-
-        Unlike :meth:`histograms` (ledger records, where an empty
-        histogram is dead weight), the snapshot keeps empty histograms
-        as their well-defined empty summary, so the ``--metrics`` table
-        lists every registered instrument.
-        """
+        """JSON-ready view of every instrument with data."""
         return {
             "counters": {k: v for k, v in self.counters().items() if v},
-            "gauges": {
-                name: g.value
-                for name, g in sorted(self._gauges.items())
-                if g.value is not None
-            },
-            "histograms": {
-                name: h.summary() for name, h in sorted(self._histograms.items())
-            },
+            "sections": self.sections(),
         }
 
     def reset(self) -> None:
         """Zero every instrument in place (cached references stay live)."""
-        for table in (self._counters, self._gauges, self._histograms):
+        for table in (self._counters, self._sections):
             for instrument in table.values():
                 instrument.reset()
 

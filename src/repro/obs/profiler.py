@@ -1,23 +1,27 @@
-"""Timers and the per-stage aggregation behind ``repro profile``.
+"""Timed sections and the per-stage self-time table of ``repro profile``.
 
-:func:`profile_section` is the one helper instrumented code uses: it
-always feeds a duration histogram named ``<name>.time`` (seconds) in the
-shared registry, and additionally records a tracer span when tracing is
-enabled.  Aggregating those histograms by their first dotted component
-gives the pipeline's stage breakdown -- ``atpg.run.time`` and
-``atpg.podem.time`` both roll up into the ``atpg`` stage.
+:func:`profile_section` is the one way ``src/`` times code.  Each
+section name keeps three running totals in the metrics registry --
+calls, inclusive seconds, and self seconds (inclusive time minus the
+time of the sections opened inside it on the same thread) -- and
+records a tracer span only while tracing is enabled.  Nothing is kept
+per call, so a section's cost in memory does not grow with its calls.
 
-Stage times are *inclusive*: fault simulation runs inside ATPG, and the
-optimizer re-plans through the chip-level planner, so nested stages
-overlap and the rows do not sum to the wall-clock total.
+Self times partition a run: the self times of every section opened
+under a root section (``profile.total``) add up to the root's inclusive
+time.  :func:`stage_rows` groups them by first dotted component into the
+pipeline stages -- ``atpg.run`` and ``atpg.podem`` both roll up into
+``atpg`` -- and reports the root's own self time as an explicit
+``unaccounted`` row, so the rows sum to the run's total.
 """
 
 from __future__ import annotations
 
-import time
+import threading
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
+from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry, SectionTotals
 from repro.obs.tracer import DEFAULT_TRACER, NOOP_SPAN
 
 #: (display name, metric prefix) for every pipeline stage, in flow order
@@ -32,98 +36,123 @@ PIPELINE_STAGES: List[Tuple[str, str]] = [
     ("schedule", "schedule"),
 ]
 
+#: section totals of the shared registry, cached so opening a section
+#: skips the registry lookup (safe: ``reset()`` zeroes them in place)
+_TOTALS: Dict[str, SectionTotals] = {}
 
-class Timer:
-    """Plain elapsed-seconds context manager (``timer.elapsed``)."""
-
-    __slots__ = ("elapsed", "_start")
+class _OpenSections(threading.local):
+    """Each thread's stack of open sections (innermost last)."""
 
     def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.elapsed = time.perf_counter() - self._start
-        return False
+        self.stack: List[_Section] = []
 
 
-#: per-section duration histograms, cached so ``__exit__`` skips the
-#: registry lookup (safe: ``reset()`` zeroes instruments in place)
-_TIME_HISTOGRAMS: Dict[str, "object"] = {}
-
-
-def _time_histogram(name: str):
-    histogram = _TIME_HISTOGRAMS.get(name)
-    if histogram is None:
-        histogram = _TIME_HISTOGRAMS[name] = DEFAULT_REGISTRY.histogram(name + ".time")
-    return histogram
+_OPEN = _OpenSections()
 
 
 class _Section:
-    """Span + duration-histogram recorder for one named section."""
+    """One open section: adds its times to its totals when it exits."""
 
-    __slots__ = ("name", "_span", "_start")
+    __slots__ = ("_totals", "_span", "_stack", "_start", "_children", "_outermost")
 
-    def __init__(self, name: str, args: Dict) -> None:
-        self.name = name
-        self._span = DEFAULT_TRACER.span(name, **args) if DEFAULT_TRACER.enabled else NOOP_SPAN
-        self._start = 0.0
+    def __init__(self, totals: SectionTotals, span) -> None:
+        self._totals = totals
+        self._span = span
+        self._children = 0.0
 
     def set(self, **args) -> None:
+        """Attach args to the section's span (no-op unless tracing)."""
         self._span.set(**args)
 
     def __enter__(self) -> "_Section":
         self._span.__enter__()
-        self._start = time.perf_counter()
+        stack = self._stack = _OPEN.stack
+        totals = self._totals
+        for section in stack:
+            if section._totals is totals:
+                self._outermost = False
+                break
+        else:
+            self._outermost = True
+        stack.append(self)
+        self._start = perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        elapsed = time.perf_counter() - self._start
-        _time_histogram(self.name).observe(elapsed)
+        elapsed = perf_counter() - self._start
+        stack = self._stack
+        stack.pop()  # ``with`` blocks exit innermost first
+        if stack:
+            stack[-1]._children += elapsed
+        totals = self._totals
+        totals.calls += 1
+        totals.self_seconds += elapsed - self._children
+        if self._outermost:
+            totals.seconds += elapsed
         self._span.__exit__(*exc)
         return False
 
 
-def profile_section(name: str, **args) -> _Section:
-    """Time a named section into the metrics registry (and trace)."""
-    return _Section(name, args)
+def profile_section(
+    name: str, registry: Optional[MetricsRegistry] = None, **args
+) -> _Section:
+    """Time a named section into the registry (and a span when tracing).
+
+    ``registry`` defaults to the shared one; ``args`` become span args.
+    """
+    if registry is None:
+        totals = _TOTALS.get(name)
+        if totals is None:
+            totals = _TOTALS[name] = DEFAULT_REGISTRY.section(name)
+    else:
+        totals = registry.section(name)
+    span = DEFAULT_TRACER.span(name, **args) if DEFAULT_TRACER.enabled else NOOP_SPAN
+    return _Section(totals, span)
 
 
 # ----------------------------------------------------------------------
 def stage_rows(
     registry: Optional[MetricsRegistry] = None,
+    root: str = "profile.total",
     stages: Sequence[Tuple[str, str]] = tuple(PIPELINE_STAGES),
 ) -> List[Dict]:
-    """Per-stage totals: time, section calls, and that stage's counters.
+    """Per-stage self seconds, section calls, and counters of one run.
 
-    A stage's time is the sum of every ``<prefix>.*.time`` histogram;
-    its counters are every counter under the same dotted prefix.
+    A stage's time is the self time of every ``<prefix>.*`` section.
+    Sections under no stage prefix get a row per first dotted component
+    after the pipeline stages, and the last row, ``unaccounted``, is the
+    ``root`` section's own self time -- so the rows sum to its total.
     """
     registry = registry or DEFAULT_REGISTRY
-    rows: List[Dict] = []
-    for display, prefix in stages:
-        seconds = 0.0
-        calls = 0
-        for name, summary in registry.histograms(prefix + ".").items():
-            if name.endswith(".time"):
-                seconds += summary.get("sum", 0.0)
-                calls += int(summary.get("count", 0))
-        counters = {
-            name[len(prefix) + 1 :]: value
-            for name, value in registry.counters(prefix + ".").items()
-            if value
+    sections = registry.sections()
+    counters = registry.counters()
+    root_totals = sections.pop(root, {"count": 0, "self": 0.0})
+    known = {prefix for _display, prefix in stages}
+    extra = sorted({name.split(".", 1)[0] for name in sections} - known)
+
+    def row(display: str, prefix: str) -> Dict:
+        mine = [s for n, s in sections.items() if n.split(".", 1)[0] == prefix]
+        return {
+            "stage": display,
+            "prefix": prefix,
+            "self_seconds": sum(s["self"] for s in mine),
+            "calls": sum(s["count"] for s in mine),
+            "counters": {
+                name[len(prefix) + 1 :]: value
+                for name, value in counters.items()
+                if value and name.startswith(prefix + ".")
+            },
         }
-        rows.append(
-            {
-                "stage": display,
-                "prefix": prefix,
-                "seconds": seconds,
-                "calls": calls,
-                "counters": counters,
-            }
-        )
+
+    rows = [row(display, prefix) for display, prefix in stages]
+    rows.extend(row(prefix, prefix) for prefix in extra)
+    rows.append(
+        {
+            "stage": "unaccounted",
+            "prefix": root,
+            "self_seconds": root_totals["self"],
+            "calls": root_totals["count"],
+            "counters": {},
+        }
+    )
     return rows

@@ -1,52 +1,34 @@
-"""Statistical regression gates over the run ledger.
+"""The exact counter gate over the run ledger, plus a rank test.
 
-Compares a fresh run (the newest ledger record of each series) against
-a baseline window of earlier records and answers one question per
-series: *did this get slower, or did the work itself change?*  Two
-independent gates:
+``repro regress`` compares a fresh run (the newest ledger record of each
+series) against the newest baseline record of the same series and
+answers one question per series: *did the work itself change?*
+Deterministic counters (PODEM backtracks, reservation waits, plans
+evaluated, ...) are pure functions of the seed, so they are compared
+*exactly*: any added, removed, or changed counter is flagged as a
+correctness alarm, never as noise.  Zero-valued counters are recorded
+by the ledger precisely so this gate can tell "zero" from "absent".
 
-* **Wall-time gate** -- a one-sided Mann-Whitney rank test of the
-  candidate's raw per-round samples against the pooled baseline
-  samples, cross-checked by a seeded-bootstrap confidence interval on
-  the median ratio.  A regression needs *both* a practically large
-  ratio (``min_ratio``) and statistical significance (``alpha``), so
-  timing noise on an unchanged pipeline does not trip the gate.  When
-  the candidate has too few samples for significance to be reachable
-  (e.g. a single ``repro profile`` run), a stricter pure-threshold
-  fallback (``small_sample_ratio``) applies instead.
-* **Counter gate** -- deterministic counters (PODEM backtracks,
-  reservation waits, plans evaluated, ...) are pure functions of the
-  seed, so they are compared *exactly*: any added, removed, or changed
-  counter is flagged as a correctness alarm, never as noise.
-  Zero-valued counters are recorded by the ledger precisely so this
-  gate can tell "zero" from "absent".
-
-Environment fingerprints guard the wall-time gate: when the candidate
-and baseline ran on different pythons/platforms/CPU counts the
-wall-time verdict is downgraded to *advisory* (reported, not failing)
-while the counter gate stays exact -- that is what makes a committed
-cross-machine baseline usable in CI.
+Wall time is not gated here: it moves with the host, and speed claims
+are made on the end-to-end benchmark instead.  :func:`mann_whitney_p`,
+a one-sided rank test on raw timing samples, stays for benches that
+declare their own timing gate (``bench_explain``'s attribution
+overhead).
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from math import comb, erfc, sqrt
-from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RegressionError
-from repro.obs.ledger import RunLedger, pooled_samples
+from repro.obs.ledger import RunLedger
 from repro.obs.metrics import DEFAULT_REGISTRY
 
 _COMPARISONS = DEFAULT_REGISTRY.counter("regress.comparisons")
-_REGRESSIONS = DEFAULT_REGISTRY.counter("regress.wall.regressions")
 _DRIFTS = DEFAULT_REGISTRY.counter("regress.counter.drifts")
-
-#: wall-gate modes: apply always, only on matching environments, or never
-WALL_GATE_MODES = ("auto", "always", "off")
 
 
 # ----------------------------------------------------------------------
@@ -131,101 +113,17 @@ def mann_whitney_p(candidate: Sequence[float], baseline: Sequence[float]) -> flo
     return 0.5 * erfc(z / sqrt(2.0))
 
 
-def min_reachable_p(n1: int, n2: int) -> float:
-    """The smallest one-sided p these sample sizes can ever produce."""
-    return 1.0 / comb(n1 + n2, n1)
-
-
-def bootstrap_ratio_ci(
-    candidate: Sequence[float],
-    baseline: Sequence[float],
-    resamples: int = 1000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Seeded percentile-bootstrap CI on ``median(candidate)/median(baseline)``."""
-    if not candidate or not baseline:
-        raise RegressionError("bootstrap needs non-empty samples on both sides")
-    rng = random.Random(seed)
-    ratios: List[float] = []
-    for _ in range(resamples):
-        cand = [rng.choice(candidate) for _ in candidate]
-        base = [rng.choice(baseline) for _ in baseline]
-        ratios.append(median(cand) / max(median(base), 1e-12))
-    ratios.sort()
-    alpha = (1.0 - confidence) / 2.0
-    low_index = max(0, min(len(ratios) - 1, int(alpha * len(ratios))))
-    high_index = max(0, min(len(ratios) - 1, int((1.0 - alpha) * len(ratios)) - 1))
-    return ratios[low_index], ratios[high_index]
-
-
 # ----------------------------------------------------------------------
-# policy and verdicts
+# the counter gate
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GatePolicy:
-    """Thresholds for the wall-time and counter gates."""
-
-    #: baseline window: how many most-recent records to pool per series
-    window: int = 5
-    #: median ratio below which a slowdown is never flagged
-    min_ratio: float = 1.25
-    #: one-sided significance level for the rank test
-    alpha: float = 0.05
-    #: minimum pooled baseline samples before the wall gate applies
-    min_samples: int = 3
-    #: pure-threshold fallback when significance is unreachable
-    small_sample_ratio: float = 2.0
-    #: bootstrap resamples / confidence for the ratio CI
-    resamples: int = 1000
-    confidence: float = 0.95
-    #: counter prefixes excluded from the exact gate.  The ``exec.``
-    #: layer is execution-strategy bookkeeping -- plan-cache warmth --
-    #: that depends on prior runs, not on the planned work.
-    #: ``attrib.``/``explain.`` are the same execution-bookkeeping
-    #: class: how many attribution records/explain runs happened depends
-    #: on whether ``REPRO_ATTRIB`` was on, not on the planned work --
-    #: the attributed *totals* are gated through the counters they
-    #: reconcile against (``atpg.*``, ``faultsim.*``).
-    counter_ignore: Tuple[str, ...] = ("exec.", "attrib.", "explain.")
-    #: "auto" (downgrade on env mismatch), "always", or "off"
-    wall_gate: str = "auto"
-    #: exact counter comparison on/off
-    counter_gate: bool = True
-
-    def __post_init__(self) -> None:
-        if self.wall_gate not in WALL_GATE_MODES:
-            raise RegressionError(
-                f"wall_gate must be one of {WALL_GATE_MODES}, got {self.wall_gate!r}"
-            )
-
-
-def env_compatible(a: Dict, b: Dict) -> bool:
-    """Same python minor version, platform, and CPU count."""
-
-    def minor(version: str) -> str:
-        return ".".join(str(version).split(".")[:2])
-
-    return (
-        minor(a.get("python", "")) == minor(b.get("python", ""))
-        and a.get("platform") == b.get("platform")
-        and a.get("cpus") == b.get("cpus")
-    )
-
-
-@dataclass
-class WallComparison:
-    """Outcome of the wall-time gate for one series."""
-
-    candidate_median: float
-    baseline_median: float
-    ratio: float
-    p_value: Optional[float] = None
-    ci_low: Optional[float] = None
-    ci_high: Optional[float] = None
-    tripped: bool = False
-    advisory: bool = False
-    note: str = ""
+#: counter prefixes the gate ignores.  ``exec.`` is execution-strategy
+#: bookkeeping -- plan-cache warmth -- that depends on prior runs, not
+#: on the planned work.  ``attrib.``/``explain.`` are the same class:
+#: how many attribution records/explain runs happened depends on
+#: whether ``REPRO_ATTRIB`` was on -- the attributed *totals* are gated
+#: through the counters they reconcile against (``atpg.*``,
+#: ``faultsim.*``).
+COUNTER_IGNORE: Tuple[str, ...] = ("exec.", "attrib.", "explain.")
 
 
 @dataclass
@@ -245,109 +143,35 @@ class CounterDrift:
 
 @dataclass
 class BenchVerdict:
-    """Every gate's outcome for one ledger series."""
+    """The counter gate's outcome for one ledger series."""
 
     bench: str
-    candidate_samples: int = 0
-    baseline_samples: int = 0
-    baseline_records: int = 0
-    wall: Optional[WallComparison] = None
     drifts: List[CounterDrift] = field(default_factory=list)
     skipped: Optional[str] = None  # reason, when no comparison was possible
 
     @property
     def failed(self) -> bool:
-        if self.drifts:
-            return True
-        return bool(self.wall and self.wall.tripped and not self.wall.advisory)
+        return bool(self.drifts)
 
     @property
     def status(self) -> str:
         if self.skipped:
             return "skipped"
-        labels = []
-        if self.drifts:
-            labels.append("drift")
-        if self.wall and self.wall.tripped and not self.wall.advisory:
-            labels.append("slower")
-        if labels:
-            return "+".join(labels)
-        if self.wall and self.wall.tripped and self.wall.advisory:
-            return "advisory"
-        return "ok"
+        return "drift" if self.drifts else "ok"
 
     def to_dict(self) -> Dict:
         payload: Dict = {
             "bench": self.bench,
             "status": self.status,
             "failed": self.failed,
-            "candidate_samples": self.candidate_samples,
-            "baseline_samples": self.baseline_samples,
-            "baseline_records": self.baseline_records,
         }
         if self.skipped:
             payload["skipped"] = self.skipped
-        if self.wall:
-            payload["wall"] = {
-                "candidate_median_s": self.wall.candidate_median,
-                "baseline_median_s": self.wall.baseline_median,
-                "ratio": self.wall.ratio,
-                "p_value": self.wall.p_value,
-                "ci": [self.wall.ci_low, self.wall.ci_high],
-                "tripped": self.wall.tripped,
-                "advisory": self.wall.advisory,
-                "note": self.wall.note,
-            }
         payload["counter_drifts"] = [
             {"counter": d.counter, "baseline": d.baseline, "candidate": d.candidate}
             for d in self.drifts
         ]
         return payload
-
-
-# ----------------------------------------------------------------------
-# the gates
-# ----------------------------------------------------------------------
-def compare_wall(
-    candidate: Sequence[float],
-    baseline: Sequence[float],
-    policy: GatePolicy,
-    advisory: bool = False,
-) -> WallComparison:
-    """Run the wall-time gate on raw samples (already pooled)."""
-    candidate_median = median(candidate)
-    baseline_median = median(baseline)
-    ratio = candidate_median / max(baseline_median, 1e-12)
-    result = WallComparison(
-        candidate_median=candidate_median,
-        baseline_median=baseline_median,
-        ratio=ratio,
-        advisory=advisory,
-    )
-    if ratio < policy.min_ratio:
-        result.note = f"ratio {ratio:.3f} below min_ratio {policy.min_ratio}"
-        return result
-    if min_reachable_p(len(candidate), len(baseline)) > policy.alpha:
-        # too few samples for the rank test to ever reach significance:
-        # fall back to a stricter pure threshold
-        result.tripped = ratio >= policy.small_sample_ratio
-        result.note = (
-            f"small-sample fallback (threshold {policy.small_sample_ratio}x)"
-        )
-        return result
-    result.p_value = mann_whitney_p(candidate, baseline)
-    result.ci_low, result.ci_high = bootstrap_ratio_ci(
-        candidate,
-        baseline,
-        resamples=policy.resamples,
-        confidence=policy.confidence,
-    )
-    result.tripped = result.p_value <= policy.alpha and result.ci_low > 1.0
-    result.note = (
-        f"p={result.p_value:.4f}, "
-        f"ratio CI [{result.ci_low:.3f}, {result.ci_high:.3f}]"
-    )
-    return result
 
 
 def compare_counters(
@@ -371,61 +195,19 @@ def compare_counters(
 
 def compare_records(
     candidate: Dict,
-    baseline_records: Sequence[Dict],
-    policy: Optional[GatePolicy] = None,
+    baseline: Optional[Dict],
+    ignore: Sequence[str] = COUNTER_IGNORE,
 ) -> BenchVerdict:
-    """Every gate for one candidate record against its baseline window."""
-    policy = policy or GatePolicy()
-    verdict = BenchVerdict(
-        bench=candidate["bench"],
-        candidate_samples=len(candidate["samples"]),
-        baseline_records=len(baseline_records),
-    )
-    if not baseline_records:
-        verdict.skipped = "no baseline records"
+    """The counter gate for one candidate record against its baseline."""
+    verdict = BenchVerdict(bench=candidate["bench"])
+    if baseline is None:
+        verdict.skipped = "no baseline record"
         return verdict
     _COMPARISONS.inc()
-
-    baseline = pooled_samples(baseline_records)
-    verdict.baseline_samples = len(baseline)
-
-    mismatched = any(
-        not env_compatible(candidate["env"], record["env"])
-        for record in baseline_records
+    verdict.drifts = compare_counters(
+        candidate["counters"], baseline["counters"], ignore=ignore
     )
-
-    # counter gate: exact match against the newest baseline record
-    if policy.counter_gate:
-        verdict.drifts = compare_counters(
-            candidate["counters"],
-            baseline_records[-1]["counters"],
-            ignore=policy.counter_ignore,
-        )
-        if verdict.drifts:
-            _DRIFTS.inc(len(verdict.drifts))
-
-    # wall gate
-    if policy.wall_gate != "off":
-        advisory = policy.wall_gate == "auto" and mismatched
-        if len(baseline) < policy.min_samples:
-            verdict.wall = WallComparison(
-                candidate_median=median(candidate["samples"]),
-                baseline_median=median(baseline),
-                ratio=median(candidate["samples"]) / max(median(baseline), 1e-12),
-                advisory=advisory,
-                note=(
-                    f"baseline has {len(baseline)} samples "
-                    f"(< min_samples {policy.min_samples}); gate not applied"
-                ),
-            )
-        else:
-            verdict.wall = compare_wall(
-                candidate["samples"], baseline, policy, advisory=advisory
-            )
-            if advisory and verdict.wall.tripped:
-                verdict.wall.note += "; environment mismatch: advisory only"
-        if verdict.wall.tripped and not verdict.wall.advisory:
-            _REGRESSIONS.inc()
+    _DRIFTS.inc(len(verdict.drifts))
     return verdict
 
 
@@ -449,7 +231,7 @@ class RegressionReport:
         return sum(1 for verdict in self.verdicts if not verdict.skipped)
 
     def exit_code(self) -> int:
-        """0 clean, 1 regression/drift, 3 nothing could be compared."""
+        """0 clean, 1 counter drift, 3 nothing could be compared."""
         if self.failed:
             return 1
         if not self.compared:
@@ -474,29 +256,18 @@ class RegressionReport:
         rows = []
         for verdict in self.verdicts:
             if verdict.skipped:
-                rows.append([verdict.bench, "skipped", "-", "-", "-",
-                             verdict.skipped])
-                continue
-            wall = verdict.wall
-            detail = wall.note if wall else "wall gate off"
-            if verdict.drifts:
+                detail = verdict.skipped
+            elif verdict.drifts:
                 shown = ", ".join(d.describe() for d in verdict.drifts[:3])
                 more = len(verdict.drifts) - 3
                 detail = shown + (f" (+{more} more)" if more > 0 else "")
-            rows.append(
-                [
-                    verdict.bench,
-                    verdict.status,
-                    f"{wall.ratio:.3f}x" if wall else "-",
-                    f"{wall.candidate_median * 1000:.2f}ms" if wall else "-",
-                    f"{wall.baseline_median * 1000:.2f}ms" if wall else "-",
-                    detail,
-                ]
-            )
+            else:
+                detail = "every counter matches"
+            rows.append([verdict.bench, verdict.status, detail])
         table = render_table(
-            ["series", "verdict", "ratio", "candidate", "baseline", "detail"],
+            ["series", "verdict", "detail"],
             rows,
-            title="Regression gates (wall-time + exact counters)",
+            title="Regression gate (exact counters)",
         )
         summary = (
             f"\n{self.compared} series compared, "
@@ -511,15 +282,15 @@ def compare_ledgers(
     candidate: RunLedger,
     baseline: Optional[RunLedger] = None,
     benches: Optional[Sequence[str]] = None,
-    policy: Optional[GatePolicy] = None,
+    ignore: Sequence[str] = COUNTER_IGNORE,
 ) -> RegressionReport:
     """Gate every series in ``candidate`` against ``baseline``.
 
-    The candidate record is each series' newest entry.  With no
-    separate baseline ledger, the same ledger's *earlier* records form
-    the window -- the self-history mode the bench harness uses locally.
+    The candidate record is each series' newest entry; its baseline is
+    the newest record of the same series in ``baseline``, or -- with no
+    separate baseline ledger -- the same ledger's record before it (the
+    self-history mode the bench harness uses locally).
     """
-    policy = policy or GatePolicy()
     report = RegressionReport(
         candidate_path=candidate.path,
         baseline_path=baseline.path if baseline is not None else None,
@@ -533,10 +304,9 @@ def compare_ledgers(
             )
     for bench in series:
         records = candidate.records(bench)
-        latest = records[-1]
         if baseline is not None:
-            window = baseline.window(bench, policy.window)
+            previous = baseline.latest(bench)
         else:
-            window = candidate.window(bench, policy.window, before=len(records) - 1)
-        report.verdicts.append(compare_records(latest, window, policy))
+            previous = records[-2] if len(records) > 1 else None
+        report.verdicts.append(compare_records(records[-1], previous, ignore))
     return report

@@ -1,13 +1,14 @@
-"""Run reports: waterfall, hotspots, and counter diff as markdown/HTML.
+"""Run reports: stage table, hotspots, and counter diff as markdown/HTML.
 
 A :class:`RunReport` combines the three views the observatory produces
 for one measured run:
 
-* a **stage waterfall** derived from trace spans -- when each pipeline
-  stage first started, when it last finished, and how much span time it
-  accumulated, drawn as horizontal bars on the run's timeline;
-* **top-k hotspots** from the profiler's ``<section>.time`` histograms
-  (total seconds, calls, mean, max per instrumented section);
+* the **stage table** of :func:`repro.obs.profiler.stage_rows` -- each
+  pipeline stage's self time plus the run's ``unaccounted`` time, rows
+  that sum to the run's total;
+* **top-k hotspots**: the timed sections ranked by self time, with
+  their inclusive time and calls (the run's root section is left out:
+  its inclusive time is the whole run);
 * a **counter diff** against a baseline ledger record -- every counter
   that changed, appeared, or disappeared, plus how many matched.
 
@@ -21,78 +22,30 @@ from __future__ import annotations
 import html as _html
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import PIPELINE_STAGES
+from repro.obs.profiler import stage_rows
 from repro.obs.regress import compare_counters
-
-#: width (characters) of the markdown waterfall bars
-_BAR_COLUMNS = 48
-
 
 # ----------------------------------------------------------------------
 # view extraction
 # ----------------------------------------------------------------------
-def stage_waterfall(
-    trace_events: Sequence[Dict],
-    stages: Sequence[Tuple[str, str]] = tuple(PIPELINE_STAGES),
+def hotspots(
+    registry: MetricsRegistry, top_k: int = 10, root: str = "profile.total"
 ) -> List[Dict]:
-    """Per-stage timeline rows from Chrome trace events.
-
-    ``start``/``end`` are seconds relative to the earliest span in the
-    trace; ``busy`` sums the durations of the stage's outermost spans
-    (minimum recorded depth), so nested re-entries are not counted
-    twice.  Stages with no spans are omitted.
-    """
-    if not trace_events:
-        return []
-    origin = min(event["ts"] for event in trace_events)
-    rows: List[Dict] = []
-    for display, prefix in stages:
-        spans = [
-            event
-            for event in trace_events
-            if event["name"] == prefix or event["name"].startswith(prefix + ".")
-        ]
-        if not spans:
-            continue
-        min_depth = min(event.get("args", {}).get("depth", 0) for event in spans)
-        busy_us = sum(
-            event["dur"]
-            for event in spans
-            if event.get("args", {}).get("depth", 0) == min_depth
-        )
-        rows.append(
-            {
-                "stage": display,
-                "prefix": prefix,
-                "start": (min(event["ts"] for event in spans) - origin) / 1e6,
-                "end": (max(event["ts"] + event["dur"] for event in spans) - origin)
-                / 1e6,
-                "busy": busy_us / 1e6,
-                "spans": len(spans),
-            }
-        )
-    return rows
-
-
-def hotspots(registry: MetricsRegistry, top_k: int = 10) -> List[Dict]:
-    """The ``top_k`` instrumented sections by total time."""
-    rows = []
-    for name, summary in registry.histograms().items():
-        if not name.endswith(".time"):
-            continue
-        rows.append(
-            {
-                "section": name[: -len(".time")],
-                "seconds": summary["sum"],
-                "calls": int(summary["count"]),
-                "mean": summary["mean"],
-                "max": summary["max"],
-            }
-        )
-    rows.sort(key=lambda row: (-row["seconds"], row["section"]))
+    """The ``top_k`` timed sections by self time, ``root`` left out."""
+    rows = [
+        {
+            "section": name,
+            "self_seconds": totals["self"],
+            "seconds": totals["sum"],
+            "calls": totals["count"],
+        }
+        for name, totals in registry.sections().items()
+        if name != root
+    ]
+    rows.sort(key=lambda row: (-row["self_seconds"], row["section"]))
     return rows[:top_k]
 
 
@@ -171,7 +124,7 @@ class RunReport:
     title: str
     record: Dict  # the run's ledger record
     baseline: Optional[Dict] = None  # baseline ledger record, if any
-    waterfall: List[Dict] = field(default_factory=list)
+    stages: List[Dict] = field(default_factory=list)
     hotspots: List[Dict] = field(default_factory=list)
     summary: Dict = field(default_factory=dict)  # headline plan numbers
 
@@ -208,8 +161,12 @@ class RunReport:
             )
         return facts
 
-    def _waterfall_scale(self) -> float:
-        return max((row["end"] for row in self.waterfall), default=0.0)
+    def _stage_total(self) -> float:
+        return sum(row["self_seconds"] for row in self.stages)
+
+    def _share(self, seconds: float) -> str:
+        total = self._stage_total()
+        return f"{100.0 * seconds / total:.1f}%" if total else "-"
 
     # ------------------------------------------------------------------
     def to_markdown(self) -> str:
@@ -227,39 +184,34 @@ class RunReport:
                 lines.append(f"| {key} | {value} |")
             lines.append("")
 
-        if self.waterfall:
-            lines.append("## Stage waterfall")
+        if self.stages:
+            lines.append("## Stage times")
             lines.append("")
-            total = self._waterfall_scale()
-            lines.append("```text")
-            width = max(len(row["stage"]) for row in self.waterfall)
-            for row in self.waterfall:
-                offset = int(_BAR_COLUMNS * row["start"] / total) if total else 0
-                extent = max(
-                    1, int(_BAR_COLUMNS * (row["end"] - row["start"]) / total)
-                ) if total else 1
-                bar = " " * offset + "█" * min(extent, _BAR_COLUMNS - offset)
+            lines.append("| stage | self (ms) | share | sections |")
+            lines.append("| --- | ---: | ---: | ---: |")
+            for row in self.stages:
                 lines.append(
-                    f"{row['stage']:<{width}}  |{bar:<{_BAR_COLUMNS}}| "
-                    f"{row['busy'] * 1000:9.1f} ms  ({row['spans']} spans)"
+                    f"| {row['stage']} | {row['self_seconds'] * 1000:.1f} "
+                    f"| {self._share(row['self_seconds'])} | {row['calls']} |"
                 )
-            lines.append("```")
+            lines.append(f"| **total** | {self._stage_total() * 1000:.1f} | | |")
+            lines.append("")
             lines.append(
-                "Bars show first-start to last-finish on the run timeline; "
-                "times are the stage's outermost span totals (stages nest)."
+                "Self times: a section's time minus the sections opened "
+                "inside it. `unaccounted` is the run's time outside every "
+                "section; the rows sum to the total."
             )
             lines.append("")
 
         if self.hotspots:
-            lines.append("## Hotspots (top sections by total time)")
+            lines.append("## Hotspots (top sections by self time)")
             lines.append("")
-            lines.append("| section | total (ms) | calls | mean (ms) | max (ms) |")
-            lines.append("| --- | ---: | ---: | ---: | ---: |")
+            lines.append("| section | self (ms) | inclusive (ms) | calls |")
+            lines.append("| --- | ---: | ---: | ---: |")
             for row in self.hotspots:
                 lines.append(
-                    f"| `{row['section']}` | {row['seconds'] * 1000:.1f} "
-                    f"| {row['calls']} | {row['mean'] * 1000:.2f} "
-                    f"| {row['max'] * 1000:.2f} |"
+                    f"| `{row['section']}` | {row['self_seconds'] * 1000:.1f} "
+                    f"| {row['seconds'] * 1000:.1f} | {row['calls']} |"
                 )
             lines.append("")
 
@@ -358,9 +310,6 @@ class RunReport:
             "table{border-collapse:collapse;margin:0.5rem 0}",
             "td,th{border:1px solid #ccc;padding:0.25rem 0.6rem;text-align:right}",
             "td:first-child,th:first-child{text-align:left}",
-            ".lane{position:relative;height:1.2rem;background:#f2f2f2;"
-            "width:32rem;display:inline-block;vertical-align:middle}",
-            ".bar{position:absolute;top:0.15rem;height:0.9rem;background:#4a7fb5}",
             "code{background:#f5f5f5;padding:0 0.2rem}",
             "</style></head><body>",
             f"<h1>Run report — {esc(self.title)}</h1>",
@@ -377,37 +326,37 @@ class RunReport:
                 parts.append(f"<tr><td>{esc(key)}</td><td>{esc(value)}</td></tr>")
             parts.append("</table>")
 
-        if self.waterfall:
-            parts.append("<h2>Stage waterfall</h2><table>")
+        if self.stages:
+            parts.append("<h2>Stage times</h2><table>")
             parts.append(
-                "<tr><th>stage</th><th>timeline</th><th>busy (ms)</th>"
-                "<th>spans</th></tr>"
+                "<tr><th>stage</th><th>self (ms)</th><th>share</th>"
+                "<th>sections</th></tr>"
             )
-            total = self._waterfall_scale() or 1.0
-            for row in self.waterfall:
-                left = 100.0 * row["start"] / total
-                width = max(0.5, 100.0 * (row["end"] - row["start"]) / total)
+            for row in self.stages:
                 parts.append(
                     f"<tr><td>{esc(row['stage'])}</td>"
-                    f"<td><span class='lane'><span class='bar' "
-                    f"style='left:{left:.2f}%;width:{width:.2f}%'></span></span></td>"
-                    f"<td>{row['busy'] * 1000:.1f}</td>"
-                    f"<td>{row['spans']}</td></tr>"
+                    f"<td>{row['self_seconds'] * 1000:.1f}</td>"
+                    f"<td>{self._share(row['self_seconds'])}</td>"
+                    f"<td>{row['calls']}</td></tr>"
                 )
+            parts.append(
+                f"<tr><th>total</th><th>{self._stage_total() * 1000:.1f}</th>"
+                "<th></th><th></th></tr>"
+            )
             parts.append("</table>")
 
         if self.hotspots:
             parts.append("<h2>Hotspots</h2><table>")
             parts.append(
-                "<tr><th>section</th><th>total (ms)</th><th>calls</th>"
-                "<th>mean (ms)</th><th>max (ms)</th></tr>"
+                "<tr><th>section</th><th>self (ms)</th><th>inclusive (ms)</th>"
+                "<th>calls</th></tr>"
             )
             for row in self.hotspots:
                 parts.append(
                     f"<tr><td><code>{esc(row['section'])}</code></td>"
-                    f"<td>{row['seconds'] * 1000:.1f}</td><td>{row['calls']}</td>"
-                    f"<td>{row['mean'] * 1000:.2f}</td>"
-                    f"<td>{row['max'] * 1000:.2f}</td></tr>"
+                    f"<td>{row['self_seconds'] * 1000:.1f}</td>"
+                    f"<td>{row['seconds'] * 1000:.1f}</td>"
+                    f"<td>{row['calls']}</td></tr>"
                 )
             parts.append("</table>")
 
@@ -497,7 +446,7 @@ class RunReport:
                 "title": self.title,
                 "record": self.record,
                 "baseline": self.baseline,
-                "waterfall": self.waterfall,
+                "stages": self.stages,
                 "hotspots": self.hotspots,
                 "summary": self.summary,
                 "counter_diff": self.diff,
@@ -511,17 +460,21 @@ def build_run_report(
     title: str,
     record: Dict,
     baseline: Optional[Dict] = None,
-    trace_events: Sequence[Dict] = (),
     registry: Optional[MetricsRegistry] = None,
     summary: Optional[Dict] = None,
     top_k: int = 10,
+    root: str = "profile.total",
 ) -> RunReport:
-    """Assemble a :class:`RunReport` from the run's raw observability data."""
+    """Assemble a :class:`RunReport` from the run's registry.
+
+    ``root`` names the section that spans the whole run: its self time
+    is the stage table's ``unaccounted`` row, and it is not a hotspot.
+    """
     return RunReport(
         title=title,
         record=record,
         baseline=baseline,
-        waterfall=stage_waterfall(trace_events),
-        hotspots=hotspots(registry, top_k) if registry is not None else [],
+        stages=stage_rows(registry, root) if registry is not None else [],
+        hotspots=hotspots(registry, top_k, root) if registry is not None else [],
         summary=dict(summary or {}),
     )

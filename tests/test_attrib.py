@@ -449,6 +449,8 @@ class TestCli:
         assert "Search-effort attribution" in out
         assert "Hardest faults" in out
         assert "Optimizer convergence" in out
+        assert "| unaccounted |" in out
+        assert "`explain.total`" not in out  # the root is not a hotspot
 
     def test_explain_html_report(self, tmp_path):
         out = tmp_path / "report.html"
@@ -479,8 +481,7 @@ class TestCli:
 # ----------------------------------------------------------------------
 class TestExecutorDeltas:
     def test_regress_gate_ignores_attrib_counters(self):
-        from repro.obs.regress import GatePolicy
+        from repro.obs.regress import COUNTER_IGNORE as ignored
 
-        ignored = GatePolicy().counter_ignore
         assert "attrib." in ignored
         assert "explain." in ignored

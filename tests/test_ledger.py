@@ -13,7 +13,6 @@ from repro.obs.ledger import (
     RunLedger,
     environment_fingerprint,
     make_record,
-    pooled_samples,
     utc_timestamp,
     validate_ledger_file,
     validate_record,
@@ -189,40 +188,10 @@ class TestRunLedger:
         with pytest.raises(LedgerSchemaError, match="line 2"):
             validate_ledger_file(str(path))
 
-    def test_window_slices_series_history(self, tmp_path):
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        for index in range(6):
-            ledger.append(record(samples=[float(index + 1)]))
-        window = ledger.window("schedule", 3)
-        assert [r["samples"][0] for r in window] == [4.0, 5.0, 6.0]
-        # before=len-1 excludes the newest record (the self-history mode)
-        window = ledger.window("schedule", 3, before=5)
-        assert [r["samples"][0] for r in window] == [3.0, 4.0, 5.0]
-        assert [r["samples"][0] for r in ledger.window("schedule", 0)] == [
-            1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
-        ]
-
-    def test_append_from_registry(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("x.y").inc(5)
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        rec = ledger.append_from_registry(
-            "bench", [0.5], registry=registry,
-            env=ENV, git_sha=None, timestamp="2026-08-06T12:00:00Z",
-        )
-        assert rec["counters"] == {"x.y": 5}
-        assert ledger.latest("bench")["counters"] == {"x.y": 5}
-
     def test_append_counts_in_shared_registry(self, tmp_path):
         before = METRICS.counter("ledger.appends").value
         RunLedger(tmp_path / "ledger.jsonl").append(record())
         assert METRICS.counter("ledger.appends").value == before + 1
-
-    def test_pooled_samples(self):
-        records = [record(samples=[1.0, 2.0]), record(samples=[3.0])]
-        assert pooled_samples(records) == [1.0, 2.0, 3.0]
 
     def test_benchjson_validator_understands_ledgers(self, tmp_path):
         from repro.obs.benchjson import validate_file
@@ -284,22 +253,25 @@ class TestFanOutDeterminism:
 
 
 class TestHistogramsField:
-    def summary(self, values):
+    def sections(self, calls):
+        from repro.obs import profile_section
         from repro.obs.metrics import MetricsRegistry
 
-        hist = MetricsRegistry().histogram("h")
-        for value in values:
-            hist.observe(value)
-        return hist.summary()
+        registry = MetricsRegistry()
+        for _ in range(calls):
+            with profile_section("schedule.pack", registry=registry):
+                pass
+        return registry.sections()
 
     def test_v3_record_round_trips(self, tmp_path):
-        rec = record(histograms={"schedule.pack.time": self.summary([0.01, 0.02])})
+        rec = record(histograms=self.sections(2))
         assert rec["schema_version"] == LEDGER_SCHEMA_VERSION >= 3
         validate_record(rec)
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(rec)
         (read_back,) = ledger.records("schedule")
-        assert read_back["histograms"]["schedule.pack.time"]["count"] == 2
+        assert read_back["histograms"]["schedule.pack"]["count"] == 2
+        assert set(read_back["histograms"]["schedule.pack"]) == {"count", "sum", "self"}
 
     def test_histograms_field_is_optional(self):
         rec = record()
@@ -307,9 +279,11 @@ class TestHistogramsField:
         validate_record(rec)
 
     def test_empty_summary_validates(self):
-        from repro.obs.metrics import EMPTY_SUMMARY
-
-        validate_record(record(histograms={"h": dict(EMPTY_SUMMARY)}))
+        # records written before section totals carry percentile
+        # summaries, with null order statistics when empty
+        empty = {"count": 0, "sum": 0.0, "min": None, "max": None,
+                 "mean": None, "p50": None, "p90": None, "p99": None}
+        validate_record(record(histograms={"h": empty}))
 
     @pytest.mark.parametrize("bad, fragment", [
         ("nope", "histograms"),
@@ -319,7 +293,7 @@ class TestHistogramsField:
         ({"h": {"count": 1, "sum": 0.1, "p99": "slow"}}, "p99"),
     ])
     def test_rejects_malformed_histograms(self, bad, fragment):
-        rec = record(histograms={"h": self.summary([0.01])})
+        rec = record(histograms=self.sections(1))
         rec["histograms"] = bad
         with pytest.raises(LedgerSchemaError, match=fragment):
             validate_record(rec)

@@ -1,11 +1,14 @@
 """Tests for the observability layer (tracing, metrics, profiling, CLI)."""
 
 import json
+import threading
+import tracemalloc
 
 import pytest
 
 from repro.errors import BenchSchemaError
 from repro.obs import METRICS, Tracer, profile_section, stage_rows
+from repro.obs import profiler
 from repro.obs.benchjson import (
     bench_payload,
     validate_bench,
@@ -34,44 +37,18 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError):
-            registry.histogram("x")
+            registry.section("x")
 
-    def test_histogram_percentiles_nearest_rank(self):
+    def test_section_totals_reset_in_place(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("t")
-        for value in range(1, 101):  # 1..100
-            hist.observe(value)
-        assert hist.percentile(50) == 50
-        assert hist.percentile(90) == 90
-        assert hist.percentile(99) == 99
-        assert hist.percentile(0) == 1
-        assert hist.percentile(100) == 100
-        summary = hist.summary()
-        assert summary["count"] == 100
-        assert summary["min"] == 1 and summary["max"] == 100
-        assert summary["mean"] == pytest.approx(50.5)
-
-    def test_histogram_percentile_small_sample(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("t")
-        hist.observe(7.0)
-        assert hist.percentile(50) == 7.0
-        assert hist.percentile(99) == 7.0
-
-    def test_empty_histogram(self):
-        from repro.obs.metrics import EMPTY_SUMMARY
-
-        registry = MetricsRegistry()
-        hist = registry.histogram("t")
-        # an empty histogram has well-defined (null) order statistics,
-        # not an exception -- scrapers and reports render it as "-"
-        assert hist.percentile(50) is None
-        assert hist.percentile(99) is None
-        summary = hist.summary()
-        assert summary == EMPTY_SUMMARY
-        assert summary["count"] == 0 and summary["sum"] == 0.0
-        assert summary["p50"] is None and summary["p99"] is None
-        assert registry.histograms() == {}  # empty histograms are skipped
+        totals = registry.section("atpg.run")
+        with profile_section("atpg.run", registry=registry):
+            pass
+        assert registry.section("atpg.run") is totals
+        assert registry.sections()["atpg.run"]["count"] == 1
+        registry.reset()
+        assert totals.calls == 0 and totals.seconds == 0.0
+        assert registry.sections() == {}  # sections that never ran are skipped
 
     def test_prefix_filters(self):
         registry = MetricsRegistry()
@@ -138,28 +115,207 @@ class TestTracer:
         assert tracer.events() == []
 
 
+class Clock:
+    """A hand-driven ``perf_counter`` for exact self-time assertions."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def tick(self, seconds):
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = Clock()
+    monkeypatch.setattr(profiler, "perf_counter", fake)
+    return fake
+
+
+def totals(registry):
+    return {
+        name: (row["count"], row["sum"], row["self"])
+        for name, row in registry.sections().items()
+    }
+
+
 class TestProfileSection:
-    def test_feeds_time_histogram_without_tracing(self):
+    def test_feeds_section_totals_without_tracing(self):
         METRICS.reset()
         with profile_section("schedule.unittest"):
             pass
-        hist = METRICS.histogram("schedule.unittest.time")
-        assert hist.count == 1
-        assert hist.sum >= 0.0
+        row = METRICS.sections()["schedule.unittest"]
+        assert row["count"] == 1
+        assert row["sum"] >= row["self"] >= 0.0
 
     def test_stage_rows_roll_up_by_prefix(self):
         registry = MetricsRegistry()
-        registry.histogram("atpg.run.time").observe(0.5)
-        registry.histogram("atpg.podem.time").observe(0.25)
+        for name, self_seconds in [("atpg.run", 0.5), ("atpg.podem", 0.25),
+                                   ("profile.total", 0.1)]:
+            section = registry.section(name)
+            section.calls, section.self_seconds = 1, self_seconds
         registry.counter("atpg.podem.backtracks").inc(7)
         registry.counter("schedule.items").inc(3)
-        rows = stage_rows(registry, [("ATPG", "atpg"), ("schedule", "schedule")])
-        atpg = rows[0]
-        assert atpg["seconds"] == pytest.approx(0.75)
+        rows = stage_rows(registry, "profile.total",
+                          [("ATPG", "atpg"), ("schedule", "schedule")])
+        atpg, schedule, unaccounted = rows
+        assert atpg["self_seconds"] == pytest.approx(0.75)
         assert atpg["calls"] == 2
         assert atpg["counters"] == {"podem.backtracks": 7}
-        assert rows[1]["counters"] == {"items": 3}
-        assert rows[1]["seconds"] == 0.0
+        assert schedule["counters"] == {"items": 3}
+        assert schedule["self_seconds"] == 0.0
+        assert unaccounted["stage"] == "unaccounted"
+        assert unaccounted["self_seconds"] == pytest.approx(0.1)
+
+    def test_sections_outside_every_stage_get_their_own_row(self):
+        registry = MetricsRegistry()
+        registry.section("lint.pass").calls = 1
+        registry.section("lint.pass").self_seconds = 0.5
+        rows = stage_rows(registry, "profile.total", [("ATPG", "atpg")])
+        assert [row["stage"] for row in rows] == ["ATPG", "lint", "unaccounted"]
+        assert rows[1]["self_seconds"] == 0.5
+
+
+class TestSelfTime:
+    """Self time = inclusive time minus the sections opened inside it."""
+
+    def test_nested_sections(self, clock):
+        registry = MetricsRegistry()
+        with profile_section("a.outer", registry=registry):
+            clock.tick(1)
+            with profile_section("a.inner", registry=registry):
+                clock.tick(2)
+            clock.tick(3)
+        assert totals(registry) == {
+            "a.inner": (1, 2.0, 2.0),
+            "a.outer": (1, 6.0, 4.0),
+        }
+
+    def test_section_nested_in_one_of_the_same_name(self, clock):
+        registry = MetricsRegistry()
+        with profile_section("a.walk", registry=registry):
+            clock.tick(1)
+            with profile_section("a.walk", registry=registry):
+                clock.tick(2)
+            clock.tick(3)
+        # inclusive time counts the outermost entry once; self times
+        # still partition it
+        assert totals(registry) == {"a.walk": (2, 6.0, 6.0)}
+
+    def test_siblings(self, clock):
+        registry = MetricsRegistry()
+        with profile_section("a.outer", registry=registry):
+            with profile_section("a.left", registry=registry):
+                clock.tick(1)
+            clock.tick(1)
+            with profile_section("a.right", registry=registry):
+                clock.tick(2)
+            with profile_section("a.left", registry=registry):
+                clock.tick(4)
+        assert totals(registry) == {
+            "a.left": (2, 5.0, 5.0),
+            "a.outer": (1, 8.0, 1.0),
+            "a.right": (1, 2.0, 2.0),
+        }
+
+    def test_exit_by_exception(self, clock):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            with profile_section("a.outer", registry=registry):
+                clock.tick(1)
+                with profile_section("a.inner", registry=registry):
+                    clock.tick(2)
+                    raise ValueError("boom")
+        # the stack unwound: the next section is a root again
+        with profile_section("a.after", registry=registry):
+            clock.tick(4)
+        assert totals(registry) == {
+            "a.after": (1, 4.0, 4.0),
+            "a.inner": (1, 2.0, 2.0),
+            "a.outer": (1, 3.0, 1.0),
+        }
+        assert profiler._OPEN.stack == []
+
+    def test_second_thread_does_not_subtract_from_main(self, clock):
+        registry = MetricsRegistry()
+
+        def work():
+            with profile_section("a.worker", registry=registry):
+                clock.tick(5)
+
+        with profile_section("a.main", registry=registry):
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+            clock.tick(1)
+        assert totals(registry) == {
+            "a.main": (1, 6.0, 6.0),
+            "a.worker": (1, 5.0, 5.0),
+        }
+
+    def test_records_a_span_only_while_tracing(self):
+        from repro.obs import TRACER, disable_tracing, enable_tracing
+
+        registry = MetricsRegistry()
+        with profile_section("a.quiet", registry=registry) as section:
+            section.set(items=1)
+        enable_tracing()
+        try:
+            with profile_section("a.traced", registry=registry, core="CPU") as section:
+                section.set(items=2)
+        finally:
+            disable_tracing()
+        (event,) = TRACER.events()
+        TRACER.clear()
+        assert event["name"] == "a.traced"
+        assert event["args"]["core"] == "CPU" and event["args"]["items"] == 2
+        assert set(registry.sections()) == {"a.quiet", "a.traced"}
+
+    def test_exits_store_nothing_per_call(self):
+        with profile_section("schedule.memory_probe"):
+            pass  # create the section's totals before measuring
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50_000):
+                with profile_section("schedule.memory_probe"):
+                    pass
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
+        assert METRICS.sections()["schedule.memory_probe"]["count"] >= 50_000
+
+
+class TestStageTable:
+    def test_render_shows_shares_and_unaccounted(self):
+        from repro.flow.report import render_stage_table
+
+        rows = [
+            {"stage": "ATPG", "prefix": "atpg", "self_seconds": 0.75,
+             "calls": 2, "counters": {"podem.backtracks": 7}},
+            {"stage": "unaccounted", "prefix": "profile.total",
+             "self_seconds": 0.25, "calls": 1, "counters": {}},
+        ]
+        lines = render_stage_table(rows).splitlines()
+        atpg = next(line for line in lines if line.startswith("ATPG"))
+        rest = next(line for line in lines if line.startswith("unaccounted"))
+        assert atpg.split()[:4] == ["ATPG", "750.0", "75.0", "2"]
+        assert "podem.backtracks=7" in atpg
+        assert rest.split()[:4] == ["unaccounted", "250.0", "25.0", "1"]
+
+    @pytest.mark.parametrize("system", ["System1", "System2"])
+    def test_rows_sum_to_the_total(self, system):
+        from repro.flow.profile import QUICK_MAX_FAULTS, profile_system
+
+        report = profile_system(system, max_faults=QUICK_MAX_FAULTS)
+        assert report.stages[-1]["stage"] == "unaccounted"
+        assert report.stages[-1]["self_seconds"] > 0.0
+        rows = sum(row["self_seconds"] for row in report.stages)
+        assert rows == pytest.approx(report.total_seconds, rel=0.02)
 
 
 class TestBenchJson:
@@ -223,17 +379,19 @@ class TestBenchJson:
 
     def test_v3_histograms(self):
         registry = MetricsRegistry()
-        registry.histogram("schedule.pack.time").observe(0.01)
+        with profile_section("schedule.pack", registry=registry):
+            pass
         payload = bench_payload(
             "x", 0.1, {}, registry=registry, samples=[0.1, 0.2],
-            histograms=registry.histograms(),
+            histograms=registry.sections(),
         )
         assert payload["schema_version"] == 3
-        assert payload["histograms"]["schedule.pack.time"]["count"] == 1
-        # the well-defined empty summary validates too
-        from repro.obs.metrics import EMPTY_SUMMARY
-
-        validate_bench(dict(payload, histograms={"h": dict(EMPTY_SUMMARY)}))
+        assert set(payload["histograms"]["schedule.pack"]) == {"count", "sum", "self"}
+        assert payload["histograms"]["schedule.pack"]["count"] == 1
+        # older payloads carry percentile summaries, null when empty
+        empty = {"count": 0, "sum": 0.0, "min": None, "max": None,
+                 "mean": None, "p50": None, "p90": None, "p99": None}
+        validate_bench(dict(payload, histograms={"h": empty}))
         with pytest.raises(BenchSchemaError, match="declare v3"):
             validate_bench(dict(payload, schema_version=2))
         with pytest.raises(BenchSchemaError):
@@ -276,7 +434,7 @@ class TestCliObservability:
         assert main(["profile", "System1", "--quick", "--trace", str(out)]) == 0
         stdout = capsys.readouterr().out
         for stage in ("core-level", "transparency", "chip-level", "ATPG",
-                      "fault-sim", "optimizer", "schedule"):
+                      "fault-sim", "optimizer", "schedule", "unaccounted"):
             assert stage in stdout
         assert "backtracks" in stdout
         payload = json.loads(out.read_text())
@@ -293,6 +451,7 @@ class TestCliObservability:
         stdout = capsys.readouterr().out
         assert "Metrics" in stdout
         assert "chiplevel.plans" in stdout
+        assert "section" in stdout and "self=" in stdout
 
     def test_usage_errors_become_systemexit(self, capsys):
         from repro.cli import main

@@ -1,27 +1,23 @@
-"""Tests for the statistical regression gates (:mod:`repro.obs.regress`)."""
+"""Tests for the exact counter gate and the rank test (:mod:`repro.obs.regress`)."""
 
 import json
+import math
 
 import pytest
 
 from repro.errors import RegressionError
 from repro.obs.ledger import RunLedger, make_record
 from repro.obs.regress import (
+    COUNTER_IGNORE,
     BenchVerdict,
-    GatePolicy,
-    bootstrap_ratio_ci,
     compare_counters,
     compare_ledgers,
     compare_records,
-    compare_wall,
-    env_compatible,
     mann_whitney_p,
-    min_reachable_p,
     rank_sum_u,
 )
 
 ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
-OTHER_ENV = {"python": "3.12.0", "platform": "linux", "cpus": 2}
 
 
 def record(bench="b", samples=(1.0,), counters=None, env=ENV):
@@ -50,7 +46,7 @@ class TestMannWhitney:
         # all-greater candidate: p = 1 / C(n1+n2, n1)
         p = mann_whitney_p([10.0, 11.0, 12.0], list(map(float, range(9))))
         assert p == pytest.approx(1.0 / 220.0)
-        assert p == pytest.approx(min_reachable_p(3, 9))
+        assert p == pytest.approx(1 / math.comb(12, 3))
         # all-smaller candidate: the whole distribution is in the tail
         assert mann_whitney_p([0.1], [1.0, 2.0]) == pytest.approx(1.0)
 
@@ -73,55 +69,6 @@ class TestMannWhitney:
     def test_empty_sides_rejected(self):
         with pytest.raises(RegressionError):
             mann_whitney_p([], [1.0])
-
-
-class TestBootstrap:
-    def test_seeded_and_deterministic(self):
-        args = ([2.0, 2.1, 2.2], [1.0, 1.1, 1.2])
-        assert bootstrap_ratio_ci(*args) == bootstrap_ratio_ci(*args)
-
-    def test_ci_brackets_the_true_ratio(self):
-        low, high = bootstrap_ratio_ci(
-            [2.0, 2.05, 2.1, 1.95], [1.0, 1.05, 0.95, 1.02]
-        )
-        assert low <= 2.0 <= high
-        assert low > 1.5  # clearly separated distributions
-
-    def test_empty_rejected(self):
-        with pytest.raises(RegressionError):
-            bootstrap_ratio_ci([], [1.0])
-
-
-class TestWallGate:
-    def test_small_ratio_never_flags(self):
-        result = compare_wall([1.05], [1.0, 1.0, 1.0], GatePolicy())
-        assert not result.tripped
-        assert "below min_ratio" in result.note
-
-    def test_clear_slowdown_trips(self):
-        baseline = [1.0, 1.01, 0.99, 1.02, 0.98]
-        result = compare_wall([6.0, 6.1, 5.9], baseline, GatePolicy())
-        assert result.tripped
-        assert result.p_value <= 0.05
-        assert result.ci_low > 1.0
-
-    def test_noise_on_unchanged_run_does_not_trip(self):
-        baseline = [1.0, 1.01, 0.99, 1.02, 0.98]
-        result = compare_wall([1.0, 1.03, 0.97], baseline, GatePolicy())
-        assert not result.tripped
-
-    def test_single_sample_uses_strict_threshold_fallback(self):
-        # one candidate sample can never reach p <= 0.05 against 3
-        policy = GatePolicy()
-        assert min_reachable_p(1, 3) > policy.alpha
-        modest = compare_wall([1.5], [1.0, 1.0, 1.0], policy)
-        assert not modest.tripped and "fallback" in modest.note
-        extreme = compare_wall([2.5], [1.0, 1.0, 1.0], policy)
-        assert extreme.tripped
-
-    def test_policy_validates_wall_gate_mode(self):
-        with pytest.raises(RegressionError):
-            GatePolicy(wall_gate="sometimes")
 
 
 class TestCounterGate:
@@ -149,85 +96,59 @@ class TestCounterGate:
         assert drifts == []
 
 
-class TestEnvCompatibility:
-    def test_patch_versions_compatible_minor_not(self):
-        assert env_compatible(
-            dict(ENV, python="3.12.1"), dict(ENV, python="3.12.9")
-        )
-        assert not env_compatible(
-            dict(ENV, python="3.11.7"), dict(ENV, python="3.12.1")
-        )
-
-    def test_cpus_must_match(self):
-        assert not env_compatible(ENV, OTHER_ENV)
-
-
 class TestCompareRecords:
     def test_no_baseline_skips(self):
-        verdict = compare_records(record(), [])
+        verdict = compare_records(record(), None)
         assert verdict.skipped and verdict.status == "skipped"
         assert not verdict.failed
 
     def test_counter_drift_fails_even_with_identical_timing(self):
-        baseline = [record(counters={"a": 1}) for _ in range(3)]
-        verdict = compare_records(record(counters={"a": 2}), baseline)
+        verdict = compare_records(record(counters={"a": 2}), record(counters={"a": 1}))
         assert verdict.failed and verdict.status == "drift"
         assert verdict.drifts[0].describe() == "a: 1 -> 2"
 
-    def test_drift_checked_against_newest_baseline_record(self):
-        baseline = [record(counters={"a": 1}), record(counters={"a": 2})]
-        verdict = compare_records(record(counters={"a": 2}), baseline)
-        assert not verdict.drifts
+    def test_drift_checked_against_newest_baseline_record(self, tmp_path):
+        baseline = RunLedger(tmp_path / "baseline.jsonl")
+        baseline.append(record(counters={"a": 1}))
+        baseline.append(record(counters={"a": 2}))
+        candidate = RunLedger(tmp_path / "fresh.jsonl")
+        candidate.append(record(counters={"a": 2}))
+        (verdict,) = compare_ledgers(candidate, baseline).verdicts
+        assert verdict.status == "ok" and not verdict.drifts
 
-    def test_env_mismatch_downgrades_wall_to_advisory(self):
-        baseline = [
-            record(samples=[1.0, 1.01, 0.99], env=OTHER_ENV) for _ in range(2)
-        ]
-        slow = record(samples=[6.0, 6.1, 5.9])
-        verdict = compare_records(slow, baseline, GatePolicy())
-        assert verdict.wall.tripped and verdict.wall.advisory
-        assert verdict.status == "advisory"
-        assert not verdict.failed  # advisory never fails the gate
-        always = compare_records(slow, baseline, GatePolicy(wall_gate="always"))
-        assert always.failed and always.status == "slower"
+    def test_wall_time_is_not_gated(self):
+        slow = record(samples=[60.0, 61.0, 59.0])
+        verdict = compare_records(slow, record(samples=[1.0, 1.01, 0.99]))
+        assert verdict.status == "ok" and not verdict.failed
 
-    def test_wall_gate_off(self):
-        baseline = [record(samples=[1.0, 1.0, 1.0]) for _ in range(2)]
+    def test_ignored_prefixes_default_to_bookkeeping(self):
+        assert COUNTER_IGNORE == ("exec.", "attrib.", "explain.")
         verdict = compare_records(
-            record(samples=[9.0]), baseline, GatePolicy(wall_gate="off")
+            record(counters={"c": 1, "exec.cache.hits": 9}),
+            record(counters={"c": 1, "exec.cache.hits": 0}),
         )
-        assert verdict.wall is None and not verdict.failed
-
-    def test_tiny_baseline_not_gated(self):
-        verdict = compare_records(
-            record(samples=[9.0]), [record(samples=[1.0])], GatePolicy()
-        )
-        assert not verdict.wall.tripped
-        assert "gate not applied" in verdict.wall.note
+        assert verdict.status == "ok"
 
     def test_histograms_are_carried_not_gated(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        def with_tail(scale):
-            hist = MetricsRegistry().histogram("profile.total.time")
-            for i in range(20):
-                hist.observe(0.010 * (i + 1) * scale)
+        def with_sections(scale):
             return make_record(
                 "b", [1.0], counters={"c": 1}, env=ENV, git_sha=None,
                 timestamp="2026-08-06T12:00:00Z",
-                histograms={"profile.total.time": hist.summary()},
+                histograms={"profile.total": {"count": 1, "sum": 0.2 * scale,
+                                              "self": 0.1 * scale}},
             )
 
-        baseline = [with_tail(1.0) for _ in range(3)]
-        verdict = compare_records(with_tail(5.0), baseline)
+        verdict = compare_records(with_sections(5.0), with_sections(1.0))
         assert verdict.status == "ok" and not verdict.failed
 
     def test_to_dict_round_trips_through_json(self):
-        baseline = [record(samples=[1.0, 1.0, 1.0]) for _ in range(2)]
-        verdict = compare_records(record(samples=[6.0, 6.0, 6.0]), baseline)
+        verdict = compare_records(record(counters={"c": 2}), record())
         payload = json.loads(json.dumps(verdict.to_dict()))
         assert payload["bench"] == "b"
-        assert payload["wall"]["tripped"] is True
+        assert payload["failed"] is True
+        assert payload["counter_drifts"] == [
+            {"counter": "c", "baseline": 1, "candidate": 2}
+        ]
 
 
 class TestCompareLedgers:
@@ -245,13 +166,12 @@ class TestCompareLedgers:
         assert report.exit_code() == 0
         assert report.verdicts[0].status == "ok"
 
-    def test_injected_slowdown_fails(self, tmp_path):
+    def test_self_history_compares_with_the_record_before(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
-        self.fill(ledger, "b", [[1.0, 1.01, 0.99], [1.02, 0.98, 1.0]])
-        ledger.append(record("b", [6.0, 6.1, 5.9]))
-        report = compare_ledgers(ledger)
-        assert report.exit_code() == 1
-        assert report.verdicts[0].status == "slower"
+        self.fill(ledger, "b", [[1.0]], counters={"a": 1})
+        self.fill(ledger, "b", [[1.0]] * 2, counters={"a": 2})
+        (verdict,) = compare_ledgers(ledger).verdicts
+        assert verdict.status == "ok"
 
     def test_injected_counter_drift_fails(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
@@ -307,16 +227,16 @@ class TestCliRegress:
         assert main(["regress", "--ledger", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_slowdown_exits_one_and_json_reports_it(self, tmp_path, capsys):
+    def test_json_reports_counter_drift(self, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "ledger.jsonl"
-        self.seed_ledger(path, [[1.0, 1.01, 0.99], [1.02, 0.98, 1.0]])
-        RunLedger(path).append(record("b", [6.0, 6.1, 5.9]))
+        self.seed_ledger(path, [[1.0]], counters={"a": 5})
+        RunLedger(path).append(record("b", [9.0], counters={"a": 6}))
         assert main(["regress", "--ledger", str(path), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["failed"] is True
-        assert payload["verdicts"][0]["status"] == "slower"
+        assert payload["verdicts"][0]["status"] == "drift"
 
     def test_counter_drift_exits_one(self, tmp_path, capsys):
         from repro.cli import main
@@ -350,15 +270,19 @@ class TestCliRegress:
         self.seed_ledger(path, [[1.0]])
         assert main(["regress", "--ledger", str(path)]) == 3
 
-    def test_no_counter_gate_flag(self, tmp_path):
+    @pytest.mark.parametrize("flag", [
+        ["--window", "5"], ["--min-ratio", "1.25"], ["--alpha", "0.05"],
+        ["--small-sample-ratio", "2"], ["--wall-gate", "off"],
+        ["--no-counter-gate"],
+    ], ids=lambda flag: flag[0].lstrip("-"))
+    def test_wall_gate_flags_are_gone(self, tmp_path, flag):
         from repro.cli import main
 
         path = tmp_path / "ledger.jsonl"
-        self.seed_ledger(path, [[1.0]] * 3, counters={"a": 5})
-        RunLedger(path).append(record("b", [1.0], counters={"a": 6}))
-        assert main(
-            ["regress", "--ledger", str(path), "--no-counter-gate"]
-        ) == 0
+        self.seed_ledger(path, [[1.0]] * 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", "--ledger", str(path)] + flag)
+        assert exc.value.code == 2
 
     def test_ignore_counter_flag(self, tmp_path):
         from repro.cli import main

@@ -6,13 +6,7 @@ import pytest
 
 from repro.obs.ledger import make_record
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import (
-    RunReport,
-    build_run_report,
-    counter_diff,
-    hotspots,
-    stage_waterfall,
-)
+from repro.obs.report import RunReport, build_run_report, counter_diff, hotspots
 
 ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
 
@@ -29,48 +23,56 @@ def record(counters=None, samples=(0.5,)):
     )
 
 
-def span(name, ts, dur, depth=0):
-    return {"name": name, "ts": ts, "dur": dur, "args": {"depth": depth}}
+def registry_with(sections):
+    """A registry whose section totals are ``{name: (calls, sum, self)}``."""
+    registry = MetricsRegistry()
+    for name, (calls, seconds, self_seconds) in sections.items():
+        totals = registry.section(name)
+        totals.calls, totals.seconds, totals.self_seconds = calls, seconds, self_seconds
+    return registry
 
 
-class TestStageWaterfall:
-    def test_rows_relative_to_earliest_span(self):
-        events = [
-            span("corelevel.hscan", 1_000_000, 500_000),
-            span("atpg.run", 2_000_000, 1_000_000),
-            span("atpg.run.podem", 2_100_000, 200_000, depth=1),
-        ]
-        rows = stage_waterfall(events)
-        by_stage = {row["stage"]: row for row in rows}
-        core = by_stage["core-level"]
-        assert core["start"] == 0.0 and core["end"] == pytest.approx(0.5)
-        atpg = by_stage["ATPG"]
-        assert atpg["start"] == pytest.approx(1.0)
-        assert atpg["end"] == pytest.approx(2.0)
-        # busy counts only the outermost (min-depth) spans
-        assert atpg["busy"] == pytest.approx(1.0)
-        assert atpg["spans"] == 2
+class TestStageTable:
+    def test_rows_are_self_times_plus_unaccounted(self):
+        registry = registry_with({
+            "profile.total": (1, 1.0, 0.25),
+            "atpg.run": (1, 0.5, 0.375),
+            "faultsim.run": (2, 0.125, 0.125),
+            "corelevel.hscan": (3, 0.25, 0.25),
+        })
+        report = build_run_report("t", record(), registry=registry)
+        by_stage = {row["stage"]: row for row in report.stages}
+        assert by_stage["ATPG"]["self_seconds"] == 0.375
+        assert by_stage["fault-sim"]["calls"] == 2
+        assert report.stages[-1]["stage"] == "unaccounted"
+        assert report.stages[-1]["self_seconds"] == 0.25
+        assert sum(row["self_seconds"] for row in report.stages) == 1.0
 
     def test_prefix_matching_is_exact_or_dotted(self):
-        rows = stage_waterfall([span("atpgx", 0, 10)])
-        assert rows == []  # "atpgx" must not match the "atpg" stage
-
-    def test_empty_trace(self):
-        assert stage_waterfall([]) == []
+        registry = registry_with({"atpgx.run": (1, 0.5, 0.5)})
+        report = build_run_report("t", record(), registry=registry)
+        by_stage = {row["stage"]: row for row in report.stages}
+        assert by_stage["ATPG"]["self_seconds"] == 0.0
+        assert by_stage["atpgx"]["self_seconds"] == 0.5  # "atpgx" is not "atpg"
 
 
 class TestHotspots:
-    def test_sorted_by_total_time_and_capped(self):
-        registry = MetricsRegistry()
-        registry.histogram("fast.time").observe(0.1)
-        registry.histogram("slow.time").observe(1.0)
-        registry.histogram("slow.time").observe(2.0)
-        registry.histogram("not_a_timer").observe(99.0)
-        rows = hotspots(registry, top_k=1)
-        assert len(rows) == 1
-        assert rows[0]["section"] == "slow"
-        assert rows[0]["seconds"] == pytest.approx(3.0)
-        assert rows[0]["calls"] == 2
+    def test_sorted_by_self_time_and_capped(self):
+        registry = registry_with({
+            "fast.run": (1, 0.1, 0.1),
+            "slow.run": (2, 3.0, 0.5),
+            "busy.run": (1, 1.0, 1.0),
+        })
+        rows = hotspots(registry, top_k=2)
+        assert [row["section"] for row in rows] == ["busy.run", "slow.run"]
+        assert rows[1]["seconds"] == pytest.approx(3.0)
+        assert rows[1]["calls"] == 2
+
+    @pytest.mark.parametrize("root", ["profile.total", "explain.total"])
+    def test_root_section_is_never_a_hotspot(self, root):
+        registry = registry_with({root: (1, 9.0, 5.0), "atpg.run": (1, 4.0, 4.0)})
+        rows = hotspots(registry, root=root)
+        assert [row["section"] for row in rows] == ["atpg.run"]
 
 
 class TestCounterDiff:
@@ -89,13 +91,14 @@ class TestCounterDiff:
 
 class TestRunReport:
     def build(self, baseline=None):
-        registry = MetricsRegistry()
-        registry.histogram("atpg.run.time").observe(0.25)
+        registry = registry_with({
+            "profile.total": (1, 0.5, 0.25),
+            "atpg.run": (1, 0.25, 0.25),
+        })
         return build_run_report(
             title="System1 pipeline",
             record=record(),
             baseline=baseline,
-            trace_events=[span("atpg.run", 0, 250_000)],
             registry=registry,
             summary={"serial TAT": 17_000},
         )
@@ -104,8 +107,12 @@ class TestRunReport:
         text = self.build(baseline=record(counters={"a": 2})).to_markdown()
         assert "# Run report — System1 pipeline" in text
         assert "## Plan summary" in text and "17000" in text
-        assert "## Stage waterfall" in text and "ATPG" in text and "█" in text
+        assert "## Stage times" in text
+        assert "| ATPG | 250.0 | 50.0% | 1 |" in text
+        assert "| unaccounted | 250.0 | 50.0% | 1 |" in text
+        assert "| **total** | 500.0 | | |" in text
         assert "## Hotspots" in text and "`atpg.run`" in text
+        assert "`profile.total`" not in text
         assert "## Counters vs baseline" in text
         assert "| `a` | 2 | 1 |" in text  # the drifted counter
         assert "aaaaaaaaaaaa" in text  # the short git sha
@@ -123,23 +130,25 @@ class TestRunReport:
         report.title = "<System1 & pipeline>"
         html = report.to_html()
         assert "&lt;System1 &amp; pipeline&gt;" in html
-        assert "class='bar'" in html  # waterfall lanes rendered
+        assert "<h2>Stage times</h2>" in html
+        assert "<td>unaccounted</td><td>250.0</td>" in html
         assert "<h2>Hotspots</h2>" in html
         assert "<System1" not in html.replace("<System1 ", "")
 
     def test_json_round_trip(self):
         payload = json.loads(self.build().to_json())
         assert payload["record"]["bench"] == "profile-System1"
-        assert payload["waterfall"][0]["stage"] == "ATPG"
+        assert payload["stages"][-1]["stage"] == "unaccounted"
+        assert [row["section"] for row in payload["hotspots"]] == ["atpg.run"]
         assert payload["counter_diff"]["available"] is False
 
-    def test_waterfall_scale_handles_zero_duration(self):
-        report = RunReport(title="t", record=record(), waterfall=[
-            {"stage": "s", "prefix": "s", "start": 0.0, "end": 0.0,
-             "busy": 0.0, "spans": 1},
+    def test_zero_time_run_renders(self):
+        report = RunReport(title="t", record=record(), stages=[
+            {"stage": "unaccounted", "prefix": "profile.total",
+             "self_seconds": 0.0, "calls": 1, "counters": {}},
         ])
-        assert "s" in report.to_markdown()
-        assert "s" in report.to_html()
+        assert "| unaccounted | 0.0 | - | 1 |" in report.to_markdown()
+        assert "unaccounted" in report.to_html()
 
 
 class TestCliReport:
@@ -153,11 +162,12 @@ class TestCliReport:
             "report", "System1", "--quick",
             "-o", str(out), "--ledger", str(ledger),
         ]) == 0
-        assert not TRACER.enabled  # tracing restored afterwards
+        assert not TRACER.enabled  # a report does not switch tracing on
         text = out.read_text()
         assert "# Run report — System1 pipeline" in text
-        assert "## Stage waterfall" in text
+        assert "## Stage times" in text and "| unaccounted |" in text
         assert "## Hotspots" in text
+        assert "`profile.total`" not in text
         from repro.obs.ledger import RunLedger
 
         (appended,) = RunLedger(ledger).records()
