@@ -11,7 +11,7 @@ Implication is event-driven over a per-netlist compiled structure
 (:class:`_PodemNetlist`): after each decision, flip, or backtrack only
 the gates downstream of the sources that changed are re-evaluated, in
 topological order, and the D-frontier scan is confined to the fault
-sites' fanout cone.  Net values are a pure function of the source
+site's fanout cone.  Net values are a pure function of the source
 assignment, so re-propagating from the changed sources is exact and no
 value trail is kept (see DESIGN.md, "PODEM engine contract").
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AtpgError
 from repro.obs import METRICS
@@ -89,19 +89,13 @@ class PodemResult:
 def podem(
     netlist: GateNetlist,
     fault: Fault,
-    assignable: Optional[Set[str]] = None,
     backtrack_limit: int = 200,
-    extra_sites: Optional[Sequence[Fault]] = None,
 ) -> PodemResult:
     """Generate a test for ``fault`` or prove it redundant.
 
-    ``assignable`` restricts which source gates PODEM may control
-    (defaults to all inputs and flip-flops); non-assignable sources stay
-    X, which is how time-frame expansion models the unknown initial
-    state.  ``extra_sites`` injects the same physical fault at additional
-    netlist locations (the frame copies produced by unrolling).
+    Every input and flip-flop is an assignable source.
     """
-    engine = _PodemEngine(netlist, fault, assignable, backtrack_limit, extra_sites or ())
+    engine = _PodemEngine(netlist, fault, backtrack_limit)
     result = engine.search()
     _CALLS.inc()
     _BACKTRACKS.inc(result.backtracks)
@@ -149,7 +143,7 @@ class _PodemNetlist:
     """
 
     __slots__ = (
-        "names", "index", "codes", "fanins", "readers", "observe", "sources",
+        "names", "index", "codes", "fanins", "readers", "observe",
         "base", "stuck_slot",
     )
 
@@ -175,9 +169,6 @@ class _PodemNetlist:
         self.fanins: List[Tuple[int, ...]] = fanins
         self.readers: List[Tuple[int, ...]] = [tuple(r) for r in readers]
         self.observe: FrozenSet[int] = frozenset(observe)
-        self.sources: FrozenSet[int] = frozenset(
-            gid for gid, code in enumerate(codes) if code in (K_INPUT, K_STATE)
-        )
         self.stuck_slot = len(names)
         base = [X] * len(names) + [ZERO, ONE]
         for gid, code in enumerate(codes):
@@ -198,14 +189,7 @@ def _compiled(netlist: GateNetlist) -> _PodemNetlist:
 
 
 class _PodemEngine:
-    def __init__(
-        self,
-        netlist: GateNetlist,
-        fault: Fault,
-        assignable: Optional[Set[str]],
-        backtrack_limit: int,
-        extra_sites: Sequence[Fault] = (),
-    ) -> None:
+    def __init__(self, netlist: GateNetlist, fault: Fault, backtrack_limit: int) -> None:
         net = _compiled(netlist)
         self.net = net
         self.fault = fault
@@ -214,38 +198,25 @@ class _PodemEngine:
         if site is None:
             raise AtpgError(f"fault site {fault.gate!r} is not in netlist {netlist.name!r}")
         self.site = site
-        if assignable is None:
-            self.assignable: AbstractSet[int] = net.sources
-        else:
-            self.assignable = {net.index[name] for name in assignable if name in net.index}
         self.assignment: Dict[int, int] = {}
         self.good: List[int] = list(net.base)
         self.faulty: List[int] = list(net.base)
         codes, fanins = net.codes, net.fanins
 
-        #: stem sites: the faulty value is forced, never evaluated
+        #: a stem site: the faulty value is forced, never evaluated
         self.stem: Dict[int, int] = {}
-        pin_sites: Dict[Tuple[int, int], int] = {}
-        for site_fault in [fault, *extra_sites]:
-            gid = net.index.get(site_fault.gate)
-            if gid is None:
-                continue
-            if site_fault.pin is None:
-                self.stem[gid] = site_fault.stuck
-            else:
-                pin_sites[(gid, site_fault.pin)] = site_fault.stuck
-        #: pin sites on evaluated gates: the faulty machine reads the
+        #: a pin site on an evaluated gate: the faulty machine reads the
         #: faulty operand from a stuck-value slot (flop pins have no
         #: operand -- their fault is observed at capture)
         self.faulty_fanins: Dict[int, Tuple[int, ...]] = {}
-        for (gid, pin), stuck in pin_sites.items():
-            if codes[gid] > K_MUX2 or not 0 <= pin < len(fanins[gid]):
-                continue
-            operands = list(self.faulty_fanins.get(gid, fanins[gid]))
-            operands[pin] = net.stuck_slot + stuck
-            self.faulty_fanins[gid] = tuple(operands)
+        if fault.pin is None:
+            self.stem[site] = fault.stuck
+        elif codes[site] <= K_MUX2 and 0 <= fault.pin < len(fanins[site]):
+            operands = list(fanins[site])
+            operands[fault.pin] = net.stuck_slot + fault.stuck
+            self.faulty_fanins[site] = tuple(operands)
 
-        # only the sites' fanout cone can carry a D: the faulty machine
+        # only the site's fanout cone can carry a D: the faulty machine
         # equals the good one everywhere else
         roots = list(self.stem) + list(self.faulty_fanins)
         cone = set(roots)
@@ -273,7 +244,7 @@ class _PodemEngine:
     # implication
     # ------------------------------------------------------------------
     def _inject(self) -> None:
-        """First implication pass: the fault sites against all-X sources."""
+        """First implication pass: the fault site against all-X sources."""
         net = self.net
         dirty = list(self.faulty_fanins)
         for gid, stuck in self.stem.items():
@@ -448,13 +419,13 @@ class _PodemEngine:
         return None
 
     def backtrace(self, net: int, value: int) -> Optional[Tuple[int, int]]:
-        """Walk the objective back to an unassigned assignable source."""
+        """Walk the objective back to an unassigned source."""
         codes, fanins, good = self.net.codes, self.net.fanins, self.good
         current, target = net, value
         for _ in range(len(codes) + 1):
             code = codes[current]
             if code in (K_INPUT, K_STATE):
-                if current in self.assignable and current not in self.assignment:
+                if current not in self.assignment:
                     return (current, target)
                 return None
             if code in (K_CONST0, K_CONST1):

@@ -60,6 +60,7 @@ def _parse_selection(soc, spec: Optional[str]) -> Optional[Dict[str, int]]:
     if not spec:
         return None
     selection = {core.name: 0 for core in soc.testable_cores()}
+    chosen = set()
     for item in spec.split(","):
         try:
             core_name, version = item.split("=")
@@ -68,6 +69,9 @@ def _parse_selection(soc, spec: Optional[str]) -> Optional[Dict[str, int]]:
             raise UsageError(f"bad selection item {item!r}; expected CORE=N")
         if core_name not in selection:
             raise UsageError(f"unknown core {core_name!r}")
+        if core_name in chosen:
+            raise UsageError(f"core {core_name!r} selected twice")
+        chosen.add(core_name)
         if not 0 <= index < soc.cores[core_name].version_count:
             raise UsageError(
                 f"{core_name} has versions 1..{soc.cores[core_name].version_count}"
@@ -759,9 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
             "faults (PODEM effort ledger), simulation work per (level, gate\n"
             "kind), and the optimizer's move trajectory.  --json emits the raw\n"
             "byte-stable 'repro-attrib' artifact, checkable offline with\n"
-            "'python -m repro.obs.attrib FILE'; it is bit-identical under\n"
-            "either simulation backend.  REPRO_ATTRIB=deep adds per-fault-site\n"
-            "cone-walk detail.\n"
+            "'python -m repro.obs.attrib FILE'; the fault-grading kernels and\n"
+            "their scalar reference produce it bit for bit.  REPRO_ATTRIB=deep\n"
+            "adds per-fault-site cone-walk detail.\n"
         ),
     )
     p_explain.add_argument("system")

@@ -1,10 +1,14 @@
 """Vectorized fault grading over compiled netlist programs.
 
-The scalar fault simulator (:mod:`repro.faults.simulator`) is the
-bit-identity *oracle*: this module reproduces its decisions -- the same
-detected/undetected fault lists in the same order, the same
-``first_detection`` indices, and the same ``faultsim.*`` counter values
--- while doing the arithmetic as dense numpy sweeps.
+Every fault grading in the flow runs here: :meth:`FaultSimulator.run`
+calls :func:`grade_combinational` and
+:func:`~repro.faults.simulator.sequential_fault_grade` calls
+:func:`grade_sequence_group`.  The scalar reference graders of
+:mod:`repro.faults.simulator` are the bit-identity *oracle*: this module
+reproduces their decisions -- the same detected/undetected fault lists
+in the same order, the same ``first_detection`` indices, and the same
+``faultsim.*`` counter values -- while doing the arithmetic as dense
+numpy sweeps.
 
 Every faulty machine lives on the *word axis*: a chunk of F faults runs
 as one ``(rows, F * W)`` value plane in which word block ``f`` (columns
@@ -12,7 +16,7 @@ as one ``(rows, F * W)`` value plane in which word block ``f`` (columns
 evaluates all of them in one pass per level and a fault is forced by
 writing its row inside its own block.
 
-Combinational grading keeps the scalar path's batch structure (64
+Combinational grading keeps the reference's batch structure (64
 patterns per batch, fault dropping between batches -- anything coarser
 would change which faults are still alive when) but replaces its
 per-fault work with whole-fault-list vector ops: one gather computes
@@ -20,19 +24,19 @@ every stem fault's activation, one padded gather per gate kind computes
 every pin fault's forced value, and only the faults that actually
 activate enter a dense plane -- the good plane tiled once per fault --
 whose faulty rows are forced between levels.  A cheap replay of the
-scalar batch loop then re-derives the exact counters and orderings --
+reference batch loop then re-derives the exact counters and orderings --
 including ``faultsim.cone.*``, by touching the simulator's real cone
-cache precisely when the scalar activation checks would have.
+cache precisely when the reference activation checks would have.
 
 Sequential grading puts the good machine in block 0 of the same plane
 (fault ``f`` in block ``f + 1``) and runs every machine cycle by cycle
-with carried per-block state, mirroring the scalar per-fault
+with carried per-block state, mirroring the reference's per-fault
 :class:`SequentialSimulator` semantics (flop input-pin faults are inert
 there, stem faults force their row every cycle, combinational pin faults
 are recomputed from the *faulty* block because corrupted state feeds
 back).
 
-One documented divergence: the scalar path discovers a pattern that
+One documented divergence: the reference discovers a pattern that
 misses a source lazily, batch by batch, so on malformed input it may
 raise about a different source than the kernel (which packs name-major).
 Well-formed pattern sets behave identically.
@@ -41,6 +45,8 @@ Well-formed pattern sets behave identically.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
@@ -61,7 +67,6 @@ from repro.gates.kernel import (
     compiled_program,
     eval_group_ops,
     int_to_words,
-    np,
     tail_masks,
     word_count,
 )
@@ -69,8 +74,8 @@ from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS
 from repro.obs.attrib import ATTRIB
 
-# the scalar simulator's instruments, shared by name so both backends
-# advance the very same counters
+# the fault simulator's instruments, shared by name so the kernels and
+# the reference graders advance the very same counters
 _BATCHES = METRICS.counter("faultsim.batches")
 _EVENTS = METRICS.counter("faultsim.events")
 _DROPPED = METRICS.counter("faultsim.faults.dropped")
@@ -82,7 +87,7 @@ FAULT_CHUNK = 1024
 # fault plan kinds
 _STEM = 0  # output-stem fault: force the gate's row to the stuck word
 _PIN = 1  # combinational input-pin fault: recompute the gate with one pin forced
-_FLOP_PIN = 2  # flop input-pin fault: special-cased by the scalar simulator
+_FLOP_PIN = 2  # flop input-pin fault: seen at scan capture, inert in sequences
 
 
 def _faults_per_plane(program: CompiledProgram, words: int) -> int:
@@ -159,11 +164,11 @@ class _PinGroup:
 def grade_combinational(
     fsim, patterns: Sequence[Pattern], faults: Sequence[Fault]
 ) -> FaultSimResult:
-    """Numpy-backend equivalent of :meth:`FaultSimulator._run`.
+    """The grading behind :meth:`FaultSimulator.run`.
 
     ``fsim`` is the :class:`FaultSimulator` whose netlist, observe set,
     and cone cache define the grading; decisions and counters match its
-    scalar path bit for bit.
+    :meth:`~FaultSimulator.reference_run` bit for bit.
     """
     netlist: GateNetlist = fsim.netlist
     program = compiled_program(netlist)
@@ -173,7 +178,7 @@ def grade_combinational(
         result.undetected = alive
         return result
     if not alive:
-        # the scalar loop grades one batch before noticing it has no faults
+        # the reference loop grades one batch before noticing it has no faults
         _BATCHES.inc()
         if ATTRIB.enabled:
             ATTRIB.sim_good(attrib_netlist_profile(netlist))
@@ -215,7 +220,7 @@ def grade_combinational(
     cone_cache = fsim._cone_cache
 
     # ---- good machine, all batches in one wide evaluation ----
-    # (the scalar path re-simulates per 64-pattern batch; the good
+    # (the reference re-simulates per 64-pattern batch; the good
     # machine has no dropping dependency, so one W-word pass is exact)
     total = len(patterns)
     W = word_count(total)
@@ -264,7 +269,7 @@ def grade_combinational(
         word as the OR over observed rows of (faulty XOR good).  Nets
         outside the fault's fanout cone see identical inputs and
         contribute exactly zero, so no explicit cone masking is needed
-        for bit-identity with the scalar overlay propagation.
+        for bit-identity with the reference's overlay propagation.
         """
         Wc = w1 - w0
         good = good_all[:, w0:w1]
@@ -298,7 +303,7 @@ def grade_combinational(
     dense_sweep(list(dict.fromkeys(i for i in alive_idx if act[i, 0])), 0, 1)
     swept_tail = W == 1
 
-    # ---- replay the scalar batch loop for counters and ordering ----
+    # ---- replay the reference batch loop for counters and ordering ----
     for w in range(W):
         batch_start = w * 64
         count = min(64, total - batch_start)
@@ -319,7 +324,7 @@ def grade_combinational(
         dropped = 0
         for fault, i in zip(alive, alive_idx):
             if act_col[i]:
-                # exactly where the scalar path walks the fanout cone --
+                # exactly where the reference walks the fanout cone --
                 # keeps faultsim.cone.builds/reuses and the shared cone
                 # cache state identical (inlined reuse fast path)
                 if cone_keys[i] in cone_cache:
@@ -370,7 +375,7 @@ def _next_states(program: CompiledProgram, values):
 def _pack_inputs(program: CompiledProgram, sequences, length: int, words: int):
     """Per-cycle input words ``(length, inputs, words)``; bit ``p`` is
     sequence ``p``'s value, and a missing input reads 0 (no error), exactly
-    like the scalar packer."""
+    like the reference's packer."""
     names = program.input_names
     packed = np.zeros((length, len(names), words * 8), dtype=np.uint8)
     for cycle in range(length):
@@ -390,19 +395,20 @@ def grade_sequence_group(
     alive: List[Fault],
     result: FaultSimResult,
 ) -> List[Fault]:
-    """Numpy-backend equivalent of :func:`_grade_sequence_group`.
+    """The grading behind :func:`sequential_fault_grade`, checked
+    against :func:`reference_grade_sequence_group`.
 
     Grades one packed group (<= ``SEQUENCE_PACK_LIMIT`` sequences of
     ``length`` cycles each) and returns the survivors; detected faults
-    and ``first_detection`` cycles land in ``result`` in the scalar
-    path's order.
+    and ``first_detection`` cycles land in ``result`` in the reference's
+    order.
     """
     program = compiled_program(netlist)
     Wg = word_count(len(sequences))
     cycle_words = _pack_inputs(program, sequences, length, Wg)
     masks = tail_masks(len(sequences))
-    # flop input-pin faults never perturb the scalar sequential
-    # simulation (flops are sources, never re-evaluated): inert
+    # flop input-pin faults never perturb the sequential simulation
+    # (flops are sources, never re-evaluated): inert
     plans = [
         plan
         for plan in (_plan(program, fault) for fault in dict.fromkeys(alive))

@@ -5,6 +5,13 @@ fault only the fanout cone of the fault site is re-evaluated and compared
 against the good machine at the observation points inside the cone.
 Detected faults are dropped, so later batches get cheaper -- the standard
 fault-simulation workhorse the paper's coverage numbers rest on.
+
+Grading always runs the compiled numpy kernels of
+:mod:`repro.faults.kernel`.  The scalar graders kept here
+(:meth:`FaultSimulator.reference_run`,
+:func:`reference_grade_sequence_group`) are the kernels' bit-identity
+oracle: the differential tests and the kernel bench call them by name,
+and nothing in the flow selects them.
 """
 
 from __future__ import annotations
@@ -17,12 +24,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.errors import SimulationError
 from repro.faults.model import Fault
 from repro.gates.cells import SOURCE_KINDS, GateKind
-from repro.gates.kernel import resolve_backend
 from repro.gates.levelize import depth_levels
 from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.gates.simulator import CombinationalSimulator, eval_kind
 from repro.gates.sequential import SequentialSimulator
-from repro.gates.simulator import FaultSite
 from repro.obs import METRICS, profile_section
 from repro.obs.attrib import ATTRIB
 
@@ -69,8 +74,8 @@ def attrib_netlist_profile(netlist: GateNetlist) -> Dict[str, int]:
 
     Counts exactly the gates the compiled kernels group into op slots
     (everything outside :data:`SOURCE_KINDS`), bucketed by the shared
-    :func:`depth_levels` definition, so the scalar oracle and the numpy
-    kernels attribute identical populations.
+    :func:`depth_levels` definition, so the kernels and the reference
+    graders attribute identical populations.
     """
     store = _ATTRIB_PROFILES.get(netlist, dict)
     profile = store.get("netlist")
@@ -131,21 +136,18 @@ class FaultSimulator:
     and faulty machines; the default is all primary outputs plus all
     flip-flop D-pin nets (the full-scan observation set).
 
-    ``backend`` pins grading to ``"scalar"`` or ``"numpy"``; ``None``
-    defers to ``REPRO_SIM_BACKEND`` per :meth:`run` call.  The scalar
-    path is the decision oracle: both backends produce identical results
-    and identical ``faultsim.*`` counters.
+    :meth:`run` grades on the compiled kernels; :meth:`reference_run` is
+    the scalar oracle they must match in results and ``faultsim.*``
+    counters.
     """
 
     def __init__(
         self,
         netlist: GateNetlist,
         observe: Optional[Iterable[str]] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.netlist = netlist
-        self._backend = backend
-        self._sim = CombinationalSimulator(netlist, backend=backend)
+        self._sim = CombinationalSimulator(netlist)
         if observe is None:
             observed: List[str] = [g.name for g in netlist.outputs]
             for flop in netlist.flops:
@@ -197,13 +199,14 @@ class FaultSimulator:
         with profile_section(
             "faultsim.run", patterns=len(patterns), faults=len(faults)
         ):
-            if resolve_backend(self._backend) == "numpy":
-                from repro.faults import kernel as _kernel
+            from repro.faults import kernel as _kernel
 
-                return _kernel.grade_combinational(self, patterns, faults)
-            return self._run(patterns, faults)
+            return _kernel.grade_combinational(self, patterns, faults)
 
-    def _run(self, patterns: Sequence[Pattern], faults: Sequence[Fault]) -> FaultSimResult:
+    def reference_run(
+        self, patterns: Sequence[Pattern], faults: Sequence[Fault]
+    ) -> FaultSimResult:
+        """Scalar grading, one fault at a time: the kernels' oracle."""
         alive: List[Fault] = list(faults)
         result = FaultSimResult(total=len(faults))
         source_names = [
@@ -234,7 +237,7 @@ class FaultSimulator:
 
             still_alive: List[Fault] = []
             for fault in alive:
-                detected_word = self._detect_word(fault, good, mask, count)
+                detected_word = self._reference_detect_word(fault, good, mask, count)
                 if detected_word:
                     first = batch_start + _lowest_bit(detected_word)
                     result.detected.append(fault)
@@ -250,7 +253,9 @@ class FaultSimulator:
         return result
 
     # ------------------------------------------------------------------
-    def _detect_word(self, fault: Fault, good: Dict[str, int], mask: int, count: int) -> int:
+    def _reference_detect_word(
+        self, fault: Fault, good: Dict[str, int], mask: int, count: int
+    ) -> int:
         """Packed word of patterns on which ``fault`` is detected."""
         gate = self.netlist.gate(fault.gate)
         stuck_word = mask if fault.stuck else 0
@@ -325,7 +330,6 @@ def sequential_fault_grade(
     faults: Sequence[Fault],
     sample: Optional[int] = None,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> FaultSimResult:
     """Grade functional input *sequences* against ``faults``.
 
@@ -338,9 +342,6 @@ def sequential_fault_grade(
     grading) to bound runtime on large netlists; coverage is then an
     estimate over the sample, reported against ``total = len(sample)``.
     A negative ``sample`` is a :class:`SimulationError`.
-
-    ``backend`` pins grading to ``"scalar"`` or ``"numpy"``; ``None``
-    defers to ``REPRO_SIM_BACKEND``.
     """
     chosen: List[Fault] = list(faults)
     if sample is not None and sample < 0:
@@ -353,14 +354,13 @@ def sequential_fault_grade(
         "faultsim.sequential", sequences=len(sequences), faults=len(chosen)
     ):
         _SEQ_FAULTS.inc(len(chosen))
-        return _sequential_grade(netlist, sequences, chosen, backend=backend)
+        return _sequential_grade(netlist, sequences, chosen)
 
 
 def _sequential_grade(
     netlist: GateNetlist,
     sequences: Sequence[Sequence[Pattern]],
     chosen: List[Fault],
-    backend: Optional[str] = None,
 ) -> FaultSimResult:
     result = FaultSimResult(total=len(chosen))
     if not sequences:
@@ -384,33 +384,30 @@ def _sequential_grade(
             -(-len(sequences) // SEQUENCE_PACK_LIMIT),
             SEQUENCE_PACK_LIMIT,
         )
-    use_kernel = resolve_backend(backend) == "numpy"
-    if use_kernel:
-        from repro.faults import kernel as _kernel
+    from repro.faults import kernel as _kernel
 
     alive = chosen
     for start in range(0, len(sequences), SEQUENCE_PACK_LIMIT):
         _SEQ_CHUNKS.inc()
         group = sequences[start : start + SEQUENCE_PACK_LIMIT]
-        if use_kernel:
-            alive = _kernel.grade_sequence_group(netlist, group, length, alive, result)
-        else:
-            alive = _grade_sequence_group(netlist, group, length, alive, result, backend)
+        alive = _kernel.grade_sequence_group(netlist, group, length, alive, result)
         if not alive:
             break
     result.undetected = alive
     return result
 
 
-def _grade_sequence_group(
+def reference_grade_sequence_group(
     netlist: GateNetlist,
     sequences: Sequence[Sequence[Pattern]],
     length: int,
     alive: List[Fault],
     result: FaultSimResult,
-    backend: Optional[str] = None,
 ) -> List[Fault]:
-    """Grade one packed group of sequences; returns the surviving faults."""
+    """Scalar grading of one packed group of sequences, one faulty
+    machine at a time: the oracle of
+    :func:`repro.faults.kernel.grade_sequence_group`.  Returns the
+    surviving faults."""
     count = len(sequences)
 
     # per-cycle packed input words across sequences
@@ -425,14 +422,12 @@ def _grade_sequence_group(
                     words[name] |= 1 << position
         cycle_inputs.append(words)
 
-    good_sim = SequentialSimulator(netlist, pattern_count=count, backend=backend)
+    good_sim = SequentialSimulator(netlist, pattern_count=count)
     good_trace = good_sim.run_sequence(cycle_inputs)
 
     survivors: List[Fault] = []
     for fault in alive:
-        faulty_sim = SequentialSimulator(
-            netlist, pattern_count=count, fault=fault.site(), backend=backend
-        )
+        faulty_sim = SequentialSimulator(netlist, pattern_count=count, fault=fault.site())
         detected = False
         for cycle, outputs in enumerate(faulty_sim.run_sequence(cycle_inputs)):
             good = good_trace[cycle]

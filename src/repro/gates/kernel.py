@@ -12,13 +12,12 @@ sequential grading, the good machine) its own block of words and forces
 each fault inside its block between levels, so one pass evaluates
 hundreds of machines.
 
-Backend selection is environment-driven: ``REPRO_SIM_BACKEND`` picks
-``scalar`` or ``numpy`` (the default).  When numpy is missing or broken
-the kernel degrades to the scalar backend with a one-line warning and a
-``sim.backend.fallbacks`` count -- never an import error.  The scalar
-path remains the bit-identity oracle: both backends must produce the
-same values, decisions, and ``faultsim.*``/``atpg.*`` counters (see
-DESIGN.md, "Vectorized kernels").
+Fault grading always runs these programs; one-machine simulation
+(:class:`repro.gates.simulator.CombinationalSimulator`) stays on the
+scalar evaluator, which is faster for a single machine.  The scalar
+fault graders in :mod:`repro.faults.simulator` are the bit-identity
+oracle the kernels are tested against: the same decisions and
+``faultsim.*``/``atpg.*`` counters (see DESIGN.md, "Vectorized kernels").
 
 Value-plane convention: row 0 is a reserved all-zeros word, row 1 a
 reserved all-ones word (identity padding for variable-arity gates);
@@ -29,9 +28,9 @@ extraction -- which keeps every op a pure full-word bitwise instruction.
 
 from __future__ import annotations
 
-import logging
-import os
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind
@@ -39,72 +38,15 @@ from repro.gates.levelize import depth_levels
 from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.obs import METRICS, profile_section
 
-logger = logging.getLogger("repro.gates.kernel")
-
-try:  # degrade, never crash: a broken numpy means "scalar backend"
-    import numpy as _np
-except Exception as _exc:  # pragma: no cover - exercised via _force_numpy_unavailable
-    _np = None
-    _NUMPY_ERROR: Optional[str] = f"{type(_exc).__name__}: {_exc}"
-else:
-    _NUMPY_ERROR = None
-
-np = _np  # re-exported for the fault kernel (None when unavailable)
-
 _COMPILES = METRICS.counter("kernel.compiles")
 _CACHE_REUSES = METRICS.counter("kernel.cache.reuses")
 _WORDS = METRICS.counter("kernel.words_evaluated")
-_FALLBACKS = METRICS.counter("sim.backend.fallbacks")
-
-#: environment variable selecting the simulation backend
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-BACKENDS = ("scalar", "numpy")
-DEFAULT_BACKEND = "numpy"
 
 #: reserved value-plane rows (identity padding for variable-arity gates)
 ZERO_ROW = 0
 ONE_ROW = 1
 
 ALL_ONES = 0xFFFFFFFFFFFFFFFF
-
-_warned_fallback = False
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can run in this process."""
-    return np is not None
-
-
-def numpy_unavailable_reason() -> Optional[str]:
-    return _NUMPY_ERROR
-
-
-def resolve_backend(override: Optional[str] = None) -> str:
-    """The backend a simulator should use right now.
-
-    ``override`` wins over the ``REPRO_SIM_BACKEND`` environment
-    variable, which wins over the default (``numpy``).  Requesting
-    ``numpy`` without a working numpy degrades to ``scalar`` with a
-    one-line warning (once per process) and a ``sim.backend.fallbacks``
-    count; an unknown name is a :class:`SimulationError`.
-    """
-    choice = override or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    choice = choice.strip().lower()
-    if choice not in BACKENDS:
-        raise SimulationError(
-            f"unknown simulation backend {choice!r}: expected one of {BACKENDS}"
-        )
-    if choice == "numpy" and np is None:
-        global _warned_fallback
-        _FALLBACKS.inc()
-        if not _warned_fallback:
-            _warned_fallback = True
-            logger.warning(
-                "numpy unavailable (%s): falling back to the scalar simulation "
-                "backend", _NUMPY_ERROR,
-            )
-        return "scalar"
-    return choice
 
 
 def word_count(pattern_count: int) -> int:
@@ -129,14 +71,6 @@ def int_to_words(value: int, words: int):
     return np.array(
         [(value >> (64 * w)) & ALL_ONES for w in range(words)], dtype=np.uint64
     )
-
-
-def words_to_int(limbs) -> int:
-    """Rebuild a Python int from uint64 limbs (LSB first)."""
-    value = 0
-    for w in range(len(limbs) - 1, -1, -1):
-        value = (value << 64) | int(limbs[w])
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -205,10 +139,6 @@ class CompiledProgram:
     """
 
     def __init__(self, netlist: GateNetlist) -> None:
-        if np is None:  # pragma: no cover - callers check resolve_backend first
-            raise SimulationError(
-                f"numpy backend unavailable: {_NUMPY_ERROR}"
-            )
         self.netlist = netlist
         names = list(netlist.names())
         #: gate name -> value-plane row (rows 0/1 are reserved)
@@ -217,8 +147,8 @@ class CompiledProgram:
         self.rows = len(names) + 2
 
         #: gate name -> level (sources 0, gates 1 + max fanin level);
-        #: shared with the scalar-side attribution profiles so both
-        #: backends bucket work identically
+        #: shared with the attribution profiles so the kernels and the
+        #: reference graders bucket work identically
         level = dict(depth_levels(netlist))
         self.level: Dict[str, int] = level
         self.depth = max(level.values(), default=0)
@@ -343,74 +273,6 @@ class CompiledProgram:
             if after_level is not None:
                 after_level(lvl, values)
 
-    # ------------------------------------------------------------------
-    def run_words(
-        self,
-        sources: Mapping[str, int],
-        pattern_count: int,
-        fault=None,
-    ) -> Dict[str, int]:
-        """Scalar-simulator-compatible full evaluation.
-
-        Mirrors :meth:`CombinationalSimulator.run` exactly: same source
-        lookup order and error, same optional single stuck-at fault
-        (``fault`` duck-types :class:`FaultSite`), same masked Python-int
-        word per gate in the returned dict.
-        """
-        W = word_count(pattern_count)
-        mask = (1 << pattern_count) - 1
-        values = self.new_values(W)
-        for name in self.source_names:
-            try:
-                packed = sources[name] & mask
-            except KeyError:
-                raise SimulationError(
-                    f"no value supplied for source {name!r}"
-                ) from None
-            values[self.row[name], :] = int_to_words(packed, W)
-
-        hook = None
-        if fault is not None and fault.gate in self.row:
-            hook = self._single_fault_hook(fault)
-        self.eval(values, after_level=hook)
-
-        masks = tail_masks(pattern_count)
-        masked = values & masks
-        result: Dict[str, int] = {}
-        for name, row in self.row.items():
-            result[name] = words_to_int(masked[row])
-        return result
-
-    def _single_fault_hook(self, fault):
-        """Per-level forcing for one stuck-at fault (good-machine path)."""
-        gate = self.netlist.gate(fault.gate)
-        row = self.row[fault.gate]
-        lvl = self.level[fault.gate]
-        stuck_word = np.uint64(ALL_ONES if fault.stuck_value else 0)
-
-        if fault.pin is None:
-            def hook(level: int, values) -> None:
-                if level == lvl:
-                    values[row] = stuck_word
-            return hook
-
-        # pin fault: only meaningful on evaluated (combinational) gates;
-        # the scalar simulator ignores pin faults on source kinds.
-        if gate.kind in SOURCE_KINDS:
-            return None
-        fanin_rows = np.array(
-            [self.row[f] for f in gate.fanins], dtype=np.intp
-        )
-        pin = fault.pin
-
-        def hook(level: int, values) -> None:
-            if level != lvl:
-                return
-            ops = values[fanin_rows]
-            ops[pin] = stuck_word
-            values[row] = eval_group_ops(gate.kind, ops)
-        return hook
-
 
 # ----------------------------------------------------------------------
 # compiled-program cache (mirrors the shared fanout-cone cache)
@@ -422,8 +284,8 @@ def compiled_program(netlist: GateNetlist) -> CompiledProgram:
     """The netlist's compiled program, compiled once per netlist.
 
     Cached per netlist object under the :class:`NetlistCache` rule (like
-    ``_SHARED_CONES``): every simulator, ATPG pass, and compaction run on
-    the same netlist shares one program, and an edited netlist
+    ``_SHARED_CONES``): every fault simulator, ATPG pass, and compaction
+    run on the same netlist shares one program, and an edited netlist
     recompiles.  ``kernel.compiles`` / ``kernel.cache.reuses`` count
     cache behaviour; :func:`clear_kernel_caches` restores cold-state
     counting for the bench harness.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.gates.cells import GateKind
 from repro.gates.netlist import GateNetlist
 from repro.gates.simulator import CombinationalSimulator, FaultSite, next_state_word
 
@@ -25,14 +24,13 @@ class SequentialSimulator:
         pattern_count: int = 1,
         initial_states: Optional[Mapping[str, int]] = None,
         fault: Optional[FaultSite] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if pattern_count <= 0:
             raise SimulationError("pattern_count must be positive")
         self.netlist = netlist
         self.pattern_count = pattern_count
         self._mask = (1 << pattern_count) - 1
-        self._sim = CombinationalSimulator(netlist, backend=backend)
+        self._sim = CombinationalSimulator(netlist)
         self._fault = fault
         self._flops = netlist.flops
         self.states: Dict[str, int] = {flop.name: 0 for flop in self._flops}

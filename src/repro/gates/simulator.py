@@ -5,16 +5,20 @@ net's value under test pattern ``p``.  Because Python integers are
 arbitrary precision, any number of patterns can be evaluated in a single
 pass -- the fault simulator typically packs 64 at a time so that fault
 dropping stays responsive.
+
+This scalar evaluator is the one-machine simulator: a single machine
+runs faster here than on the compiled numpy programs of
+:mod:`repro.gates.kernel`, which fault grading uses to evaluate many
+machines per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.gates.cells import SOURCE_KINDS, GateKind
-from repro.gates.kernel import compiled_program, resolve_backend
 from repro.gates.levelize import levelize
 from repro.gates.netlist import Gate, GateNetlist
 
@@ -34,17 +38,10 @@ class FaultSite:
 
 
 class CombinationalSimulator:
-    """Levelized word-parallel evaluator for the combinational view.
+    """Levelized word-parallel evaluator for the combinational view."""
 
-    ``backend`` pins this simulator to ``"scalar"`` or ``"numpy"``;
-    ``None`` defers to ``REPRO_SIM_BACKEND`` (resolved per call).  Both
-    backends return bit-identical value dicts -- the scalar path is the
-    oracle the compiled numpy kernels are checked against.
-    """
-
-    def __init__(self, netlist: GateNetlist, backend: Optional[str] = None) -> None:
+    def __init__(self, netlist: GateNetlist) -> None:
         self.netlist = netlist
-        self._backend = backend
         self._order: List[str] = [
             name for name in levelize(netlist) if netlist.gate(name).kind not in SOURCE_KINDS
         ]
@@ -67,8 +64,6 @@ class CombinationalSimulator:
         ``sources`` maps every INPUT and flip-flop gate name to its packed
         value word.  Returns a dict with a word for every gate.
         """
-        if resolve_backend(self._backend) == "numpy":
-            return compiled_program(self.netlist).run_words(sources, pattern_count, fault)
         if pattern_count <= 0:
             raise SimulationError("pattern_count must be positive")
         mask = (1 << pattern_count) - 1

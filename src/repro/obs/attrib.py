@@ -12,14 +12,14 @@ Three attribution planes feed one collector:
   untestable proof).  Effort is a wall-free unit
   (``decisions + 2*backtracks + implications``) so the ledger is a pure
   function of the seed.
-* **Simulation plane** -- the scalar fault simulator and the compiled
-  numpy kernels attribute good-value batches, survivor-sweep
-  candidates, and detection cone walks to ``level:kind`` gate buckets.
-  Both backends hook the *same* oracle-semantic events (the ones behind
-  ``faultsim.batches`` / ``faultsim.events`` / ``faultsim.cone.*``), so
-  the artifact is bit-identical across ``REPRO_SIM_BACKEND`` settings;
-  backend-mechanical work (``kernel.words_evaluated``) is deliberately
-  excluded.
+* **Simulation plane** -- the fault-grading kernels attribute
+  good-value batches, survivor-sweep candidates, and detection cone
+  walks to ``level:kind`` gate buckets.  They hook the *same*
+  oracle-semantic events as the scalar reference graders (the ones
+  behind ``faultsim.batches`` / ``faultsim.events`` /
+  ``faultsim.cone.*``), so the artifact is bit-identical whichever of
+  the two grades; kernel-mechanical work (``kernel.words_evaluated``) is
+  deliberately excluded.
 * **Optimizer plane** -- every candidate move evaluated by
   :class:`repro.soc.optimizer.SocetOptimizer` appends an
   :class:`AttribEvent`-shaped dict (move kind, subject, version delta,

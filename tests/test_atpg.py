@@ -1,8 +1,6 @@
-"""Tests for PODEM, the combinational ATPG driver, compaction, and unrolling."""
+"""Tests for PODEM, the combinational ATPG driver, and compaction."""
 
-import pytest
-
-from repro.atpg import CombinationalAtpg, PodemStatus, SequentialAtpg, compact_patterns, podem, unroll
+from repro.atpg import CombinationalAtpg, PodemStatus, compact_patterns, podem
 from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
 from repro.gates import GateKind, GateNetlist
 
@@ -75,17 +73,6 @@ class TestPodem:
         assert result.assignment.get("f") == 1
         assert result.assignment.get("a") == 1
 
-    def test_non_assignable_source_blocks(self):
-        n = GateNetlist("blocked")
-        n.add_gate("a", GateKind.INPUT)
-        n.add_gate("b", GateKind.INPUT)
-        n.add_gate("g", GateKind.AND, ["a", "b"])
-        n.add_gate("Y", GateKind.OUTPUT, ["g"])
-        n.validate()
-        # b is not assignable -> a-side faults needing b=1 are unprovable
-        result = podem(n, Fault("a", None, 0), assignable={"a"})
-        assert result.status is PodemStatus.REDUNDANT
-
     def test_flop_pin_fault_justification(self):
         n = GateNetlist("seq2")
         n.add_gate("a", GateKind.INPUT)
@@ -142,31 +129,3 @@ class TestCompaction:
 
     def test_empty_patterns(self):
         assert compact_patterns(c17_like(), [], []) == []
-
-
-class TestUnroll:
-    def seq_netlist(self):
-        n = GateNetlist("seq")
-        n.add_gate("a", GateKind.INPUT)
-        n.add_gate("f", GateKind.DFF, ["d"])
-        n.add_gate("d", GateKind.XOR, ["f", "a"])
-        n.add_gate("Y", GateKind.OUTPUT, ["f"])
-        return n.validate()
-
-    def test_structure(self):
-        u = unroll(self.seq_netlist(), 3)
-        assert u.frames == 3
-        assert "f0::f" in u.initial_state_inputs
-        assert u.netlist.gate("f1::f").kind is GateKind.BUF
-        assert u.netlist.gate("f1::f").fanins == ("f0::d",)
-
-    def test_rejects_zero_frames(self):
-        with pytest.raises(ValueError):
-            unroll(self.seq_netlist(), 0)
-
-    def test_sequential_atpg_runs(self):
-        outcome = SequentialAtpg(
-            self.seq_netlist(), seed=0, random_sequences=8, sequence_length=6, frames=2
-        ).run()
-        assert outcome.report.total > 0
-        assert outcome.report.detected > 0

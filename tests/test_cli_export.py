@@ -37,13 +37,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "CPU" in out
 
-    def test_plan_rejects_bad_selection(self):
+    def test_plan_rejects_bad_selection(self, capsys):
         with pytest.raises(SystemExit):
             main(["plan", "System1", "-s", "CPU=9"])
         with pytest.raises(SystemExit):
             main(["plan", "System1", "-s", "NOPE=1"])
         with pytest.raises(SystemExit):
             main(["plan", "System1", "-s", "garbage"])
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "System1", "-s", "CPU=1,CPU=3"])
+        assert exc.value.code == 2
+        assert "'CPU' selected twice" in capsys.readouterr().err
 
     def test_unknown_system(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,8 @@
-"""Differential tests: compiled numpy kernels vs the scalar oracle.
+"""Differential tests: compiled numpy kernels vs the scalar reference.
 
-The scalar simulators are the bit-identity oracle (DESIGN.md,
-"Vectorized kernels"): the numpy backend must reproduce not just
+The scalar reference graders (``FaultSimulator.reference_run`` and
+``reference_grade_sequence_group``) are the bit-identity oracle
+(DESIGN.md, "Vectorized kernels"): the kernels must reproduce not just
 coverage numbers but the exact ``detected`` ordering, ``undetected``
 survivors, ``first_detection`` pattern indices, and every
 ``faultsim.*`` counter -- fault dropping makes grading order-sensitive,
@@ -9,15 +10,19 @@ so anything less than bit-identity silently changes results downstream.
 """
 
 import random
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
+from repro.analysis import replay_soc
 from repro.designs import build_system1, build_system2, build_system3, build_system4
 from repro.errors import SimulationError
 from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
+from repro.faults import kernel as fk
 from repro.faults.simulator import (
     SEQUENCE_PACK_LIMIT,
     clear_cone_caches,
+    reference_grade_sequence_group,
     sequential_fault_grade,
 )
 from repro.flow.system_netlist import flatten_soc
@@ -27,18 +32,12 @@ from repro.gates.kernel import (
     clear_kernel_caches,
     compiled_program,
     int_to_words,
-    numpy_available,
-    resolve_backend,
     tail_masks,
     word_count,
-    words_to_int,
 )
-from repro.gates.simulator import FaultSite
 from repro.obs import METRICS
 
 from tests.test_podem_property import random_netlist
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 
 _KINDS2 = [
     GateKind.AND,
@@ -86,22 +85,38 @@ def random_sequences(netlist: GateNetlist, count: int, cycles: int, seed: int):
     ]
 
 
+def limbs_to_int(limbs) -> int:
+    """Rebuild a Python int from uint64 limbs (LSB first)."""
+    return sum(int(limb) << (64 * w) for w, limb in enumerate(limbs))
+
+
+@contextmanager
+def reference_graders():
+    """Grade with the scalar reference graders in place of the kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fk, "grade_combinational", FaultSimulator.reference_run)
+        mp.setattr(fk, "grade_sequence_group", reference_grade_sequence_group)
+        yield
+
+
 def grade_both_backends(run):
-    """Run ``run(backend)`` cold under both backends; return results + counters."""
+    """Run ``run()`` cold on the reference graders, then on the kernels;
+    return each side's result and ``faultsim.*`` counter deltas."""
     out = {}
-    for backend in ("scalar", "numpy"):
+    for side in ("reference", "kernel"):
         clear_cone_caches()
         clear_kernel_caches()
         before = dict(METRICS.counters("faultsim."))
-        result = run(backend)
+        with reference_graders() if side == "reference" else nullcontext():
+            result = run()
         after = METRICS.counters("faultsim.")
         delta = {k: after[k] - before.get(k, 0) for k in after if after[k] != before.get(k, 0)}
-        out[backend] = (result, delta)
+        out[side] = (result, delta)
     return out
 
 
 def assert_identical(out):
-    (rs, ds), (rn, dn) = out["scalar"], out["numpy"]
+    (rs, ds), (rn, dn) = out["reference"], out["kernel"]
     assert rs.detected == rn.detected
     assert rs.undetected == rn.undetected
     assert rs.first_detection == rn.first_detection
@@ -122,54 +137,22 @@ class TestWordPacking:
         with pytest.raises(SimulationError):
             word_count(0)
 
-    @needs_numpy
     def test_tail_masks(self):
         masks = tail_masks(130)
         assert [int(m) for m in masks] == [gk.ALL_ONES, gk.ALL_ONES, 0b11]
         assert int(tail_masks(64)[0]) == gk.ALL_ONES
 
-    @needs_numpy
     def test_int_words_roundtrip(self):
         rng = random.Random(7)
         for bits in (1, 63, 64, 65, 500):
             value = rng.getrandbits(bits)
             limbs = int_to_words(value, word_count(max(bits, 1)))
-            assert words_to_int(limbs) == value
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-class TestBackendSelection:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(gk.BACKEND_ENV, raising=False)
-        expected = "numpy" if numpy_available() else "scalar"
-        assert resolve_backend() == expected
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(gk.BACKEND_ENV, "scalar")
-        assert resolve_backend() == "scalar"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(gk.BACKEND_ENV, "numpy")
-        assert resolve_backend("scalar") == "scalar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation backend"):
-            resolve_backend("cuda")
-
-    def test_missing_numpy_degrades_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(gk, "np", None)
-        monkeypatch.setattr(gk, "_warned_fallback", False)
-        before = METRICS.counters().get("sim.backend.fallbacks", 0)
-        assert resolve_backend("numpy") == "scalar"
-        assert METRICS.counters()["sim.backend.fallbacks"] == before + 1
+            assert limbs_to_int(limbs) == value
 
 
 # ----------------------------------------------------------------------
 # compiled-program cache
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestProgramCache:
     def test_compile_once_then_reuse(self):
         clear_kernel_caches()
@@ -189,21 +172,18 @@ class TestProgramCache:
         assert compiled_program(netlist) is not first
 
     def test_words_evaluated_counter(self):
-        netlist = random_netlist(5)
-        sim = CombinationalSimulator(netlist, backend="numpy")
-        sources = {g.name: 0 for g in netlist.inputs}
+        program = compiled_program(random_netlist(5))
         before = METRICS.counters().get("kernel.words_evaluated", 0)
-        sim.run(sources, 64)
-        sim.run(sources, 130)
+        program.eval(program.new_values(1))
+        program.eval(program.new_values(3))
         after = METRICS.counters()["kernel.words_evaluated"]
         # one 1-word pass plus one 3-word pass over every op output
-        assert after - before == compiled_program(netlist).op_outputs * (1 + 3)
+        assert after - before == program.op_outputs * (1 + 3)
 
 
 # ----------------------------------------------------------------------
 # good-machine value parity
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestCombinationalParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_values_identical(self, seed):
@@ -213,35 +193,34 @@ class TestCombinationalParity:
         sources = {
             g.name: rng.getrandbits(pattern_count) for g in netlist.inputs
         }
-        scalar = CombinationalSimulator(netlist, backend="scalar").run(sources, pattern_count)
-        vector = CombinationalSimulator(netlist, backend="numpy").run(sources, pattern_count)
+        scalar = CombinationalSimulator(netlist).run(sources, pattern_count)
+        program = compiled_program(netlist)
+        words = word_count(pattern_count)
+        values = program.new_values(words)
+        for name in program.source_names:
+            values[program.row[name]] = int_to_words(sources[name], words)
+        program.eval(values)
+        values &= tail_masks(pattern_count)
+        vector = {name: limbs_to_int(values[row]) for name, row in program.row.items()}
         assert scalar == vector
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fault_injection_identical(self, seed):
-        netlist = random_netlist(seed)
-        rng = random.Random(200 + seed)
-        sources = {g.name: rng.getrandbits(96) for g in netlist.inputs}
-        for fault in full_fault_universe(netlist):
-            site = fault.site()
-            scalar = CombinationalSimulator(netlist, backend="scalar").run(sources, 96, site)
-            vector = CombinationalSimulator(netlist, backend="numpy").run(sources, 96, site)
-            assert scalar == vector, f"fault {fault}"
 
-    def test_missing_source_message_matches_scalar(self):
-        netlist = random_netlist(0)
-        name = next(g.name for g in netlist.inputs)
-        sources = {g.name: 1 for g in netlist.inputs}
-        del sources[name]
-        for backend in ("scalar", "numpy"):
-            with pytest.raises(SimulationError, match=repr(name)):
-                CombinationalSimulator(netlist, backend=backend).run(sources, 8)
+# ----------------------------------------------------------------------
+# one-machine simulation stays on the scalar evaluator
+# ----------------------------------------------------------------------
+class TestOneMachineSimulation:
+    def test_replay_compiles_and_evaluates_no_program(self):
+        soc = build_system1()
+        before = METRICS.counters("kernel.")
+        assert replay_soc(soc)
+        after = METRICS.counters("kernel.")
+        for name in ("kernel.compiles", "kernel.words_evaluated"):
+            assert after.get(name, 0) == before.get(name, 0), name
 
 
 # ----------------------------------------------------------------------
 # fault grading parity (the oracle contract)
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestFaultSimParity:
     @pytest.mark.parametrize("seed", range(20))
     def test_combinational_identical(self, seed):
@@ -251,9 +230,7 @@ class TestFaultSimParity:
         inputs = [g.name for g in netlist.inputs]
         npat = rng.choice([1, 3, 64, 65, 130, 700])
         patterns = [{name: rng.randint(0, 1) for name in inputs} for _ in range(npat)]
-        out = grade_both_backends(
-            lambda backend: FaultSimulator(netlist, backend=backend).run(patterns, faults)
-        )
+        out = grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults))
         assert_identical(out)
 
     def test_fault_dropping_order(self):
@@ -269,11 +246,9 @@ class TestFaultSimParity:
         rng = random.Random(42)
         inputs = [g.name for g in netlist.inputs]
         patterns = [{name: rng.randint(0, 1) for name in inputs} for _ in range(128)]
-        out = grade_both_backends(
-            lambda backend: FaultSimulator(netlist, backend=backend).run(patterns, faults)
-        )
+        out = grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults))
         assert_identical(out)
-        result, delta = out["numpy"]
+        result, delta = out["kernel"]
         indices = [result.first_detection[f] for f in result.detected]
         batches = [i // 64 for i in indices]
         assert batches == sorted(batches), "detected order must follow batch order"
@@ -290,11 +265,7 @@ class TestFaultSimParity:
             [{name: rng.randint(0, 1) for name in inputs} for _ in range(ncyc)]
             for _ in range(nseq)
         ]
-        out = grade_both_backends(
-            lambda backend: sequential_fault_grade(
-                netlist, sequences, faults, backend=backend
-            )
-        )
+        out = grade_both_backends(lambda: sequential_fault_grade(netlist, sequences, faults))
         assert_identical(out)
 
     def test_sequential_chunking_past_pack_limit(self):
@@ -308,11 +279,7 @@ class TestFaultSimParity:
             [{name: rng.randint(0, 1) for name in inputs} for _ in range(2)]
             for _ in range(count)
         ]
-        out = grade_both_backends(
-            lambda backend: sequential_fault_grade(
-                netlist, sequences, faults, backend=backend
-            )
-        )
+        out = grade_both_backends(lambda: sequential_fault_grade(netlist, sequences, faults))
         assert_identical(out)
 
 
@@ -320,17 +287,12 @@ class TestFaultSimParity:
 # sequential grading edge cases
 # ----------------------------------------------------------------------
 def grade_sequential_both(netlist, sequences, faults):
-    return grade_both_backends(
-        lambda backend: sequential_fault_grade(netlist, sequences, faults, backend=backend)
-    )
+    return grade_both_backends(lambda: sequential_fault_grade(netlist, sequences, faults))
 
 
-@needs_numpy
 class TestSequentialEdgeCases:
     @pytest.mark.parametrize("seed", range(3))
     def test_fault_list_crosses_chunk_boundaries(self, monkeypatch, seed):
-        import repro.faults.kernel as fk
-
         netlist = random_seq_netlist(seed)
         faults = full_fault_universe(netlist)
         sequences = random_sequences(netlist, 70, 4, seed)
@@ -341,9 +303,7 @@ class TestSequentialEdgeCases:
         rng = random.Random(seed)
         sources = [g.name for g in netlist.inputs] + [f.name for f in netlist.flops]
         patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(130)]
-        assert_identical(grade_both_backends(
-            lambda backend: FaultSimulator(netlist, backend=backend).run(patterns, faults)
-        ))
+        assert_identical(grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults)))
 
     def test_duplicate_faults(self):
         netlist = random_seq_netlist(4)
@@ -352,7 +312,7 @@ class TestSequentialEdgeCases:
         random.Random(4).shuffle(doubled)
         out = grade_sequential_both(netlist, random_sequences(netlist, 5, 4, 4), doubled)
         assert_identical(out)
-        result = out["numpy"][0]
+        result = out["kernel"][0]
         assert result.total == len(doubled)
         assert len(result.detected) + len(result.undetected) == len(doubled)
 
@@ -365,7 +325,7 @@ class TestSequentialEdgeCases:
         assert any(f.pin is not None and f not in flop_pins for f in mixed)
         out = grade_sequential_both(netlist, random_sequences(netlist, 8, 5, 6), mixed)
         assert_identical(out)
-        assert not set(flop_pins) & set(out["numpy"][0].detected)
+        assert not set(flop_pins) & set(out["kernel"][0].detected)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_flops_identical(self, seed):
@@ -382,7 +342,7 @@ class TestSequentialEdgeCases:
         faults = full_fault_universe(netlist)
         out = grade_sequential_both(netlist, [[] for _ in range(3)], faults)
         assert_identical(out)
-        assert out["numpy"][0].undetected == faults
+        assert out["kernel"][0].undetected == faults
 
     def test_netlist_without_primary_outputs(self):
         netlist = random_seq_netlist(8, outputs=False)
@@ -390,13 +350,12 @@ class TestSequentialEdgeCases:
         faults = full_fault_universe(netlist)
         out = grade_sequential_both(netlist, random_sequences(netlist, 6, 3, 8), faults)
         assert_identical(out)
-        assert out["numpy"][0].undetected == faults
+        assert out["kernel"][0].undetected == faults
 
 
 # ----------------------------------------------------------------------
 # the four systems
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestSystemsParity:
     @pytest.mark.parametrize(
         "build, with_hscan",
@@ -417,9 +376,7 @@ class TestSystemsParity:
             for _ in range(4)
         ]
         out = grade_both_backends(
-            lambda backend: sequential_fault_grade(
-                netlist, sequences, faults, sample=60, seed=1, backend=backend
-            )
+            lambda: sequential_fault_grade(netlist, sequences, faults, sample=60, seed=1)
         )
         assert_identical(out)
 
@@ -439,7 +396,5 @@ class TestSystemsParity:
         patterns = [
             {name: rng.getrandbits(1) for name in sources} for _ in range(192)
         ]
-        out = grade_both_backends(
-            lambda backend: FaultSimulator(netlist, backend=backend).run(patterns, faults)
-        )
+        out = grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults))
         assert_identical(out)

@@ -7,19 +7,21 @@ first use must never serve stale structure: simulate, mutate,
 re-simulate, and the result must equal a never-simulated copy's.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.atpg import podem
 from repro.faults import FaultSimulator, full_fault_universe
 from repro.faults.model import Fault
 from repro.gates import GateKind, GateNetlist, levelize
-from repro.gates.kernel import numpy_available
 from repro.gates.levelize import depth_levels
 from repro.gates.netlist import NetlistCache
 
-BACKENDS = ["scalar", pytest.param(
-    "numpy", marks=pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
-)]
+from tests.test_kernel import reference_graders
+
+#: "scalar" grades on the reference graders, "numpy" on the kernels
+BACKENDS = ["scalar", "numpy"]
 
 
 def and_gate() -> GateNetlist:
@@ -35,7 +37,8 @@ def and_gate() -> GateNetlist:
 
 
 def grade(netlist, backend, patterns, faults):
-    result = FaultSimulator(netlist, backend=backend).run(patterns, faults)
+    with reference_graders() if backend == "scalar" else nullcontext():
+        result = FaultSimulator(netlist).run(patterns, faults)
     return result.detected, result.undetected, result.first_detection
 
 

@@ -10,11 +10,11 @@ assignment, backtracks, decisions, implication passes, and restarts.
 """
 
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
-from repro.atpg import podem, unroll
+from repro.atpg import podem
 from repro.atpg.podem import PodemResult, PodemStatus
 from repro.designs import build_cpu, build_gcd, build_x25
 from repro.elaborate import elaborate
@@ -63,9 +63,8 @@ def _eval(kind: GateKind, operands: List[int]) -> int:
 class ReferencePodem:
     """Whole-netlist PODEM: full simulate() and full D-frontier scans."""
 
-    def __init__(self, netlist, fault, assignable, backtrack_limit, extra_sites=()):
+    def __init__(self, netlist, fault, backtrack_limit):
         self.fault = fault
-        self.extra_sites = list(extra_sites)
         self.backtrack_limit = backtrack_limit
         self.gates: Dict[str, Gate] = {name: netlist.gate(name) for name in netlist.names()}
         self.order = [
@@ -74,8 +73,6 @@ class ReferencePodem:
             and self.gates[name].kind not in (GateKind.CONST0, GateKind.CONST1)
         ]
         self.level = {name: i for i, name in enumerate(self.order)}
-        sources = [g.name for g in netlist.gates() if g.kind in _SOURCE_KINDS]
-        self.assignable = set(sources) if assignable is None else set(assignable)
         self.observe: Set[str] = {g.name for g in netlist.outputs}
         self.observe.update(flop.fanins[0] for flop in netlist.flops)
         self.fanout = netlist.fanout_map()
@@ -89,9 +86,9 @@ class ReferencePodem:
 
     def simulate(self) -> None:
         good, faulty = {}, {}
-        all_sites = [self.fault] + self.extra_sites
-        stem_sites = {f.gate: f.stuck for f in all_sites if f.pin is None}
-        pin_sites = {(f.gate, f.pin): f.stuck for f in all_sites if f.pin is not None}
+        fault = self.fault
+        stem_sites = {fault.gate: fault.stuck} if fault.pin is None else {}
+        pin_sites = {} if fault.pin is None else {(fault.gate, fault.pin): fault.stuck}
         for name, gate in self.gates.items():
             if gate.kind in _SOURCE_KINDS:
                 good[name] = faulty[name] = self.assignment.get(name, X)
@@ -207,7 +204,7 @@ class ReferencePodem:
             gate = self.gates[current]
             kind = gate.kind
             if kind in _SOURCE_KINDS:
-                if current in self.assignable and current not in self.assignment:
+                if current not in self.assignment:
                     return (current, target)
                 return None
             if kind in (GateKind.CONST0, GateKind.CONST1):
@@ -294,13 +291,9 @@ class ReferencePodem:
 
 
 def reference_podem(
-    netlist: GateNetlist,
-    fault: Fault,
-    assignable: Optional[Set[str]] = None,
-    backtrack_limit: int = 200,
-    extra_sites: Sequence[Fault] = (),
+    netlist: GateNetlist, fault: Fault, backtrack_limit: int = 200
 ) -> PodemResult:
-    return ReferencePodem(netlist, fault, assignable, backtrack_limit, extra_sites).search()
+    return ReferencePodem(netlist, fault, backtrack_limit).search()
 
 
 def assert_same_decisions(netlist, faults, **kwargs):
@@ -329,22 +322,6 @@ class TestSameDecisions:
         netlist = elaborate(build()).netlist
         sample = random.Random(40).sample(collapsed(netlist), 40)
         assert_same_decisions(netlist, sample, backtrack_limit=150)
-
-    def test_unrolled_x25_with_frame_sites(self, x25):
-        """SequentialAtpg's call shape: extra frame sites, X initial state."""
-        expansion = unroll(x25, 2)
-        assignable = {
-            g.name for g in expansion.netlist.inputs
-            if g.name not in expansion.initial_state_inputs
-        }
-        for fault in random.Random(2).sample(collapsed(x25), 60):
-            frame_faults = [expansion.frame_fault(k, fault) for k in range(expansion.frames)]
-            target = frame_faults[-1]
-            kwargs = dict(
-                assignable=assignable, backtrack_limit=50, extra_sites=frame_faults[:-1]
-            )
-            expected = reference_podem(expansion.netlist, target, **kwargs)
-            assert podem(expansion.netlist, target, **kwargs) == expected, str(fault)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_netlists(self, seed):
