@@ -24,8 +24,7 @@ import time
 from bench_schedule import schedule_all
 from conftest import write_bench_json, write_result
 
-from repro.flow.explain import explain_system
-from repro.flow.profile import QUICK_MAX_FAULTS
+from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
 from repro.obs import METRICS
 from repro.obs.attrib import ATTRIB
 from repro.obs.regress import mann_whitney_p
@@ -56,10 +55,10 @@ def _hard_fault_tables():
     """Per-seed top-10 hardest faults, each seed proved byte-stable."""
     tables = {}
     for seed in SEEDS:
-        report = explain_system(
+        report = run_pipeline(
             "System1", seed=seed, max_faults=QUICK_MAX_FAULTS
         )
-        rerun = explain_system(
+        rerun = run_pipeline(
             "System1", seed=seed, max_faults=QUICK_MAX_FAULTS
         )
         assert report.artifact_json() == rerun.artifact_json(), (
@@ -74,7 +73,7 @@ def _hard_fault_tables():
 
 
 def test_explain_overhead_and_stability(benchmark, all_systems, results_dir):
-    # stability first: explain_system resets the registry, so it must not
+    # stability first: run_pipeline resets the registry, so it must not
     # run between METRICS.reset() and write_bench_json below
     hard_faults = _hard_fault_tables()
 

@@ -35,7 +35,6 @@ import repro.dft.hscan  # noqa: F401
 import repro.exec.cache  # noqa: F401
 import repro.faults.kernel  # noqa: F401
 import repro.faults.simulator  # noqa: F401
-import repro.flow.explain  # noqa: F401
 import repro.gates.kernel  # noqa: F401
 import repro.lint.registry  # noqa: F401
 import repro.obs.attrib  # noqa: F401

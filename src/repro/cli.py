@@ -15,10 +15,12 @@ Usage (after ``pip install -e .``)::
     python -m repro certify System3 --json    # transparency proof certificate
     python -m repro certify System1 --replay  # ...checked against the simulator
     python -m repro profile System3           # per-stage time/counter breakdown
+    python -m repro report System1 --quick    # ...the same run as a markdown report
+    python -m repro explain System1 --quick   # ...its repro-attrib artifact (JSON)
     python -m repro regress --ledger L.jsonl  # exact counter gate
-    python -m repro report System1 --quick    # markdown/HTML run report
-    python -m repro explain System1 --quick   # search-effort attribution report
-    python -m repro explain System1 --json    # ...as the repro-attrib artifact
+
+``profile``, ``report`` and ``explain`` run the same pipeline once
+(:func:`repro.flow.profile.run_pipeline`) and render its one record.
 
 Global observability flags work on every subcommand (before or after
 it): ``--trace FILE`` writes a Chrome ``trace_event`` JSON of the run,
@@ -78,6 +80,19 @@ def _parse_selection(soc, spec: Optional[str]) -> Optional[Dict[str, int]]:
             )
         selection[core_name] = index
     return selection
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write a command's ``-o`` file: UTF-8, newline-terminated.
+
+    A path that cannot be opened or written (a directory, a full disk)
+    is an exit-2 usage error naming it, never a traceback.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text if text.endswith("\n") else text + "\n")
+    except OSError as error:
+        raise UsageError(f"cannot write {path!r}: {error.strerror or error}")
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +225,7 @@ def cmd_export(args) -> int:
     payload = plan_to_dict(plan)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+        _write_output(args.output, text)
         print(f"wrote {args.output}")
     else:
         print(text)
@@ -285,8 +299,7 @@ def cmd_certify(args) -> int:
         certificate, diagnostics
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_output(args.output, text)
     else:
         print(text)
     return 1 if any(d.severity >= fail_on for d in diagnostics) else 0
@@ -332,12 +345,6 @@ def _render_certificate(certificate, diagnostics) -> str:
     return "\n".join(lines)
 
 
-def _profile_series(system: str, quick: bool) -> str:
-    """The ledger series key for a profile variant (quick runs do less
-    work, so they must not share a baseline window with full runs)."""
-    return f"profile-{system}" + ("-quick" if quick else "")
-
-
 def _read_ledger(path: str, label: str):
     """A user-supplied run ledger, checked with usage-grade errors.
 
@@ -359,23 +366,29 @@ def _read_ledger(path: str, label: str):
     return ledger
 
 
-def _baseline_record(path: str, series: str) -> Optional[Dict]:
-    """The newest record of one series in a ``--baseline`` ledger."""
-    return _read_ledger(path, "baseline ledger").latest(series)
+def _run_pipeline(args, top_k: int = 10):
+    from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
+
+    return run_pipeline(
+        args.system,
+        seed=args.seed,
+        max_faults=QUICK_MAX_FAULTS if args.quick else None,
+        top_k=top_k,
+    )
+
+
+def _append_record(path: str, record: Dict) -> None:
+    from repro.obs.ledger import RunLedger
+
+    RunLedger(path).append(record)
+    print(f"appended {record['bench']} record to {path}", file=sys.stderr)
 
 
 def cmd_profile(args) -> int:
-    from repro.flow.profile import QUICK_MAX_FAULTS, profile_system
-
-    max_faults = QUICK_MAX_FAULTS if args.quick else None
-    report = profile_system(args.system, seed=args.seed, max_faults=max_faults)
-    print(report.render())
+    run = _run_pipeline(args)
+    print(run.render())
     if args.ledger:
-        from repro.obs.ledger import RunLedger
-
-        record = report.ledger_record(bench=_profile_series(args.system, args.quick))
-        RunLedger(args.ledger).append(record)
-        print(f"appended {record['bench']} record to {args.ledger}", file=sys.stderr)
+        _append_record(args.ledger, run.ledger_record())
     return 0
 
 
@@ -401,31 +414,27 @@ def cmd_regress(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.flow.profile import QUICK_MAX_FAULTS, profile_system
+    from repro.flow.profile import series_key
     from repro.obs import METRICS
-    from repro.obs.ledger import RunLedger
     from repro.obs.report import build_run_report
 
-    series = _profile_series(args.system, args.quick)
     # resolve the baseline before the measured run: a bad --baseline
     # path should fail fast, not after minutes of pipeline work
     baseline_record = None
     if args.baseline:
-        baseline_record = _baseline_record(args.baseline, series)
-    profile = profile_system(
-        args.system,
-        seed=args.seed,
-        max_faults=QUICK_MAX_FAULTS if args.quick else None,
-    )
-    record = profile.ledger_record(bench=series)
+        baseline_record = _read_ledger(args.baseline, "baseline ledger").latest(
+            series_key(args.system, args.quick)
+        )
+    run = _run_pipeline(args, top_k=args.top)
+    record = run.ledger_record()
     if args.ledger:
-        RunLedger(args.ledger).append(record)
+        _append_record(args.ledger, record)
     report = build_run_report(
         title=f"{args.system} pipeline",
         record=record,
         baseline=baseline_record,
         registry=METRICS,
-        summary=profile.summary,
+        summary=run.summary,
         top_k=args.top,
     )
     rendered = {
@@ -434,68 +443,20 @@ def cmd_report(args) -> int:
         "json": report.to_json,
     }[args.format]()
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + ("\n" if not rendered.endswith("\n") else ""))
+        _write_output(args.output, rendered)
         print(f"wrote {args.format} report to {args.output}")
     else:
         print(rendered)
     return 0
 
 
-def _explain_series(system: str, quick: bool) -> str:
-    """The ledger series key for an explain variant (mirrors profiles)."""
-    return f"explain-{system}" + ("-quick" if quick else "")
-
-
 def cmd_explain(args) -> int:
-    from repro.flow.explain import explain_system
-    from repro.flow.profile import QUICK_MAX_FAULTS
-    from repro.obs import METRICS
-    from repro.obs.ledger import RunLedger
-    from repro.obs.report import build_run_report
-
-    series = _explain_series(args.system, args.quick)
-    baseline_record = None
-    if args.baseline:
-        baseline_record = _baseline_record(args.baseline, series)
-    report = explain_system(
-        args.system,
-        seed=args.seed,
-        max_faults=QUICK_MAX_FAULTS if args.quick else None,
-        top_k=args.top,
-    )
-    record = report.ledger_record(bench=series)
-    if args.ledger:
-        RunLedger(args.ledger).append(record)
-        print(f"appended {record['bench']} record to {args.ledger}",
-              file=sys.stderr)
-    if args.json:
-        # the raw artifact, byte-for-byte what the schema checker and CI
-        # diff expect -- not wrapped in the run-report envelope
-        text = report.artifact_json()
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-            print(f"wrote attrib artifact to {args.output}")
-        else:
-            sys.stdout.write(text)
-        return 0
-    run_report = build_run_report(
-        title=f"{args.system} search effort",
-        record=record,
-        baseline=baseline_record,
-        registry=METRICS,
-        summary=record.get("results"),
-        top_k=args.top,
-        root="explain.total",
-    )
-    rendered = run_report.to_html() if args.html else run_report.to_markdown()
+    text = _run_pipeline(args, top_k=args.top).artifact_json()
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + ("\n" if not rendered.endswith("\n") else ""))
-        print(f"wrote {'html' if args.html else 'md'} report to {args.output}")
+        _write_output(args.output, text)
+        print(f"wrote attrib artifact to {args.output}")
     else:
-        print(rendered)
+        sys.stdout.write(text)
     return 0
 
 
@@ -524,6 +485,18 @@ def _observability_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _pipeline_parent() -> argparse.ArgumentParser:
+    """The arguments of one pipeline run (``profile``/``report``/``explain``)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("system")
+    parent.add_argument("--seed", type=int, default=0, help="ATPG seed (default 0)")
+    parent.add_argument(
+        "--quick", action="store_true",
+        help="cap per-core ATPG at a sampled fault subset (seconds, not minutes)",
+    )
+    return parent
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts: an integer of at least 1."""
     try:
@@ -537,6 +510,7 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     obs = _observability_parent()
+    pipeline = _pipeline_parent()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SOCET core-based SOC test planning (DAC'98 reproduction)",
@@ -661,18 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile", help="run the full pipeline, print a per-stage breakdown",
-        parents=[obs],
-    )
-    p_profile.add_argument("system")
-    p_profile.add_argument("--seed", type=int, default=0, help="ATPG seed (default 0)")
-    p_profile.add_argument(
-        "--quick", action="store_true",
-        help="cap per-core ATPG at a sampled fault subset (seconds, not minutes)",
+        parents=[obs, pipeline],
     )
     p_profile.add_argument(
         "--ledger", metavar="FILE",
-        help="append this run (samples + counters + env fingerprint) to a "
-             "JSONL run ledger",
+        help="append this run (samples + counters + attribution artifact + "
+             "env fingerprint) to a JSONL run ledger",
     )
     p_profile.set_defaults(func=cmd_profile)
 
@@ -707,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument(
         "--ignore-counter", action="append", metavar="PREFIX",
         help="counter prefix excluded from the exact gate (repeatable; "
-             "default: exec., attrib., explain.)",
+             "default: exec., attrib.)",
     )
     p_regress.add_argument(
         "--json", action="store_true",
@@ -716,20 +684,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.set_defaults(func=cmd_regress)
 
     p_report = sub.add_parser(
-        "report", help="run the pipeline, emit a markdown/HTML run report",
-        parents=[obs],
+        "report", help="run the pipeline, emit a markdown/HTML/JSON run report",
+        parents=[obs, pipeline],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "The report combines the stage table (self times plus the run's\n"
-            "unaccounted time), the top-k hotspots by self time, and a counter\n"
+            "Renders one pipeline run: the plan summary, the stage table (self\n"
+            "times plus the run's unaccounted time), the top-k hotspots by self\n"
+            "time, the search-effort attribution (hardest faults, simulation\n"
+            "work per level and gate kind, optimizer convergence), and a counter\n"
             "diff against the baseline ledger's newest record of the same series.\n"
         ),
-    )
-    p_report.add_argument("system")
-    p_report.add_argument("--seed", type=int, default=0, help="ATPG seed (default 0)")
-    p_report.add_argument(
-        "--quick", action="store_true",
-        help="cap per-core ATPG at a sampled fault subset (seconds, not minutes)",
     )
     p_report.add_argument(
         "-f", "--format", default="md", choices=["md", "html", "json"],
@@ -747,58 +711,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument(
         "--top", type=_positive_int, default=10, metavar="K",
-        help="hotspot sections to show (default %(default)s)",
+        help="hotspot sections and hard faults to show (default %(default)s)",
     )
     p_report.set_defaults(func=cmd_report)
 
     p_explain = sub.add_parser(
-        "explain", help="attribute search effort: hard faults, sim work, "
-                        "optimizer moves",
-        parents=[obs],
+        "explain", help="run the pipeline, emit its search-effort artifact",
+        parents=[obs, pipeline],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "Runs the search stages (SOC build, per-core ATPG, planning,\n"
-            "design-space sweep, TAT minimization) with the effort-attribution\n"
-            "collector on and reports where the search went: the top-K hardest\n"
-            "faults (PODEM effort ledger), simulation work per (level, gate\n"
-            "kind), and the optimizer's move trajectory.  --json emits the raw\n"
-            "byte-stable 'repro-attrib' artifact, checkable offline with\n"
-            "'python -m repro.obs.attrib FILE'; the fault-grading kernels and\n"
-            "their scalar reference produce it bit for bit.  REPRO_ATTRIB=deep\n"
-            "adds per-fault-site cone-walk detail.\n"
+            "Writes the byte-stable 'repro-attrib' artifact of one pipeline\n"
+            "run: the top-K hardest faults (PODEM effort ledger), simulation\n"
+            "work per (level, gate kind), and the optimizer's move trajectory,\n"
+            "reconciled exactly against the atpg.* and faultsim.* counters.\n"
+            "Check it offline with 'python -m repro.obs.benchjson FILE'; 'repro\n"
+            "report' renders the same planes.  REPRO_ATTRIB=deep adds\n"
+            "per-fault-site cone-walk detail.\n"
         ),
-    )
-    p_explain.add_argument("system")
-    p_explain.add_argument("--seed", type=int, default=0,
-                           help="ATPG seed (default 0)")
-    p_explain.add_argument(
-        "--quick", action="store_true",
-        help="cap per-core ATPG at a sampled fault subset (seconds, not minutes)",
-    )
-    explain_format = p_explain.add_mutually_exclusive_group()
-    explain_format.add_argument(
-        "--json", action="store_true",
-        help="emit the raw repro-attrib artifact (byte-stable JSON)",
-    )
-    explain_format.add_argument(
-        "--html", action="store_true",
-        help="render the report as a standalone HTML page (default: markdown)",
     )
     p_explain.add_argument(
         "--top", type=_positive_int, default=10, metavar="K",
-        help="hard faults to rank in the artifact and report (default %(default)s)",
+        help="hard faults to rank in the artifact (default %(default)s)",
     )
     p_explain.add_argument("-o", "--output", metavar="FILE",
                            help="output file (default stdout)")
-    p_explain.add_argument(
-        "--ledger", metavar="FILE",
-        help="also append this run's record (kind 'explain', artifact "
-             "embedded) to a JSONL run ledger",
-    )
-    p_explain.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline ledger for the counter diff (markdown/HTML report only)",
-    )
     p_explain.set_defaults(func=cmd_explain)
 
     return parser

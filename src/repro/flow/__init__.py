@@ -9,13 +9,16 @@
 * :mod:`repro.flow.evaluate` -- measure fault coverage / test
   efficiency for the original, HSCAN-only, FSCAN-BSCAN, and SOCET
   configurations (Table 3).
+* :mod:`repro.flow.profile` -- the one pipeline run (every stage, timed
+  and attributed) that ``repro profile``, ``report`` and ``explain``
+  render.
 """
 
 from repro.flow.corelevel import CorePreparation, prepare_core, prepare_cores
 from repro.flow.system_netlist import flatten_soc
 from repro.flow.chiplevel import SocetRun, run_socet, schedule_points
 from repro.flow.evaluate import SystemEvaluation, evaluate_system
-from repro.flow.profile import ProfileReport, profile_system
+from repro.flow.profile import PipelineRun, run_pipeline
 from repro.flow.interconnect import (
     InterconnectReport,
     bus_interconnect_report,
@@ -43,8 +46,8 @@ __all__ = [
     "schedule_points",
     "SystemEvaluation",
     "evaluate_system",
-    "ProfileReport",
-    "profile_system",
+    "PipelineRun",
+    "run_pipeline",
     "InterconnectReport",
     "interconnect_report",
     "bus_interconnect_report",

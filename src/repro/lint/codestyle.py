@@ -281,8 +281,16 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: lint the given paths (default ``src``); exit 1 on findings."""
+    """CLI: lint the given paths (default ``src``); exit 1 on findings.
+
+    A path that does not exist exits 2: a mistyped path would otherwise
+    lint nothing and pass.
+    """
     paths = list(argv) if argv else ["src"]
+    for path in paths:
+        if not os.path.exists(path):
+            print(f"repro.lint.codestyle: {path!r} does not exist", file=sys.stderr)
+            return 2
     issues: List[StyleIssue] = []
     checked = 0
     for path in iter_python_files(paths):

@@ -11,7 +11,7 @@ Zero-dependency subsystem with three cooperating parts:
 * :mod:`repro.obs.profiler` -- :func:`profile_section`, the one way code
   is timed: it keeps calls, inclusive and self seconds per section name
   (and records a span when tracing), and powers the per-stage self-time
-  table of ``repro profile``, ``repro report`` and ``repro explain``.
+  table of ``repro profile`` and ``repro report``.
 
 Typical instrumentation, cached at module scope::
 

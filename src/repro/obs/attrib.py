@@ -27,14 +27,15 @@ Three attribution planes feed one collector:
   append-only stream, summarized into wasted-move ratio, plateau
   length, and per-move-kind yield.
 
-Collection is off by default; ``REPRO_ATTRIB`` (``off``/``on``/``deep``)
-or :meth:`AttribCollector.configure` turns it on.  Every hook
-early-returns on one attribute check when off.
+Collection is off by default.  The pipeline run
+(:func:`repro.flow.profile.run_pipeline`) turns it on, in ``deep`` mode
+when ``REPRO_ATTRIB=deep``; :meth:`AttribCollector.configure` sets it
+directly.  Every hook early-returns on one attribute check when off.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
 (version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
-checker in :func:`validate_artifact`, also exposed as
-``python -m repro.obs.attrib FILE...``.  Attribution counters are
+checker in :func:`validate_artifact`; ``python -m repro.obs.benchjson
+FILE...`` runs it on artifact files.  Attribution counters are
 advisory: they never feed gating except through explicitly-declared
 regress gates.
 """
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import AttribSchemaError, UsageError
@@ -430,7 +430,7 @@ def artifact_json(artifact: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# schema validation (dependency-free; also ``python -m repro.obs.attrib``)
+# schema validation (dependency-free; ``python -m repro.obs.benchjson``)
 # ----------------------------------------------------------------------
 _HARD_FAULT_FIELDS = (
     "abort_cause", "backtracks", "calls", "cone_depth", "decisions",
@@ -591,40 +591,3 @@ def require_valid_artifact(payload: Any) -> Dict[str, Any]:
     if problems:
         raise AttribSchemaError("; ".join(problems))
     return payload
-
-
-def validate_file(path: str) -> Tuple[bool, str]:
-    """Validate one artifact file; returns ``(ok, message)``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        return False, f"cannot read: {error}"
-    except ValueError as error:
-        return False, f"not JSON: {error}"
-    problems = validate_artifact(payload)
-    if problems:
-        return False, "; ".join(problems)
-    return True, f"{payload['system']} seed={payload['seed']}"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: validate attribution artifacts; exit 1 on any failure."""
-    paths = list(sys.argv[1:] if argv is None else argv)
-    if not paths:
-        print("usage: python -m repro.obs.attrib FILE [FILE...]",
-              file=sys.stderr)
-        return 2
-    failures = 0
-    for path in paths:
-        ok, message = validate_file(path)
-        if ok:
-            print(f"ok   {path} ({message})")
-        else:
-            failures += 1
-            print(f"FAIL {path}: {message}")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -30,8 +30,8 @@ Version history:
   :meth:`MetricsRegistry.sections`.  Both shapes validate.
 
 Run ``python -m repro.obs.benchjson FILE...`` to validate bench files,
-exported Chrome traces, and ``*.jsonl`` run ledgers (CI fails the job
-on any schema error).
+exported Chrome traces, ``*.jsonl`` run ledgers, and ``repro-attrib``
+artifacts (CI fails the job on any schema error).
 """
 
 from __future__ import annotations
@@ -194,7 +194,9 @@ def write_bench(path: str, payload: Dict) -> str:
 
 
 def validate_file(path: str) -> str:
-    """Validate one artifact (bench JSON, Chrome trace, or run ledger)."""
+    """Validate one artifact (bench JSON, Chrome trace, run ledger, or
+    ``repro-attrib`` attribution artifact)."""
+    from repro.obs.attrib import ATTRIB_SCHEMA, require_valid_artifact
     from repro.obs.ledger import LEDGER_SCHEMA, validate_ledger_file, validate_record
 
     if str(path).endswith(".jsonl"):
@@ -208,6 +210,9 @@ def validate_file(path: str) -> str:
     if isinstance(payload, dict) and payload.get("schema") == LEDGER_SCHEMA:
         validate_record(payload)
         return "ledger-record"
+    if isinstance(payload, dict) and payload.get("schema") == ATTRIB_SCHEMA:
+        require_valid_artifact(payload)
+        return "attrib"
     validate_chrome_trace(payload)
     return "trace"
 

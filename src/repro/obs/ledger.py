@@ -10,7 +10,7 @@ versioned::
       "schema": "repro-ledger",
       "schema_version": 3,
       "bench": "schedule",              # series key (bench or profile name)
-      "kind": "bench",                  # "bench" | "profile" | "explain"
+      "kind": "bench",                  # "bench" | "profile"
       "timestamp": "2026-08-06T12:00:00Z",
       "git_sha": "b9c0110...",          # null outside a git checkout
       "samples": [0.0041, 0.0043],      # per-round raw wall times (seconds)
@@ -59,13 +59,14 @@ LEDGER_SCHEMA = "repro-ledger"
 #: the kind are since retired, so such records no longer validate);
 #: 3 -- adds the optional ``histograms`` field ({name: summary dict};
 #: first percentile summaries, now section totals);
-#: 4 -- adds kind "explain" and the optional ``attrib`` field (a full
-#: ``repro-attrib`` search-effort artifact, validated against
-#: :mod:`repro.obs.attrib` on append)
+#: 4 -- adds the optional ``attrib`` field (a full ``repro-attrib``
+#: search-effort artifact, validated against :mod:`repro.obs.attrib` on
+#: append; every profile record carries one) and a kind "explain", since
+#: retired (``repro explain`` writes no ledger record)
 LEDGER_SCHEMA_VERSION = 4
 
 #: record kinds the schema admits
-RECORD_KINDS = ("bench", "profile", "explain")
+RECORD_KINDS = ("bench", "profile")
 
 _REQUIRED_FIELDS = {
     "schema": str,
@@ -260,8 +261,8 @@ def _attrib_problems(attrib) -> List[str]:
     """Schema checks for the optional v4 ``attrib`` field.
 
     The embedded artifact is checked by its own schema validator, so a
-    ledger cannot carry an attribution payload the standalone
-    ``python -m repro.obs.attrib`` checker would reject.
+    ledger cannot carry an attribution payload that
+    ``python -m repro.obs.benchjson`` would reject as a file.
     """
     from repro.obs.attrib import validate_artifact
 

@@ -24,6 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry, SectionTotals
 from repro.obs.tracer import DEFAULT_TRACER, NOOP_SPAN
 
+#: the section spanning one pipeline run: its own self time is the
+#: ``unaccounted`` row, and it is never a hotspot
+ROOT_SECTION = "profile.total"
+
 #: (display name, metric prefix) for every pipeline stage, in flow order
 PIPELINE_STAGES: List[Tuple[str, str]] = [
     ("core-level", "corelevel"),
@@ -113,7 +117,7 @@ def profile_section(
 # ----------------------------------------------------------------------
 def stage_rows(
     registry: Optional[MetricsRegistry] = None,
-    root: str = "profile.total",
+    root: str = ROOT_SECTION,
     stages: Sequence[Tuple[str, str]] = tuple(PIPELINE_STAGES),
 ) -> List[Dict]:
     """Per-stage self seconds, section calls, and counters of one run.

@@ -118,12 +118,11 @@ def mann_whitney_p(candidate: Sequence[float], baseline: Sequence[float]) -> flo
 # ----------------------------------------------------------------------
 #: counter prefixes the gate ignores.  ``exec.`` is execution-strategy
 #: bookkeeping -- plan-cache warmth -- that depends on prior runs, not
-#: on the planned work.  ``attrib.``/``explain.`` are the same class:
-#: how many attribution records/explain runs happened depends on
-#: whether ``REPRO_ATTRIB`` was on -- the attributed *totals* are gated
-#: through the counters they reconcile against (``atpg.*``,
-#: ``faultsim.*``).
-COUNTER_IGNORE: Tuple[str, ...] = ("exec.", "attrib.", "explain.")
+#: on the planned work.  ``attrib.`` is the same class: how many
+#: attribution records were kept depends on whether the collector was
+#: on -- the attributed *totals* are gated through the counters they
+#: reconcile against (``atpg.*``, ``faultsim.*``).
+COUNTER_IGNORE: Tuple[str, ...] = ("exec.", "attrib.")
 
 
 @dataclass

@@ -1,20 +1,26 @@
-"""Run reports: stage table, hotspots, and counter diff as markdown/HTML.
+"""Run reports: one pipeline run as markdown, HTML or JSON.
 
-A :class:`RunReport` combines the three views the observatory produces
-for one measured run:
+A :class:`RunReport` lays one run's ledger record out once, as a list of
+headings, prose and tables:
 
+* the **plan summary** (serial, scheduled and optimized TAT, DFT cells);
 * the **stage table** of :func:`repro.obs.profiler.stage_rows` -- each
   pipeline stage's self time plus the run's ``unaccounted`` time, rows
   that sum to the run's total;
 * **top-k hotspots**: the timed sections ranked by self time, with
   their inclusive time and calls (the run's root section is left out:
   its inclusive time is the whole run);
+* **search-effort attribution** from the record's ``repro-attrib``
+  artifact: the hardest faults, simulation work per (level, gate kind),
+  and the optimizer's convergence;
 * a **counter diff** against a baseline ledger record -- every counter
   that changed, appeared, or disappeared, plus how many matched.
 
-Reports render to GitHub-flavoured markdown (:meth:`RunReport.to_markdown`)
-or a dependency-free standalone HTML page (:meth:`RunReport.to_html`);
-``repro report`` writes either and CI uploads them as artifacts.
+:meth:`RunReport.to_markdown` (GitHub-flavoured) and
+:meth:`RunReport.to_html` (a dependency-free standalone page, every
+cell escaped) are two small serializers of that one list, so both
+carry the same sections and numbers.  ``repro report`` writes either,
+or the underlying data as JSON, and CI uploads them as artifacts.
 """
 
 from __future__ import annotations
@@ -25,16 +31,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import stage_rows
+from repro.obs.profiler import ROOT_SECTION, stage_rows
 from repro.obs.regress import compare_counters
+
 
 # ----------------------------------------------------------------------
 # view extraction
 # ----------------------------------------------------------------------
-def hotspots(
-    registry: MetricsRegistry, top_k: int = 10, root: str = "profile.total"
-) -> List[Dict]:
-    """The ``top_k`` timed sections by self time, ``root`` left out."""
+def hotspots(registry: MetricsRegistry, top_k: int = 10) -> List[Dict]:
+    """The ``top_k`` timed sections by self time, the root left out."""
     rows = [
         {
             "section": name,
@@ -43,7 +48,7 @@ def hotspots(
             "calls": totals["count"],
         }
         for name, totals in registry.sections().items()
-        if name != root
+        if name != ROOT_SECTION
     ]
     rows.sort(key=lambda row: (-row["self_seconds"], row["section"]))
     return rows[:top_k]
@@ -64,59 +69,47 @@ def counter_diff(candidate: Dict, baseline: Optional[Dict]) -> Dict:
     return {"available": True, "changed": changed, "unchanged": matched}
 
 
-def attrib_views(artifact: Optional[Dict]) -> Optional[Dict]:
-    """Renderable rows from a ``repro-attrib`` artifact (or ``None``).
-
-    Three views, one per attribution plane: the hard-fault table as-is
-    (already ranked and truncated to top-k by the builder), simulation
-    buckets ranked by total words touched, and the optimizer convergence
-    summary flattened to label/value pairs.
-    """
-    if not artifact:
-        return None
-    planes = artifact.get("planes", {})
-    atpg = planes.get("atpg", {})
-    sim = planes.get("sim", {})
-    optimizer = planes.get("optimizer", {}).get("summary", {})
-    buckets = [
-        {
-            "bucket": bucket,
-            "good_words": row["good_words"],
-            "sweep_words": row["sweep_words"],
-            "total": row["good_words"] + row["sweep_words"],
-        }
-        for bucket, row in sorted(sim.get("buckets", {}).items())
-    ]
-    buckets.sort(key=lambda row: (-row["total"], row["bucket"]))
-    totals = atpg.get("totals", {})
-    convergence = [
-        ("candidate moves", optimizer.get("candidates", 0)),
-        ("accepted", optimizer.get("accepted", 0)),
-        ("rejected", optimizer.get("rejected", 0)),
-        ("design-point revisits", optimizer.get("revisits", 0)),
-        ("trailing plateau", optimizer.get("plateau", 0)),
-        ("wasted-move ratio", optimizer.get("wasted_ratio", 0.0)),
-    ]
-    return {
-        "hard_faults": list(atpg.get("hard_faults", [])),
-        "atpg_totals": totals,
-        "sim_buckets": buckets,
-        "sim_scalars": {
-            "cone_walks": sim.get("cone_walks", 0),
-            "good_batches": sim.get("good_batches", 0),
-            "sweep_candidates": sim.get("sweep_candidates", 0),
-        },
-        "convergence": convergence,
-        "move_yield": [
-            {"kind": kind, **row}
-            for kind, row in sorted(optimizer.get("yield", {}).items())
-        ],
-    }
-
-
 # ----------------------------------------------------------------------
-# the report
+# the report: one block list, two serializers
 # ----------------------------------------------------------------------
+class Code(str):
+    """A cell shown as code: backticks in markdown, ``<code>`` in HTML."""
+
+
+class Strong(str):
+    """A cell shown in bold."""
+
+
+#: a block is ``("h", level, text)``, ``("p", text)`` or
+#: ``("table", headers, rows)``
+Block = Tuple
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000:.1f}"
+
+
+def _md_cell(value) -> str:
+    if isinstance(value, Code):
+        return f"`{value}`"
+    if isinstance(value, Strong):
+        return f"**{value}**"
+    return str(value)
+
+
+def _md_row(cells) -> str:
+    return "|" + "|".join(f" {cell} " if cell != "" else " " for cell in cells) + "|"
+
+
+def _html_cell(value) -> str:
+    text = _html.escape(str(value))
+    if isinstance(value, Code):
+        return f"<code>{text}</code>"
+    if isinstance(value, Strong):
+        return f"<b>{text}</b>"
+    return text
+
+
 @dataclass
 class RunReport:
     """One run's observability views, renderable as markdown or HTML."""
@@ -133,7 +126,13 @@ class RunReport:
             self.record.get("counters", {}),
             self.baseline.get("counters") if self.baseline else None,
         )
-        self.attrib = attrib_views(self.record.get("attrib"))
+        self.blocks: List[Block] = (
+            self._summary_blocks()
+            + self._stage_blocks()
+            + self._hotspot_blocks()
+            + self._attrib_blocks()
+            + self._counter_blocks()
+        )
 
     # ------------------------------------------------------------------
     def _header_facts(self) -> List[Tuple[str, str]]:
@@ -161,150 +160,152 @@ class RunReport:
             )
         return facts
 
-    def _stage_total(self) -> float:
-        return sum(row["self_seconds"] for row in self.stages)
+    def _summary_blocks(self) -> List[Block]:
+        if not self.summary:
+            return []
+        rows = [[key, value] for key, value in self.summary.items()]
+        return [("h", 2, "Plan summary"), ("table", ["metric", "value"], rows)]
 
-    def _share(self, seconds: float) -> str:
-        total = self._stage_total()
-        return f"{100.0 * seconds / total:.1f}%" if total else "-"
+    def _stage_blocks(self) -> List[Block]:
+        if not self.stages:
+            return []
+        total = sum(row["self_seconds"] for row in self.stages)
+        rows = [
+            [
+                row["stage"],
+                _ms(row["self_seconds"]),
+                f"{100.0 * row['self_seconds'] / total:.1f}%" if total else "-",
+                row["calls"],
+            ]
+            for row in self.stages
+        ]
+        rows.append([Strong("total"), _ms(total), "", ""])
+        return [
+            ("h", 2, "Stage times"),
+            ("table", ["stage", "self (ms)", "share", "sections"], rows),
+            ("p", "Self times: a section's time minus the sections opened "
+                  "inside it. The unaccounted row is the run's time outside "
+                  "every section; the rows sum to the total."),
+        ]
+
+    def _hotspot_blocks(self) -> List[Block]:
+        if not self.hotspots:
+            return []
+        rows = [
+            [Code(row["section"]), _ms(row["self_seconds"]), _ms(row["seconds"]),
+             row["calls"]]
+            for row in self.hotspots
+        ]
+        return [
+            ("h", 2, "Hotspots"),
+            ("p", "Top sections by self time; the run's root section is "
+                  "never one."),
+            ("table", ["section", "self (ms)", "inclusive (ms)", "calls"], rows),
+        ]
+
+    def _attrib_blocks(self) -> List[Block]:
+        artifact = self.record.get("attrib")
+        if not artifact:
+            return []
+        planes = artifact["planes"]
+        totals = planes["atpg"]["totals"]
+        blocks: List[Block] = [
+            ("h", 2, "Search-effort attribution"),
+            ("p", f"ATPG: {totals['calls']} PODEM calls, {totals['effort']} "
+                  f"effort units ({totals['decisions']} decisions, "
+                  f"{totals['backtracks']} backtracks, "
+                  f"{totals['implications']} implications)."),
+        ]
+        hard = planes["atpg"]["hard_faults"]  # ranked and cut to top-k
+        if hard:
+            blocks.append(("h", 3, "Hardest faults"))
+            blocks.append(("table", [
+                "fault", "site", "kind", "depth", "effort", "backtracks",
+                "status", "abort cause",
+            ], [
+                [Code(row["fault"]), row["site"], row["gate_kind"],
+                 row["cone_depth"], row["effort"], row["backtracks"],
+                 row["status"], row["abort_cause"] or "—"]
+                for row in hard
+            ]))
+        sim = planes["sim"]
+        buckets = sorted(
+            [Code(bucket), row["good_words"], row["sweep_words"],
+             row["good_words"] + row["sweep_words"]]
+            for bucket, row in sim["buckets"].items()
+        )
+        buckets.sort(key=lambda row: -row[3])  # stable: ties stay by bucket
+        if buckets:
+            blocks.append(("h", 3, "Simulation work by (level, gate kind)"))
+            blocks.append(("p", f"{sim['good_batches']} good-value batches, "
+                                f"{sim['sweep_candidates']} survivor-sweep "
+                                f"candidates, {sim['cone_walks']} detection-cone "
+                                "walks."))
+            blocks.append(("table", [
+                "level:kind", "good words", "sweep words", "total",
+            ], buckets[:10]))
+        optimizer = planes["optimizer"]["summary"]
+        rows = [
+            ["candidate moves", optimizer["candidates"]],
+            ["accepted", optimizer["accepted"]],
+            ["rejected", optimizer["rejected"]],
+            ["design-point revisits", optimizer["revisits"]],
+            ["trailing plateau", optimizer["plateau"]],
+            ["wasted-move ratio", optimizer["wasted_ratio"]],
+        ]
+        rows.extend(
+            [f"{kind} moves accepted", f"{row['accepted']}/{row['candidates']}"]
+            for kind, row in sorted(optimizer["yield"].items())
+        )
+        blocks.append(("h", 3, "Optimizer convergence"))
+        blocks.append(("table", ["metric", "value"], rows))
+        return blocks
+
+    def _counter_blocks(self) -> List[Block]:
+        diff = self.diff
+        blocks: List[Block] = [("h", 2, "Counters vs baseline")]
+        if not diff["available"]:
+            blocks.append(("p", "No baseline record available; counter diff "
+                                "skipped."))
+        elif not diff["changed"]:
+            blocks.append(("p", f"All {diff['unchanged']} counters match the "
+                                "baseline exactly (deterministic pipeline, "
+                                "unchanged work)."))
+        else:
+            rows = [
+                [Code(row["counter"]),
+                 "absent" if row["baseline"] is None else row["baseline"],
+                 "absent" if row["candidate"] is None else row["candidate"]]
+                for row in diff["changed"]
+            ]
+            blocks.append(("table", ["counter", "baseline", "current"], rows))
+            blocks.append(("p", f"{diff['unchanged']} counters unchanged."))
+        return blocks
 
     # ------------------------------------------------------------------
     def to_markdown(self) -> str:
         lines = [f"# Run report — {self.title}", ""]
-        for key, value in self._header_facts():
-            lines.append(f"- **{key}**: {value}")
+        lines.extend(f"- **{key}**: {value}" for key, value in self._header_facts())
         lines.append("")
-
-        if self.summary:
-            lines.append("## Plan summary")
+        for block in self.blocks:
+            if block[0] == "h":
+                lines.append("#" * block[1] + " " + block[2])
+            elif block[0] == "p":
+                lines.append(block[1])
+            else:
+                _kind, headers, rows = block
+                lines.append(_md_row(headers))
+                lines.append(_md_row(["---"] + ["---:"] * (len(headers) - 1)))
+                lines.extend(_md_row([_md_cell(cell) for cell in row]) for row in rows)
             lines.append("")
-            lines.append("| metric | value |")
-            lines.append("| --- | ---: |")
-            for key, value in self.summary.items():
-                lines.append(f"| {key} | {value} |")
-            lines.append("")
-
-        if self.stages:
-            lines.append("## Stage times")
-            lines.append("")
-            lines.append("| stage | self (ms) | share | sections |")
-            lines.append("| --- | ---: | ---: | ---: |")
-            for row in self.stages:
-                lines.append(
-                    f"| {row['stage']} | {row['self_seconds'] * 1000:.1f} "
-                    f"| {self._share(row['self_seconds'])} | {row['calls']} |"
-                )
-            lines.append(f"| **total** | {self._stage_total() * 1000:.1f} | | |")
-            lines.append("")
-            lines.append(
-                "Self times: a section's time minus the sections opened "
-                "inside it. `unaccounted` is the run's time outside every "
-                "section; the rows sum to the total."
-            )
-            lines.append("")
-
-        if self.hotspots:
-            lines.append("## Hotspots (top sections by self time)")
-            lines.append("")
-            lines.append("| section | self (ms) | inclusive (ms) | calls |")
-            lines.append("| --- | ---: | ---: | ---: |")
-            for row in self.hotspots:
-                lines.append(
-                    f"| `{row['section']}` | {row['self_seconds'] * 1000:.1f} "
-                    f"| {row['seconds'] * 1000:.1f} | {row['calls']} |"
-                )
-            lines.append("")
-
-        if self.attrib:
-            views = self.attrib
-            lines.append("## Search-effort attribution")
-            lines.append("")
-            totals = views["atpg_totals"]
-            lines.append(
-                f"ATPG: {totals.get('calls', 0)} PODEM calls, "
-                f"{totals.get('effort', 0)} effort units "
-                f"({totals.get('decisions', 0)} decisions, "
-                f"{totals.get('backtracks', 0)} backtracks, "
-                f"{totals.get('implications', 0)} implications)."
-            )
-            lines.append("")
-            if views["hard_faults"]:
-                lines.append("### Hardest faults")
-                lines.append("")
-                lines.append(
-                    "| fault | site | kind | depth | effort | backtracks "
-                    "| status | abort cause |"
-                )
-                lines.append("| --- | --- | --- | ---: | ---: | ---: | --- | --- |")
-                for row in views["hard_faults"]:
-                    lines.append(
-                        f"| `{row['fault']}` | {row['site']} | {row['gate_kind']} "
-                        f"| {row['cone_depth']} | {row['effort']} "
-                        f"| {row['backtracks']} | {row['status']} "
-                        f"| {row['abort_cause'] or '—'} |"
-                    )
-                lines.append("")
-            if views["sim_buckets"]:
-                scalars = views["sim_scalars"]
-                lines.append("### Simulation work by (level, gate kind)")
-                lines.append("")
-                lines.append(
-                    f"{scalars['good_batches']} good-value batches, "
-                    f"{scalars['sweep_candidates']} survivor-sweep candidates, "
-                    f"{scalars['cone_walks']} detection-cone walks."
-                )
-                lines.append("")
-                lines.append("| level:kind | good words | sweep words | total |")
-                lines.append("| --- | ---: | ---: | ---: |")
-                for row in views["sim_buckets"][:10]:
-                    lines.append(
-                        f"| `{row['bucket']}` | {row['good_words']} "
-                        f"| {row['sweep_words']} | {row['total']} |"
-                    )
-                lines.append("")
-            lines.append("### Optimizer convergence")
-            lines.append("")
-            lines.append("| metric | value |")
-            lines.append("| --- | ---: |")
-            for label, value in views["convergence"]:
-                lines.append(f"| {label} | {value} |")
-            for row in views["move_yield"]:
-                lines.append(
-                    f"| `{row['kind']}` moves accepted | "
-                    f"{row['accepted']}/{row['candidates']} |"
-                )
-            lines.append("")
-
-        lines.append("## Counters vs baseline")
-        lines.append("")
-        if not self.diff["available"]:
-            lines.append("_No baseline record available; counter diff skipped._")
-        elif not self.diff["changed"]:
-            lines.append(
-                f"All {self.diff['unchanged']} counters match the baseline "
-                "exactly (deterministic pipeline, unchanged work)."
-            )
-        else:
-            lines.append("| counter | baseline | current |")
-            lines.append("| --- | ---: | ---: |")
-            for row in self.diff["changed"]:
-                base = "absent" if row["baseline"] is None else row["baseline"]
-                cand = "absent" if row["candidate"] is None else row["candidate"]
-                lines.append(f"| `{row['counter']}` | {base} | {cand} |")
-            lines.append("")
-            lines.append(f"{self.diff['unchanged']} counters unchanged.")
-        lines.append("")
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
     def to_html(self) -> str:
-        def esc(value) -> str:
-            return _html.escape(str(value))
-
+        title = _html.escape(self.title)
         parts = [
             "<!doctype html>",
             "<html><head><meta charset='utf-8'>",
-            f"<title>Run report — {esc(self.title)}</title>",
+            f"<title>Run report — {title}</title>",
             "<style>",
             "body{font:14px/1.5 system-ui,sans-serif;margin:2rem;max-width:60rem}",
             "table{border-collapse:collapse;margin:0.5rem 0}",
@@ -312,131 +313,29 @@ class RunReport:
             "td:first-child,th:first-child{text-align:left}",
             "code{background:#f5f5f5;padding:0 0.2rem}",
             "</style></head><body>",
-            f"<h1>Run report — {esc(self.title)}</h1>",
+            f"<h1>Run report — {title}</h1>",
             "<ul>",
         ]
-        for key, value in self._header_facts():
-            parts.append(f"<li><b>{esc(key)}</b>: {esc(value)}</li>")
+        parts.extend(
+            f"<li><b>{_html.escape(key)}</b>: {_html.escape(value)}</li>"
+            for key, value in self._header_facts()
+        )
         parts.append("</ul>")
-
-        if self.summary:
-            parts.append("<h2>Plan summary</h2><table>")
-            parts.append("<tr><th>metric</th><th>value</th></tr>")
-            for key, value in self.summary.items():
-                parts.append(f"<tr><td>{esc(key)}</td><td>{esc(value)}</td></tr>")
-            parts.append("</table>")
-
-        if self.stages:
-            parts.append("<h2>Stage times</h2><table>")
-            parts.append(
-                "<tr><th>stage</th><th>self (ms)</th><th>share</th>"
-                "<th>sections</th></tr>"
-            )
-            for row in self.stages:
-                parts.append(
-                    f"<tr><td>{esc(row['stage'])}</td>"
-                    f"<td>{row['self_seconds'] * 1000:.1f}</td>"
-                    f"<td>{self._share(row['self_seconds'])}</td>"
-                    f"<td>{row['calls']}</td></tr>"
-                )
-            parts.append(
-                f"<tr><th>total</th><th>{self._stage_total() * 1000:.1f}</th>"
-                "<th></th><th></th></tr>"
-            )
-            parts.append("</table>")
-
-        if self.hotspots:
-            parts.append("<h2>Hotspots</h2><table>")
-            parts.append(
-                "<tr><th>section</th><th>self (ms)</th><th>inclusive (ms)</th>"
-                "<th>calls</th></tr>"
-            )
-            for row in self.hotspots:
-                parts.append(
-                    f"<tr><td><code>{esc(row['section'])}</code></td>"
-                    f"<td>{row['self_seconds'] * 1000:.1f}</td>"
-                    f"<td>{row['seconds'] * 1000:.1f}</td>"
-                    f"<td>{row['calls']}</td></tr>"
-                )
-            parts.append("</table>")
-
-        if self.attrib:
-            views = self.attrib
-            totals = views["atpg_totals"]
-            parts.append("<h2>Search-effort attribution</h2>")
-            parts.append(
-                f"<p>ATPG: {totals.get('calls', 0)} PODEM calls, "
-                f"{totals.get('effort', 0)} effort units "
-                f"({totals.get('decisions', 0)} decisions, "
-                f"{totals.get('backtracks', 0)} backtracks, "
-                f"{totals.get('implications', 0)} implications).</p>"
-            )
-            if views["hard_faults"]:
-                parts.append("<h3>Hardest faults</h3><table>")
-                parts.append(
-                    "<tr><th>fault</th><th>site</th><th>kind</th><th>depth</th>"
-                    "<th>effort</th><th>backtracks</th><th>status</th>"
-                    "<th>abort cause</th></tr>"
-                )
-                for row in views["hard_faults"]:
-                    parts.append(
-                        f"<tr><td><code>{esc(row['fault'])}</code></td>"
-                        f"<td>{esc(row['site'])}</td><td>{esc(row['gate_kind'])}</td>"
-                        f"<td>{row['cone_depth']}</td><td>{row['effort']}</td>"
-                        f"<td>{row['backtracks']}</td><td>{esc(row['status'])}</td>"
-                        f"<td>{esc(row['abort_cause'] or '—')}</td></tr>"
-                    )
+        for block in self.blocks:
+            if block[0] == "h":
+                parts.append(f"<h{block[1]}>{_html.escape(block[2])}</h{block[1]}>")
+            elif block[0] == "p":
+                parts.append(f"<p>{_html.escape(block[1])}</p>")
+            else:
+                _kind, headers, rows = block
+                parts.append("<table>")
+                parts.append("<tr>" + "".join(
+                    f"<th>{_html.escape(header)}</th>" for header in headers
+                ) + "</tr>")
+                parts.extend("<tr>" + "".join(
+                    f"<td>{_html_cell(cell)}</td>" for cell in row
+                ) + "</tr>" for row in rows)
                 parts.append("</table>")
-            if views["sim_buckets"]:
-                scalars = views["sim_scalars"]
-                parts.append("<h3>Simulation work by (level, gate kind)</h3>")
-                parts.append(
-                    f"<p>{scalars['good_batches']} good-value batches, "
-                    f"{scalars['sweep_candidates']} survivor-sweep candidates, "
-                    f"{scalars['cone_walks']} detection-cone walks.</p>"
-                )
-                parts.append(
-                    "<table><tr><th>level:kind</th><th>good words</th>"
-                    "<th>sweep words</th><th>total</th></tr>"
-                )
-                for row in views["sim_buckets"][:10]:
-                    parts.append(
-                        f"<tr><td><code>{esc(row['bucket'])}</code></td>"
-                        f"<td>{row['good_words']}</td><td>{row['sweep_words']}</td>"
-                        f"<td>{row['total']}</td></tr>"
-                    )
-                parts.append("</table>")
-            parts.append("<h3>Optimizer convergence</h3><table>")
-            parts.append("<tr><th>metric</th><th>value</th></tr>")
-            for label, value in views["convergence"]:
-                parts.append(f"<tr><td>{esc(label)}</td><td>{esc(value)}</td></tr>")
-            for row in views["move_yield"]:
-                parts.append(
-                    f"<tr><td><code>{esc(row['kind'])}</code> moves accepted</td>"
-                    f"<td>{row['accepted']}/{row['candidates']}</td></tr>"
-                )
-            parts.append("</table>")
-
-        parts.append("<h2>Counters vs baseline</h2>")
-        if not self.diff["available"]:
-            parts.append("<p><i>No baseline record available.</i></p>")
-        elif not self.diff["changed"]:
-            parts.append(
-                f"<p>All {self.diff['unchanged']} counters match the baseline "
-                "exactly.</p>"
-            )
-        else:
-            parts.append("<table><tr><th>counter</th><th>baseline</th>"
-                         "<th>current</th></tr>")
-            for row in self.diff["changed"]:
-                base = "absent" if row["baseline"] is None else row["baseline"]
-                cand = "absent" if row["candidate"] is None else row["candidate"]
-                parts.append(
-                    f"<tr><td><code>{esc(row['counter'])}</code></td>"
-                    f"<td>{esc(base)}</td><td>{esc(cand)}</td></tr>"
-                )
-            parts.append(f"</table><p>{self.diff['unchanged']} counters "
-                         "unchanged.</p>")
         parts.append("</body></html>")
         return "\n".join(parts)
 
@@ -463,18 +362,17 @@ def build_run_report(
     registry: Optional[MetricsRegistry] = None,
     summary: Optional[Dict] = None,
     top_k: int = 10,
-    root: str = "profile.total",
 ) -> RunReport:
     """Assemble a :class:`RunReport` from the run's registry.
 
-    ``root`` names the section that spans the whole run: its self time
-    is the stage table's ``unaccounted`` row, and it is not a hotspot.
+    The root section's self time is the stage table's ``unaccounted``
+    row, and it is not a hotspot.
     """
     return RunReport(
         title=title,
         record=record,
         baseline=baseline,
-        stages=stage_rows(registry, root) if registry is not None else [],
-        hotspots=hotspots(registry, top_k, root) if registry is not None else [],
+        stages=stage_rows(registry) if registry is not None else [],
+        hotspots=hotspots(registry, top_k) if registry is not None else [],
         summary=dict(summary or {}),
     )

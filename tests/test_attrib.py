@@ -1,7 +1,9 @@
 """Tests for search-effort attribution (:mod:`repro.obs.attrib`) and
-the ``repro explain`` driver/CLI built on it."""
+the pipeline run (:func:`repro.flow.profile.run_pipeline`) that carries
+it to ``repro profile``, ``report`` and ``explain``."""
 
 import json
+import os
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.obs.attrib import (
     artifact_json,
     build_artifact,
     effort_units,
-    main as attrib_main,
     require_valid_artifact,
     resolve_attrib_mode,
     validate_artifact,
@@ -42,10 +43,10 @@ def artifact_of(collector, top_k=5):
 
 
 def explain(system="System1", **kwargs):
-    from repro.flow.explain import explain_system
+    from repro.flow.profile import run_pipeline
 
     kwargs.setdefault("max_faults", MAX_FAULTS)
-    return explain_system(system, **kwargs)
+    return run_pipeline(system, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +163,7 @@ class TestPodemPlane:
 
 
 # ----------------------------------------------------------------------
-# the explain driver: artifact validity, reconciliation, determinism
+# the pipeline run's artifact: validity, reconciliation, determinism
 # ----------------------------------------------------------------------
 class TestExplain:
     def test_artifact_is_schema_valid(self):
@@ -236,8 +237,9 @@ class TestExplain:
         efforts = [row["effort"] for row in hard]
         assert efforts == sorted(efforts, reverse=True)
 
-    def test_deep_mode_adds_cone_sites(self):
-        report = explain(mode="deep")
+    def test_deep_mode_adds_cone_sites(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ATTRIB", "deep")
+        report = explain()
         sim = report.artifact["planes"]["sim"]
         assert "cones" in sim
         assert sim["cone_walks"] == sum(sim["cones"].values())
@@ -247,7 +249,7 @@ class TestExplain:
 
         report = explain()
         record = report.ledger_record()
-        assert record["kind"] == "explain"
+        assert record["kind"] == "profile"
         assert record["attrib"] == report.artifact
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(record)
@@ -259,7 +261,7 @@ class TestExplain:
         bad = dict(explain().artifact)
         bad["schema"] = "not-attrib"
         with pytest.raises(LedgerSchemaError, match="attrib:"):
-            make_record("explain-System1", [0.1], counters={}, kind="explain",
+            make_record("profile-System1", [0.1], counters={}, kind="profile",
                         attrib=bad)
 
 
@@ -322,16 +324,21 @@ class TestValidator:
             require_valid_artifact({"schema": "repro-attrib"})
 
     def test_main_exit_codes(self, tmp_path, capsys):
+        from repro.obs.benchjson import main as benchjson_main
+
         good = tmp_path / "good.json"
         good.write_text(artifact_json(self.artifact()))
         bad = tmp_path / "bad.json"
-        bad.write_text("{}\n")
-        assert attrib_main([str(good)]) == 0
-        assert attrib_main([str(bad)]) == 1
-        assert attrib_main([str(tmp_path / "missing.json")]) == 1
-        assert attrib_main([]) == 2
+        broken = self.artifact()
+        broken["planes"]["atpg"]["totals"]["decisions"] = -1
+        bad.write_text(artifact_json(broken))
+        assert benchjson_main([str(good)]) == 0
+        assert benchjson_main([str(bad)]) == 1
+        assert benchjson_main([str(tmp_path / "missing.json")]) == 1
+        assert benchjson_main([]) == 2
         out = capsys.readouterr()
-        assert "ok" in out.out and "FAIL" in out.out
+        assert f"ok   {good} (attrib)" in out.out
+        assert f"FAIL {bad}: " in out.out and "decisions" in out.out
 
     def test_artifact_json_is_canonical(self):
         artifact = self.artifact()
@@ -354,7 +361,7 @@ class TestCli:
             return error.code
 
     @pytest.mark.parametrize("argv", [
-        ["explain", "System1", "--top", "0", "--json"],
+        ["explain", "System1", "--top", "0"],
         ["explain", "System1", "--quick", "--top", "-3"],
         ["report", "System1", "--quick", "--top", "0"],
         ["report", "System1", "--quick", "--top", "-2"],
@@ -364,8 +371,7 @@ class TestCli:
         def pipeline(*_args, **_kwargs):
             raise AssertionError("the pipeline ran before --top was checked")
 
-        monkeypatch.setattr("repro.flow.explain.explain_system", pipeline)
-        monkeypatch.setattr("repro.flow.profile.profile_system", pipeline)
+        monkeypatch.setattr("repro.flow.profile.run_pipeline", pipeline)
         assert self.run_cli(argv) == 2
         assert "--top" in capsys.readouterr().err
 
@@ -375,10 +381,12 @@ class TestCli:
         ["regress", "--ledger", "{bogus}"],
         ["regress", "--ledger", "{ledger}", "--baseline", "{bogus}"],
         ["report", "System1", "--quick", "--baseline", "{dir}"],
-        ["explain", "System1", "--quick", "--baseline", "{dir}"],
+        ["explain", "System1", "--quick", "-o", "{dir}"],
         ["profile", "System1", "--quick", "--ledger", "{dir}"],
         ["report", "System1", "--quick", "-o", "{dir}"],
         ["plan", "System1", "--trace", "{dir}"],
+        pytest.param(["export", "System1", "-o", "{full}"], marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full device")),
     ])
     def test_path_mistake_exits_2_with_one_line(self, argv, tmp_path, capsys):
         from repro.obs.ledger import RunLedger, make_record
@@ -387,12 +395,13 @@ class TestCli:
             "dir": tmp_path / "a-directory",
             "bogus": tmp_path / "not-a-ledger.txt",
             "ledger": tmp_path / "ledger.jsonl",
+            "full": "/dev/full",  # every write fails: no space left on device
         }
         paths["dir"].mkdir()
         paths["bogus"].write_text("not a ledger\n")
         RunLedger(paths["ledger"]).append(make_record("b", [1.0], counters={}))
         argv = [arg.format(**paths) for arg in argv]
-        bad = next(str(paths[key]) for key in ("dir", "bogus")
+        bad = next(str(paths[key]) for key in ("dir", "bogus", "full")
                    if str(paths[key]) in argv)
         assert self.run_cli(argv) == 2
         err = capsys.readouterr().err
@@ -418,73 +427,105 @@ class TestCli:
         assert code == 2
         assert str(bogus) in capsys.readouterr().err
 
-    def test_explain_missing_baseline_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "nope.jsonl"
-        code = self.run_cli(
-            ["explain", "System1", "--quick", "--baseline", str(missing)]
-        )
-        assert code == 2
-        assert str(missing) in capsys.readouterr().err
-
-    def test_explain_non_ledger_baseline_exits_2(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.jsonl"
-        bogus.write_text("also not a ledger\n")
-        code = self.run_cli(
-            ["explain", "System1", "--quick", "--baseline", str(bogus)]
-        )
-        assert code == 2
-        assert str(bogus) in capsys.readouterr().err
-
     def test_explain_json_writes_valid_artifact(self, tmp_path):
         out = tmp_path / "attrib.json"
         code = self.run_cli(
-            ["explain", "System1", "--quick", "--json", "-o", str(out)]
+            ["explain", "System1", "--quick", "-o", str(out)]
         )
         assert code == 0
         payload = json.loads(out.read_text())
         assert validate_artifact(payload) == []
         assert artifact_json(payload) == out.read_text()
 
-    def test_explain_markdown_report(self, tmp_path, capsys):
-        code = self.run_cli(["explain", "System1", "--quick", "--top", "3"])
+    def test_explain_stdout_is_the_artifact(self, capsys):
+        assert self.run_cli(["explain", "System1", "--quick", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert validate_artifact(payload) == []
+        assert artifact_json(payload) == out
+        assert payload["top_k"] == 3 and len(payload["planes"]["atpg"]["hard_faults"]) == 3
+
+    # the explain sections render through `repro report`, whose run
+    # record always carries the attribution artifact
+    def test_explain_markdown_report(self, capsys):
+        code = self.run_cli(["report", "System1", "--quick", "--top", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Search-effort attribution" in out
         assert "Hardest faults" in out
         assert "Optimizer convergence" in out
         assert "| unaccounted |" in out
-        assert "`explain.total`" not in out  # the root is not a hotspot
+        assert "`profile.total`" not in out  # the root is not a hotspot
 
     def test_explain_html_report(self, tmp_path):
         out = tmp_path / "report.html"
         code = self.run_cli(
-            ["explain", "System1", "--quick", "--html", "-o", str(out)]
+            ["report", "System1", "--quick", "-f", "html", "-o", str(out)]
         )
         assert code == 0
-        text = out.read_text()
+        text = out.read_text(encoding="utf-8")
         assert "Search-effort attribution" in text
+        assert "Hardest faults" in text
         assert text.lstrip().startswith("<")
 
-    def test_explain_ledger_roundtrip(self, tmp_path):
+    def test_profile_ledger_embeds_artifact(self, tmp_path):
         from repro.obs.ledger import RunLedger
 
         ledger = tmp_path / "ledger.jsonl"
-        code = self.run_cli(
-            ["explain", "System1", "--quick", "--json", "--ledger", str(ledger),
-             "-o", str(tmp_path / "a.json")]
-        )
-        assert code == 0
-        record = RunLedger(ledger).latest("explain-System1-quick")
-        assert record["kind"] == "explain"
+        assert self.run_cli(
+            ["profile", "System1", "--quick", "--ledger", str(ledger)]
+        ) == 0
+        record = RunLedger(ledger).latest("profile-System1-quick")
+        assert record["kind"] == "profile"
         assert validate_artifact(record["attrib"]) == []
+        assert record["counters"]["attrib.podem.records"] > 0
 
 
 # ----------------------------------------------------------------------
-# attribution deltas and the regression gate
+# attribution and the regression gate
 # ----------------------------------------------------------------------
 class TestExecutorDeltas:
     def test_regress_gate_ignores_attrib_counters(self):
         from repro.obs.regress import COUNTER_IGNORE as ignored
 
-        assert "attrib." in ignored
-        assert "explain." in ignored
+        assert ignored == ("exec.", "attrib.")
+
+
+class TestPipelineRun:
+    def test_attribution_changes_no_work(self):
+        # the pipeline run with the collector on, against the same stage
+        # sequence with it off: a hook that changed a decision would
+        # move a work counter or the plan
+        from repro.designs import system_builders
+        from repro.flow.profile import QUICK_MAX_FAULTS, regenerate_atpg, run_pipeline
+        from repro.obs import METRICS, profile_section
+        from repro.soc.optimizer import SocetOptimizer, design_space
+        from repro.soc.plan import plan_soc_test
+
+        run = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
+        assert not ATTRIB.enabled
+        METRICS.reset()
+        with profile_section("profile.total"):
+            soc = system_builders()["System1"]()
+            for core in soc.testable_cores():
+                regenerate_atpg(core.circuit, 0, QUICK_MAX_FAULTS)
+            plan = plan_soc_test(soc)
+            budget = max(point.chip_cells for point in design_space(soc))
+            optimized, _trajectory = SocetOptimizer(soc).minimize_tat(budget)
+            greedy = plan.schedule(algorithm="greedy")
+            plan.schedule(algorithm="sessions")
+        plain = dict(METRICS.counters())
+
+        def work(counters):
+            return {name: value for name, value in counters.items()
+                    if not name.startswith(("attrib.", "exec."))}
+
+        assert run.all_counters["attrib.podem.records"] > 0
+        assert plain["attrib.podem.records"] == 0
+        assert work(run.all_counters) == work(plain)
+        assert run.summary == {
+            "serial TAT": plan.total_tat,
+            "scheduled TAT": greedy.makespan,
+            "optimized TAT": optimized.total_tat,
+            "min-area DFT cells": plan.chip_dft_cells,
+        }

@@ -105,6 +105,15 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "DET002" in out and "bad.py" in out
 
+    def test_missing_path_exits_2_with_one_line(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        missing = str(tmp_path / "srcc")
+        assert main([str(clean), missing]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and repr(missing) in out.err
+
     def test_issue_format_is_parseable(self):
         issue = check_source("from random import random\n", "a/b.py")[0]
         path, line, col, rest = str(issue).split(":", 3)

@@ -1,4 +1,4 @@
-"""Golden ``repro explain System1 --quick --json`` artifact.
+"""Golden ``repro explain System1 --quick`` artifact.
 
 The artifact records, per PODEM call, the decisions, backtracks,
 implication passes, and restarts, reconciled exactly against the
@@ -8,7 +8,7 @@ ATPG engine made the same decisions as when the fixture was written.
 A change that alters decisions *on purpose* (a new backtrace heuristic,
 a different fault order) regenerates the fixture with::
 
-    PYTHONPATH=src python -m repro explain System1 --quick --json \\
+    PYTHONPATH=src python -m repro explain System1 --quick \\
         > tests/fixtures/attrib-System1-quick.json
 
 and records the regeneration, and why, in CHANGES.md.
@@ -16,16 +16,16 @@ and records the regeneration, and why, in CHANGES.md.
 
 from pathlib import Path
 
-from repro.flow.explain import explain_system
-from repro.flow.profile import QUICK_MAX_FAULTS
+from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
 from repro.obs.attrib import ATTRIB
 
 FIXTURE = Path(__file__).parent / "fixtures" / "attrib-System1-quick.json"
 
 
-def test_system1_quick_artifact_is_byte_identical():
+def test_system1_quick_artifact_is_byte_identical(monkeypatch):
+    monkeypatch.delenv("REPRO_ATTRIB", raising=False)
     try:
-        report = explain_system("System1", max_faults=QUICK_MAX_FAULTS, mode="on")
+        report = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
     finally:
         ATTRIB.reset()
     assert report.artifact_json() == FIXTURE.read_text()

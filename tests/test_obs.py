@@ -309,9 +309,9 @@ class TestStageTable:
 
     @pytest.mark.parametrize("system", ["System1", "System2"])
     def test_rows_sum_to_the_total(self, system):
-        from repro.flow.profile import QUICK_MAX_FAULTS, profile_system
+        from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
 
-        report = profile_system(system, max_faults=QUICK_MAX_FAULTS)
+        report = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
         assert report.stages[-1]["stage"] == "unaccounted"
         assert report.stages[-1]["self_seconds"] > 0.0
         rows = sum(row["self_seconds"] for row in report.stages)

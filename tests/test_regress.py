@@ -122,7 +122,7 @@ class TestCompareRecords:
         assert verdict.status == "ok" and not verdict.failed
 
     def test_ignored_prefixes_default_to_bookkeeping(self):
-        assert COUNTER_IGNORE == ("exec.", "attrib.", "explain.")
+        assert COUNTER_IGNORE == ("exec.", "attrib.")
         verdict = compare_records(
             record(counters={"c": 1, "exec.cache.hits": 9}),
             record(counters={"c": 1, "exec.cache.hits": 0}),

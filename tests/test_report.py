@@ -1,6 +1,12 @@
 """Tests for run reports (:mod:`repro.obs.report`) and ``repro report``."""
 
+import html
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,10 +74,11 @@ class TestHotspots:
         assert rows[1]["seconds"] == pytest.approx(3.0)
         assert rows[1]["calls"] == 2
 
-    @pytest.mark.parametrize("root", ["profile.total", "explain.total"])
-    def test_root_section_is_never_a_hotspot(self, root):
-        registry = registry_with({root: (1, 9.0, 5.0), "atpg.run": (1, 4.0, 4.0)})
-        rows = hotspots(registry, root=root)
+    def test_root_section_is_never_a_hotspot(self):
+        registry = registry_with({
+            "profile.total": (1, 9.0, 5.0), "atpg.run": (1, 4.0, 4.0),
+        })
+        rows = hotspots(registry)
         assert [row["section"] for row in rows] == ["atpg.run"]
 
 
@@ -208,3 +215,53 @@ class TestCliReport:
                 "--baseline", str(tmp_path / "none.jsonl"),
             ])
         assert exc.value.code == 2
+
+    def test_markdown_and_html_carry_the_same_sections(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.flow import profile
+        from repro.obs.ledger import RunLedger
+
+        # one pipeline run and one timestamp behind both renderings
+        run = profile.run_pipeline("System1", max_faults=profile.QUICK_MAX_FAULTS)
+        monkeypatch.setattr(profile, "run_pipeline", lambda *_a, **_k: run)
+        monkeypatch.setattr("repro.obs.ledger.utc_timestamp",
+                            lambda: "2026-08-06T12:00:00Z")
+        drifted = run.ledger_record()
+        drifted["counters"]["atpg.podem.calls"] += 1  # one counter-diff row
+        baseline = tmp_path / "baseline.jsonl"
+        RunLedger(baseline).append(drifted)
+        md, page = tmp_path / "report.md", tmp_path / "report.html"
+        common = ["report", "System1", "--quick", "--baseline", str(baseline)]
+        assert main(common + ["-o", str(md)]) == 0
+        assert main(common + ["-f", "html", "-o", str(page)]) == 0
+        text = md.read_text(encoding="utf-8")
+        body = page.read_text(encoding="utf-8").split("<body>", 1)[1]
+
+        md_headings = [(len(marks), title) for marks, title
+                       in re.findall(r"^(#+) (.+)$", text, re.M)]
+        html_headings = [(int(level), html.unescape(title)) for level, title
+                         in re.findall(r"<h(\d)>(.*?)</h\1>", body)]
+        assert md_headings == html_headings
+        assert [title for level, title in md_headings if level == 2] == [
+            "Plan summary", "Stage times", "Hotspots",
+            "Search-effort attribution", "Counters vs baseline",
+        ]
+        number = re.compile(r"\d+(?:\.\d+)?")
+        html_text = html.unescape(re.sub(r"<[^>]+>", " ", body))
+        assert number.findall(text) == number.findall(html_text)
+        assert str(run.summary["optimized TAT"]) in number.findall(text)
+
+    def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(root / "src"))
+        out = tmp_path / "report.md"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "report", "System1", "--quick",
+             "-o", str(out)],
+            env=env, capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text(encoding="utf-8").startswith(
+            "# Run report — System1 pipeline"
+        )
