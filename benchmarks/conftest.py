@@ -77,19 +77,17 @@ def canonical_cache_state():
     """Reset cross-test warm state so counters are invocation-invariant.
 
     The plan cache lives on the (session-cached) ``Soc`` objects and
-    fanout cones are shared per netlist, so a bench that runs after
+    compiled kernels are shared per netlist, so a bench that runs after
     another bench in the same session would otherwise count fewer
-    ``chiplevel.*`` / ``faultsim.cone.*`` events than the same bench run
-    solo -- and its ledger record would trip the exact counter gate
-    against history recorded under the other invocation shape.
+    ``chiplevel.*`` / ``kernel.*`` events than the same bench run solo
+    -- and its ledger record would trip the exact counter gate against
+    history recorded under the other invocation shape.
     """
     from repro.exec import invalidate_plan_cache
-    from repro.faults.simulator import clear_cone_caches
     from repro.gates.kernel import clear_kernel_caches
 
     for soc in _SESSION_SOCS:
         invalidate_plan_cache(soc)
-    clear_cone_caches()
     clear_kernel_caches()
     yield
 

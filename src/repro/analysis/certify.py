@@ -495,7 +495,7 @@ def certify_plan(plan, proofs_by_version: Dict[Tuple[str, int], VersionCertifica
 
 def certify_soc(soc, selection: Optional[Dict[str, int]] = None) -> Certificate:
     """Certify every version of every testable core, then the plan's routes."""
-    with profile_section("analysis.certify", soc=soc.name) as section:
+    with profile_section("analysis.certify"):
         if selection is None:
             selection = {core.name: 0 for core in soc.testable_cores()}
         versions: List[VersionCertificate] = []
@@ -530,13 +530,6 @@ def certify_soc(soc, selection: Optional[Dict[str, int]] = None) -> Certificate:
             test_muxes=test_muxes,
         )
         METRICS.counter("analysis.certificates").inc()
-        summary = result.summary()
-        section.set(
-            paths=summary["paths"],
-            proved=summary["proved"],
-            refuted=summary["refuted"],
-            routes=summary["routes"],
-        )
     return result
 
 

@@ -226,7 +226,7 @@ def replay_soc(soc, seed: int = 2024, trials: int = 2) -> List[ReplayResult]:
     """
     from repro.analysis.certify import fresh_known_arcs
 
-    with profile_section("analysis.replay", soc=soc.name) as section:
+    with profile_section("analysis.replay"):
         results: List[ReplayResult] = []
         for core in sorted(soc.testable_cores(), key=lambda c: c.name):
             for version in core.versions:
@@ -253,5 +253,4 @@ def replay_soc(soc, seed: int = 2024, trials: int = 2) -> List[ReplayResult]:
                             trials=trials,
                         )
                     )
-        section.set(replays=len(results), ok=sum(1 for r in results if r.ok))
     return results

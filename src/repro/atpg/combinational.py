@@ -69,7 +69,7 @@ class CombinationalAtpg:
     # ------------------------------------------------------------------
     def run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgOutcome:
         """Generate a compacted pattern set covering the fault list."""
-        with profile_section("atpg.run", gates=len(list(self.netlist.names()))):
+        with profile_section("atpg.run"):
             outcome = self._run(faults)
         _RUNS.inc()
         _RANDOM_DETECTED.inc(outcome.random_detected)

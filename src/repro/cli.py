@@ -23,8 +23,7 @@ Usage (after ``pip install -e .``)::
 (:func:`repro.flow.profile.run_pipeline`) and render its one record.
 
 Global observability flags work on every subcommand (before or after
-it): ``--trace FILE`` writes a Chrome ``trace_event`` JSON of the run,
-``--metrics`` appends the full instrument table, and ``-v``/``-vv``
+it): ``--metrics`` appends the full instrument table, and ``-v``/``-vv``
 turn on INFO/DEBUG logging from the library.
 
 Exit codes: 0 success, 1 a runtime failure (or the subcommand's own
@@ -470,11 +469,6 @@ def _observability_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("observability")
     group.add_argument(
-        "--trace", metavar="FILE", default=argparse.SUPPRESS,
-        help="write a Chrome trace_event JSON of this run "
-             "(open in chrome://tracing or ui.perfetto.dev)",
-    )
-    group.add_argument(
         "--metrics", action="store_true", default=argparse.SUPPRESS,
         help="print the full metrics table after the command",
     )
@@ -690,9 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Renders one pipeline run: the plan summary, the stage table (self\n"
             "times plus the run's unaccounted time), the top-k hotspots by self\n"
-            "time, the search-effort attribution (hardest faults, simulation\n"
-            "work per level and gate kind, optimizer convergence), and a counter\n"
-            "diff against the baseline ledger's newest record of the same series.\n"
+            "time, the search-effort attribution (hardest faults and optimizer\n"
+            "convergence), and a counter diff against the baseline ledger's\n"
+            "newest record of the same series.\n"
         ),
     )
     p_report.add_argument(
@@ -721,12 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "Writes the byte-stable 'repro-attrib' artifact of one pipeline\n"
-            "run: the top-K hardest faults (PODEM effort ledger), simulation\n"
-            "work per (level, gate kind), and the optimizer's move trajectory,\n"
-            "reconciled exactly against the atpg.* and faultsim.* counters.\n"
-            "Check it offline with 'python -m repro.obs.benchjson FILE'; 'repro\n"
-            "report' renders the same planes.  REPRO_ATTRIB=deep adds\n"
-            "per-fault-site cone-walk detail.\n"
+            "run: the top-K hardest faults (PODEM effort ledger, reconciled\n"
+            "exactly against the atpg.podem.* counters) and the optimizer's\n"
+            "move trajectory.  Check it offline with 'python -m\n"
+            "repro.obs.benchjson FILE'; 'repro report' renders the same planes.\n"
         ),
     )
     p_explain.add_argument(
@@ -741,28 +733,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.obs import (
-        METRICS,
-        TRACER,
-        configure_logging,
-        disable_tracing,
-        enable_tracing,
-    )
+    from repro.obs import METRICS, configure_logging
 
     args = build_parser().parse_args(argv)
-    trace_path = getattr(args, "trace", None)
     show_metrics = getattr(args, "metrics", False)
     configure_logging(getattr(args, "verbose", 0))
-    if trace_path:
-        enable_tracing()
     try:
-        try:
-            status = args.func(args)
-        finally:
-            if trace_path:
-                disable_tracing()
-                TRACER.export_chrome(trace_path)
-                print(f"wrote trace to {trace_path}", file=sys.stderr)
+        status = args.func(args)
     except UsageError as error:
         # bad arguments exit 2, like argparse's own errors; real failures exit 1
         print(f"repro: {error}", file=sys.stderr)

@@ -74,7 +74,7 @@ class HscanResult:
 
 def insert_hscan(circuit: RTLCircuit) -> HscanResult:
     """Plan HSCAN for ``circuit`` (does not modify it; see apply_hscan)."""
-    with profile_section("corelevel.hscan", core=circuit.name):
+    with profile_section("corelevel.hscan"):
         result = _insert_hscan(circuit)
     _INSERTIONS.inc()
     return result

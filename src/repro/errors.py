@@ -79,11 +79,11 @@ class LintError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """A problem in the tracing/metrics/bench-format layer."""
+    """A problem in the metrics/bench-format/ledger layer."""
 
 
 class BenchSchemaError(ObservabilityError):
-    """A BENCH_*.json or trace artifact violates the expected schema."""
+    """A BENCH_*.json file (or an unrecognised document) violates its schema."""
 
 
 class LedgerSchemaError(ObservabilityError):

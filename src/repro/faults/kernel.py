@@ -24,9 +24,7 @@ every stem fault's activation, one padded gather per gate kind computes
 every pin fault's forced value, and only the faults that actually
 activate enter a dense plane -- the good plane tiled once per fault --
 whose faulty rows are forced between levels.  A cheap replay of the
-reference batch loop then re-derives the exact counters and orderings --
-including ``faultsim.cone.*``, by touching the simulator's real cone
-cache precisely when the reference activation checks would have.
+reference batch loop then re-derives the exact counters and orderings.
 
 Sequential grading puts the good machine in block 0 of the same plane
 (fault ``f`` in block ``f + 1``) and runs every machine cycle by cycle
@@ -50,13 +48,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.faults.simulator import (
-    FaultSimResult,
-    Pattern,
-    _lowest_bit,
-    attrib_cone_profile,
-    attrib_netlist_profile,
-)
+from repro.faults.simulator import FaultSimResult, Pattern, _lowest_bit
 from repro.gates.cells import STATE_KINDS, GateKind
 from repro.gates.kernel import (
     ALL_ONES,
@@ -72,14 +64,12 @@ from repro.gates.kernel import (
 )
 from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS
-from repro.obs.attrib import ATTRIB
 
 # the fault simulator's instruments, shared by name so the kernels and
 # the reference graders advance the very same counters
 _BATCHES = METRICS.counter("faultsim.batches")
 _EVENTS = METRICS.counter("faultsim.events")
 _DROPPED = METRICS.counter("faultsim.faults.dropped")
-_CONE_REUSES = METRICS.counter("faultsim.cone.reuses")
 
 #: most faults evaluated per dense value plane
 FAULT_CHUNK = 1024
@@ -166,8 +156,8 @@ def grade_combinational(
 ) -> FaultSimResult:
     """The grading behind :meth:`FaultSimulator.run`.
 
-    ``fsim`` is the :class:`FaultSimulator` whose netlist, observe set,
-    and cone cache define the grading; decisions and counters match its
+    ``fsim`` is the :class:`FaultSimulator` whose netlist and observe
+    set define the grading; decisions and counters match its
     :meth:`~FaultSimulator.reference_run` bit for bit.
     """
     netlist: GateNetlist = fsim.netlist
@@ -180,20 +170,15 @@ def grade_combinational(
     if not alive:
         # the reference loop grades one batch before noticing it has no faults
         _BATCHES.inc()
-        if ATTRIB.enabled:
-            ATTRIB.sim_good(attrib_netlist_profile(netlist))
         return result
 
     # ---- static per-fault lowering (one plan per distinct fault) ----
     plan_of: Dict[Fault, int] = {}
     plan_list: List[_Plan] = []
-    cone_keys: List[Tuple] = []
-    observe_key = fsim._observe_key
     for fault in alive:
         if fault not in plan_of:
             plan_of[fault] = len(plan_list)
             plan_list.append(_plan(program, fault))
-            cone_keys.append((observe_key, fault.gate))
     n_plans = len(plan_list)
     alive_idx: List[int] = [plan_of[fault] for fault in alive]
 
@@ -217,7 +202,6 @@ def grade_combinational(
         sorted(program.row[name] for name in fsim._observe if name in program.row),
         dtype=np.intp,
     )
-    cone_cache = fsim._cone_cache
 
     # ---- good machine, all batches in one wide evaluation ----
     # (the reference re-simulates per 64-pattern batch; the good
@@ -311,33 +295,13 @@ def grade_combinational(
             tail = act[:, w:].any(axis=1)
             dense_sweep(list(dict.fromkeys(i for i in alive_idx if tail[i])), 1, W)
             swept_tail = True
-        act_col = act[:, w].tolist()
         det_col = detect[:, w].tolist()
         _BATCHES.inc()
         _EVENTS.inc(count * len(alive))
-        attrib = ATTRIB.enabled
-        if attrib:
-            ATTRIB.sim_good(attrib_netlist_profile(netlist))
-            ATTRIB.sim_sweep(count * len(alive))
         still_alive: List[Fault] = []
         still_idx: List[int] = []
         dropped = 0
         for fault, i in zip(alive, alive_idx):
-            if act_col[i]:
-                # exactly where the reference walks the fanout cone --
-                # keeps faultsim.cone.builds/reuses and the shared cone
-                # cache state identical (inlined reuse fast path)
-                if cone_keys[i] in cone_cache:
-                    _CONE_REUSES.inc()
-                else:
-                    fsim._cone(fault.gate)
-                if attrib:
-                    ATTRIB.sim_cone(
-                        attrib_cone_profile(
-                            fsim, fault.gate, cone_cache[cone_keys[i]][0]
-                        ),
-                        f"{netlist.name}::{fault.gate}",
-                    )
             word = det_col[i]
             if word:
                 result.detected.append(fault)

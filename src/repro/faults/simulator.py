@@ -23,13 +23,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.gates.cells import SOURCE_KINDS, GateKind
-from repro.gates.levelize import depth_levels
-from repro.gates.netlist import GateNetlist, NetlistCache
+from repro.gates.cells import GateKind
+from repro.gates.netlist import GateNetlist
 from repro.gates.simulator import CombinationalSimulator, eval_kind
 from repro.gates.sequential import SequentialSimulator
 from repro.obs import METRICS, profile_section
-from repro.obs.attrib import ATTRIB
 
 logger = logging.getLogger("repro.faults.simulator")
 
@@ -38,75 +36,10 @@ _EVENTS = METRICS.counter("faultsim.events")
 _DROPPED = METRICS.counter("faultsim.faults.dropped")
 _SEQ_FAULTS = METRICS.counter("faultsim.sequential.faults")
 _SEQ_CHUNKS = METRICS.counter("faultsim.sequential.chunks")
-_CONE_BUILDS = METRICS.counter("faultsim.cone.builds")
-_CONE_REUSES = METRICS.counter("faultsim.cone.reuses")
 
 #: sequences packed per word in sequential grading; longer stimulus sets
 #: are chunked transparently (fault dropping carries across chunks)
 SEQUENCE_PACK_LIMIT = 256
-
-#: netlist -> {(observe key, fault site): cone} -- shared by every
-#: FaultSimulator on the same netlist (ATPG, compaction, and repeated
-#: grade calls re-walk identical fanout cones otherwise)
-_SHARED_CONES: "NetlistCache[Dict]" = NetlistCache()
-
-
-def clear_cone_caches() -> None:
-    """Drop every shared fanout-cone cache.
-
-    Cone reuse is a wall-time optimization, not a semantic one; callers
-    that need cache-warmth-independent counters (the bench harness, which
-    records ``faultsim.cone.builds``/``reuses`` in ledger records) clear
-    the shared state so a run counts the same whether or not an earlier
-    run in the process already walked the same netlists.
-    """
-    _SHARED_CONES.clear()
-    _ATTRIB_PROFILES.clear()
-
-
-#: netlist -> {"netlist": profile, ("cone", observe_key, site): profile}
-#: -- per-(level, kind) gate populations feeding effort attribution
-_ATTRIB_PROFILES: "NetlistCache[Dict]" = NetlistCache()
-
-
-def attrib_netlist_profile(netlist: GateNetlist) -> Dict[str, int]:
-    """``level:kind`` -> evaluated-gate count for one full good-value pass.
-
-    Counts exactly the gates the compiled kernels group into op slots
-    (everything outside :data:`SOURCE_KINDS`), bucketed by the shared
-    :func:`depth_levels` definition, so the kernels and the reference
-    graders attribute identical populations.
-    """
-    store = _ATTRIB_PROFILES.get(netlist, dict)
-    profile = store.get("netlist")
-    if profile is None:
-        levels = depth_levels(netlist)
-        profile = {}
-        for gate in netlist.gates():
-            if gate.kind in SOURCE_KINDS:
-                continue
-            bucket = f"{levels[gate.name]}:{gate.kind.value}"
-            profile[bucket] = profile.get(bucket, 0) + 1
-        store["netlist"] = profile
-    return profile
-
-
-def attrib_cone_profile(
-    fsim: "FaultSimulator", site_gate: str, cone: Sequence[str]
-) -> Dict[str, int]:
-    """``level:kind`` profile of one detection cone (cached per site)."""
-    store = _ATTRIB_PROFILES.get(fsim.netlist, dict)
-    key = ("cone", fsim._observe_key, site_gate)
-    profile = store.get(key)
-    if profile is None:
-        levels = depth_levels(fsim.netlist)
-        profile = {}
-        for name in cone:
-            gate = fsim.netlist.gate(name)
-            bucket = f"{levels[name]}:{gate.kind.value}"
-            profile[bucket] = profile.get(bucket, 0) + 1
-        store[key] = profile
-    return profile
 
 Pattern = Mapping[str, int]  # source gate name -> bit value
 
@@ -157,22 +90,15 @@ class FaultSimulator:
         self._observe: Set[str] = set(observed)
         self._level: Dict[str, int] = {name: i for i, name in enumerate(self._sim.order)}
         self._fanout = netlist.fanout_map()
-        # cones depend only on (netlist, observe set), so simulators on
-        # the same netlist share one cache keyed by the observe set
-        self._observe_key = frozenset(self._observe)
-        self._cone_cache: Dict[Tuple, Tuple[List[str], List[str]]] = (
-            _SHARED_CONES.get(netlist, dict)
-        )
+        #: fault site -> its cone (the reference grader's walks only)
+        self._cone_cache: Dict[str, Tuple[List[str], List[str]]] = {}
 
     # ------------------------------------------------------------------
     def _cone(self, site_gate: str) -> Tuple[List[str], List[str]]:
         """(combinational gates downstream of site in level order, observed nets in cone)."""
-        cache_key = (self._observe_key, site_gate)
-        cached = self._cone_cache.get(cache_key)
+        cached = self._cone_cache.get(site_gate)
         if cached is not None:
-            _CONE_REUSES.inc()
             return cached
-        _CONE_BUILDS.inc()
         visited: Set[str] = set()
         stack = [site_gate]
         while stack:
@@ -190,15 +116,13 @@ class FaultSimulator:
         )
         observed = [name for name in visited if name in self._observe]
         result = (ordered, observed)
-        self._cone_cache[cache_key] = result
+        self._cone_cache[site_gate] = result
         return result
 
     # ------------------------------------------------------------------
     def run(self, patterns: Sequence[Pattern], faults: Sequence[Fault]) -> FaultSimResult:
         """Grade ``patterns`` against ``faults`` with fault dropping."""
-        with profile_section(
-            "faultsim.run", patterns=len(patterns), faults=len(faults)
-        ):
+        with profile_section("faultsim.run"):
             from repro.faults import kernel as _kernel
 
             return _kernel.grade_combinational(self, patterns, faults)
@@ -231,9 +155,6 @@ class FaultSimulator:
 
             _BATCHES.inc()
             _EVENTS.inc(count * len(alive))
-            if ATTRIB.enabled:
-                ATTRIB.sim_good(attrib_netlist_profile(self.netlist))
-                ATTRIB.sim_sweep(count * len(alive))
 
             still_alive: List[Fault] = []
             for fault in alive:
@@ -285,11 +206,6 @@ class FaultSimulator:
             overlay = {fault.gate: faulty_value}
 
         cone, observed = self._cone(cone_root)
-        if ATTRIB.enabled:
-            ATTRIB.sim_cone(
-                attrib_cone_profile(self, cone_root, cone),
-                f"{self.netlist.name}::{cone_root}",
-            )
         if not observed:
             return 0
 
@@ -350,9 +266,7 @@ def sequential_fault_grade(
         rng = random.Random(seed)
         chosen = rng.sample(chosen, sample)
 
-    with profile_section(
-        "faultsim.sequential", sequences=len(sequences), faults=len(chosen)
-    ):
+    with profile_section("faultsim.sequential"):
         _SEQ_FAULTS.inc(len(chosen))
         return _sequential_grade(netlist, sequences, chosen)
 

@@ -101,7 +101,7 @@ def schedule_points(
     """Concurrent-session schedules for every design point, in order."""
     from repro.schedule import schedule_plan
 
-    with profile_section("chiplevel.schedule_points", points=len(points)):
+    with profile_section("chiplevel.schedule_points"):
         return [
             schedule_plan(
                 point.plan,
@@ -125,7 +125,7 @@ def run_socet(soc: Soc, strict: bool = False) -> SocetRun:
         from repro.lint import strict_gate_soc
 
         strict_gate_soc(soc, gate="run_socet(strict=True)")
-    with profile_section("chiplevel.run_socet", soc=soc.name):
+    with profile_section("chiplevel.run_socet"):
         points = design_space(soc)
         min_area = min(points, key=lambda p: (p.chip_cells, p.tat))
         min_tat = min(points, key=lambda p: (p.tat, p.chip_cells))

@@ -63,9 +63,7 @@ def _sequential_row(
     seed: int,
     scan_access: str = "none",
 ) -> TestabilityRow:
-    with profile_section(
-        "faultsim.flatten", soc=soc.name, configuration=configuration
-    ):
+    with profile_section("faultsim.flatten"):
         netlist = flatten_soc(soc, with_hscan=with_hscan, scan_access=scan_access)
     faults = collapse_faults(netlist, full_fault_universe(netlist))
     rng = random.Random(seed)

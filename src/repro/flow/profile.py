@@ -16,8 +16,8 @@ section counts only there), and an ``unaccounted`` row holds the time
 spent outside every section, so the rows sum to the run's total.  The
 registry and the collector are reset together at run start, so the
 numbers describe exactly one pipeline execution and the artifact's
-reconciliation section can hold the attributed totals to the
-``atpg.*``/``faultsim.*`` counters *exactly*.
+reconciliation section can hold the attributed PODEM totals to the
+``atpg.podem.*`` counters *exactly*.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import UsageError
 from repro.obs import METRICS, profile_section, stage_rows
-from repro.obs.attrib import ATTRIB, artifact_json, build_artifact, resolve_attrib_mode
+from repro.obs.attrib import ATTRIB, artifact_json, build_artifact
 from repro.obs.profiler import ROOT_SECTION
 
 logger = logging.getLogger("repro.flow.profile")
@@ -128,8 +128,7 @@ def run_pipeline(
     the collapsed universe) -- the CLI's ``--quick`` mode, which keeps
     every stage and counter live while cutting minutes to seconds.
     ``top_k`` is the artifact's hard-fault table length.  Attribution
-    runs in ``deep`` mode when ``REPRO_ATTRIB=deep`` and ``on``
-    otherwise; the previous mode is restored on exit.
+    is on for the run; its previous state is restored on exit.
     """
     from repro.designs import system_builders
     from repro.soc.optimizer import SocetOptimizer, design_space
@@ -139,13 +138,12 @@ def run_pipeline(
     if system not in builders:
         raise UsageError(f"unknown system {system!r}; choose from {sorted(builders)}")
 
-    mode = "deep" if resolve_attrib_mode() == "deep" else "on"
-    previous = ATTRIB.mode
+    previous = ATTRIB.enabled
     METRICS.reset()
     ATTRIB.reset()
-    ATTRIB.configure(mode)
+    ATTRIB.enabled = True
     try:
-        with profile_section(ROOT_SECTION, system=system):
+        with profile_section(ROOT_SECTION):
             # core-level + transparency: building the SOC runs HSCAN
             # insertion and version synthesis for every core
             logger.info("building %s (HSCAN + transparency versions)", system)
@@ -179,7 +177,7 @@ def run_pipeline(
             top_k=top_k,
         )
     finally:
-        ATTRIB.configure(previous)
+        ATTRIB.enabled = previous
 
     return PipelineRun(
         system=system,

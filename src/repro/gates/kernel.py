@@ -146,9 +146,7 @@ class CompiledProgram:
         self.names: List[str] = names
         self.rows = len(names) + 2
 
-        #: gate name -> level (sources 0, gates 1 + max fanin level);
-        #: shared with the attribution profiles so the kernels and the
-        #: reference graders bucket work identically
+        #: gate name -> level (sources 0, gates 1 + max fanin level)
         level = dict(depth_levels(netlist))
         self.level: Dict[str, int] = level
         self.depth = max(level.values(), default=0)
@@ -275,7 +273,7 @@ class CompiledProgram:
 
 
 # ----------------------------------------------------------------------
-# compiled-program cache (mirrors the shared fanout-cone cache)
+# compiled-program cache
 # ----------------------------------------------------------------------
 _PROGRAMS: "NetlistCache[CompiledProgram]" = NetlistCache()
 
@@ -283,10 +281,9 @@ _PROGRAMS: "NetlistCache[CompiledProgram]" = NetlistCache()
 def compiled_program(netlist: GateNetlist) -> CompiledProgram:
     """The netlist's compiled program, compiled once per netlist.
 
-    Cached per netlist object under the :class:`NetlistCache` rule (like
-    ``_SHARED_CONES``): every fault simulator, ATPG pass, and compaction
-    run on the same netlist shares one program, and an edited netlist
-    recompiles.  ``kernel.compiles`` / ``kernel.cache.reuses`` count
+    Cached per netlist object under the :class:`NetlistCache` rule:
+    every fault simulator, ATPG pass, and compaction run on the same
+    netlist shares one program, and an edited netlist recompiles.  ``kernel.compiles`` / ``kernel.cache.reuses`` count
     cache behaviour; :func:`clear_kernel_caches` restores cold-state
     counting for the bench harness.
     """
@@ -298,7 +295,7 @@ def compiled_program(netlist: GateNetlist) -> CompiledProgram:
 
 
 def _compile(netlist: GateNetlist) -> CompiledProgram:
-    with profile_section("kernel.compile", netlist=netlist.name, gates=len(netlist)):
+    with profile_section("kernel.compile"):
         program = CompiledProgram(netlist)
     _COMPILES.inc()
     return program

@@ -179,8 +179,8 @@ class NetlistCache(Generic[T]):
     Entries are keyed weakly on the netlist object and tagged with its
     :attr:`GateNetlist.stamp`; after ``add_gate``/``replace_gate`` the tag
     no longer matches and the next lookup rebuilds.  Every per-netlist
-    cache (levelization, depth levels, compiled kernels, fault cones,
-    the PODEM structure) goes through this one invalidation rule.
+    cache (levelization, depth levels, compiled kernels, the PODEM
+    structure) goes through this one invalidation rule.
     """
 
     def __init__(self) -> None:

@@ -76,7 +76,7 @@ def lint_soc(
     building a plan on a broken SOC would raise rather than lint.
     """
     registry = registry or default_registry()
-    with profile_section("lint.pass", soc=soc.name):
+    with profile_section("lint.pass"):
         context = _context_for_soc(soc)
         report = registry.run(context, scopes=("circuit", "soc"))
         if not deep or report.errors:

@@ -1,17 +1,18 @@
-"""Observability for the SOCET pipeline: tracing, metrics, profiling.
+"""Observability for the SOCET pipeline: metrics, timed sections, attribution.
 
-Zero-dependency subsystem with three cooperating parts:
+Zero-dependency subsystem; instrumentation never forks hot-path code:
 
-* :mod:`repro.obs.tracer` -- a span tracer (Chrome ``trace_event`` JSON
-  + JSONL export) that is a shared no-op until enabled;
 * :mod:`repro.obs.metrics` -- an always-on registry of counters the hot
   paths feed through cached instruments (PODEM backtracks, fault-sim
   events, BFS expansions, scheduler reservation waits, optimizer moves,
   ...) and of timed-section totals;
 * :mod:`repro.obs.profiler` -- :func:`profile_section`, the one way code
-  is timed: it keeps calls, inclusive and self seconds per section name
-  (and records a span when tracing), and powers the per-stage self-time
-  table of ``repro profile`` and ``repro report``.
+  is timed: it keeps calls, inclusive and self seconds per section name,
+  and powers the per-stage self-time table of ``repro profile`` and
+  ``repro report``;
+* :mod:`repro.obs.attrib` -- the search-effort collector (PODEM effort
+  records, optimizer moves) the pipeline run switches on, and its
+  ``repro-attrib`` artifact.
 
 Typical instrumentation, cached at module scope::
 
@@ -29,14 +30,12 @@ See DESIGN.md ("Observability") for the instrument naming contract.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 from repro.obs.attrib import (
     ATTRIB,
     AttribCollector,
     artifact_json,
     build_artifact,
-    resolve_attrib_mode,
     validate_artifact,
 )
 from repro.obs.ledger import RunLedger, environment_fingerprint, make_record
@@ -49,33 +48,19 @@ from repro.obs.regress import (
     compare_records,
 )
 from repro.obs.report import RunReport, build_run_report
-from repro.obs.tracer import (
-    DEFAULT_TRACER,
-    NOOP_SPAN,
-    Span,
-    Tracer,
-    span_tree_problems,
-)
 
-#: process-wide singletons every instrumented module shares
+#: the process-wide registry every instrumented module shares
 METRICS = DEFAULT_REGISTRY
-TRACER = DEFAULT_TRACER
 
 __all__ = [
     "ATTRIB",
     "AttribCollector",
     "artifact_json",
     "build_artifact",
-    "resolve_attrib_mode",
     "validate_artifact",
     "Counter",
     "MetricsRegistry",
     "METRICS",
-    "Span",
-    "Tracer",
-    "TRACER",
-    "NOOP_SPAN",
-    "span_tree_problems",
     "PIPELINE_STAGES",
     "profile_section",
     "stage_rows",
@@ -88,22 +73,8 @@ __all__ = [
     "compare_records",
     "RunReport",
     "build_run_report",
-    "enable_tracing",
-    "disable_tracing",
     "configure_logging",
 ]
-
-
-def enable_tracing(clear: bool = True) -> Tracer:
-    if clear:
-        TRACER.clear()
-    TRACER.enable()
-    return TRACER
-
-
-def disable_tracing() -> Tracer:
-    TRACER.disable()
-    return TRACER
 
 
 def configure_logging(verbosity: int = 0, stream=None) -> logging.Logger:

@@ -2,9 +2,9 @@
 
 The metrics registry answers "how much work happened" (counters) and the
 profiler answers "where did the wall time go" (per-stage self times).  This
-module answers the question between the two: *which faults, which gate
-populations, and which optimizer moves consumed the search effort?*
-Three attribution planes feed one collector:
+module answers the question between the two: *which faults and which
+optimizer moves consumed the search effort?*  Two attribution planes
+feed one collector:
 
 * **ATPG plane** -- :func:`repro.atpg.podem.podem` records one effort
   ledger entry per targeted fault: decisions, backtracks, implication
@@ -12,14 +12,6 @@ Three attribution planes feed one collector:
   untestable proof).  Effort is a wall-free unit
   (``decisions + 2*backtracks + implications``) so the ledger is a pure
   function of the seed.
-* **Simulation plane** -- the fault-grading kernels attribute
-  good-value batches, survivor-sweep candidates, and detection cone
-  walks to ``level:kind`` gate buckets.  They hook the *same*
-  oracle-semantic events as the scalar reference graders (the ones
-  behind ``faultsim.batches`` / ``faultsim.events`` /
-  ``faultsim.cone.*``), so the artifact is bit-identical whichever of
-  the two grades; kernel-mechanical work (``kernel.words_evaluated``) is
-  deliberately excluded.
 * **Optimizer plane** -- every candidate move evaluated by
   :class:`repro.soc.optimizer.SocetOptimizer` appends an
   :class:`AttribEvent`-shaped dict (move kind, subject, version delta,
@@ -28,9 +20,8 @@ Three attribution planes feed one collector:
   length, and per-move-kind yield.
 
 Collection is off by default.  The pipeline run
-(:func:`repro.flow.profile.run_pipeline`) turns it on, in ``deep`` mode
-when ``REPRO_ATTRIB=deep``; :meth:`AttribCollector.configure` sets it
-directly.  Every hook early-returns on one attribute check when off.
+(:func:`repro.flow.profile.run_pipeline`) switches it on and restores
+the previous state on exit; each hook is behind one ``enabled`` check.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
 (version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
@@ -43,10 +34,9 @@ regress gates.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import AttribSchemaError, UsageError
+from repro.errors import AttribSchemaError
 from repro.obs.metrics import DEFAULT_REGISTRY
 
 _PODEM_RECORDS = DEFAULT_REGISTRY.counter("attrib.podem.records")
@@ -54,13 +44,7 @@ _MOVE_EVENTS = DEFAULT_REGISTRY.counter("attrib.optimizer.events")
 
 #: JSON schema marker / version of the attribution artifact.
 ATTRIB_SCHEMA = "repro-attrib"
-ATTRIB_SCHEMA_VERSION = 1
-
-#: collection modes: disabled, aggregate planes, aggregate + per-site detail
-ATTRIB_MODES = ("off", "on", "deep")
-
-#: environment toggle honored by :func:`resolve_attrib_mode`
-ATTRIB_ENV = "REPRO_ATTRIB"
+ATTRIB_SCHEMA_VERSION = 2
 
 _PODEM_STATUSES = ("detected", "aborted", "redundant")
 
@@ -70,27 +54,6 @@ ABORT_CAUSES = {
     "aborted": "backtrack-budget",
     "redundant": "untestable-proof",
 }
-
-
-def resolve_attrib_mode(value: Optional[str] = None) -> str:
-    """Resolve the attribution mode from ``REPRO_ATTRIB`` (or ``value``).
-
-    Unset/empty/``0``/``off`` disable collection, ``1``/``on`` enable the
-    cheap aggregate planes, ``deep`` additionally keeps per-site cone
-    detail.  Anything else is a :class:`UsageError`, mirroring the other
-    ``REPRO_*`` switches.
-    """
-    raw = os.environ.get(ATTRIB_ENV, "") if value is None else value
-    text = raw.strip().lower()
-    if text in ("", "0", "off", "false", "no"):
-        return "off"
-    if text in ("1", "on", "true", "yes"):
-        return "on"
-    if text == "deep":
-        return "deep"
-    raise UsageError(
-        f"{ATTRIB_ENV} must be one of off/on/deep (got {raw!r})"
-    )
 
 
 def effort_units(decisions: int, backtracks: int, implications: int) -> int:
@@ -110,54 +73,25 @@ def _band(value: int) -> str:
 
 
 class AttribCollector:
-    """Append-only effort ledgers for the three attribution planes.
+    """Append-only effort ledgers for the two attribution planes.
 
-    State is plain ints/lists/dicts appended in execution order, so
-    the collected state is a pure function of the seed.
+    State is plain lists appended in execution order, so the collected
+    state is a pure function of the seed.  ``enabled`` is the one switch
+    every hook checks.
     """
 
-    __slots__ = ("mode", "_podem", "_sim", "_scalars", "_cones", "_moves",
-                 "_seen_points")
+    __slots__ = ("enabled", "_podem", "_moves", "_seen_points")
 
     def __init__(self) -> None:
-        self.mode = "off"
+        self.enabled = False
         self._podem: List[Dict[str, Any]] = []
-        #: ``level:kind`` bucket -> [good_words, sweep_words]
-        self._sim: Dict[str, List[int]] = {}
-        self._scalars: Dict[str, int] = {
-            "cone_walks": 0, "good_batches": 0, "sweep_candidates": 0,
-        }
-        #: deep mode only: fault-site key -> cone walks
-        self._cones: Dict[str, int] = {}
         self._moves: List[Dict[str, Any]] = []
         #: optimizer design points already evaluated this run (revisits)
         self._seen_points: Set[Tuple] = set()
 
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    @property
-    def deep(self) -> bool:
-        return self.mode == "deep"
-
-    def configure(self, mode: str) -> None:
-        """Set the collection mode (``off``/``on``/``deep``)."""
-        if mode not in ATTRIB_MODES:
-            raise UsageError(
-                f"attribution mode must be one of {'/'.join(ATTRIB_MODES)} "
-                f"(got {mode!r})"
-            )
-        self.mode = mode
-
     def reset(self) -> None:
-        """Drop all collected state (the mode survives)."""
+        """Drop all collected state (``enabled`` survives)."""
         del self._podem[:]
-        self._sim.clear()
-        for name in sorted(self._scalars):
-            self._scalars[name] = 0
-        self._cones.clear()
         del self._moves[:]
         self._seen_points.clear()
 
@@ -167,34 +101,7 @@ class AttribCollector:
         self._podem.append(record)
         _PODEM_RECORDS.inc()
 
-    # -- plane 2: simulation -------------------------------------------
-    def sim_good(self, profile: Mapping[str, int], words: int = 1) -> None:
-        """Attribute ``words`` good-value batches over a netlist profile."""
-        self._scalars["good_batches"] += words
-        sim = self._sim
-        for bucket, gates in sorted(profile.items()):
-            row = sim.get(bucket)
-            if row is None:
-                row = sim[bucket] = [0, 0]
-            row[0] += gates * words
-
-    def sim_sweep(self, candidates: int) -> None:
-        """Attribute survivor-sweep work (fault x word candidates)."""
-        self._scalars["sweep_candidates"] += candidates
-
-    def sim_cone(self, profile: Mapping[str, int], site: str) -> None:
-        """Attribute one detection cone walk over the cone's profile."""
-        self._scalars["cone_walks"] += 1
-        sim = self._sim
-        for bucket, gates in sorted(profile.items()):
-            row = sim.get(bucket)
-            if row is None:
-                row = sim[bucket] = [0, 0]
-            row[1] += gates
-        if self.mode == "deep":
-            self._cones[site] = self._cones.get(site, 0) + 1
-
-    # -- plane 3: optimizer --------------------------------------------
+    # -- plane 2: optimizer --------------------------------------------
     def move_event(
         self,
         *,
@@ -363,29 +270,11 @@ def build_artifact(
 
     ``counters`` must be the metrics-registry counter values accumulated
     over exactly the attributed run (reset to run end), so the
-    reconciliation section can hold the attribution planes to the
-    existing ``atpg.*`` / ``faultsim.*`` counters *exactly*.
+    reconciliation section can hold the ATPG plane to the existing
+    ``atpg.podem.*`` counters *exactly*.
     """
     atpg = _atpg_plane(collector._podem, top_k)
-    scalars = collector._scalars
-    buckets = {
-        bucket: {"good_words": row[0], "sweep_words": row[1]}
-        for bucket, row in sorted(collector._sim.items())
-    }
-    sim: Dict[str, Any] = {
-        "buckets": buckets,
-        "cone_walks": scalars["cone_walks"],
-        "good_batches": scalars["good_batches"],
-        "sweep_candidates": scalars["sweep_candidates"],
-    }
-    if collector.deep:
-        sim["cones"] = dict(sorted(collector._cones.items()))
-
     totals = atpg["totals"]
-    cone_touches = (
-        counters.get("faultsim.cone.builds", 0)
-        + counters.get("faultsim.cone.reuses", 0)
-    )
     checks = (
         ("atpg.podem.calls", totals["calls"], counters.get("atpg.podem.calls", 0)),
         ("atpg.podem.decisions", totals["decisions"],
@@ -396,11 +285,6 @@ def build_artifact(
          counters.get("atpg.podem.aborts", 0)),
         ("atpg.podem.redundant", totals["redundant"],
          counters.get("atpg.podem.redundant", 0)),
-        ("faultsim.batches", scalars["good_batches"],
-         counters.get("faultsim.batches", 0)),
-        ("faultsim.events", scalars["sweep_candidates"],
-         counters.get("faultsim.events", 0)),
-        ("faultsim.cone.builds+reuses", scalars["cone_walks"], cone_touches),
     )
     reconciliation = {
         name: {"attrib": attributed, "counter": counted,
@@ -408,11 +292,9 @@ def build_artifact(
         for name, attributed, counted in checks
     }
     return {
-        "deep": collector.deep,
         "planes": {
             "atpg": atpg,
             "optimizer": _optimizer_plane(collector._moves),
-            "sim": sim,
         },
         "quick": quick,
         "reconciliation": reconciliation,
@@ -469,15 +351,17 @@ def validate_artifact(payload: Any) -> List[str]:
             f"schema_version {version} is newer than this checker "
             f"({ATTRIB_SCHEMA_VERSION})"
         )
-    elif version < 1:
-        problems.append("schema_version must be >= 1")
+    elif version < ATTRIB_SCHEMA_VERSION:
+        problems.append(
+            f"schema_version {version} is no longer read; this checker "
+            f"reads only v{ATTRIB_SCHEMA_VERSION}"
+        )
     if not isinstance(payload.get("system"), str) or not payload.get("system"):
         problems.append("system must be a non-empty string")
     if not isinstance(payload.get("seed"), int) or isinstance(payload.get("seed"), bool):
         problems.append("seed must be an integer")
-    for flag in ("deep", "quick"):
-        if not isinstance(payload.get(flag), bool):
-            problems.append(f"{flag} must be a boolean")
+    if not isinstance(payload.get("quick"), bool):
+        problems.append("quick must be a boolean")
     top_k = payload.get("top_k")
     if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
         problems.append("top_k must be a positive integer")
@@ -486,7 +370,7 @@ def validate_artifact(payload: Any) -> List[str]:
     if not isinstance(planes, dict):
         problems.append("planes must be an object")
         planes = {}
-    for name in ("atpg", "optimizer", "sim"):
+    for name in ("atpg", "optimizer"):
         if not isinstance(planes.get(name), dict):
             problems.append(f"planes.{name} must be an object")
 
@@ -518,28 +402,6 @@ def validate_artifact(payload: Any) -> List[str]:
                         f"planes.atpg.hard_faults[{index}].status must be "
                         f"one of {', '.join(_PODEM_STATUSES)}"
                     )
-
-    sim = planes.get("sim")
-    if isinstance(sim, dict):
-        _count_problems(
-            sim, ("cone_walks", "good_batches", "sweep_candidates"),
-            "planes.sim", problems,
-        )
-        buckets = sim.get("buckets")
-        if not isinstance(buckets, dict):
-            problems.append("planes.sim.buckets must be an object")
-        else:
-            for bucket, row in sorted(buckets.items()):
-                level, _, kind = bucket.partition(":")
-                if not level.isdigit() or not kind:
-                    problems.append(
-                        f"planes.sim.buckets key {bucket!r} must look like "
-                        f"'<level>:<kind>'"
-                    )
-                _count_problems(
-                    row, ("good_words", "sweep_words"),
-                    f"planes.sim.buckets[{bucket!r}]", problems,
-                )
 
     optimizer = planes.get("optimizer")
     if isinstance(optimizer, dict):

@@ -30,8 +30,9 @@ Version history:
   :meth:`MetricsRegistry.sections`.  Both shapes validate.
 
 Run ``python -m repro.obs.benchjson FILE...`` to validate bench files,
-exported Chrome traces, ``*.jsonl`` run ledgers, and ``repro-attrib``
-artifacts (CI fails the job on any schema error).
+``*.jsonl`` run ledgers (or one ``repro-ledger`` record), and
+``repro-attrib`` artifacts; any other document fails (CI fails the job
+on any schema error).
 """
 
 from __future__ import annotations
@@ -157,34 +158,6 @@ def _sample_problems(payload: Dict) -> List[str]:
     return problems
 
 
-def validate_chrome_trace(payload) -> None:
-    """Check a document is a loadable Chrome ``trace_event`` export.
-
-    Beyond per-event field checks, the span graph itself is validated:
-    duplicate span ids or a parent link pointing outside the trace
-    (an orphan span -- a stitching bug) fail validation.
-    """
-    from repro.obs.tracer import span_tree_problems
-
-    if isinstance(payload, dict):
-        events = payload.get("traceEvents")
-        if not isinstance(events, list):
-            raise BenchSchemaError("trace object has no traceEvents list")
-    elif isinstance(payload, list):
-        events = payload
-    else:
-        raise BenchSchemaError("trace must be an object or an event array")
-    for index, event in enumerate(events):
-        if not isinstance(event, dict):
-            raise BenchSchemaError(f"trace event {index} is not an object")
-        for field in ("name", "ph", "ts", "pid", "tid"):
-            if field not in event:
-                raise BenchSchemaError(f"trace event {index} misses {field!r}")
-    problems = span_tree_problems(events)
-    if problems:
-        raise BenchSchemaError("; ".join(problems))
-
-
 def write_bench(path: str, payload: Dict) -> str:
     validate_bench(payload)
     with open(path, "w") as handle:
@@ -194,8 +167,8 @@ def write_bench(path: str, payload: Dict) -> str:
 
 
 def validate_file(path: str) -> str:
-    """Validate one artifact (bench JSON, Chrome trace, run ledger, or
-    ``repro-attrib`` attribution artifact)."""
+    """Validate one artifact (bench JSON, run ledger or ledger record, or
+    ``repro-attrib`` attribution artifact); anything else is an error."""
     from repro.obs.attrib import ATTRIB_SCHEMA, require_valid_artifact
     from repro.obs.ledger import LEDGER_SCHEMA, validate_ledger_file, validate_record
 
@@ -204,17 +177,19 @@ def validate_file(path: str) -> str:
         return "ledger"
     with open(path) as handle:
         payload = json.load(handle)
-    if isinstance(payload, dict) and payload.get("schema") == SCHEMA:
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema == SCHEMA:
         validate_bench(payload)
         return "bench"
-    if isinstance(payload, dict) and payload.get("schema") == LEDGER_SCHEMA:
+    if schema == LEDGER_SCHEMA:
         validate_record(payload)
         return "ledger-record"
-    if isinstance(payload, dict) and payload.get("schema") == ATTRIB_SCHEMA:
+    if schema == ATTRIB_SCHEMA:
         require_valid_artifact(payload)
         return "attrib"
-    validate_chrome_trace(payload)
-    return "trace"
+    raise BenchSchemaError(
+        f"not a {SCHEMA}, {LEDGER_SCHEMA} or {ATTRIB_SCHEMA} document"
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

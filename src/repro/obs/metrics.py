@@ -3,9 +3,9 @@
 The registry is the always-on half of the observability layer: counting
 is cheap enough (one integer add through a cached instrument object) to
 leave enabled permanently, so every PODEM call, fault-sim batch, BFS
-expansion, and scheduler reservation attempt is accounted for whether or
-not a trace is being recorded.  Instruments are created once and cached
-at module scope by the instrumented code::
+expansion, and scheduler reservation attempt is accounted for in every
+run.  Instruments are created once and cached at module scope by the
+instrumented code::
 
     _BACKTRACKS = METRICS.counter("atpg.podem.backtracks")
     ...

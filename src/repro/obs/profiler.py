@@ -3,9 +3,9 @@
 :func:`profile_section` is the one way ``src/`` times code.  Each
 section name keeps three running totals in the metrics registry --
 calls, inclusive seconds, and self seconds (inclusive time minus the
-time of the sections opened inside it on the same thread) -- and
-records a tracer span only while tracing is enabled.  Nothing is kept
-per call, so a section's cost in memory does not grow with its calls.
+time of the sections opened inside it on the same thread).  Nothing is
+kept per call, so a section's cost in memory does not grow with its
+calls.
 
 Self times partition a run: the self times of every section opened
 under a root section (``profile.total``) add up to the root's inclusive
@@ -22,7 +22,6 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry, SectionTotals
-from repro.obs.tracer import DEFAULT_TRACER, NOOP_SPAN
 
 #: the section spanning one pipeline run: its own self time is the
 #: ``unaccounted`` row, and it is never a hotspot
@@ -57,19 +56,13 @@ _OPEN = _OpenSections()
 class _Section:
     """One open section: adds its times to its totals when it exits."""
 
-    __slots__ = ("_totals", "_span", "_stack", "_start", "_children", "_outermost")
+    __slots__ = ("_totals", "_stack", "_start", "_children", "_outermost")
 
-    def __init__(self, totals: SectionTotals, span) -> None:
+    def __init__(self, totals: SectionTotals) -> None:
         self._totals = totals
-        self._span = span
         self._children = 0.0
 
-    def set(self, **args) -> None:
-        """Attach args to the section's span (no-op unless tracing)."""
-        self._span.set(**args)
-
     def __enter__(self) -> "_Section":
-        self._span.__enter__()
         stack = self._stack = _OPEN.stack
         totals = self._totals
         for section in stack:
@@ -93,25 +86,18 @@ class _Section:
         totals.self_seconds += elapsed - self._children
         if self._outermost:
             totals.seconds += elapsed
-        self._span.__exit__(*exc)
         return False
 
 
-def profile_section(
-    name: str, registry: Optional[MetricsRegistry] = None, **args
-) -> _Section:
-    """Time a named section into the registry (and a span when tracing).
-
-    ``registry`` defaults to the shared one; ``args`` become span args.
-    """
+def profile_section(name: str, registry: Optional[MetricsRegistry] = None) -> _Section:
+    """Time a named section into ``registry`` (default: the shared one)."""
     if registry is None:
         totals = _TOTALS.get(name)
         if totals is None:
             totals = _TOTALS[name] = DEFAULT_REGISTRY.section(name)
     else:
         totals = registry.section(name)
-    span = DEFAULT_TRACER.span(name, **args) if DEFAULT_TRACER.enabled else NOOP_SPAN
-    return _Section(totals, span)
+    return _Section(totals)
 
 
 # ----------------------------------------------------------------------

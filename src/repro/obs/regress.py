@@ -121,7 +121,7 @@ def mann_whitney_p(candidate: Sequence[float], baseline: Sequence[float]) -> flo
 #: on the planned work.  ``attrib.`` is the same class: how many
 #: attribution records were kept depends on whether the collector was
 #: on -- the attributed *totals* are gated through the counters they
-#: reconcile against (``atpg.*``, ``faultsim.*``).
+#: reconcile against (``atpg.podem.*``).
 COUNTER_IGNORE: Tuple[str, ...] = ("exec.", "attrib.")
 
 

@@ -11,8 +11,7 @@ headings, prose and tables:
   their inclusive time and calls (the run's root section is left out:
   its inclusive time is the whole run);
 * **search-effort attribution** from the record's ``repro-attrib``
-  artifact: the hardest faults, simulation work per (level, gate kind),
-  and the optimizer's convergence;
+  artifact: the hardest faults and the optimizer's convergence;
 * a **counter diff** against a baseline ledger record -- every counter
   that changed, appeared, or disappeared, plus how many matched.
 
@@ -228,22 +227,6 @@ class RunReport:
                  row["status"], row["abort_cause"] or "—"]
                 for row in hard
             ]))
-        sim = planes["sim"]
-        buckets = sorted(
-            [Code(bucket), row["good_words"], row["sweep_words"],
-             row["good_words"] + row["sweep_words"]]
-            for bucket, row in sim["buckets"].items()
-        )
-        buckets.sort(key=lambda row: -row[3])  # stable: ties stay by bucket
-        if buckets:
-            blocks.append(("h", 3, "Simulation work by (level, gate kind)"))
-            blocks.append(("p", f"{sim['good_batches']} good-value batches, "
-                                f"{sim['sweep_candidates']} survivor-sweep "
-                                f"candidates, {sim['cone_walks']} detection-cone "
-                                "walks."))
-            blocks.append(("table", [
-                "level:kind", "good words", "sweep words", "total",
-            ], buckets[:10]))
         optimizer = planes["optimizer"]["summary"]
         rows = [
             ["candidate moves", optimizer["candidates"]],

@@ -45,7 +45,7 @@ class Scheduler:
         self.power_budget = power_budget
 
     def schedule(self, soc_name: str, items: List[TestItem]) -> TestSchedule:
-        with profile_section("schedule.pack", soc=soc_name, algorithm=self.name):
+        with profile_section("schedule.pack"):
             _ITEMS.inc(len(items))
             entries = self._place(self._check(items))
             schedule = TestSchedule(

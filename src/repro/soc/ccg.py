@@ -32,7 +32,7 @@ _CCG_EXPANSIONS = METRICS.counter("chiplevel.ccg.expansions")
 
 def build_ccg(soc: Soc, selection: Optional[Dict[str, int]] = None) -> "nx.DiGraph":
     """Build the CCG for one version selection (default: all version 0)."""
-    with profile_section("chiplevel.ccg", soc=soc.name):
+    with profile_section("chiplevel.ccg"):
         _CCG_BUILDS.inc()
         return _build_ccg(soc, selection)
 

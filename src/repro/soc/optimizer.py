@@ -66,7 +66,7 @@ def design_space(
     the minimum-area design and the last point uses the minimum-latency
     version of every core.
     """
-    with profile_section("chiplevel.design_space", soc=soc.name):
+    with profile_section("chiplevel.design_space"):
         cores = soc.testable_cores()
         points: List[DesignPoint] = []
         for combo in itertools.product(*(range(core.version_count) for core in cores)):
@@ -207,9 +207,7 @@ class SocetOptimizer:
     # objective (i): minimize TAT subject to an area budget
     # ------------------------------------------------------------------
     def minimize_tat(self, max_chip_cells: int) -> Tuple[SocTestPlan, List[DesignPoint]]:
-        with profile_section(
-            "optimizer.minimize_tat", soc=self.soc.name, budget=max_chip_cells
-        ):
+        with profile_section("optimizer.minimize_tat"):
             return self._minimize_tat(max_chip_cells)
 
     def _minimize_tat(self, max_chip_cells: int) -> Tuple[SocTestPlan, List[DesignPoint]]:
@@ -297,9 +295,7 @@ class SocetOptimizer:
     # objective (ii): minimize area subject to a TAT budget
     # ------------------------------------------------------------------
     def minimize_area(self, max_tat_cycles: int) -> Tuple[SocTestPlan, List[DesignPoint]]:
-        with profile_section(
-            "optimizer.minimize_area", soc=self.soc.name, budget=max_tat_cycles
-        ):
+        with profile_section("optimizer.minimize_area"):
             return self._minimize_area(max_tat_cycles)
 
     def _minimize_area(self, max_tat_cycles: int) -> Tuple[SocTestPlan, List[DesignPoint]]:

@@ -560,7 +560,7 @@ def plan_soc_test(
         from repro.analysis import strict_gate_access
 
         strict_gate_access(soc, selection)
-    with profile_section("chiplevel.plan", soc=soc.name) as section:
+    with profile_section("chiplevel.plan"):
         soc.validate()
         if selection is None:
             selection = {core.name: 0 for core in soc.testable_cores()}
@@ -627,5 +627,4 @@ def plan_soc_test(
         _RESERVATIONS.inc(planner.reservations)
         _DELIVERIES.inc(sum(len(p.deliveries) for p in core_plans.values()))
         _OBSERVATIONS.inc(sum(len(p.observations) for p in core_plans.values()))
-        section.set(total_tat=plan.total_tat, test_muxes=len(plan.test_muxes))
     return plan

@@ -174,7 +174,7 @@ def generate_versions(
     versions add transparency multiplexers *one input/output pair at a
     time*, worst pair first, exactly as Section 4 describes.
     """
-    with profile_section("transparency.versions", core=circuit.name) as section:
+    with profile_section("transparency.versions"):
         if hscan_plan is None:
             hscan_plan = insert_hscan(circuit)
         rcg = RCG.from_circuit(circuit, hscan_plan)
@@ -194,7 +194,6 @@ def generate_versions(
                 break
             versions.append(improved)
         METRICS.counter("transparency.versions.synthesized").inc(len(versions))
-        section.set(versions=len(versions))
 
     for i, version in enumerate(versions):
         version.index = i

@@ -10,13 +10,11 @@ import pytest
 from repro.errors import AttribSchemaError, LedgerSchemaError, UsageError
 from repro.obs.attrib import (
     ATTRIB,
-    ATTRIB_MODES,
     AttribCollector,
     artifact_json,
     build_artifact,
     effort_units,
     require_valid_artifact,
-    resolve_attrib_mode,
     validate_artifact,
 )
 
@@ -30,10 +28,10 @@ MAX_FAULTS = 12
 @pytest.fixture(autouse=True)
 def attribution_off():
     """Every test starts and ends with the module collector disabled."""
-    ATTRIB.configure("off")
+    ATTRIB.enabled = False
     ATTRIB.reset()
     yield
-    ATTRIB.configure("off")
+    ATTRIB.enabled = False
     ATTRIB.reset()
 
 
@@ -50,56 +48,25 @@ def explain(system="System1", **kwargs):
 
 
 # ----------------------------------------------------------------------
-# mode resolution and the collector
+# the collector
 # ----------------------------------------------------------------------
 class TestModes:
-    def test_resolve_from_values(self):
-        assert resolve_attrib_mode("") == "off"
-        assert resolve_attrib_mode("0") == "off"
-        assert resolve_attrib_mode("OFF") == "off"
-        assert resolve_attrib_mode("no") == "off"
-        assert resolve_attrib_mode("1") == "on"
-        assert resolve_attrib_mode("on") == "on"
-        assert resolve_attrib_mode("Yes") == "on"
-        assert resolve_attrib_mode("deep") == "deep"
-
-    def test_resolve_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ATTRIB", raising=False)
-        assert resolve_attrib_mode() == "off"
-        monkeypatch.setenv("REPRO_ATTRIB", "deep")
-        assert resolve_attrib_mode() == "deep"
-
-    def test_bad_value_is_usage_error(self):
-        with pytest.raises(UsageError, match="REPRO_ATTRIB"):
-            resolve_attrib_mode("sideways")
-
-    def test_configure_rejects_unknown_mode(self):
-        with pytest.raises(UsageError):
-            AttribCollector().configure("sometimes")
-
     def test_default_is_off(self):
-        collector = AttribCollector()
-        assert collector.mode == "off"
-        assert not collector.enabled
-        assert not collector.deep
-        assert "off" in ATTRIB_MODES
+        assert AttribCollector().enabled is False
 
     def test_effort_units_weighs_backtracks_double(self):
         assert effort_units(10, 3, 20) == 10 + 6 + 20
 
 
 class TestCollector:
-    def build(self, mode="on"):
+    def build(self):
         collector = AttribCollector()
-        collector.configure(mode)
+        collector.enabled = True
         collector.podem_record({
             "backtracks": 2, "cone_depth": 3, "decisions": 5, "gate": "g1",
             "gate_kind": "and", "implications": 7, "netlist": "n", "pin": None,
             "restarts": 0, "site": "stem", "status": "detected", "stuck": 0,
         })
-        collector.sim_good({"1:and": 2, "2:or": 1}, words=3)
-        collector.sim_sweep(40)
-        collector.sim_cone({"1:and": 2}, "n::g1")
         collector.move_event(
             kind="upgrade", subject="CPU", version_from=1, version_to=2,
             tat_before=100, tat_after=90, outcome="accept",
@@ -108,17 +75,10 @@ class TestCollector:
         return collector
 
     def test_reset_keeps_mode(self):
-        collector = self.build("deep")
+        collector = self.build()
         collector.reset()
-        assert collector.mode == "deep"
-        fresh = AttribCollector()
-        fresh.configure("deep")
-        assert artifact_of(collector) == artifact_of(fresh)
-
-    def test_deep_mode_tracks_cone_sites(self):
-        collector = self.build("deep")
-        collector.sim_cone({"1:and": 1}, "n::g1")
-        assert artifact_of(collector)["planes"]["sim"]["cones"] == {"n::g1": 2}
+        assert collector.enabled
+        assert artifact_of(collector) == artifact_of(AttribCollector())
 
     def test_revisited_point_classifies_as_cache_hit(self):
         collector = self.build()
@@ -132,9 +92,15 @@ class TestCollector:
         assert plane["summary"]["revisits"] == 1
 
     def test_hooks_are_noops_when_off(self):
-        collector = AttribCollector()
-        collector.sim_sweep(10)  # scalars still count; gating is caller-side
-        assert not collector.enabled
+        from repro.atpg.podem import podem
+        from repro.designs import build_gcd
+        from repro.elaborate import elaborate
+        from repro.faults.model import full_fault_universe
+
+        netlist = elaborate(build_gcd()).netlist
+        for fault in full_fault_universe(netlist)[:3]:
+            podem(netlist, fault)
+        assert artifact_of(ATTRIB)["planes"]["atpg"]["totals"]["calls"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +114,7 @@ class TestPodemPlane:
         from repro.faults.model import full_fault_universe
 
         netlist = elaborate(build_gcd()).netlist
-        ATTRIB.configure("on")
+        ATTRIB.enabled = True
         ATTRIB.reset()
         for fault in full_fault_universe(netlist)[:6]:
             result = podem(netlist, fault)
@@ -181,9 +147,6 @@ class TestExplain:
         totals = report.artifact["planes"]["atpg"]["totals"]
         assert totals["decisions"] == report.all_counters["atpg.podem.decisions"]
         assert totals["backtracks"] == report.all_counters["atpg.podem.backtracks"]
-        sim = report.artifact["planes"]["sim"]
-        assert sim["good_batches"] == report.all_counters["faultsim.batches"]
-        assert sim["sweep_candidates"] == report.all_counters["faultsim.events"]
 
     def test_byte_stable_across_runs(self):
         assert explain().artifact_json() == explain().artifact_json()
@@ -201,20 +164,19 @@ class TestExplain:
         "system", ["System1", "System2", "System3", "System4"]
     )
     def test_byte_identical_across_backends(self, system):
-        # the kernels hook the same oracle-semantic events as the scalar
-        # reference graders, so swapping those in changes no byte
+        # grading decides which faults PODEM targets, and the kernels
+        # grade exactly as the scalar reference graders do, so swapping
+        # those in changes no byte
         with reference_graders():
             reference = explain(system).artifact_json()
         assert explain(system).artifact_json() == reference
 
-    def test_mode_restored_after_run(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ATTRIB", raising=False)
-        ATTRIB.configure("deep")
-        report = explain()
-        assert ATTRIB.mode == "deep"  # session mode restored afterwards
-        assert not report.artifact["deep"]  # env off promotes to "on" only
-        monkeypatch.setenv("REPRO_ATTRIB", "deep")
-        assert explain().artifact["deep"]
+    def test_mode_restored_after_run(self):
+        explain()
+        assert ATTRIB.enabled is False  # the run switched it on, then back
+        ATTRIB.enabled = True
+        explain()
+        assert ATTRIB.enabled is True
 
     def test_unknown_system_is_usage_error(self):
         with pytest.raises(UsageError, match="unknown system"):
@@ -236,13 +198,6 @@ class TestExplain:
         assert len(hard) <= 5
         efforts = [row["effort"] for row in hard]
         assert efforts == sorted(efforts, reverse=True)
-
-    def test_deep_mode_adds_cone_sites(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ATTRIB", "deep")
-        report = explain()
-        sim = report.artifact["planes"]["sim"]
-        assert "cones" in sim
-        assert sim["cone_walks"] == sum(sim["cones"].values())
 
     def test_ledger_record_embeds_artifact(self, tmp_path):
         from repro.obs.ledger import RunLedger
@@ -270,9 +225,7 @@ class TestExplain:
 # ----------------------------------------------------------------------
 class TestValidator:
     def artifact(self):
-        collector = AttribCollector()
-        collector.configure("on")
-        return build_artifact(collector, {}, system="System1", seed=0,
+        return build_artifact(AttribCollector(), {}, system="System1", seed=0,
                               quick=True, top_k=10)
 
     def test_empty_run_validates(self):
@@ -297,12 +250,10 @@ class TestValidator:
         artifact["planes"]["atpg"]["totals"]["decisions"] = -1
         assert validate_artifact(artifact) != []
 
-    def test_rejects_bad_bucket_key(self):
+    def test_rejects_v1_naming_its_version(self):
         artifact = self.artifact()
-        artifact["planes"]["sim"]["buckets"]["weird"] = {
-            "good_words": 1, "sweep_words": 0,
-        }
-        assert any("bucket" in p for p in validate_artifact(artifact))
+        artifact["schema_version"] = 1
+        assert any("schema_version 1" in p for p in validate_artifact(artifact))
 
     def test_rejects_gapped_event_sequence(self):
         artifact = self.artifact()
@@ -384,7 +335,7 @@ class TestCli:
         ["explain", "System1", "--quick", "-o", "{dir}"],
         ["profile", "System1", "--quick", "--ledger", "{dir}"],
         ["report", "System1", "--quick", "-o", "{dir}"],
-        ["plan", "System1", "--trace", "{dir}"],
+        ["certify", "System1", "-o", "{dir}"],
         pytest.param(["export", "System1", "-o", "{full}"], marks=pytest.mark.skipif(
             not os.path.exists("/dev/full"), reason="no /dev/full device")),
     ])

@@ -42,7 +42,7 @@ class TestDet002WallClock:
 
     def test_obs_layer_exempt(self):
         src = "import time\nt = time.time()\n"
-        assert check_source(src, "src/repro/obs/tracer.py") == []
+        assert check_source(src, "src/repro/obs/ledger.py") == []
 
     def test_monotonic_allowed_everywhere(self):
         src = "import time\nt = time.perf_counter()\n"

@@ -22,8 +22,7 @@ from repro.obs.attrib import ATTRIB
 FIXTURE = Path(__file__).parent / "fixtures" / "attrib-System1-quick.json"
 
 
-def test_system1_quick_artifact_is_byte_identical(monkeypatch):
-    monkeypatch.delenv("REPRO_ATTRIB", raising=False)
+def test_system1_quick_artifact_is_byte_identical():
     try:
         report = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
     finally:

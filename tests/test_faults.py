@@ -236,25 +236,9 @@ class TestSequentialGrade:
 
 
 class TestSharedConeCache:
-    def test_cones_shared_across_simulators(self):
-        """Two simulators over one netlist reuse the same cone entries."""
-        from repro.obs import METRICS
-
-        n = and_netlist()
-        faults = collapse_faults(n, full_fault_universe(n))
-        patterns = [{"a": 1, "b": 1}, {"a": 0, "b": 1}, {"a": 1, "b": 0}]
-
-        first = FaultSimulator(n)
-        first.run(patterns, list(faults))
-        builds_after_first = METRICS.counter("faultsim.cone.builds").value
-
-        reuses_before = METRICS.counter("faultsim.cone.reuses").value
-        second = FaultSimulator(n)
-        second.run(patterns, list(faults))
-        assert METRICS.counter("faultsim.cone.builds").value == builds_after_first
-        assert METRICS.counter("faultsim.cone.reuses").value > reuses_before
-
     def test_shared_cache_results_identical(self):
+        # the second simulator grades on the compiled program and fault
+        # plans the first one left in the per-netlist kernel cache
         n = fanout_netlist()
         faults = collapse_faults(n, full_fault_universe(n))
         patterns = [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]

@@ -21,7 +21,6 @@ from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_univ
 from repro.faults import kernel as fk
 from repro.faults.simulator import (
     SEQUENCE_PACK_LIMIT,
-    clear_cone_caches,
     reference_grade_sequence_group,
     sequential_fault_grade,
 )
@@ -104,7 +103,6 @@ def grade_both_backends(run):
     return each side's result and ``faultsim.*`` counter deltas."""
     out = {}
     for side in ("reference", "kernel"):
-        clear_cone_caches()
         clear_kernel_caches()
         before = dict(METRICS.counters("faultsim."))
         with reference_graders() if side == "reference" else nullcontext():

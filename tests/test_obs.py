@@ -1,4 +1,4 @@
-"""Tests for the observability layer (tracing, metrics, profiling, CLI)."""
+"""Tests for the observability layer (metrics, profiling, bench files, CLI)."""
 
 import json
 import threading
@@ -7,17 +7,16 @@ import tracemalloc
 import pytest
 
 from repro.errors import BenchSchemaError
-from repro.obs import METRICS, Tracer, profile_section, stage_rows
+from repro.obs import METRICS, profile_section, stage_rows
 from repro.obs import profiler
 from repro.obs.benchjson import (
     bench_payload,
+    main as benchjson_main,
     validate_bench,
-    validate_chrome_trace,
     validate_file,
     write_bench,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NOOP_SPAN
 
 
 class TestMetrics:
@@ -57,62 +56,6 @@ class TestMetrics:
         assert set(registry.counters("atpg.")) == {"atpg.a"}
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"atpg.a": 1, "schedule.b": 2}
-
-
-class TestTracer:
-    def test_disabled_span_is_shared_noop(self):
-        tracer = Tracer()
-        assert tracer.span("a") is NOOP_SPAN
-        assert tracer.span("b", key=1) is NOOP_SPAN
-        with tracer.span("a"):
-            pass
-        assert tracer.events() == []
-
-    def test_span_nesting_depth_and_parent(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("outer"):
-            with tracer.span("outer.inner", core="CPU") as inner:
-                inner.set(extra=3)
-        events = {e["name"]: e for e in tracer.events()}
-        assert events["outer.inner"]["args"]["depth"] == 1
-        assert events["outer.inner"]["args"]["parent"] == "outer"
-        assert events["outer.inner"]["args"]["core"] == "CPU"
-        assert events["outer.inner"]["args"]["extra"] == 3
-        assert events["outer"]["args"]["depth"] == 0
-        assert events["outer"]["args"]["parent"] is None
-        # the inner span completes first and lies inside the outer one
-        assert events["outer"]["ts"] <= events["outer.inner"]["ts"]
-        assert events["outer"]["dur"] >= events["outer.inner"]["dur"]
-
-    def test_chrome_export_round_trip(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        with tracer.span("atpg.run", faults=10):
-            pass
-        path = tmp_path / "trace.json"
-        tracer.export_chrome(str(path))
-        payload = json.loads(path.read_text())
-        validate_chrome_trace(payload)
-        (event,) = payload["traceEvents"]
-        assert event["name"] == "atpg.run"
-        assert event["ph"] == "X"
-        assert event["cat"] == "atpg"
-
-    def test_jsonl_export_round_trip(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        path = tmp_path / "trace.jsonl"
-        tracer.export_jsonl(str(path))
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [e["name"] for e in lines] == ["b", "a"]
-
-    def test_clear_resets_events(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("a"):
-            pass
-        tracer.clear()
-        assert tracer.events() == []
 
 
 class Clock:
@@ -256,24 +199,6 @@ class TestSelfTime:
             "a.worker": (1, 5.0, 5.0),
         }
 
-    def test_records_a_span_only_while_tracing(self):
-        from repro.obs import TRACER, disable_tracing, enable_tracing
-
-        registry = MetricsRegistry()
-        with profile_section("a.quiet", registry=registry) as section:
-            section.set(items=1)
-        enable_tracing()
-        try:
-            with profile_section("a.traced", registry=registry, core="CPU") as section:
-                section.set(items=2)
-        finally:
-            disable_tracing()
-        (event,) = TRACER.events()
-        TRACER.clear()
-        assert event["name"] == "a.traced"
-        assert event["args"]["core"] == "CPU" and event["args"]["items"] == 2
-        assert set(registry.sections()) == {"a.quiet", "a.traced"}
-
     def test_exits_store_nothing_per_call(self):
         with profile_section("schedule.memory_probe"):
             pass  # create the section's totals before measuring
@@ -409,12 +334,15 @@ class TestBenchJson:
         with pytest.raises(BenchSchemaError):
             validate_bench(dict(good, schema="other"))
 
-    def test_validate_rejects_bad_trace(self):
-        with pytest.raises(BenchSchemaError):
-            validate_chrome_trace({"noEvents": []})
-        with pytest.raises(BenchSchemaError):
-            validate_chrome_trace([{"name": "a"}])  # missing ph/ts/pid/tid
-        validate_chrome_trace([])  # an empty event array is loadable
+    def test_validate_rejects_unknown_documents(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        for text in ("[]", "{}", '{"schema": "other"}'):
+            path.write_text(text)
+            assert benchjson_main([str(path)]) == 1, text
+            (line,) = capsys.readouterr().out.splitlines()
+            assert line.startswith(f"FAIL {path}: "), text
+            for kind in ("repro-bench", "repro-ledger", "repro-attrib"):
+                assert kind in line, text
 
 
 class TestCliObservability:
@@ -427,22 +355,15 @@ class TestCliObservability:
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
 
-    def test_profile_smoke_with_trace(self, tmp_path, capsys):
+    def test_profile_smoke(self, capsys):
         from repro.cli import main
 
-        out = tmp_path / "trace.json"
-        assert main(["profile", "System1", "--quick", "--trace", str(out)]) == 0
+        assert main(["profile", "System1", "--quick"]) == 0
         stdout = capsys.readouterr().out
         for stage in ("core-level", "transparency", "chip-level", "ATPG",
                       "fault-sim", "optimizer", "schedule", "unaccounted"):
             assert stage in stdout
         assert "backtracks" in stdout
-        payload = json.loads(out.read_text())
-        validate_chrome_trace(payload)
-        assert payload["traceEvents"]  # the run recorded real spans
-        from repro.obs import TRACER
-
-        assert not TRACER.enabled  # main() disables tracing afterwards
 
     def test_metrics_flag_appends_table(self, capsys):
         from repro.cli import main

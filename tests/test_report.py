@@ -161,7 +161,6 @@ class TestRunReport:
 class TestCliReport:
     def test_report_markdown_to_file(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.obs import TRACER
 
         out = tmp_path / "report.md"
         ledger = tmp_path / "ledger.jsonl"
@@ -169,7 +168,6 @@ class TestCliReport:
             "report", "System1", "--quick",
             "-o", str(out), "--ledger", str(ledger),
         ]) == 0
-        assert not TRACER.enabled  # a report does not switch tracing on
         text = out.read_text()
         assert "# Run report — System1 pipeline" in text
         assert "## Stage times" in text and "| unaccounted |" in text
