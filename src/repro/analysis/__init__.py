@@ -1,9 +1,10 @@
 """Symbolic static analysis: transparency proofs and access certificates.
 
-Where :mod:`repro.lint` checks component-level *bounds* (Dijkstra
-latency lower bounds, structural sanity), this package proves the real
-thing at the bit-slice level and packages the result as a
-machine-checkable artifact:
+This package is the one transparency checker.  It proves, at the
+bit-slice level, that every input of a core version propagates and
+every output slice justifies within the declared latency, and packages
+the result as a machine-checkable artifact; the lint layer's
+``trans.*`` and ``analysis.*`` rules report its verdicts:
 
 ``provenance``
     slice-provenance dataflow over path trees -- which terminal bits
@@ -15,9 +16,8 @@ machine-checkable artifact:
     demands are hard refutations, shared-select-net disagreements are
     advisories.
 ``certify``
-    per-version and chip-level composition into a stable JSON
-    :class:`Certificate` (:func:`certify_soc`), plus the proof-backed
-    planner gate :func:`strict_gate_access`.
+    per-version proofs and coverage gaps, and chip-level composition,
+    into a stable JSON :class:`Certificate` (:func:`certify_soc`).
 ``differential``
     the identity anchor: replay every proved path on the gate-level
     simulator (:func:`replay_soc`) -- "proved" must mean "transports".
@@ -39,8 +39,9 @@ from repro.analysis.certify import (
     certify_plan,
     certify_soc,
     certify_version,
+    certify_versions,
     fresh_known_arcs,
-    strict_gate_access,
+    path_location,
 )
 from repro.analysis.differential import (
     ReplayResult,
@@ -76,11 +77,12 @@ __all__ = [
     "certify_plan",
     "certify_soc",
     "certify_version",
+    "certify_versions",
     "check_path_selects",
     "fresh_known_arcs",
+    "path_location",
     "prove_path",
     "replay_path",
     "replay_refutes",
     "replay_soc",
-    "strict_gate_access",
 ]

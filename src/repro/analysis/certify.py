@@ -1,16 +1,18 @@
-"""Machine-checkable transparency certificates.
+"""Machine-checkable transparency certificates: the one transparency checker.
 
 :func:`certify_soc` runs the slice-provenance prover
 (:mod:`repro.analysis.provenance`) and the mux-select consistency
 solver (:mod:`repro.analysis.muxsat`) over **every** transparency path
-of every version of every testable core, then composes the per-core
-proofs across the interconnect: a chip-level test plan's access routes
+of every version of every testable core, and records each version's
+coverage gaps: a core input without a propagate path, or an output
+slice without a justify path.  It then composes the per-core proofs
+across the interconnect: a chip-level test plan's access routes
 (deliveries and observations) are certified only when every
 transparency usage they lean on is itself a proved path of the selected
 version.  The result is a :class:`Certificate` -- a stable JSON
-artifact (``repro certify SYSTEM --json``) that downstream consumers
-(lint rules, CI, the planner's strict gate) can check instead of
-trusting declared version metadata.
+artifact (``repro certify SYSTEM --json``) that the lint rules
+(``trans.*`` and ``analysis.*``) and CI check instead of trusting
+declared version metadata.
 
 Determinism contract: every iteration in this module is over
 explicitly sorted sequences, so the same design always serializes to
@@ -26,17 +28,19 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.muxsat import SelectSolver, check_path_selects
 from repro.analysis.provenance import SliceProof, prove_path
-from repro.errors import LintError, ReproError
+from repro.errors import ReproError
+from repro.lint.diagnostics import Diagnostic, Severity, location
 from repro.obs import METRICS, profile_section
 from repro.rtl.types import Slice
 from repro.transparency.rcg import RCG
 
-CERTIFICATE_SCHEMA_VERSION = 1
+CERTIFICATE_SCHEMA_VERSION = 2
 CERTIFICATE_KIND = "repro-certificate"
 
-#: sentinel: caller supplied no HSCAN plan, so fall back to the arcs the
-#: version itself recorded (weaker -- see :func:`fresh_known_arcs`)
-_TRUST_DECLARED = object()
+
+def path_location(system: str, core: str, version_index: int, port: str) -> str:
+    """``<system>/core:C/version:V/port:P``, V one-based as in ``repro certify``."""
+    return location(system, ("core", core), ("version", version_index + 1), ("port", port))
 
 
 def fresh_known_arcs(circuit, version, hscan) -> Dict[Tuple, "object"]:
@@ -116,6 +120,14 @@ class PathProof:
     def status(self) -> str:
         return "proved" if self.proved else "refuted"
 
+    @property
+    def latency_overrun(self) -> bool:
+        """Every root bit is accounted for, at a latency other than the declared one."""
+        return (
+            self.proof.proved_width == self.proof.root.width
+            and self.proof.derived_latency != self.proof.claimed_latency
+        )
+
     def problems(self) -> List[str]:
         """Every refutation reason, across all three checkers."""
         found = list(self.structure_problems)
@@ -147,16 +159,23 @@ class PathProof:
 
 @dataclass
 class VersionCertificate:
-    """Per-version bundle: one :class:`PathProof` per declared path."""
+    """Per-version bundle: one :class:`PathProof` per declared path.
+
+    ``missing`` lists the version's coverage gaps as sorted
+    ``(direction, port)`` pairs: a core input with no propagate path, or
+    an output slice with no justify path.  A version with a gap is not
+    proved.
+    """
 
     core: str
     index: int
     name: str
     paths: List[PathProof]
+    missing: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
     def proved(self) -> bool:
-        return all(path.proved for path in self.paths)
+        return not self.missing and all(path.proved for path in self.paths)
 
     def lookup(self) -> Dict[Tuple[str, Tuple], PathProof]:
         """(direction, path key) -> proof, for plan-route certification."""
@@ -169,6 +188,9 @@ class VersionCertificate:
             "name": self.name,
             "proved": self.proved,
             "paths": [path.to_dict() for path in self.paths],
+            "missing": [
+                {"direction": direction, "port": port} for direction, port in self.missing
+            ],
         }
 
 
@@ -255,20 +277,59 @@ class Certificate:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def diagnostics(self, escalate: bool = False) -> List:
+    def diagnostics(self, escalate: bool = False) -> List[Diagnostic]:
         """Render the certificate as lint diagnostics (see rules_analysis).
 
-        ``escalate=True`` (the ``repro certify`` CLI) reports
-        refutations that poison the *selected* configuration -- a
-        refuted path in a selected version, a refuted route, a failed
-        plan -- as ERROR instead of the rules' default WARNING.
+        Coverage gaps are ``trans.input-propagation`` and
+        ``trans.output-justification`` ERRORs; a path whose proof derives
+        another latency than it declares is a ``trans.latency-overrun``
+        WARNING; refutations are ``analysis.*`` WARNINGs.
+        ``escalate=True`` (the ``repro certify`` CLI) reports refutations
+        that poison the *selected* configuration -- a refuted path in a
+        selected version, a refuted route, a failed plan -- as ERROR.
         """
-        from repro.lint.diagnostics import Diagnostic, Severity, location
-
-        found: List = []
+        found: List[Diagnostic] = []
+        for version in self.versions:
+            for direction, port in version.missing:
+                rule, kind = (
+                    ("trans.input-propagation", "input") if direction == "propagate"
+                    else ("trans.output-justification", "output slice")
+                )
+                found.append(
+                    Diagnostic(
+                        rule=rule,
+                        severity=Severity.ERROR,
+                        location=path_location(self.system, version.core, version.index, port),
+                        message=(
+                            f"{kind} {port} has no {direction} path in "
+                            f"{version.name} of {version.core}"
+                        ),
+                        hint=(
+                            "regenerate the version with "
+                            "repro.transparency.generate_versions (Core.from_circuit "
+                            "runs it), or add a transparency mux"
+                        ),
+                    )
+                )
         for proof in self.iter_paths():
-            where = location(("core", proof.core), ("version", proof.version_index))
+            if proof.proved and not proof.solver.advisories:
+                continue
+            where = path_location(self.system, proof.core, proof.version_index, proof.label)
             selected = self.selection.get(proof.core) == proof.version_index
+            if proof.latency_overrun:
+                found.append(
+                    Diagnostic(
+                        rule="trans.latency-overrun",
+                        severity=Severity.WARNING,
+                        location=where,
+                        message=(
+                            f"{proof.direction} path for {proof.label} declares latency "
+                            f"{proof.proof.claimed_latency} but its proof derives "
+                            f"{proof.proof.derived_latency}"
+                        ),
+                        hint="recompute the path latency; the TAT model relies on it",
+                    )
+                )
             if not proof.proved:
                 conflict = bool(proof.solver.conflicts or proof.solver.structural)
                 rule = "analysis.mux-conflict" if conflict else "analysis.slice-provenance"
@@ -313,19 +374,21 @@ class Certificate:
                 Diagnostic(
                     rule="analysis.access-route",
                     severity=Severity.ERROR if escalate else Severity.WARNING,
-                    location=location(("system", self.system)),
+                    location=location(self.system),
                     message=f"no test plan exists for this selection: {self.plan_error}",
                     hint="fix the planning failure before trusting TAT/area numbers",
                 )
             )
         for route in self.routes:
-            where = location(("core", route.core), (route.kind, route.port))
             if route.status == "refuted":
                 found.append(
                     Diagnostic(
                         rule="analysis.access-route",
                         severity=Severity.ERROR if escalate else Severity.WARNING,
-                        location=where,
+                        location=path_location(
+                            self.system, route.core,
+                            self.selection.get(route.core, 0), route.port,
+                        ),
                         message=(
                             f"{route.kind} route for {route.core}.{route.port} leans "
                             f"on unproved transparency: " + "; ".join(route.problems[:3])
@@ -341,20 +404,32 @@ class Certificate:
 
 # ----------------------------------------------------------------------
 def certify_version(
-    circuit, version, core_name: Optional[str] = None, hscan=_TRUST_DECLARED
+    circuit, version, hscan, core_name: Optional[str] = None
 ) -> VersionCertificate:
     """Prove (or refute) every declared path of one transparency version.
 
-    Pass the core's ``hscan`` plan (even ``None``) to have the admissible
-    arc set re-extracted from ``circuit`` via :func:`fresh_known_arcs`;
-    without it the version's recorded RCG is trusted, which cannot catch
-    a netlist that diverged after version generation.
+    Proofs admit only arcs re-extracted from ``circuit`` and the core's
+    ``hscan`` plan (:func:`fresh_known_arcs`), never the version's
+    recorded RCG.  Coverage is judged on the same circuit: every input
+    of its RCG needs a propagate path and every output slice a justify
+    path.
     """
     core_name = core_name or version.core
-    if hscan is _TRUST_DECLARED:
-        known_arcs = {arc.key(): arc for arc in version.rcg.arcs}
-    else:
-        known_arcs = fresh_known_arcs(circuit, version, hscan)
+    known_arcs = fresh_known_arcs(circuit, version, hscan)
+    rcg = RCG.from_circuit(circuit, hscan)
+    missing = sorted(
+        [
+            ("justify", str(piece))
+            for output in rcg.output_names()
+            for piece in rcg.output_slices(output)
+            if (piece.comp, piece.lo, piece.width) not in version.justify_paths
+        ]
+        + [
+            ("propagate", name)
+            for name in rcg.input_names()
+            if name not in version.propagate_paths
+        ]
+    )
     proofs: List[PathProof] = []
 
     def examine(direction: str, key: Tuple, path) -> None:
@@ -402,7 +477,8 @@ def certify_version(
         examine("propagate", (port,), version.propagate_paths[port])
 
     certificate = VersionCertificate(
-        core=core_name, index=version.index, name=version.name, paths=proofs
+        core=core_name, index=version.index, name=version.name, paths=proofs,
+        missing=missing,
     )
     METRICS.counter("analysis.paths.proved").inc(sum(1 for p in proofs if p.proved))
     METRICS.counter("analysis.paths.refuted").inc(sum(1 for p in proofs if not p.proved))
@@ -412,7 +488,7 @@ def certify_version(
     return certificate
 
 
-def certify_plan(plan, proofs_by_version: Dict[Tuple[str, int], VersionCertificate]) -> List[RouteRecord]:
+def certify_plan(plan, versions: List[VersionCertificate]) -> List[RouteRecord]:
     """Certify every access route of a built plan against path proofs.
 
     A usage key ``(core, "justify", (out, lo, width))`` or
@@ -422,7 +498,7 @@ def certify_plan(plan, proofs_by_version: Dict[Tuple[str, int], VersionCertifica
     the planner already matched slice widths net by net.
     """
     lookups: Dict[Tuple[str, int], Dict[Tuple[str, Tuple], PathProof]] = {
-        spot: certificate.lookup() for spot, certificate in sorted(proofs_by_version.items())
+        (version.core, version.index): version.lookup() for version in versions
     }
 
     def usage_problems(usages) -> List[str]:
@@ -493,32 +569,32 @@ def certify_plan(plan, proofs_by_version: Dict[Tuple[str, int], VersionCertifica
     return routes
 
 
+def certify_versions(soc) -> List[VersionCertificate]:
+    """Certify every version of every testable core, cores in name order."""
+    return [
+        certify_version(core.circuit, version, core.hscan, core_name=core.name)
+        for core in sorted(soc.testable_cores(), key=lambda c: c.name)
+        for version in core.versions
+    ]
+
+
 def certify_soc(soc, selection: Optional[Dict[str, int]] = None) -> Certificate:
     """Certify every version of every testable core, then the plan's routes."""
     with profile_section("analysis.certify"):
         if selection is None:
             selection = {core.name: 0 for core in soc.testable_cores()}
-        versions: List[VersionCertificate] = []
-        proofs_by_version: Dict[Tuple[str, int], VersionCertificate] = {}
-        for core in sorted(soc.testable_cores(), key=lambda c: c.name):
-            for version in core.versions:
-                certificate = certify_version(
-                    core.circuit, version, core_name=core.name, hscan=core.hscan
-                )
-                versions.append(certificate)
-                proofs_by_version[(core.name, version.index)] = certificate
-
+        versions = certify_versions(soc)
         routes: List[RouteRecord] = []
         plan_error: Optional[str] = None
         test_muxes: List[str] = []
         try:
             from repro.soc.plan import plan_soc_test
 
-            plan = plan_soc_test(soc, selection=dict(selection), strict=False)
+            plan = plan_soc_test(soc, selection=dict(selection))
         except ReproError as error:
             plan_error = str(error)
         else:
-            routes = certify_plan(plan, proofs_by_version)
+            routes = certify_plan(plan, versions)
             test_muxes = sorted(str(mux) for mux in plan.test_muxes)
 
         result = Certificate(
@@ -531,38 +607,3 @@ def certify_soc(soc, selection: Optional[Dict[str, int]] = None) -> Certificate:
         )
         METRICS.counter("analysis.certificates").inc()
     return result
-
-
-def strict_gate_access(
-    soc,
-    selection: Optional[Dict[str, int]] = None,
-    gate: str = "plan_soc_test(strict=True)",
-) -> None:
-    """Refuse to plan on refuted transparency (the proof-backed strict gate).
-
-    Only the *selected* version of each core is proved here (the full
-    certificate, including route composition, is the job of
-    ``repro certify``); a refuted path raises :class:`LintError` before
-    any planning compute is spent.
-    """
-    if selection is None:
-        selection = {core.name: 0 for core in soc.testable_cores()}
-    refuted: List[str] = []
-    for core in sorted(soc.testable_cores(), key=lambda c: c.name):
-        version = core.version(selection.get(core.name, 0))
-        certificate = certify_version(
-            core.circuit, version, core_name=core.name, hscan=core.hscan
-        )
-        for proof in certificate.paths:
-            if not proof.proved:
-                reasons = proof.problems()
-                refuted.append(
-                    f"core {core.name} version {version.index}: {proof.direction} "
-                    f"path for {proof.label}: " + "; ".join(reasons[:2])
-                )
-    if refuted:
-        preview = "; ".join(refuted[:3])
-        raise LintError(
-            f"{gate}: transparency certifier refuted {len(refuted)} "
-            f"path(s) in the selected versions: {preview}"
-        )

@@ -20,10 +20,12 @@ which terminal bits reach which root bits through the chain of
 The result is a :class:`SliceProof`: either a complete, machine-checked
 segment map (root bits ``[lo, lo+w)`` come from terminal bits
 ``[tlo, tlo+w)`` after ``n`` cycles) or a list of refutation reasons
-naming the offending slice ranges.  The differential harness
+naming the offending slice ranges.  The certifier
+(:mod:`repro.analysis.certify`) turns a refutation into an
+``analysis.*`` diagnostic, and a derived latency other than the
+declared one into ``trans.latency-overrun``.  The differential harness
 (:mod:`repro.analysis.differential`) replays proved segment maps on the
-gate-level simulator; refuted paths never reach the planner's strict
-gate.
+gate-level simulator.
 """
 
 from __future__ import annotations

@@ -76,9 +76,14 @@ def validate_certificate(payload: Dict) -> List[str]:
             if not isinstance(version, dict):
                 problems.append(f"{where} must be an object")
                 continue
-            for key in ("core", "index", "name", "proved", "paths"):
+            for key in ("core", "index", "name", "proved", "paths", "missing"):
                 if key not in version:
                     problems.append(f"{where} is missing {key!r}")
+            missing = version.get("missing", [])
+            if not isinstance(missing, list):
+                problems.append(f"{where}.missing must be a list")
+            elif missing and version.get("proved") is True:
+                problems.append(f"{where} is proved but lists missing paths")
             for spot, path in enumerate(version.get("paths", [])):
                 paths += 1
                 for key in _PATH_KEYS:

@@ -265,8 +265,8 @@ def cmd_lint(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from repro.analysis import certify_soc, replay_soc
-    from repro.lint import Severity
+    from repro.analysis import certify_soc, path_location, replay_soc
+    from repro.lint import Diagnostic, Severity
 
     try:
         fail_on = Severity.parse(args.fail_on)
@@ -279,15 +279,13 @@ def cmd_certify(args) -> int:
     if args.replay:
         replays = replay_soc(soc)
         certificate.replays = [result.to_dict() for result in replays]
-        from repro.lint.diagnostics import Diagnostic, location
-
         for result in replays:
             if not result.ok:
                 diagnostics.append(Diagnostic(
                     rule="analysis.replay",
                     severity=Severity.ERROR,
-                    location=location(("core", result.core),
-                                      ("version", result.version_index)),
+                    location=path_location(soc.name, result.core,
+                                           result.version_index, result.port),
                     message=(
                         f"proved {result.direction} path for {result.port} failed "
                         f"gate-level replay: {result.detail}"

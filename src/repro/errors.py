@@ -66,18 +66,6 @@ class UsageError(ReproError):
     """
 
 
-class LintError(ReproError):
-    """A strict flow gate found design-rule errors (see :mod:`repro.lint`).
-
-    Carries the offending :class:`~repro.lint.diagnostics.Diagnostic`
-    list so callers can render or serialize the findings.
-    """
-
-    def __init__(self, message: str, diagnostics=None) -> None:
-        super().__init__(message)
-        self.diagnostics = list(diagnostics or [])
-
-
 class ObservabilityError(ReproError):
     """A problem in the metrics/bench-format/ledger layer."""
 

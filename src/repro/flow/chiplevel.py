@@ -113,18 +113,8 @@ def schedule_points(
         ]
 
 
-def run_socet(soc: Soc, strict: bool = False) -> SocetRun:
-    """Sweep the design space and pick the paper's two extreme points.
-
-    ``strict=True`` runs the structural design rules (:mod:`repro.lint`)
-    first and raises :class:`~repro.errors.LintError` on any error, so a
-    malformed SOC is rejected before the sweep spends ATPG or
-    fault-simulation cycles.
-    """
-    if strict:
-        from repro.lint import strict_gate_soc
-
-        strict_gate_soc(soc, gate="run_socet(strict=True)")
+def run_socet(soc: Soc) -> SocetRun:
+    """Sweep the design space and pick the paper's two extreme points."""
     with profile_section("chiplevel.run_socet"):
         points = design_space(soc)
         min_area = min(points, key=lambda p: (p.chip_cells, p.tat))

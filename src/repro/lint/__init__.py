@@ -6,13 +6,13 @@ ids (see DESIGN.md, "Diagnostic contract"):
 
 * **netlist/RTL** -- combinational loops, floating/multiply-driven
   nets, width mismatches, unreachable registers;
-* **transparency** -- every core input provably propagates to an output
-  and every output slice justifies from inputs, within the declared
-  latencies, by shortest-path proof on the RCG (no simulation);
-* **analysis** -- the symbolic certifier (:mod:`repro.analysis`)
-  re-proves every declared path at the bit-slice level: terminal
-  provenance for every root bit, satisfiable mux-select demands, and
-  plan access routes that ride proved paths only;
+* **transparency** -- the symbolic certifier (:mod:`repro.analysis`),
+  the one transparency checker, backs the ``trans.*`` and
+  ``analysis.*`` rules: every core input has a propagate path and every
+  output slice a justify path, each re-proved at the bit-slice level
+  within its declared latency (terminal provenance for every root bit,
+  satisfiable mux-select demands), and plan access routes ride proved
+  paths only;
 * **plan** -- reservation windows fit their cadences, test-mux
   fallbacks are recorded, TAT accounting is internally consistent;
 * **schedule** -- shared resources never double-booked, scan-power
@@ -30,10 +30,6 @@ Typical use::
     from repro.lint import lint_soc
     report = lint_soc(build_system3())
     assert not report.errors, report.render()
-
-or gate a flow::
-
-    plan_soc_test(soc, strict=True)   # raises LintError on rule errors
 """
 
 from __future__ import annotations
@@ -46,18 +42,11 @@ from repro.lint.diagnostics import (
     location,
 )
 from repro.lint.registry import LintContext, Rule, RuleRegistry
-from repro.lint import (
-    rules_analysis,
-    rules_netlist,
-    rules_plan,
-    rules_schedule,
-    rules_transparency,
-)
+from repro.lint import rules_analysis, rules_netlist, rules_plan, rules_schedule
 
 #: the process-wide registry holding every built-in rule
 DEFAULT_REGISTRY = RuleRegistry()
 rules_netlist.register_rules(DEFAULT_REGISTRY)
-rules_transparency.register_rules(DEFAULT_REGISTRY)
 rules_analysis.register_rules(DEFAULT_REGISTRY)
 rules_plan.register_rules(DEFAULT_REGISTRY)
 rules_schedule.register_rules(DEFAULT_REGISTRY)
@@ -67,8 +56,6 @@ from repro.lint.runner import (  # noqa: E402  (needs DEFAULT_REGISTRY)
     lint_plan,
     lint_schedule,
     lint_soc,
-    strict_gate_plan,
-    strict_gate_soc,
 )
 
 __all__ = [
@@ -85,6 +72,4 @@ __all__ = [
     "lint_plan",
     "lint_schedule",
     "lint_soc",
-    "strict_gate_plan",
-    "strict_gate_soc",
 ]

@@ -5,7 +5,7 @@ it inspects -- and a check function that yields
 :class:`~repro.lint.diagnostics.Diagnostic` objects from a
 :class:`LintContext`.  The registry owns per-rule enable/disable state
 and severity overrides, so a CI config can demote a rule to a warning
-or switch an experimental rule on without touching the rule itself.
+or switch it off without touching the rule itself.
 
 Scopes:
 
@@ -18,7 +18,7 @@ Scopes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.obs import METRICS
@@ -50,9 +50,12 @@ class LintContext:
     schedule: Optional[object] = None
     plan_error: Optional[Exception] = None
     schedule_error: Optional[Exception] = None
+    #: the transparency certificate, built once per pass by the
+    #: certifier-backed rules (:mod:`repro.lint.rules_analysis`)
+    certificate: Optional[object] = None
 
 
-CheckFn = Callable[[LintContext], Iterator[Diagnostic]]
+CheckFn = Callable[[LintContext], Iterable[Diagnostic]]
 
 
 @dataclass
@@ -64,9 +67,6 @@ class Rule:
     severity: Severity
     title: str
     check: CheckFn
-    #: rules ship default-off (as warnings) for one PR before being
-    #: promoted -- see DESIGN.md, "Diagnostic contract"
-    default_enabled: bool = True
 
 
 class RuleRegistry:
@@ -86,25 +86,7 @@ class RuleRegistry:
         if rule.rule_id in self._rules:
             raise ValueError(f"duplicate rule id {rule.rule_id!r}")
         self._rules[rule.rule_id] = rule
-        if not rule.default_enabled:
-            self._disabled.add(rule.rule_id)
         return rule
-
-    def rule(
-        self,
-        rule_id: str,
-        scope: str,
-        severity: Severity,
-        title: str,
-        default_enabled: bool = True,
-    ) -> Callable[[CheckFn], CheckFn]:
-        """Decorator form of :meth:`register`."""
-
-        def decorate(check: CheckFn) -> CheckFn:
-            self.register(Rule(rule_id, scope, severity, title, check, default_enabled))
-            return check
-
-        return decorate
 
     def unregister(self, rule_id: str) -> None:
         self._rules.pop(rule_id, None)

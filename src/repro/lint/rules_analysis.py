@@ -1,13 +1,18 @@
-"""Proof-backed analysis rules: the symbolic transparency certifier.
+"""Transparency rules: every verdict comes from the symbolic certifier.
 
-Where :mod:`repro.lint.rules_transparency` establishes component-level
-*bounds* (Dijkstra latency lower bounds on the RCG), these rules run
-the bit-exact certifier from :mod:`repro.analysis` and report actual
-refutations:
+The certifier in :mod:`repro.analysis` is the only transparency
+checker.  One :class:`~repro.analysis.Certificate` per lint pass backs
+all seven rule ids:
 
+* ``trans.input-propagation`` -- a version declares no propagate path
+  for some core input (a coverage gap; the version is not proved);
+* ``trans.output-justification`` -- a version declares no justify path
+  for some output slice (likewise);
+* ``trans.latency-overrun`` -- a path's proof derives a latency other
+  than the declared one, which the cadence and TAT math would absorb;
 * ``analysis.slice-provenance`` -- a declared path's slice widths do
   not line up: some root bits have no terminal provenance (width
-  narrowing, coverage gaps, dangling leaves, latency lies);
+  narrowing, dangling leaves, phantom arcs, latency lies);
 * ``analysis.mux-conflict`` -- the path's ``mux_path`` demands are
   unsatisfiable (the same mux forced to two legs, or a demand on a
   missing/undersized mux) -- no select encoding realizes the mode;
@@ -18,114 +23,78 @@ refutations:
   leans on a transparency path the certifier refuted, or on a path
   the selected version never declared.
 
-Per the one-PR demotion/promotion policy (DESIGN.md), the new proof
-rules land at default WARNING; the superseded bound rule
-``trans.latency-overrun`` demotes to WARNING in the same change.
-
-The certifier import stays inside the check functions: analysis is
-heavier than the bound rules and must stay off the ``repro profile``
-import path so the baseline counter ledgers are unaffected.
+Versions are certified once, in the soc pass; the plan pass adds only
+the plan's routes.  The certifier import stays inside the check
+functions so that :mod:`repro.analysis` stays off the ``repro profile``
+import path and the baseline counter ledgers are unaffected.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintContext
+from repro.lint.registry import LintContext, Rule
 
 
 def _certificate(ctx: LintContext):
-    """Certify (once per lint pass) everything the context can support.
+    """The pass's certificate, with every version certified exactly once."""
+    from repro.analysis import Certificate, certify_versions
 
-    Version proofs need only the SOC; route certification additionally
-    needs the plan, which the runner attaches before plan-scope rules
-    fire -- so the cache is keyed on whether the plan was seen.
-    """
-    from repro.analysis import Certificate, certify_plan, certify_version
-
-    cached = getattr(ctx, "_analysis_certificate", None)
-    plan_state = (ctx.plan is not None, ctx.plan_error is not None)
-    if cached is not None and getattr(ctx, "_analysis_plan_state", None) == plan_state:
-        return cached
-    if ctx.soc is None:
-        return None
-    versions = []
-    by_version = {}
-    for core in sorted(ctx.soc.testable_cores(), key=lambda c: c.name):
-        for version in core.versions:
-            certificate = certify_version(
-                core.circuit, version, core_name=core.name, hscan=core.hscan
-            )
-            versions.append(certificate)
-            by_version[(core.name, version.index)] = certificate
-    if ctx.plan is not None:
-        selection = dict(ctx.plan.selection)
-        routes = certify_plan(ctx.plan, by_version)
-    else:
-        selection = {core.name: 0 for core in ctx.soc.testable_cores()}
-        routes = []
-    cached = Certificate(
-        system=ctx.system,
-        selection=selection,
-        versions=versions,
-        routes=routes,
-        plan_error=str(ctx.plan_error) if ctx.plan_error is not None else None,
-    )
-    ctx._analysis_certificate = cached
-    ctx._analysis_plan_state = plan_state
-    return cached
+    if ctx.certificate is None and ctx.soc is not None:
+        ctx.certificate = Certificate(
+            system=ctx.system,
+            selection={core.name: 0 for core in ctx.soc.testable_cores()},
+            versions=certify_versions(ctx.soc),
+            routes=[],
+        )
+    return ctx.certificate
 
 
-def _rule_diagnostics(ctx: LintContext, rule_id: str) -> List[Diagnostic]:
-    certificate = _certificate(ctx)
+def _diagnostics(certificate, rule_id: str) -> List[Diagnostic]:
     if certificate is None:
         return []
     return [d for d in certificate.diagnostics() if d.rule == rule_id]
 
 
-def check_slice_provenance(ctx: LintContext) -> Iterator[Diagnostic]:
-    """analysis.slice-provenance: declared paths transport every bit."""
-    for diagnostic in _rule_diagnostics(ctx, "analysis.slice-provenance"):
-        yield diagnostic
+def _version_rule(rule_id: str):
+    def check(ctx: LintContext) -> List[Diagnostic]:
+        return _diagnostics(_certificate(ctx), rule_id)
+
+    return check
 
 
-def check_mux_conflicts(ctx: LintContext) -> Iterator[Diagnostic]:
-    """analysis.mux-conflict: path select demands are satisfiable."""
-    for diagnostic in _rule_diagnostics(ctx, "analysis.mux-conflict"):
-        yield diagnostic
-
-
-def check_select_sharing(ctx: LintContext) -> Iterator[Diagnostic]:
-    """analysis.select-sharing: shared select nets driven both ways."""
-    for diagnostic in _rule_diagnostics(ctx, "analysis.select-sharing"):
-        yield diagnostic
-
-
-def check_access_routes(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_access_routes(ctx: LintContext) -> List[Diagnostic]:
     """analysis.access-route: plan routes ride proved transparency only."""
-    for diagnostic in _rule_diagnostics(ctx, "analysis.access-route"):
-        yield diagnostic
+    from repro.analysis import certify_plan
+
+    certificate = _certificate(ctx)
+    if certificate is None:
+        return []
+    if ctx.plan is not None:
+        certificate.selection = dict(ctx.plan.selection)
+        certificate.routes = certify_plan(ctx.plan, certificate.versions)
+    if ctx.plan_error is not None:
+        certificate.plan_error = str(ctx.plan_error)
+    return _diagnostics(certificate, "analysis.access-route")
 
 
 def register_rules(registry) -> None:
-    from repro.lint.registry import Rule
-
-    registry.register(Rule(
-        "analysis.slice-provenance", "soc", Severity.WARNING,
-        "transparency paths have bit-exact terminal provenance",
-        check_slice_provenance,
-    ))
-    registry.register(Rule(
-        "analysis.mux-conflict", "soc", Severity.WARNING,
-        "transparency modes have satisfiable select demands",
-        check_mux_conflicts,
-    ))
-    registry.register(Rule(
-        "analysis.select-sharing", "soc", Severity.INFO,
-        "shared select nets need per-mux overrides in test mode",
-        check_select_sharing,
-    ))
+    for rule_id, severity, title in (
+        ("trans.input-propagation", Severity.ERROR,
+         "every core input propagates to an output"),
+        ("trans.output-justification", Severity.ERROR,
+         "every output slice justifies from inputs"),
+        ("trans.latency-overrun", Severity.WARNING,
+         "declared latencies equal the proved latency"),
+        ("analysis.slice-provenance", Severity.WARNING,
+         "transparency paths have bit-exact terminal provenance"),
+        ("analysis.mux-conflict", Severity.WARNING,
+         "transparency modes have satisfiable select demands"),
+        ("analysis.select-sharing", Severity.INFO,
+         "shared select nets need per-mux overrides in test mode"),
+    ):
+        registry.register(Rule(rule_id, "soc", severity, title, _version_rule(rule_id)))
     registry.register(Rule(
         "analysis.access-route", "plan", Severity.WARNING,
         "plan access routes are certified by path proofs",

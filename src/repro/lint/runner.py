@@ -1,4 +1,4 @@
-"""Lint entry points: build a context, run the registry, gate flows.
+"""Lint entry points: build a context and run the registry over it.
 
 ``lint_soc`` is the full four-layer pass the CLI runs: core RTL
 structure, chip wiring + transparency versions, then -- only when those
@@ -6,19 +6,19 @@ layers are error-free -- a default test plan and its concurrent
 schedule.  The layer staging matters: planning a malformed SOC raises,
 so the plan/schedule layers run on demand and a construction failure
 becomes a ``plan.infeasible``/``sched.infeasible`` diagnostic instead
-of a crash.
+of a crash.  One context carries the pass, so the transparency
+certificate its soc layer builds is reused by the plan layer.
 
-``strict_gate_*`` back the opt-in ``strict=True`` preconditions on
-:func:`repro.soc.plan.plan_soc_test`, :func:`repro.flow.run_socet`, and
-:func:`repro.schedule.schedule_plan`.
+Callers that want a precondition check call these entry points (or
+:func:`repro.analysis.certify_soc`) and act on the report's errors.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import LintError, ReproError
-from repro.lint.diagnostics import LintReport, Severity
+from repro.errors import ReproError
+from repro.lint.diagnostics import LintReport
 from repro.lint.registry import LintContext, RuleRegistry
 from repro.obs import profile_section
 
@@ -66,20 +66,18 @@ def lint_soc(
     soc,
     registry: Optional[RuleRegistry] = None,
     selection=None,
-    deep: bool = True,
 ) -> LintReport:
     """The full static pass over every artifact layer of one SOC.
 
-    ``deep=False`` stops after the structural layers (no plan/schedule
-    construction -- cheap enough for a pre-planning gate).  When the
-    structural layers report errors the deep layers are skipped anyway:
-    building a plan on a broken SOC would raise rather than lint.
+    When the structural layers report errors the plan and schedule
+    layers are skipped: building a plan on a broken SOC would raise
+    rather than lint.
     """
     registry = registry or default_registry()
     with profile_section("lint.pass"):
         context = _context_for_soc(soc)
         report = registry.run(context, scopes=("circuit", "soc"))
-        if not deep or report.errors:
+        if report.errors:
             return report
 
         from repro.soc.plan import plan_soc_test
@@ -97,26 +95,3 @@ def lint_soc(
             registry.run(context, scopes=("schedule",), report=report)
         return report
 
-
-# ----------------------------------------------------------------------
-# strict precondition gates
-# ----------------------------------------------------------------------
-def _raise_on_errors(report: LintReport, gate: str) -> None:
-    if report.errors:
-        raise LintError(
-            f"{gate}: {len(report.errors)} design-rule error(s) in "
-            f"{report.target}; first: {report.errors[0]}",
-            diagnostics=report.errors,
-        )
-
-
-def strict_gate_soc(soc, gate: str = "plan_soc_test(strict=True)") -> None:
-    """Reject a structurally broken SOC before any planning/ATPG runs."""
-    report = lint_soc(soc, deep=False)
-    _raise_on_errors(report, gate)
-
-
-def strict_gate_plan(plan, gate: str = "schedule_plan(strict=True)") -> None:
-    """Reject an inconsistent plan before scheduling consumes it."""
-    report = lint_plan(plan)
-    _raise_on_errors(report, gate)

@@ -65,20 +65,12 @@ def schedule_plan(
     algorithm: str = "greedy",
     power_budget=None,
     include_bist: bool = False,
-    strict: bool = False,
 ) -> TestSchedule:
     """Schedule a finished SOC test plan into concurrent sessions.
 
-    ``strict=True`` runs the plan-scope design rules (:mod:`repro.lint`)
-    first and raises :class:`~repro.errors.LintError` if the plan's
-    internal invariants -- reservation windows, mux bookkeeping, TAT
-    accounting -- do not hold, so a corrupted plan never reaches the
-    packers.
+    The plan's internal invariants are :func:`repro.lint.lint_plan`'s to
+    check.
     """
-    if strict:
-        from repro.lint import strict_gate_plan
-
-        strict_gate_plan(plan)
     items = build_test_items(plan, include_bist=include_bist)
     scheduler = get_scheduler(algorithm, power_budget=power_budget)
     return scheduler.schedule(plan.soc.name, items)

@@ -160,13 +160,11 @@ class SocTestPlan:
         algorithm: str = "greedy",
         power_budget: Optional[int] = None,
         include_bist: bool = False,
-        strict: bool = False,
     ):
         """Pack the core tests into concurrent sessions (a TestSchedule).
 
         See :mod:`repro.schedule`; imported lazily because the scheduler
-        consumes finished plans.  ``strict=True`` lints this plan first
-        and raises :class:`~repro.errors.LintError` on rule errors.
+        consumes finished plans.
         """
         from repro.schedule import schedule_plan
 
@@ -175,7 +173,6 @@ class SocTestPlan:
             algorithm=algorithm,
             power_budget=power_budget,
             include_bist=include_bist,
-            strict=strict,
         )
 
     @property
@@ -529,7 +526,6 @@ def plan_soc_test(
     allow_test_muxes: bool = True,
     forced_muxes: Optional[Set[Tuple[str, str]]] = None,
     use_cache: Optional[bool] = None,
-    strict: bool = False,
 ) -> SocTestPlan:
     """Plan the complete SOC test for one version selection.
 
@@ -543,23 +539,11 @@ def plan_soc_test(
     (on unless ``REPRO_PLAN_CACHE=0``), ``True``/``False`` force it.
     Cached and uncached plans are bit-identical.
 
-    ``strict=True`` runs the structural design rules (:mod:`repro.lint`,
-    circuit + soc + transparency scopes) and the symbolic transparency
-    certifier (:func:`repro.analysis.strict_gate_access`: slice
-    provenance + mux-select consistency of every selected version)
-    before planning, raising :class:`~repro.errors.LintError` on any
-    rule error or refuted path -- catching malformed designs before a
-    single ATPG or simulation cycle.
+    The plan trusts the versions' declared paths; :func:`repro.lint.lint_soc`
+    and :func:`repro.analysis.certify_soc` check them.
     """
     from repro.exec.cache import cache_enabled, plan_cache_for
 
-    if strict:
-        from repro.lint import strict_gate_soc
-
-        strict_gate_soc(soc)
-        from repro.analysis import strict_gate_access
-
-        strict_gate_access(soc, selection)
     with profile_section("chiplevel.plan"):
         soc.validate()
         if selection is None:

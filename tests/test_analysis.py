@@ -8,15 +8,12 @@ import pytest
 from tests.fixtures import broken_designs as bd
 from repro.analysis import (
     certify_soc,
-    certify_version,
     check_path_selects,
     fresh_known_arcs,
     prove_path,
-    strict_gate_access,
 )
 from repro.analysis.schema import validate_certificate
 from repro.cli import main
-from repro.errors import LintError
 from repro.lint import Severity
 
 SYSTEMS = ["System1", "System2", "System3", "System4"]
@@ -154,8 +151,22 @@ class TestRefutations:
         bad = refuted_paths(certificate)
         assert bad
         assert any(proof.solver.conflicts for proof in bad)
-        # version 2 retries with bypass muxes and must still be on offer
-        assert any(v.proved for v in certificate.versions)
+        # version 2 retries with bypass muxes; selecting it dodges the conflict
+        proved = next(v.index for v in certificate.versions if v.proved)
+        assert certify_soc(bd.mux_conflict_soc(), selection={"A": proved}).certified
+
+    @pytest.mark.parametrize("fixture, rule", [
+        (bd.uncovered_input_soc, "trans.input-propagation"),
+        (bd.unjustified_output_soc, "trans.output-justification"),
+    ])
+    def test_coverage_gap_is_not_certified(self, fixture, rule):
+        certificate = certify_soc(fixture())
+        assert not certificate.certified
+        assert certificate.versions[0].missing
+        assert any(
+            d.rule == rule and d.severity is Severity.ERROR
+            for d in certificate.diagnostics()
+        )
 
     def test_refuted_certificate_json_still_validates(self):
         payload = json.loads(certify_soc(bd.narrowed_transparency_soc()).to_json())
@@ -173,33 +184,6 @@ class TestRefutations:
 
 
 # ----------------------------------------------------------------------
-# the proof-backed strict gate
-# ----------------------------------------------------------------------
-class TestStrictGateAccess:
-    def test_refuses_narrowed_core(self):
-        with pytest.raises(LintError) as excinfo:
-            strict_gate_access(bd.narrowed_transparency_soc())
-        assert "certifier refuted" in str(excinfo.value)
-        assert "A" in str(excinfo.value)
-
-    def test_selection_can_dodge_the_refutation(self):
-        # the conflict only poisons version 1; version 2 uses bypass muxes
-        soc = bd.mux_conflict_soc()
-        core = soc.cores["A"]
-        proved = [
-            v.index for v in (
-                certify_version(core.circuit, v, core_name="A", hscan=core.hscan)
-                for v in core.versions
-            ) if v.proved
-        ]
-        assert proved
-        strict_gate_access(soc, selection={"A": proved[0]})
-
-    def test_passes_on_clean_systems(self):
-        strict_gate_access(build("System1"))
-
-
-# ----------------------------------------------------------------------
 # tamper detection: the certifier must not trust version metadata
 # ----------------------------------------------------------------------
 class TestFreshArcs:
@@ -209,17 +193,6 @@ class TestFreshArcs:
             fresh = set(fresh_known_arcs(core.circuit, version, core.hscan))
             declared = {arc.key() for arc in version.rcg.arcs}
             assert declared <= fresh
-
-    def test_trusting_declared_rcg_misses_the_tamper(self):
-        """Without fresh extraction the narrowed core would wrongly prove."""
-        core = bd.narrowed_transparency_soc().cores["A"]
-        version = core.versions[0]
-        trusting = certify_version(core.circuit, version, core_name="A")
-        fresh = certify_version(
-            core.circuit, version, core_name="A", hscan=core.hscan
-        )
-        assert trusting.proved  # the lie the declared RCG tells
-        assert not fresh.proved  # the netlist does not back it
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +260,13 @@ class TestSchemaValidator:
         victim["status"] = "refuted"
         victim["problems"] = []
         assert validate_certificate(payload)
+
+    def test_proved_version_with_missing_paths_reported(self):
+        payload = self.good()
+        version = payload["versions"][0]
+        assert version["proved"] is True and version["missing"] == []
+        version["missing"] = [{"direction": "propagate", "port": "AIN"}]
+        assert any("missing" in problem for problem in validate_certificate(payload))
 
     def test_summary_cross_check(self):
         payload = self.good()

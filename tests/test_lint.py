@@ -6,7 +6,6 @@ import pytest
 
 from tests.fixtures import broken_designs as bd
 from repro.cli import main
-from repro.errors import LintError
 from repro.lint import (
     DEFAULT_REGISTRY,
     Diagnostic,
@@ -17,11 +16,7 @@ from repro.lint import (
     lint_plan,
     lint_schedule,
     lint_soc,
-    strict_gate_plan,
-    strict_gate_soc,
 )
-from repro.schedule import schedule_plan
-from repro.soc import plan_soc_test
 
 SYSTEMS = ["System1", "System2", "System3", "System4"]
 
@@ -47,6 +42,24 @@ class TestSystemsClean:
     def test_cli_lint_exits_zero(self, system, capsys):
         assert main(["lint", system]) == 0
         assert f"{system}:" in capsys.readouterr().out
+
+    def test_lint_certifies_each_version_once(self):
+        from repro.designs import build_system1
+        from repro.obs import METRICS
+
+        def proofs():
+            counters = METRICS.counters()
+            return (counters.get("analysis.paths.proved", 0)
+                    + counters.get("analysis.paths.refuted", 0))
+
+        soc = build_system1()
+        declared = sum(
+            len(version.justify_paths) + len(version.propagate_paths)
+            for core in soc.testable_cores() for version in core.versions
+        )
+        before = proofs()
+        lint_soc(soc)
+        assert proofs() - before == declared
 
 
 # ----------------------------------------------------------------------
@@ -229,54 +242,6 @@ class TestCliLint:
 
 
 # ----------------------------------------------------------------------
-# strict precondition gates
-# ----------------------------------------------------------------------
-class TestStrictGates:
-    def test_gate_rejects_broken_soc(self):
-        with pytest.raises(LintError) as excinfo:
-            strict_gate_soc(bd.uncovered_input_soc())
-        assert excinfo.value.diagnostics
-        assert excinfo.value.diagnostics[0].rule == "trans.input-propagation"
-
-    def test_gate_rejects_broken_plan(self):
-        with pytest.raises(LintError):
-            strict_gate_plan(bd.tat_inconsistent_plan())
-
-    def test_plan_soc_test_strict_rejects(self):
-        with pytest.raises(LintError):
-            plan_soc_test(bd.partially_driven_soc(), strict=True)
-
-    @pytest.mark.parametrize("fixture", [
-        bd.narrowed_transparency_soc, bd.mux_conflict_soc,
-    ])
-    def test_strict_gate_runs_certifier(self, fixture):
-        """Refuted transparency blocks strict planning even with no ERROR lint."""
-        with pytest.raises(LintError) as excinfo:
-            plan_soc_test(fixture(), strict=True)
-        assert "certifier refuted" in str(excinfo.value)
-
-    def test_strict_gate_allows_shared_select(self):
-        """Advisories are not refutations: the plan goes through."""
-        plan = plan_soc_test(bd.shared_select_soc(), strict=True)
-        assert "A" in plan.core_plans
-
-    def test_schedule_plan_strict_rejects(self):
-        with pytest.raises(LintError):
-            schedule_plan(bd.tampered_cadence_plan(), strict=True)
-
-    def test_strict_passes_on_good_designs(self):
-        from repro.designs import build_system3
-
-        plan = plan_soc_test(build_system3(), strict=True)
-        assert plan.schedule(strict=True).makespan > 0
-
-    def test_lint_error_is_repro_error(self):
-        from repro.errors import ReproError
-
-        assert issubclass(LintError, ReproError)
-
-
-# ----------------------------------------------------------------------
 # diagnostics plumbing
 # ----------------------------------------------------------------------
 class TestDiagnostics:
@@ -290,6 +255,20 @@ class TestDiagnostics:
         report = lint_circuit(bd.undriven_circuit())
         sorted_rules = [d.severity for d in report.sorted()]
         assert sorted_rules == sorted(sorted_rules, reverse=True)
+
+    def test_certifier_diagnostics_share_one_location(self):
+        """Lint and certify name a path alike: system, core, one-based version, port."""
+        from repro.analysis import certify_soc
+
+        report = lint_soc(bd.lying_latency_soc())
+        rules = {"trans.latency-overrun", "analysis.slice-provenance"}
+        linted = [d for d in report.diagnostics if d.rule in rules]
+        certified = [d for d in certify_soc(bd.lying_latency_soc()).diagnostics()
+                     if d.rule in rules]
+        assert {d.rule for d in linted} == {d.rule for d in certified} == rules
+        assert {d.location for d in linted + certified} == {
+            "lyinglatency/core:A/version:1/port:IN"
+        }
 
     def test_diagnostic_str_mentions_location(self):
         d = Diagnostic(rule="x.y", severity=Severity.ERROR,
