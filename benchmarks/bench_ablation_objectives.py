@@ -11,7 +11,7 @@ time, exactly as Section 5.2 predicts.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.baselines import evaluate_test_bus
 from repro.obs import METRICS
@@ -30,11 +30,11 @@ def run_objectives(soc):
 
 
 def test_ablation_objectives(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     base, plan_i, trajectory_i, plan_ii, trajectory_ii = benchmark.pedantic(
         run_objectives, args=(system1,), rounds=1, iterations=1
     )
-    write_bench_json(
+    record_bench(
         results_dir,
         "ablation_objectives",
         benchmark,
@@ -43,7 +43,6 @@ def test_ablation_objectives(benchmark, system1, results_dir):
             "min_tat": {"tat": plan_i.total_tat, "steps": len(trajectory_i)},
             "min_area": {"cells": plan_ii.chip_dft_cells, "steps": len(trajectory_ii)},
         },
-        rounds=1,
     )
 
     rows = []
@@ -79,11 +78,11 @@ def test_ablation_escalation_degenerates_to_test_bus(benchmark, system2, results
         optimizer = SocetOptimizer(soc)
         return optimizer.minimize_tat(10**9)
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     plan, trajectory = benchmark.pedantic(run, args=(system2,), rounds=1, iterations=1)
     bus = evaluate_test_bus(system2)
     base = plan_soc_test(system2)
-    write_bench_json(
+    record_bench(
         results_dir,
         "ablation_escalation",
         benchmark,
@@ -93,7 +92,6 @@ def test_ablation_escalation_degenerates_to_test_bus(benchmark, system2, results
             "test_muxes": len(plan.test_muxes),
             "steps": len(trajectory),
         },
-        rounds=1,
     )
 
     # large budget drives TAT toward (but never below) the test-bus floor

@@ -15,7 +15,7 @@ an 18% underestimate that would produce corrupted test data on silicon.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.obs import METRICS
 from repro.util import render_table
@@ -39,11 +39,11 @@ def latency_models(soc):
 
 
 def test_ablation_shared_resource_rule(benchmark, system1_paper_vectors, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     rows = benchmark.pedantic(
         latency_models, args=(system1_paper_vectors,), rounds=3, iterations=1
     )
-    write_bench_json(
+    record_bench(
         results_dir,
         "ablation_reservations",
         benchmark,
@@ -57,7 +57,6 @@ def test_ablation_shared_resource_rule(benchmark, system1_paper_vectors, results
             }
             for name, combined, naive, correct, naive_tat in rows
         },
-        rounds=3,
     )
 
     table = [

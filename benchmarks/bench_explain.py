@@ -10,8 +10,8 @@ cannot read as overhead.  The trip condition has two parts: the median
 on/off ratio must exceed 1.02x *and* a one-sided Mann-Whitney test on
 the raw samples must be significant, so timing noise on an unchanged
 pipeline cannot trip it, but a hook that grew real work will.  The on
-arm's ``attrib.*`` record counts go into ``BENCH_explain.json`` and must
-be non-zero: the gate times hooks that fire.
+arm's ``attrib.*`` record counts go into the bench's ledger record and
+must be non-zero: the gate times hooks that fire.
 
 The second half pins the artifact itself: ``repro explain`` on System1
 must produce a byte-identical artifact when re-run at the same seed,
@@ -24,11 +24,11 @@ from __future__ import annotations
 import statistics
 import time
 
-from conftest import SEED, write_bench_json, write_result
+from conftest import SEED, record_bench, write_result
 
 from repro.flow.profile import QUICK_MAX_FAULTS, regenerate_atpg, run_pipeline
 from repro.obs import METRICS
-from repro.obs.attrib import ATTRIB
+from repro.obs.attrib import ATTRIB, artifact_json
 from repro.obs.regress import mann_whitney_p
 from repro.soc.optimizer import SocetOptimizer, design_space
 from repro.util import render_table
@@ -82,31 +82,31 @@ def _hard_fault_tables():
     """Per-seed top-10 hardest faults, each seed proved byte-stable."""
     tables = {}
     for seed in SEEDS:
-        report = run_pipeline(
+        artifact = run_pipeline(
             "System1", seed=seed, max_faults=QUICK_MAX_FAULTS
-        )
+        )["attrib"]
         rerun = run_pipeline(
             "System1", seed=seed, max_faults=QUICK_MAX_FAULTS
-        )
-        assert report.artifact_json() == rerun.artifact_json(), (
+        )["attrib"]
+        assert artifact_json(artifact) == artifact_json(rerun), (
             f"seed {seed}: explain artifact is not byte-stable across runs"
         )
         tables[str(seed)] = [
             {"fault": entry["fault"], "effort": entry["effort"],
              "status": entry["status"]}
-            for entry in report.artifact["planes"]["atpg"]["hard_faults"]
+            for entry in artifact["planes"]["atpg"]["hard_faults"]
         ]
     return tables
 
 
 def test_explain_overhead_and_stability(benchmark, system1, results_dir):
     # stability first: run_pipeline resets the registry, so it must not
-    # run between METRICS.reset() and write_bench_json below
+    # run between METRICS.reset() and record_bench below
     hard_faults = _hard_fault_tables()
 
     budget = max(point.chip_cells for point in design_space(system1))
     _attributed_work(system1, budget)  # warm every cache for both arms
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     off, on, on_counters = benchmark.pedantic(
         _alternating_arms, args=(system1, budget), rounds=1, iterations=1
     )
@@ -125,7 +125,7 @@ def test_explain_overhead_and_stability(benchmark, system1, results_dir):
         "rounds": ROUNDS,
         "tripped": tripped,
     }
-    write_bench_json(
+    record_bench(
         results_dir, "explain", benchmark,
         {"hard_faults": hard_faults, "overhead": overhead},
     )

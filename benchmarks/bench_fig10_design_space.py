@@ -15,7 +15,7 @@ the same qualitative shape:
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.obs import METRICS
 from repro.soc import design_space
@@ -29,7 +29,7 @@ def sweep(soc):
 
 
 def test_fig10_design_space(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     points = benchmark.pedantic(sweep, args=(system1,), rounds=ROUNDS, iterations=1)
     # Pareto front: strictly improving TAT for increasing cells
     front = []
@@ -38,7 +38,7 @@ def test_fig10_design_space(benchmark, system1, results_dir):
         if best is None or p.tat < best:
             best = p.tat
             front.append(p)
-    write_bench_json(
+    record_bench(
         results_dir,
         "fig10_design_space",
         benchmark,
@@ -50,7 +50,6 @@ def test_fig10_design_space(benchmark, system1, results_dir):
             "pareto_points": len(front),
             "test_vectors": {c.name: c.test_vectors for c in system1.testable_cores()},
         },
-        rounds=ROUNDS,
     )
 
     rows = [[p.index, p.chip_cells, p.tat, p.label()] for p in points]

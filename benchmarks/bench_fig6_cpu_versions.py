@@ -13,7 +13,7 @@ latencies (the overhead cells follow our own cost model).
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.designs import build_cpu
 from repro.dft import insert_hscan
@@ -35,9 +35,9 @@ def generate_cpu_versions():
 def test_fig6_cpu_version_tradeoff(benchmark, results_dir):
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     versions = benchmark.pedantic(generate_cpu_versions, rounds=3, iterations=1)
-    write_bench_json(
+    record_bench(
         results_dir,
         "fig6_cpu_versions",
         benchmark,
@@ -50,7 +50,6 @@ def test_fig6_cpu_version_tradeoff(benchmark, results_dir):
             }
             for version in versions
         },
-        rounds=3,
     )
 
     rows = []

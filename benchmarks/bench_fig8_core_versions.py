@@ -14,7 +14,7 @@ direct address-display path), so the propagate ladder diverges after V1
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.designs import build_display, build_preprocessor
 from repro.dft import insert_hscan
@@ -40,9 +40,9 @@ def _address_latency(version) -> int:
 def test_fig8_core_version_tradeoffs(benchmark, results_dir):
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     results = benchmark.pedantic(generate_both, rounds=3, iterations=1)
-    write_bench_json(
+    record_bench(
         results_dir,
         "fig8_core_versions",
         benchmark,
@@ -66,7 +66,6 @@ def test_fig8_core_version_tradeoffs(benchmark, results_dir):
                 ],
             },
         },
-        rounds=3,
     )
 
     rows = []

@@ -15,8 +15,8 @@ and asserts bit-identity between them:
 
 Identity is checked the hard way: ``detected`` order, ``undetected``
 survivors, ``first_detection`` indices, and the per-run ``faultsim.*``
-counter deltas must match exactly.  ``BENCH_kernels.json`` carries the
-timing matrix plus the ``kernel.*`` compile/cache counters.
+counter deltas must match exactly.  The bench's ledger record carries
+the timing matrix plus the ``kernel.*`` compile/cache counters.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 import time
 
 import pytest
-from conftest import SEED, write_bench_json, write_result
+from conftest import SEED, record_bench, write_result
 
 from repro.elaborate import elaborate
 from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
@@ -142,7 +142,7 @@ def run_matrix(soc):
 
 
 def test_kernel_speedups(benchmark, results_dir, system1):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     sequential, cores = benchmark.pedantic(
         run_matrix, args=(system1,), rounds=ROUNDS, iterations=1
     )
@@ -162,7 +162,7 @@ def test_kernel_speedups(benchmark, results_dir, system1):
         "sequential": sequential,
         "cores": cores,
     }
-    write_bench_json(results_dir, "kernels", benchmark, payload, rounds=ROUNDS)
+    record_bench(results_dir, "kernels", benchmark, payload)
 
     rows = [
         [

@@ -8,7 +8,7 @@ reports the 4KB cores' BIST cycle counts.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.bist import MARCH_C_MINUS, MARCH_X, MARCH_Y, plan_memory_bist
 from repro.bist.march import grade_march
@@ -32,7 +32,7 @@ def grade_all():
 def test_march_bist_grading(benchmark, system1, results_dir):
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     results = benchmark.pedantic(grade_all, rounds=1, iterations=1)
     plan = plan_memory_bist(system1)
     payload = {
@@ -49,7 +49,7 @@ def test_march_bist_grading(benchmark, system1, results_dir):
         "total_cycles": plan.total_cycles,
         "total_cells": plan.total_cells,
     }
-    write_bench_json(results_dir, "march_bist", benchmark, payload, rounds=1)
+    record_bench(results_dir, "march_bist", benchmark, payload)
 
     rows = []
     for name, (s_detected, s_total, c_detected, c_total) in results.items():

@@ -5,7 +5,7 @@ cache off and once with a warm cache (a populating sweep runs first),
 counting the cache hits of the warm sweep.  The warm sweep's point list
 must be bit-identical to the cache-off sweep's -- the cache's headline
 guarantee -- and must beat it on the reuse-friendly systems.
-``BENCH_plan_cache.json`` carries per-system cache-off and warm wall
+The bench's ledger record carries per-system cache-off and warm wall
 times, the speedup, and the hit counts.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import SEED, write_bench_json, write_result
+from conftest import SEED, record_bench, write_result
 
 from repro.obs import METRICS
 from repro.soc.optimizer import design_space
@@ -65,7 +65,7 @@ def sweep_with_cache():
 
 
 def test_plan_cache_sweep(benchmark, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     cache_off, cache_warm, cache_hits, keys = benchmark.pedantic(
         sweep_with_cache, rounds=ROUNDS, iterations=1
     )
@@ -96,7 +96,7 @@ def test_plan_cache_sweep(benchmark, results_dir):
         }
         for name in systems
     }
-    write_bench_json(results_dir, "plan_cache", benchmark, payload, rounds=ROUNDS)
+    record_bench(results_dir, "plan_cache", benchmark, payload)
 
     rows = [
         [

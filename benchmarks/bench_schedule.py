@@ -11,7 +11,7 @@ makespan drops.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.obs import METRICS
 from repro.schedule import build_test_items, conflict_pairs
@@ -33,7 +33,7 @@ def schedule_all(systems):
 
 
 def _result_payload(results):
-    """The machine-readable half of the bench (goes into BENCH_*.json)."""
+    """The machine-readable half of the bench (its ledger record's results)."""
     return {
         soc.name: {
             "cores": len(plan.core_plans),
@@ -48,13 +48,11 @@ def _result_payload(results):
 
 
 def test_schedule_makespan(benchmark, all_systems, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     results = benchmark.pedantic(
         schedule_all, args=(all_systems,), rounds=ROUNDS, iterations=1
     )
-    write_bench_json(
-        results_dir, "schedule", benchmark, _result_payload(results), rounds=ROUNDS
-    )
+    record_bench(results_dir, "schedule", benchmark, _result_payload(results))
 
     # determinism regression: the builders are seed-pinned, so a second
     # pass must reproduce every makespan bit-for-bit

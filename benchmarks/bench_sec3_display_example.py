@@ -14,7 +14,7 @@ Every one of those numbers must come out of the generic planner.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.dft.tat import fscan_bscan_core_tat
 from repro.soc import plan_soc_test
@@ -40,7 +40,7 @@ def test_sec3_display_worked_example(benchmark, system1_paper_vectors, results_d
 
     from repro.obs import METRICS
 
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     plans = benchmark.pedantic(plan_display_tests, args=(soc,), rounds=3, iterations=1)
     fscan_bscan = fscan_bscan_core_tat(66, 20, 105)
     results = {
@@ -55,7 +55,7 @@ def test_sec3_display_worked_example(benchmark, system1_paper_vectors, results_d
         display_scan_depth=display.scan_depth,
         fscan_bscan_tat=fscan_bscan,
     )
-    write_bench_json(results_dir, "sec3_display_example", benchmark, results, rounds=3)
+    record_bench(results_dir, "sec3_display_example", benchmark, results)
 
     rows = []
     for (cpu_version, expected), plan in zip(CASES, plans):

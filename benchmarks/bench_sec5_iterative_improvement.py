@@ -16,7 +16,7 @@ latency number by 3 uses x (5-1) = 12 exactly.
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.obs import METRICS
 from repro.soc import plan_soc_test
@@ -35,7 +35,7 @@ def improvement_numbers(soc):
 
 
 def test_sec5_latency_number_example(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     plan, gains = benchmark.pedantic(
         improvement_numbers, args=(system1,), rounds=3, iterations=1
     )
@@ -43,7 +43,7 @@ def test_sec5_latency_number_example(benchmark, system1, results_dir):
     db_uses = usage[("PREPROCESSOR", "justify", ("DB", 0, 8))]
     eoc_uses = usage[("PREPROCESSOR", "justify", ("Eoc", 0, 1))]
     pre = system1.cores["PREPROCESSOR"]
-    write_bench_json(
+    record_bench(
         results_dir,
         "sec5_iterative_improvement",
         benchmark,
@@ -56,7 +56,6 @@ def test_sec5_latency_number_example(benchmark, system1, results_dir):
             "eoc_uses": eoc_uses,
             "db_latencies": [v.justify_latency("DB", 0, 8) for v in pre.versions],
         },
-        rounds=3,
     )
     # the paper's counting: (NUM, DB) twice for the DISPLAY + once for the CPU
     assert db_uses == 3, f"expected 3 DB uses, got {db_uses}"

@@ -17,7 +17,7 @@ simulation of the ATPG patterns (see bench_table3).
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.obs import METRICS
 from repro.soc import design_space, plan_soc_test
@@ -40,11 +40,11 @@ def characteristic_points(soc):
 
 
 def test_table1_design_points(benchmark, system1, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     min_area, all_fast_plan, min_tat = benchmark.pedantic(
         characteristic_points, args=(system1,), rounds=3, iterations=1
     )
-    write_bench_json(
+    record_bench(
         results_dir,
         "table1_design_points",
         benchmark,
@@ -56,7 +56,6 @@ def test_table1_design_points(benchmark, system1, results_dir):
             },
             "min_tat": {"cells": min_tat.chip_cells, "tat": min_tat.tat},
         },
-        rounds=3,
     )
 
     rows = [

@@ -19,7 +19,7 @@ core sizes; the *relations* the table demonstrates must hold here:
 
 from __future__ import annotations
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.flow import render_area_table, run_socet
 from repro.obs import METRICS
@@ -30,9 +30,9 @@ def both_runs(system1, system2):
 
 
 def test_table2_area_overheads(benchmark, system1, system2, results_dir):
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     run1, run2 = benchmark.pedantic(both_runs, args=(system1, system2), rounds=1, iterations=1)
-    write_bench_json(
+    record_bench(
         results_dir,
         "table2_area_overheads",
         benchmark,
@@ -49,7 +49,6 @@ def test_table2_area_overheads(benchmark, system1, system2, results_dir):
             }
             for rows in (run1.area_rows(), run2.area_rows())
         },
-        rounds=1,
     )
 
     rows = run1.area_rows() + run2.area_rows()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import write_bench_json, write_result
+from conftest import record_bench, write_result
 
 from repro.atpg.combinational import CombinationalAtpg
 from repro.elaborate import elaborate
@@ -68,11 +68,11 @@ def backtrack_sweep(soc):
 def test_table3_testability(benchmark, system1, system2, results_dir):
     sweeps = {soc.name: backtrack_sweep(soc) for soc in (system1, system2)}
     clear_kernel_caches()  # the measured run starts as cold as without the sweep
-    METRICS.reset()  # BENCH json carries exactly the measured runs' counters
+    METRICS.reset()  # the record carries exactly the measured runs' counters
     ev1, ev2 = benchmark.pedantic(
         evaluate_both, args=(system1, system2), rounds=1, iterations=1
     )
-    write_bench_json(
+    record_bench(
         results_dir,
         "table3_testability",
         benchmark,
@@ -90,7 +90,6 @@ def test_table3_testability(benchmark, system1, system2, results_dir):
             }
             for evaluation in (ev1, ev2)
         },
-        rounds=1,
     )
 
     rows = ev1.rows + ev2.rows

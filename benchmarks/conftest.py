@@ -3,9 +3,10 @@
 System builds (which include per-core HSCAN insertion and transparency
 version synthesis) are cached per session; each bench writes the table
 it reproduces to ``benchmarks/results/<bench>.txt`` so the numbers are
-inspectable alongside the timing output, plus a machine-readable
-``BENCH_<bench>.json`` (see :mod:`repro.obs.benchjson`) so the
-performance trajectory is diffable across PRs.
+inspectable alongside the timing output, and appends its run -- wall
+time samples, counters, section totals and its results payload -- as
+one ``repro-ledger`` record to ``benchmarks/results/ledger.jsonl`` (see
+:mod:`repro.obs.ledger`), the only place bench results are stored.
 
 Every randomized stage in the benches is pinned to :data:`SEED` -- the
 system builders take it as ``atpg_seed``, so two runs of the same bench
@@ -38,6 +39,7 @@ import repro.faults.simulator  # noqa: F401
 import repro.gates.kernel  # noqa: F401
 import repro.lint.registry  # noqa: F401
 import repro.obs.attrib  # noqa: F401
+import repro.obs.ledger  # noqa: F401
 import repro.schedule.packers  # noqa: F401
 import repro.soc.ccg  # noqa: F401
 import repro.soc.optimizer  # noqa: F401
@@ -144,49 +146,32 @@ def write_result(results_dir: Path, name: str, text: str) -> None:
     print(f"\n{text}\n[written to {path}]")
 
 
-#: every bench appends its run record here (next to the BENCH json)
+#: every bench appends its run record here
 LEDGER_NAME = "ledger.jsonl"
 
 
-def write_bench_json(
-    results_dir: Path, name: str, benchmark, results, rounds: int = 1
-) -> Path:
-    """Write ``BENCH_<name>.json`` and append a run-ledger record.
+def record_bench(results_dir: Path, name: str, benchmark, results) -> None:
+    """Append the bench's run to the results ledger as one record.
 
     ``results`` is the bench-specific free-form payload; the raw
-    per-round wall times come from the pytest-benchmark fixture and the
-    counters straight from the shared metrics registry (callers reset
-    it before the measured run).  The same samples/counters go to the
-    append-only ``ledger.jsonl`` so ``repro regress`` can compare this
-    run against the bench's history.
+    per-round wall times come from the pytest-benchmark fixture, and the
+    counters (zeros included) and section totals straight from the
+    shared metrics registry (callers reset it before the measured run).
+    ``repro regress`` compares the record against the series' previous
+    one.
     """
     from repro.obs import METRICS
-    from repro.obs.benchjson import bench_payload, write_bench
     from repro.obs.ledger import RunLedger, make_record
 
     samples = [float(value) for value in benchmark.stats.stats.data]
-    # the v3 "histograms" field carries each timed section's totals
-    histograms = METRICS.sections()
-    payload = bench_payload(
-        bench=name,
-        wall_time_s=benchmark.stats.stats.mean,
-        results=results,
-        rounds=rounds,
-        registry=METRICS,
-        samples=samples,
-        histograms=histograms or None,
-    )
-    path = results_dir / f"BENCH_{name}.json"
-    write_bench(str(path), payload)
     ledger = RunLedger(results_dir / LEDGER_NAME)
     ledger.append(
         make_record(
-            bench=name,
-            samples=samples,
-            counters=payload["counters"],
-            kind="bench",
-            histograms=histograms or None,
+            name,
+            samples,
+            METRICS.counters(),
+            results=results,
+            histograms=METRICS.sections() or None,
         )
     )
-    print(f"[bench json written to {path}; run appended to {ledger.path}]")
-    return path
+    print(f"[run appended to {ledger.path}]")

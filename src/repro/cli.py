@@ -20,7 +20,8 @@ Usage (after ``pip install -e .``)::
     python -m repro regress --ledger L.jsonl  # exact counter gate
 
 ``profile``, ``report`` and ``explain`` run the same pipeline once
-(:func:`repro.flow.profile.run_pipeline`) and render its one record.
+(:func:`repro.flow.profile.run_pipeline`) and render its one ledger
+record.
 
 Global observability flags work on every subcommand (before or after
 it): ``--metrics`` appends the full instrument table, and ``-v``/``-vv``
@@ -382,10 +383,12 @@ def _append_record(path: str, record: Dict) -> None:
 
 
 def cmd_profile(args) -> int:
-    run = _run_pipeline(args)
-    print(run.render())
+    from repro.flow.profile import render_profile
+
+    record = _run_pipeline(args)
+    print(render_profile(record))
     if args.ledger:
-        _append_record(args.ledger, run.ledger_record())
+        _append_record(args.ledger, record)
     return 0
 
 
@@ -412,8 +415,7 @@ def cmd_regress(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.flow.profile import series_key
-    from repro.obs import METRICS
-    from repro.obs.report import build_run_report
+    from repro.obs.report import RunReport
 
     # resolve the baseline before the measured run: a bad --baseline
     # path should fail fast, not after minutes of pipeline work
@@ -422,16 +424,13 @@ def cmd_report(args) -> int:
         baseline_record = _read_ledger(args.baseline, "baseline ledger").latest(
             series_key(args.system, args.quick)
         )
-    run = _run_pipeline(args, top_k=args.top)
-    record = run.ledger_record()
+    record = _run_pipeline(args, top_k=args.top)
     if args.ledger:
         _append_record(args.ledger, record)
-    report = build_run_report(
+    report = RunReport(
         title=f"{args.system} pipeline",
         record=record,
         baseline=baseline_record,
-        registry=METRICS,
-        summary=run.summary,
         top_k=args.top,
     )
     rendered = {
@@ -448,7 +447,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    text = _run_pipeline(args, top_k=args.top).artifact_json()
+    from repro.obs.attrib import artifact_json
+
+    text = artifact_json(_run_pipeline(args, top_k=args.top)["attrib"])
     if args.output:
         _write_output(args.output, text)
         print(f"wrote attrib artifact to {args.output}")
@@ -716,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run: the top-K hardest faults (PODEM effort ledger, reconciled\n"
             "exactly against the atpg.podem.* counters) and the optimizer's\n"
             "move trajectory.  Check it offline with 'python -m\n"
-            "repro.obs.benchjson FILE'; 'repro report' renders the same planes.\n"
+            "repro.obs.ledger FILE'; 'repro report' renders the same planes.\n"
         ),
     )
     p_explain.add_argument(

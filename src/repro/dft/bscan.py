@@ -23,10 +23,6 @@ class BscanResult:
     output_bits: int
     extra_area: int
 
-    @property
-    def ring_length(self) -> int:
-        return self.input_bits + self.output_bits
-
 
 def boundary_scan_overhead(circuit: RTLCircuit) -> BscanResult:
     """Cells needed to put a boundary-scan ring around ``circuit``."""

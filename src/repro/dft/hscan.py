@@ -60,11 +60,6 @@ class HscanResult:
     depth: int = 0
     chains: List[List[ScanUnit]] = field(default_factory=list)
 
-    @property
-    def vector_multiplier(self) -> int:
-        """Scan cycles per combinational vector: depth shifts + 1 apply."""
-        return self.depth + 1
-
     def link_for(self, unit: ScanUnit) -> ScanLink:
         for link in self.links:
             if link.dest == unit:

@@ -33,13 +33,6 @@ class AreaReport:
     overhead: int
     by_category: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def overhead_percent(self) -> float:
-        """Overhead as a percentage of the functional area."""
-        if self.functional == 0:
-            return 0.0
-        return 100.0 * self.overhead / self.functional
-
 
 def area_report(netlist: GateNetlist) -> AreaReport:
     """Compute the area report for a (possibly DFT-inserted) netlist."""

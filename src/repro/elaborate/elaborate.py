@@ -36,9 +36,6 @@ class Elaborated:
     def output_bits(self, port: str) -> List[str]:
         return [f"{port}.{i}" for i in range(self.circuit.get(port).width)]
 
-    def register_bits(self, register: str) -> List[str]:
-        return list(self.comp_bits[register])
-
 
 def elaborate(circuit: RTLCircuit, name_suffix: str = "") -> Elaborated:
     """Elaborate ``circuit`` into a validated gate netlist."""

@@ -67,15 +67,12 @@ class UsageError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """A problem in the metrics/bench-format/ledger layer."""
-
-
-class BenchSchemaError(ObservabilityError):
-    """A BENCH_*.json file (or an unrecognised document) violates its schema."""
+    """A problem in the metrics/ledger/attribution layer."""
 
 
 class LedgerSchemaError(ObservabilityError):
-    """A run-ledger record or JSONL file violates the ledger schema."""
+    """A run-ledger record or JSONL file (or an unrecognised document)
+    violates its schema."""
 
 
 class AttribSchemaError(ObservabilityError):

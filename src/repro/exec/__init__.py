@@ -9,22 +9,19 @@ planning counters.  The design-space sweep
 (:func:`repro.soc.optimizer.design_space`) and the iterative-improvement
 optimizer re-plan mostly unchanged cores, so most of their planning is
 cache hits; cached and uncached runs are bit-identical (see README,
-"Plan cache").
+"Plan cache").  The cache is always on: no environment variable turns
+it off, only a per-call ``use_cache=False``.
 """
 
 from repro.exec.cache import (
-    CACHE_ENV,
     PlanCache,
-    cache_enabled,
     invalidate_plan_cache,
     plan_cache_for,
     soc_signature,
 )
 
 __all__ = [
-    "CACHE_ENV",
     "PlanCache",
-    "cache_enabled",
     "invalidate_plan_cache",
     "plan_cache_for",
     "soc_signature",

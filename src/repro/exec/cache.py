@@ -36,51 +36,22 @@ Correctness contract (see DESIGN.md, "Plan cache"):
   treated as immutable -- nothing in the planner, optimizer, scheduler,
   or reports mutates one after creation.
 
-Set ``REPRO_PLAN_CACHE=0`` to disable caching globally; callers can
-force it per call via ``plan_soc_test(..., use_cache=...)``.  Cached and
-uncached runs are bit-identical, counters included (regression tests
-sweep and optimize every system both ways).
+The cache is always on; a caller turns it off per call with
+``plan_soc_test(..., use_cache=False)``.  Cached and uncached runs are
+bit-identical, counters included (regression tests sweep, optimize and
+run the whole pipeline both ways).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import UsageError
 from repro.obs import METRICS
-
-CACHE_ENV = "REPRO_PLAN_CACHE"
 
 _HITS = METRICS.counter("exec.cache.hits")
 _MISSES = METRICS.counter("exec.cache.misses")
 _INVALIDATIONS = METRICS.counter("exec.cache.invalidations")
-
-_TRUTHY = ("", "1", "true", "on", "yes")
-_FALSY = ("0", "false", "off", "no")
-
-
-def cache_enabled() -> bool:
-    """The global default (on unless ``REPRO_PLAN_CACHE`` disables it).
-
-    Accepts the usual boolean spellings (case-insensitive); anything
-    else raises :class:`UsageError` naming the offending value -- a
-    typo like ``REPRO_PLAN_CACHE=fales`` must not silently flip the
-    caching behaviour.
-    """
-    raw = os.environ.get(CACHE_ENV)
-    if raw is None:
-        return True
-    value = raw.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise UsageError(
-        f"{CACHE_ENV}={raw!r} is not a boolean "
-        f"(use one of {_TRUTHY[1:] + _FALSY})"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.dft.hscan import insert_hscan
 from repro.flow.report import AreaRow, ScheduleRow
 from repro.obs import profile_section
 from repro.schedule import TestSchedule
-from repro.soc.optimizer import DesignPoint, SocetOptimizer, design_space
+from repro.soc.optimizer import DesignPoint, design_space
 from repro.soc.plan import SocTestPlan, plan_soc_test
 from repro.soc.system import Soc
 
@@ -129,13 +129,3 @@ def run_socet(soc: Soc) -> SocetRun:
             min_area_schedule=schedules[0],
             min_tat_schedule=schedules[1],
         )
-
-
-def optimize_to_area(soc: Soc, max_chip_cells: int):
-    """Objective (i): best TAT within an area budget (returns plan, trajectory)."""
-    return SocetOptimizer(soc).minimize_tat(max_chip_cells)
-
-
-def optimize_to_tat(soc: Soc, max_tat_cycles: int):
-    """Objective (ii): least area meeting a TAT budget (returns plan, trajectory)."""
-    return SocetOptimizer(soc).minimize_area(max_tat_cycles)

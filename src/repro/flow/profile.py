@@ -6,29 +6,33 @@ per-core ATPG and fault simulation, chip-level planning (including the
 Figure 10 design-space sweep), iterative-improvement optimization, and
 both concurrent-session schedulers -- under the single root section
 ``profile.total``, with the :mod:`repro.obs.attrib` collector on.  It
-returns one :class:`PipelineRun` record, which the three commands
-render: ``profile`` prints its stage table and plan summary, ``report``
-renders it as markdown, HTML or JSON, and ``explain`` writes its
-``repro-attrib`` artifact.
+returns the run's ``repro-ledger`` record (kind ``profile``), which the
+three commands render: ``profile`` prints its stage table and plan
+summary (:func:`render_profile`), ``report`` renders it as markdown,
+HTML or JSON (:class:`repro.obs.report.RunReport`), and ``explain``
+writes its ``repro-attrib`` artifact.
 
-Each stage's time is the self time of its sections (time in a nested
-section counts only there), and an ``unaccounted`` row holds the time
-spent outside every section, so the rows sum to the run's total.  The
-registry and the collector are reset together at run start, so the
-numbers describe exactly one pipeline execution and the artifact's
-reconciliation section can hold the attributed PODEM totals to the
-``atpg.podem.*`` counters *exactly*.
+The record carries the run's total wall time (``samples``), every
+section's totals (``histograms``), the full counter snapshot, zeros
+included (``counters``), the headline plan numbers (``results``) and
+the artifact (``attrib``).  Each stage's time is the self time of its
+sections (time in a nested section counts only there), and an
+``unaccounted`` row holds the time spent outside every section, so the
+rows sum to the run's total.  The registry and the collector are reset
+together at run start, so the numbers describe exactly one pipeline
+execution and the artifact's reconciliation section can hold the
+attributed PODEM totals to the ``atpg.podem.*`` counters *exactly*.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import UsageError
 from repro.obs import METRICS, profile_section, stage_rows
-from repro.obs.attrib import ATTRIB, artifact_json, build_artifact
+from repro.obs.attrib import ATTRIB, build_artifact
+from repro.obs.ledger import make_record
 from repro.obs.profiler import ROOT_SECTION
 
 logger = logging.getLogger("repro.flow.profile")
@@ -45,53 +49,20 @@ def series_key(system: str, quick: bool) -> str:
     return f"profile-{system}" + ("-quick" if quick else "")
 
 
-@dataclass
-class PipelineRun:
-    """One pipeline run: stage times, plan summary, counters, artifact."""
+def render_profile(record: Dict) -> str:
+    """``repro profile``'s text: a run record's stage table, total and plan."""
+    from repro.flow.report import render_stage_table
 
-    system: str
-    quick: bool
-    total_seconds: float
-    stages: List[Dict] = field(default_factory=list)
-    #: headline plan numbers (serial TAT, makespan, DFT cells)
-    summary: Dict[str, int] = field(default_factory=dict)
-    #: the full registry counter snapshot after the run, zeros included
-    #: (the run ledger needs "zero" and "absent" to be different facts)
-    all_counters: Dict[str, int] = field(default_factory=dict)
-    #: every section's totals after the run (calls, inclusive, self)
-    sections: Dict[str, Dict] = field(default_factory=dict)
-    #: the schema-valid ``repro-attrib`` artifact (see :mod:`repro.obs.attrib`)
-    artifact: Dict = field(default_factory=dict)
-
-    def artifact_json(self) -> str:
-        """Canonical byte-stable serialization of the artifact."""
-        return artifact_json(self.artifact)
-
-    def ledger_record(self) -> Dict:
-        """This run as a ``repro-ledger`` record, artifact embedded."""
-        from repro.obs.ledger import make_record
-
-        return make_record(
-            bench=series_key(self.system, self.quick),
-            samples=[self.total_seconds],
-            counters=self.all_counters,
-            kind="profile",
-            results=dict(self.summary),
-            histograms=self.sections or None,
-            attrib=self.artifact,
-        )
-
-    def render(self) -> str:
-        from repro.flow.report import render_stage_table
-
-        lines = [render_stage_table(self.stages, title=f"{self.system}: pipeline profile")]
-        lines.append(
-            f"\ntotal {self.total_seconds:.3f}s (stage times are self times; "
-            "with unaccounted they sum to the total)"
-        )
-        pairs = ", ".join(f"{k} {v}" for k, v in self.summary.items())
-        lines.append(f"plan: {pairs}")
-        return "\n".join(lines)
+    stages = stage_rows(record["histograms"], record["counters"])
+    title = f"{record['attrib']['system']}: pipeline profile"
+    lines = [render_stage_table(stages, title=title)]
+    lines.append(
+        f"\ntotal {record['samples'][0]:.3f}s (stage times are self times; "
+        "with unaccounted they sum to the total)"
+    )
+    pairs = ", ".join(f"{k} {v}" for k, v in record["results"].items())
+    lines.append(f"plan: {pairs}")
+    return "\n".join(lines)
 
 
 def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]) -> None:
@@ -121,8 +92,8 @@ def run_pipeline(
     seed: int = 0,
     max_faults: Optional[int] = None,
     top_k: int = 10,
-) -> PipelineRun:
-    """Run every pipeline stage on ``system`` and record the run.
+) -> Dict:
+    """Run every pipeline stage on ``system`` and return the run's record.
 
     ``max_faults`` caps the per-core ATPG fault list (a seeded sample of
     the collapsed universe) -- the CLI's ``--quick`` mode, which keeps
@@ -179,18 +150,17 @@ def run_pipeline(
     finally:
         ATTRIB.enabled = previous
 
-    return PipelineRun(
-        system=system,
-        quick=max_faults is not None,
-        total_seconds=METRICS.section(ROOT_SECTION).seconds,
-        stages=stage_rows(METRICS),
-        summary={
+    return make_record(
+        bench=series_key(system, max_faults is not None),
+        samples=[METRICS.section(ROOT_SECTION).seconds],
+        counters=counters,
+        kind="profile",
+        results={
             "serial TAT": plan.total_tat,
             "scheduled TAT": greedy.makespan,
             "optimized TAT": optimized.total_tat,
             "min-area DFT cells": plan.chip_dft_cells,
         },
-        all_counters=counters,
-        sections=METRICS.sections(),
-        artifact=artifact,
+        histograms=METRICS.sections(),
+        attrib=artifact,
     )

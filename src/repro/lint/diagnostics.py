@@ -110,9 +110,6 @@ class LintReport:
     def warnings(self) -> List[Diagnostic]:
         return self.of_severity(Severity.WARNING)
 
-    def by_rule(self, rule_id: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule == rule_id]
-
     def worst(self) -> Optional[Severity]:
         return max((d.severity for d in self.diagnostics), default=None)
 

@@ -12,7 +12,14 @@ Zero-dependency subsystem; instrumentation never forks hot-path code:
   ``repro report``;
 * :mod:`repro.obs.attrib` -- the search-effort collector (PODEM effort
   records, optimizer moves) the pipeline run switches on, and its
-  ``repro-attrib`` artifact.
+  ``repro-attrib`` artifact;
+* :mod:`repro.obs.ledger` -- the ``repro-ledger`` record, the one form a
+  measured run (a bench, a pipeline run) takes, the JSONL ledger that
+  stores records, and their file validator.  It runs as ``python -m
+  repro.obs.ledger``, so this package does not import it;
+* :mod:`repro.obs.regress` -- the exact counter gate over ledgers, and
+  :mod:`repro.obs.report` -- one pipeline run's record as markdown,
+  HTML or JSON.
 
 Typical instrumentation, cached at module scope::
 
@@ -38,7 +45,6 @@ from repro.obs.attrib import (
     build_artifact,
     validate_artifact,
 )
-from repro.obs.ledger import RunLedger, environment_fingerprint, make_record
 from repro.obs.metrics import Counter, DEFAULT_REGISTRY, MetricsRegistry
 from repro.obs.profiler import PIPELINE_STAGES, profile_section, stage_rows
 from repro.obs.regress import (
@@ -47,7 +53,7 @@ from repro.obs.regress import (
     compare_ledgers,
     compare_records,
 )
-from repro.obs.report import RunReport, build_run_report
+from repro.obs.report import RunReport
 
 #: the process-wide registry every instrumented module shares
 METRICS = DEFAULT_REGISTRY
@@ -64,15 +70,11 @@ __all__ = [
     "PIPELINE_STAGES",
     "profile_section",
     "stage_rows",
-    "RunLedger",
-    "make_record",
-    "environment_fingerprint",
     "COUNTER_IGNORE",
     "RegressionReport",
     "compare_ledgers",
     "compare_records",
     "RunReport",
-    "build_run_report",
     "configure_logging",
 ]
 

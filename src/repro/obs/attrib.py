@@ -20,12 +20,13 @@ feed one collector:
   length, and per-move-kind yield.
 
 Collection is off by default.  The pipeline run
-(:func:`repro.flow.profile.run_pipeline`) switches it on and restores
-the previous state on exit; each hook is behind one ``enabled`` check.
+(:func:`repro.flow.profile.run_pipeline`) switches it on, restores the
+previous state on exit, and embeds the artifact in its ledger record's
+``attrib`` field; each hook is behind one ``enabled`` check.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
 (version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
-checker in :func:`validate_artifact`; ``python -m repro.obs.benchjson
+checker in :func:`validate_artifact`; ``python -m repro.obs.ledger
 FILE...`` runs it on artifact files.  Attribution counters are
 advisory: they never feed gating except through explicitly-declared
 regress gates.
@@ -312,7 +313,7 @@ def artifact_json(artifact: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# schema validation (dependency-free; ``python -m repro.obs.benchjson``)
+# schema validation (dependency-free; ``python -m repro.obs.ledger``)
 # ----------------------------------------------------------------------
 _HARD_FAULT_FIELDS = (
     "abort_cause", "backtracks", "calls", "cone_depth", "decisions",

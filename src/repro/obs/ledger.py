@@ -1,14 +1,13 @@
-"""Append-only JSONL run ledger: the pipeline's performance history.
+"""Append-only JSONL run ledger: the one form a measured run takes.
 
-Every measured run -- a benchmark round set or a ``repro profile``
-execution -- appends one JSON object (one line) to a ledger file, so
-the performance trajectory is a queryable series instead of a single
-overwritten ``BENCH_*.json`` point.  Records are self-describing and
-versioned::
+Every measured run -- a benchmark's timing rounds or one pipeline run
+(``repro profile``, ``report``, ``explain``) -- is one ``repro-ledger``
+record, and a ledger file holds one record per line, so a run's history
+is a queryable series.  Records are self-describing and versioned::
 
     {
       "schema": "repro-ledger",
-      "schema_version": 3,
+      "schema_version": 4,
       "bench": "schedule",              # series key (bench or profile name)
       "kind": "bench",                  # "bench" | "profile"
       "timestamp": "2026-08-06T12:00:00Z",
@@ -18,7 +17,8 @@ versioned::
       "env": {"python": "3.12.1", "platform": "linux", "cpus": 8},
       "histograms": {"atpg.run": {"count": 4, "sum": 0.8,
                      "self": 0.6}, ...},  # optional (v3), section totals
-      "results": {...}                  # optional free-form payload
+      "results": {...},                 # optional free-form payload
+      "attrib": {...}                   # optional (v4), repro-attrib artifact
     }
 
 Counters record *every* touched instrument (including zero values):
@@ -33,6 +33,10 @@ Appends are atomic: each record is serialized to one line and written
 with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
 writers (parallel bench shards, CI matrix jobs sharing a volume)
 interleave whole records, never partial lines.
+
+Run ``python -m repro.obs.ledger FILE...`` to validate ``*.jsonl``
+ledgers, single ledger records and ``repro-attrib`` artifacts; any
+other document fails.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import LedgerSchemaError
+from repro.errors import LedgerSchemaError, ObservabilityError
 from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
 
 # module scope so the instrument exists (as zero) in any snapshot taken
@@ -262,31 +266,11 @@ def _attrib_problems(attrib) -> List[str]:
 
     The embedded artifact is checked by its own schema validator, so a
     ledger cannot carry an attribution payload that
-    ``python -m repro.obs.benchjson`` would reject as a file.
+    ``python -m repro.obs.ledger`` would reject as a file.
     """
     from repro.obs.attrib import validate_artifact
 
     return [f"attrib: {problem}" for problem in validate_artifact(attrib)]
-
-
-def validate_ledger_file(path: str) -> int:
-    """Validate every line of a JSONL ledger; returns the record count."""
-    count = 0
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as error:
-                raise LedgerSchemaError(f"line {lineno}: not JSON ({error})")
-            try:
-                validate_record(record)
-            except LedgerSchemaError as error:
-                raise LedgerSchemaError(f"line {lineno}: {error}")
-            count += 1
-    return count
 
 
 # ----------------------------------------------------------------------
@@ -352,3 +336,51 @@ class RunLedger:
         """The newest record of one series (file order, not timestamps)."""
         series = self.records(bench)
         return series[-1] if series else None
+
+
+# ----------------------------------------------------------------------
+# the file validator (``python -m repro.obs.ledger FILE...``)
+# ----------------------------------------------------------------------
+def validate_file(path: str) -> str:
+    """Validate one artifact and name its kind: a JSONL run ledger, one
+    ledger record, or a ``repro-attrib`` artifact; anything else (a
+    missing file included) is an error."""
+    from repro.obs.attrib import ATTRIB_SCHEMA, require_valid_artifact
+
+    if str(path).endswith(".jsonl"):
+        ledger = RunLedger(path)
+        if not ledger.exists():  # records() reads a missing ledger as empty
+            raise LedgerSchemaError("no such file")
+        ledger.records()
+        return "ledger"
+    with open(path) as handle:
+        payload = json.load(handle)
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema == LEDGER_SCHEMA:
+        validate_record(payload)
+        return "ledger-record"
+    if schema == ATTRIB_SCHEMA:
+        require_valid_artifact(payload)
+        return "attrib"
+    raise LedgerSchemaError(f"not a {LEDGER_SCHEMA} or {ATTRIB_SCHEMA} document")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    paths = list(sys.argv[1:] if argv is None else argv)
+    if not paths:
+        print("usage: python -m repro.obs.ledger FILE [FILE...]", file=sys.stderr)
+        return 2
+    failures = 0
+    for path in paths:
+        try:
+            kind = validate_file(path)
+        except (OSError, ValueError, ObservabilityError) as error:
+            print(f"FAIL {path}: {error}")
+            failures += 1
+        else:
+            print(f"ok   {path} ({kind})")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(main())

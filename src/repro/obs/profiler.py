@@ -9,7 +9,8 @@ calls.
 
 Self times partition a run: the self times of every section opened
 under a root section (``profile.total``) add up to the root's inclusive
-time.  :func:`stage_rows` groups them by first dotted component into the
+time.  A run's ledger record keeps those totals, and :func:`stage_rows`
+groups the record's sections by first dotted component into the
 pipeline stages -- ``atpg.run`` and ``atpg.podem`` both roll up into
 ``atpg`` -- and reports the root's own self time as an explicit
 ``unaccounted`` row, so the rows sum to the run's total.
@@ -21,7 +22,7 @@ import threading
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry, SectionTotals
+from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry, Number, SectionTotals
 
 #: the section spanning one pipeline run: its own self time is the
 #: ``unaccounted`` row, and it is never a hotspot
@@ -102,20 +103,21 @@ def profile_section(name: str, registry: Optional[MetricsRegistry] = None) -> _S
 
 # ----------------------------------------------------------------------
 def stage_rows(
-    registry: Optional[MetricsRegistry] = None,
+    sections: Dict[str, Dict],
+    counters: Dict[str, Number],
     root: str = ROOT_SECTION,
     stages: Sequence[Tuple[str, str]] = tuple(PIPELINE_STAGES),
 ) -> List[Dict]:
     """Per-stage self seconds, section calls, and counters of one run.
 
-    A stage's time is the self time of every ``<prefix>.*`` section.
-    Sections under no stage prefix get a row per first dotted component
-    after the pipeline stages, and the last row, ``unaccounted``, is the
-    ``root`` section's own self time -- so the rows sum to its total.
+    ``sections`` and ``counters`` are a run record's ``histograms`` and
+    ``counters``.  A stage's time is the self time of every ``<prefix>.*``
+    section.  Sections under no stage prefix get a row per first dotted
+    component after the pipeline stages, and the last row,
+    ``unaccounted``, is the ``root`` section's own self time -- so the
+    rows sum to its total.
     """
-    registry = registry or DEFAULT_REGISTRY
-    sections = registry.sections()
-    counters = registry.counters()
+    sections = dict(sections)
     root_totals = sections.pop(root, {"count": 0, "self": 0.0})
     known = {prefix for _display, prefix in stages}
     extra = sorted({name.split(".", 1)[0] for name in sections} - known)

@@ -21,11 +21,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb, erfc, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RegressionError
-from repro.obs.ledger import RunLedger
 from repro.obs.metrics import DEFAULT_REGISTRY
+
+if TYPE_CHECKING:  # pragma: no cover
+    # not at run time: ``repro.obs`` imports this module, and importing
+    # the ledger with the package would double-import it when it runs
+    # as ``python -m repro.obs.ledger``
+    from repro.obs.ledger import RunLedger
 
 _COMPARISONS = DEFAULT_REGISTRY.counter("regress.comparisons")
 _DRIFTS = DEFAULT_REGISTRY.counter("regress.counter.drifts")

@@ -3,10 +3,11 @@
 A :class:`RunReport` lays one run's ledger record out once, as a list of
 headings, prose and tables:
 
-* the **plan summary** (serial, scheduled and optimized TAT, DFT cells);
-* the **stage table** of :func:`repro.obs.profiler.stage_rows` -- each
-  pipeline stage's self time plus the run's ``unaccounted`` time, rows
-  that sum to the run's total;
+* the **plan summary**, the record's ``results`` (serial, scheduled and
+  optimized TAT, DFT cells);
+* the **stage table** of :func:`repro.obs.profiler.stage_rows` over the
+  record's section totals -- each pipeline stage's self time plus the
+  run's ``unaccounted`` time, rows that sum to the run's total;
 * **top-k hotspots**: the timed sections ranked by self time, with
   their inclusive time and calls (the run's root section is left out:
   its inclusive time is the whole run);
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 import html as _html
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import ROOT_SECTION, stage_rows
 from repro.obs.regress import compare_counters
 
@@ -37,8 +37,8 @@ from repro.obs.regress import compare_counters
 # ----------------------------------------------------------------------
 # view extraction
 # ----------------------------------------------------------------------
-def hotspots(registry: MetricsRegistry, top_k: int = 10) -> List[Dict]:
-    """The ``top_k`` timed sections by self time, the root left out."""
+def hotspots(sections: Dict[str, Dict], top_k: int = 10) -> List[Dict]:
+    """A record's ``top_k`` timed sections by self time, the root left out."""
     rows = [
         {
             "section": name,
@@ -46,7 +46,7 @@ def hotspots(registry: MetricsRegistry, top_k: int = 10) -> List[Dict]:
             "seconds": totals["sum"],
             "calls": totals["count"],
         }
-        for name, totals in registry.sections().items()
+        for name, totals in sections.items()
         if name != ROOT_SECTION
     ]
     rows.sort(key=lambda row: (-row["self_seconds"], row["section"]))
@@ -111,16 +111,24 @@ def _html_cell(value) -> str:
 
 @dataclass
 class RunReport:
-    """One run's observability views, renderable as markdown or HTML."""
+    """One run's observability views, renderable as markdown or HTML.
+
+    The stages, hotspots and plan summary are read off the record: its
+    ``histograms`` (section totals), ``counters`` and ``results``.  The
+    root section's self time is the stage table's ``unaccounted`` row,
+    and it is not a hotspot.
+    """
 
     title: str
     record: Dict  # the run's ledger record
     baseline: Optional[Dict] = None  # baseline ledger record, if any
-    stages: List[Dict] = field(default_factory=list)
-    hotspots: List[Dict] = field(default_factory=list)
-    summary: Dict = field(default_factory=dict)  # headline plan numbers
+    top_k: int = 10  # hotspot rows
 
     def __post_init__(self) -> None:
+        sections = self.record.get("histograms", {})
+        self.stages = stage_rows(sections, self.record["counters"])
+        self.hotspots = hotspots(sections, self.top_k)
+        self.summary = dict(self.record.get("results", {}))  # headline plan numbers
         self.diff = counter_diff(
             self.record.get("counters", {}),
             self.baseline.get("counters") if self.baseline else None,
@@ -166,8 +174,6 @@ class RunReport:
         return [("h", 2, "Plan summary"), ("table", ["metric", "value"], rows)]
 
     def _stage_blocks(self) -> List[Block]:
-        if not self.stages:
-            return []
         total = sum(row["self_seconds"] for row in self.stages)
         rows = [
             [
@@ -336,26 +342,3 @@ class RunReport:
             indent=2,
             sort_keys=True,
         )
-
-
-def build_run_report(
-    title: str,
-    record: Dict,
-    baseline: Optional[Dict] = None,
-    registry: Optional[MetricsRegistry] = None,
-    summary: Optional[Dict] = None,
-    top_k: int = 10,
-) -> RunReport:
-    """Assemble a :class:`RunReport` from the run's registry.
-
-    The root section's self time is the stage table's ``unaccounted``
-    row, and it is not a hotspot.
-    """
-    return RunReport(
-        title=title,
-        record=record,
-        baseline=baseline,
-        stages=stage_rows(registry) if registry is not None else [],
-        hotspots=hotspots(registry, top_k) if registry is not None else [],
-        summary=dict(summary or {}),
-    )

@@ -58,7 +58,7 @@ class DesignPoint:
 def design_space(
     soc: Soc,
     forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
 ) -> List[DesignPoint]:
     """Evaluate every combination of core versions (Figure 10's points).
 

@@ -525,7 +525,7 @@ def plan_soc_test(
     selection: Optional[Dict[str, int]] = None,
     allow_test_muxes: bool = True,
     forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
 ) -> SocTestPlan:
     """Plan the complete SOC test for one version selection.
 
@@ -534,15 +534,14 @@ def plan_soc_test(
     of ``(core, port)`` pairs that must be pin-connected via system-level
     test muxes (used by the optimizer's escalation step).
 
-    ``use_cache`` controls the incremental planning cache (see
-    :mod:`repro.exec.cache`): ``None`` follows the global default
-    (on unless ``REPRO_PLAN_CACHE=0``), ``True``/``False`` force it.
-    Cached and uncached plans are bit-identical.
+    ``use_cache`` turns the incremental planning cache (see
+    :mod:`repro.exec.cache`) on or off.  Cached and uncached plans are
+    bit-identical.
 
     The plan trusts the versions' declared paths; :func:`repro.lint.lint_soc`
     and :func:`repro.analysis.certify_soc` check them.
     """
-    from repro.exec.cache import cache_enabled, plan_cache_for
+    from repro.exec.cache import plan_cache_for
 
     with profile_section("chiplevel.plan"):
         soc.validate()
@@ -557,9 +556,7 @@ def plan_soc_test(
             else:
                 forced_outputs.add((core_name, port))
         planner = _Planner(soc, selection, allow_test_muxes, forced_inputs, forced_outputs)
-        cache = None
-        if use_cache if use_cache is not None else cache_enabled():
-            cache = plan_cache_for(soc)
+        cache = plan_cache_for(soc) if use_cache else None
         core_plans: Dict[str, CoreTestPlan] = {}
         if cache is None:
             for core in soc.testable_cores():

@@ -88,15 +88,6 @@ class TransparencyPath:
             seen.setdefault(terminal.comp, None)
         return list(seen)
 
-    def freeze_cells(self, rcg: RCG) -> int:
-        """Cells for the freeze logic this path needs."""
-        cells = 0
-        for register_name, _ in self.freezes:
-            register = rcg.circuit.get(register_name)
-            has_enable = getattr(register, "enable", None) is not None
-            cells += FREEZE_COST_WITH_ENABLE if has_enable else FREEZE_COST_NO_ENABLE
-        return cells
-
 
 class TransparencySearch:
     """Min-latency transparency-path solver over one RCG."""

@@ -41,10 +41,16 @@ def artifact_of(collector, top_k=5):
 
 
 def explain(system="System1", **kwargs):
+    """One pipeline run's ledger record (its artifact under ``attrib``)."""
     from repro.flow.profile import run_pipeline
 
     kwargs.setdefault("max_faults", MAX_FAULTS)
     return run_pipeline(system, **kwargs)
+
+
+def explained_json(system="System1", **kwargs):
+    """The artifact text ``repro explain`` would write for the run."""
+    return artifact_json(explain(system, **kwargs)["attrib"])
 
 
 # ----------------------------------------------------------------------
@@ -133,32 +139,32 @@ class TestPodemPlane:
 # ----------------------------------------------------------------------
 class TestExplain:
     def test_artifact_is_schema_valid(self):
-        artifact = explain().artifact
+        artifact = explain()["attrib"]
         assert validate_artifact(artifact) == []
         assert require_valid_artifact(artifact) is artifact
 
     def test_reconciliation_is_exact(self):
-        artifact = explain().artifact
+        artifact = explain()["attrib"]
         for name, row in sorted(artifact["reconciliation"].items()):
             assert row["ok"], f"{name}: attrib {row['attrib']} != counter {row['counter']}"
 
     def test_effort_totals_reconcile_with_counters(self):
-        report = explain()
-        totals = report.artifact["planes"]["atpg"]["totals"]
-        assert totals["decisions"] == report.all_counters["atpg.podem.decisions"]
-        assert totals["backtracks"] == report.all_counters["atpg.podem.backtracks"]
+        record = explain()
+        totals = record["attrib"]["planes"]["atpg"]["totals"]
+        assert totals["decisions"] == record["counters"]["atpg.podem.decisions"]
+        assert totals["backtracks"] == record["counters"]["atpg.podem.backtracks"]
 
     def test_byte_stable_across_runs(self):
-        assert explain().artifact_json() == explain().artifact_json()
+        assert explained_json() == explained_json()
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_byte_identical_across_job_counts(self, jobs):
         # the collector and the caches are process-wide: System1's
         # artifact must not depend on how many explain jobs ran before it
-        alone = explain().artifact_json()
+        alone = explained_json()
         for number in range(2, jobs + 1):
             explain(f"System{number}")
-        assert explain().artifact_json() == alone
+        assert explained_json() == alone
 
     @pytest.mark.parametrize(
         "system", ["System1", "System2", "System3", "System4"]
@@ -168,8 +174,8 @@ class TestExplain:
         # grade exactly as the scalar reference graders do, so swapping
         # those in changes no byte
         with reference_graders():
-            reference = explain(system).artifact_json()
-        assert explain(system).artifact_json() == reference
+            reference = explained_json(system)
+        assert explained_json(system) == reference
 
     def test_mode_restored_after_run(self):
         explain()
@@ -183,7 +189,7 @@ class TestExplain:
             explain("System9")
 
     def test_optimizer_plane_consistency(self):
-        plane = explain().artifact["planes"]["optimizer"]
+        plane = explain()["attrib"]["planes"]["optimizer"]
         summary = plane["summary"]
         events = plane["events"]
         assert summary["candidates"] == len(events)
@@ -193,7 +199,7 @@ class TestExplain:
         assert sum(row["candidates"] for row in yields.values()) == len(events)
 
     def test_hard_faults_ranked_by_effort(self):
-        artifact = explain(top_k=5).artifact
+        artifact = explain(top_k=5)["attrib"]
         hard = artifact["planes"]["atpg"]["hard_faults"]
         assert len(hard) <= 5
         efforts = [row["effort"] for row in hard]
@@ -202,18 +208,18 @@ class TestExplain:
     def test_ledger_record_embeds_artifact(self, tmp_path):
         from repro.obs.ledger import RunLedger
 
-        report = explain()
-        record = report.ledger_record()
+        record = explain()
         assert record["kind"] == "profile"
-        assert record["attrib"] == report.artifact
+        assert record["attrib"]["schema"] == "repro-attrib"
+        assert validate_artifact(record["attrib"]) == []
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(record)
-        assert ledger.latest(record["bench"])["attrib"] == report.artifact
+        assert ledger.latest(record["bench"])["attrib"] == record["attrib"]
 
     def test_ledger_rejects_corrupt_artifact(self):
         from repro.obs.ledger import make_record
 
-        bad = dict(explain().artifact)
+        bad = dict(explain()["attrib"])
         bad["schema"] = "not-attrib"
         with pytest.raises(LedgerSchemaError, match="attrib:"):
             make_record("profile-System1", [0.1], counters={}, kind="profile",
@@ -275,7 +281,7 @@ class TestValidator:
             require_valid_artifact({"schema": "repro-attrib"})
 
     def test_main_exit_codes(self, tmp_path, capsys):
-        from repro.obs.benchjson import main as benchjson_main
+        from repro.obs.ledger import main as validator_main
 
         good = tmp_path / "good.json"
         good.write_text(artifact_json(self.artifact()))
@@ -283,10 +289,10 @@ class TestValidator:
         broken = self.artifact()
         broken["planes"]["atpg"]["totals"]["decisions"] = -1
         bad.write_text(artifact_json(broken))
-        assert benchjson_main([str(good)]) == 0
-        assert benchjson_main([str(bad)]) == 1
-        assert benchjson_main([str(tmp_path / "missing.json")]) == 1
-        assert benchjson_main([]) == 2
+        assert validator_main([str(good)]) == 0
+        assert validator_main([str(bad)]) == 1
+        assert validator_main([str(tmp_path / "missing.json")]) == 1
+        assert validator_main([]) == 2
         out = capsys.readouterr()
         assert f"ok   {good} (attrib)" in out.out
         assert f"FAIL {bad}: " in out.out and "decisions" in out.out
@@ -442,7 +448,7 @@ class TestExecutorDeltas:
         assert ignored == ("exec.", "attrib.")
 
 
-class TestPipelineRun:
+class TestRunPipeline:
     def test_attribution_changes_no_work(self):
         # the pipeline run with the collector on, against the same stage
         # sequence with it off: a hook that changed a decision would
@@ -471,10 +477,10 @@ class TestPipelineRun:
             return {name: value for name, value in counters.items()
                     if not name.startswith(("attrib.", "exec."))}
 
-        assert run.all_counters["attrib.podem.records"] > 0
+        assert run["counters"]["attrib.podem.records"] > 0
         assert plain["attrib.podem.records"] == 0
-        assert work(run.all_counters) == work(plain)
-        assert run.summary == {
+        assert work(run["counters"]) == work(plain)
+        assert run["results"] == {
             "serial TAT": plan.total_tat,
             "scheduled TAT": greedy.makespan,
             "optimized TAT": optimized.total_tat,

@@ -1,19 +1,21 @@
 """The measured numbers quoted in EXPERIMENTS.md and README.md are the benches'.
 
 Each claim below is a sentence fragment of a document with its measured
-numbers written as fields of the ``results`` payloads of
-``benchmarks/results/BENCH_*.json``.  The test renders every claim from
-those payloads and requires it verbatim (up to line wrapping) in the
-document, so a bench whose output moves makes the stale prose fail here.
+numbers written as fields of the ``results`` payloads of the benches'
+newest records in ``benchmarks/results/ledger.jsonl``.  The test renders
+every claim from those payloads and requires it verbatim (up to line
+wrapping) in the document, so a bench whose output moves makes the stale
+prose fail here.
 Paper numbers are literal text.  Wall times are not reproducible across
 hosts, so no claim renders one.
 """
 
-import json
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.obs.ledger import RunLedger
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
@@ -34,10 +36,8 @@ BENCHES = {
 
 
 def _results():
-    fields = {
-        key: json.loads((RESULTS / f"BENCH_{name}.json").read_text())["results"]
-        for key, name in BENCHES.items()
-    }
+    ledger = RunLedger(RESULTS / "ledger.jsonl")
+    fields = {key: ledger.latest(name)["results"] for key, name in BENCHES.items()}
     t1, t2, t3 = fields["t1"], fields["t2"], fields["t3"]
     display = fields["f8"]["DISPLAY"]["justify_latencies"]
     totals = [
@@ -264,4 +264,4 @@ def test_quoted_numbers_match_bench_results(results, document, claims):
         for claim in (_normalized(template.format(**results)) for template in claims)
         if claim not in text
     ]
-    assert not stale, f"{document} does not say (from BENCH_*.json):\n" + "\n".join(stale)
+    assert not stale, f"{document} does not say (from the results ledger):\n" + "\n".join(stale)

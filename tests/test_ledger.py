@@ -14,7 +14,7 @@ from repro.obs.ledger import (
     environment_fingerprint,
     make_record,
     utc_timestamp,
-    validate_ledger_file,
+    validate_file,
     validate_record,
 )
 
@@ -185,8 +185,8 @@ class TestRunLedger:
             handle.write("{not json\n")
         with pytest.raises(LedgerSchemaError, match=r":2"):
             RunLedger(path).records()
-        with pytest.raises(LedgerSchemaError, match="line 2"):
-            validate_ledger_file(str(path))
+        with pytest.raises(LedgerSchemaError, match=r":2"):
+            validate_file(str(path))
 
     def test_append_counts_in_shared_registry(self, tmp_path):
         before = METRICS.counter("ledger.appends").value
@@ -194,14 +194,15 @@ class TestRunLedger:
         assert METRICS.counter("ledger.appends").value == before + 1
 
     def test_benchjson_validator_understands_ledgers(self, tmp_path):
-        from repro.obs.benchjson import validate_file
-
         path = tmp_path / "ledger.jsonl"
         RunLedger(path).append(record())
         assert validate_file(str(path)) == "ledger"
         single = tmp_path / "record.json"
         single.write_text(json.dumps(record()))
         assert validate_file(str(single)) == "ledger-record"
+        # a missing ledger is an error, not an empty ledger
+        with pytest.raises(LedgerSchemaError, match="no such file"):
+            validate_file(str(tmp_path / "missing.jsonl"))
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,13 @@
-"""Tests for the observability layer (metrics, profiling, bench files, CLI)."""
+"""Tests for the observability layer (metrics, profiling, the file validator, CLI)."""
 
-import json
 import threading
 import tracemalloc
 
 import pytest
 
-from repro.errors import BenchSchemaError
 from repro.obs import METRICS, profile_section, stage_rows
 from repro.obs import profiler
-from repro.obs.benchjson import (
-    bench_payload,
-    main as benchjson_main,
-    validate_bench,
-    validate_file,
-    write_bench,
-)
+from repro.obs.ledger import main as validator_main
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -102,7 +94,7 @@ class TestProfileSection:
             section.calls, section.self_seconds = 1, self_seconds
         registry.counter("atpg.podem.backtracks").inc(7)
         registry.counter("schedule.items").inc(3)
-        rows = stage_rows(registry, "profile.total",
+        rows = stage_rows(registry.sections(), registry.counters(), "profile.total",
                           [("ATPG", "atpg"), ("schedule", "schedule")])
         atpg, schedule, unaccounted = rows
         assert atpg["self_seconds"] == pytest.approx(0.75)
@@ -117,7 +109,8 @@ class TestProfileSection:
         registry = MetricsRegistry()
         registry.section("lint.pass").calls = 1
         registry.section("lint.pass").self_seconds = 0.5
-        rows = stage_rows(registry, "profile.total", [("ATPG", "atpg")])
+        rows = stage_rows(registry.sections(), registry.counters(), "profile.total",
+                          [("ATPG", "atpg")])
         assert [row["stage"] for row in rows] == ["ATPG", "lint", "unaccounted"]
         assert rows[1]["self_seconds"] == 0.5
 
@@ -236,112 +229,23 @@ class TestStageTable:
     def test_rows_sum_to_the_total(self, system):
         from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
 
-        report = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
-        assert report.stages[-1]["stage"] == "unaccounted"
-        assert report.stages[-1]["self_seconds"] > 0.0
-        rows = sum(row["self_seconds"] for row in report.stages)
-        assert rows == pytest.approx(report.total_seconds, rel=0.02)
+        record = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
+        stages = stage_rows(record["histograms"], record["counters"])
+        assert stages[-1]["stage"] == "unaccounted"
+        assert stages[-1]["self_seconds"] > 0.0
+        rows = sum(row["self_seconds"] for row in stages)
+        assert rows == pytest.approx(record["samples"][0], rel=0.02)
 
 
-class TestBenchJson:
-    def test_payload_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("schedule.items").inc(8)
-        payload = bench_payload(
-            "schedule", 0.004, {"System1": {"makespan": 10}}, rounds=3,
-            registry=registry,
-        )
-        path = tmp_path / "BENCH_schedule.json"
-        write_bench(str(path), payload)
-        assert validate_file(str(path)) == "bench"
-        loaded = json.loads(path.read_text())
-        assert loaded["counters"] == {"schedule.items": 8}
-        assert loaded["rounds"] == 3
-
-    def test_v2_payload_carries_raw_samples(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("schedule.items").inc(8)
-        payload = bench_payload(
-            "schedule", 0.004, {}, registry=registry,
-            samples=[0.0041, 0.0039, 0.0040],
-        )
-        assert payload["schema_version"] == 2
-        assert payload["samples"] == [0.0041, 0.0039, 0.0040]
-        assert payload["rounds"] == 3  # rounds follows the sample count
-        path = tmp_path / "BENCH_schedule.json"
-        write_bench(str(path), payload)
-        assert validate_file(str(path)) == "bench"
-
-    def test_zero_valued_counters_are_recorded(self):
-        registry = MetricsRegistry()
-        registry.counter("a.touched_zero")  # created, never incremented
-        registry.counter("a.nonzero").inc(2)
-        payload = bench_payload("x", 0.1, {}, registry=registry)
-        # "zero" and "absent" must be different facts for counter diffs
-        assert payload["counters"] == {"a.touched_zero": 0, "a.nonzero": 2}
-
-    def test_v1_payloads_still_validate(self):
-        v1 = {
-            "schema": "repro-bench", "schema_version": 1, "bench": "old",
-            "wall_time_s": 0.1, "rounds": 5, "counters": {}, "results": {},
-        }
-        validate_bench(v1)  # no samples required at v1
-        with pytest.raises(BenchSchemaError, match="declare v2"):
-            validate_bench(dict(v1, samples=[0.1]))
-
-    def test_v2_sample_constraints(self):
-        good = bench_payload(
-            "x", 0.1, {}, registry=MetricsRegistry(), samples=[0.1, 0.2]
-        )
-        with pytest.raises(BenchSchemaError, match="non-empty"):
-            validate_bench(dict(good, samples=[]))
-        with pytest.raises(BenchSchemaError, match="negative"):
-            validate_bench(dict(good, samples=[0.1, -0.2]))
-        with pytest.raises(BenchSchemaError, match="rounds is 9"):
-            validate_bench(dict(good, rounds=9))
-        with pytest.raises(BenchSchemaError, match="newer"):
-            validate_bench(dict(good, schema_version=4))
-
-    def test_v3_histograms(self):
-        registry = MetricsRegistry()
-        with profile_section("schedule.pack", registry=registry):
-            pass
-        payload = bench_payload(
-            "x", 0.1, {}, registry=registry, samples=[0.1, 0.2],
-            histograms=registry.sections(),
-        )
-        assert payload["schema_version"] == 3
-        assert set(payload["histograms"]["schedule.pack"]) == {"count", "sum", "self"}
-        assert payload["histograms"]["schedule.pack"]["count"] == 1
-        # older payloads carry percentile summaries, null when empty
-        empty = {"count": 0, "sum": 0.0, "min": None, "max": None,
-                 "mean": None, "p50": None, "p90": None, "p99": None}
-        validate_bench(dict(payload, histograms={"h": empty}))
-        with pytest.raises(BenchSchemaError, match="declare v3"):
-            validate_bench(dict(payload, schema_version=2))
-        with pytest.raises(BenchSchemaError):
-            validate_bench(
-                dict(payload, histograms={"h": {"count": "many", "sum": 0}})
-            )
-
-    def test_validate_rejects_bad_payloads(self):
-        with pytest.raises(BenchSchemaError):
-            validate_bench({"schema": "repro-bench"})  # missing fields
-        good = bench_payload("x", 0.1, {}, registry=MetricsRegistry())
-        bad = dict(good, wall_time_s="fast")
-        with pytest.raises(BenchSchemaError):
-            validate_bench(bad)
-        with pytest.raises(BenchSchemaError):
-            validate_bench(dict(good, schema="other"))
-
+class TestValidator:
     def test_validate_rejects_unknown_documents(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         for text in ("[]", "{}", '{"schema": "other"}'):
             path.write_text(text)
-            assert benchjson_main([str(path)]) == 1, text
+            assert validator_main([str(path)]) == 1, text
             (line,) = capsys.readouterr().out.splitlines()
             assert line.startswith(f"FAIL {path}: "), text
-            for kind in ("repro-bench", "repro-ledger", "repro-attrib"):
+            for kind in ("repro-ledger", "repro-attrib"):
                 assert kind in line, text
 
 

@@ -1,22 +1,15 @@
 """Tests for the incremental planning cache (``repro.exec.cache``).
 
-The headline regression: design-space sweeps and optimizer runs with the
-cache on produce exactly the same plans -- per-core deliveries,
-observations, cadence, flush and test muxes -- and the same non-``exec.``
-counters as runs with it off, on every registered system.
+The headline regression: design-space sweeps, optimizer runs and whole
+pipeline runs with the cache on produce exactly the same plans --
+per-core deliveries, observations, cadence, flush and test muxes -- and
+the same non-``exec.`` counters as runs with it off.
 """
 
 import pytest
 
 from repro.designs import system_builders
-from repro.errors import UsageError
-from repro.exec import (
-    CACHE_ENV,
-    cache_enabled,
-    invalidate_plan_cache,
-    plan_cache_for,
-    soc_signature,
-)
+from repro.exec import invalidate_plan_cache, plan_cache_for, soc_signature
 from repro.obs import METRICS
 from repro.soc.optimizer import SocetOptimizer, design_space
 from repro.soc.plan import plan_soc_test
@@ -26,33 +19,6 @@ SYSTEMS = sorted(system_builders())
 
 def build(system):
     return system_builders()[system]()
-
-
-class TestCacheToggles:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        assert cache_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no"])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv(CACHE_ENV, value)
-        assert not cache_enabled()
-
-    def test_plan_cache_accepts_boolean_spellings(self, monkeypatch):
-        for raw, expected in [("1", True), ("TRUE", True), ("on", True),
-                              ("0", False), ("False", False), ("off", False),
-                              ("no", False), ("yes", True)]:
-            monkeypatch.setenv(CACHE_ENV, raw)
-            assert cache_enabled() is expected
-        monkeypatch.delenv(CACHE_ENV)
-        assert cache_enabled() is True
-
-    def test_plan_cache_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, "fales")
-        with pytest.raises(UsageError) as err:
-            cache_enabled()
-        assert "fales" in str(err.value)
-        assert CACHE_ENV in str(err.value)
 
 
 class TestFingerprints:
@@ -200,12 +166,18 @@ class TestCachedSweepIdentical:
         ]
 
 
+def cache_off(monkeypatch):
+    """Plan without the cache from here on: no SOC gets one attached."""
+    monkeypatch.setattr("repro.exec.cache.plan_cache_for", lambda *_a, **_k: None)
+
+
 class TestOptimizerTrajectories:
     """Both optimizers, after a sweep: same trajectories and counters either way."""
 
     @staticmethod
     def _optimize(monkeypatch, system, enabled, objective):
-        monkeypatch.setenv(CACHE_ENV, "1" if enabled else "0")
+        if not enabled:
+            cache_off(monkeypatch)
 
         def run():
             soc = build(system)
@@ -228,3 +200,24 @@ class TestOptimizerTrajectories:
     def test_minimize_area_identical(self, monkeypatch, system):
         cached = self._optimize(monkeypatch, system, True, "area")
         assert cached == self._optimize(monkeypatch, system, False, "area")
+
+
+class TestPipelineCounters:
+    """The whole pipeline counts the same work with the cache off: a hit
+    replays the planning counters of the plan it stands for."""
+
+    @pytest.mark.parametrize("system", ["System1", "System2"])
+    def test_quick_run_counters_do_not_depend_on_the_cache(self, monkeypatch, system):
+        from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
+
+        def work(record):
+            return {name: value for name, value in record["counters"].items()
+                    if not name.startswith("exec.")}
+
+        cached = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
+        cache_off(monkeypatch)
+        uncached = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
+        assert uncached["counters"]["exec.cache.hits"] == 0
+        assert cached["counters"]["exec.cache.hits"] > 0
+        assert work(uncached) == work(cached)
+        assert uncached["results"] == cached["results"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +270,15 @@ class TestCliRegress:
         path = tmp_path / "ledger.jsonl"
         self.seed_ledger(path, [[1.0]])
         assert main(["regress", "--ledger", str(path)]) == 3
+
+    def test_committed_results_ledger_never_drifts(self, monkeypatch, capsys):
+        # the default --ledger is the committed bench results ledger: a
+        # series with one record compares nothing (3), but no series may
+        # hold records whose counters disagree (1)
+        from repro.cli import main
+
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        assert main(["regress"]) in (0, 3), capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", [
         ["--window", "5"], ["--min-ratio", "1.25"], ["--alpha", "0.05"],

@@ -1,5 +1,6 @@
 """Tests for run reports (:mod:`repro.obs.report`) and ``repro report``."""
 
+import copy
 import html
 import json
 import os
@@ -11,13 +12,12 @@ from pathlib import Path
 import pytest
 
 from repro.obs.ledger import make_record
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import RunReport, build_run_report, counter_diff, hotspots
+from repro.obs.report import RunReport, counter_diff, hotspots
 
 ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
 
 
-def record(counters=None, samples=(0.5,)):
+def record(counters=None, samples=(0.5,), sections=None, results=None):
     return make_record(
         "profile-System1",
         list(samples),
@@ -26,27 +26,28 @@ def record(counters=None, samples=(0.5,)):
         env=ENV,
         git_sha="a" * 40,
         timestamp="2026-08-06T12:00:00Z",
+        histograms=sections,
+        results=results,
     )
 
 
-def registry_with(sections):
-    """A registry whose section totals are ``{name: (calls, sum, self)}``."""
-    registry = MetricsRegistry()
-    for name, (calls, seconds, self_seconds) in sections.items():
-        totals = registry.section(name)
-        totals.calls, totals.seconds, totals.self_seconds = calls, seconds, self_seconds
-    return registry
+def sections_of(totals):
+    """A record's section totals from ``{name: (calls, sum, self)}``."""
+    return {
+        name: {"count": calls, "sum": seconds, "self": self_seconds}
+        for name, (calls, seconds, self_seconds) in totals.items()
+    }
 
 
 class TestStageTable:
     def test_rows_are_self_times_plus_unaccounted(self):
-        registry = registry_with({
+        sections = sections_of({
             "profile.total": (1, 1.0, 0.25),
             "atpg.run": (1, 0.5, 0.375),
             "faultsim.run": (2, 0.125, 0.125),
             "corelevel.hscan": (3, 0.25, 0.25),
         })
-        report = build_run_report("t", record(), registry=registry)
+        report = RunReport("t", record(sections=sections))
         by_stage = {row["stage"]: row for row in report.stages}
         assert by_stage["ATPG"]["self_seconds"] == 0.375
         assert by_stage["fault-sim"]["calls"] == 2
@@ -55,8 +56,8 @@ class TestStageTable:
         assert sum(row["self_seconds"] for row in report.stages) == 1.0
 
     def test_prefix_matching_is_exact_or_dotted(self):
-        registry = registry_with({"atpgx.run": (1, 0.5, 0.5)})
-        report = build_run_report("t", record(), registry=registry)
+        sections = sections_of({"atpgx.run": (1, 0.5, 0.5)})
+        report = RunReport("t", record(sections=sections))
         by_stage = {row["stage"]: row for row in report.stages}
         assert by_stage["ATPG"]["self_seconds"] == 0.0
         assert by_stage["atpgx"]["self_seconds"] == 0.5  # "atpgx" is not "atpg"
@@ -64,21 +65,21 @@ class TestStageTable:
 
 class TestHotspots:
     def test_sorted_by_self_time_and_capped(self):
-        registry = registry_with({
+        sections = sections_of({
             "fast.run": (1, 0.1, 0.1),
             "slow.run": (2, 3.0, 0.5),
             "busy.run": (1, 1.0, 1.0),
         })
-        rows = hotspots(registry, top_k=2)
+        rows = hotspots(sections, top_k=2)
         assert [row["section"] for row in rows] == ["busy.run", "slow.run"]
         assert rows[1]["seconds"] == pytest.approx(3.0)
         assert rows[1]["calls"] == 2
 
     def test_root_section_is_never_a_hotspot(self):
-        registry = registry_with({
+        sections = sections_of({
             "profile.total": (1, 9.0, 5.0), "atpg.run": (1, 4.0, 4.0),
         })
-        rows = hotspots(registry)
+        rows = hotspots(sections)
         assert [row["section"] for row in rows] == ["atpg.run"]
 
 
@@ -98,16 +99,14 @@ class TestCounterDiff:
 
 class TestRunReport:
     def build(self, baseline=None):
-        registry = registry_with({
+        sections = sections_of({
             "profile.total": (1, 0.5, 0.25),
             "atpg.run": (1, 0.25, 0.25),
         })
-        return build_run_report(
+        return RunReport(
             title="System1 pipeline",
-            record=record(),
+            record=record(sections=sections, results={"serial TAT": 17_000}),
             baseline=baseline,
-            registry=registry,
-            summary={"serial TAT": 17_000},
         )
 
     def test_markdown_contains_every_section(self):
@@ -150,10 +149,8 @@ class TestRunReport:
         assert payload["counter_diff"]["available"] is False
 
     def test_zero_time_run_renders(self):
-        report = RunReport(title="t", record=record(), stages=[
-            {"stage": "unaccounted", "prefix": "profile.total",
-             "self_seconds": 0.0, "calls": 1, "counters": {}},
-        ])
+        sections = sections_of({"profile.total": (1, 0.0, 0.0)})
+        report = RunReport(title="t", record=record(sections=sections))
         assert "| unaccounted | 0.0 | - | 1 |" in report.to_markdown()
         assert "unaccounted" in report.to_html()
 
@@ -219,12 +216,10 @@ class TestCliReport:
         from repro.flow import profile
         from repro.obs.ledger import RunLedger
 
-        # one pipeline run and one timestamp behind both renderings
+        # one pipeline run, so one record and timestamp, behind both renderings
         run = profile.run_pipeline("System1", max_faults=profile.QUICK_MAX_FAULTS)
         monkeypatch.setattr(profile, "run_pipeline", lambda *_a, **_k: run)
-        monkeypatch.setattr("repro.obs.ledger.utc_timestamp",
-                            lambda: "2026-08-06T12:00:00Z")
-        drifted = run.ledger_record()
+        drifted = copy.deepcopy(run)
         drifted["counters"]["atpg.podem.calls"] += 1  # one counter-diff row
         baseline = tmp_path / "baseline.jsonl"
         RunLedger(baseline).append(drifted)
@@ -247,7 +242,7 @@ class TestCliReport:
         number = re.compile(r"\d+(?:\.\d+)?")
         html_text = html.unescape(re.sub(r"<[^>]+>", " ", body))
         assert number.findall(text) == number.findall(html_text)
-        assert str(run.summary["optimized TAT"]) in number.findall(text)
+        assert str(run["results"]["optimized TAT"]) in number.findall(text)
 
     def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path):
         root = Path(__file__).resolve().parent.parent
