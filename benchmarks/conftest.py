@@ -41,7 +41,6 @@ import repro.lint.registry  # noqa: F401
 import repro.obs.attrib  # noqa: F401
 import repro.obs.ledger  # noqa: F401
 import repro.schedule.packers  # noqa: F401
-import repro.soc.ccg  # noqa: F401
 import repro.soc.optimizer  # noqa: F401
 import repro.soc.plan  # noqa: F401
 import repro.transparency.search  # noqa: F401

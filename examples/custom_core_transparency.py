@@ -2,8 +2,9 @@
 
 Shows the machinery under the hood: the register connectivity graph
 with its C-split/O-split nodes (paper Figure 7), the justification tree
-for a split output (the balanced-freeze mechanism of Figure 4b), and a
-chip-level CCG built from the synthesized versions (Figure 9).
+for a split output (the balanced-freeze mechanism of Figure 4b), and the
+chip-level planner's routes to the core through the synthesized versions
+of its neighbours (Figure 9).
 
 Run:  python examples/custom_core_transparency.py
 """
@@ -11,8 +12,7 @@ Run:  python examples/custom_core_transparency.py
 from repro.dft import insert_hscan
 from repro.rtl import CircuitBuilder, OpKind, Slice
 from repro.rtl.types import Concat
-from repro.soc import Core, Soc, build_ccg
-from repro.soc.ccg import shortest_justification
+from repro.soc import Core, Soc, plan_soc_test
 from repro.transparency import RCG, TransparencySearch, generate_versions
 
 
@@ -66,7 +66,7 @@ def main():
               f"{version.justify_latency('RESULT', 0, 8)} cycles, "
               f"{version.extra_cells} cells")
 
-    # ---------------- embed it and build the CCG ----------------
+    # ---------------- embed it and plan its chip-level test ----------------
     soc = Soc("demo")
     soc.add_core(Core.from_circuit(circuit, test_vectors=20))
     front = Core.from_circuit(_front_end(), test_vectors=10)
@@ -79,15 +79,15 @@ def main():
     soc.wire(None, "PCTL", "FILTER", "CTL")
     soc.wire("FILTER", "RESULT", None, "POUT")
 
-    ccg = build_ccg(soc)
-    print(f"\nCCG: {ccg.number_of_nodes()} nodes, {ccg.number_of_edges()} edges")
-    target = ("CO", "FILTER", "RESULT", 0, 8)
-    result = shortest_justification(ccg, target)
-    assert result is not None
-    cost, nodes = result
-    print(f"shortest justification of FILTER.RESULT: {cost} cycles")
-    for node in nodes:
-        print(f"  {node}")
+    filter_plan = plan_soc_test(soc).core_plans["FILTER"]
+    print(f"\nFILTER's planned deliveries (cadence {filter_plan.cadence}):")
+    for delivery in filter_plan.deliveries:
+        route = "test mux" if delivery.via_test_mux else "chip pins"
+        if delivery.usages:
+            route = ", ".join(
+                f"{core} {kind} {key}" for (core, kind, key) in sorted(delivery.usages)
+            )
+        print(f"  {delivery.port}: latency {delivery.latency} via {route}")
 
 
 def _front_end():

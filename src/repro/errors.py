@@ -42,7 +42,7 @@ class TransparencyError(ReproError):
 
 
 class SocError(ReproError):
-    """Chip-level analysis failed (disconnected CCG, bad core wiring)."""
+    """Chip-level analysis failed (bad core wiring or SOC construction)."""
 
 
 class InfeasibleConstraintError(SocError):

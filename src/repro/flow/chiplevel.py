@@ -7,7 +7,7 @@ space for Figure 10, and packages the area rows for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.baselines.fscan_bscan import FscanBscanReport, fscan_bscan_report
@@ -16,7 +16,7 @@ from repro.flow.report import AreaRow, ScheduleRow
 from repro.obs import profile_section
 from repro.schedule import TestSchedule
 from repro.soc.optimizer import DesignPoint, design_space
-from repro.soc.plan import SocTestPlan, plan_soc_test
+from repro.soc.plan import SocTestPlan
 from repro.soc.system import Soc
 
 
@@ -57,7 +57,7 @@ class SocetRun:
                     variant=variant,
                     algorithm=schedule.algorithm,
                     serial_tat=plan.total_tat,
-                    scheduled_tat=schedule.makespan,
+                    makespan=schedule.makespan,
                     sessions=len(schedule.sessions()),
                 )
             )
@@ -92,25 +92,10 @@ class SocetRun:
         return rows
 
 
-def schedule_points(
-    points: List[DesignPoint],
-    algorithm: str = "greedy",
-    power_budget: Optional[int] = None,
-    include_bist: bool = False,
-) -> List[TestSchedule]:
+def schedule_points(points: List[DesignPoint]) -> List[TestSchedule]:
     """Concurrent-session schedules for every design point, in order."""
-    from repro.schedule import schedule_plan
-
     with profile_section("chiplevel.schedule_points"):
-        return [
-            schedule_plan(
-                point.plan,
-                algorithm=algorithm,
-                power_budget=power_budget,
-                include_bist=include_bist,
-            )
-            for point in points
-        ]
+        return [point.plan.schedule() for point in points]
 
 
 def run_socet(soc: Soc) -> SocetRun:

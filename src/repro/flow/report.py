@@ -89,12 +89,12 @@ class ScheduleRow:
     variant: str  # "Min. Area" | "Min. TApp." | "-"
     algorithm: str
     serial_tat: int
-    scheduled_tat: int
+    makespan: int
     sessions: int
 
     @property
     def speedup(self) -> float:
-        return self.serial_tat / self.scheduled_tat if self.scheduled_tat else 1.0
+        return self.serial_tat / self.makespan if self.makespan else 1.0
 
 
 def render_schedule_table(rows: List[ScheduleRow]) -> str:
@@ -114,7 +114,7 @@ def render_schedule_table(rows: List[ScheduleRow]) -> str:
             row.variant,
             row.algorithm,
             row.serial_tat,
-            row.scheduled_tat,
+            row.makespan,
             row.sessions,
             f"{row.speedup:.2f}x",
         ]

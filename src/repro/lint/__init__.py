@@ -20,10 +20,10 @@ ids (see DESIGN.md, "Diagnostic contract"):
 
 Alongside the domain rules, :mod:`repro.lint.codestyle` is an AST-based
 determinism lint for the codebase itself (``python -m
-repro.lint.codestyle``): the parallel executor and the plan cache rely
-on bit-identical replay, so unseeded RNGs, wall-clock reads in planner
-code, and ordering-sensitive ``set`` iteration are design-rule
-violations too.
+repro.lint.codestyle``): the plan cache, the exact counter gate and
+the byte-stable artifacts rely on bit-identical replay, so unseeded
+RNGs, wall-clock reads in planner code, and ordering-sensitive ``set``
+iteration are design-rule violations too.
 
 Typical use::
 

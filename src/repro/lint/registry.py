@@ -3,9 +3,9 @@
 A :class:`Rule` couples a stable id with a *scope* -- the artifact layer
 it inspects -- and a check function that yields
 :class:`~repro.lint.diagnostics.Diagnostic` objects from a
-:class:`LintContext`.  The registry owns per-rule enable/disable state
-and severity overrides, so a CI config can demote a rule to a warning
-or switch it off without touching the rule itself.
+:class:`LintContext`.  The registry owns which rules are switched off:
+``repro lint --disable`` clones the default registry and disables the
+named rules without touching the rules themselves.
 
 Scopes:
 
@@ -70,12 +70,11 @@ class Rule:
 
 
 class RuleRegistry:
-    """Ordered rule collection with enable/disable and severity overrides."""
+    """Ordered rule collection; a clone can switch rules off."""
 
     def __init__(self) -> None:
         self._rules: Dict[str, Rule] = {}
         self._disabled: set = set()
-        self._severity_overrides: Dict[str, Severity] = {}
 
     # ------------------------------------------------------------------
     # declaration
@@ -88,45 +87,23 @@ class RuleRegistry:
         self._rules[rule.rule_id] = rule
         return rule
 
-    def unregister(self, rule_id: str) -> None:
-        self._rules.pop(rule_id, None)
-        self._disabled.discard(rule_id)
-        self._severity_overrides.pop(rule_id, None)
-
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
-    def enable(self, rule_id: str) -> None:
-        self._require(rule_id)
-        self._disabled.discard(rule_id)
-
     def disable(self, rule_id: str) -> None:
-        self._require(rule_id)
+        if rule_id not in self._rules:
+            raise ValueError(f"unknown lint rule {rule_id!r}")
         self._disabled.add(rule_id)
 
     def is_enabled(self, rule_id: str) -> bool:
         return rule_id in self._rules and rule_id not in self._disabled
-
-    def override_severity(self, rule_id: str, severity: Severity) -> None:
-        self._require(rule_id)
-        self._severity_overrides[rule_id] = severity
-
-    def effective_severity(self, rule_id: str) -> Severity:
-        return self._severity_overrides.get(rule_id, self._require(rule_id).severity)
 
     def clone(self) -> "RuleRegistry":
         """An independent copy for one-off configuration (CLI flags)."""
         twin = RuleRegistry()
         twin._rules = dict(self._rules)
         twin._disabled = set(self._disabled)
-        twin._severity_overrides = dict(self._severity_overrides)
         return twin
-
-    def _require(self, rule_id: str) -> Rule:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise ValueError(f"unknown lint rule {rule_id!r}") from None
 
     # ------------------------------------------------------------------
     # queries
@@ -154,8 +131,7 @@ class RuleRegistry:
     ) -> LintReport:
         """Run every enabled rule whose scope is in ``scopes``.
 
-        Diagnostics inherit the registry's effective severity for their
-        rule, so overrides apply uniformly no matter what severity the
+        Diagnostics carry their rule's severity, whatever severity the
         check function emitted.
         """
         wanted = set(scopes) if scopes is not None else set(SCOPES)
@@ -166,7 +142,7 @@ class RuleRegistry:
                 continue
             _RULES_RUN.inc()
             report.rules_run += 1
-            severity = self.effective_severity(rule.rule_id)
+            severity = rule.severity
             for diagnostic in rule.check(context):
                 if diagnostic.severity is not severity:
                     diagnostic = Diagnostic(

@@ -3,10 +3,10 @@
 Given an SOC (cores + interconnect), a selected transparency version per
 core, and each core's precomputed test set, this package:
 
-* builds the core connectivity graph (CCG) with split input/output nodes,
-* finds justification/propagation paths for every core under test,
-  serializing transfers that share transparency resources (the paper's
-  edge-reservation rule),
+* finds justification/propagation paths for every core under test with
+  one reservation-aware search over the core connectivity graph (CCG)
+  (:mod:`repro.soc.plan`), serializing transfers that share transparency
+  resources (the paper's edge-reservation rule),
 * inserts system-level test multiplexers where no path exists,
 * computes per-core and global test application time, and
 * runs the iterative-improvement optimizer that swaps core versions to
@@ -15,7 +15,6 @@ core, and each core's precomputed test set, this package:
 
 from repro.soc.core import Core
 from repro.soc.system import Net, PortRef, Soc
-from repro.soc.ccg import build_ccg
 from repro.soc.plan import CoreTestPlan, SocTestPlan, plan_soc_test
 from repro.soc.optimizer import (
     DesignPoint,
@@ -29,7 +28,6 @@ __all__ = [
     "Net",
     "PortRef",
     "Soc",
-    "build_ccg",
     "CoreTestPlan",
     "SocTestPlan",
     "plan_soc_test",

@@ -55,25 +55,20 @@ class DesignPoint:
         return ", ".join(parts)
 
 
-def design_space(
-    soc: Soc,
-    forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    use_cache: bool = True,
-) -> List[DesignPoint]:
+def design_space(soc: Soc, use_cache: bool = True) -> List[DesignPoint]:
     """Evaluate every combination of core versions (Figure 10's points).
 
-    Points are sorted by chip-level DFT cells (ascending), so point 1 is
-    the minimum-area design and the last point uses the minimum-latency
-    version of every core.
+    Each point is one :func:`plan_soc_test` call with no forced test
+    muxes.  Points are sorted by chip-level DFT cells (ascending), so
+    point 1 is the minimum-area design and the last point uses the
+    minimum-latency version of every core.
     """
     with profile_section("chiplevel.design_space"):
         cores = soc.testable_cores()
         points: List[DesignPoint] = []
         for combo in itertools.product(*(range(core.version_count) for core in cores)):
             selection = {core.name: index for core, index in zip(cores, combo)}
-            plan = plan_soc_test(
-                soc, selection, forced_muxes=forced_muxes, use_cache=use_cache
-            )
+            plan = plan_soc_test(soc, selection, use_cache=use_cache)
             points.append(
                 DesignPoint(
                     index=0,
@@ -92,28 +87,11 @@ def design_space(
 class SocetOptimizer:
     """Greedy iterative improvement over core versions and test muxes.
 
-    With ``use_schedule=True`` the optimizer scores plans by the
-    concurrent-session makespan (:attr:`SocTestPlan.scheduled_tat`)
-    instead of the paper's serial sum; the default keeps the serial
-    objective so the paper's tables reproduce unchanged.  An optional
-    ``power_budget`` caps concurrent scan activity during scheduling.
+    The objective TAT is the paper's serial sum, :attr:`SocTestPlan.total_tat`.
     """
 
-    def __init__(
-        self,
-        soc: Soc,
-        use_schedule: bool = False,
-        power_budget: Optional[int] = None,
-    ) -> None:
+    def __init__(self, soc: Soc) -> None:
         self.soc = soc
-        self.use_schedule = use_schedule
-        self.power_budget = power_budget
-
-    def _tat(self, plan: SocTestPlan) -> int:
-        """The objective TAT: serial sum or scheduled makespan."""
-        if self.use_schedule:
-            return plan.schedule(power_budget=self.power_budget).makespan
-        return plan.total_tat
 
     def _record_move(
         self,
@@ -125,10 +103,8 @@ class SocetOptimizer:
     ) -> None:
         """Log one candidate move to the attribution trajectory.
 
-        Objective values are the side-effect-free serial TAT
-        (``total_tat``) even under ``use_schedule``, so recording never
-        perturbs scheduler counters; ``after_plan`` is ``None`` for
-        candidates rejected before a plan was evaluated.
+        ``after_plan`` is ``None`` for candidates rejected before a plan
+        was evaluated.
         """
         if not ATTRIB.enabled or move is None:
             return
@@ -260,7 +236,7 @@ class SocetOptimizer:
                 mux_plan = plan_soc_test(self.soc, plan.selection, forced_muxes=new_forced)
                 if (
                     mux_plan.chip_dft_cells > max_chip_cells
-                    or self._tat(mux_plan) >= self._tat(plan)
+                    or mux_plan.total_tat >= plan.total_tat
                 ):
                     _REJECTED.inc()
                     self._record_move(
@@ -275,7 +251,7 @@ class SocetOptimizer:
                 candidate_plan = mux_plan
                 _ESCALATIONS.inc()
                 logger.info("escalate: test mux on %s.%s", *critical)
-            if self._tat(candidate_plan) >= self._tat(plan) and candidate_plan.selection == plan.selection:
+            if candidate_plan.total_tat >= plan.total_tat and candidate_plan.selection == plan.selection:
                 _REJECTED.inc()
                 self._record_move(move, plan, candidate_plan, "reject-no-gain", forced)
                 break
@@ -285,7 +261,7 @@ class SocetOptimizer:
             self._record_move(move, previous, candidate_plan, "accept", forced)
             logger.debug(
                 "accept move %d: TAT %d, %d cells",
-                step, self._tat(plan), plan.chip_dft_cells,
+                step, plan.total_tat, plan.chip_dft_cells,
             )
             trajectory.append(self._point(step, plan))
             step += 1
@@ -304,7 +280,7 @@ class SocetOptimizer:
         plan = plan_soc_test(self.soc, selection, forced_muxes=forced)
         trajectory = [self._point(0, plan)]
         step = 1
-        while self._tat(plan) > max_tat_cycles:
+        while plan.total_tat > max_tat_cycles:
             best: Optional[Tuple[int, str]] = None  # (delta_area, core)
             for core in self.soc.testable_cores():
                 gain = self.replacement_gain(plan, core.name)
@@ -333,13 +309,13 @@ class SocetOptimizer:
                     previous, plan, "accept", forced,
                 )
                 logger.debug(
-                    "accept move %d: upgrade %s, TAT %d", step, best[1], self._tat(plan)
+                    "accept move %d: upgrade %s, TAT %d", step, best[1], plan.total_tat
                 )
             else:
                 critical = self.most_critical_port(plan)
                 if critical is None:
                     raise InfeasibleConstraintError(
-                        f"TAT budget {max_tat_cycles} unreachable; floor is {self._tat(plan)}"
+                        f"TAT budget {max_tat_cycles} unreachable; floor is {plan.total_tat}"
                     )
                 forced = forced | {critical}
                 previous = plan
@@ -360,7 +336,7 @@ class SocetOptimizer:
         return DesignPoint(
             index=index,
             selection=dict(plan.selection),
-            tat=self._tat(plan),
+            tat=plan.total_tat,
             chip_cells=plan.chip_dft_cells,
             plan=plan,
         )

@@ -34,7 +34,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import logging
 
-from repro.errors import SocError
 from repro.obs import METRICS, profile_section
 from repro.soc.controller import estimate_controller_area
 from repro.soc.system import PortRef, Soc
@@ -176,11 +175,6 @@ class SocTestPlan:
         )
 
     @property
-    def scheduled_tat(self) -> int:
-        """TAT with concurrent sessions (greedy scheduler, no power cap)."""
-        return self.schedule().makespan
-
-    @property
     def version_cells(self) -> int:
         return sum(
             self.soc.cores[name].version(index).extra_cells
@@ -219,13 +213,11 @@ class _Planner:
         self,
         soc: Soc,
         selection: Dict[str, int],
-        allow_test_muxes: bool,
         forced_input_muxes: Set[Tuple[str, str]],
         forced_output_muxes: Set[Tuple[str, str]],
     ) -> None:
         self.soc = soc
         self.selection = selection
-        self.allow_test_muxes = allow_test_muxes
         self.forced_input_muxes = forced_input_muxes
         self.forced_output_muxes = forced_output_muxes
         self.test_muxes: List[TestMux] = []
@@ -295,17 +287,14 @@ class _Planner:
             needed_inputs.update(path.terminal_ports)
         feed = 0
         for input_port in sorted(needed_inputs):
-            delivered = self._deliver_or_mux(core_name, input_port, visited)
-            if delivered is None:
-                return None
-            feed_latency, feed_usages = delivered
+            feed_latency, feed_usages = self._deliver_or_mux(core_name, input_port, visited)
             feed = max(feed, feed_latency)
             usages.update(feed_usages)
         return latency + feed, usages
 
     def _deliver_or_mux(
         self, core_name: str, port: str, visited: FrozenSet
-    ) -> Optional[Tuple[int, Counter]]:
+    ) -> Tuple[int, Counter]:
         if ("input", core_name, port) in self._mux_keys or (
             core_name,
             port,
@@ -314,8 +303,6 @@ class _Planner:
             return 0, Counter()
         result = self.deliver(core_name, port, visited)
         if result is None:
-            if not self.allow_test_muxes:
-                return None
             self.fallbacks += 1
             self._note_input_mux(core_name, port)
             return 0, Counter()
@@ -372,12 +359,9 @@ class _Planner:
             deepest = 0
             onward_merged: Counter = Counter()
             for terminal in _terminal_slices(path):
-                onward = self._observe_or_mux(
+                onward_latency, onward_usages = self._observe_or_mux(
                     net.dest.core, terminal[0], terminal[1], terminal[2], visited
                 )
-                if onward is None:
-                    return None
-                onward_latency, onward_usages = onward
                 deepest = max(deepest, onward_latency)
                 # all terminals of one propagation travel onward together
                 for key, count in onward_usages.items():
@@ -388,7 +372,7 @@ class _Planner:
 
     def _observe_or_mux(
         self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
-    ) -> Optional[Tuple[int, Counter]]:
+    ) -> Tuple[int, Counter]:
         if ("output", core_name, port, lo, width) in self._mux_keys or (
             core_name,
             port,
@@ -397,8 +381,6 @@ class _Planner:
             return 0, Counter()
         result = self.observe_slice(core_name, port, lo, width, visited)
         if result is None:
-            if not self.allow_test_muxes:
-                return None
             self.fallbacks += 1
             self._note_output_mux(core_name, port, lo, width)
             return 0, Counter()
@@ -422,10 +404,7 @@ class _Planner:
 
         deliveries: List[Delivery] = []
         for port in sorted(p.name for p in core.circuit.inputs):
-            result = self._deliver_or_mux(core_name, port, frozenset())
-            if result is None:
-                raise SocError(f"cannot deliver test data to {core_name}.{port}")
-            latency, usages = result
+            latency, usages = self._deliver_or_mux(core_name, port, frozenset())
             deliveries.append(
                 Delivery(
                     core=core_name,
@@ -439,10 +418,9 @@ class _Planner:
         observations: List[Observation] = []
         for piece in core.output_slices():
             output = piece.comp
-            result = self._observe_or_mux(core_name, output, piece.lo, piece.width, frozenset())
-            if result is None:
-                raise SocError(f"cannot observe {core_name}.{output}")
-            latency, usages = result
+            latency, usages = self._observe_or_mux(
+                core_name, output, piece.lo, piece.width, frozenset()
+            )
             observations.append(
                 Observation(
                     core=core_name,
@@ -523,11 +501,15 @@ def _cadence(
 def plan_soc_test(
     soc: Soc,
     selection: Optional[Dict[str, int]] = None,
-    allow_test_muxes: bool = True,
     forced_muxes: Optional[Set[Tuple[str, str]]] = None,
     use_cache: bool = True,
 ) -> SocTestPlan:
     """Plan the complete SOC test for one version selection.
+
+    This is the chip level's one path search: each core's deliveries and
+    observations ride the transparency paths of its neighbours, and any
+    port the search cannot reach falls back to a system-level test mux,
+    as the paper does.
 
     ``selection`` maps core name to version index (default: version 0,
     the minimum-area version, for every core).  ``forced_muxes`` is a set
@@ -555,18 +537,14 @@ def plan_soc_test(
                 forced_inputs.add((core_name, port))
             else:
                 forced_outputs.add((core_name, port))
-        planner = _Planner(soc, selection, allow_test_muxes, forced_inputs, forced_outputs)
+        planner = _Planner(soc, selection, forced_inputs, forced_outputs)
         cache = plan_cache_for(soc) if use_cache else None
         core_plans: Dict[str, CoreTestPlan] = {}
         if cache is None:
             for core in soc.testable_cores():
                 core_plans[core.name] = planner.plan_core(core.name)
         else:
-            forced_key = (
-                frozenset(forced_inputs),
-                frozenset(forced_outputs),
-                allow_test_muxes,
-            )
+            forced_key = (frozenset(forced_inputs), frozenset(forced_outputs))
             for core in soc.testable_cores():
                 name = core.name
                 mux_state = frozenset(planner._mux_keys)

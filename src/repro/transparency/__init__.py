@@ -13,11 +13,7 @@ off (Figures 6 and 8 of the paper).
 
 from repro.transparency.rcg import RCG, RCGNode, TransArc
 from repro.transparency.search import TransparencySearch, PathNode, TransparencyPath
-from repro.transparency.versions import (
-    CoreVersion,
-    TransparencyEdge,
-    generate_versions,
-)
+from repro.transparency.versions import CoreVersion, generate_versions
 from repro.transparency.apply import (
     TransparencyApplication,
     apply_transparency_path,
@@ -32,7 +28,6 @@ __all__ = [
     "PathNode",
     "TransparencyPath",
     "CoreVersion",
-    "TransparencyEdge",
     "generate_versions",
     "TransparencyApplication",
     "apply_transparency_path",

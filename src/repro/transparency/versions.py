@@ -11,16 +11,15 @@ The paper's recipe (Section 4):
 * **Version 3** -- transparency multiplexers are added for every
   input/output pair still slower than one cycle (Figure 5's shaded mux).
 
-Each version records, per port slice, the transparency path and the
-derived chip-level edges (input port -> output slice, latency, resource
-set) that the CCG consumes.
+Each version records, per port slice, the transparency path that the
+chip-level planner (:mod:`repro.soc.plan`) routes test data through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dft.hscan import HscanResult, insert_hscan
 from repro.errors import TransparencyError
@@ -46,31 +45,6 @@ def _non_hscan_arc_cost(arc: TransArc) -> int:
     return max(1, arc.width // 2)
 
 
-@dataclass(frozen=True)
-class TransparencyEdge:
-    """A chip-level transparency edge: input port -> output slice.
-
-    ``resources`` identifies the RCG arcs (plus the input port itself)
-    the transfer occupies; two edges sharing a resource cannot carry
-    data in the same cycles.
-    """
-
-    core: str
-    input_port: str
-    output: str
-    output_lo: int
-    output_width: int
-    latency: int
-    resources: FrozenSet
-
-    @property
-    def output_slice(self) -> Slice:
-        return Slice(self.output, self.output_lo, self.output_width)
-
-    def __str__(self) -> str:
-        return f"{self.core}:{self.input_port}->{self.output_slice} ({self.latency}cy)"
-
-
 @dataclass
 class CoreVersion:
     """One synthesized transparency version of a core."""
@@ -79,7 +53,6 @@ class CoreVersion:
     name: str
     index: int
     extra_cells: int
-    edges: List[TransparencyEdge] = field(default_factory=list)
     justify_paths: Dict[Tuple[str, int, int], TransparencyPath] = field(default_factory=dict)
     propagate_paths: Dict[str, TransparencyPath] = field(default_factory=dict)
     added_muxes: List[TransArc] = field(default_factory=list)
@@ -245,7 +218,6 @@ def _improve_worst_pair(
     version = _solve_version(circuit, working, name=f"Version {index + 1}", index=index, hscan_first=False)
     version.added_muxes = list(base.added_muxes) + extra
     version.extra_cells = _version_cost(circuit, working, version, version.added_muxes)
-    version.edges = _derive_edges(circuit.name, version)
     return version
 
 
@@ -322,7 +294,6 @@ def _solve_version(
     version.added_muxes = added
     version.rcg = working_rcg
     version.extra_cells = _version_cost(circuit, working_rcg, version, added)
-    version.edges = _derive_edges(circuit.name, version)
     return version
 
 
@@ -422,53 +393,3 @@ def _version_cost(
     for arc in added_muxes:
         cells += _tmux_cost(arc.width)
     return cells
-
-
-def _derive_edges(core_name: str, version: CoreVersion) -> List[TransparencyEdge]:
-    """Chip-level edges from the version's paths (min latency per pair)."""
-    best: Dict[Tuple[str, str, int, int], Tuple[int, FrozenSet]] = {}
-
-    def offer(input_port: str, out: Slice, latency: int, resources: FrozenSet) -> None:
-        key = (input_port, out.comp, out.lo, out.width)
-        current = best.get(key)
-        if current is None or latency < current[0]:
-            best[key] = (latency, resources)
-
-    for (output, lo, width), path in version.justify_paths.items():
-        resources = frozenset(_path_resources(path))
-        for port in path.terminal_ports:
-            offer(port, Slice(output, lo, width), path.latency, resources)
-
-    for input_port, path in version.propagate_paths.items():
-        resources = frozenset(_path_resources(path))
-        for terminal, latency in _terminal_latencies(path):
-            offer(input_port, terminal, latency, resources)
-
-    edges = [
-        TransparencyEdge(
-            core=core_name,
-            input_port=input_port,
-            output=output,
-            output_lo=lo,
-            output_width=width,
-            latency=latency,
-            resources=resources,
-        )
-        for (input_port, output, lo, width), (latency, resources) in sorted(best.items())
-    ]
-    return edges
-
-
-def _terminal_latencies(path: TransparencyPath) -> List[Tuple[Slice, int]]:
-    """(terminal slice, cycles from root) for every leaf of the tree."""
-    results: List[Tuple[Slice, int]] = []
-
-    def walk(node, accumulated: int) -> None:
-        if not node.branches:
-            results.append((node.piece, accumulated))
-            return
-        for arc, sub in node.branches:
-            walk(sub, accumulated + arc.latency)
-
-    walk(path.tree, 0)
-    return results

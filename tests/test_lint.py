@@ -165,12 +165,6 @@ class TestRegistry:
         report = lint_circuit(bd.comb_loop_circuit(), registry=registry)
         assert "rtl.comb-loop" not in fired(report)
 
-    def test_severity_override(self):
-        registry = DEFAULT_REGISTRY.clone()
-        registry.override_severity("rtl.unreachable-reg", Severity.ERROR)
-        report = lint_circuit(bd.unreachable_register_circuit(), registry=registry)
-        assert report.errors and report.errors[0].rule == "rtl.unreachable-reg"
-
     def test_clone_is_independent(self):
         registry = DEFAULT_REGISTRY.clone()
         registry.disable("rtl.comb-loop")
@@ -284,7 +278,7 @@ class TestDiagnostics:
         assert after > before
 
     def test_temporary_rule_registration(self):
-        """The registry accepts (and later drops) out-of-tree rules."""
+        """The registry accepts out-of-tree rules."""
         def always(ctx):
             yield Diagnostic(rule="test.always", severity=Severity.INFO,
                              location=ctx.system, message="hello", hint="")
@@ -294,5 +288,3 @@ class TestDiagnostics:
                                "always fires", always))
         report = lint_circuit(bd.unreachable_register_circuit(), registry=registry)
         assert "test.always" in fired(report)
-        registry.unregister("test.always")
-        assert "test.always" not in registry

@@ -134,10 +134,6 @@ class TestSchedulers:
         schedule = plan.schedule()
         assert sorted(e.core for e in schedule.entries) == sorted(plan.core_plans)
 
-    def test_scheduled_tat_property(self):
-        plan = plan_soc_test(parallel_soc())
-        assert plan.scheduled_tat == plan.schedule().makespan
-
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ScheduleError, match="unknown scheduler"):
             get_scheduler("quantum")

@@ -1,4 +1,4 @@
-"""Detailed tests for planner internals, CCG, controller, and reports."""
+"""Detailed tests for planner internals and routes, controller, and reports."""
 
 import pytest
 
@@ -10,8 +10,7 @@ from repro.flow.report import (
     render_area_table,
     render_testability_table,
 )
-from repro.soc import build_ccg, plan_soc_test, synthesize_controller
-from repro.soc.ccg import shortest_justification
+from repro.soc import plan_soc_test, synthesize_controller
 from repro.soc.controller import clock_enable_trace, estimate_controller_area
 from repro.soc.plan import TestMux as SystemTestMux
 from repro.soc.optimizer import SocetOptimizer, design_space
@@ -80,42 +79,37 @@ class TestPlanInvariants:
         assert "P" in str(mux)
 
 
-class TestCcgDetails:
-    def test_ccg_nodes_match_paper_structure(self, system1):
-        ccg = build_ccg(system1)
-        kinds = {}
-        for _, data in ccg.nodes(data=True):
-            kinds[data["kind"]] = kinds.get(data["kind"], 0) + 1
-        assert kinds["PI"] == 3  # Video, NUM, Reset
-        assert kinds["PO"] == 6  # PORT1..6
-        # CPU's Address splits: the two justification slices must be
-        # present (finer propagate-terminal slices may add more nodes)
-        address_nodes = {
-            (n[3], n[4])
-            for n in ccg.nodes
-            if n[0] == "CO" and n[1] == "CPU" and n[2] == "Address"
-        }
-        assert {(0, 8), (8, 4)} <= address_nodes
+class TestFigure9Routes:
+    """Figure 9's CCG, read off the planner's routes (PREPROCESSOR at V2)."""
 
-    def test_memory_cores_absent_from_ccg(self, system1):
-        ccg = build_ccg(system1)
-        assert not any(len(n) > 1 and n[1] in ("RAM", "ROM") for n in ccg.nodes)
+    @pytest.fixture(scope="class")
+    def plan(self, system1):
+        return plan_soc_test(system1, {"CPU": 0, "PREPROCESSOR": 1, "DISPLAY": 0})
 
-    def test_display_justification_route(self, system1):
+    def test_chip_pins_match_paper_structure(self, system1):
+        assert sorted(system1.chip_inputs) == ["NUM", "Reset", "Video"]
+        assert sorted(system1.chip_outputs) == [f"PORT{i}" for i in range(1, 7)]
+
+    def test_display_delivery_route(self, plan):
         """Figure 9's highlighted path: NUM -> DB -> Data -> Address -> A."""
-        ccg = build_ccg(system1, {"CPU": 0, "PREPROCESSOR": 1, "DISPLAY": 0})
-        target = ("CO", "CPU", "Address", 0, 8)
-        result = shortest_justification(ccg, target)
-        assert result is not None
-        cost, path = result
-        assert path[0] == ("PI", "NUM")
-        names = [node[1] for node in path if node[0] in ("CI", "CO")]
-        assert names[:2] == ["PREPROCESSOR", "PREPROCESSOR"]
-        assert cost == 1 + 6  # PRE V2 DB edge + CPU slice edge (no reservation here)
+        delivery = next(d for d in plan.core_plans["DISPLAY"].deliveries if d.port == "A")
+        assert not delivery.via_test_mux
+        assert dict(delivery.usages) == {
+            ("CPU", "justify", ("Address", 0, 8)): 1,
+            ("CPU", "justify", ("Address", 8, 4)): 1,
+            ("PREPROCESSOR", "justify", ("DB", 0, 8)): 1,
+        }
+        assert delivery.latency == 9
 
-    def test_unreachable_node_returns_none(self, system1):
-        ccg = build_ccg(system1)
-        assert shortest_justification(ccg, ("PO", "nonexistent")) is None
+    def test_db_path_starts_at_chip_pin_num(self, system1, plan):
+        version = system1.cores["PREPROCESSOR"].version(plan.selection["PREPROCESSOR"])
+        assert version.justify_paths[("DB", 0, 8)].terminal_ports == ["NUM"]
+        drivers = list(system1.drivers_of("PREPROCESSOR", "NUM"))
+        assert [(n.source.core, n.source.port) for n in drivers] == [(None, "NUM")]
+
+    def test_memory_cores_absent_from_plan(self, plan):
+        assert not {"RAM", "ROM"} & set(plan.core_plans)
+        assert not {"RAM", "ROM"} & {core for core, _, _ in plan.usage_counts()}
 
 
 class TestControllerDetails:
@@ -141,9 +135,10 @@ class TestControllerDetails:
         tat_budget = fast.total_tat + (points[0].tat - fast.total_tat) // 2
         _, small_steps = optimizer.minimize_area(tat_budget)
         first = min(soc.testable_cores(), key=lambda core: core.name)
-        forced = design_space(soc, forced_muxes={(first.name, first.circuit.inputs[0].name)})
-        plans = [p.plan for p in points + fast_steps + small_steps + forced]
-        assert all(plan.test_muxes for plan in (p.plan for p in forced))
+        forced_muxes = {(first.name, first.circuit.inputs[0].name)}
+        forced = [plan_soc_test(soc, p.selection, forced_muxes=forced_muxes) for p in points]
+        plans = [p.plan for p in points + fast_steps + small_steps] + forced
+        assert all(plan.test_muxes for plan in forced)
         for plan in plans:
             assert estimate_controller_area(plan) == synthesize_controller(plan).area
             assert plan.controller_cells == synthesize_controller(plan).area

@@ -1,11 +1,10 @@
-"""Tests for SOC construction, the CCG, test planning, and the optimizer."""
+"""Tests for SOC construction, chip-level test planning, and the optimizer."""
 
 import pytest
 
 from repro.errors import SocError
 from repro.rtl import CircuitBuilder
-from repro.soc import Core, PortRef, Soc, build_ccg, design_space, plan_soc_test
-from repro.soc.ccg import shortest_justification
+from repro.soc import Core, PortRef, Soc, design_space, plan_soc_test
 from repro.soc.optimizer import SocetOptimizer
 
 
@@ -78,26 +77,6 @@ class TestSocModel:
         assert core.version_count >= 1
 
 
-class TestCcg:
-    def test_nodes_and_edges(self):
-        ccg = build_ccg(two_core_soc())
-        assert ("PI", "PIN") in ccg.nodes
-        assert ("PO", "POUT") in ccg.nodes
-        kinds = {d["kind"] for _, _, d in ccg.edges(data=True)}
-        assert kinds == {"transparency", "wire"}
-
-    def test_shortest_justification(self):
-        soc = two_core_soc()
-        ccg = build_ccg(soc)
-        target = ("CO", "B", "OUT", 0, 8)
-        result = shortest_justification(ccg, target)
-        assert result is not None
-        cost, path = result
-        # A traverses 2 registers, B one: PIN ->0 A.IN ->2 A.OUT ->0 B.IN ->1 B.OUT
-        assert cost == 3
-        assert path[0] == ("PI", "PIN")
-
-
 class TestPlanning:
     def test_plan_basic_properties(self):
         plan = plan_soc_test(two_core_soc())
@@ -123,6 +102,14 @@ class TestPlanning:
         assert plan_b.cadence == 2
         assert plan_b.tat == plan_b.scan_steps * 2 + plan_b.flush
 
+    def test_b_delivery_rides_a_justify_path(self):
+        """The chip-level search routes PIN -> A.IN -> A.OUT -> B.IN."""
+        plan = plan_soc_test(two_core_soc())
+        delivery = plan.core_plans["B"].deliveries[0]
+        assert not delivery.via_test_mux
+        assert dict(delivery.usages) == {("A", "justify", ("OUT", 0, 8)): 1}
+        assert not plan.test_muxes
+
     def test_flush_includes_observation_latency(self):
         plan = plan_soc_test(two_core_soc())
         plan_a = plan.core_plans["A"]
@@ -140,17 +127,6 @@ class TestPlanning:
         # AUX goes nowhere: planner must add an output test mux
         plan = plan_soc_test(soc)
         assert any(m.kind == "output" and m.port == "AUX" for m in plan.test_muxes)
-
-    def test_disallowing_test_muxes_raises(self):
-        soc = Soc("sinky2")
-        a = Core.from_circuit(sink_core("S"), test_vectors=4)
-        soc.add_core(a)
-        soc.add_input("PIN", 8)
-        soc.add_output("POUT", 8)
-        soc.wire(None, "PIN", "S", "IN")
-        soc.wire("S", "OUT", None, "POUT")
-        with pytest.raises(SocError):
-            plan_soc_test(soc, allow_test_muxes=False)
 
     def test_forced_mux_shortcuts_delivery(self):
         soc = two_core_soc()
