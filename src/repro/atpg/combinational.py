@@ -2,8 +2,11 @@
 
 The random phase detects the easy majority of faults cheaply (with fault
 dropping); PODEM targets each survivor, proving redundancies along the
-way.  Every deterministic pattern is immediately fault-simulated against
-the remaining fault list so fortuitous detections drop too.
+way (a survivor whose fanout cone reaches no observation point is
+redundant without a search).  Every deterministic pattern is immediately
+fault-simulated against the remaining fault list, its target included:
+a pattern that misses its target is an :class:`~repro.errors.AtpgError`,
+and fortuitous detections drop too.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.atpg.compaction import compact_patterns
 from repro.atpg.podem import PodemStatus, podem
+from repro.errors import AtpgError
 from repro.faults.collapse import collapse_faults
 from repro.faults.coverage import CoverageReport
 from repro.faults.model import Fault, full_fault_universe
@@ -28,6 +32,11 @@ _RUNS = METRICS.counter("atpg.runs")
 _RANDOM_DETECTED = METRICS.counter("atpg.random.detected")
 _PODEM_DETECTED = METRICS.counter("atpg.podem.detected")
 _PATTERNS = METRICS.counter("atpg.patterns")
+
+#: the random phase grades at most this many batches of this many
+#: patterns, and stops after two batches in a row detect nothing
+RANDOM_BATCHES = 8
+RANDOM_BATCH_SIZE = 32
 
 
 @dataclass
@@ -50,15 +59,11 @@ class CombinationalAtpg:
         netlist: GateNetlist,
         seed: int = 0,
         backtrack_limit: int = 150,
-        random_batches: int = 8,
-        random_batch_size: int = 32,
         compact: bool = True,
     ) -> None:
         self.netlist = netlist
         self.seed = seed
         self.backtrack_limit = backtrack_limit
-        self.random_batches = random_batches
-        self.random_batch_size = random_batch_size
         self.compact = compact
         self._sources = [
             g.name
@@ -91,10 +96,10 @@ class CombinationalAtpg:
 
         # ---------------- random phase with early stopping ----------------
         useless_batches = 0
-        for _ in range(self.random_batches):
+        for _ in range(RANDOM_BATCHES):
             if not alive or useless_batches >= 2:
                 break
-            batch = [self._random_pattern(rng) for _ in range(self.random_batch_size)]
+            batch = [self._random_pattern(rng) for _ in range(RANDOM_BATCH_SIZE)]
             result = simulator.run(batch, alive)
             if result.detected:
                 useless_batches = 0
@@ -116,10 +121,15 @@ class CombinationalAtpg:
             if outcome.status is PodemStatus.DETECTED:
                 pattern = self._complete(outcome.assignment, rng)
                 patterns.append(pattern)
-                # the new pattern detects the target and often others too
-                survivors = simulator.run([pattern], alive[index + 1 :]).undetected
-                podem_detected += 1 + (len(alive) - index - 1 - len(survivors))
-                alive = alive[:index] + survivors
+                # the new pattern must detect the target, and often detects others too
+                graded = simulator.run([pattern], alive[index:])
+                if fault not in graded.first_detection:
+                    raise AtpgError(
+                        f"PODEM's pattern for {fault} on {self.netlist.name!r} "
+                        "does not detect it"
+                    )
+                podem_detected += len(graded.detected)
+                alive = alive[:index] + graded.undetected
             elif outcome.status is PodemStatus.REDUNDANT:
                 redundant.append(fault)
                 alive.pop(index)
@@ -129,7 +139,8 @@ class CombinationalAtpg:
 
         detected_count = random_detected + podem_detected
         if self.compact and patterns:
-            detected_faults = [f for f in faults if f not in set(redundant) | set(aborted)]
+            unresolved = set(redundant) | set(aborted)
+            detected_faults = [f for f in faults if f not in unresolved]
             patterns = compact_patterns(self.netlist, patterns, detected_faults)
 
         report = CoverageReport(

@@ -17,7 +17,10 @@ value trail is kept (see DESIGN.md, "PODEM engine contract").
 
 A fault proven untestable by exhausting the decision tree is *redundant*;
 hitting the backtrack limit *aborts*.  Both outcomes feed the paper's
-test-efficiency metric.
+test-efficiency metric.  A fault whose fanout cone holds no observation
+point (and which is not on a flop input pin, observed at capture) is
+redundant before any search: no pattern can make it observable, so its
+result carries zero decisions, backtracks, implications and restarts.
 """
 
 from __future__ import annotations
@@ -495,6 +498,10 @@ class _PodemEngine:
         return PodemResult(status, assignment, *counts)
 
     def search(self) -> PodemResult:
+        if self.justify_only is None and not self.cone_observe:
+            # no observation point in the fault's cone: no pattern can
+            # make it observable, so it is redundant without a search
+            return self._result(PodemStatus.REDUNDANT)
         backtracks = 0
         tried = 0
         implications = 0

@@ -1,6 +1,10 @@
 """Tests for PODEM, the combinational ATPG driver, and compaction."""
 
-from repro.atpg import CombinationalAtpg, PodemStatus, compact_patterns, podem
+import pytest
+
+from repro.atpg import CombinationalAtpg, PodemResult, PodemStatus, compact_patterns, podem
+from repro.atpg import combinational
+from repro.errors import AtpgError
 from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
 from repro.gates import GateKind, GateNetlist
 
@@ -29,6 +33,18 @@ def redundant_netlist():
     n.add_gate("g", GateKind.AND, ["a", "b"])
     n.add_gate("y", GateKind.OR, ["a", "g"])
     n.add_gate("Y", GateKind.OUTPUT, ["y"])
+    return n.validate()
+
+
+def unobservable_netlist():
+    """Y = a AND b, plus an OR gate and a flop whose outputs nothing reads."""
+    n = GateNetlist("dangling")
+    n.add_gate("a", GateKind.INPUT)
+    n.add_gate("b", GateKind.INPUT)
+    n.add_gate("g", GateKind.AND, ["a", "b"])
+    n.add_gate("Y", GateKind.OUTPUT, ["g"])
+    n.add_gate("h", GateKind.OR, ["a", "b"])
+    n.add_gate("f", GateKind.DFF, ["a"])
     return n.validate()
 
 
@@ -86,6 +102,15 @@ class TestPodem:
         assert result.status is PodemStatus.DETECTED
         assert result.assignment.get("a") == 1 and result.assignment.get("b") == 1
 
+    def test_unobservable_fault_is_redundant_without_search(self):
+        n = unobservable_netlist()
+        for fault in (Fault("h", None, 0), Fault("h", 1, 1), Fault("f", None, 1)):
+            assert podem(n, fault) == PodemResult(PodemStatus.REDUNDANT), fault
+        # a flop D-pin fault is observed at capture, whoever reads the flop
+        result = podem(n, Fault("f", 0, 0))
+        assert result.status is PodemStatus.DETECTED
+        assert result.assignment == {"a": 1}
+
 
 class TestCombinationalAtpg:
     def test_full_coverage_on_c17(self):
@@ -107,6 +132,14 @@ class TestCombinationalAtpg:
         outcome = CombinationalAtpg(n, seed=0).run()
         assert outcome.report.redundant >= 1
         assert outcome.report.test_efficiency == 100.0
+
+    def test_pattern_missing_its_target_is_an_error(self, monkeypatch):
+        """Each PODEM pattern is graded against its own target too."""
+        monkeypatch.setattr(
+            combinational, "podem", lambda *args, **kwargs: PodemResult(PodemStatus.DETECTED)
+        )
+        with pytest.raises(AtpgError, match=r"/sa[01] on 'dangling' does not detect it"):
+            CombinationalAtpg(unobservable_netlist(), seed=0).run()
 
     def test_deterministic_given_seed(self):
         n = c17_like()

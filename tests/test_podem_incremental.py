@@ -7,6 +7,9 @@ rebuilds the D-frontier by scanning every gate.  It is slow but obviously
 right, and it is kept here -- and only here -- as the reference the
 production engine must match *decision for decision*: equal status,
 assignment, backtracks, decisions, implication passes, and restarts.
+Both engines prove a fault whose fanout reaches no observation point
+redundant before searching; the reference finds that with its own walk
+over the fanout map, not through the production engine's cone.
 """
 
 import random
@@ -150,6 +153,20 @@ class ReferencePodem:
                     stack.append(reader)
         return False
 
+    def _observable(self):
+        """Does the fault site's fanout reach an observation point?"""
+        stack = [self.fault.gate]
+        seen = set(stack)
+        while stack:
+            name = stack.pop()
+            if name in self.observe:
+                return True
+            for reader in self.fanout[name]:
+                if reader not in seen and self.gates[reader].kind not in STATE_KINDS:
+                    seen.add(reader)
+                    stack.append(reader)
+        return False
+
     def _sensitize(self, gate, skip=None):
         controlling = _CONTROLLING.get(gate.kind)
         for index, source in enumerate(gate.fanins):
@@ -250,6 +267,8 @@ class ReferencePodem:
         raise AssertionError("backtrace did not terminate")
 
     def search(self) -> PodemResult:
+        if self.justify_only is None and not self._observable():
+            return PodemResult(PodemStatus.REDUNDANT)
         backtracks = tried = restarts = 0
         decisions: List[Tuple[str, int, bool]] = []
         self.simulate()
