@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import SEED, record_bench, write_result
+from conftest import record_bench, write_result
 
 from repro.obs import METRICS
 from repro.soc.optimizer import design_space
@@ -26,11 +26,7 @@ def _fresh_systems():
     """Bench systems rebuilt fresh (no plan cache shared with other benches)."""
     from repro.designs import build_system2, build_system3, build_system4
 
-    return [
-        build_system2(atpg_seed=SEED),
-        build_system3(atpg_seed=SEED),
-        build_system4(atpg_seed=SEED),
-    ]
+    return [build_system2(), build_system3(), build_system4()]
 
 
 def _point_key(point):

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 from conftest import record_bench, write_result
 
-from repro.flow import render_area_table, run_socet
-from repro.obs import METRICS
+from repro.flow import render_area_table
+from repro.flow.profile import record_rows, run_pipeline
 
 
-def both_runs(system1, system2):
-    return run_socet(system1), run_socet(system2)
+def both_runs():
+    return run_pipeline("System1"), run_pipeline("System2")
 
 
-def test_table2_area_overheads(benchmark, system1, system2, results_dir):
-    METRICS.reset()  # the record carries exactly the measured runs' counters
-    run1, run2 = benchmark.pedantic(both_runs, args=(system1, system2), rounds=1, iterations=1)
+def test_table2_area_overheads(benchmark, results_dir):
+    runs = benchmark.pedantic(both_runs, rounds=1, iterations=1)
+    tables = [record_rows(run, "area") for run in runs]
     record_bench(
         results_dir,
         "table2_area_overheads",
@@ -47,11 +47,12 @@ def test_table2_area_overheads(benchmark, system1, system2, results_dir):
                 "socet_chip_percent": [row.socet_chip_percent for row in rows],
                 "socet_total_percent": [row.socet_total_percent for row in rows],
             }
-            for rows in (run1.area_rows(), run2.area_rows())
+            for rows in tables
         },
+        runs=runs,
     )
 
-    rows = run1.area_rows() + run2.area_rows()
+    rows = tables[0] + tables[1]
     text = render_area_table(rows)
     paper_note = (
         "\npaper: System1 FSCAN 18.8 / HSCAN 10.1 / BSCAN 5.2 / SOCET 2.0-3.8;"
@@ -67,8 +68,7 @@ def test_table2_area_overheads(benchmark, system1, system2, results_dir):
         assert row.socet_total_percent < row.fscan_bscan_total_percent, (
             "SOCET total must beat FSCAN-BSCAN total"
         )
-    for run in (run1, run2):
-        area_rows = run.area_rows()
-        assert area_rows[0].socet_chip_cells <= area_rows[1].socet_chip_cells, (
+    for min_area, min_tapp in tables:
+        assert min_area.socet_chip_cells <= min_tapp.socet_chip_cells, (
             "min-area variant must not cost more than min-TApp variant"
         )

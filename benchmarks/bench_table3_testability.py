@@ -18,94 +18,97 @@ Shape requirements checked here:
 * SOCET's test time beats FSCAN-BSCAN's, and the min-TApp point beats
   the min-area point.
 
-This is the heaviest bench (full-system sequential fault grading plus
-per-core ATPG + fault simulation), so it runs one round.
+This is the heaviest bench (two full flow-driver runs: per-core ATPG and
+fault simulation plus whole-chip sequential fault grading), so it runs
+one round.  E7's backtrack-limit check reads the default limit's TEff
+and PODEM backtracks off those runs' records and reruns the per-core
+ATPG at the raised limit only.
 """
 
 from __future__ import annotations
 
-import time
+import inspect
 
-from conftest import record_bench, write_result
+from conftest import SEED, record_bench, write_result
 
 from repro.atpg.combinational import CombinationalAtpg
 from repro.elaborate import elaborate
 from repro.faults.coverage import CoverageReport
-from repro.flow import evaluate_system, render_testability_table
-from repro.gates.kernel import clear_kernel_caches
+from repro.flow import render_grading_budget, render_testability_table
+from repro.flow.profile import record_rows, run_pipeline
 from repro.obs import METRICS
 
-#: PODEM backtrack limits of E7's check: the default, and the raised one
-#: that recovers part of the TEff gap
-BACKTRACK_LIMITS = (150, 600)
+#: PODEM backtrack limits of E7's check: the default, which the flow
+#: driver runs, and the raised one that recovers part of the TEff gap
+DEFAULT_LIMIT = inspect.signature(CombinationalAtpg).parameters["backtrack_limit"].default
+RAISED_LIMIT = 600
 
 
-def evaluate_both(system1, system2):
-    kwargs = dict(sequences=16, sequence_length=12, fault_sample=120)
-    return evaluate_system(system1, **kwargs), evaluate_system(system2, **kwargs)
+def both_runs():
+    return run_pipeline("System1"), run_pipeline("System2")
 
 
-def backtrack_sweep(soc):
-    """TEff, PODEM backtracks and ATPG seconds of the scan rows per limit."""
-    backtracks = METRICS.counter("atpg.podem.backtracks")
-    sweep = {}
-    for limit in BACKTRACK_LIMITS:
-        before = backtracks.value
-        start = time.perf_counter()
-        merged = CoverageReport(total=0, detected=0)
-        for core in soc.testable_cores():
-            netlist = elaborate(core.circuit).netlist
-            outcome = CombinationalAtpg(netlist, seed=0, backtrack_limit=limit).run()
-            merged = merged.merged_with(outcome.report)
-        sweep[str(limit)] = {
-            "teff": merged.test_efficiency,
-            "backtracks": backtracks.value - before,
-            "atpg_s": time.perf_counter() - start,
-        }
-    return sweep
+def raised_limit_atpg(soc):
+    """TEff, PODEM backtracks and ATPG seconds of the scan rows at the
+    raised limit."""
+    METRICS.reset()
+    merged = CoverageReport(total=0, detected=0)
+    for core in soc.testable_cores():
+        netlist = elaborate(core.circuit).netlist
+        outcome = CombinationalAtpg(netlist, seed=SEED, backtrack_limit=RAISED_LIMIT).run()
+        merged = merged.merged_with(outcome.report)
+    return {
+        "teff": merged.test_efficiency,
+        "backtracks": METRICS.counter("atpg.podem.backtracks").value,
+        "atpg_s": METRICS.section("atpg.run").seconds,
+    }
 
 
 def test_table3_testability(benchmark, system1, system2, results_dir):
-    sweeps = {soc.name: backtrack_sweep(soc) for soc in (system1, system2)}
-    clear_kernel_caches()  # the measured run starts as cold as without the sweep
-    METRICS.reset()  # the record carries exactly the measured runs' counters
-    ev1, ev2 = benchmark.pedantic(
-        evaluate_both, args=(system1, system2), rounds=1, iterations=1
-    )
-    record_bench(
-        results_dir,
-        "table3_testability",
-        benchmark,
-        {
-            evaluation.rows[0].system: {
-                **{
-                    row.configuration: {
-                        "fc": row.fault_coverage,
-                        "teff": row.test_efficiency,
-                        "tat": row.tat,
-                    }
-                    for row in evaluation.rows
-                },
-                "backtrack_limits": sweeps[evaluation.rows[0].system],
-            }
-            for evaluation in (ev1, ev2)
-        },
-    )
+    runs = benchmark.pedantic(both_runs, rounds=1, iterations=1)
+    tables = [record_rows(run, "testability") for run in runs]
+    budgets = [run["results"]["grading"] for run in runs]
+    assert budgets[0] == budgets[1]
 
-    rows = ev1.rows + ev2.rows
-    text = render_testability_table(rows)
+    results = {}
+    for run, rows, soc in zip(runs, tables, (system1, system2)):
+        rows_by_name = {row.configuration: row for row in rows}
+        results[soc.name] = {
+            **{
+                row.configuration: {
+                    "fc": row.fault_coverage,
+                    "teff": row.test_efficiency,
+                    "tat": row.tat,
+                }
+                for row in rows
+            },
+            "backtrack_limits": {
+                str(DEFAULT_LIMIT): {
+                    "teff": rows_by_name["FSCAN-BSCAN"].test_efficiency,
+                    "backtracks": run["counters"]["atpg.podem.backtracks"],
+                    "atpg_s": run["histograms"]["atpg.run"]["sum"],
+                },
+                str(RAISED_LIMIT): raised_limit_atpg(soc),
+            },
+            "grading": run["results"]["grading"],
+        }
+    record_bench(results_dir, "table3_testability", benchmark, results, runs=runs)
+
+    text = render_testability_table(tables[0] + tables[1])
     paper_note = (
         "\npaper: System1 10.6 -> 14.6 -> 98.4@36152 -> SOCET 98.4 @17387/3806"
         "\n       System2 11.2 -> 13.8 -> 98.2@46394 -> SOCET 98.2 @16435/3998"
     )
-    write_result(results_dir, "table3_testability", text + paper_note)
+    write_result(
+        results_dir,
+        "table3_testability",
+        text + "\n" + render_grading_budget(budgets[0]) + paper_note,
+    )
 
-    for evaluation in (ev1, ev2):
-        orig = evaluation.row("Orig.")
-        hscan = evaluation.row("HSCAN")
-        baseline = evaluation.row("FSCAN-BSCAN")
-        socet_area = evaluation.row("SOCET Min. Area")
-        socet_tat = evaluation.row("SOCET Min. TApp.")
+    for rows in tables:
+        row = {row.configuration: row for row in rows}
+        orig, hscan, baseline = row["Orig."], row["HSCAN"], row["FSCAN-BSCAN"]
+        socet_area, socet_tat = row["SOCET Min. Area"], row["SOCET Min. TApp."]
 
         assert orig.fault_coverage < baseline.fault_coverage - 25.0, (
             "undesigned-for-test chip must grade far below scan-based coverage"

@@ -8,9 +8,10 @@ time samples, counters, section totals and its results payload -- as
 one ``repro-ledger`` record to ``benchmarks/results/ledger.jsonl`` (see
 :mod:`repro.obs.ledger`), the only place bench results are stored.
 
-Every randomized stage in the benches is pinned to :data:`SEED` -- the
-system builders take it as ``atpg_seed``, so two runs of the same bench
-produce identical plans, schedules, and counters (only wall time moves).
+Every randomized stage in the benches (ATPG random phases, fault
+sampling, functional stimuli) is pinned to :data:`SEED`, so two runs of
+the same bench produce identical plans, schedules, coverage and
+counters (only wall time moves).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def canonical_cache_state():
 def system1():
     from repro.designs import build_system1
 
-    return _track(build_system1(atpg_seed=SEED))
+    return _track(build_system1())
 
 
 @pytest.fixture(scope="session")
@@ -109,28 +110,28 @@ def system1_paper_vectors():
     """
     from repro.designs import build_system1
 
-    return _track(build_system1(test_vectors={"DISPLAY": 105}, atpg_seed=SEED))
+    return _track(build_system1(test_vectors={"DISPLAY": 105}))
 
 
 @pytest.fixture(scope="session")
 def system2():
     from repro.designs import build_system2
 
-    return _track(build_system2(atpg_seed=SEED))
+    return _track(build_system2())
 
 
 @pytest.fixture(scope="session")
 def system3():
     from repro.designs import build_system3
 
-    return _track(build_system3(atpg_seed=SEED))
+    return _track(build_system3())
 
 
 @pytest.fixture(scope="session")
 def system4():
     from repro.designs import build_system4
 
-    return _track(build_system4(atpg_seed=SEED))
+    return _track(build_system4())
 
 
 @pytest.fixture(scope="session")
@@ -149,28 +150,35 @@ def write_result(results_dir: Path, name: str, text: str) -> None:
 LEDGER_NAME = "ledger.jsonl"
 
 
-def record_bench(results_dir: Path, name: str, benchmark, results) -> None:
+def record_bench(results_dir: Path, name: str, benchmark, results, runs=()) -> None:
     """Append the bench's run to the results ledger as one record.
 
     ``results`` is the bench-specific free-form payload; the raw
     per-round wall times come from the pytest-benchmark fixture, and the
     counters (zeros included) and section totals straight from the
     shared metrics registry (callers reset it before the measured run).
-    ``repro regress`` compares the record against the series' previous
-    one.
+    A bench that measures flow-driver runs passes their records as
+    ``runs`` instead: each run resets the registry, so their counters
+    and section totals are summed.  ``repro regress`` compares the
+    record against the series' previous one.
     """
     from repro.obs import METRICS
     from repro.obs.ledger import RunLedger, make_record
 
+    if runs:
+        counters, sections = {}, {}
+        for run in runs:
+            for counter, value in run["counters"].items():
+                counters[counter] = counters.get(counter, 0) + value
+            for section, totals in run["histograms"].items():
+                summed = sections.setdefault(section, dict.fromkeys(totals, 0))
+                for field, value in totals.items():
+                    summed[field] += value
+    else:
+        counters, sections = dict(METRICS.counters()), METRICS.sections() or None
     samples = [float(value) for value in benchmark.stats.stats.data]
     ledger = RunLedger(results_dir / LEDGER_NAME)
     ledger.append(
-        make_record(
-            name,
-            samples,
-            METRICS.counters(),
-            results=results,
-            histograms=METRICS.sections() or None,
-        )
+        make_record(name, samples, counters, results=results, histograms=sections)
     )
     print(f"[run appended to {ledger.path}]")

@@ -2,18 +2,20 @@
 
 Reproduces, for the graphics + GCD + X.25 system, the paper's two
 comparison tables: the area-overhead breakdown and the testability
-(fault coverage / test efficiency / test time) rows.
+(fault coverage / test efficiency / test time) rows, both read off one
+run of the flow driver.
 
-Run:  python examples/system2_report.py          (takes ~a minute)
+Run:  python examples/system2_report.py
 """
 
 from repro.designs import build_system2
 from repro.flow import (
-    evaluate_system,
     render_area_table,
+    render_grading_budget,
     render_testability_table,
-    run_socet,
+    run_pipeline,
 )
+from repro.flow.profile import record_rows
 from repro.bist import plan_memory_bist
 
 
@@ -25,21 +27,28 @@ def main():
         print(f"  {core.name}: {core.flip_flops} FFs, {core.test_vectors} vectors, "
               f"scan depth {core.scan_depth}; versions: {versions}")
 
+    # one run of the flow driver: ATPG, design space, baseline, tables
+    run = run_pipeline(soc.name)
+
     # ---------------- Table 2: area overheads ----------------
-    run = run_socet(soc)
+    points = run["results"]["points"]
+    area = record_rows(run, "area")
     print()
-    print(render_area_table(run.area_rows()))
-    print(f"\nFSCAN-BSCAN baseline: {run.baseline.total_tat} cycles, "
-          f"{run.baseline.total_cells} DFT cells")
-    print(f"SOCET min-area:       {run.min_area_plan.total_tat} cycles, "
-          f"{run.min_area_plan.chip_dft_cells} chip-level DFT cells")
-    print(f"SOCET min-TApp:       {run.min_tat_plan.total_tat} cycles, "
-          f"{run.min_tat_plan.chip_dft_cells} chip-level DFT cells")
+    print(render_area_table(area))
+    testability = record_rows(run, "testability")
+    baseline = next(row for row in testability if row.configuration == "FSCAN-BSCAN")
+    print(f"\nFSCAN-BSCAN baseline: {baseline.tat} cycles, "
+          f"{area[0].fscan_cells + area[0].bscan_cells} DFT cells")
+    fewest, least = points["fewest cells"], points["least TAT"]
+    print(f"SOCET min-area:       {fewest['tat']} cycles, "
+          f"{fewest['cells']} chip-level DFT cells")
+    print(f"SOCET min-TApp:       {least['tat']} cycles, "
+          f"{least['cells']} chip-level DFT cells")
 
     # ---------------- Table 3: testability ----------------
-    evaluation = evaluate_system(soc, sequences=16, sequence_length=12, fault_sample=120)
     print()
-    print(render_testability_table(evaluation.rows))
+    print(render_testability_table(testability))
+    print(render_grading_budget(run["results"]["grading"]))
 
     # ---------------- memory BIST (none in System 2) ----------------
     bist = plan_memory_bist(soc)

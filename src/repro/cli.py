@@ -7,7 +7,7 @@ Usage (after ``pip install -e .``)::
     python -m repro plan System1              # test plan (min-area versions)
     python -m repro plan System1 -s CPU=3     # ...with the CPU at Version 3
     python -m repro sweep System1             # Figure 10's design space
-    python -m repro compare System2           # SOCET vs FSCAN-BSCAN summary
+    python -m repro compare System2           # SOCET vs FSCAN-BSCAN (Tables 2, 3)
     python -m repro schedule System3          # concurrent-session schedule
     python -m repro schedule System4 -p 80    # ...under a scan-power budget
     python -m repro lint System3              # static design-rule check
@@ -19,9 +19,10 @@ Usage (after ``pip install -e .``)::
     python -m repro explain System1 --quick   # ...its repro-attrib artifact (JSON)
     python -m repro regress --ledger L.jsonl  # exact counter gate
 
-``profile``, ``report`` and ``explain`` run the same pipeline once
-(:func:`repro.flow.profile.run_pipeline`) and render its one ledger
-record.
+``compare``, ``profile``, ``report`` and ``explain`` run the one flow
+driver once (:func:`repro.flow.profile.run_pipeline`, the paper's whole
+evaluation of the system) and render its one ledger record; ``plan``,
+``sweep``, ``schedule`` and ``export`` call the library directly.
 
 Global observability flags work on every subcommand (before or after
 it): ``--metrics`` appends the full instrument table, and ``-v``/``-vv``
@@ -170,17 +171,27 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.flow import render_area_table, render_schedule_table, run_socet
+    from repro.flow import (
+        render_area_table,
+        render_grading_budget,
+        render_schedule_table,
+        render_testability_table,
+    )
+    from repro.flow.profile import record_rows, run_pipeline
 
-    soc = _build_system(args.system)
-    run = run_socet(soc)
-    print(render_area_table(run.area_rows()))
+    record = run_pipeline(args.system)
+    print(render_area_table(record_rows(record, "area")))
     print()
-    print(render_schedule_table(run.schedule_rows()))
-    ratio = run.baseline.total_tat / max(1, run.min_tat_plan.total_tat)
-    print(f"\nFSCAN-BSCAN: {run.baseline.total_tat} cycles; "
-          f"SOCET: {run.min_area_plan.total_tat} (min area) / "
-          f"{run.min_tat_plan.total_tat} (min TApp) -- {ratio:.1f}x faster")
+    print(render_schedule_table(record_rows(record, "schedules")))
+    print()
+    testability = record_rows(record, "testability")
+    print(render_testability_table(testability))
+    print(render_grading_budget(record["results"]["grading"]))
+    tat = {row.configuration: row.tat for row in testability}
+    ratio = tat["FSCAN-BSCAN"] / max(1, tat["SOCET Min. TApp."])
+    print(f"\nFSCAN-BSCAN: {tat['FSCAN-BSCAN']} cycles; "
+          f"SOCET: {tat['SOCET Min. Area']} (min area) / "
+          f"{tat['SOCET Min. TApp.']} (min TApp) -- {ratio:.1f}x faster")
     return 0
 
 

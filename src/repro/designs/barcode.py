@@ -18,8 +18,9 @@ from repro.designs.memory_cores import build_ram, build_rom
 from repro.designs.preprocessor import build_preprocessor
 from repro.soc import Core, Soc
 
-#: precomputed combinational vector counts (our ATPG, seed 0); pass
-#: ``test_vectors={"CPU": None, ...}`` to regenerate a core's count.
+#: precomputed combinational vector counts: fixed inputs of every plan,
+#: not regenerated (seed-0 ATPG on these cores gives other counts; see
+#: ROADMAP item 1)
 DEFAULT_VECTORS: Dict[str, int] = {
     "CPU": 50,
     "PREPROCESSOR": 34,
@@ -27,25 +28,20 @@ DEFAULT_VECTORS: Dict[str, int] = {
 }
 
 
-def build_system1(test_vectors: Optional[Dict[str, int]] = None, atpg_seed: int = 0) -> Soc:
+def build_system1(test_vectors: Optional[Dict[str, int]] = None) -> Soc:
     """Assemble System 1.
 
-    ``test_vectors`` maps core name to precomputed vector count; cores
-    missing from it get sized by running the combinational ATPG on their
-    elaborated netlist (slower, but exact for the current library).
+    ``test_vectors`` overrides :data:`DEFAULT_VECTORS` entries: core
+    name to precomputed vector count.
     """
     vectors = dict(DEFAULT_VECTORS)
     if test_vectors:
         vectors.update(test_vectors)
 
     soc = Soc("System1")
-    cpu = Core.from_circuit(build_cpu(), test_vectors=vectors.get("CPU"), atpg_seed=atpg_seed)
-    pre = Core.from_circuit(
-        build_preprocessor(), test_vectors=vectors.get("PREPROCESSOR"), atpg_seed=atpg_seed
-    )
-    display = Core.from_circuit(
-        build_display(), test_vectors=vectors.get("DISPLAY"), atpg_seed=atpg_seed
-    )
+    cpu = Core.from_circuit(build_cpu(), test_vectors=vectors["CPU"])
+    pre = Core.from_circuit(build_preprocessor(), test_vectors=vectors["PREPROCESSOR"])
+    display = Core.from_circuit(build_display(), test_vectors=vectors["DISPLAY"])
     ram = Core.from_circuit(build_ram(), test_vectors=0, is_memory=True)
     rom = Core.from_circuit(build_rom(), test_vectors=0, is_memory=True)
     for core in (cpu, pre, display, ram, rom):

@@ -18,7 +18,9 @@ from repro.designs.graphics import build_graphics
 from repro.designs.x25 import build_x25
 from repro.soc import Core, Soc
 
-#: precomputed combinational vector counts (our ATPG, seed 0)
+#: precomputed combinational vector counts: fixed inputs of every plan,
+#: not regenerated (seed-0 ATPG on these cores gives other counts; see
+#: ROADMAP item 1)
 DEFAULT_VECTORS: Dict[str, int] = {
     "GRAPHICS": 27,
     "GCD": 43,
@@ -27,19 +29,15 @@ DEFAULT_VECTORS: Dict[str, int] = {
 }
 
 
-def build_system3(test_vectors: Optional[Dict[str, int]] = None, atpg_seed: int = 0) -> Soc:
+def build_system3(test_vectors: Optional[Dict[str, int]] = None) -> Soc:
     vectors = dict(DEFAULT_VECTORS)
     vectors.update(test_vectors or {})
 
     soc = Soc("System3")
-    graphics = Core.from_circuit(
-        build_graphics(), test_vectors=vectors.get("GRAPHICS"), atpg_seed=atpg_seed
-    )
-    gcd = Core.from_circuit(build_gcd(), test_vectors=vectors.get("GCD"), atpg_seed=atpg_seed)
-    x25 = Core.from_circuit(build_x25(), test_vectors=vectors.get("X25"), atpg_seed=atpg_seed)
-    display = Core.from_circuit(
-        build_display(), test_vectors=vectors.get("DISPLAY"), atpg_seed=atpg_seed
-    )
+    graphics = Core.from_circuit(build_graphics(), test_vectors=vectors["GRAPHICS"])
+    gcd = Core.from_circuit(build_gcd(), test_vectors=vectors["GCD"])
+    x25 = Core.from_circuit(build_x25(), test_vectors=vectors["X25"])
+    display = Core.from_circuit(build_display(), test_vectors=vectors["DISPLAY"])
     for core in (graphics, gcd, x25, display):
         soc.add_core(core)
 

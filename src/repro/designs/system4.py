@@ -17,7 +17,9 @@ from repro.designs.preprocessor import build_preprocessor
 from repro.designs.x25 import build_x25
 from repro.soc import Core, Soc
 
-#: precomputed combinational vector counts (our ATPG, seed 0)
+#: precomputed combinational vector counts: fixed inputs of every plan,
+#: not regenerated (seed-0 ATPG on these cores gives other counts; see
+#: ROADMAP item 1)
 DEFAULT_VECTORS: Dict[str, int] = {
     "PREPROCESSOR": 34,
     "GCD": 43,
@@ -26,19 +28,15 @@ DEFAULT_VECTORS: Dict[str, int] = {
 }
 
 
-def build_system4(test_vectors: Optional[Dict[str, int]] = None, atpg_seed: int = 0) -> Soc:
+def build_system4(test_vectors: Optional[Dict[str, int]] = None) -> Soc:
     vectors = dict(DEFAULT_VECTORS)
     vectors.update(test_vectors or {})
 
     soc = Soc("System4")
-    pre = Core.from_circuit(
-        build_preprocessor(), test_vectors=vectors.get("PREPROCESSOR"), atpg_seed=atpg_seed
-    )
-    gcd = Core.from_circuit(build_gcd(), test_vectors=vectors.get("GCD"), atpg_seed=atpg_seed)
-    x25 = Core.from_circuit(build_x25(), test_vectors=vectors.get("X25"), atpg_seed=atpg_seed)
-    display = Core.from_circuit(
-        build_display(), test_vectors=vectors.get("DISPLAY"), atpg_seed=atpg_seed
-    )
+    pre = Core.from_circuit(build_preprocessor(), test_vectors=vectors["PREPROCESSOR"])
+    gcd = Core.from_circuit(build_gcd(), test_vectors=vectors["GCD"])
+    x25 = Core.from_circuit(build_x25(), test_vectors=vectors["X25"])
+    display = Core.from_circuit(build_display(), test_vectors=vectors["DISPLAY"])
     for core in (pre, gcd, x25, display):
         soc.add_core(core)
 

@@ -4,20 +4,16 @@
   HSCAN insertion, transparency versions, ATPG, area accounting.
 * :mod:`repro.flow.system_netlist` -- flatten an SOC into one gate
   netlist (original, HSCAN'd, or full-scanned cores).
-* :mod:`repro.flow.chiplevel` -- the SOC integrator's job: run the
-  SOCET planner/optimizer and produce the paper's report rows.
-* :mod:`repro.flow.evaluate` -- measure fault coverage / test
-  efficiency for the original, HSCAN-only, FSCAN-BSCAN, and SOCET
-  configurations (Table 3).
-* :mod:`repro.flow.profile` -- the one pipeline run (every stage, timed
-  and attributed), returned as its ledger record, which ``repro
-  profile``, ``report`` and ``explain`` render.
+* :mod:`repro.flow.profile` -- the one flow driver: the paper's whole
+  evaluation of one system (ATPG, the design space and its named
+  points, optimization, schedules, the FSCAN-BSCAN baseline, the
+  Table 2 and Table 3 rows), timed and attributed, returned as one
+  ledger record that ``repro profile``, ``report``, ``explain`` and
+  ``compare`` render.
 """
 
-from repro.flow.corelevel import CorePreparation, prepare_core, prepare_cores
+from repro.flow.corelevel import CorePreparation, prepare_core
 from repro.flow.system_netlist import flatten_soc
-from repro.flow.chiplevel import SocetRun, run_socet, schedule_points
-from repro.flow.evaluate import SystemEvaluation, evaluate_system
 from repro.flow.profile import run_pipeline
 from repro.flow.interconnect import (
     InterconnectReport,
@@ -29,6 +25,7 @@ from repro.flow.report import (
     ScheduleRow,
     TestabilityRow,
     render_area_table,
+    render_grading_budget,
     render_metrics_table,
     render_schedule_table,
     render_session_table,
@@ -39,13 +36,7 @@ from repro.flow.report import (
 __all__ = [
     "CorePreparation",
     "prepare_core",
-    "prepare_cores",
     "flatten_soc",
-    "SocetRun",
-    "run_socet",
-    "schedule_points",
-    "SystemEvaluation",
-    "evaluate_system",
     "run_pipeline",
     "InterconnectReport",
     "interconnect_report",
@@ -54,6 +45,7 @@ __all__ = [
     "ScheduleRow",
     "TestabilityRow",
     "render_area_table",
+    "render_grading_budget",
     "render_metrics_table",
     "render_schedule_table",
     "render_session_table",

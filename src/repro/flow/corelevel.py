@@ -9,7 +9,7 @@ tables, and area numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.atpg.combinational import AtpgOutcome, CombinationalAtpg
 from repro.dft.hscan import HscanResult, insert_hscan
@@ -53,12 +53,12 @@ class CorePreparation:
         return rows
 
 
-def prepare_core(circuit: RTLCircuit, seed: int = 0, backtrack_limit: int = 150) -> CorePreparation:
+def prepare_core(circuit: RTLCircuit, seed: int = 0) -> CorePreparation:
     """Run the full core-level flow on ``circuit``."""
     hscan = insert_hscan(circuit)
     versions = generate_versions(circuit, hscan)
     elaborated = elaborate(circuit)
-    atpg = CombinationalAtpg(elaborated.netlist, seed=seed, backtrack_limit=backtrack_limit).run()
+    atpg = CombinationalAtpg(elaborated.netlist, seed=seed).run()
     return CorePreparation(
         circuit=circuit,
         elaborated=elaborated,
@@ -67,14 +67,3 @@ def prepare_core(circuit: RTLCircuit, seed: int = 0, backtrack_limit: int = 150)
         atpg=atpg,
     )
 
-
-def prepare_cores(
-    circuits: Sequence[RTLCircuit],
-    seed: int = 0,
-    backtrack_limit: int = 150,
-) -> List[CorePreparation]:
-    """Prepare many cores (the core provider's one-time job), in input order."""
-    return [
-        prepare_core(circuit, seed=seed, backtrack_limit=backtrack_limit)
-        for circuit in circuits
-    ]

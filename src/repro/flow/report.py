@@ -220,3 +220,11 @@ def render_testability_table(rows: List[TestabilityRow]) -> str:
         for row in rows
     ]
     return render_table(headers, body, title="Table 3: testability results")
+
+
+def render_grading_budget(budget: Dict) -> str:
+    """The functional grading budget behind Table 3's Orig. and HSCAN rows."""
+    return (
+        f"Orig. and HSCAN: {budget['sequences']} random sequences x {budget['cycles']} "
+        f"cycles, graded over a {budget['faults']}-fault sample (seed {budget['seed']})"
+    )

@@ -3,8 +3,8 @@
 A :class:`RunReport` lays one run's ledger record out once, as a list of
 headings, prose and tables:
 
-* the **plan summary**, the record's ``results`` (serial, scheduled and
-  optimized TAT, DFT cells);
+* the **plan summary**, the headline numbers of the record's
+  ``results`` (serial, scheduled and optimized TAT, DFT cells);
 * the **stage table** of :func:`repro.obs.profiler.stage_rows` over the
   record's section totals -- each pipeline stage's self time plus the
   run's ``unaccounted`` time, rows that sum to the run's total;
@@ -51,6 +51,12 @@ def hotspots(sections: Dict[str, Dict], top_k: int = 10) -> List[Dict]:
     ]
     rows.sort(key=lambda row: (-row["self_seconds"], row["section"]))
     return rows[:top_k]
+
+
+def headline(results: Dict) -> Dict:
+    """A run's headline numbers: the scalar entries of its ``results``
+    (the design points and table rows beside them are not headlines)."""
+    return {key: value for key, value in results.items() if not isinstance(value, (dict, list))}
 
 
 def counter_diff(candidate: Dict, baseline: Optional[Dict]) -> Dict:
@@ -128,7 +134,7 @@ class RunReport:
         sections = self.record.get("histograms", {})
         self.stages = stage_rows(sections, self.record["counters"])
         self.hotspots = hotspots(sections, self.top_k)
-        self.summary = dict(self.record.get("results", {}))  # headline plan numbers
+        self.summary = headline(self.record.get("results", {}))
         self.diff = counter_diff(
             self.record.get("counters", {}),
             self.baseline.get("counters") if self.baseline else None,

@@ -38,16 +38,14 @@ class Core:
     def from_circuit(
         cls,
         circuit: RTLCircuit,
-        test_vectors: Optional[int] = None,
+        test_vectors: int,
         is_memory: bool = False,
-        atpg_seed: int = 0,
     ) -> "Core":
-        """Prepare a core: HSCAN insertion, versions, and (optionally) ATPG.
+        """Prepare a core: HSCAN insertion and transparency versions.
 
-        Pass ``test_vectors`` to skip ATPG (e.g. for vendor-supplied test
-        sets); otherwise the combinational ATPG runs on the elaborated
-        netlist to size the precomputed test set.  Memory cores get no
-        scan/transparency preparation -- they are BIST-tested.
+        ``test_vectors`` is the size of the core's precomputed test set.
+        Memory cores get no scan/transparency preparation -- they are
+        BIST-tested.
         """
         if is_memory:
             return cls(
@@ -55,17 +53,11 @@ class Core:
                 circuit=circuit,
                 hscan=None,
                 versions=[],
-                test_vectors=test_vectors or 0,
+                test_vectors=test_vectors,
                 is_memory=True,
             )
         hscan = insert_hscan(circuit)
         versions = generate_versions(circuit, hscan)
-        if test_vectors is None:
-            from repro.atpg.combinational import CombinationalAtpg
-            from repro.elaborate import elaborate
-
-            outcome = CombinationalAtpg(elaborate(circuit).netlist, seed=atpg_seed).run()
-            test_vectors = len(outcome.patterns)
         return cls(
             name=circuit.name,
             circuit=circuit,

@@ -450,27 +450,17 @@ class TestExecutorDeltas:
 
 class TestRunPipeline:
     def test_attribution_changes_no_work(self):
-        # the pipeline run with the collector on, against the same stage
-        # sequence with it off: a hook that changed a decision would
-        # move a work counter or the plan
+        # the pipeline run with the collector on, against the driver's
+        # own stage sequence with it off: a hook that changed a decision
+        # would move a work counter or a result
         from repro.designs import system_builders
-        from repro.flow.profile import QUICK_MAX_FAULTS, regenerate_atpg, run_pipeline
-        from repro.obs import METRICS, profile_section
-        from repro.soc.optimizer import SocetOptimizer, design_space
-        from repro.soc.plan import plan_soc_test
+        from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline, run_stages
+        from repro.obs import METRICS
 
         run = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
         assert not ATTRIB.enabled
         METRICS.reset()
-        with profile_section("profile.total"):
-            soc = system_builders()["System1"]()
-            for core in soc.testable_cores():
-                regenerate_atpg(core.circuit, 0, QUICK_MAX_FAULTS)
-            plan = plan_soc_test(soc)
-            budget = max(point.chip_cells for point in design_space(soc))
-            optimized, _trajectory = SocetOptimizer(soc).minimize_tat(budget)
-            greedy = plan.schedule(algorithm="greedy")
-            plan.schedule(algorithm="sessions")
+        results = run_stages(system_builders()["System1"], 0, QUICK_MAX_FAULTS)
         plain = dict(METRICS.counters())
 
         def work(counters):
@@ -480,9 +470,4 @@ class TestRunPipeline:
         assert run["counters"]["attrib.podem.records"] > 0
         assert plain["attrib.podem.records"] == 0
         assert work(run["counters"]) == work(plain)
-        assert run["results"] == {
-            "serial TAT": plan.total_tat,
-            "scheduled TAT": greedy.makespan,
-            "optimized TAT": optimized.total_tat,
-            "min-area DFT cells": plan.chip_dft_cells,
-        }
+        assert run["results"] == results

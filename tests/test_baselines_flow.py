@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import fscan_bscan_report, evaluate_test_bus
 from repro.designs import build_display, build_system1, build_system2
 from repro.dft.tat import fscan_bscan_core_tat
-from repro.flow import flatten_soc, prepare_core, run_socet
+from repro.flow import flatten_soc, prepare_core
 from repro.gates import GateKind, SequentialSimulator
 from repro.soc import plan_soc_test, synthesize_controller
 from repro.soc.controller import clock_enable_trace
@@ -120,15 +120,40 @@ class TestCoreLevelFlow:
         assert any(k.startswith("propagate") for k in table[0])
 
 
-class TestChipLevelFlow:
-    def test_run_socet_points_and_rows(self, system2):
-        run = run_socet(system2)
-        assert run.min_area_point.chip_cells <= run.min_tat_point.chip_cells
-        assert run.min_tat_point.tat <= run.min_area_point.tat
-        rows = run.area_rows()
-        assert len(rows) == 2
-        assert rows[0].socet_total_percent < rows[0].fscan_bscan_total_percent
+class TestFlowDriver:
+    """The one flow driver's record names the paper's design points."""
 
-    def test_min_tat_point_beats_baseline(self, system2):
-        run = run_socet(system2)
-        assert run.min_tat_plan.total_tat < run.baseline.total_tat
+    @pytest.mark.parametrize("system", ["System1", "System2", "System3", "System4"])
+    def test_named_points_and_rows(self, system):
+        from repro.designs import system_builders
+        from repro.flow.profile import QUICK_MAX_FAULTS, record_rows, run_pipeline
+        from repro.soc.optimizer import design_space
+
+        record = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
+        soc = system_builders()[system]()
+        cores = soc.testable_cores()
+        points = design_space(soc)
+        expected = {
+            "fewest cells": min(points, key=lambda p: (p.chip_cells, p.tat)),
+            "all cheapest": next(p for p in points if set(p.selection.values()) == {0}),
+            "all fastest": next(
+                p for p in points
+                if all(p.selection[core.name] == core.version_count - 1 for core in cores)
+            ),
+            "least TAT": min(points, key=lambda p: (p.tat, p.chip_cells)),
+        }
+        named = record["results"]["points"]
+        assert named == {
+            name: {"point": p.index, "cells": p.chip_cells, "tat": p.tat,
+                   "selection": p.selection}
+            for name, p in expected.items()
+        }
+
+        tat = {row.configuration: row.tat for row in record_rows(record, "testability")}
+        assert tat["SOCET Min. Area"] == named["fewest cells"]["tat"]
+        assert tat["SOCET Min. TApp."] == named["least TAT"]["tat"] < tat["FSCAN-BSCAN"]
+        min_area, min_tapp = record_rows(record, "area")
+        assert min_area.socet_chip_cells == named["fewest cells"]["cells"]
+        assert min_tapp.socet_chip_cells == named["least TAT"]["cells"]
+        assert min_area.socet_chip_cells <= min_tapp.socet_chip_cells
+        assert min_area.socet_total_percent < min_area.fscan_bscan_total_percent

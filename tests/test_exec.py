@@ -1,22 +1,14 @@
-"""Tests for the flow's fan-out sites.
+"""Tests for the flow's fan-out site.
 
-``design_space``, ``schedule_points``, ``prepare_cores`` and
-``run_socet`` each fan out over many items in one plain in-process
-loop.  The headline guarantee: an item's result does not depend on
-the items handled before it, so every site matches a serial reference
-that handles each item on its own, in the opposite order.
+``design_space`` plans every version selection in one plain in-process
+loop.  The headline guarantee: a point's plan does not depend on the
+points planned before it, so the sweep matches a serial reference that
+plans each selection on its own, in the opposite order.
 """
 
 import itertools
 
 import pytest
-
-
-def _quick_soc():
-    """Small three-core SOC with real transparency versions."""
-    from repro.designs import build_system1
-
-    return build_system1()
 
 
 def _build(number):
@@ -26,7 +18,7 @@ def _build(number):
 
 
 class TestFanOutDeterminism:
-    """Fan-out loops must be bit-identical to item-by-item serial runs."""
+    """The sweep must be bit-identical to selection-by-selection runs."""
 
     def _point_key(self, selection, plan):
         return (
@@ -61,52 +53,3 @@ class TestFanOutDeterminism:
         assert sorted(self._point_key(p.selection, p.plan) for p in points) == sorted(
             serial
         )
-
-    def test_schedule_points_matches_serial(self):
-        from repro.flow.chiplevel import schedule_points
-        from repro.schedule import schedule_plan
-        from repro.soc.optimizer import design_space
-
-        points = design_space(_quick_soc())
-        fanned = schedule_points(points)
-        serial = [schedule_plan(p.plan) for p in reversed(points)][::-1]
-        assert [s.makespan for s in fanned] == [s.makespan for s in serial]
-        assert [len(s.sessions()) for s in fanned] == [
-            len(s.sessions()) for s in serial
-        ]
-
-    def test_prepare_cores_matches_serial(self):
-        from repro.designs import build_gcd, build_preprocessor
-        from repro.flow import prepare_core, prepare_cores
-
-        fanned = prepare_cores([build_gcd(), build_preprocessor()], seed=0)
-        serial = [
-            prepare_core(circuit, seed=0)
-            for circuit in (build_preprocessor(), build_gcd())
-        ][::-1]
-        for a, b in zip(fanned, serial):
-            assert a.name == b.name
-            assert a.vector_count == b.vector_count
-            assert a.atpg.report.fault_coverage == b.atpg.report.fault_coverage
-            assert a.hscan.extra_area == b.hscan.extra_area
-            assert [v.name for v in a.versions] == [v.name for v in b.versions]
-
-    def test_run_socet_matches_serial(self):
-        from repro.flow.chiplevel import run_socet
-        from repro.schedule import schedule_plan
-        from repro.soc.optimizer import design_space
-
-        run = run_socet(_quick_soc())
-        points = design_space(_quick_soc())
-        min_area = min(points, key=lambda p: (p.chip_cells, p.tat))
-        min_tat = min(points, key=lambda p: (p.tat, p.chip_cells))
-        assert run.min_area_plan.total_tat == min_area.plan.total_tat
-        assert run.min_tat_plan.total_tat == min_tat.plan.total_tat
-        assert (
-            run.min_area_schedule.makespan
-            == schedule_plan(min_area.plan).makespan
-        )
-        assert (
-            run.min_tat_schedule.makespan == schedule_plan(min_tat.plan).makespan
-        )
-        assert [p.tat for p in run.points] == [p.tat for p in points]

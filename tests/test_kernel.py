@@ -364,7 +364,7 @@ class TestSystemsParity:
         ],
     )
     def test_flattened_chip_grading_identical(self, build, with_hscan):
-        soc = build(atpg_seed=0)
+        soc = build()
         netlist = flatten_soc(soc, with_hscan=with_hscan, scan_access="none")
         faults = collapse_faults(netlist, full_fault_universe(netlist))
         rng = random.Random(0)
@@ -381,7 +381,7 @@ class TestSystemsParity:
     def test_core_scan_grading_identical(self):
         from repro.elaborate import elaborate
 
-        soc = build_system1(atpg_seed=0)
+        soc = build_system1()
         core = soc.testable_cores()[0]
         netlist = elaborate(core.circuit).netlist
         faults = collapse_faults(netlist, full_fault_universe(netlist))

@@ -1,18 +1,16 @@
-"""Edge-path tests for the SOCET optimizer and the chip-level run.
+"""Edge-path tests for the SOCET optimizer.
 
 Covers the ``minimize_area`` infeasible-budget error, the
-``minimize_tat`` no-improving-move early exit, the objective (the serial
-sum ``total_tat``, never a schedule's makespan), and the explicit
-min-area point selection in :class:`SocetRun`.
+``minimize_tat`` no-improving-move early exit, and the objective (the
+serial sum ``total_tat``, never a schedule's makespan).
 """
 
 import pytest
 
 from repro.errors import InfeasibleConstraintError
-from repro.flow.chiplevel import SocetRun
 from repro.rtl import CircuitBuilder
 from repro.soc import Core, Soc, plan_soc_test
-from repro.soc.optimizer import DesignPoint, SocetOptimizer
+from repro.soc.optimizer import SocetOptimizer
 
 
 def passthrough_core(name, width=8, depth=1):
@@ -92,22 +90,3 @@ class TestScheduledObjective:
         plan, trajectory = SocetOptimizer(soc).minimize_tat(max_chip_cells=10_000)
         assert trajectory[-1].tat == plan.total_tat
 
-
-class TestMinAreaPointSelection:
-    def _point(self, index, cells, tat):
-        return DesignPoint(index=index, selection={}, tat=tat, chip_cells=cells)
-
-    def test_min_area_point_ignores_list_order(self):
-        # deliberately NOT sorted by chip cells: the property must not
-        # rely on design_space's ordering
-        points = [
-            self._point(1, 300, 100),
-            self._point(2, 120, 900),
-            self._point(3, 120, 700),
-        ]
-        run = SocetRun(
-            soc=None, points=points, min_area_plan=None, min_tat_plan=None, baseline=None
-        )
-        assert run.min_area_point.chip_cells == 120
-        assert run.min_area_point.tat == 700  # ties broken by TAT
-        assert run.min_tat_point.tat == 100
