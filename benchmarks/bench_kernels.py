@@ -3,7 +3,11 @@
 Times the two fault-grading workloads that dominate the Table 3
 pipeline on the kernels and on the scalar reference graders
 (``FaultSimulator.reference_run``, ``reference_grade_sequence_group``)
-and asserts bit-identity between them:
+and asserts bit-identity between them.  Both kernels use one plane
+layout, the good machine in word block 0 and one block per fault, so
+one pass of the compiled program evaluates every machine: one pass per
+cycle in sequential grading, one for word 0 and one for the tail words
+in combinational grading.  The workloads:
 
 * sequential whole-chip grading of the flattened System1 netlist (the
   ``Orig.``/``HSCAN`` row class) -- the headline kernel win, asserted

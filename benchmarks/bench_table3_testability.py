@@ -49,8 +49,7 @@ def both_runs():
 
 
 def raised_limit_atpg(soc):
-    """TEff, PODEM backtracks and ATPG seconds of the scan rows at the
-    raised limit."""
+    """TEff and PODEM backtracks of the scan rows at the raised limit."""
     METRICS.reset()
     merged = CoverageReport(total=0, detected=0)
     for core in soc.testable_cores():
@@ -60,7 +59,6 @@ def raised_limit_atpg(soc):
     return {
         "teff": merged.test_efficiency,
         "backtracks": METRICS.counter("atpg.podem.backtracks").value,
-        "atpg_s": METRICS.section("atpg.run").seconds,
     }
 
 
@@ -86,7 +84,6 @@ def test_table3_testability(benchmark, system1, system2, results_dir):
                 str(DEFAULT_LIMIT): {
                     "teff": rows_by_name["FSCAN-BSCAN"].test_efficiency,
                     "backtracks": run["counters"]["atpg.podem.backtracks"],
-                    "atpg_s": run["histograms"]["atpg.run"]["sum"],
                 },
                 str(RAISED_LIMIT): raised_limit_atpg(soc),
             },

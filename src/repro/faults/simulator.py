@@ -19,7 +19,8 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
@@ -65,33 +66,33 @@ class FaultSimResult:
 class FaultSimulator:
     """Combinational-view fault simulator with fault dropping.
 
-    ``observe`` names the nets whose values are compared between the good
-    and faulty machines; the default is all primary outputs plus all
-    flip-flop D-pin nets (the full-scan observation set).
+    Good and faulty machines are compared at every primary output and
+    every flip-flop D-pin net (the full-scan observation set, the one
+    PODEM propagates to).
 
     :meth:`run` grades on the compiled kernels; :meth:`reference_run` is
     the scalar oracle they must match in results and ``faultsim.*``
-    counters.
+    counters.  The oracle's own structures are built on first use.
     """
 
-    def __init__(
-        self,
-        netlist: GateNetlist,
-        observe: Optional[Iterable[str]] = None,
-    ) -> None:
+    def __init__(self, netlist: GateNetlist) -> None:
         self.netlist = netlist
-        self._sim = CombinationalSimulator(netlist)
-        if observe is None:
-            observed: List[str] = [g.name for g in netlist.outputs]
-            for flop in netlist.flops:
-                observed.append(flop.fanins[0])
-        else:
-            observed = list(observe)
-        self._observe: Set[str] = set(observed)
-        self._level: Dict[str, int] = {name: i for i, name in enumerate(self._sim.order)}
-        self._fanout = netlist.fanout_map()
         #: fault site -> its cone (the reference grader's walks only)
         self._cone_cache: Dict[str, Tuple[List[str], List[str]]] = {}
+
+    @cached_property
+    def _sim(self) -> CombinationalSimulator:
+        return CombinationalSimulator(self.netlist)
+
+    @cached_property
+    def _level(self) -> Dict[str, int]:
+        return {name: i for i, name in enumerate(self._sim.order)}
+
+    @cached_property
+    def _observe(self) -> Set[str]:
+        observed = {g.name for g in self.netlist.outputs}
+        observed.update(flop.fanins[0] for flop in self.netlist.flops)
+        return observed
 
     # ------------------------------------------------------------------
     def _cone(self, site_gate: str) -> Tuple[List[str], List[str]]:
@@ -99,6 +100,7 @@ class FaultSimulator:
         cached = self._cone_cache.get(site_gate)
         if cached is not None:
             return cached
+        fanout = self.netlist.fanout_map()
         visited: Set[str] = set()
         stack = [site_gate]
         while stack:
@@ -106,7 +108,7 @@ class FaultSimulator:
             if name in visited:
                 continue
             visited.add(name)
-            for reader in self._fanout[name]:
+            for reader in fanout[name]:
                 kind = self.netlist.gate(reader).kind
                 if kind in (GateKind.DFF, GateKind.SDFF):
                     continue  # the D net itself is observed; state stops the cone

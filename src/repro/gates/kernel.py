@@ -7,10 +7,9 @@ step.  This module lowers a levelized :class:`GateNetlist` once into a
 gate kind), evaluated with vectorized ``uint64`` bitwise ops over
 ``(rows, W)`` value planes (64 patterns per word, so a W=8 plane carries
 512 patterns per pass).  Many machines share one plane along the word
-axis: :mod:`repro.faults.kernel` gives each faulty machine (and, in
-sequential grading, the good machine) its own block of words and forces
-each fault inside its block between levels, so one pass evaluates
-hundreds of machines.
+axis: :mod:`repro.faults.kernel` gives the good machine and each faulty
+machine its own block of words and forces each fault inside its block
+between levels, so one pass evaluates hundreds of machines.
 
 Fault grading always runs these programs; one-machine simulation
 (:class:`repro.gates.simulator.CombinationalSimulator`) stays on the
@@ -233,6 +232,13 @@ class CompiledProgram:
             [self.row[g.name] for g in netlist.outputs], dtype=np.intp
         )
         self.output_names = [g.name for g in netlist.outputs]
+        #: observation points of combinational (full-scan) fault grading,
+        #: ascending: every primary output and every flop's D net -- the
+        #: set PODEM propagates to
+        self.observe_rows = np.array(
+            sorted({*self.output_rows.tolist(), *(self.row[f.fanins[0]] for f in flops)}),
+            dtype=np.intp,
+        )
 
         #: per-fault lowering cache, populated by repro.faults.kernel --
         #: lives here so it shares the program's lifetime and cache policy

@@ -282,10 +282,18 @@ class TestFaultSimParity:
 
 
 # ----------------------------------------------------------------------
-# sequential grading edge cases
+# grading edge cases (sequential, and combinational on the same lists)
 # ----------------------------------------------------------------------
 def grade_sequential_both(netlist, sequences, faults):
     return grade_both_backends(lambda: sequential_fault_grade(netlist, sequences, faults))
+
+
+def grade_combinational_both(netlist, faults, count, seed):
+    """Grade ``count`` random full-scan patterns (inputs and flops) on both backends."""
+    rng = random.Random(seed)
+    sources = [g.name for g in netlist.inputs] + [f.name for f in netlist.flops]
+    patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(count)]
+    return grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults))
 
 
 class TestSequentialEdgeCases:
@@ -297,22 +305,22 @@ class TestSequentialEdgeCases:
         monkeypatch.setattr(fk, "FAULT_CHUNK", 3)
         assert len(faults) > 2 * fk.FAULT_CHUNK
         assert_identical(grade_sequential_both(netlist, sequences, faults))
-        # the combinational dense sweep chunks by the same rule
-        rng = random.Random(seed)
-        sources = [g.name for g in netlist.inputs] + [f.name for f in netlist.flops]
-        patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(130)]
-        assert_identical(grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults)))
+        # the combinational sweeps chunk by the same rule
+        assert_identical(grade_combinational_both(netlist, faults, 130, seed))
 
     def test_duplicate_faults(self):
         netlist = random_seq_netlist(4)
         faults = full_fault_universe(netlist)
         doubled = faults + faults[::3] + faults[:2]
         random.Random(4).shuffle(doubled)
-        out = grade_sequential_both(netlist, random_sequences(netlist, 5, 4, 4), doubled)
-        assert_identical(out)
-        result = out["kernel"][0]
-        assert result.total == len(doubled)
-        assert len(result.detected) + len(result.undetected) == len(doubled)
+        for out in (
+            grade_sequential_both(netlist, random_sequences(netlist, 5, 4, 4), doubled),
+            grade_combinational_both(netlist, doubled, 70, 4),
+        ):
+            assert_identical(out)
+            result = out["kernel"][0]
+            assert result.total == len(doubled)
+            assert len(result.detected) + len(result.undetected) == len(doubled)
 
     def test_flop_pin_faults_mixed_with_stem_and_pin_faults(self):
         netlist = random_seq_netlist(6)
@@ -324,6 +332,30 @@ class TestSequentialEdgeCases:
         out = grade_sequential_both(netlist, random_sequences(netlist, 8, 5, 6), mixed)
         assert_identical(out)
         assert not set(flop_pins) & set(out["kernel"][0].detected)
+        # at scan capture a flop input-pin fault is observed directly:
+        # mixed in, and alone (no faulty machine, only the good one)
+        for faults in (mixed, flop_pins):
+            for count in (1, 70):
+                out = grade_combinational_both(netlist, faults, count, 6)
+                assert_identical(out)
+        assert set(flop_pins) & set(out["kernel"][0].detected)
+
+    def test_pattern_missing_a_source_is_an_error(self):
+        netlist = random_netlist(2)
+        faults = full_fault_universe(netlist)
+        rng = random.Random(2)
+        sources = [g.name for g in netlist.inputs]
+        patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(40)]
+        del patterns[5][sources[-1]]
+
+        def run():
+            with pytest.raises(SimulationError) as error:
+                FaultSimulator(netlist).run(patterns, faults)
+            return str(error.value)
+
+        out = grade_both_backends(run)
+        assert out["kernel"] == out["reference"]
+        assert out["kernel"][0] == f"pattern misses source {sources[-1]!r}"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_flops_identical(self, seed):
@@ -377,6 +409,21 @@ class TestSystemsParity:
             lambda: sequential_fault_grade(netlist, sequences, faults, sample=60, seed=1)
         )
         assert_identical(out)
+
+    @pytest.mark.parametrize("core", ["CPU", "PREPROCESSOR", "DISPLAY", "GRAPHICS", "GCD", "X25"])
+    def test_atpg_call_shapes_identical(self, core):
+        """The calls ATPG makes: 1-12 alive faults against one PODEM
+        pattern or one 32-pattern random batch."""
+        from repro.designs import core_builders
+        from repro.elaborate import elaborate
+
+        netlist = elaborate(core_builders()[core]()).netlist
+        faults = collapse_faults(netlist, full_fault_universe(netlist))
+        rng = random.Random(5)
+        for count in range(1, 13):
+            sample = rng.sample(faults, count)
+            for patterns in (1, 32):
+                assert_identical(grade_combinational_both(netlist, sample, patterns, count))
 
     def test_core_scan_grading_identical(self):
         from repro.elaborate import elaborate
