@@ -10,11 +10,10 @@ faults are covered for free.
 This module classifies every interconnect net bit of an SOC under a
 given test plan:
 
-* ``exercised``   -- carries arbitrary test data during some core test
-  (delivery into a core under test, or a hop of a justification /
-  propagation route);
-* ``bypassed``    -- reachable only through a system-level test mux,
-  which bypasses the functional wire;
+* ``exercised``   -- carries arbitrary test data during some core test:
+  a delivery or observation route of the plan rides it (its ``nets``);
+* ``bypassed``    -- otherwise, touches a port with a system-level test
+  mux, which bypasses the functional wire;
 * ``memory``      -- connects to a BIST-tested memory core (out of
   SOCET's scope, like the paper's RAM/ROM);
 * ``idle``        -- never used by the plan.
@@ -23,7 +22,7 @@ given test plan:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.soc.plan import SocTestPlan
 from repro.soc.system import Net, Soc
@@ -65,36 +64,14 @@ def interconnect_report(plan: SocTestPlan) -> InterconnectReport:
     """Classify every net of the plan's SOC."""
     soc = plan.soc
     report = InterconnectReport(soc=soc.name)
-
-    # ports whose justification/propagation the plan uses anywhere
-    used_inputs: Set[Tuple[str, str]] = set()
-    used_output_ports: Set[Tuple[str, str]] = set()
+    ridden: Set[Net] = set()
     for core_plan in plan.core_plans.values():
-        for delivery in core_plan.deliveries:
-            if not delivery.via_test_mux:
-                used_inputs.add((core_plan.core, delivery.port))
-        for observation in core_plan.observations:
-            if not observation.via_test_mux:
-                used_output_ports.add((core_plan.core, observation.port))
-        for (core_name, kind, key), _count in core_plan.all_usages().items():
-            version = soc.cores[core_name].version(plan.selection.get(core_name, 0))
-            if kind == "justify":
-                path = version.justify_paths.get(tuple(key))
-                if path is not None:
-                    for port in path.terminal_ports:
-                        used_inputs.add((core_name, port))
-                    used_output_ports.add((core_name, key[0]))
-            else:
-                path = version.propagate_paths.get(key)
-                if path is not None:
-                    used_inputs.add((core_name, key))
-                    for terminal in path.terminals:
-                        used_output_ports.add((core_name, terminal.comp))
-
+        for route in (*core_plan.deliveries, *core_plan.observations):
+            ridden.update(route.nets)
     muxed_ports: Set[Tuple[str, str]] = {(m.core, m.port) for m in plan.test_muxes}
 
     for net in soc.nets:
-        label = _classify(soc, net, used_inputs, used_output_ports, muxed_ports)
+        label = _classify(soc, net, ridden, muxed_ports)
         report.nets[str(net)] = label
         bits = net.source.width
         if label == "exercised":
@@ -109,21 +86,11 @@ def interconnect_report(plan: SocTestPlan) -> InterconnectReport:
 
 
 def _classify(
-    soc: Soc,
-    net: Net,
-    used_inputs: Set[Tuple[str, str]],
-    used_output_ports: Set[Tuple[str, str]],
-    muxed_ports: Set[Tuple[str, str]],
+    soc: Soc, net: Net, ridden: Set[Net], muxed_ports: Set[Tuple[str, str]]
 ) -> str:
     if _net_touches_memory(soc, net):
         return "memory"
-    dest_used = net.dest.core is not None and (net.dest.core, net.dest.port) in used_inputs
-    source_used = (
-        net.source.core is not None and (net.source.core, net.source.port) in used_output_ports
-    )
-    # a wire carries test data when the receiving port is fed through it
-    # during some test (deliveries) or the driving port's responses ride it
-    if dest_used or (net.dest.core is None and source_used):
+    if net in ridden:
         return "exercised"
     if net.source.core is not None and (net.source.core, net.source.port) in muxed_ports:
         return "bypassed"

@@ -194,7 +194,6 @@ class CompiledProgram:
 
         self.input_rows = rows_of((GateKind.INPUT,))
         self.input_names = [g.name for g in netlist.inputs]
-        self.const0_rows = rows_of((GateKind.CONST0,))
         self.const1_rows = rows_of((GateKind.CONST1,))
         #: simulation sources in the scalar simulators' iteration order
         self.source_names = [
@@ -208,7 +207,6 @@ class CompiledProgram:
 
         # ---- flop state plumbing (netlist.flops order) ----
         flops = netlist.flops
-        self.flop_names = [flop.name for flop in flops]
         self.flop_rows = np.array(
             [self.row[f.name] for f in flops], dtype=np.intp
         )

@@ -15,13 +15,17 @@ occupies while it runs:
 * the system-level test muxes giving it direct pin access, and
 * the shared memory-BIST controller, for memory-core sessions.
 
-Two tests may overlap in time iff their resource sets are disjoint.
+The pins are the chip ends of the nets the planner's routes ride
+(``Delivery.nets`` and ``Observation.nets``); nothing here walks the
+interconnect again, and a pin reached only through a test mux is not
+held.  Two tests may overlap in time iff their resource sets are
+disjoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.soc.plan import CoreTestPlan, SocTestPlan
 
@@ -49,114 +53,28 @@ class TestItem:
 
 
 # ----------------------------------------------------------------------
-# chip-pin cone traversal
-# ----------------------------------------------------------------------
-class _PinTracer:
-    """Walk the interconnect to find the chip pins a core's test uses.
-
-    The walk mirrors the planner's traversal but only needs names: it
-    follows nets backward from the core-under-test inputs through the
-    conduit cores' justify paths to chip PIs, and forward from observed
-    output slices through propagate paths to chip POs.
-    """
-
-    def __init__(self, plan: SocTestPlan) -> None:
-        self.plan = plan
-        self.soc = plan.soc
-
-    def _version_of(self, core_name: str):
-        core = self.soc.cores[core_name]
-        return core.version(self.plan.selection.get(core_name, 0))
-
-    def input_pins(self, core_name: str, port: str, visited: FrozenSet) -> Set[str]:
-        """Chip PIs reachable backward from ``core_name.port``."""
-        key = (core_name, port)
-        if key in visited:
-            return set()
-        visited = visited | {key}
-        pins: Set[str] = set()
-        for net in self.soc.drivers_of(core_name, port):
-            if net.source.core is None:
-                pins.add(net.source.port)
-                continue
-            upstream = self.soc.cores.get(net.source.core)
-            if upstream is None or upstream.is_memory:
-                continue
-            pins |= self._justify_pins(
-                net.source.core, net.source.port, net.source.lo, net.source.width, visited
-            )
-        return pins
-
-    def _justify_pins(
-        self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
-    ) -> Set[str]:
-        version = self._version_of(core_name)
-        keys = [
-            k
-            for k in version.justify_paths
-            if k[0] == port and k[1] < lo + width and lo < k[1] + k[2]
-        ]
-        pins: Set[str] = set()
-        for k in keys:
-            for terminal_port in version.justify_paths[k].terminal_ports:
-                pins |= self.input_pins(core_name, terminal_port, visited)
-        return pins
-
-    def output_pins(
-        self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
-    ) -> Set[str]:
-        """Chip POs reachable forward from ``core_name.port[lo+width]``."""
-        key = (core_name, port, lo, width)
-        if key in visited:
-            return set()
-        visited = visited | {key}
-        pins: Set[str] = set()
-        for net in self.soc.readers_of(core_name, port):
-            if net.source.lo >= lo + width or lo >= net.source.hi:
-                continue
-            if net.dest.core is None:
-                pins.add(net.dest.port)
-                continue
-            downstream = self.soc.cores.get(net.dest.core)
-            if downstream is None or downstream.is_memory:
-                continue
-            version = self._version_of(net.dest.core)
-            path = version.propagate_paths.get(net.dest.port)
-            if path is None:
-                continue
-            for terminal in path.terminals:
-                pins |= self.output_pins(
-                    net.dest.core, terminal.comp, terminal.lo, terminal.width, visited
-                )
-        return pins
-
-
-# ----------------------------------------------------------------------
 def resource_set(plan: SocTestPlan, core_plan: CoreTestPlan) -> FrozenSet[Resource]:
     """Every resource ``core_plan``'s test occupies while it runs."""
     resources: Set[Resource] = {("core", core_plan.core)}
     for (conduit, kind, key) in core_plan.all_usages():
         resources.add(("core", conduit))
         resources.add(("xfer", conduit, kind, key))
-    tracer = _PinTracer(plan)
     for delivery in core_plan.deliveries:
         if delivery.via_test_mux:
             width = plan.soc.cores[core_plan.core].port_width(delivery.port)
             resources.add(("tmux", "input", core_plan.core, delivery.port, 0, width))
-            continue
-        for pin in tracer.input_pins(core_plan.core, delivery.port, frozenset()):
-            resources.add(("pin", "in", pin))
+        for net in delivery.nets:
+            if net.source.core is None:
+                resources.add(("pin", "in", net.source.port))
     for observation in core_plan.observations:
         if observation.via_test_mux:
             resources.add(
                 ("tmux", "output", core_plan.core, observation.port,
                  observation.lo, observation.width)
             )
-            continue
-        for pin in tracer.output_pins(
-            core_plan.core, observation.port, observation.lo, observation.width, frozenset()
-        ):
-            resources.add(("pin", "out", pin))
+        for net in observation.nets:
+            if net.dest.core is None:
+                resources.add(("pin", "out", net.dest.port))
     return frozenset(resources)
 
 

@@ -5,7 +5,9 @@ core) and repeatedly replaces one core with its next more expensive
 version, scored by ``C = w1 * dTAT + w2 * dA``:
 
 * objective (i), minimize TAT under an area budget: w1=1, w2=0 -- take
-  the replacement with the largest test-time improvement;
+  the replacement with the largest test-time improvement (when version 1
+  of every core is over the budget, start from the fewest-cells design
+  point instead, which can need fewer test muxes);
 * objective (ii), minimize area under a TAT budget: w1=0, w2=1 -- take
   the *cheapest* replacement that still has a non-zero improvement.
 
@@ -191,9 +193,14 @@ class SocetOptimizer:
         forced: Set[Tuple[str, str]] = set()
         plan = plan_soc_test(self.soc, selection, forced_muxes=forced)
         if plan.chip_dft_cells > max_chip_cells:
-            raise InfeasibleConstraintError(
-                f"minimum-area design needs {plan.chip_dft_cells} cells > budget {max_chip_cells}"
-            )
+            # the cheapest versions need not make the cheapest chip: a
+            # costlier version can spare test muxes and controller cells
+            plan = design_space(self.soc)[0].plan
+            if plan.chip_dft_cells > max_chip_cells:
+                raise InfeasibleConstraintError(
+                    f"minimum-area design needs {plan.chip_dft_cells} cells"
+                    f" > budget {max_chip_cells}"
+                )
         trajectory = [self._point(0, plan)]
         step = 1
         while True:

@@ -10,7 +10,9 @@ the surrounding cores:
 
 inserting a system-level test multiplexer when no path exists (paper
 Section 5.1: "If there is no path possible, we add a system-level test
-multiplexer").
+multiplexer").  Each delivery and observation keeps the interconnect
+nets its route rides; the scheduler's chip-pin resources and the
+interconnect report read them rather than walk the chip again.
 
 Timing model (matching the Section 3 worked example exactly):
 
@@ -36,11 +38,14 @@ import logging
 
 from repro.obs import METRICS, profile_section
 from repro.soc.controller import estimate_controller_area
-from repro.soc.system import PortRef, Soc
+from repro.soc.system import Net, Soc
 from repro.transparency.versions import CoreVersion, _tmux_cost
 
 #: key of one transparency transfer: (core, "justify"/"propagate", path key)
 UsageKey = Tuple[str, str, Tuple]
+
+#: what one search found: latency, transfers used, interconnect nets ridden
+_Route = Tuple[int, Counter, List[Net]]
 
 logger = logging.getLogger("repro.soc.plan")
 
@@ -79,6 +84,10 @@ class Delivery:
     latency: int
     usages: Counter = field(default_factory=Counter)
     via_test_mux: bool = False
+    #: interconnect nets the route rides, each once, in the order the
+    #: planner walks them (from the port back to chip pins); none behind
+    #: a test mux
+    nets: Tuple[Net, ...] = ()
 
 
 @dataclass
@@ -92,6 +101,10 @@ class Observation:
     latency: int
     usages: Counter = field(default_factory=Counter)
     via_test_mux: bool = False
+    #: interconnect nets the route rides, each once, in the order the
+    #: planner walks them (from the slice on to chip pins); none behind
+    #: a test mux
+    nets: Tuple[Net, ...] = ()
 
 
 @dataclass
@@ -242,15 +255,17 @@ class _Planner:
     # ------------------------------------------------------------------
     def deliver(
         self, core_name: str, port: str, visited: FrozenSet
-    ) -> Optional[Tuple[int, Counter]]:
-        """Latency + usages to place arbitrary data on a core input port."""
+    ) -> Optional[_Route]:
+        """Latency, usages and nets to place arbitrary data on a core input port."""
         key = (core_name, port)
         if key in visited:
             return None
         visited = visited | {key}
         worst = 0
         usages: Counter = Counter()
+        nets: List[Net] = []
         for net in self.soc.drivers_of(core_name, port):
+            nets.append(net)
             if net.source.core is None:
                 continue  # chip PI drives it directly: latency 0
             upstream = self.soc.cores.get(net.source.core)
@@ -261,14 +276,15 @@ class _Planner:
             )
             if result is None:
                 return None
-            latency, sub_usages = result
+            latency, sub_usages, sub_nets = result
             worst = max(worst, latency)
             usages.update(sub_usages)
-        return worst, usages
+            nets.extend(sub_nets)
+        return worst, usages, nets
 
     def justify_slice(
         self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
-    ) -> Optional[Tuple[int, Counter]]:
+    ) -> Optional[_Route]:
         """Justify (set) the given output slice of ``core_name``."""
         version = self.version_of(core_name)
         keys = [
@@ -280,6 +296,7 @@ class _Planner:
             return None
         latency = version.combined_justify_latency(keys)
         usages: Counter = Counter()
+        nets: List[Net] = []
         needed_inputs: Set[str] = set()
         for k in keys:
             path = version.justify_paths[k]
@@ -287,25 +304,26 @@ class _Planner:
             needed_inputs.update(path.terminal_ports)
         feed = 0
         for input_port in sorted(needed_inputs):
-            feed_latency, feed_usages = self._deliver_or_mux(core_name, input_port, visited)
+            feed_latency, feed_usages, feed_nets = self._deliver_or_mux(
+                core_name, input_port, visited
+            )
             feed = max(feed, feed_latency)
             usages.update(feed_usages)
-        return latency + feed, usages
+            nets.extend(feed_nets)
+        return latency + feed, usages, nets
 
-    def _deliver_or_mux(
-        self, core_name: str, port: str, visited: FrozenSet
-    ) -> Tuple[int, Counter]:
+    def _deliver_or_mux(self, core_name: str, port: str, visited: FrozenSet) -> _Route:
         if ("input", core_name, port) in self._mux_keys or (
             core_name,
             port,
         ) in self.forced_input_muxes:
             self._note_input_mux(core_name, port)
-            return 0, Counter()
+            return 0, Counter(), []
         result = self.deliver(core_name, port, visited)
         if result is None:
             self.fallbacks += 1
             self._note_input_mux(core_name, port)
-            return 0, Counter()
+            return 0, Counter(), []
         return result
 
     def _note_input_mux(self, core_name: str, port: str) -> None:
@@ -321,7 +339,7 @@ class _Planner:
     # ------------------------------------------------------------------
     def observe_slice(
         self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
-    ) -> Optional[Tuple[int, Counter]]:
+    ) -> Optional[_Route]:
         """Propagate the given output slice of ``core_name`` to chip POs."""
         key = (core_name, port, lo, width)
         if key in visited:
@@ -348,7 +366,9 @@ class _Planner:
             return None  # some bits go nowhere (or only into excluded cores)
         worst = 0
         usages: Counter = Counter()
+        ridden: List[Net] = []
         for net in nets:
+            ridden.append(net)
             if net.dest.core is None:
                 continue  # straight to a PO: latency 0
             version = self.version_of(net.dest.core)
@@ -358,32 +378,33 @@ class _Planner:
             usages[(net.dest.core, "propagate", net.dest.port)] += 1
             deepest = 0
             onward_merged: Counter = Counter()
-            for terminal in _terminal_slices(path):
-                onward_latency, onward_usages = self._observe_or_mux(
-                    net.dest.core, terminal[0], terminal[1], terminal[2], visited
+            for terminal in path.terminals:
+                onward_latency, onward_usages, onward_nets = self._observe_or_mux(
+                    net.dest.core, terminal.comp, terminal.lo, terminal.width, visited
                 )
                 deepest = max(deepest, onward_latency)
                 # all terminals of one propagation travel onward together
                 for key, count in onward_usages.items():
                     onward_merged[key] = max(onward_merged[key], count)
+                ridden.extend(onward_nets)
             usages.update(onward_merged)
             worst = max(worst, path.latency + deepest)
-        return worst, usages
+        return worst, usages, ridden
 
     def _observe_or_mux(
         self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
-    ) -> Tuple[int, Counter]:
+    ) -> _Route:
         if ("output", core_name, port, lo, width) in self._mux_keys or (
             core_name,
             port,
         ) in self.forced_output_muxes:
             self._note_output_mux(core_name, port, lo, width)
-            return 0, Counter()
+            return 0, Counter(), []
         result = self.observe_slice(core_name, port, lo, width, visited)
         if result is None:
             self.fallbacks += 1
             self._note_output_mux(core_name, port, lo, width)
-            return 0, Counter()
+            return 0, Counter(), []
         return result
 
     def _note_output_mux(self, core_name: str, port: str, lo: int, width: int) -> None:
@@ -404,7 +425,7 @@ class _Planner:
 
         deliveries: List[Delivery] = []
         for port in sorted(p.name for p in core.circuit.inputs):
-            latency, usages = self._deliver_or_mux(core_name, port, frozenset())
+            latency, usages, nets = self._deliver_or_mux(core_name, port, frozenset())
             deliveries.append(
                 Delivery(
                     core=core_name,
@@ -412,13 +433,14 @@ class _Planner:
                     latency=latency,
                     usages=usages,
                     via_test_mux=("input", core_name, port) in self._mux_keys,
+                    nets=tuple(dict.fromkeys(nets)),
                 )
             )
 
         observations: List[Observation] = []
         for piece in core.output_slices():
             output = piece.comp
-            latency, usages = self._observe_or_mux(
+            latency, usages, nets = self._observe_or_mux(
                 core_name, output, piece.lo, piece.width, frozenset()
             )
             observations.append(
@@ -431,6 +453,7 @@ class _Planner:
                     usages=usages,
                     via_test_mux=("output", core_name, output, piece.lo, piece.width)
                     in self._mux_keys,
+                    nets=tuple(dict.fromkeys(nets)),
                 )
             )
 
@@ -446,13 +469,6 @@ class _Planner:
             scan_steps=core.hscan_vectors,
             flush=flush,
         )
-
-
-def _terminal_slices(path) -> List[Tuple[str, int, int]]:
-    terminals = []
-    for terminal in path.terminals:
-        terminals.append((terminal.comp, terminal.lo, terminal.width))
-    return terminals
 
 
 def _cadence(

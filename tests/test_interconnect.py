@@ -52,6 +52,13 @@ class TestInterconnectReport:
         assert report.nets["GCD.Result[7:0] -> X25.RX[7:0]"] == "exercised"
         assert report.coverage_percent > 80.0
 
+    def test_wire_behind_a_forced_mux_is_bypassed(self):
+        plan = plan_soc_test(build_system1(), forced_muxes={("PREPROCESSOR", "NUM")})
+        report = interconnect_report(plan)
+        # every route that would read chip pin NUM now starts at the mux
+        assert report.nets["chip.NUM[7:0] -> PREPROCESSOR.NUM[7:0]"] == "bypassed"
+        assert report.nets["PREPROCESSOR.DB[7:0] -> CPU.Data[7:0]"] == "exercised"
+
 
 class TestTestBusComparison:
     def test_test_bus_exercises_nothing(self):

@@ -1,16 +1,18 @@
 """Edge-path tests for the SOCET optimizer.
 
 Covers the ``minimize_area`` infeasible-budget error, the
-``minimize_tat`` no-improving-move early exit, and the objective (the
-serial sum ``total_tat``, never a schedule's makespan).
+``minimize_tat`` no-improving-move early exit, its feasibility at every
+design-space cell count, and the objective (the serial sum
+``total_tat``, never a schedule's makespan).
 """
 
 import pytest
 
+from repro.designs import build_system1, system_builders
 from repro.errors import InfeasibleConstraintError
 from repro.rtl import CircuitBuilder
 from repro.soc import Core, Soc, plan_soc_test
-from repro.soc.optimizer import SocetOptimizer
+from repro.soc.optimizer import SocetOptimizer, design_space
 
 
 def passthrough_core(name, width=8, depth=1):
@@ -79,6 +81,24 @@ class TestMinimizeTatEdges:
         plan, _ = SocetOptimizer(soc).minimize_tat(max_chip_cells=baseline.chip_dft_cells)
         assert plan.chip_dft_cells <= baseline.chip_dft_cells
         assert plan.total_tat <= baseline.total_tat
+
+    @pytest.mark.parametrize("system", sorted(system_builders()))
+    def test_every_design_cell_count_is_a_feasible_budget(self, system):
+        soc = system_builders()[system]()
+        optimizer = SocetOptimizer(soc)
+        for budget in sorted({point.chip_cells for point in design_space(soc)}):
+            plan, _ = optimizer.minimize_tat(budget)
+            assert plan.chip_dft_cells <= budget
+
+    def test_fewest_cells_design_is_the_start_when_cheapest_versions_overflow(self):
+        """System1 at version 1 everywhere needs 265 cells; CPU V1,
+        PREPROCESSOR V2, DISPLAY V1 needs 264 (it spares test muxes)."""
+        optimizer = SocetOptimizer(build_system1())
+        plan, trajectory = optimizer.minimize_tat(264)
+        assert (plan.chip_dft_cells, plan.total_tat) == (264, 3765)
+        assert trajectory[0].selection == {"CPU": 0, "PREPROCESSOR": 1, "DISPLAY": 0}
+        with pytest.raises(InfeasibleConstraintError, match="needs 264 cells > budget 263"):
+            optimizer.minimize_tat(263)
 
 
 class TestScheduledObjective:

@@ -109,12 +109,13 @@ def _plan_key(plan):
             core_plan.scan_steps,
             core_plan.flush,
             tuple(
-                (d.port, d.latency, tuple(sorted(d.usages.items())), d.via_test_mux)
+                (d.port, d.latency, tuple(sorted(d.usages.items())), d.via_test_mux,
+                 d.nets)
                 for d in core_plan.deliveries
             ),
             tuple(
                 (o.port, o.lo, o.width, o.latency, tuple(sorted(o.usages.items())),
-                 o.via_test_mux)
+                 o.via_test_mux, o.nets)
                 for o in core_plan.observations
             ),
         ))

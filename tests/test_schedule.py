@@ -91,6 +91,17 @@ class TestConflictModel:
         plan = plan_soc_test(soc)
         assert conflict_pairs(build_test_items(plan)) == [("A", "B")]
 
+    def test_pins_behind_a_test_mux_are_not_resources(self):
+        """Every route from chip pin NUM to the DISPLAY rides the mux forced
+        on PREPROCESSOR.NUM, so the DISPLAY test does not hold pin NUM."""
+        from repro.designs import build_system1
+
+        plan = plan_soc_test(build_system1(), forced_muxes={("PREPROCESSOR", "NUM")})
+        resources = resource_set(plan, plan.core_plans["DISPLAY"])
+        assert ("core", "PREPROCESSOR") in resources
+        assert ("pin", "in", "NUM") not in resources
+        assert ("pin", "out", "PORT1") in resources
+
     def test_test_mux_is_private_resource(self):
         plan = plan_soc_test(chain_soc())
         items = build_test_items(plan)

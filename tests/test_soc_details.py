@@ -100,6 +100,12 @@ class TestFigure9Routes:
             ("PREPROCESSOR", "justify", ("DB", 0, 8)): 1,
         }
         assert delivery.latency == 9
+        # the three wires, walked from A back to the chip pin
+        assert [str(net) for net in delivery.nets] == [
+            "CPU.Address[11:0] -> DISPLAY.A[11:0]",
+            "PREPROCESSOR.DB[7:0] -> CPU.Data[7:0]",
+            "chip.NUM[7:0] -> PREPROCESSOR.NUM[7:0]",
+        ]
 
     def test_db_path_starts_at_chip_pin_num(self, system1, plan):
         version = system1.cores["PREPROCESSOR"].version(plan.selection["PREPROCESSOR"])
