@@ -7,6 +7,11 @@ redundant without a search).  Every deterministic pattern is immediately
 fault-simulated against the remaining fault list, its target included:
 a pattern that misses its target is an :class:`~repro.errors.AtpgError`,
 and fortuitous detections drop too.
+
+Every random bit comes from :func:`draw_bits`, the exact stream of one
+``getrandbits(1)`` per source.  A random batch is drawn as one
+``(patterns, sources)`` bit matrix and graded as it stands; only the
+patterns that first detect a fault become source -> bit mappings.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.coverage import CoverageReport
 from repro.faults.model import Fault, full_fault_universe
 from repro.faults.simulator import FaultSimulator
-from repro.gates.cells import GateKind
 from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS, profile_section
 
@@ -65,11 +69,7 @@ class CombinationalAtpg:
         self.seed = seed
         self.backtrack_limit = backtrack_limit
         self.compact = compact
-        self._sources = [
-            g.name
-            for g in netlist.gates()
-            if g.kind in (GateKind.INPUT, GateKind.DFF, GateKind.SDFF)
-        ]
+        self._sources = netlist.sources
 
     # ------------------------------------------------------------------
     def run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgOutcome:
@@ -99,13 +99,17 @@ class CombinationalAtpg:
         for _ in range(RANDOM_BATCHES):
             if not alive or useless_batches >= 2:
                 break
-            batch = [self._random_pattern(rng) for _ in range(RANDOM_BATCH_SIZE)]
+            # one row per pattern, one column per source: graded as it stands
+            batch = draw_bits(rng, RANDOM_BATCH_SIZE * len(self._sources))
+            batch = batch.reshape(RANDOM_BATCH_SIZE, len(self._sources))
             result = simulator.run(batch, alive)
             if result.detected:
                 useless_batches = 0
                 random_detected += len(result.detected)
                 kept_indices = sorted({result.first_detection[f] for f in result.detected})
-                patterns.extend(batch[i] for i in kept_indices)
+                patterns.extend(
+                    dict(zip(self._sources, row)) for row in batch[kept_indices].tolist()
+                )
                 alive = result.undetected
             else:
                 useless_batches += 1
@@ -160,12 +164,25 @@ class CombinationalAtpg:
         )
 
     # ------------------------------------------------------------------
-    def _random_pattern(self, rng: random.Random) -> Pattern:
-        return {name: rng.getrandbits(1) for name in self._sources}
-
     def _complete(self, assignment: Dict[str, int], rng: random.Random) -> Pattern:
+        """PODEM's assignment with its unassigned sources drawn at random."""
+        free = [name for name in self._sources if name not in assignment]
         pattern = dict(assignment)
-        for name in self._sources:
-            if name not in pattern:
-                pattern[name] = rng.getrandbits(1)
+        pattern.update(zip(free, draw_bits(rng, len(free)).tolist()))
         return pattern
+
+
+def draw_bits(rng: random.Random, count: int):
+    """``count`` random bits as a uint32 array: the values of ``count``
+    ``rng.getrandbits(1)`` calls, in order, leaving ``rng`` in the state
+    those calls would.
+
+    ``getrandbits(32 * count)`` consumes the same ``count`` Mersenne
+    Twister outputs, output k in bits [32k, 32k + 32), and
+    ``getrandbits(1)`` is an output's top bit.  numpy is imported here,
+    not with the module, so importing the ATPG loads no numpy.
+    """
+    import numpy as np
+
+    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(words, dtype="<u4") >> 31

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.faults.simulator import FaultSimResult, Pattern, _lowest_bit
+from repro.faults.simulator import FaultSimResult, Pattern, Patterns, _lowest_bit, is_matrix
 from repro.gates.cells import STATE_KINDS, GateKind
 from repro.gates.kernel import (
     ALL_ONES,
@@ -184,19 +184,20 @@ def _pack_bits(bits, words: int):
     return padded.view("<u8")
 
 
-def grade_combinational(
-    fsim, patterns: Sequence[Pattern], faults: Sequence[Fault]
-) -> FaultSimResult:
+def grade_combinational(fsim, patterns: Patterns, faults: Sequence[Fault]) -> FaultSimResult:
     """The grading behind :meth:`FaultSimulator.run`.
 
     ``fsim`` is the :class:`FaultSimulator` whose netlist defines the
     grading; decisions and counters match its
-    :meth:`~FaultSimulator.reference_run` bit for bit.
+    :meth:`~FaultSimulator.reference_run` bit for bit.  A pattern matrix
+    is packed as it stands; mappings are read source by source.
     """
     program = compiled_program(fsim.netlist)
+    names = program.source_names
+    matrix = is_matrix(patterns, names)
     result = FaultSimResult(total=len(faults))
     alive: List[Fault] = list(faults)
-    if not patterns:
+    if len(patterns) == 0:
         result.undetected = alive
         return result
     if not alive:
@@ -215,11 +216,15 @@ def grade_combinational(
 
     total = len(patterns)
     W = word_count(total)
-    names = program.source_names
-    try:
-        bits = np.array([[pattern[name] for name in names] for pattern in patterns], dtype=bool)
-    except KeyError as missing:
-        raise SimulationError(f"pattern misses source {missing.args[0]!r}") from None
+    if matrix:
+        bits = patterns.astype(bool)
+    else:
+        try:
+            bits = np.array(
+                [[pattern[name] for name in names] for pattern in patterns], dtype=bool
+            )
+        except KeyError as missing:
+            raise SimulationError(f"pattern misses source {missing.args[0]!r}") from None
     sources = _pack_bits(bits.T, W)
     masks = tail_masks(total)
     detect = np.zeros((len(plans), W), dtype=np.uint64)

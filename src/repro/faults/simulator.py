@@ -20,7 +20,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
@@ -43,6 +43,10 @@ _SEQ_CHUNKS = METRICS.counter("faultsim.sequential.chunks")
 SEQUENCE_PACK_LIMIT = 256
 
 Pattern = Mapping[str, int]  # source gate name -> bit value
+#: a combinational pattern set: a sequence of :data:`Pattern` mappings, or
+#: a ``(patterns, sources)`` 0/1 numpy matrix whose columns follow
+#: :attr:`GateNetlist.sources`
+Patterns = Union[Sequence[Pattern], "numpy.ndarray"]
 
 
 @dataclass
@@ -122,22 +126,20 @@ class FaultSimulator:
         return result
 
     # ------------------------------------------------------------------
-    def run(self, patterns: Sequence[Pattern], faults: Sequence[Fault]) -> FaultSimResult:
+    def run(self, patterns: Patterns, faults: Sequence[Fault]) -> FaultSimResult:
         """Grade ``patterns`` against ``faults`` with fault dropping."""
         with profile_section("faultsim.run"):
             from repro.faults import kernel as _kernel
 
             return _kernel.grade_combinational(self, patterns, faults)
 
-    def reference_run(
-        self, patterns: Sequence[Pattern], faults: Sequence[Fault]
-    ) -> FaultSimResult:
+    def reference_run(self, patterns: Patterns, faults: Sequence[Fault]) -> FaultSimResult:
         """Scalar grading, one fault at a time: the kernels' oracle."""
         alive: List[Fault] = list(faults)
         result = FaultSimResult(total=len(faults))
-        source_names = [
-            g.name for g in self.netlist.gates() if g.kind in (GateKind.INPUT, GateKind.DFF, GateKind.SDFF)
-        ]
+        source_names = self.netlist.sources
+        if is_matrix(patterns, source_names):
+            patterns = [dict(zip(source_names, row)) for row in patterns.tolist()]
 
         for batch_start in range(0, len(patterns), 64):
             batch = patterns[batch_start : batch_start + 64]
@@ -240,6 +242,20 @@ class FaultSimulator:
 
 def _lowest_bit(word: int) -> int:
     return (word & -word).bit_length() - 1
+
+
+def is_matrix(patterns: Patterns, sources: Sequence[str]) -> bool:
+    """Whether ``patterns`` is a pattern matrix rather than a sequence of
+    mappings; a matrix that is not ``(patterns, len(sources))`` is a
+    :class:`SimulationError`."""
+    if not hasattr(patterns, "ndim"):
+        return False
+    if patterns.ndim != 2 or patterns.shape[1] != len(sources):
+        raise SimulationError(
+            f"pattern matrix has shape {patterns.shape}, expected "
+            f"(patterns, {len(sources)}): one column per source"
+        )
+    return True
 
 
 def sequential_fault_grade(

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind
+from repro.gates.cells import SOURCE_KINDS, GateKind
 from repro.gates.levelize import depth_levels
 from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.obs import METRICS, profile_section
@@ -195,12 +195,8 @@ class CompiledProgram:
         self.input_rows = rows_of((GateKind.INPUT,))
         self.input_names = [g.name for g in netlist.inputs]
         self.const1_rows = rows_of((GateKind.CONST1,))
-        #: simulation sources in the scalar simulators' iteration order
-        self.source_names = [
-            g.name
-            for g in netlist.gates()
-            if g.kind is GateKind.INPUT or g.kind in STATE_KINDS
-        ]
+        #: the netlist's sources, in :attr:`GateNetlist.sources` order
+        self.source_names = netlist.sources
         self.source_rows = np.array(
             [self.row[name] for name in self.source_names], dtype=np.intp
         )

@@ -107,6 +107,17 @@ class GateNetlist:
     def flops(self) -> List[Gate]:
         return self.of_kind(*STATE_KINDS)
 
+    @property
+    def sources(self) -> List[str]:
+        """The combinational view's sources -- primary inputs and
+        flip-flops -- in gate order: the simulators' source order and the
+        column order of a pattern matrix."""
+        return [
+            g.name
+            for g in self._gates.values()
+            if g.kind is GateKind.INPUT or g.kind in STATE_KINDS
+        ]
+
     def fanout_map(self) -> Dict[str, List[str]]:
         """Gate name -> names of gates that read it (cached)."""
         if self._fanout_cache is None:

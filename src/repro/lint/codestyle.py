@@ -7,7 +7,9 @@ enforced in CI over ``src/``:
 
 * **DET001 unseeded-random** -- module-level ``random.*`` calls (the
   shared, unseeded RNG) anywhere in the library; use
-  ``random.Random(seed)``.
+  ``random.Random(seed)``.  The same holds for numpy's legacy global
+  RNG, ``np.random.<fn>``: only ``default_rng``, ``Generator``,
+  ``SeedSequence`` and the bit generators are allowed.
 * **DET002 wall-clock** -- ``time.time``/``time.time_ns`` /
   ``datetime.now``-family reads inside planner/optimizer/executor
   modules (:data:`WALL_CLOCK_SCOPES`); results there must be pure
@@ -58,6 +60,16 @@ ITEMS_ORDER_SCOPES = (
 #: ``random`` module attributes that are safe (seeded constructors etc.)
 _SAFE_RANDOM_ATTRS = {"Random", "SystemRandom"}
 
+#: ``numpy.random`` attributes that are safe: the seeded ``Generator``
+#: API and its bit generators (everything else is the legacy global RNG)
+_SAFE_NUMPY_RANDOM_ATTRS = {
+    "default_rng", "Generator", "SeedSequence", "BitGenerator",
+    "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+}
+
+#: modules whose aliases the visitor tracks
+_TRACKED_MODULES = ("random", "time", "datetime", "numpy", "numpy.random")
+
 #: wall-clock call names per module alias
 _TIME_ATTRS = {"time", "time_ns", "localtime", "gmtime"}
 _DATETIME_ATTRS = {"now", "utcnow", "today"}
@@ -93,7 +105,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.check_wall_clock = _in_wall_clock_scope(path)
         self.check_items_order = _in_items_order_scope(path)
         self.issues: List[StyleIssue] = []
-        #: local alias -> canonical module ("random", "time", "datetime")
+        #: local alias -> canonical module (one of _TRACKED_MODULES)
         self._module_aliases: dict = {}
         #: names imported *from* those modules, e.g. randint -> random.randint
         self._from_imports: dict = {}
@@ -107,15 +119,28 @@ class _DeterminismVisitor(ast.NodeVisitor):
     # ------------------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            root = alias.name.split(".")[0]
-            if root in ("random", "time", "datetime"):
-                self._module_aliases[alias.asname or root] = root
+            # ``import a.b`` binds ``a``; ``import a.b as x`` binds ``a.b``
+            module = alias.name if alias.asname else alias.name.split(".")[0]
+            if module in _TRACKED_MODULES:
+                self._module_aliases[alias.asname or module] = module
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module:
             root = node.module.split(".")[0]
-            if root == "random":
+            if node.module == "numpy":
+                for alias in node.names:
+                    if alias.name == "random":
+                        self._module_aliases[alias.asname or "random"] = "numpy.random"
+            elif node.module == "numpy.random":
+                for alias in node.names:
+                    if alias.name not in _SAFE_NUMPY_RANDOM_ATTRS:
+                        self._issue(
+                            node, "DET001",
+                            f"from numpy.random import {alias.name}: numpy's legacy "
+                            f"global RNG is unseeded; use numpy.random.default_rng(seed)",
+                        )
+            elif root == "random":
                 for alias in node.names:
                     if alias.name not in _SAFE_RANDOM_ATTRS:
                         self._issue(
@@ -149,6 +174,21 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     def _check_attribute_call(self, node: ast.Call, func: ast.Attribute) -> None:
         base = func.value
+        if (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and self._module_aliases.get(base.value.id) == "numpy"
+            and base.attr == "random"
+        ) or (
+            isinstance(base, ast.Name) and self._module_aliases.get(base.id) == "numpy.random"
+        ):
+            if func.attr not in _SAFE_NUMPY_RANDOM_ATTRS:
+                self._issue(
+                    node, "DET001",
+                    f"np.random.{func.attr}() uses numpy's legacy global RNG; "
+                    f"draw from numpy.random.default_rng(seed) instead",
+                )
+            return
         if not isinstance(base, ast.Name):
             # datetime.datetime.now(...) / datetime.date.today(...)
             if (

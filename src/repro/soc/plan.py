@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import logging
 
@@ -122,32 +122,30 @@ class CoreTestPlan:
     def tat(self) -> int:
         return self.scan_steps * self.cadence + self.flush
 
-    def delivery_usages(self) -> Counter:
-        """Transparency transfers per scan step on the justification side.
-
-        Two input ports sharing an upstream edge really do use it twice
-        per step (the paper counts (NUM, DB) twice for the DISPLAY).
-        """
-        total: Counter = Counter()
-        for delivery in self.deliveries:
-            total.update(delivery.usages)
-        return total
-
-    def observation_usages(self) -> Counter:
-        """Transparency transfers per scan step on the response side.
-
-        Several output slices of the core under test ride the *same*
-        downstream propagation together (they arrive on one bus), so a
-        usage key is counted once per step, not per slice.
-        """
-        total: Counter = Counter()
-        for observation in self.observations:
-            for key, count in observation.usages.items():
-                total[key] = max(total[key], count)
-        return total
-
     def all_usages(self) -> Counter:
-        return self.delivery_usages() + self.observation_usages()
+        return combined_usages(self.deliveries, self.observations)
+
+
+def combined_usages(
+    deliveries: Sequence[Delivery], observations: Sequence[Observation]
+) -> Counter:
+    """Transparency transfers per scan step of one core's test.
+
+    Deliveries add up: two input ports sharing an upstream edge really
+    do use it twice per step (the paper counts (NUM, DB) twice for the
+    DISPLAY).  Observations take a per-key max: several output slices of
+    the core under test ride the *same* downstream propagation together
+    (they arrive on one bus), so a usage key is counted once per step,
+    not per slice.
+    """
+    justify: Counter = Counter()
+    for delivery in deliveries:
+        justify.update(delivery.usages)
+    propagate: Counter = Counter()
+    for observation in observations:
+        for key, count in observation.usages.items():
+            propagate[key] = max(propagate[key], count)
+    return justify + propagate
 
 
 @dataclass
@@ -489,15 +487,7 @@ def _cadence(
         longest = max(longest, observation.latency)
 
     busy: Counter = Counter()
-    combined: Counter = Counter()
-    for delivery in deliveries:
-        combined.update(delivery.usages)
-    observation_usages: Counter = Counter()
-    for observation in observations:
-        for key, count in observation.usages.items():
-            observation_usages[key] = max(observation_usages[key], count)
-    combined.update(observation_usages)
-    for (core_name, kind, key), count in combined.items():
+    for (core_name, kind, key), count in combined_usages(deliveries, observations).items():
         version = version_of(core_name)
         if kind == "justify":
             path = version.justify_paths.get(tuple(key))

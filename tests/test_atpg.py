@@ -1,5 +1,7 @@
 """Tests for PODEM, the combinational ATPG driver, and compaction."""
 
+import random
+
 import pytest
 
 from repro.atpg import CombinationalAtpg, PodemResult, PodemStatus, compact_patterns, podem
@@ -146,6 +148,19 @@ class TestCombinationalAtpg:
         first = CombinationalAtpg(n, seed=7).run()
         second = CombinationalAtpg(n, seed=7).run()
         assert first.patterns == second.patterns
+
+
+class TestRandomDraw:
+    @pytest.mark.parametrize("sources", [0, 1, 31, 33, 200])
+    def test_batch_draw_equals_one_bit_calls(self, sources):
+        """A random batch is the stream of per-source ``getrandbits(1)``
+        calls, pattern by pattern, and leaves the generator where they do."""
+        packed, single = random.Random(sources), random.Random(sources)
+        batch = combinational.draw_bits(packed, 32 * sources).reshape(32, sources)
+        assert batch.tolist() == [
+            [single.getrandbits(1) for _ in range(sources)] for _ in range(32)
+        ]
+        assert packed.getstate() == single.getstate()
 
 
 class TestCompaction:

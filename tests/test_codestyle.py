@@ -29,6 +29,37 @@ class TestDet001UnseededRandom:
         assert codes(issues) == ["DET001"]
 
 
+class TestDet001NumpyGlobalRandom:
+    def test_legacy_global_calls_flagged(self):
+        src = "import numpy as np\nnp.random.seed(0)\nx = np.random.rand(3)\n"
+        assert codes(check_source(src)) == ["DET001", "DET001"]
+
+    def test_every_import_form_tracked(self):
+        for src in (
+            "import numpy\nx = numpy.random.randint(0, 2)\n",
+            "import numpy.random\nx = numpy.random.normal()\n",
+            "import numpy.random as npr\nnpr.shuffle(xs)\n",
+            "from numpy import random as nr\nx = nr.random()\n",
+            "from numpy.random import rand\n",
+        ):
+            assert codes(check_source(src)) == ["DET001"], src
+
+    def test_seeded_generator_api_allowed(self):
+        src = (
+            "import numpy as np\n"
+            "from numpy.random import default_rng, SeedSequence\n"
+            "rng = np.random.default_rng(7)\n"
+            "x = rng.random()\n"
+            "g = np.random.Generator(np.random.PCG64(SeedSequence(7)))\n"
+            "m = np.random.MT19937(7)\n"
+        )
+        assert check_source(src) == []
+
+    def test_other_numpy_modules_untouched(self):
+        src = "import numpy.linalg as la\nimport numpy as np\nx = la.norm(np.ones(3))\n"
+        assert check_source(src) == []
+
+
 class TestDet002WallClock:
     def test_time_in_planner_scope_flagged(self):
         src = "import time\nt = time.time()\n"

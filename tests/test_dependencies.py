@@ -29,3 +29,19 @@ def test_importing_repro_loads_only_numpy_beyond_the_stdlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) <= {"numpy", "repro"}, proc.stdout
+
+
+def test_flow_packages_import_without_numpy():
+    # numpy is imported where a kernel or a random draw first runs, so
+    # importing the flow (CLI start-up, the benchmark's set-up) stays cheap
+    probe = (
+        "import sys\n"
+        "import repro, repro.atpg, repro.faults, repro.soc, repro.flow\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

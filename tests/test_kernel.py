@@ -12,6 +12,7 @@ so anything less than bit-identity silently changes results downstream.
 import random
 from contextlib import contextmanager, nullcontext
 
+import numpy as np
 import pytest
 
 from repro.analysis import replay_soc
@@ -433,13 +434,50 @@ class TestSystemsParity:
         netlist = elaborate(core.circuit).netlist
         faults = collapse_faults(netlist, full_fault_universe(netlist))
         rng = random.Random(3)
-        sources = [
-            g.name
-            for g in netlist.gates()
-            if g.kind in (GateKind.INPUT, GateKind.DFF, GateKind.SDFF)
-        ]
-        patterns = [
-            {name: rng.getrandbits(1) for name in sources} for _ in range(192)
-        ]
+        sources = netlist.sources
+        patterns = [{name: rng.getrandbits(1) for name in sources} for _ in range(192)]
         out = grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults))
         assert_identical(out)
+
+
+# ----------------------------------------------------------------------
+# pattern matrices (the ATPG's random batches)
+# ----------------------------------------------------------------------
+class TestPatternMatrix:
+    @pytest.mark.parametrize("core", ["CPU", "PREPROCESSOR", "DISPLAY", "GRAPHICS", "GCD", "X25"])
+    def test_matrix_grades_like_its_dicts(self, core):
+        """A ``(patterns, sources)`` bit matrix and the same patterns as
+        mappings grade alike, on the kernel and on the oracle."""
+        from repro.atpg.combinational import draw_bits
+        from repro.designs import core_builders
+        from repro.elaborate import elaborate
+
+        netlist = elaborate(core_builders()[core]()).netlist
+        faults = collapse_faults(netlist, full_fault_universe(netlist))
+        sources = netlist.sources
+        matrix = draw_bits(random.Random(9), 96 * len(sources)).reshape(96, len(sources))
+        dicts = [dict(zip(sources, row)) for row in matrix.tolist()]
+        as_dicts = grade_both_backends(lambda: FaultSimulator(netlist).run(dicts, faults))
+        as_matrix = grade_both_backends(lambda: FaultSimulator(netlist).run(matrix, faults))
+        assert_identical(as_matrix)
+        for side in ("reference", "kernel"):
+            (rd, dd), (rm, dm) = as_dicts[side], as_matrix[side]
+            assert rm.detected == rd.detected, side
+            assert rm.first_detection == rd.first_detection, side
+            assert dm == dd, side
+        assert as_matrix["kernel"][1]["faultsim.batches"] == 2
+
+    def test_matrix_of_the_wrong_shape_is_an_error(self):
+        netlist = random_netlist(2)
+        faults = full_fault_universe(netlist)
+        width = len(netlist.sources)
+        for matrix in (np.zeros((4, width + 1), dtype=np.uint32), np.zeros(width)):
+
+            def run():
+                with pytest.raises(SimulationError) as error:
+                    FaultSimulator(netlist).run(matrix, faults)
+                return str(error.value)
+
+            out = grade_both_backends(run)
+            assert out["kernel"] == out["reference"]
+            assert f"expected (patterns, {width})" in out["kernel"][0]

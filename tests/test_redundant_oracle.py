@@ -11,9 +11,11 @@ grades with.
 
 Each core's seed-0 ATPG over its full collapsed fault list is run once,
 recording every PODEM result.  Verdicts whose support is wider than
-:data:`SUPPORT_LIMIT` stay unchecked; :data:`UNCHECKED` names them.
+:data:`SUPPORT_LIMIT` stay unchecked; :data:`UNCHECKED` names them.  The
+same runs pin each core's pattern list (:data:`PATTERN_LISTS`).
 """
 
+import hashlib
 from typing import Dict, List
 
 import pytest
@@ -72,6 +74,17 @@ UNCHECKED = {
         "YMX_11.pin0/sa1", "YMX_11.pin1/sa1", "YMX_12.pin1/sa1",
     ),
     "X25": (),
+}
+
+#: each core's seed-0 pattern count and the SHA-256 of its pattern list,
+#: one line of source bits per pattern in ``GateNetlist.sources`` order
+PATTERN_LISTS = {
+    "CPU": (55, "275d124f5a4d2db2f43a528ed74e1ec3ef24fca73499994c3b1d0253f9a8cca5"),
+    "PREPROCESSOR": (41, "6f46e291afc45c5f3a3d5b61c9496e168d2bd133bd3d82e1248e0ca6c427ce72"),
+    "DISPLAY": (52, "3383e55519aea589e6461192c0c8f4857a8d55bda8ea516140b7542a2785b222"),
+    "GRAPHICS": (32, "5f4ac5673e13d6753952925a0385c31131d3b88c2db99445ffcd11e6b4f9fc42"),
+    "GCD": (48, "e615e0602f4990c70cdccbda5ccbeb348ebdb4308d655409833b843b35cea723"),
+    "X25": (27, "32760c76141dbb690fd2939f4819d47a5fa5481b556f3b8beba733666a570d5e"),
 }
 
 
@@ -202,3 +215,13 @@ def test_only_two_cpu_carry_faults_abort_and_a_higher_limit_detects_them(runs):
     for fault in cpu.outcome.aborted:
         assert len(cpu.support(fault)) == 23, fault
         assert podem(cpu.netlist, fault, backtrack_limit=600).status is PodemStatus.DETECTED
+
+
+def test_seed0_pattern_lists_are_pinned(runs):
+    """A core's test is its pattern set: the random draw and PODEM's
+    completions must reproduce every pattern bit for bit."""
+    for name, run in runs.items():
+        sources = run.netlist.sources
+        lines = ["".join(str(pattern[s]) for s in sources) for pattern in run.outcome.patterns]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == PATTERN_LISTS[name], name

@@ -110,6 +110,19 @@ class TestPlanning:
         assert dict(delivery.usages) == {("A", "justify", ("OUT", 0, 8)): 1}
         assert not plan.test_muxes
 
+    def test_combined_usages_sum_deliveries_and_max_observations(self):
+        """Two deliveries over one edge use it twice per step; two output
+        slices riding one propagation use it once."""
+        from collections import Counter
+
+        from repro.soc.plan import Delivery, Observation, combined_usages
+
+        edge = ("A", "justify", ("OUT", 0, 8))
+        bus = ("B", "propagate", "IN")
+        deliveries = [Delivery("C", port, 1, Counter({edge: 1})) for port in ("X", "Y")]
+        observations = [Observation("C", "OUT", lo, 4, 1, Counter({bus: 1})) for lo in (0, 4)]
+        assert combined_usages(deliveries, observations) == Counter({edge: 2, bus: 1})
+
     def test_flush_includes_observation_latency(self):
         plan = plan_soc_test(two_core_soc())
         plan_a = plan.core_plans["A"]
