@@ -39,7 +39,6 @@ import repro.faults.kernel  # noqa: F401
 import repro.faults.simulator  # noqa: F401
 import repro.gates.kernel  # noqa: F401
 import repro.lint.registry  # noqa: F401
-import repro.obs.attrib  # noqa: F401
 import repro.obs.ledger  # noqa: F401
 import repro.schedule.packers  # noqa: F401
 import repro.soc.optimizer  # noqa: F401

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atpg.compaction import compact_patterns
-from repro.atpg.podem import PodemStatus, podem
+from repro.atpg.podem import PodemResult, PodemStatus, podem
 from repro.errors import AtpgError
 from repro.faults.collapse import collapse_faults
 from repro.faults.coverage import CoverageReport
@@ -53,6 +53,8 @@ class AtpgOutcome:
     aborted: List[Fault] = field(default_factory=list)
     random_detected: int = 0
     podem_detected: int = 0
+    #: every PODEM call of the run, in call order: its target and result
+    searches: List[Tuple[Fault, PodemResult]] = field(default_factory=list)
 
 
 class CombinationalAtpg:
@@ -63,12 +65,10 @@ class CombinationalAtpg:
         netlist: GateNetlist,
         seed: int = 0,
         backtrack_limit: int = 150,
-        compact: bool = True,
     ) -> None:
         self.netlist = netlist
         self.seed = seed
         self.backtrack_limit = backtrack_limit
-        self.compact = compact
         self._sources = netlist.sources
 
     # ------------------------------------------------------------------
@@ -117,11 +117,13 @@ class CombinationalAtpg:
         # ---------------- deterministic phase ----------------
         redundant: List[Fault] = []
         aborted: List[Fault] = []
+        searches: List[Tuple[Fault, PodemResult]] = []
         podem_detected = 0
         index = 0
         while index < len(alive):
             fault = alive[index]
             outcome = podem(self.netlist, fault, backtrack_limit=self.backtrack_limit)
+            searches.append((fault, outcome))
             if outcome.status is PodemStatus.DETECTED:
                 pattern = self._complete(outcome.assignment, rng)
                 patterns.append(pattern)
@@ -142,7 +144,7 @@ class CombinationalAtpg:
                 alive.pop(index)
 
         detected_count = random_detected + podem_detected
-        if self.compact and patterns:
+        if patterns:
             unresolved = set(redundant) | set(aborted)
             detected_faults = [f for f in faults if f not in unresolved]
             patterns = compact_patterns(self.netlist, patterns, detected_faults)
@@ -161,6 +163,7 @@ class CombinationalAtpg:
             aborted=aborted,
             random_detected=random_detected,
             podem_detected=podem_detected,
+            searches=searches,
         )
 
     # ------------------------------------------------------------------

@@ -32,7 +32,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.errors import AtpgError
 from repro.obs import METRICS
-from repro.obs.attrib import ATTRIB
 from repro.atpg.values import (
     CONTROLLING,
     K_AND,
@@ -57,8 +56,7 @@ from repro.atpg.values import (
     v_not,
 )
 from repro.faults.model import Fault
-from repro.gates.cells import STATE_KINDS
-from repro.gates.levelize import depth_levels, levelize
+from repro.gates.levelize import levelize
 from repro.gates.netlist import GateNetlist, NetlistCache
 
 _CALLS = METRICS.counter("atpg.podem.calls")
@@ -107,28 +105,6 @@ def podem(
         _ABORTS.inc()
     elif result.status is PodemStatus.REDUNDANT:
         _REDUNDANT.inc()
-    if ATTRIB.enabled:
-        gate = netlist.gate(fault.gate)
-        if fault.pin is None:
-            site = "stem"
-        elif gate.kind in STATE_KINDS:
-            site = "flop-pin"
-        else:
-            site = "pin"
-        ATTRIB.podem_record({
-            "backtracks": result.backtracks,
-            "cone_depth": depth_levels(netlist).get(fault.gate, 0),
-            "decisions": result.decisions,
-            "gate": fault.gate,
-            "gate_kind": gate.kind.value,
-            "implications": result.implications,
-            "netlist": netlist.name,
-            "pin": fault.pin,
-            "restarts": result.restarts,
-            "site": site,
-            "status": result.status.value,
-            "stuck": fault.stuck,
-        })
     return result
 
 

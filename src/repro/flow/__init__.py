@@ -1,7 +1,5 @@
 """End-to-end flows tying the library together.
 
-* :mod:`repro.flow.corelevel` -- the core provider's one-time job:
-  HSCAN insertion, transparency versions, ATPG, area accounting.
 * :mod:`repro.flow.system_netlist` -- flatten an SOC into one gate
   netlist (original, HSCAN'd, or full-scanned cores).
 * :mod:`repro.flow.profile` -- the one flow driver: the paper's whole
@@ -12,7 +10,6 @@
   ``compare`` render.
 """
 
-from repro.flow.corelevel import CorePreparation, prepare_core
 from repro.flow.system_netlist import flatten_soc
 from repro.flow.profile import run_pipeline
 from repro.flow.interconnect import (
@@ -34,8 +31,6 @@ from repro.flow.report import (
 )
 
 __all__ = [
-    "CorePreparation",
-    "prepare_core",
     "flatten_soc",
     "run_pipeline",
     "InterconnectReport",

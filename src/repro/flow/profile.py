@@ -1,13 +1,12 @@
 """The one flow driver: the paper's whole evaluation of one system.
 
 :func:`run_pipeline` runs one registered system through every stage
-(:func:`run_stages`) under the single root section ``profile.total``,
-with the :mod:`repro.obs.attrib` collector on: build the SOC (HSCAN
-insertion and transparency versions for every core), run ATPG once per
-core, sweep the design space and name four of its points, minimize TAT,
-schedule the fewest-cells and least-TAT plans, and compute the
-FSCAN-BSCAN baseline with the Table 2 and Table 3 rows.  The paper's
-"min. area" design is the fewest-cells point throughout.
+(:func:`run_stages`) under the single root section ``profile.total``:
+build the SOC (HSCAN insertion and transparency versions for every
+core), run ATPG once per core, sweep the design space and name four of
+its points, minimize TAT, schedule the fewest-cells and least-TAT plans,
+and compute the FSCAN-BSCAN baseline with the Table 2 and Table 3 rows.
+The paper's "min. area" design is the fewest-cells point throughout.
 
 It returns the run's ``repro-ledger`` record (kind ``profile``), and
 every renderer reads that record: ``repro profile`` prints its stage
@@ -21,13 +20,14 @@ The record carries the run's total wall time (``samples``), every
 section's totals (``histograms``), the full counter snapshot, zeros
 included (``counters``), the ``results`` -- headline numbers, the four
 named design ``points``, the ``schedules``, ``area`` and ``testability``
-rows, and the functional ``grading`` budget -- and the artifact
-(``attrib``).  Each stage's time is the self time of its sections, and
+rows, and the functional ``grading`` budget -- and the attribution
+artifact (``attrib``), built from the stages' ATPG outcomes and
+optimizer moves.  Each stage's time is the self time of its sections, and
 an ``unaccounted`` row holds the time spent outside every section, so
-the rows sum to the run's total.  The registry and the collector are
-reset together at run start, so the numbers describe exactly one run
-and the artifact's reconciliation section can hold the attributed PODEM
-totals to the ``atpg.podem.*`` counters *exactly*.
+the rows sum to the run's total.  The registry is reset at run start,
+so the numbers describe exactly one run and the artifact's
+reconciliation section can hold the PODEM totals of the outcomes to the
+``atpg.podem.*`` counters *exactly*.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import UsageError
 from repro.flow.report import AreaRow, ScheduleRow, TestabilityRow
 from repro.obs import METRICS, profile_section, stage_rows
-from repro.obs.attrib import ATTRIB, build_artifact
+from repro.obs.attrib import build_artifact
 from repro.obs.ledger import make_record
 from repro.obs.profiler import ROOT_SECTION
 
@@ -89,7 +89,8 @@ def render_profile(record: Dict) -> str:
 
 
 def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]):
-    """Generate one core's test set; returns the ATPG outcome.
+    """Generate one core's test set; returns the elaborated netlist and
+    the ATPG outcome.
 
     ``max_faults`` caps the fault list at a seeded sample of the
     collapsed universe (quick mode).
@@ -105,7 +106,7 @@ def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]):
         universe = collapse_faults(netlist, full_fault_universe(netlist))
         if len(universe) > max_faults:
             faults = random.Random(seed).sample(universe, max_faults)
-    return CombinationalAtpg(netlist, seed=seed).run(faults)
+    return netlist, CombinationalAtpg(netlist, seed=seed).run(faults)
 
 
 def _functional_coverage(soc, with_hscan: bool, seed: int, sample: int) -> float:
@@ -133,12 +134,14 @@ def _functional_coverage(soc, with_hscan: bool, seed: int, sample: int) -> float
     return graded.coverage
 
 
-def run_stages(build: Callable, seed: int, max_faults: Optional[int]) -> Dict:
+def run_stages(
+    build: Callable, seed: int, max_faults: Optional[int]
+) -> Tuple[Dict, List[Tuple[Any, Any]], List[Dict[str, Any]]]:
     """The driver's stage sequence on the SOC ``build()`` returns.
 
     Times every stage under ``profile.total`` and returns the record's
-    ``results``; :func:`run_pipeline` runs it with the registry reset
-    and the attribution collector on.
+    ``results``, each core's ``(netlist, AtpgOutcome)`` in run order, and
+    the optimizer's moves: what :func:`run_pipeline` attributes.
     """
     from repro.baselines.fscan_bscan import fscan_bscan_report
     from repro.faults.coverage import CoverageReport
@@ -154,8 +157,9 @@ def run_stages(build: Callable, seed: int, max_faults: Optional[int]) -> Dict:
         # ATPG + fault-sim: each core's test set, once (the plans size
         # the tests by the builders' vector counts)
         coverage = CoverageReport(total=0, detected=0)
-        for core in cores:
-            coverage = coverage.merged_with(regenerate_atpg(core.circuit, seed, max_faults).report)
+        atpg = [regenerate_atpg(core.circuit, seed, max_faults) for core in cores]
+        for _netlist, outcome in atpg:
+            coverage = coverage.merged_with(outcome.report)
 
         # chip-level: the reservation-aware path search over the whole
         # design space (every version selection), and its named points
@@ -172,7 +176,8 @@ def run_stages(build: Callable, seed: int, max_faults: Optional[int]) -> Dict:
 
         # optimizer: iterative improvement up to the largest design's area
         budget = max(point.chip_cells for point in points)
-        optimized, _trajectory = SocetOptimizer(soc).minimize_tat(budget)
+        optimizer = SocetOptimizer(soc)
+        optimized, _trajectory = optimizer.minimize_tat(budget)
 
         # schedule: the greedy scheduler on both designs, the session
         # packer on the min-area one
@@ -210,7 +215,7 @@ def run_stages(build: Callable, seed: int, max_faults: Optional[int]) -> Dict:
             ))
 
     fewest = named["fewest cells"]
-    return {
+    results = {
         "serial TAT": fewest.tat,
         "scheduled TAT": schedules[0].makespan,
         "optimized TAT": optimized.total_tat,
@@ -225,6 +230,7 @@ def run_stages(build: Callable, seed: int, max_faults: Optional[int]) -> Dict:
         "testability": [asdict(row) for row in testability],
         "grading": dict(GRADING_BUDGET, faults=sample, seed=seed),
     }
+    return results, atpg, optimizer.moves
 
 
 def run_pipeline(
@@ -238,8 +244,7 @@ def run_pipeline(
     ``max_faults`` caps the per-core ATPG fault list and the functional
     grading sample at seeded samples -- the CLI's ``--quick`` mode, which
     keeps every stage and counter live while cutting the run's work.
-    ``top_k`` is the artifact's hard-fault table length.  Attribution
-    is on for the run; its previous state is restored on exit.
+    ``top_k`` is the artifact's hard-fault table length.
     """
     from repro.designs import system_builders
 
@@ -247,23 +252,18 @@ def run_pipeline(
     if system not in builders:
         raise UsageError(f"unknown system {system!r}; choose from {sorted(builders)}")
 
-    previous = ATTRIB.enabled
     METRICS.reset()
-    ATTRIB.reset()
-    ATTRIB.enabled = True
-    try:
-        results = run_stages(builders[system], seed, max_faults)
-        counters = dict(METRICS.counters())
-        artifact = build_artifact(
-            ATTRIB,
-            counters,
-            system=system,
-            seed=seed,
-            quick=max_faults is not None,
-            top_k=top_k,
-        )
-    finally:
-        ATTRIB.enabled = previous
+    results, atpg, moves = run_stages(builders[system], seed, max_faults)
+    counters = dict(METRICS.counters())
+    artifact = build_artifact(
+        atpg,
+        moves,
+        counters,
+        system=system,
+        seed=seed,
+        quick=max_faults is not None,
+        top_k=top_k,
+    )
 
     return make_record(
         bench=series_key(system, max_faults is not None),

@@ -9,7 +9,7 @@ measured on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.dft.hscan import apply_hscan
 from repro.elaborate import elaborate
@@ -22,7 +22,6 @@ from repro.soc.system import Soc
 def flatten_soc(
     soc: Soc,
     with_hscan: bool = False,
-    include_memories: bool = True,
     scan_access: str = "enable",
 ) -> GateNetlist:
     """Elaborate and stitch the whole SOC into one netlist.
@@ -51,8 +50,6 @@ def flatten_soc(
     # 2. per-core elaboration with prefixes
     core_input_bits: Dict[str, List[str]] = {}
     for core in soc.cores.values():
-        if core.is_memory and not include_memories:
-            continue
         circuit = core.circuit
         if with_hscan and not core.is_memory and core.hscan is not None:
             circuit, _ = apply_hscan(core.circuit, core.hscan)
@@ -81,19 +78,14 @@ def flatten_soc(
 
     # 3. interconnect: replace driven core-input INPUT gates with buffers
     for net in soc.nets:
-        source_bits = _source_bits(soc, flat, net)
-        if source_bits is None:
-            continue  # driver's core was skipped
+        source_bits = _source_bits(flat, net)
         if net.dest.core is None:
             for i, bit in enumerate(source_bits):
                 name = f"PO_{net.dest.port}.{net.dest.lo + i}"
                 if name not in flat:
                     flat.add_gate(name, GateKind.OUTPUT, [bit])
             continue
-        key = f"{net.dest.core}.{net.dest.port}"
-        dest_bits = core_input_bits.get(key)
-        if dest_bits is None:
-            continue  # memory core skipped
+        dest_bits = core_input_bits[f"{net.dest.core}.{net.dest.port}"]
         for i, bit in enumerate(source_bits):
             target = dest_bits[net.dest.lo + i]
             flat.replace_gate(target, GateKind.BUF, [bit])
@@ -101,15 +93,13 @@ def flatten_soc(
     return flat.validate()
 
 
-def _source_bits(soc: Soc, flat: GateNetlist, net) -> Optional[List[str]]:
+def _source_bits(flat: GateNetlist, net) -> List[str]:
     if net.source.core is None:
         return [f"{net.source.port}.{net.source.lo + i}" for i in range(net.source.width)]
     prefix = f"{net.source.core}::"
     bits = []
     for i in range(net.source.width):
         name = f"{prefix}{net.source.port}.{net.source.lo + i}"
-        if name not in flat:
-            return None
         marker = flat.gate(name)
         if marker.kind is not GateKind.BUF:
             raise SocError(f"expected buffered port marker at {name!r}")

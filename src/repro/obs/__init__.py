@@ -10,9 +10,9 @@ Zero-dependency subsystem; instrumentation never forks hot-path code:
   is timed: it keeps calls, inclusive and self seconds per section name,
   and powers the per-stage self-time table of ``repro profile`` and
   ``repro report``;
-* :mod:`repro.obs.attrib` -- the search-effort collector (PODEM effort
-  records, optimizer moves) the pipeline run switches on, and its
-  ``repro-attrib`` artifact;
+* :mod:`repro.obs.attrib` -- the ``repro-attrib`` search-effort
+  artifact, built from what a pipeline run returns (each ATPG outcome's
+  PODEM results, the optimizer's moves), and its validator;
 * :mod:`repro.obs.ledger` -- the ``repro-ledger`` record, the one form a
   measured run (a bench, a pipeline run) takes, the JSONL ledger that
   stores records, and their file validator.  It runs as ``python -m
@@ -38,13 +38,7 @@ from __future__ import annotations
 
 import logging
 
-from repro.obs.attrib import (
-    ATTRIB,
-    AttribCollector,
-    artifact_json,
-    build_artifact,
-    validate_artifact,
-)
+from repro.obs.attrib import artifact_json, build_artifact, validate_artifact
 from repro.obs.metrics import Counter, DEFAULT_REGISTRY, MetricsRegistry
 from repro.obs.profiler import PIPELINE_STAGES, profile_section, stage_rows
 from repro.obs.regress import (
@@ -59,8 +53,6 @@ from repro.obs.report import RunReport
 METRICS = DEFAULT_REGISTRY
 
 __all__ = [
-    "ATTRIB",
-    "AttribCollector",
     "artifact_json",
     "build_artifact",
     "validate_artifact",

@@ -3,45 +3,41 @@
 The metrics registry answers "how much work happened" (counters) and the
 profiler answers "where did the wall time go" (per-stage self times).  This
 module answers the question between the two: *which faults and which
-optimizer moves consumed the search effort?*  Two attribution planes
-feed one collector:
+optimizer moves consumed the search effort?*  The artifact is a pure
+function of what the pipeline run already returns, in two planes:
 
-* **ATPG plane** -- :func:`repro.atpg.podem.podem` records one effort
-  ledger entry per targeted fault: decisions, backtracks, implication
-  passes, backtrace restarts, and the abort cause (backtrack budget vs
-  untestable proof).  Effort is a wall-free unit
-  (``decisions + 2*backtracks + implications``) so the ledger is a pure
+* **ATPG plane** -- every :class:`repro.atpg.combinational.AtpgOutcome`
+  keeps each PODEM call's fault and :class:`~repro.atpg.podem.PodemResult`
+  (decisions, backtracks, implication passes, backtrace restarts, and
+  the status that names the abort cause: backtrack budget vs untestable
+  proof).  Effort is a wall-free unit
+  (``decisions + 2*backtracks + implications``) so the plane is a pure
   function of the seed.
-* **Optimizer plane** -- every candidate move evaluated by
-  :class:`repro.soc.optimizer.SocetOptimizer` appends an
-  :class:`AttribEvent`-shaped dict (move kind, subject, version delta,
-  objective before/after, accept/reject, revisit classification) to an
-  append-only stream, summarized into wasted-move ratio, plateau
+* **Optimizer plane** -- :class:`repro.soc.optimizer.SocetOptimizer`
+  keeps every candidate move it tries in its ``moves`` list (move kind,
+  subject, version delta, objective before/after, accept/reject,
+  revisit classification), summarized into wasted-move ratio, plateau
   length, and per-move-kind yield.
 
-Collection is off by default.  The pipeline run
-(:func:`repro.flow.profile.run_pipeline`) switches it on, restores the
-previous state on exit, and embeds the artifact in its ledger record's
-``attrib`` field; each hook is behind one ``enabled`` check.
+:func:`repro.flow.profile.run_pipeline` builds the artifact from its
+ATPG outcomes and its optimizer's moves and embeds it in its ledger
+record's ``attrib`` field; nothing is collected on the side.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
 (version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
 checker in :func:`validate_artifact`; ``python -m repro.obs.ledger
-FILE...`` runs it on artifact files.  Attribution counters are
-advisory: they never feed gating except through explicitly-declared
-regress gates.
+FILE...`` runs it on artifact files.  The artifact's reconciliation
+section holds the ATPG plane, summed from the outcomes, to the
+``atpg.podem.*`` counters ``podem()`` feeds: two independent paths to
+the same totals.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.errors import AttribSchemaError
-from repro.obs.metrics import DEFAULT_REGISTRY
-
-_PODEM_RECORDS = DEFAULT_REGISTRY.counter("attrib.podem.records")
-_MOVE_EVENTS = DEFAULT_REGISTRY.counter("attrib.optimizer.events")
 
 #: JSON schema marker / version of the attribution artifact.
 ATTRIB_SCHEMA = "repro-attrib"
@@ -73,82 +69,44 @@ def _band(value: int) -> str:
     return str(1 << value.bit_length())
 
 
-class AttribCollector:
-    """Append-only effort ledgers for the two attribution planes.
-
-    State is plain lists appended in execution order, so the collected
-    state is a pure function of the seed.  ``enabled`` is the one switch
-    every hook checks.
-    """
-
-    __slots__ = ("enabled", "_podem", "_moves", "_seen_points")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self._podem: List[Dict[str, Any]] = []
-        self._moves: List[Dict[str, Any]] = []
-        #: optimizer design points already evaluated this run (revisits)
-        self._seen_points: Set[Tuple] = set()
-
-    def reset(self) -> None:
-        """Drop all collected state (``enabled`` survives)."""
-        del self._podem[:]
-        del self._moves[:]
-        self._seen_points.clear()
-
-    # -- plane 1: ATPG -------------------------------------------------
-    def podem_record(self, record: Dict[str, Any]) -> None:
-        """Append one per-fault PODEM effort record (see ``podem()``)."""
-        self._podem.append(record)
-        _PODEM_RECORDS.inc()
-
-    # -- plane 2: optimizer --------------------------------------------
-    def move_event(
-        self,
-        *,
-        kind: str,
-        subject: str,
-        version_from: int,
-        version_to: int,
-        tat_before: int,
-        tat_after: Optional[int],
-        outcome: str,
-        point: Optional[Tuple] = None,
-    ) -> None:
-        """Append one candidate-move event to the trajectory stream.
-
-        ``point`` is a hashable design-point key; a point seen earlier in
-        the same run classifies the event as a revisit (``cache: hit``),
-        the baseline wasted-work signal the metaheuristic PR must beat.
-        """
-        cache = "none"
-        if point is not None:
-            if point in self._seen_points:
-                cache = "hit"
-            else:
-                self._seen_points.add(point)
-                cache = "miss"
-        self._moves.append({
-            "cache": cache,
-            "kind": kind,
-            "outcome": outcome,
-            "seq": len(self._moves),
-            "subject": subject,
-            "tat_after": tat_after,
-            "tat_before": tat_before,
-            "version_from": version_from,
-            "version_to": version_to,
-        })
-        _MOVE_EVENTS.inc()
-
-
-#: process-wide collector every hook feeds
-ATTRIB = AttribCollector()
-
-
 # ----------------------------------------------------------------------
 # artifact construction
 # ----------------------------------------------------------------------
+def _search_records(atpg: Sequence[Tuple[Any, Any]]) -> Iterator[Dict[str, Any]]:
+    """One effort record per PODEM call, in call order, from
+    ``(netlist, AtpgOutcome)`` pairs: the call's counts, status and
+    target, and the target's class -- site (stem, gate pin or flop pin),
+    gate kind and logic depth."""
+    # not at import: the gate layer imports ``repro.obs`` for its counters
+    from repro.gates.cells import STATE_KINDS
+    from repro.gates.levelize import depth_levels
+
+    for netlist, outcome in atpg:
+        depths = depth_levels(netlist)
+        for fault, result in outcome.searches:
+            gate = netlist.gate(fault.gate)
+            if fault.pin is None:
+                site = "stem"
+            elif gate.kind in STATE_KINDS:
+                site = "flop-pin"
+            else:
+                site = "pin"
+            yield {
+                "backtracks": result.backtracks,
+                "cone_depth": depths.get(fault.gate, 0),
+                "decisions": result.decisions,
+                "gate": fault.gate,
+                "gate_kind": gate.kind.value,
+                "implications": result.implications,
+                "netlist": netlist.name,
+                "pin": fault.pin,
+                "restarts": result.restarts,
+                "site": site,
+                "status": result.status.value,
+                "stuck": fault.stuck,
+            }
+
+
 def _fault_id(record: Mapping[str, Any]) -> str:
     location = record["gate"]
     if record["pin"] is not None:
@@ -156,7 +114,7 @@ def _fault_id(record: Mapping[str, Any]) -> str:
     return f"{record['netlist']}::{location}/sa{record['stuck']}"
 
 
-def _atpg_plane(records: Sequence[Mapping[str, Any]], top_k: int) -> Dict[str, Any]:
+def _atpg_plane(records: Iterator[Dict[str, Any]], top_k: int) -> Dict[str, Any]:
     totals = {
         "aborted": 0, "backtracks": 0, "calls": 0, "decisions": 0,
         "detected": 0, "effort": 0, "implications": 0, "redundant": 0,
@@ -259,7 +217,8 @@ def _optimizer_plane(moves: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
 
 
 def build_artifact(
-    collector: AttribCollector,
+    atpg: Sequence[Tuple[Any, Any]],
+    moves: Sequence[Mapping[str, Any]],
     counters: Mapping[str, int],
     *,
     system: str,
@@ -269,13 +228,15 @@ def build_artifact(
 ) -> Dict[str, Any]:
     """Assemble the byte-stable ``repro-attrib`` artifact.
 
+    ``atpg`` is the run's ``(netlist, AtpgOutcome)`` pairs in run order
+    and ``moves`` its optimizer's :attr:`~repro.soc.optimizer.SocetOptimizer.moves`.
     ``counters`` must be the metrics-registry counter values accumulated
-    over exactly the attributed run (reset to run end), so the
-    reconciliation section can hold the ATPG plane to the existing
-    ``atpg.podem.*`` counters *exactly*.
+    over exactly that run (reset to run end), so the reconciliation
+    section can hold the ATPG plane to the ``atpg.podem.*`` counters
+    *exactly*.
     """
-    atpg = _atpg_plane(collector._podem, top_k)
-    totals = atpg["totals"]
+    atpg_plane = _atpg_plane(_search_records(atpg), top_k)
+    totals = atpg_plane["totals"]
     checks = (
         ("atpg.podem.calls", totals["calls"], counters.get("atpg.podem.calls", 0)),
         ("atpg.podem.decisions", totals["decisions"],
@@ -294,8 +255,8 @@ def build_artifact(
     }
     return {
         "planes": {
-            "atpg": atpg,
-            "optimizer": _optimizer_plane(collector._moves),
+            "atpg": atpg_plane,
+            "optimizer": _optimizer_plane(moves),
         },
         "quick": quick,
         "reconciliation": reconciliation,

@@ -1,4 +1,4 @@
-"""The exact counter gate over the run ledger, plus a rank test.
+"""The exact counter gate over the run ledger.
 
 ``repro regress`` compares a fresh run (the newest ledger record of each
 series) against the newest baseline record of the same series and
@@ -10,17 +10,13 @@ correctness alarm, never as noise.  Zero-valued counters are recorded
 by the ledger precisely so this gate can tell "zero" from "absent".
 
 Wall time is not gated here: it moves with the host, and speed claims
-are made on the end-to-end benchmark instead.  :func:`mann_whitney_p`,
-a one-sided rank test on raw timing samples, stays for benches that
-declare their own timing gate (``bench_explain``'s attribution
-overhead).
+are made on the end-to-end benchmark instead.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb, erfc, sqrt
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RegressionError
@@ -37,97 +33,12 @@ _DRIFTS = DEFAULT_REGISTRY.counter("regress.counter.drifts")
 
 
 # ----------------------------------------------------------------------
-# statistics
-# ----------------------------------------------------------------------
-def rank_sum_u(candidate: Sequence[float], baseline: Sequence[float]) -> Tuple[float, bool]:
-    """Mann-Whitney U of the candidate sample (midranks) and a tie flag."""
-    tagged = sorted(
-        [(value, 0) for value in candidate] + [(value, 1) for value in baseline]
-    )
-    ranks: List[float] = [0.0] * len(tagged)
-    index = 0
-    ties = False
-    while index < len(tagged):
-        stop = index
-        while stop + 1 < len(tagged) and tagged[stop + 1][0] == tagged[index][0]:
-            stop += 1
-        midrank = (index + stop) / 2.0 + 1.0
-        if stop > index:
-            ties = True
-        for position in range(index, stop + 1):
-            ranks[position] = midrank
-        index = stop + 1
-    rank_total = sum(
-        rank for rank, (_, group) in zip(ranks, tagged) if group == 0
-    )
-    n1 = len(candidate)
-    u = rank_total - n1 * (n1 + 1) / 2.0
-    return u, ties
-
-
-def _exact_u_tail(u_observed: float, n1: int, n2: int) -> float:
-    """Exact ``P(U >= u_observed)`` under H0 (no ties).
-
-    The U distribution's counts are the coefficients of the Gaussian
-    binomial ``C_q(n1+n2, n1)``, built up as the exact polynomial
-    product of ``(1 - q^(n2+i)) / (1 - q^i)`` for ``i = 1..n1``.
-    """
-    degree = n1 * n2
-    coeffs = [1] + [0] * degree
-    for i in range(1, n1 + 1):
-        shift = n2 + i
-        # multiply by (1 - q^shift): descending so old values are read
-        for j in range(degree, shift - 1, -1):
-            coeffs[j] -= coeffs[j - shift]
-        # divide by (1 - q^i): ascending cumulative sum with stride i
-        for j in range(i, degree + 1):
-            coeffs[j] += coeffs[j - i]
-    total = comb(n1 + n2, n1)
-    threshold = int(u_observed) if u_observed == int(u_observed) else int(u_observed) + 1
-    tail = sum(coeffs[max(0, threshold):])
-    return tail / total
-
-
-def mann_whitney_p(candidate: Sequence[float], baseline: Sequence[float]) -> float:
-    """One-sided p-value that the candidate is stochastically *greater*
-    (slower) than the baseline.  Exact for small tie-free samples, a
-    tie-corrected normal approximation otherwise."""
-    n1, n2 = len(candidate), len(baseline)
-    if not n1 or not n2:
-        raise RegressionError("Mann-Whitney needs non-empty samples on both sides")
-    u, ties = rank_sum_u(candidate, baseline)
-    if not ties and n1 * n2 <= 10_000:
-        return _exact_u_tail(u, n1, n2)
-    # normal approximation with tie correction
-    total = n1 + n2
-    values = sorted(list(candidate) + list(baseline))
-    tie_term = 0.0
-    index = 0
-    while index < len(values):
-        stop = index
-        while stop + 1 < len(values) and values[stop + 1] == values[index]:
-            stop += 1
-        size = stop - index + 1
-        tie_term += size**3 - size
-        index = stop + 1
-    mean = n1 * n2 / 2.0
-    variance = n1 * n2 / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
-    if variance <= 0:
-        return 1.0  # every observation identical: indistinguishable
-    z = (u - mean - 0.5) / sqrt(variance)  # continuity-corrected
-    return 0.5 * erfc(z / sqrt(2.0))
-
-
-# ----------------------------------------------------------------------
 # the counter gate
 # ----------------------------------------------------------------------
 #: counter prefixes the gate ignores.  ``exec.`` is execution-strategy
 #: bookkeeping -- plan-cache warmth -- that depends on prior runs, not
-#: on the planned work.  ``attrib.`` is the same class: how many
-#: attribution records were kept depends on whether the collector was
-#: on -- the attributed *totals* are gated through the counters they
-#: reconcile against (``atpg.podem.*``).
-COUNTER_IGNORE: Tuple[str, ...] = ("exec.", "attrib.")
+#: on the planned work.
+COUNTER_IGNORE: Tuple[str, ...] = ("exec.",)
 
 
 @dataclass

@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InfeasibleConstraintError
 from repro.obs import METRICS, profile_section
-from repro.obs.attrib import ATTRIB
 from repro.soc.plan import SocTestPlan, plan_soc_test
 from repro.soc.system import Soc
 from repro.transparency.versions import CoreVersion
@@ -94,39 +93,43 @@ class SocetOptimizer:
 
     def __init__(self, soc: Soc) -> None:
         self.soc = soc
+        #: every candidate move tried, in order (the attribution
+        #: artifact's optimizer plane)
+        self.moves: List[Dict[str, Any]] = []
+        #: the design points this optimizer has evaluated (revisits)
+        self._seen_points: Set[Tuple] = set()
 
     def _record_move(
         self,
-        move: Optional[Tuple[str, str, int, int]],
+        move: Tuple[str, str, int, int],
         before_plan: SocTestPlan,
         after_plan: Optional[SocTestPlan],
         outcome: str,
         forced: Set[Tuple[str, str]],
     ) -> None:
-        """Log one candidate move to the attribution trajectory.
+        """Append one candidate move to :attr:`moves`.
 
         ``after_plan`` is ``None`` for candidates rejected before a plan
-        was evaluated.
+        was evaluated (``cache: none``); a plan at a design point this
+        optimizer evaluated before is a revisit (``cache: hit``).
         """
-        if not ATTRIB.enabled or move is None:
-            return
         kind, subject, version_from, version_to = move
-        point = None
+        cache = "none"
         if after_plan is not None:
-            point = (
-                tuple(sorted(after_plan.selection.items())),
-                tuple(sorted(forced)),
-            )
-        ATTRIB.move_event(
-            kind=kind,
-            subject=subject,
-            version_from=version_from,
-            version_to=version_to,
-            tat_before=before_plan.total_tat,
-            tat_after=None if after_plan is None else after_plan.total_tat,
-            outcome=outcome,
-            point=point,
-        )
+            point = (tuple(sorted(after_plan.selection.items())), tuple(sorted(forced)))
+            cache = "hit" if point in self._seen_points else "miss"
+            self._seen_points.add(point)
+        self.moves.append({
+            "cache": cache,
+            "kind": kind,
+            "outcome": outcome,
+            "seq": len(self.moves),
+            "subject": subject,
+            "tat_after": None if after_plan is None else after_plan.total_tat,
+            "tat_before": before_plan.total_tat,
+            "version_from": version_from,
+            "version_to": version_to,
+        })
 
     # ------------------------------------------------------------------
     # the paper's latency-number heuristic

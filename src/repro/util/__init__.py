@@ -1,14 +1,11 @@
-"""Small shared utilities: bit packing, table rendering, name generation."""
+"""Small shared utilities: bit unpacking, table rendering, name generation."""
 
-from repro.util.bitops import bits_to_int, int_to_bits, pack_patterns, popcount64
+from repro.util.bitops import int_to_bits
 from repro.util.namegen import NameGenerator
 from repro.util.tables import render_table
 
 __all__ = [
-    "bits_to_int",
     "int_to_bits",
-    "pack_patterns",
-    "popcount64",
     "NameGenerator",
     "render_table",
 ]

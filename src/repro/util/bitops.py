@@ -1,33 +1,8 @@
-"""Bit-level helpers shared by the simulator, ATPG, and fault machinery.
-
-The logic simulator packs up to 64 test patterns into a single Python int
-(word-parallel simulation); these helpers convert between bit lists,
-integers, and packed pattern words.
-"""
+"""Bit-level helpers."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
-
-_M1 = 0x5555555555555555
-_M2 = 0x3333333333333333
-_M4 = 0x0F0F0F0F0F0F0F0F
-_H01 = 0x0101010101010101
-_MASK64 = (1 << 64) - 1
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Pack ``bits`` (LSB first) into an integer.
-
-    >>> bits_to_int([1, 0, 1])
-    5
-    """
-    value = 0
-    for position, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit at position {position} is {bit!r}, expected 0 or 1")
-        value |= bit << position
-    return value
+from typing import List
 
 
 def int_to_bits(value: int, width: int) -> List[int]:
@@ -39,39 +14,3 @@ def int_to_bits(value: int, width: int) -> List[int]:
     if value < 0:
         raise ValueError("value must be non-negative")
     return [(value >> i) & 1 for i in range(width)]
-
-
-def pack_patterns(patterns: Iterable[Sequence[int]], signal_count: int) -> List[int]:
-    """Pack up to 64 patterns into per-signal words.
-
-    ``patterns`` is an iterable of bit vectors (one per pattern, each of
-    length ``signal_count``).  The result is one word per signal where bit
-    *p* of word *s* is the value of signal *s* in pattern *p*.
-    """
-    words = [0] * signal_count
-    count = 0
-    for pattern_index, pattern in enumerate(patterns):
-        if pattern_index >= 64:
-            raise ValueError("at most 64 patterns can be packed into one word")
-        if len(pattern) != signal_count:
-            raise ValueError(
-                f"pattern {pattern_index} has {len(pattern)} bits, expected {signal_count}"
-            )
-        for signal_index, bit in enumerate(pattern):
-            if bit:
-                words[signal_index] |= 1 << pattern_index
-        count += 1
-    return words
-
-
-def popcount64(word: int) -> int:
-    """Count set bits in a 64-bit word (SWAR popcount).
-
-    >>> popcount64(0b1011)
-    3
-    """
-    word &= _MASK64
-    word -= (word >> 1) & _M1
-    word = (word & _M2) + ((word >> 2) & _M2)
-    word = (word + (word >> 4)) & _M4
-    return ((word * _H01) & _MASK64) >> 56

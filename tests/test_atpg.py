@@ -166,14 +166,17 @@ class TestRandomDraw:
 class TestCompaction:
     def test_compaction_preserves_coverage(self):
         n = c17_like()
-        atpg = CombinationalAtpg(n, seed=1, compact=False)
-        outcome = atpg.run()
+        rng = random.Random(1)
+        # the ATPG's (compacted) set plus random patterns it does not need
+        patterns = CombinationalAtpg(n, seed=1).run().patterns + [
+            {name: rng.getrandbits(1) for name in n.sources} for _ in range(16)
+        ]
         faults = collapse_faults(n, full_fault_universe(n))
-        before = FaultSimulator(n).run(outcome.patterns, faults)
-        compacted = compact_patterns(n, outcome.patterns, faults)
+        before = FaultSimulator(n).run(patterns, faults)
+        compacted = compact_patterns(n, patterns, faults)
         after = FaultSimulator(n).run(compacted, faults)
-        assert len(compacted) <= len(outcome.patterns)
-        assert len(after.detected) == len(before.detected)
+        assert len(compacted) < len(patterns)
+        assert set(after.detected) == set(before.detected)
 
     def test_empty_patterns(self):
         assert compact_patterns(c17_like(), [], []) == []

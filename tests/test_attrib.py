@@ -1,6 +1,7 @@
-"""Tests for search-effort attribution (:mod:`repro.obs.attrib`) and
-the pipeline run (:func:`repro.flow.profile.run_pipeline`) that carries
-it to ``repro profile``, ``report`` and ``explain``."""
+"""Tests for search-effort attribution (:mod:`repro.obs.attrib`), its
+two sources (each ATPG outcome's PODEM results, the optimizer's moves),
+and the pipeline run (:func:`repro.flow.profile.run_pipeline`) that
+carries it to ``repro profile``, ``report`` and ``explain``."""
 
 import json
 import os
@@ -9,8 +10,6 @@ import pytest
 
 from repro.errors import AttribSchemaError, LedgerSchemaError, UsageError
 from repro.obs.attrib import (
-    ATTRIB,
-    AttribCollector,
     artifact_json,
     build_artifact,
     effort_units,
@@ -25,19 +24,11 @@ from tests.test_kernel import reference_graders
 MAX_FAULTS = 12
 
 
-@pytest.fixture(autouse=True)
-def attribution_off():
-    """Every test starts and ends with the module collector disabled."""
-    ATTRIB.enabled = False
-    ATTRIB.reset()
-    yield
-    ATTRIB.enabled = False
-    ATTRIB.reset()
-
-
-def artifact_of(collector, top_k=5):
-    """The collector's state as the ``repro-attrib`` artifact reports it."""
-    return build_artifact(collector, {}, system="t", seed=0, quick=True, top_k=top_k)
+def artifact_of(atpg=(), moves=(), top_k=5):
+    """The ``repro-attrib`` artifact of ``(netlist, AtpgOutcome)`` pairs
+    and optimizer moves."""
+    return build_artifact(list(atpg), list(moves), {}, system="t", seed=0,
+                          quick=True, top_k=top_k)
 
 
 def explain(system="System1", **kwargs):
@@ -53,85 +44,128 @@ def explained_json(system="System1", **kwargs):
     return artifact_json(explain(system, **kwargs)["attrib"])
 
 
-# ----------------------------------------------------------------------
-# the collector
-# ----------------------------------------------------------------------
-class TestModes:
-    def test_default_is_off(self):
-        assert AttribCollector().enabled is False
+def gcd_atpg():
+    """The GCD core's netlist and its full ATPG outcome."""
+    from repro.atpg.combinational import CombinationalAtpg
+    from repro.designs import build_gcd
+    from repro.elaborate import elaborate
 
+    netlist = elaborate(build_gcd()).netlist
+    return netlist, CombinationalAtpg(netlist, seed=0).run()
+
+
+# ----------------------------------------------------------------------
+# plane 1: the PODEM results an ATPG run keeps
+# ----------------------------------------------------------------------
+class TestPodemPlane:
     def test_effort_units_weighs_backtracks_double(self):
         assert effort_units(10, 3, 20) == 10 + 6 + 20
 
-
-class TestCollector:
-    def build(self):
-        collector = AttribCollector()
-        collector.enabled = True
-        collector.podem_record({
-            "backtracks": 2, "cone_depth": 3, "decisions": 5, "gate": "g1",
-            "gate_kind": "and", "implications": 7, "netlist": "n", "pin": None,
-            "restarts": 0, "site": "stem", "status": "detected", "stuck": 0,
-        })
-        collector.move_event(
-            kind="upgrade", subject="CPU", version_from=1, version_to=2,
-            tat_before=100, tat_after=90, outcome="accept",
-            point=(("CPU", 1),),
-        )
-        return collector
-
-    def test_reset_keeps_mode(self):
-        collector = self.build()
-        collector.reset()
-        assert collector.enabled
-        assert artifact_of(collector) == artifact_of(AttribCollector())
-
-    def test_revisited_point_classifies_as_cache_hit(self):
-        collector = self.build()
-        collector.move_event(
-            kind="upgrade", subject="CPU", version_from=2, version_to=3,
-            tat_before=90, tat_after=95, outcome="reject-no-gain",
-            point=(("CPU", 1),),
-        )
-        plane = artifact_of(collector)["planes"]["optimizer"]
-        assert [event["cache"] for event in plane["events"]] == ["miss", "hit"]
-        assert plane["summary"]["revisits"] == 1
-
-    def test_hooks_are_noops_when_off(self):
-        from repro.atpg.podem import podem
-        from repro.designs import build_gcd
-        from repro.elaborate import elaborate
-        from repro.faults.model import full_fault_universe
-
-        netlist = elaborate(build_gcd()).netlist
-        for fault in full_fault_universe(netlist)[:3]:
-            podem(netlist, fault)
-        assert artifact_of(ATTRIB)["planes"]["atpg"]["totals"]["calls"] == 0
-
-
-# ----------------------------------------------------------------------
-# plane 1 wiring: PODEM effort records
-# ----------------------------------------------------------------------
-class TestPodemPlane:
     def test_podem_counts_implications_and_restarts(self):
-        from repro.atpg.podem import podem
-        from repro.designs import build_gcd
-        from repro.elaborate import elaborate
-        from repro.faults.model import full_fault_universe
+        from repro.atpg.podem import PodemStatus
 
-        netlist = elaborate(build_gcd()).netlist
-        ATTRIB.enabled = True
-        ATTRIB.reset()
-        for fault in full_fault_universe(netlist)[:6]:
-            result = podem(netlist, fault)
-            assert result.implications >= 1
+        netlist, outcome = gcd_atpg()
+        for _fault, result in outcome.searches:
+            # only a fault no observation point can see skips the search
+            searched = result.decisions or result.status is not PodemStatus.REDUNDANT
+            assert result.implications >= (1 if searched else 0)
             assert result.restarts >= 0
-        atpg = artifact_of(ATTRIB, top_k=6)["planes"]["atpg"]
-        assert atpg["totals"]["calls"] == 6
+        atpg = artifact_of([(netlist, outcome)], top_k=6)["planes"]["atpg"]
+        assert atpg["totals"]["calls"] == len(outcome.searches) > 6
+        assert len(atpg["hard_faults"]) == 6
         for entry in atpg["hard_faults"]:
             assert entry["site"] in ("stem", "pin", "flop-pin")
             assert entry["status"] in ("detected", "aborted", "redundant")
             assert entry["cone_depth"] >= 0
+
+    def test_fault_sites_are_classified(self):
+        from repro.atpg.combinational import AtpgOutcome
+        from repro.atpg.podem import podem
+        from repro.faults.coverage import CoverageReport
+        from repro.faults.model import Fault
+        from repro.gates import GateKind, GateNetlist
+
+        netlist = GateNetlist("n")
+        netlist.add_gate("a", GateKind.INPUT)
+        netlist.add_gate("b", GateKind.INPUT)
+        netlist.add_gate("g", GateKind.AND, ["a", "b"])
+        netlist.add_gate("q", GateKind.DFF, ["g"])
+        netlist.add_gate("o", GateKind.OUTPUT, ["q"])
+        netlist.validate()
+        faults = [Fault("g", None, 0), Fault("g", 0, 0), Fault("q", 0, 1)]
+        outcome = AtpgOutcome([], CoverageReport(total=3, detected=0),
+                              searches=[(fault, podem(netlist, fault)) for fault in faults])
+        hard = artifact_of([(netlist, outcome)], top_k=3)["planes"]["atpg"]["hard_faults"]
+        assert {entry["fault"]: (entry["site"], entry["gate_kind"]) for entry in hard} == {
+            "n::g/sa0": ("stem", "and"),
+            "n::g.pin0/sa0": ("pin", "and"),
+            "n::q.pin0/sa1": ("flop-pin", "dff"),
+        }
+
+    def test_searches_sum_to_podem_counters(self):
+        from repro.atpg.podem import PodemStatus
+        from repro.obs import METRICS
+
+        names = ("calls", "decisions", "backtracks", "aborts", "redundant")
+        before = {name: METRICS.counter(f"atpg.podem.{name}").value for name in names}
+        _netlist, outcome = gcd_atpg()
+        delta = {
+            name: METRICS.counter(f"atpg.podem.{name}").value - before[name]
+            for name in names
+        }
+        results = [result for _fault, result in outcome.searches]
+        assert delta == {
+            "calls": len(results),
+            "decisions": sum(result.decisions for result in results),
+            "backtracks": sum(result.backtracks for result in results),
+            "aborts": sum(result.status is PodemStatus.ABORTED for result in results),
+            "redundant": sum(result.status is PodemStatus.REDUNDANT for result in results),
+        }
+        assert delta["backtracks"] > 0
+
+
+# ----------------------------------------------------------------------
+# plane 2: the moves an optimizer keeps
+# ----------------------------------------------------------------------
+class TestOptimizerMoves:
+    def test_moves_fill_on_every_call(self):
+        from repro.designs import build_system1
+        from repro.soc.optimizer import SocetOptimizer, design_space
+
+        soc = build_system1()
+        optimizer = SocetOptimizer(soc)
+        assert optimizer.moves == []
+        optimizer.minimize_tat(10_000)
+        after_tat = len(optimizer.moves)
+        assert after_tat > 0
+        optimizer.minimize_area(min(point.tat for point in design_space(soc)))
+        moves = optimizer.moves
+        assert len(moves) > after_tat
+        assert [move["seq"] for move in moves] == list(range(len(moves)))
+        plane = artifact_of(moves=moves)["planes"]["optimizer"]
+        assert plane["summary"]["candidates"] == len(moves)
+        assert validate_artifact(artifact_of(moves=moves)) == []
+
+    def test_revisited_point_classifies_as_cache_hit(self):
+        from repro.designs import build_system1
+        from repro.soc import plan_soc_test
+        from repro.soc.optimizer import SocetOptimizer
+
+        soc = build_system1()
+        plan = plan_soc_test(soc)
+        upgrade = ("upgrade", "CPU", 1, 2)
+        optimizer = SocetOptimizer(soc)
+        optimizer._record_move(upgrade, plan, plan, "accept", set())
+        optimizer._record_move(upgrade, plan, plan, "reject-no-gain", set())
+        optimizer._record_move(upgrade, plan, plan, "accept", {("CPU", "DATA")})
+        optimizer._record_move(upgrade, plan, None, "reject-no-gain", set())
+        assert [move["cache"] for move in optimizer.moves] == ["miss", "hit", "miss", "none"]
+        plane = artifact_of(moves=optimizer.moves)["planes"]["optimizer"]
+        assert plane["summary"]["revisits"] == 1
+        # the points are the optimizer's own: another has evaluated none
+        other = SocetOptimizer(soc)
+        other._record_move(upgrade, plan, plan, "accept", set())
+        assert other.moves[0]["cache"] == "miss"
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +191,12 @@ class TestExplain:
     def test_byte_stable_across_runs(self):
         assert explained_json() == explained_json()
 
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_byte_identical_across_job_counts(self, jobs):
-        # the collector and the caches are process-wide: System1's
-        # artifact must not depend on how many explain jobs ran before it
+    @pytest.mark.parametrize("last_system", [2, 4])
+    def test_byte_identical_across_job_counts(self, last_system):
+        # the registry and the caches are process-wide: System1's
+        # artifact must not depend on how many runs came before it
         alone = explained_json()
-        for number in range(2, jobs + 1):
+        for number in range(2, last_system + 1):
             explain(f"System{number}")
         assert explained_json() == alone
 
@@ -176,13 +210,6 @@ class TestExplain:
         with reference_graders():
             reference = explained_json(system)
         assert explained_json(system) == reference
-
-    def test_mode_restored_after_run(self):
-        explain()
-        assert ATTRIB.enabled is False  # the run switched it on, then back
-        ATTRIB.enabled = True
-        explain()
-        assert ATTRIB.enabled is True
 
     def test_unknown_system_is_usage_error(self):
         with pytest.raises(UsageError, match="unknown system"):
@@ -231,7 +258,7 @@ class TestExplain:
 # ----------------------------------------------------------------------
 class TestValidator:
     def artifact(self):
-        return build_artifact(AttribCollector(), {}, system="System1", seed=0,
+        return build_artifact([], [], {}, system="System1", seed=0,
                               quick=True, top_k=10)
 
     def test_empty_run_validates(self):
@@ -435,39 +462,7 @@ class TestCli:
         record = RunLedger(ledger).latest("profile-System1-quick")
         assert record["kind"] == "profile"
         assert validate_artifact(record["attrib"]) == []
-        assert record["counters"]["attrib.podem.records"] > 0
-
-
-# ----------------------------------------------------------------------
-# attribution and the regression gate
-# ----------------------------------------------------------------------
-class TestExecutorDeltas:
-    def test_regress_gate_ignores_attrib_counters(self):
-        from repro.obs.regress import COUNTER_IGNORE as ignored
-
-        assert ignored == ("exec.", "attrib.")
-
-
-class TestRunPipeline:
-    def test_attribution_changes_no_work(self):
-        # the pipeline run with the collector on, against the driver's
-        # own stage sequence with it off: a hook that changed a decision
-        # would move a work counter or a result
-        from repro.designs import system_builders
-        from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline, run_stages
-        from repro.obs import METRICS
-
-        run = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
-        assert not ATTRIB.enabled
-        METRICS.reset()
-        results = run_stages(system_builders()["System1"], 0, QUICK_MAX_FAULTS)
-        plain = dict(METRICS.counters())
-
-        def work(counters):
-            return {name: value for name, value in counters.items()
-                    if not name.startswith(("attrib.", "exec."))}
-
-        assert run["counters"]["attrib.podem.records"] > 0
-        assert plain["attrib.podem.records"] == 0
-        assert work(run["counters"]) == work(plain)
-        assert run["results"] == results
+        totals = record["attrib"]["planes"]["atpg"]["totals"]
+        assert totals["calls"] == record["counters"]["atpg.podem.calls"] > 0
+        # attribution reads the run's results: it keeps no counter of its own
+        assert not [name for name in record["counters"] if name.startswith("attrib.")]

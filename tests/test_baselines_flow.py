@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines import fscan_bscan_report, evaluate_test_bus
-from repro.designs import build_display, build_system1, build_system2
+from repro.designs import build_system1, build_system2
 from repro.dft.tat import fscan_bscan_core_tat
-from repro.flow import flatten_soc, prepare_core
+from repro.flow import flatten_soc
 from repro.gates import GateKind, SequentialSimulator
 from repro.soc import plan_soc_test, synthesize_controller
 from repro.soc.controller import clock_enable_trace
@@ -107,17 +107,6 @@ class TestController:
         # exactly one scan-clock pulse per cadence during the scan phase
         scan_part = trace[: core_plan.scan_steps * core_plan.cadence]
         assert sum(scan_part) == core_plan.scan_steps
-
-
-class TestCoreLevelFlow:
-    def test_prepare_core_products(self):
-        prep = prepare_core(build_display())
-        assert prep.vector_count > 0
-        assert prep.atpg.report.fault_coverage > 90.0
-        assert prep.functional_area > 0
-        table = prep.version_latency_table()
-        assert table[0]["version"] == "Version 1"
-        assert any(k.startswith("propagate") for k in table[0])
 
 
 class TestFlowDriver:

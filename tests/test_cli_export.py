@@ -22,6 +22,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Version 1" in out and "ATPG" in out
 
+    def test_versions_display_table_and_atpg_line(self, capsys):
+        assert main(["versions", "DISPLAY"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "DISPLAY: transparency versions"
+        assert lines[1].split()[:2] == ["version", "cells"]
+        assert "propagate" in lines[1].split()
+        assert lines[3].startswith("Version 1 ")
+        atpg = lines[-1].replace(",", "").replace("%", "").split()
+        assert atpg[0] == "ATPG:" and int(atpg[1]) > 0 and atpg[2] == "vectors"
+        assert atpg[3] == "FC" and float(atpg[4]) > 90.0
+
     def test_versions_unknown_core(self):
         with pytest.raises(SystemExit):
             main(["versions", "NOPE"])

@@ -17,14 +17,11 @@ and records the regeneration, and why, in CHANGES.md.
 from pathlib import Path
 
 from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
-from repro.obs.attrib import ATTRIB, artifact_json
+from repro.obs.attrib import artifact_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "attrib-System1-quick.json"
 
 
 def test_system1_quick_artifact_is_byte_identical():
-    try:
-        record = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
-    finally:
-        ATTRIB.reset()
+    record = run_pipeline("System1", max_faults=QUICK_MAX_FAULTS)
     assert artifact_json(record["attrib"]) == FIXTURE.read_text()

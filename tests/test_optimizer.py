@@ -1,9 +1,10 @@
 """Edge-path tests for the SOCET optimizer.
 
-Covers the ``minimize_area`` infeasible-budget error, the
-``minimize_tat`` no-improving-move early exit, its feasibility at every
-design-space cell count, and the objective (the serial sum
-``total_tat``, never a schedule's makespan).
+Covers the ``minimize_area`` infeasible-budget error and its
+feasibility at every design-space TAT, the ``minimize_tat``
+no-improving-move early exit and its feasibility at every design-space
+cell count, and the objective (the serial sum ``total_tat``, never a
+schedule's makespan).
 """
 
 import pytest
@@ -65,6 +66,14 @@ class TestMinimizeAreaEdges:
         result, trajectory = SocetOptimizer(soc).minimize_area(plan.total_tat)
         assert len(trajectory) == 1
         assert result.selection == plan.selection
+
+    @pytest.mark.parametrize("system", sorted(system_builders()))
+    def test_every_design_tat_is_a_feasible_budget(self, system):
+        soc = system_builders()[system]()
+        optimizer = SocetOptimizer(soc)
+        for budget in sorted({point.tat for point in design_space(soc)}):
+            plan, _ = optimizer.minimize_area(budget)
+            assert plan.total_tat <= budget
 
 
 class TestMinimizeTatEdges:

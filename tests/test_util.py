@@ -4,20 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util import NameGenerator, bits_to_int, int_to_bits, pack_patterns, popcount64, render_table
+from repro.util import NameGenerator, int_to_bits, render_table
 
 
 class TestBitops:
-    def test_bits_to_int_basic(self):
-        assert bits_to_int([1, 0, 1]) == 5
-
-    def test_bits_to_int_empty(self):
-        assert bits_to_int([]) == 0
-
-    def test_bits_to_int_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            bits_to_int([0, 2])
-
     def test_int_to_bits_basic(self):
         assert int_to_bits(5, 4) == [1, 0, 1, 0]
 
@@ -27,32 +17,14 @@ class TestBitops:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_roundtrip(self, value):
-        assert bits_to_int(int_to_bits(value, 33)) == value
+        bits = int_to_bits(value, 33)
+        assert bits[32] == 0
+        assert sum(bit << position for position, bit in enumerate(bits)) == value
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64))
     def test_roundtrip_bits(self, bits):
-        assert int_to_bits(bits_to_int(bits), len(bits)) == bits
-
-    def test_pack_patterns(self):
-        words = pack_patterns([[1, 0], [1, 1], [0, 1]], signal_count=2)
-        assert words == [0b011, 0b110]
-
-    def test_pack_patterns_rejects_wide(self):
-        with pytest.raises(ValueError):
-            pack_patterns([[1]] * 65, signal_count=1)
-
-    def test_pack_patterns_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            pack_patterns([[1, 0], [1]], signal_count=2)
-
-    def test_popcount64(self):
-        assert popcount64(0) == 0
-        assert popcount64(0b1011) == 3
-        assert popcount64((1 << 64) - 1) == 64
-
-    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
-    def test_popcount_matches_bincount(self, word):
-        assert popcount64(word) == bin(word).count("1")
+        value = sum(bit << position for position, bit in enumerate(bits))
+        assert int_to_bits(value, len(bits)) == bits
 
 
 class TestNameGenerator:
