@@ -17,12 +17,11 @@ the result as a machine-checkable artifact; the lint layer's
     advisories.
 ``certify``
     per-version proofs and coverage gaps, and chip-level composition,
-    into a stable JSON :class:`Certificate` (:func:`certify_soc`).
+    into a stable JSON :class:`Certificate` (:func:`certify_soc`) whose
+    shape is ``CERTIFICATE_SHAPE`` (``repro validate`` checks it).
 ``differential``
     the identity anchor: replay every proved path on the gate-level
     simulator (:func:`replay_soc`) -- "proved" must mean "transports".
-``schema``
-    structural validation of emitted certificate JSON (CI).
 
 Everything here is deterministic by construction: iteration is over
 sorted sequences only (codestyle rule DET004), so certificates are
@@ -56,10 +55,6 @@ from repro.analysis.muxsat import (
     check_path_selects,
 )
 from repro.analysis.provenance import ProvenanceSegment, SliceProof, prove_path
-
-# NOTE: repro.analysis.schema is intentionally not imported here -- it
-# runs as ``python -m repro.analysis.schema`` in CI, and importing it
-# from the package __init__ would trip the double-import RuntimeWarning.
 
 __all__ = [
     "CERTIFICATE_KIND",

@@ -33,9 +33,83 @@ from repro.lint.diagnostics import Diagnostic, Severity, location
 from repro.obs import METRICS, profile_section
 from repro.rtl.types import Slice
 from repro.transparency.rcg import RCG
+from repro.util.schema import ANY, INTEGER, ListOf, Object, one_of
 
 CERTIFICATE_SCHEMA_VERSION = 2
 CERTIFICATE_KIND = "repro-certificate"
+
+
+def _status_agrees_with_problems(path):
+    """A proved path lists no problems; a refuted one lists at least one."""
+    if path["status"] == "proved" and path["problems"]:
+        yield ".problems", "must be empty on a proved path"
+    if path["status"] == "refuted" and not path["problems"]:
+        yield ".problems", "must not be empty on a refuted path"
+
+
+def _proved_version_misses_nothing(version):
+    """A proved version has no coverage gap."""
+    if version["proved"] is True and version["missing"]:
+        yield ".missing", "must be empty on a proved version"
+
+
+def _summary_counts_what_is_listed(certificate):
+    """The summary's path, proved and refuted-route counts match the lists."""
+    paths = [path for version in certificate["versions"] for path in version["paths"]]
+    listed = (
+        ("paths", len(paths), "paths listed"),
+        ("proved", sum(1 for path in paths if path["status"] == "proved"),
+         "proved paths"),
+        ("routes_refuted",
+         sum(1 for route in certificate["routes"] if route["status"] == "refuted"),
+         "refuted routes"),
+    )
+    for key, count, what in listed:
+        if certificate["summary"][key] != count:
+            yield f".summary.{key}", f"must be {count}, the number of {what}"
+
+
+#: what :meth:`Certificate.to_dict` writes, checked by ``repro validate``
+CERTIFICATE_SHAPE = Object(
+    {
+        "kind": one_of(CERTIFICATE_KIND),
+        "schema": one_of(CERTIFICATE_SCHEMA_VERSION),
+        "system": ANY,
+        "selection": ANY,
+        "certified": ANY,
+        "summary": Object({
+            key: INTEGER
+            for key in ("versions", "paths", "proved", "refuted", "routes",
+                        "routes_refuted")
+        }),
+        "versions": ListOf(Object(
+            {
+                "core": ANY, "index": ANY, "name": ANY, "proved": ANY,
+                "paths": ListOf(Object(
+                    {
+                        "core": ANY, "version": ANY, "version_name": ANY,
+                        "direction": ANY, "port": ANY,
+                        "status": one_of("proved", "refuted"),
+                        "proof": ANY, "select_demands": ANY,
+                        "select_conflicts": ANY, "select_advisories": ANY,
+                        "problems": ANY,
+                    },
+                    rules=(_status_agrees_with_problems,),
+                )),
+                "missing": ListOf(ANY),
+            },
+            rules=(_proved_version_misses_nothing,),
+        )),
+        "routes": ListOf(Object({
+            "core": ANY, "kind": ANY, "port": ANY, "latency": ANY,
+            "via_test_mux": ANY, "status": one_of("pin", "certified", "refuted"),
+            "problems": ANY,
+        })),
+        "plan_error": ANY,
+        "test_muxes": ANY,
+    },
+    rules=(_summary_counts_what_is_listed,),
+)
 
 
 def path_location(system: str, core: str, version_index: int, port: str) -> str:

@@ -18,6 +18,7 @@ Usage (after ``pip install -e .``)::
     python -m repro report System1 --quick    # ...the same run as a markdown report
     python -m repro explain System1 --quick   # ...its repro-attrib artifact (JSON)
     python -m repro regress --ledger L.jsonl  # exact counter gate
+    python -m repro validate cert.json L.jsonl  # schema check of any artifact
 
 ``compare``, ``profile``, ``report`` and ``explain`` run the one flow
 driver once (:func:`repro.flow.profile.run_pipeline`, the paper's whole
@@ -417,19 +418,12 @@ def cmd_profile(args) -> int:
 
 def cmd_regress(args) -> int:
     from repro.errors import RegressionError
-    from repro.obs.regress import COUNTER_IGNORE, compare_ledgers
+    from repro.obs.regress import compare_ledgers
 
     candidate = _read_ledger(args.ledger, "ledger")
     baseline = _read_ledger(args.baseline, "baseline ledger") if args.baseline else None
-    # empty prefixes would match every counter; drop them defensively
-    ignore = tuple(p for p in (args.ignore_counter or ()) if p)
     try:
-        report = compare_ledgers(
-            candidate,
-            baseline,
-            benches=args.bench or None,
-            ignore=ignore if args.ignore_counter else COUNTER_IGNORE,
-        )
+        report = compare_ledgers(candidate, baseline, benches=args.bench or None)
     except RegressionError as error:
         raise UsageError(str(error))
     print(report.to_json() if args.json else report.render())
@@ -479,6 +473,62 @@ def cmd_explain(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_validate(args) -> int:
+    failures = 0
+    for path in args.files:
+        kind, problems = _validate_file(path)
+        if problems:
+            failures += 1
+            print(f"FAIL {path}: {'; '.join(problems)}")
+        else:
+            print(f"ok   {path} ({kind})")
+    return 1 if failures else 0
+
+
+def _validate_file(path: str):
+    """One artifact file's kind and every problem in it."""
+    import json
+
+    from repro.analysis.certify import CERTIFICATE_KIND, CERTIFICATE_SHAPE
+    from repro.obs.attrib import ARTIFACT_SHAPE, ATTRIB_SCHEMA
+    from repro.obs.ledger import LEDGER_SCHEMA, RECORD_SHAPE
+    from repro.util.schema import check
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, ValueError) as error:
+        return None, [f"cannot read: {getattr(error, 'strerror', None) or error}"]
+    if path.endswith(".jsonl"):
+        problems = []
+        records = 0
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if not line.strip():
+                continue
+            records += 1
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as error:  # or nested too deep
+                problems.append(f"line {lineno}: not JSON: {error}")
+                continue
+            problems.extend(f"line {lineno}: {p}" for p in check(RECORD_SHAPE, record))
+        return f"{LEDGER_SCHEMA}, {records} records", problems
+    try:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as error:
+        return None, [f"not JSON: {error}"]
+    shapes = {
+        CERTIFICATE_KIND: CERTIFICATE_SHAPE,
+        LEDGER_SCHEMA: RECORD_SHAPE,
+        ATTRIB_SCHEMA: ARTIFACT_SHAPE,
+    }
+    if isinstance(document, dict):
+        for marker in (document.get("schema"), document.get("kind")):
+            if isinstance(marker, str) and marker in shapes:
+                return marker, check(shapes[marker], document)
+    return None, [f"no schema or kind marker names a known kind ({', '.join(shapes)})"]
 
 
 # ----------------------------------------------------------------------
@@ -689,11 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the record before the newest in --ledger",
     )
     p_regress.add_argument(
-        "--ignore-counter", action="append", metavar="PREFIX",
-        help="counter prefix excluded from the exact gate (repeatable; "
-             "default: exec.)",
-    )
-    p_regress.add_argument(
         "--json", action="store_true",
         help="emit the verdicts as a stable JSON document",
     )
@@ -739,8 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Writes the byte-stable 'repro-attrib' artifact of one pipeline\n"
             "run: the top-K hardest faults (PODEM effort ledger, reconciled\n"
             "exactly against the atpg.podem.* counters) and the optimizer's\n"
-            "move trajectory.  Check it offline with 'python -m\n"
-            "repro.obs.ledger FILE'; 'repro report' renders the same planes.\n"
+            "move trajectory.  Check it offline with 'repro validate FILE';\n"
+            "'repro report' renders the same planes.\n"
         ),
     )
     p_explain.add_argument(
@@ -750,6 +795,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("-o", "--output", metavar="FILE",
                            help="output file (default stdout)")
     p_explain.set_defaults(func=cmd_explain)
+
+    p_validate = sub.add_parser(
+        "validate", help="check certificates, ledgers and attribution artifacts",
+        parents=[obs],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=(
+            "A .jsonl file is a run ledger, checked line by line; any other\n"
+            "file is one repro-certificate, repro-ledger or repro-attrib\n"
+            "document, told apart by its schema or kind marker.  Prints one\n"
+            "ok or FAIL line per file.\n\n"
+            "exit codes:\n"
+            "  0  every file conforms\n"
+            "  1  a file is malformed, unreadable or of no known kind\n"
+            "  2  usage error (no file named)\n"
+        ),
+    )
+    p_validate.add_argument("files", nargs="+", metavar="FILE")
+    p_validate.set_defaults(func=cmd_validate)
 
     return parser
 

@@ -71,12 +71,7 @@ class ObservabilityError(ReproError):
 
 
 class LedgerSchemaError(ObservabilityError):
-    """A run-ledger record or JSONL file (or an unrecognised document)
-    violates its schema."""
-
-
-class AttribSchemaError(ObservabilityError):
-    """A search-effort attribution artifact violates the attrib schema."""
+    """A run-ledger record or JSONL file violates its schema."""
 
 
 class RegressionError(ObservabilityError):

@@ -12,11 +12,10 @@ Zero-dependency subsystem; instrumentation never forks hot-path code:
   ``repro report``;
 * :mod:`repro.obs.attrib` -- the ``repro-attrib`` search-effort
   artifact, built from what a pipeline run returns (each ATPG outcome's
-  PODEM results, the optimizer's moves), and its validator;
+  PODEM results, the optimizer's moves), and its shape;
 * :mod:`repro.obs.ledger` -- the ``repro-ledger`` record, the one form a
-  measured run (a bench, a pipeline run) takes, the JSONL ledger that
-  stores records, and their file validator.  It runs as ``python -m
-  repro.obs.ledger``, so this package does not import it;
+  measured run (a bench, a pipeline run) takes, its shape, and the
+  JSONL ledger that stores records;
 * :mod:`repro.obs.regress` -- the exact counter gate over ledgers, and
   :mod:`repro.obs.report` -- one pipeline run's record as markdown,
   HTML or JSON.

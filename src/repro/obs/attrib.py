@@ -24,12 +24,11 @@ ATPG outcomes and its optimizer's moves and embeds it in its ledger
 record's ``attrib`` field; nothing is collected on the side.
 
 Artifacts are byte-stable sorted JSON under the ``repro-attrib`` schema
-(version |ATTRIB_SCHEMA_VERSION|), validated by the dependency-free
-checker in :func:`validate_artifact`; ``python -m repro.obs.ledger
-FILE...`` runs it on artifact files.  The artifact's reconciliation
-section holds the ATPG plane, summed from the outcomes, to the
-``atpg.podem.*`` counters ``podem()`` feeds: two independent paths to
-the same totals.
+(version |ATTRIB_SCHEMA_VERSION|), whose shape is :data:`ARTIFACT_SHAPE`;
+``repro validate FILE...`` checks artifact files against it.  The
+artifact's reconciliation section holds the ATPG plane, summed from the
+outcomes, to the ``atpg.podem.*`` counters ``podem()`` feeds: two
+independent paths to the same totals.
 """
 
 from __future__ import annotations
@@ -37,7 +36,19 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.errors import AttribSchemaError
+from repro.util.schema import (
+    ANY,
+    BOOLEAN,
+    COUNT,
+    INTEGER,
+    POSITIVE,
+    TEXT,
+    ListOf,
+    Object,
+    check,
+    one_of,
+    version,
+)
 
 #: JSON schema marker / version of the attribution artifact.
 ATTRIB_SCHEMA = "repro-attrib"
@@ -274,144 +285,67 @@ def artifact_json(artifact: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# schema validation (dependency-free; ``python -m repro.obs.ledger``)
+# the artifact's shape (``repro validate``)
 # ----------------------------------------------------------------------
-_HARD_FAULT_FIELDS = (
-    "abort_cause", "backtracks", "calls", "cone_depth", "decisions",
-    "effort", "fault", "gate_kind", "implications", "restarts", "site",
-    "status",
-)
-_EVENT_FIELDS = (
-    "cache", "kind", "outcome", "seq", "subject", "tat_after",
-    "tat_before", "version_from", "version_to",
-)
+def _seq_is_index(events):
+    """Events are numbered in order from 0, without gaps."""
+    for index, event in enumerate(events):
+        if event["seq"] != index:
+            yield f"[{index}].seq", f"must be {index}"
 
 
-def _count_problems(mapping: Any, fields: Sequence[str], label: str,
-                    problems: List[str]) -> None:
-    if not isinstance(mapping, dict):
-        problems.append(f"{label} must be an object")
-        return
-    for name in fields:
-        value = mapping.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            problems.append(f"{label}.{name} must be a non-negative integer")
+def _ok_is_agreement(row):
+    """A reconciliation row is ok exactly when its two counts agree."""
+    agree = row["attrib"] == row["counter"]
+    if row["ok"] is not agree:
+        yield ".ok", (f"must be {str(agree).lower()}: attrib {row['attrib']}, "
+                      f"counter {row['counter']}")
+
+
+#: what :func:`build_artifact` writes; a ledger record's ``attrib``
+#: field has the same shape
+ARTIFACT_SHAPE = Object({
+    "schema": one_of(ATTRIB_SCHEMA),
+    "schema_version": version(ATTRIB_SCHEMA_VERSION, oldest=ATTRIB_SCHEMA_VERSION),
+    "system": TEXT,
+    "seed": INTEGER,
+    "quick": BOOLEAN,
+    "top_k": POSITIVE,
+    "planes": Object({
+        "atpg": Object({
+            "totals": Object({
+                name: COUNT
+                for name in ("aborted", "backtracks", "calls", "decisions",
+                             "detected", "effort", "implications", "redundant",
+                             "restarts")
+            }),
+            "hard_faults": ListOf(Object({
+                "abort_cause": ANY, "backtracks": ANY, "calls": ANY,
+                "cone_depth": ANY, "decisions": ANY, "effort": ANY, "fault": ANY,
+                "gate_kind": ANY, "implications": ANY, "restarts": ANY,
+                "site": ANY, "status": one_of(*_PODEM_STATUSES),
+            })),
+        }),
+        "optimizer": Object({
+            "events": ListOf(
+                Object({
+                    name: ANY
+                    for name in ("cache", "kind", "outcome", "seq", "subject",
+                                 "tat_after", "tat_before", "version_from",
+                                 "version_to")
+                }),
+                rules=(_seq_is_index,),
+            ),
+            "summary": Object({}),
+        }),
+    }),
+    "reconciliation": Object({}, extra=Object(
+        {"attrib": COUNT, "counter": COUNT, "ok": BOOLEAN},
+        rules=(_ok_is_agreement,),
+    )),
+})
 
 
 def validate_artifact(payload: Any) -> List[str]:
     """Return all schema problems of one artifact (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return ["artifact must be a JSON object"]
-    if payload.get("schema") != ATTRIB_SCHEMA:
-        problems.append(f"schema must be {ATTRIB_SCHEMA!r}")
-    version = payload.get("schema_version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        problems.append("schema_version must be an integer")
-    elif version > ATTRIB_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version {version} is newer than this checker "
-            f"({ATTRIB_SCHEMA_VERSION})"
-        )
-    elif version < ATTRIB_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version {version} is no longer read; this checker "
-            f"reads only v{ATTRIB_SCHEMA_VERSION}"
-        )
-    if not isinstance(payload.get("system"), str) or not payload.get("system"):
-        problems.append("system must be a non-empty string")
-    if not isinstance(payload.get("seed"), int) or isinstance(payload.get("seed"), bool):
-        problems.append("seed must be an integer")
-    if not isinstance(payload.get("quick"), bool):
-        problems.append("quick must be a boolean")
-    top_k = payload.get("top_k")
-    if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
-        problems.append("top_k must be a positive integer")
-
-    planes = payload.get("planes")
-    if not isinstance(planes, dict):
-        problems.append("planes must be an object")
-        planes = {}
-    for name in ("atpg", "optimizer"):
-        if not isinstance(planes.get(name), dict):
-            problems.append(f"planes.{name} must be an object")
-
-    atpg = planes.get("atpg")
-    if isinstance(atpg, dict):
-        _count_problems(
-            atpg.get("totals"),
-            ("aborted", "backtracks", "calls", "decisions", "detected",
-             "effort", "implications", "redundant", "restarts"),
-            "planes.atpg.totals", problems,
-        )
-        hard = atpg.get("hard_faults")
-        if not isinstance(hard, list):
-            problems.append("planes.atpg.hard_faults must be a list")
-        else:
-            for index, entry in enumerate(hard):
-                if not isinstance(entry, dict):
-                    problems.append(
-                        f"planes.atpg.hard_faults[{index}] must be an object")
-                    continue
-                missing = [f for f in _HARD_FAULT_FIELDS if f not in entry]
-                if missing:
-                    problems.append(
-                        f"planes.atpg.hard_faults[{index}] missing "
-                        f"{', '.join(missing)}"
-                    )
-                elif entry.get("status") not in _PODEM_STATUSES:
-                    problems.append(
-                        f"planes.atpg.hard_faults[{index}].status must be "
-                        f"one of {', '.join(_PODEM_STATUSES)}"
-                    )
-
-    optimizer = planes.get("optimizer")
-    if isinstance(optimizer, dict):
-        events = optimizer.get("events")
-        if not isinstance(events, list):
-            problems.append("planes.optimizer.events must be a list")
-        else:
-            for index, event in enumerate(events):
-                if not isinstance(event, dict):
-                    problems.append(
-                        f"planes.optimizer.events[{index}] must be an object")
-                    continue
-                missing = [f for f in _EVENT_FIELDS if f not in event]
-                if missing:
-                    problems.append(
-                        f"planes.optimizer.events[{index}] missing "
-                        f"{', '.join(missing)}"
-                    )
-                elif event.get("seq") != index:
-                    problems.append(
-                        f"planes.optimizer.events[{index}].seq must be {index}"
-                    )
-        if not isinstance(optimizer.get("summary"), dict):
-            problems.append("planes.optimizer.summary must be an object")
-
-    reconciliation = payload.get("reconciliation")
-    if not isinstance(reconciliation, dict):
-        problems.append("reconciliation must be an object")
-    else:
-        for name, entry in sorted(reconciliation.items()):
-            if not isinstance(entry, dict):
-                problems.append(f"reconciliation[{name!r}] must be an object")
-                continue
-            _count_problems(entry, ("attrib", "counter"),
-                            f"reconciliation[{name!r}]", problems)
-            if isinstance(entry.get("attrib"), int) and isinstance(entry.get("counter"), int):
-                expected = entry["attrib"] == entry["counter"]
-                if entry.get("ok") is not expected:
-                    problems.append(
-                        f"reconciliation[{name!r}].ok disagrees with its "
-                        f"attrib/counter values"
-                    )
-    return problems
-
-
-def require_valid_artifact(payload: Any) -> Dict[str, Any]:
-    """Validate an artifact, raising :class:`AttribSchemaError` on problems."""
-    problems = validate_artifact(payload)
-    if problems:
-        raise AttribSchemaError("; ".join(problems))
-    return payload
+    return check(ARTIFACT_SHAPE, payload)

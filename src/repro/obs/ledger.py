@@ -34,9 +34,8 @@ with a single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
 writers (parallel bench shards, CI matrix jobs sharing a volume)
 interleave whole records, never partial lines.
 
-Run ``python -m repro.obs.ledger FILE...`` to validate ``*.jsonl``
-ledgers, single ledger records and ``repro-attrib`` artifacts; any
-other document fails.
+:data:`RECORD_SHAPE` is the record's schema; ``repro validate FILE...``
+checks ledgers and single records against it.
 """
 
 from __future__ import annotations
@@ -49,8 +48,22 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import LedgerSchemaError, ObservabilityError
+from repro.errors import LedgerSchemaError
+from repro.obs.attrib import ARTIFACT_SHAPE
 from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
+from repro.util.schema import (
+    ANY,
+    NUMBER,
+    STRING,
+    TEXT,
+    ListOf,
+    Object,
+    check,
+    is_number,
+    leaf,
+    one_of,
+    version,
+)
 
 # module scope so the instrument exists (as zero) in any snapshot taken
 # after this module is imported -- lazy creation would make the counter
@@ -64,7 +77,7 @@ LEDGER_SCHEMA = "repro-ledger"
 #: 3 -- adds the optional ``histograms`` field ({name: summary dict};
 #: first percentile summaries, now section totals);
 #: 4 -- adds the optional ``attrib`` field (a full ``repro-attrib``
-#: search-effort artifact, validated against :mod:`repro.obs.attrib` on
+#: search-effort artifact, checked against the artifact's own shape on
 #: append; every profile record carries one) and a kind "explain", since
 #: retired (``repro explain`` writes no ledger record)
 LEDGER_SCHEMA_VERSION = 4
@@ -72,18 +85,35 @@ LEDGER_SCHEMA_VERSION = 4
 #: record kinds the schema admits
 RECORD_KINDS = ("bench", "profile")
 
-_REQUIRED_FIELDS = {
-    "schema": str,
-    "schema_version": int,
-    "bench": str,
-    "kind": str,
-    "timestamp": str,
-    "samples": list,
-    "counters": dict,
-    "env": dict,
-}
-
-_ENV_FIELDS = ("python", "platform", "cpus")
+#: what :func:`make_record` writes, checked on every append and read
+#: and by ``repro validate``.  ``histograms`` entries hold ``count`` and
+#: ``sum`` and any other statistic (``self``, or an older record's order
+#: statistics, null when empty); ``env`` may carry extra keys (older
+#: records have ``repro_jobs``)
+RECORD_SHAPE = Object(
+    {
+        "schema": one_of(LEDGER_SCHEMA),
+        "schema_version": version(LEDGER_SCHEMA_VERSION),
+        "bench": TEXT,
+        "kind": one_of(*RECORD_KINDS),
+        "timestamp": STRING,
+        "git_sha": leaf("a string or null",
+                        lambda value: value is None or isinstance(value, str)),
+        "samples": ListOf(
+            leaf("a non-negative number", lambda value: is_number(value) and value >= 0),
+            nonempty=True,
+        ),
+        "counters": Object({}, extra=NUMBER),
+        "env": Object({"python": ANY, "platform": ANY, "cpus": ANY}),
+    },
+    optional={
+        "histograms": Object({}, extra=Object(
+            {"count": NUMBER, "sum": NUMBER},
+            extra=leaf("a number or null", lambda value: value is None or is_number(value)),
+        )),
+        "attrib": ARTIFACT_SHAPE,
+    },
+)
 
 
 # ----------------------------------------------------------------------
@@ -182,95 +212,9 @@ def make_record(
 # ----------------------------------------------------------------------
 def validate_record(record: Dict) -> None:
     """Raise :class:`LedgerSchemaError` listing every schema violation."""
-    if not isinstance(record, dict):
-        raise LedgerSchemaError(
-            f"ledger record must be an object, got {type(record).__name__}"
-        )
-    problems: List[str] = []
-    for field, kinds in _REQUIRED_FIELDS.items():
-        if field not in record:
-            problems.append(f"missing field {field!r}")
-        elif not isinstance(record[field], kinds):
-            problems.append(f"field {field!r} has type {type(record[field]).__name__}")
-    if not problems:
-        if record["schema"] != LEDGER_SCHEMA:
-            problems.append(
-                f"schema is {record['schema']!r}, expected {LEDGER_SCHEMA!r}"
-            )
-        if record["schema_version"] > LEDGER_SCHEMA_VERSION:
-            problems.append(
-                f"schema_version {record['schema_version']} is newer than "
-                f"{LEDGER_SCHEMA_VERSION}"
-            )
-        if not record["bench"]:
-            problems.append("bench name is empty")
-        if record["kind"] not in RECORD_KINDS:
-            problems.append(f"kind {record['kind']!r} not in {RECORD_KINDS}")
-        if "git_sha" not in record:
-            problems.append("missing field 'git_sha' (null is fine)")
-        elif not isinstance(record["git_sha"], (str, type(None))):
-            problems.append("field 'git_sha' must be a string or null")
-        if not record["samples"]:
-            problems.append("samples list is empty")
-        for index, value in enumerate(record["samples"]):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"sample {index} is not a number")
-            elif value < 0:
-                problems.append(f"sample {index} is negative")
-        for key, value in record["counters"].items():
-            if not isinstance(key, str) or not isinstance(value, (int, float)):
-                problems.append(f"counter {key!r} is not a string->number entry")
-        for field in _ENV_FIELDS:
-            if field not in record["env"]:
-                problems.append(f"env misses {field!r}")
-        if "histograms" in record:
-            problems.extend(_histogram_problems(record["histograms"]))
-        if "attrib" in record:
-            problems.extend(_attrib_problems(record["attrib"]))
+    problems = check(RECORD_SHAPE, record)
     if problems:
         raise LedgerSchemaError("; ".join(problems))
-
-
-def _histogram_problems(histograms) -> List[str]:
-    """Schema checks for the optional v3 ``histograms`` field.
-
-    Each entry is a summary dict; ``count``/``sum`` are required and
-    numeric, any other field (``self``, or an older record's order
-    statistics, ``None`` when empty) is a number or ``None``.
-    """
-    if not isinstance(histograms, dict):
-        return ["field 'histograms' must be an object"]
-    problems: List[str] = []
-    for name, summary in histograms.items():
-        if not isinstance(name, str) or not isinstance(summary, dict):
-            problems.append(f"histogram {name!r} is not a string->object entry")
-            continue
-        for field in ("count", "sum"):
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"histogram {name!r} misses numeric {field!r}")
-        for field, value in summary.items():
-            if field in ("count", "sum"):
-                continue
-            if value is not None and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
-                problems.append(
-                    f"histogram {name!r} stat {field!r} is neither a number nor null"
-                )
-    return problems
-
-
-def _attrib_problems(attrib) -> List[str]:
-    """Schema checks for the optional v4 ``attrib`` field.
-
-    The embedded artifact is checked by its own schema validator, so a
-    ledger cannot carry an attribution payload that
-    ``python -m repro.obs.ledger`` would reject as a file.
-    """
-    from repro.obs.attrib import validate_artifact
-
-    return [f"attrib: {problem}" for problem in validate_artifact(attrib)]
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +266,8 @@ class RunLedger:
                 try:
                     record = json.loads(line)
                     validate_record(record)
-                except (ValueError, LedgerSchemaError) as error:
+                except (ValueError, RecursionError, LedgerSchemaError) as error:
+                    # RecursionError: a line nested too deep to decode
                     raise LedgerSchemaError(f"{self.path}:{lineno}: {error}")
                 if bench is None or record["bench"] == bench:
                     loaded.append(record)
@@ -336,51 +281,3 @@ class RunLedger:
         """The newest record of one series (file order, not timestamps)."""
         series = self.records(bench)
         return series[-1] if series else None
-
-
-# ----------------------------------------------------------------------
-# the file validator (``python -m repro.obs.ledger FILE...``)
-# ----------------------------------------------------------------------
-def validate_file(path: str) -> str:
-    """Validate one artifact and name its kind: a JSONL run ledger, one
-    ledger record, or a ``repro-attrib`` artifact; anything else (a
-    missing file included) is an error."""
-    from repro.obs.attrib import ATTRIB_SCHEMA, require_valid_artifact
-
-    if str(path).endswith(".jsonl"):
-        ledger = RunLedger(path)
-        if not ledger.exists():  # records() reads a missing ledger as empty
-            raise LedgerSchemaError("no such file")
-        ledger.records()
-        return "ledger"
-    with open(path) as handle:
-        payload = json.load(handle)
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema == LEDGER_SCHEMA:
-        validate_record(payload)
-        return "ledger-record"
-    if schema == ATTRIB_SCHEMA:
-        require_valid_artifact(payload)
-        return "attrib"
-    raise LedgerSchemaError(f"not a {LEDGER_SCHEMA} or {ATTRIB_SCHEMA} document")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    paths = list(sys.argv[1:] if argv is None else argv)
-    if not paths:
-        print("usage: python -m repro.obs.ledger FILE [FILE...]", file=sys.stderr)
-        return 2
-    failures = 0
-    for path in paths:
-        try:
-            kind = validate_file(path)
-        except (OSError, ValueError, ObservabilityError) as error:
-            print(f"FAIL {path}: {error}")
-            failures += 1
-        else:
-            print(f"ok   {path} ({kind})")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

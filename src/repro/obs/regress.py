@@ -17,16 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RegressionError
+from repro.obs.ledger import RunLedger
 from repro.obs.metrics import DEFAULT_REGISTRY
-
-if TYPE_CHECKING:  # pragma: no cover
-    # not at run time: ``repro.obs`` imports this module, and importing
-    # the ledger with the package would double-import it when it runs
-    # as ``python -m repro.obs.ledger``
-    from repro.obs.ledger import RunLedger
 
 _COMPARISONS = DEFAULT_REGISTRY.counter("regress.comparisons")
 _DRIFTS = DEFAULT_REGISTRY.counter("regress.counter.drifts")
@@ -108,11 +103,7 @@ def compare_counters(
     return drifts
 
 
-def compare_records(
-    candidate: Dict,
-    baseline: Optional[Dict],
-    ignore: Sequence[str] = COUNTER_IGNORE,
-) -> BenchVerdict:
+def compare_records(candidate: Dict, baseline: Optional[Dict]) -> BenchVerdict:
     """The counter gate for one candidate record against its baseline."""
     verdict = BenchVerdict(bench=candidate["bench"])
     if baseline is None:
@@ -120,7 +111,7 @@ def compare_records(
         return verdict
     _COMPARISONS.inc()
     verdict.drifts = compare_counters(
-        candidate["counters"], baseline["counters"], ignore=ignore
+        candidate["counters"], baseline["counters"], ignore=COUNTER_IGNORE
     )
     _DRIFTS.inc(len(verdict.drifts))
     return verdict
@@ -197,7 +188,6 @@ def compare_ledgers(
     candidate: RunLedger,
     baseline: Optional[RunLedger] = None,
     benches: Optional[Sequence[str]] = None,
-    ignore: Sequence[str] = COUNTER_IGNORE,
 ) -> RegressionReport:
     """Gate every series in ``candidate`` against ``baseline``.
 
@@ -223,5 +213,5 @@ def compare_ledgers(
             previous = baseline.latest(bench)
         else:
             previous = records[-2] if len(records) > 1 else None
-        report.verdicts.append(compare_records(records[-1], previous, ignore))
+        report.verdicts.append(compare_records(records[-1], previous))
     return report

@@ -1,11 +1,10 @@
-"""Small shared utilities: bit unpacking, table rendering, name generation."""
+"""Small shared utilities: table rendering, name generation, and the
+JSON schema checker (:mod:`repro.util.schema`)."""
 
-from repro.util.bitops import int_to_bits
 from repro.util.namegen import NameGenerator
 from repro.util.tables import render_table
 
 __all__ = [
-    "int_to_bits",
     "NameGenerator",
     "render_table",
 ]

@@ -1,4 +1,4 @@
-"""Bit-level helpers."""
+"""Bit unpacking for tests that drive simulators one input bit at a time."""
 
 from __future__ import annotations
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +16,10 @@ from repro.analysis import (
     fresh_known_arcs,
     prove_path,
 )
-from repro.analysis.schema import validate_certificate
+from repro.analysis.certify import CERTIFICATE_SHAPE
 from repro.cli import main
 from repro.lint import Severity
+from repro.util.schema import check
 
 SYSTEMS = ["System1", "System2", "System3", "System4"]
 
@@ -128,7 +133,7 @@ class TestSystemsCertify:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_json_passes_schema_validation(self, system):
         payload = json.loads(certify_soc(build(system)).to_json())
-        assert validate_certificate(payload) == []
+        assert check(CERTIFICATE_SHAPE, payload) == []
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +175,7 @@ class TestRefutations:
 
     def test_refuted_certificate_json_still_validates(self):
         payload = json.loads(certify_soc(bd.narrowed_transparency_soc()).to_json())
-        assert validate_certificate(payload) == []
+        assert check(CERTIFICATE_SHAPE, payload) == []
         assert payload["certified"] is False
         assert payload["summary"]["refuted"] > 0
 
@@ -207,7 +212,7 @@ class TestCliCertify:
     def test_json_output_validates(self, capsys):
         assert main(["certify", "System2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert validate_certificate(payload) == []
+        assert check(CERTIFICATE_SHAPE, payload) == []
         assert payload["system"] == "System2"
 
     def test_fail_on_info_sees_advisories(self):
@@ -228,7 +233,7 @@ class TestCliCertify:
         target = tmp_path / "cert.json"
         assert main(["certify", "System2", "--json", "-o", str(target)]) == 0
         payload = json.loads(target.read_text())
-        assert validate_certificate(payload) == []
+        assert check(CERTIFICATE_SHAPE, payload) == []
 
     def test_replay_embeds_results(self, capsys):
         assert main(["certify", "System2", "--json", "--replay"]) == 0
@@ -238,7 +243,7 @@ class TestCliCertify:
 
 
 # ----------------------------------------------------------------------
-# schema validator rejects malformed artifacts
+# the certificate's shape rejects malformed artifacts
 # ----------------------------------------------------------------------
 class TestSchemaValidator:
     def good(self):
@@ -247,28 +252,94 @@ class TestSchemaValidator:
     def test_missing_key_reported(self):
         payload = self.good()
         del payload["summary"]
-        assert validate_certificate(payload)
+        assert check(CERTIFICATE_SHAPE, payload) == ["$.summary: missing"]
 
     def test_wrong_kind_reported(self):
         payload = self.good()
         payload["kind"] = "something-else"
-        assert any("kind" in problem for problem in validate_certificate(payload))
+        assert check(CERTIFICATE_SHAPE, payload) == [
+            '$.kind: must be "repro-certificate", got "something-else"'
+        ]
 
     def test_inconsistent_status_reported(self):
         payload = self.good()
         victim = payload["versions"][0]["paths"][0]
         victim["status"] = "refuted"
         victim["problems"] = []
-        assert validate_certificate(payload)
+        assert check(CERTIFICATE_SHAPE, payload) == [
+            "$.versions[0].paths[0].problems: must not be empty on a refuted path"
+        ]
 
     def test_proved_version_with_missing_paths_reported(self):
         payload = self.good()
         version = payload["versions"][0]
         assert version["proved"] is True and version["missing"] == []
         version["missing"] = [{"direction": "propagate", "port": "AIN"}]
-        assert any("missing" in problem for problem in validate_certificate(payload))
+        assert check(CERTIFICATE_SHAPE, payload) == [
+            "$.versions[0].missing: must be empty on a proved version"
+        ]
 
     def test_summary_cross_check(self):
         payload = self.good()
         payload["summary"]["paths"] += 1
-        assert any("summary" in problem for problem in validate_certificate(payload))
+        assert check(CERTIFICATE_SHAPE, payload) == [
+            "$.summary.paths: must be 8, the number of paths listed"
+        ]
+
+    @pytest.mark.parametrize("mutate, problem", [
+        (lambda c: c.update(schema=1), "$.schema: must be 2, got 1"),
+        (lambda c: c["summary"].update(routes="4"),
+         '$.summary.routes: must be an integer, got "4"'),
+        # a bool is not a count, though Python's int says it is
+        (lambda c: c["summary"].update(versions=True),
+         "$.summary.versions: must be an integer, got true"),
+        (lambda c: c["versions"][1].pop("name"), "$.versions[1].name: missing"),
+        (lambda c: c["versions"][0]["paths"][2].pop("proof"),
+         "$.versions[0].paths[2].proof: missing"),
+        (lambda c: c["routes"][3].pop("latency"), "$.routes[3].latency: missing"),
+        (lambda c: c["versions"][0]["paths"][0].update(status="maybe"),
+         '$.versions[0].paths[0].status: must be one of "proved", "refuted", '
+         'got "maybe"'),
+        (lambda c: c["versions"][0]["paths"][1].update(problems=["a gap"]),
+         "$.versions[0].paths[1].problems: must be empty on a proved path"),
+        (lambda c: c["routes"][0].update(status="lost"),
+         '$.routes[0].status: must be one of "pin", "certified", "refuted", '
+         'got "lost"'),
+        (lambda c: c["summary"].update(proved=7),
+         "$.summary.proved: must be 8, the number of proved paths"),
+        (lambda c: c["summary"].update(routes_refuted=1),
+         "$.summary.routes_refuted: must be 0, the number of refuted routes"),
+        (lambda c: c.update(versions={}), "$.versions: must be a list, got an object"),
+        (lambda c: c["routes"].__setitem__(0, None),
+         "$.routes[0]: must be an object, got null"),
+        (lambda c: c["versions"][0]["paths"].__setitem__(0, "x"),
+         '$.versions[0].paths[0]: must be an object, got "x"'),
+    ])
+    def test_each_rule_names_its_path(self, mutate, problem):
+        payload = self.good()
+        mutate(payload)
+        assert check(CERTIFICATE_SHAPE, payload) == [problem]
+
+
+# ----------------------------------------------------------------------
+# repro validate on malformed certificates: a FAIL line, never a traceback
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mutate, problem", [
+    (lambda c: c["routes"].__setitem__(0, None),
+     "$.routes[0]: must be an object, got null"),
+    (lambda c: c["versions"][0]["paths"].__setitem__(0, "x"),
+     '$.versions[0].paths[0]: must be an object, got "x"'),
+])
+def test_validate_names_the_malformed_path(tmp_path, mutate, problem):
+    payload = json.loads(certify_soc(build("System1")).to_json())
+    mutate(payload)
+    target = tmp_path / "cert.json"
+    target.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "validate", str(target)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src")),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"FAIL {target}: {problem}"]

@@ -8,12 +8,11 @@ import os
 
 import pytest
 
-from repro.errors import AttribSchemaError, LedgerSchemaError, UsageError
+from repro.errors import LedgerSchemaError, UsageError
 from repro.obs.attrib import (
     artifact_json,
     build_artifact,
     effort_units,
-    require_valid_artifact,
     validate_artifact,
 )
 
@@ -22,6 +21,13 @@ from tests.test_kernel import reference_graders
 #: bounds test runtime while keeping PODEM backtracking and fault-sim
 #: sweeps live on every example core
 MAX_FAULTS = 12
+
+#: one well-formed ``hard_faults`` entry
+HARD_FAULT = {
+    "abort_cause": None, "backtracks": 0, "calls": 1, "cone_depth": 2,
+    "decisions": 3, "effort": 4, "fault": "n::g/sa0", "gate_kind": "and",
+    "implications": 1, "restarts": 0, "site": "stem", "status": "detected",
+}
 
 
 def artifact_of(atpg=(), moves=(), top_k=5):
@@ -173,9 +179,7 @@ class TestOptimizerMoves:
 # ----------------------------------------------------------------------
 class TestExplain:
     def test_artifact_is_schema_valid(self):
-        artifact = explain()["attrib"]
-        assert validate_artifact(artifact) == []
-        assert require_valid_artifact(artifact) is artifact
+        assert validate_artifact(explain()["attrib"]) == []
 
     def test_reconciliation_is_exact(self):
         artifact = explain()["attrib"]
@@ -192,7 +196,7 @@ class TestExplain:
         assert explained_json() == explained_json()
 
     @pytest.mark.parametrize("last_system", [2, 4])
-    def test_byte_identical_across_job_counts(self, last_system):
+    def test_byte_identical_after_other_systems(self, last_system):
         # the registry and the caches are process-wide: System1's
         # artifact must not depend on how many runs came before it
         alone = explained_json()
@@ -248,13 +252,13 @@ class TestExplain:
 
         bad = dict(explain()["attrib"])
         bad["schema"] = "not-attrib"
-        with pytest.raises(LedgerSchemaError, match="attrib:"):
+        with pytest.raises(LedgerSchemaError, match=r"\$\.attrib\.schema: "):
             make_record("profile-System1", [0.1], counters={}, kind="profile",
                         attrib=bad)
 
 
 # ----------------------------------------------------------------------
-# the validator and its CLI entry point
+# the artifact's shape and ``repro validate``
 # ----------------------------------------------------------------------
 class TestValidator:
     def artifact(self):
@@ -286,7 +290,9 @@ class TestValidator:
     def test_rejects_v1_naming_its_version(self):
         artifact = self.artifact()
         artifact["schema_version"] = 1
-        assert any("schema_version 1" in p for p in validate_artifact(artifact))
+        assert validate_artifact(artifact) == [
+            "$.schema_version: v1 is no longer read (this checker reads v2)"
+        ]
 
     def test_rejects_gapped_event_sequence(self):
         artifact = self.artifact()
@@ -295,20 +301,49 @@ class TestValidator:
             "seq": 3, "subject": "CPU", "tat_after": 1, "tat_before": 2,
             "version_from": 1, "version_to": 2,
         }]
-        assert any("seq" in p for p in validate_artifact(artifact))
+        assert validate_artifact(artifact) == [
+            "$.planes.optimizer.events[0].seq: must be 0"
+        ]
 
     def test_rejects_inconsistent_reconciliation(self):
         artifact = self.artifact()
         name = sorted(artifact["reconciliation"])[0]
         artifact["reconciliation"][name]["ok"] = False
-        assert any("reconciliation" in p for p in validate_artifact(artifact))
+        assert validate_artifact(artifact) == [
+            f"$.reconciliation['{name}'].ok: must be true: attrib 0, counter 0"
+        ]
 
-    def test_require_valid_raises(self):
-        with pytest.raises(AttribSchemaError):
-            require_valid_artifact({"schema": "repro-attrib"})
+    @pytest.mark.parametrize("mutate, problem", [
+        (lambda a: a.update(system=""), '$.system: must be a non-empty string, got ""'),
+        (lambda a: a.update(seed=True), "$.seed: must be an integer, got true"),
+        (lambda a: a.update(quick=1), "$.quick: must be a boolean, got 1"),
+        (lambda a: a.update(top_k=0), "$.top_k: must be a positive integer, got 0"),
+        (lambda a: a["planes"].pop("optimizer"), "$.planes.optimizer: missing"),
+        (lambda a: a["planes"]["atpg"]["totals"].update(calls=1.5),
+         "$.planes.atpg.totals.calls: must be a non-negative integer, got 1.5"),
+        (lambda a: a["planes"]["atpg"]["hard_faults"].append(
+            {key: value for key, value in HARD_FAULT.items() if key != "site"}),
+         "$.planes.atpg.hard_faults[0].site: missing"),
+        (lambda a: a["planes"]["atpg"]["hard_faults"].append(dict(
+            HARD_FAULT, status="lost")),
+         '$.planes.atpg.hard_faults[0].status: must be one of "detected", '
+         '"aborted", "redundant", got "lost"'),
+        (lambda a: a["planes"]["optimizer"].update(summary=[]),
+         "$.planes.optimizer.summary: must be an object, got a list"),
+        (lambda a: a["reconciliation"]["atpg.podem.calls"].update(counter=-1),
+         "$.reconciliation['atpg.podem.calls'].counter: must be a non-negative "
+         "integer, got -1"),
+        (lambda a: a["reconciliation"]["atpg.podem.calls"].update(counter=1),
+         "$.reconciliation['atpg.podem.calls'].ok: must be false: attrib 0, "
+         "counter 1"),
+    ])
+    def test_each_rule_names_its_path(self, mutate, problem):
+        artifact = self.artifact()
+        mutate(artifact)
+        assert validate_artifact(artifact) == [problem]
 
     def test_main_exit_codes(self, tmp_path, capsys):
-        from repro.obs.ledger import main as validator_main
+        from repro.cli import main
 
         good = tmp_path / "good.json"
         good.write_text(artifact_json(self.artifact()))
@@ -316,13 +351,16 @@ class TestValidator:
         broken = self.artifact()
         broken["planes"]["atpg"]["totals"]["decisions"] = -1
         bad.write_text(artifact_json(broken))
-        assert validator_main([str(good)]) == 0
-        assert validator_main([str(bad)]) == 1
-        assert validator_main([str(tmp_path / "missing.json")]) == 1
-        assert validator_main([]) == 2
+        assert main(["validate", str(good)]) == 0
+        assert main(["validate", str(bad)]) == 1
+        assert main(["validate", str(tmp_path / "missing.json")]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
         out = capsys.readouterr()
-        assert f"ok   {good} (attrib)" in out.out
-        assert f"FAIL {bad}: " in out.out and "decisions" in out.out
+        assert f"ok   {good} (repro-attrib)" in out.out
+        assert (f"FAIL {bad}: $.planes.atpg.totals.decisions: must be a "
+                f"non-negative integer, got -1") in out.out
 
     def test_artifact_json_is_canonical(self):
         artifact = self.artifact()

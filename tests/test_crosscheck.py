@@ -18,7 +18,8 @@ from repro.gates import SequentialSimulator
 from repro.rtl import CircuitBuilder, OpKind, Slice
 from repro.rtl.interp import RTLInterpreter
 from repro.rtl.types import Concat, concat
-from repro.util import int_to_bits
+
+from tests.bits import int_to_bits
 
 _BINARY_OPS = [OpKind.ADD, OpKind.SUB, OpKind.AND, OpKind.OR, OpKind.XOR]
 _UNARY_OPS = [OpKind.INC, OpKind.DEC, OpKind.NOT, OpKind.SHL, OpKind.SHR]

@@ -8,7 +8,8 @@ from repro.elaborate import area_report, elaborate
 from repro.gates import CombinationalSimulator, SequentialSimulator
 from repro.rtl import CircuitBuilder, OpKind
 from repro.rtl.types import Concat
-from repro.util import int_to_bits
+
+from tests.bits import int_to_bits
 
 
 def _drive_inputs(elab, assignments):

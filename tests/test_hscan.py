@@ -8,7 +8,8 @@ from repro.elaborate import elaborate
 from repro.gates import SequentialSimulator
 from repro.rtl import CircuitBuilder
 from repro.rtl.types import Concat
-from repro.util import int_to_bits
+
+from tests.bits import int_to_bits
 
 
 def pipeline_circuit():

@@ -1,6 +1,8 @@
 """Tests for the append-only run ledger (:mod:`repro.obs.ledger`)."""
 
+import copy
 import json
+import re
 import threading
 
 import pytest
@@ -14,9 +16,16 @@ from repro.obs.ledger import (
     environment_fingerprint,
     make_record,
     utc_timestamp,
-    validate_file,
     validate_record,
 )
+
+
+def validate(paths):
+    """``repro validate PATHS``'s exit code."""
+    from repro.cli import main
+
+    return main(["validate", *paths])
+
 
 #: a fixed fingerprint so record-construction tests are hermetic
 ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
@@ -79,8 +88,10 @@ class TestValidation:
         with pytest.raises(LedgerSchemaError, match="must be an object"):
             validate_record([1, 2])
 
+    # each case is named by the breach; its problems must name the JSON
+    # path of the field the mutation touched
     @pytest.mark.parametrize(
-        "mutate, fragment",
+        "mutate, breach",
         [
             (lambda r: r.pop("samples"), "missing field 'samples'"),
             (lambda r: r.update(samples=[]), "samples list is empty"),
@@ -95,14 +106,42 @@ class TestValidation:
             (lambda r: r.update(git_sha=7), "string or null"),
             (lambda r: r.update(counters={"a": "x"}), "counter 'a'"),
             (lambda r: r["env"].pop("cpus"), "env misses 'cpus'"),
+            # a bool is not a number, though Python's int says it is
+            (lambda r: r.update(counters={"a": True}), "counter 'a' is a bool"),
+            (lambda r: r.update(schema_version=True), "schema_version is a bool"),
+            (lambda r: r.update(schema_version=0), "schema_version 0 predates v1"),
+            (lambda r: r.update(schema_version=-1), "schema_version is negative"),
         ],
     )
-    def test_rejects_each_violation(self, mutate, fragment):
+    def test_rejects_each_violation(self, mutate, breach):
         rec = record()
         rec["env"] = dict(rec["env"])
+        before = copy.deepcopy(rec)
         mutate(rec)
-        with pytest.raises(LedgerSchemaError, match=fragment):
+        gone = object()
+        (field,) = [key for key in set(before) | set(rec)
+                    if before.get(key, gone) != rec.get(key, gone)]
+        with pytest.raises(LedgerSchemaError) as exc:
             validate_record(rec)
+        problems = str(exc.value).split("; ")
+        assert problems and all(
+            re.match(rf"\$\.{field}[.\[:]", problem) for problem in problems
+        ), (breach, problems)
+
+    def test_problems_name_what_is_wrong(self):
+        rec = record()
+        rec.update(samples=[0.1, -0.1], schema_version=0, kind="serve")
+        rec["counters"] = {"atpg.podem.calls": True, "ok": 1}
+        rec.pop("git_sha")
+        with pytest.raises(LedgerSchemaError) as exc:
+            validate_record(rec)
+        assert str(exc.value).split("; ") == [
+            "$.schema_version: must be a positive integer, got 0",
+            '$.kind: must be one of "bench", "profile", got "serve"',
+            "$.git_sha: missing",
+            "$.samples[1]: must be a non-negative number, got -0.1",
+            "$.counters['atpg.podem.calls']: must be a number, got true",
+        ]
 
     def test_older_env_keys_still_validate(self):
         # records written before the job-count knob was retired carry
@@ -116,7 +155,7 @@ class TestValidation:
         with pytest.raises(LedgerSchemaError) as exc:
             validate_record(rec)
         message = str(exc.value)
-        assert "samples list is empty" in message and "bogus" in message
+        assert "$.samples: must not be empty" in message and "bogus" in message
 
 
 class TestRunLedger:
@@ -178,31 +217,58 @@ class TestRunLedger:
         for name in ("t0", "t1", "t2", "t3"):
             assert len(ledger.records(name)) == per_thread
 
-    def test_malformed_line_raises_with_location(self, tmp_path):
+    def test_malformed_line_raises_with_location(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
         RunLedger(path).append(record())
         with open(path, "a") as handle:
             handle.write("{not json\n")
         with pytest.raises(LedgerSchemaError, match=r":2"):
             RunLedger(path).records()
-        with pytest.raises(LedgerSchemaError, match=r":2"):
-            validate_file(str(path))
+        assert validate([str(path)]) == 1
+        assert "line 2: not JSON" in capsys.readouterr().out
+
+    def test_too_deep_line_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        with pytest.raises(LedgerSchemaError, match=r":1: maximum recursion depth"):
+            RunLedger(path).records()
+        assert validate([str(path)]) == 1
+        assert "line 1: not JSON: maximum recursion depth" in capsys.readouterr().out
 
     def test_append_counts_in_shared_registry(self, tmp_path):
         before = METRICS.counter("ledger.appends").value
         RunLedger(tmp_path / "ledger.jsonl").append(record())
         assert METRICS.counter("ledger.appends").value == before + 1
 
-    def test_benchjson_validator_understands_ledgers(self, tmp_path):
+    def test_benchjson_validator_understands_ledgers(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
         RunLedger(path).append(record())
-        assert validate_file(str(path)) == "ledger"
+        RunLedger(path).append(record())
         single = tmp_path / "record.json"
         single.write_text(json.dumps(record()))
-        assert validate_file(str(single)) == "ledger-record"
+        assert validate([str(path), str(single)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"ok   {path} (repro-ledger, 2 records)",
+            f"ok   {single} (repro-ledger)",
+        ]
         # a missing ledger is an error, not an empty ledger
-        with pytest.raises(LedgerSchemaError, match="no such file"):
-            validate_file(str(tmp_path / "missing.jsonl"))
+        missing = tmp_path / "missing.jsonl"
+        assert validate([str(missing)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {missing}: cannot read: No such file or directory\n"
+        )
+
+    def test_validate_checks_every_line(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        good = json.dumps(record())
+        bad = record()
+        bad["samples"] = []
+        path.write_text("\n".join([good, json.dumps(bad), good, "[]", ""]) + "\n")
+        assert validate([str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL {path}: line 2: $.samples: must not be empty; "
+            f"line 4: $: must be an object, got a list\n"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +277,13 @@ class TestRunLedger:
 class TestFanOutDeterminism:
     """``design_space`` fans out over every version combination in one
     loop; its counters land in ledger records bit-identically however
-    many planning jobs ran before it in the process (``exec.*`` is plan
-    cache bookkeeping and explicitly outside the guarantee)."""
+    many other systems were planned before it in the process (``exec.*``
+    is plan cache bookkeeping and explicitly outside the guarantee)."""
 
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_design_space_counters_identical_across_jobs(self, tmp_path, jobs):
+    @pytest.mark.parametrize("last_system", [2, 4])
+    def test_design_space_counters_identical_after_other_systems(
+        self, tmp_path, last_system
+    ):
         from repro import designs
         from repro.soc.optimizer import design_space
 
@@ -240,7 +308,7 @@ class TestFanOutDeterminism:
             }
 
         alone = run(1)
-        for number in range(2, jobs + 1):
+        for number in range(2, last_system + 1):
             run(number)
         after = run(1)
         assert stable(alone) == stable(after)

@@ -2,12 +2,12 @@
 
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from repro.obs import METRICS, profile_section, stage_rows
 from repro.obs import profiler
-from repro.obs.ledger import main as validator_main
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -239,14 +239,32 @@ class TestStageTable:
 
 class TestValidator:
     def test_validate_rejects_unknown_documents(self, tmp_path, capsys):
+        from repro.cli import main
+
         path = tmp_path / "x.json"
-        for text in ("[]", "{}", '{"schema": "other"}'):
+        for text in ("[]", "{}", '{"schema": "other"}', '{"kind": ["x"]}'):
             path.write_text(text)
-            assert validator_main([str(path)]) == 1, text
+            assert main(["validate", str(path)]) == 1, text
             (line,) = capsys.readouterr().out.splitlines()
             assert line.startswith(f"FAIL {path}: "), text
-            for kind in ("repro-ledger", "repro-attrib"):
+            for kind in ("repro-certificate", "repro-ledger", "repro-attrib"):
                 assert kind in line, text
+
+    def test_validate_checks_every_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
+        paths[0].write_text("[]")
+        paths[2].write_text("not json")
+        fixture = str(Path(__file__).parent / "fixtures" / "attrib-System1-quick.json")
+        names = [str(paths[0]), str(paths[1]), str(paths[2]), fixture, str(tmp_path)]
+        assert main(["validate", *names]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["FAIL", "FAIL", "FAIL", "ok", "FAIL"]
+        assert lines[1] == f"FAIL {paths[1]}: cannot read: No such file or directory"
+        assert lines[2].startswith(f"FAIL {paths[2]}: not JSON: ")
+        assert lines[3] == f"ok   {fixture} (repro-attrib)"
+        assert lines[4] == f"FAIL {tmp_path}: cannot read: Is a directory"
 
 
 class TestCliObservability:

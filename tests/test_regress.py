@@ -240,7 +240,7 @@ class TestCliRegress:
     @pytest.mark.parametrize("flag", [
         ["--window", "5"], ["--min-ratio", "1.25"], ["--alpha", "0.05"],
         ["--small-sample-ratio", "2"], ["--wall-gate", "off"],
-        ["--no-counter-gate"],
+        ["--no-counter-gate"], ["--ignore-counter", "noisy."],
     ], ids=lambda flag: flag[0].lstrip("-"))
     def test_wall_gate_flags_are_gone(self, tmp_path, flag):
         from repro.cli import main
@@ -250,16 +250,6 @@ class TestCliRegress:
         with pytest.raises(SystemExit) as exc:
             main(["regress", "--ledger", str(path)] + flag)
         assert exc.value.code == 2
-
-    def test_ignore_counter_flag(self, tmp_path):
-        from repro.cli import main
-
-        path = tmp_path / "ledger.jsonl"
-        self.seed_ledger(path, [[1.0]] * 3, counters={"noisy.x": 5})
-        RunLedger(path).append(record("b", [1.0], counters={"noisy.x": 6}))
-        assert main(
-            ["regress", "--ledger", str(path), "--ignore-counter", "noisy."]
-        ) == 0
 
 
 def test_verdict_status_priorities():

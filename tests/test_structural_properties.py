@@ -22,8 +22,8 @@ from repro.elaborate import elaborate
 from repro.gates import SequentialSimulator
 from repro.rtl.interp import RTLInterpreter
 from repro.transparency import generate_versions
-from repro.util import int_to_bits
 
+from tests.bits import int_to_bits
 from tests.test_crosscheck import random_circuit
 
 

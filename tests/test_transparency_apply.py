@@ -17,7 +17,8 @@ from repro.rtl import CircuitBuilder, Slice
 from repro.rtl.types import Concat
 from repro.transparency import generate_versions
 from repro.transparency.apply import apply_transparency_path, freeze_schedule
-from repro.util import int_to_bits
+
+from tests.bits import int_to_bits
 
 
 def deliver(circuit, path, value):
