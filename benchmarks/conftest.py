@@ -34,7 +34,6 @@ import pytest
 import repro.atpg.combinational  # noqa: F401
 import repro.atpg.podem  # noqa: F401
 import repro.dft.hscan  # noqa: F401
-import repro.exec.cache  # noqa: F401
 import repro.faults.kernel  # noqa: F401
 import repro.faults.simulator  # noqa: F401
 import repro.gates.kernel  # noqa: F401
@@ -84,11 +83,10 @@ def canonical_cache_state():
     -- and its ledger record would trip the exact counter gate against
     history recorded under the other invocation shape.
     """
-    from repro.exec import invalidate_plan_cache
     from repro.gates.kernel import clear_kernel_caches
 
     for soc in _SESSION_SOCS:
-        invalidate_plan_cache(soc)
+        soc.invalidate()
     clear_kernel_caches()
     yield
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atpg.compaction import compact_patterns
-from repro.atpg.podem import PodemResult, PodemStatus, podem
+from repro.atpg.podem import BACKTRACK_LIMIT, PodemResult, PodemStatus, podem
 from repro.errors import AtpgError
 from repro.faults.collapse import collapse_faults
 from repro.faults.coverage import CoverageReport
@@ -64,7 +64,7 @@ class CombinationalAtpg:
         self,
         netlist: GateNetlist,
         seed: int = 0,
-        backtrack_limit: int = 150,
+        backtrack_limit: int = BACKTRACK_LIMIT,
     ) -> None:
         self.netlist = netlist
         self.seed = seed

@@ -65,6 +65,9 @@ _DECISIONS = METRICS.counter("atpg.podem.decisions")
 _ABORTS = METRICS.counter("atpg.podem.aborts")
 _REDUNDANT = METRICS.counter("atpg.podem.redundant")
 
+#: backtracks a search may take before it aborts, unless told otherwise
+BACKTRACK_LIMIT = 150
+
 
 class PodemStatus(enum.Enum):
     DETECTED = "detected"
@@ -90,7 +93,7 @@ class PodemResult:
 def podem(
     netlist: GateNetlist,
     fault: Fault,
-    backtrack_limit: int = 200,
+    backtrack_limit: int = BACKTRACK_LIMIT,
 ) -> PodemResult:
     """Generate a test for ``fault`` or prove it redundant.
 

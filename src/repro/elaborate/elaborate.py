@@ -37,9 +37,9 @@ class Elaborated:
         return [f"{port}.{i}" for i in range(self.circuit.get(port).width)]
 
 
-def elaborate(circuit: RTLCircuit, name_suffix: str = "") -> Elaborated:
+def elaborate(circuit: RTLCircuit) -> Elaborated:
     """Elaborate ``circuit`` into a validated gate netlist."""
-    netlist = GateNetlist(circuit.name + name_suffix)
+    netlist = GateNetlist(circuit.name)
     names = NameGenerator()
     comp_bits: Dict[str, List[str]] = {}
 

@@ -179,8 +179,7 @@ def run_stages(
         optimizer = SocetOptimizer(soc)
         optimized, _trajectory = optimizer.minimize_tat(budget)
 
-        # schedule: the greedy scheduler on both designs, the session
-        # packer on the min-area one
+        # schedule: the greedy scheduler on both designs
         schedules = []
         for variant, point in designs:
             schedule = point.plan.schedule()
@@ -188,7 +187,6 @@ def run_stages(
                 soc.name, variant, schedule.algorithm, point.tat, schedule.makespan,
                 len(schedule.sessions()),
             ))
-        named["fewest cells"].plan.schedule(algorithm="sessions")
 
         # Tables 2 and 3: the FSCAN-BSCAN baseline, functional grading of
         # the chip without and with HSCAN, and the scan rows, whose

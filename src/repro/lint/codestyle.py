@@ -1,9 +1,9 @@
 """AST-based determinism lint for the codebase itself.
 
 Plans, counters, and artifacts are pure functions of the seed, and the
-plan cache (:mod:`repro.exec`) replays side effects verbatim -- both
-collapse if library code consults ambient nondeterminism.  Four rules,
-enforced in CI over ``src/``:
+plan cache (:class:`repro.soc.plan.PlanCache`) replays side effects
+verbatim -- both collapse if library code consults ambient
+nondeterminism.  Four rules, enforced in CI over ``src/``:
 
 * **DET001 unseeded-random** -- module-level ``random.*`` calls (the
   shared, unseeded RNG) anywhere in the library; use
@@ -11,7 +11,7 @@ enforced in CI over ``src/``:
   RNG, ``np.random.<fn>``: only ``default_rng``, ``Generator``,
   ``SeedSequence`` and the bit generators are allowed.
 * **DET002 wall-clock** -- ``time.time``/``time.time_ns`` /
-  ``datetime.now``-family reads inside planner/optimizer/executor
+  ``datetime.now``-family reads inside planner/optimizer/scheduler
   modules (:data:`WALL_CLOCK_SCOPES`); results there must be pure
   functions of their inputs.  The observability layer is out of scope
   -- measuring wall time is its job.
@@ -44,7 +44,6 @@ from typing import Iterator, List, Optional, Sequence
 #: path fragments whose modules may not read wall clocks (DET002)
 WALL_CLOCK_SCOPES = (
     "repro/soc",
-    "repro/exec",
     "repro/schedule",
     "repro/transparency",
     "repro/flow",
@@ -167,7 +166,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             if self.check_wall_clock and not origin.endswith((".datetime", ".date")):
                 self._issue(
                     node, "DET002",
-                    f"wall-clock read {origin}() in planner/executor code; "
+                    f"wall-clock read {origin}() in planner code; "
                     f"results must be pure functions of their inputs",
                 )
         self.generic_visit(node)
@@ -201,8 +200,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
             ):
                 self._issue(
                     node, "DET002",
-                    f"wall-clock read datetime.{base.attr}.{func.attr}() in "
-                    f"planner/executor code",
+                    f"wall-clock read datetime.{base.attr}.{func.attr}() in planner code",
                 )
             return
         origin = self._from_imports.get(base.id)
@@ -213,7 +211,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         ):
             self._issue(
                 node, "DET002",
-                f"wall-clock read {origin}.{func.attr}() in planner/executor code",
+                f"wall-clock read {origin}.{func.attr}() in planner code",
             )
             return
         module = self._module_aliases.get(base.id)
@@ -226,7 +224,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         elif module == "time" and self.check_wall_clock and func.attr in _TIME_ATTRS:
             self._issue(
                 node, "DET002",
-                f"wall-clock read time.{func.attr}() in planner/executor code; "
+                f"wall-clock read time.{func.attr}() in planner code; "
                 f"results must be pure functions of their inputs",
             )
         elif (
@@ -236,7 +234,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         ):
             self._issue(
                 node, "DET002",
-                f"wall-clock read datetime.{func.attr}() in planner/executor code",
+                f"wall-clock read datetime.{func.attr}() in planner code",
             )
 
     # ------------------------------------------------------------------

@@ -225,11 +225,14 @@ class RunLedger:
 
     Reading tolerates nothing: a malformed line raises
     :class:`LedgerSchemaError` with its line number, because a ledger
-    that silently skips records cannot be trusted as a baseline.
+    that silently skips records cannot be trusted as a baseline.  The
+    file is read and validated once, on first use, and again only after
+    :meth:`append`; records another writer appends in between stay unseen.
     """
 
     def __init__(self, path) -> None:
         self.path = str(path)
+        self._loaded: Optional[List[Dict]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunLedger({self.path!r})"
@@ -249,14 +252,20 @@ class RunLedger:
             os.write(fd, line.encode("utf-8"))
         finally:
             os.close(fd)
+        self._loaded = None
         _APPENDS.inc()
         return record
 
     # ------------------------------------------------------------------
     def records(self, bench: Optional[str] = None) -> List[Dict]:
         """Every record (oldest first), optionally for one series."""
-        if not self.exists():
-            return []
+        if self._loaded is None:
+            if not self.exists():
+                return []
+            self._loaded = self._read()
+        return [record for record in self._loaded if bench is None or record["bench"] == bench]
+
+    def _read(self) -> List[Dict]:
         loaded: List[Dict] = []
         with open(self.path) as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -269,8 +278,7 @@ class RunLedger:
                 except (ValueError, RecursionError, LedgerSchemaError) as error:
                     # RecursionError: a line nested too deep to decode
                     raise LedgerSchemaError(f"{self.path}:{lineno}: {error}")
-                if bench is None or record["bench"] == bench:
-                    loaded.append(record)
+                loaded.append(record)
         return loaded
 
     def benches(self) -> List[str]:

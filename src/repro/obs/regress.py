@@ -200,18 +200,25 @@ def compare_ledgers(
         candidate_path=candidate.path,
         baseline_path=baseline.path if baseline is not None else None,
     )
-    series = list(benches) if benches else candidate.benches()
-    if benches:
-        unknown = [name for name in series if not candidate.records(name)]
-        if unknown:
-            raise RegressionError(
-                f"series {unknown} not present in {candidate.path}"
-            )
+    fresh = _by_series(candidate)
+    series = list(benches) if benches else sorted(fresh)
+    unknown = [name for name in series if name not in fresh]
+    if unknown:
+        raise RegressionError(f"series {unknown} not present in {candidate.path}")
+    history = _by_series(baseline) if baseline is not None else None
     for bench in series:
-        records = candidate.records(bench)
-        if baseline is not None:
-            previous = baseline.latest(bench)
+        records = fresh[bench]
+        if history is not None:
+            previous = history[bench][-1] if bench in history else None
         else:
             previous = records[-2] if len(records) > 1 else None
         report.verdicts.append(compare_records(records[-1], previous))
     return report
+
+
+def _by_series(ledger: RunLedger) -> Dict[str, List[Dict]]:
+    """The ledger's records grouped by series, oldest first."""
+    grouped: Dict[str, List[Dict]] = {}
+    for record in ledger.records():
+        grouped.setdefault(record["bench"], []).append(record)
+    return grouped

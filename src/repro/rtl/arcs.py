@@ -53,19 +53,19 @@ class Arc:
         return f"{self.source} -> {dest_slice}{via}"
 
 
-def extract_arcs(circuit: RTLCircuit, max_mux_depth: int = 4) -> List[Arc]:
-    """All transfer arcs of ``circuit``.
+#: muxes an arc may pass through (defensive; real RTL mux trees are shallow)
+MAX_MUX_DEPTH = 4
 
-    ``max_mux_depth`` bounds mux-chain traversal (defensive; real RTL mux
-    trees are shallow).
-    """
+
+def extract_arcs(circuit: RTLCircuit) -> List[Arc]:
+    """All transfer arcs of ``circuit``, through at most :data:`MAX_MUX_DEPTH` muxes."""
     arcs: List[Arc] = []
     for register in circuit.registers:
         if register.driver is not None:
-            _trace(circuit, register.driver, register.name, 0, (), False, arcs, max_mux_depth)
+            _trace(circuit, register.driver, register.name, 0, (), False, arcs, MAX_MUX_DEPTH)
     for output in circuit.outputs:
         if output.driver is not None:
-            _trace(circuit, output.driver, output.name, 0, (), True, arcs, max_mux_depth)
+            _trace(circuit, output.driver, output.name, 0, (), True, arcs, MAX_MUX_DEPTH)
     return arcs
 
 

@@ -8,6 +8,8 @@ core, and each core's precomputed test set, this package:
   (:mod:`repro.soc.plan`), serializing transfers that share transparency
   resources (the paper's edge-reservation rule),
 * inserts system-level test multiplexers where no path exists,
+* reuses each core's plan across version selections through the SOC's
+  plan cache (:class:`repro.soc.plan.PlanCache`),
 * computes per-core and global test application time, and
 * runs the iterative-improvement optimizer that swaps core versions to
   meet an area or TAT constraint (cost C = w1*dTAT + w2*dA).

@@ -56,7 +56,7 @@ class DesignPoint:
         return ", ".join(parts)
 
 
-def design_space(soc: Soc, use_cache: bool = True) -> List[DesignPoint]:
+def design_space(soc: Soc) -> List[DesignPoint]:
     """Evaluate every combination of core versions (Figure 10's points).
 
     Each point is one :func:`plan_soc_test` call with no forced test
@@ -69,7 +69,7 @@ def design_space(soc: Soc, use_cache: bool = True) -> List[DesignPoint]:
         points: List[DesignPoint] = []
         for combo in itertools.product(*(range(core.version_count) for core in cores)):
             selection = {core.name: index for core, index in zip(cores, combo)}
-            plan = plan_soc_test(soc, selection, use_cache=use_cache)
+            plan = plan_soc_test(soc, selection)
             points.append(
                 DesignPoint(
                     index=0,

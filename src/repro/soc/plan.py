@@ -14,6 +14,18 @@ multiplexer").  Each delivery and observation keeps the interconnect
 nets its route rides; the scheduler's chip-pin resources and the
 interconnect report read them rather than walk the chip again.
 
+The sweep and the optimizer plan one SOC under many selections, and
+most cores plan alike under most of them, so each core's plan is kept
+in the SOC's :class:`PlanCache` under its *footprint*: the ``(core,
+version)`` pairs its search consulted.  The footprint leaves out the
+planned core's own version unless its paths loop back through it (the
+planner reads the core's output slicing from the core, the same in
+every version), and a hit replays the test muxes, test-mux fallbacks
+and resource reservations its planning produced, so every counter
+counts plans, not misses.  A cached plan is shared by every plan that
+reuses it and is never mutated.  :meth:`Soc.invalidate` drops the cache
+(see README, "Plan cache").
+
 Timing model (matching the Section 3 worked example exactly):
 
 * a transparency transfer is not pipelined within a core, so a path of
@@ -30,6 +42,7 @@ Timing model (matching the Section 3 worked example exactly):
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -54,6 +67,8 @@ _DELIVERIES = METRICS.counter("chiplevel.deliveries")
 _OBSERVATIONS = METRICS.counter("chiplevel.observations")
 _MUX_FALLBACKS = METRICS.counter("chiplevel.mux.fallbacks")
 _RESERVATIONS = METRICS.counter("chiplevel.resource.reservations")
+_HITS = METRICS.counter("exec.cache.hits")
+_MISSES = METRICS.counter("exec.cache.misses")
 
 
 @dataclass(frozen=True)
@@ -219,6 +234,47 @@ class SocTestPlan:
 
 
 # ----------------------------------------------------------------------
+@dataclass
+class CachedPlan:
+    """One core's plan with what planning it consulted and produced."""
+
+    plan: CoreTestPlan
+    #: the footprint: core consulted -> the version index it had
+    deps: Dict[str, int]
+    #: the test muxes planning added, by key, in the order it added them
+    test_muxes: Dict[Tuple, TestMux]
+    #: test-mux fallbacks taken and resource-cycles reserved per scan step
+    fallbacks: int
+    reservations: int
+
+
+class PlanCache:
+    """One SOC's per-core plans, reusable under any selection that agrees
+    with their footprints.
+
+    Plans are filed under ``(core, forced muxes, test muxes on entry)``,
+    which also shape the search, and probed in the order stored.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple, List[CachedPlan]] = {}
+
+    def lookup(self, key: Tuple, selection: Dict[str, int]) -> Optional[CachedPlan]:
+        for cached in self._entries.get(key, ()):
+            if all(selection.get(core, 0) == index for core, index in cached.deps.items()):
+                _HITS.inc()
+                return cached
+        _MISSES.inc()
+        return None
+
+    def store(self, key: Tuple, cached: CachedPlan) -> None:
+        self._entries.setdefault(key, []).append(cached)
+
+    def __len__(self) -> int:
+        return sum(len(entries) for entries in self._entries.values())
+
+
+# ----------------------------------------------------------------------
 class _Planner:
     def __init__(
         self,
@@ -231,21 +287,17 @@ class _Planner:
         self.selection = selection
         self.forced_input_muxes = forced_input_muxes
         self.forced_output_muxes = forced_output_muxes
-        self.test_muxes: List[TestMux] = []
-        self._mux_keys: Set[Tuple] = set()
-        #: dependency footprint of the core currently being planned
-        #: (core consulted -> version index), None when not tracking
-        self._deps: Optional[Dict[str, int]] = None
-        #: test-mux fallbacks taken and resource-cycles reserved by the
-        #: core plans of this call, cached ones included
-        self.fallbacks = 0
-        self.reservations = 0
+        #: every test mux so far, by key, in the order planning added them
+        self.test_muxes: Dict[Tuple, TestMux] = {}
+        #: the footprint (core consulted -> version index) and the
+        #: test-mux fallbacks of the core being planned
+        self._deps: Dict[str, int] = {}
+        self._fallbacks = 0
 
     def version_of(self, core_name: str) -> CoreVersion:
         core = self.soc.cores[core_name]
         index = self.selection.get(core_name, 0)
-        if self._deps is not None:
-            self._deps[core_name] = index
+        self._deps[core_name] = index
         return core.version(index)
 
     # ------------------------------------------------------------------
@@ -311,7 +363,7 @@ class _Planner:
         return latency + feed, usages, nets
 
     def _deliver_or_mux(self, core_name: str, port: str, visited: FrozenSet) -> _Route:
-        if ("input", core_name, port) in self._mux_keys or (
+        if ("input", core_name, port) in self.test_muxes or (
             core_name,
             port,
         ) in self.forced_input_muxes:
@@ -319,17 +371,16 @@ class _Planner:
             return 0, Counter(), []
         result = self.deliver(core_name, port, visited)
         if result is None:
-            self.fallbacks += 1
+            self._fallbacks += 1
             self._note_input_mux(core_name, port)
             return 0, Counter(), []
         return result
 
     def _note_input_mux(self, core_name: str, port: str) -> None:
         key = ("input", core_name, port)
-        if key not in self._mux_keys:
-            self._mux_keys.add(key)
+        if key not in self.test_muxes:
             width = self.soc.cores[core_name].port_width(port)
-            self.test_muxes.append(TestMux("input", core_name, port, 0, width))
+            self.test_muxes[key] = TestMux("input", core_name, port, 0, width)
             logger.debug("test mux added: PI => %s.%s", core_name, port)
 
     # ------------------------------------------------------------------
@@ -392,7 +443,7 @@ class _Planner:
     def _observe_or_mux(
         self, core_name: str, port: str, lo: int, width: int, visited: FrozenSet
     ) -> _Route:
-        if ("output", core_name, port, lo, width) in self._mux_keys or (
+        if ("output", core_name, port, lo, width) in self.test_muxes or (
             core_name,
             port,
         ) in self.forced_output_muxes:
@@ -400,19 +451,18 @@ class _Planner:
             return 0, Counter(), []
         result = self.observe_slice(core_name, port, lo, width, visited)
         if result is None:
-            self.fallbacks += 1
+            self._fallbacks += 1
             self._note_output_mux(core_name, port, lo, width)
             return 0, Counter(), []
         return result
 
     def _note_output_mux(self, core_name: str, port: str, lo: int, width: int) -> None:
         key = ("output", core_name, port, lo, width)
-        if key not in self._mux_keys:
-            self._mux_keys.add(key)
-            self.test_muxes.append(TestMux("output", core_name, port, lo, width))
+        if key not in self.test_muxes:
+            self.test_muxes[key] = TestMux("output", core_name, port, lo, width)
 
     # ------------------------------------------------------------------
-    def plan_core(self, core_name: str) -> CoreTestPlan:
+    def plan_core(self, core_name: str) -> CachedPlan:
         """Plan one core's test; only the cores its paths cross are consulted.
 
         The output slicing comes from the core, the same in every version,
@@ -420,6 +470,9 @@ class _Planner:
         paths loop back through it.
         """
         core = self.soc.cores[core_name]
+        self._deps = {}
+        self._fallbacks = 0
+        muxes_before = len(self.test_muxes)
 
         deliveries: List[Delivery] = []
         for port in sorted(p.name for p in core.circuit.inputs):
@@ -430,7 +483,7 @@ class _Planner:
                     port=port,
                     latency=latency,
                     usages=usages,
-                    via_test_mux=("input", core_name, port) in self._mux_keys,
+                    via_test_mux=("input", core_name, port) in self.test_muxes,
                     nets=tuple(dict.fromkeys(nets)),
                 )
             )
@@ -450,16 +503,15 @@ class _Planner:
                     latency=latency,
                     usages=usages,
                     via_test_mux=("output", core_name, output, piece.lo, piece.width)
-                    in self._mux_keys,
+                    in self.test_muxes,
                     nets=tuple(dict.fromkeys(nets)),
                 )
             )
 
         cadence, reserved = _cadence(self.version_of, deliveries, observations)
-        self.reservations += reserved
         depth = core.scan_depth
         flush = max(0, depth - 1) + max((o.latency for o in observations), default=0)
-        return CoreTestPlan(
+        plan = CoreTestPlan(
             core=core_name,
             deliveries=deliveries,
             observations=observations,
@@ -467,6 +519,8 @@ class _Planner:
             scan_steps=core.hscan_vectors,
             flush=flush,
         )
+        added = itertools.islice(self.test_muxes.items(), muxes_before, None)
+        return CachedPlan(plan, self._deps, dict(added), self._fallbacks, reserved)
 
 
 def _cadence(
@@ -477,8 +531,8 @@ def _cadence(
     """max(longest path latency, busiest shared transparency resource).
 
     Returns the cadence and the resource-cycles reserved per scan step.
-    ``version_of`` is the planner's (dependency-tracking) version lookup,
-    so the plan cache sees the versions the cadence computation reads.
+    ``version_of`` is the planner's version lookup, so the footprint
+    holds the versions the cadence computation reads.
     """
     longest = 1
     for delivery in deliveries:
@@ -508,29 +562,23 @@ def plan_soc_test(
     soc: Soc,
     selection: Optional[Dict[str, int]] = None,
     forced_muxes: Optional[Set[Tuple[str, str]]] = None,
-    use_cache: bool = True,
 ) -> SocTestPlan:
     """Plan the complete SOC test for one version selection.
 
     This is the chip level's one path search: each core's deliveries and
     observations ride the transparency paths of its neighbours, and any
     port the search cannot reach falls back to a system-level test mux,
-    as the paper does.
+    as the paper does.  A core whose footprint agrees with ``selection``
+    reuses its plan from the SOC's plan cache.
 
     ``selection`` maps core name to version index (default: version 0,
     the minimum-area version, for every core).  ``forced_muxes`` is a set
     of ``(core, port)`` pairs that must be pin-connected via system-level
     test muxes (used by the optimizer's escalation step).
 
-    ``use_cache`` turns the incremental planning cache (see
-    :mod:`repro.exec.cache`) on or off.  Cached and uncached plans are
-    bit-identical.
-
     The plan trusts the versions' declared paths; :func:`repro.lint.lint_soc`
     and :func:`repro.analysis.certify_soc` check them.
     """
-    from repro.exec.cache import plan_cache_for
-
     with profile_section("chiplevel.plan"):
         soc.validate()
         if selection is None:
@@ -544,52 +592,31 @@ def plan_soc_test(
             else:
                 forced_outputs.add((core_name, port))
         planner = _Planner(soc, selection, forced_inputs, forced_outputs)
-        cache = plan_cache_for(soc) if use_cache else None
+        if soc.plan_cache is None:
+            soc.plan_cache = PlanCache()
+        forced_key = (frozenset(forced_inputs), frozenset(forced_outputs))
         core_plans: Dict[str, CoreTestPlan] = {}
-        if cache is None:
-            for core in soc.testable_cores():
-                core_plans[core.name] = planner.plan_core(core.name)
-        else:
-            forced_key = (frozenset(forced_inputs), frozenset(forced_outputs))
-            for core in soc.testable_cores():
-                name = core.name
-                mux_state = frozenset(planner._mux_keys)
-                entry = cache.lookup(name, forced_key, mux_state, selection)
-                if entry is not None:
-                    # replay the side effects the original planning had
-                    planner._mux_keys.update(entry.added_mux_keys)
-                    planner.test_muxes.extend(entry.added_muxes)
-                    planner.fallbacks += entry.fallbacks
-                    planner.reservations += entry.reservations
-                    core_plans[name] = entry.plan
-                    continue
-                planner._deps = {}
-                muxes_before = len(planner.test_muxes)
-                keys_before = set(planner._mux_keys)
-                fallbacks_before = planner.fallbacks
-                reservations_before = planner.reservations
-                core_plans[name] = planner.plan_core(name)
-                cache.store(
-                    name,
-                    forced_key,
-                    mux_state,
-                    planner._deps,
-                    core_plans[name],
-                    planner.test_muxes[muxes_before:],
-                    frozenset(planner._mux_keys - keys_before),
-                    planner.fallbacks - fallbacks_before,
-                    planner.reservations - reservations_before,
-                )
-                planner._deps = None
+        fallbacks = reservations = 0
+        for core in soc.testable_cores():
+            key = (core.name, forced_key, frozenset(planner.test_muxes))
+            cached = soc.plan_cache.lookup(key, selection)
+            if cached is None:
+                cached = planner.plan_core(core.name)
+                soc.plan_cache.store(key, cached)
+            else:
+                planner.test_muxes.update(cached.test_muxes)
+            core_plans[core.name] = cached.plan
+            fallbacks += cached.fallbacks
+            reservations += cached.reservations
         plan = SocTestPlan(
             soc=soc,
             selection=dict(selection),
             core_plans=core_plans,
-            test_muxes=planner.test_muxes,
+            test_muxes=list(planner.test_muxes.values()),
         )
         _PLANS.inc()
-        _MUX_FALLBACKS.inc(planner.fallbacks)
-        _RESERVATIONS.inc(planner.reservations)
+        _MUX_FALLBACKS.inc(fallbacks)
+        _RESERVATIONS.inc(reservations)
         _DELIVERIES.inc(sum(len(p.deliveries) for p in core_plans.values()))
         _OBSERVATIONS.inc(sum(len(p.observations) for p in core_plans.values()))
     return plan

@@ -6,7 +6,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SocError
+from repro.obs import METRICS
 from repro.soc.core import Core
+
+_INVALIDATIONS = METRICS.counter("exec.cache.invalidations")
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,12 @@ class Soc:
         #: every net filed under its (core, port) ends, in connection order
         self._drivers: Dict[Tuple[Optional[str], str], Tuple[Net, ...]] = {}
         self._readers: Dict[Tuple[Optional[str], str], Tuple[Net, ...]] = {}
-        #: whether :meth:`validate` has passed since the last structural change
+        # what is derived from the SOC, each built on first use until
+        # :meth:`invalidate`: the passed wiring check, the planner's
+        # :class:`repro.soc.plan.PlanCache` and the functional area
         self._validated = False
+        self.plan_cache = None
+        self._functional_area: Optional[int] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -62,7 +69,7 @@ class Soc:
         if core.name in self.cores:
             raise SocError(f"duplicate core {core.name!r}")
         self.cores[core.name] = core
-        self._validated = False
+        self.invalidate()
         return core
 
     def add_input(self, name: str, width: int) -> None:
@@ -86,7 +93,7 @@ class Soc:
         self._drivers[sink] = self._drivers.get(sink, ()) + (net,)
         driver = (source.core, source.port)
         self._readers[driver] = self._readers.get(driver, ()) + (net,)
-        self._validated = False
+        self.invalidate()
         return net
 
     def wire(
@@ -151,9 +158,8 @@ class Soc:
     def validate(self) -> "Soc":
         """Every input bit of every non-memory core must have one driver.
 
-        The check runs once per structural state: :meth:`add_core`,
-        :meth:`connect` and :func:`repro.exec.invalidate_plan_cache`
-        make the next call check again.
+        The check runs once per structural state: :meth:`invalidate`
+        makes the next call check again.
         """
         if self._validated:
             return self
@@ -175,16 +181,28 @@ class Soc:
         return self
 
     def total_functional_area(self) -> int:
-        """Sum of elaborated core areas (cells), cached per core."""
+        """Sum of elaborated core areas (cells), built once per structural state."""
         from repro.elaborate import elaborate
 
-        total = 0
+        if self._functional_area is None:
+            self._functional_area = sum(
+                elaborate(core.circuit).netlist.area() for core in self.testable_cores()
+            )
+        return self._functional_area
+
+    def invalidate(self) -> None:
+        """Drop what was derived from the SOC.
+
+        That is the passed wiring check, the plan cache, each version's
+        mux-select names and the functional area.  :meth:`add_core` and
+        :meth:`connect` call it; code that edits a core's circuit or a
+        version's paths in place must call it too.
+        """
+        self._validated = False
+        self._functional_area = None
+        if self.plan_cache is not None:
+            _INVALIDATIONS.inc()
+            self.plan_cache = None
         for core in self.cores.values():
-            if core.is_memory:
-                continue
-            cached = getattr(core, "_area_cache", None)
-            if cached is None:
-                cached = elaborate(core.circuit).netlist.area()
-                core._area_cache = cached  # type: ignore[attr-defined]
-            total += cached
-        return total
+            for version in core.versions:
+                version.__dict__.pop("mux_selects", None)

@@ -79,9 +79,7 @@ def freeze_schedule(path: TransparencyPath) -> Dict[str, Set[int]]:
 
 
 def apply_transparency_path(
-    circuit: RTLCircuit,
-    path: TransparencyPath,
-    mode_name: str = TRANS_MODE,
+    circuit: RTLCircuit, path: TransparencyPath
 ) -> TransparencyApplication:
     """Wire ``path`` into a copy of ``circuit`` as test-mode hardware.
 
@@ -93,8 +91,8 @@ def apply_transparency_path(
     if path.direction not in ("justify", "propagate"):
         raise TransparencyError(f"cannot apply a path with direction {path.direction!r}")
     modified = circuit.copy(f"{circuit.name}_trans")
-    modified.add(Input(mode_name, 1))
-    mode = Slice(mode_name, 0, 1)
+    modified.add(Input(TRANS_MODE, 1))
+    mode = Slice(TRANS_MODE, 0, 1)
 
     # ------------------------------------------------------------------
     # 1. collect per-mux forced indices and the registers on the path
@@ -210,7 +208,7 @@ def apply_transparency_path(
     return TransparencyApplication(
         circuit=modified,
         path=path,
-        mode_input=mode_name,
+        mode_input=TRANS_MODE,
         hold_inputs=hold_inputs,
         schedule=schedule,
     )

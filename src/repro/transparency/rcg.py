@@ -84,22 +84,19 @@ class RCG:
     # ------------------------------------------------------------------
     @classmethod
     def from_circuit(
-        cls,
-        circuit: RTLCircuit,
-        hscan_plan: Optional[HscanResult] = None,
-        include_scan_pins: bool = False,
+        cls, circuit: RTLCircuit, hscan_plan: Optional[HscanResult] = None
     ) -> "RCG":
         """Extract the RCG; flag HSCAN edges if a plan is supplied.
 
-        Scan-in pins introduced by test-mux links are excluded by default
-        so transparency paths terminate at *functional* ports, matching
-        the CCG the paper draws (Figure 9).
+        Scan-in pins introduced by test-mux links are excluded so
+        transparency paths terminate at *functional* ports, matching the
+        CCG the paper draws (Figure 9).
         """
         structural = extract_arcs(circuit)
         hscan_keys: Set[Tuple] = set()
         if hscan_plan is not None:
             for link in hscan_plan.links:
-                if link.kind == "testmux" and not include_scan_pins:
+                if link.kind == "testmux":
                     continue
                 hscan_keys.add(
                     (link.source, Slice(link.dest.comp, link.dest.lo, link.dest.width), link.mux_path)

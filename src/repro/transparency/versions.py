@@ -33,6 +33,9 @@ from repro.transparency.search import TransparencyPath, TransparencySearch
 TMUX_BASE_COST = 2
 TMUX_PER_BIT = 2
 
+#: versions synthesized per core at most (the paper's Versions 1-3)
+MAX_VERSIONS = 3
+
 
 def _tmux_cost(width: int) -> int:
     return TMUX_PER_BIT * width + TMUX_BASE_COST
@@ -92,8 +95,8 @@ class CoreVersion:
         """Sorted names of the muxes whose selects this version's paths force.
 
         The test controller drives one select line per name.  Computed on
-        first use, once: :func:`repro.exec.invalidate_plan_cache` drops it
-        after an in-place edit of the paths.
+        first use, once: :meth:`repro.soc.Soc.invalidate` drops it after
+        an in-place edit of the paths.
         """
         names = set()
         for path in list(self.justify_paths.values()) + list(self.propagate_paths.values()):
@@ -136,11 +139,9 @@ def _combined_latency(paths: List[TransparencyPath]) -> int:
 # version generation
 # ----------------------------------------------------------------------
 def generate_versions(
-    circuit: RTLCircuit,
-    hscan_plan: Optional[HscanResult] = None,
-    max_versions: int = 3,
+    circuit: RTLCircuit, hscan_plan: Optional[HscanResult] = None
 ) -> List[CoreVersion]:
-    """Synthesize up to ``max_versions`` transparency versions.
+    """Synthesize up to :data:`MAX_VERSIONS` transparency versions.
 
     Version 1 prefers HSCAN edges; Version 2 allows every existing RCG
     edge (kept only if it actually improves some latency); subsequent
@@ -156,12 +157,11 @@ def generate_versions(
         v1 = _solve_version(circuit, rcg, name="Version 1", index=0, hscan_first=True)
         versions.append(v1)
 
-        if max_versions >= 2:
-            v2 = _solve_version(circuit, rcg, name="Version 2", index=1, hscan_first=False)
-            if v2.signature() != v1.signature():
-                versions.append(v2)
+        v2 = _solve_version(circuit, rcg, name="Version 2", index=1, hscan_first=False)
+        if v2.signature() != v1.signature():
+            versions.append(v2)
 
-        while len(versions) < max_versions:
+        while len(versions) < MAX_VERSIONS:
             improved = _improve_worst_pair(circuit, versions[-1], index=len(versions))
             if improved is None or improved.signature() == versions[-1].signature():
                 break

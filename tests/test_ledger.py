@@ -290,7 +290,7 @@ class TestFanOutDeterminism:
         def run(number):
             soc = getattr(designs, f"build_system{number}")()
             METRICS.reset()
-            design_space(soc, use_cache=False)
+            design_space(soc)
             return make_record(
                 "fanout",
                 [1.0],

@@ -1,18 +1,24 @@
-"""Tests for the incremental planning cache (``repro.exec.cache``).
+"""Tests for the plan cache (``repro.soc.plan.PlanCache``) and what the
+``Soc`` derives from itself.
 
 The headline regression: design-space sweeps, optimizer runs and whole
-pipeline runs with the cache on produce exactly the same plans --
-per-core deliveries, observations, cadence, flush and test muxes -- and
-the same non-``exec.`` counters as runs with it off.
+pipeline runs with a warm cache produce exactly the same plans --
+per-core deliveries and observations with their nets, cadence, flush and
+test muxes -- and the same non-``exec.`` counters as runs with a cold
+cache, in which every lookup misses and every core is planned afresh.
 """
+
+import contextlib
+import itertools
 
 import pytest
 
 from repro.designs import system_builders
-from repro.exec import invalidate_plan_cache, plan_cache_for, soc_signature
+from repro.elaborate import elaborate
+from repro.errors import SocError
 from repro.obs import METRICS
 from repro.soc.optimizer import SocetOptimizer, design_space
-from repro.soc.plan import plan_soc_test
+from repro.soc.plan import PlanCache, plan_soc_test
 
 SYSTEMS = sorted(system_builders())
 
@@ -21,28 +27,47 @@ def build(system):
     return system_builders()[system]()
 
 
-class TestFingerprints:
-    def test_signature_tracks_structure(self):
-        soc = build("System1")
-        before = soc_signature(soc)
-        assert soc_signature(soc) == before
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """``with cold_cache():`` every plan-cache lookup misses, so each core
+    is planned afresh: the from-scratch reference a warm cache must equal."""
+    lookup = PlanCache.lookup
+
+    @contextlib.contextmanager
+    def cold():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                PlanCache,
+                "lookup",
+                lambda _cache, key, selection: lookup(PlanCache(), key, selection),
+            )
+            yield
+
+    return cold
+
+
+def _hits():
+    return METRICS.counter("exec.cache.hits").value
 
 
 class TestCacheLifecycle:
     def test_attached_once_and_reused(self):
         soc = build("System1")
-        cache = plan_cache_for(soc)
-        assert plan_cache_for(soc) is cache
+        assert soc.plan_cache is None
+        plan_soc_test(soc)
+        cache = soc.plan_cache
+        plan_soc_test(soc)
+        assert soc.plan_cache is cache
 
     def test_sweep_populates_and_hits(self):
         # System3's cores have disjoint path footprints, so most of the
         # sweep's per-core plans are cache hits (System1's paths span every
         # core, so it reuses less; see test_system1_sweep_misses).
         soc = build("System3")
-        hits_before = METRICS.counter("exec.cache.hits").value
-        design_space(soc, use_cache=True)
-        assert len(plan_cache_for(soc, create=False)) > 0
-        assert METRICS.counter("exec.cache.hits").value > hits_before
+        hits_before = _hits()
+        design_space(soc)
+        assert len(soc.plan_cache) > 0
+        assert _hits() > hits_before
 
     def test_system1_sweep_misses(self):
         # a footprint leaves out the planned core's own version, so each
@@ -50,10 +75,10 @@ class TestCacheLifecycle:
         # other two: 3 x 9 = 27 misses out of 81 lookups
         soc = build("System1")
         misses = METRICS.counter("exec.cache.misses").value
-        hits = METRICS.counter("exec.cache.hits").value
-        design_space(soc, use_cache=True)
+        hits = _hits()
+        design_space(soc)
         assert METRICS.counter("exec.cache.misses").value - misses == 27
-        assert METRICS.counter("exec.cache.hits").value - hits == 81 - 27
+        assert _hits() - hits == 81 - 27
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_every_version_slices_outputs_like_the_core(self, system):
@@ -74,18 +99,17 @@ class TestCacheLifecycle:
         from repro.soc import Core
 
         soc = build("System1")
-        cache = plan_cache_for(soc)
-        soc.add_core(Core.from_circuit(build_gcd(), test_vectors=4))
+        plan_soc_test(soc)
         invalidations = METRICS.counter("exec.cache.invalidations").value
-        fresh = plan_cache_for(soc)
-        assert fresh is not cache
+        soc.add_core(Core.from_circuit(build_gcd(), test_vectors=4))
+        assert soc.plan_cache is None
         assert METRICS.counter("exec.cache.invalidations").value == invalidations + 1
 
     def test_explicit_invalidation(self):
         soc = build("System1")
-        plan_cache_for(soc)
-        invalidate_plan_cache(soc)
-        assert plan_cache_for(soc, create=False) is None
+        plan_soc_test(soc)
+        soc.invalidate()
+        assert soc.plan_cache is None
 
     def test_invalidation_drops_mux_select_names(self):
         # controller area is priced from each version's cached mux-select
@@ -95,8 +119,32 @@ class TestCacheLifecycle:
         assert version.mux_selects
         version.justify_paths.clear()
         version.propagate_paths.clear()
-        invalidate_plan_cache(soc)
+        soc.invalidate()
         assert version.mux_selects == ()
+
+
+class TestSocInvalidate:
+    """An in-place circuit swap reaches everything the SOC derived."""
+
+    def test_functional_area_follows_a_circuit_swap(self):
+        from repro.designs import build_x25
+
+        soc = build("System2")
+        assert soc.total_functional_area() == 1141
+        soc.cores["GRAPHICS"].circuit = build_x25()
+        soc.invalidate()
+        fresh = sum(elaborate(core.circuit).netlist.area() for core in soc.testable_cores())
+        assert soc.total_functional_area() == fresh == 899
+
+    def test_wiring_is_checked_again(self):
+        from repro.designs import build_x25
+
+        soc = build("System2")
+        soc.validate()
+        soc.cores["GRAPHICS"].circuit = build_x25()
+        soc.invalidate()
+        with pytest.raises(SocError, match="GRAPHICS"):
+            soc.validate()
 
 
 def _plan_key(plan):
@@ -141,17 +189,20 @@ def _counted(run):
 
 
 class TestCachedSweepIdentical:
-    """Cache on vs off -> identical plans and counters on every system."""
+    """Warm vs cold cache -> identical plans and counters on every system."""
 
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_design_space_identical(self, system):
-        def run(enabled):
-            return [
-                _plan_key(p.plan) for p in design_space(build(system), use_cache=enabled)
-            ]
+    def test_design_space_identical(self, cold_cache, system):
+        def run():
+            return [_plan_key(p.plan) for p in design_space(build(system))]
 
-        warm, warm_counters = _counted(lambda: run(True))
-        cold, cold_counters = _counted(lambda: run(False))
+        hits = _hits()
+        warm, warm_counters = _counted(run)
+        assert _hits() > hits
+        hits = _hits()
+        with cold_cache():
+            cold, cold_counters = _counted(run)
+        assert _hits() == hits
         assert warm == cold
         assert warm_counters == cold_counters
         assert cold_counters["chiplevel.plans"] == len(cold)
@@ -159,27 +210,44 @@ class TestCachedSweepIdentical:
     def test_repeat_plan_calls_identical(self):
         soc = build("System2")
         selection = {name: 0 for name in soc.cores}
-        first = plan_soc_test(soc, selection=selection, use_cache=True)
-        second = plan_soc_test(soc, selection=selection, use_cache=True)
+        first = plan_soc_test(soc, selection=selection)
+        second = plan_soc_test(soc, selection=selection)
         assert first.total_tat == second.total_tat
         assert [str(m) for m in first.test_muxes] == [
             str(m) for m in second.test_muxes
         ]
 
 
-def cache_off(monkeypatch):
-    """Plan without the cache from here on: no SOC gets one attached."""
-    monkeypatch.setattr("repro.exec.cache.plan_cache_for", lambda *_a, **_k: None)
+class TestFanOutDeterminism:
+    """A point's plan does not depend on the points planned before it: the
+    sweep matches each selection planned on its own with a cold cache, in
+    the opposite order."""
+
+    @pytest.mark.parametrize("number", [2, 4])
+    def test_design_space_matches_serial(self, cold_cache, number):
+        system = f"System{number}"
+        points = design_space(build(system))
+        assert [p.index for p in points] == list(range(1, len(points) + 1))
+        assert [(p.chip_cells, p.tat) for p in points] == sorted(
+            (p.chip_cells, p.tat) for p in points
+        )
+
+        soc = build(system)
+        cores = soc.testable_cores()
+        combos = list(itertools.product(*(range(core.version_count) for core in cores)))
+        with cold_cache():
+            serial = [
+                _plan_key(plan_soc_test(soc, dict(zip((c.name for c in cores), combo))))
+                for combo in reversed(combos)
+            ]
+        assert sorted(_plan_key(p.plan) for p in points) == sorted(serial)
 
 
 class TestOptimizerTrajectories:
     """Both optimizers, after a sweep: same trajectories and counters either way."""
 
     @staticmethod
-    def _optimize(monkeypatch, system, enabled, objective):
-        if not enabled:
-            cache_off(monkeypatch)
-
+    def _optimize(system, objective):
         def run():
             soc = build(system)
             points = design_space(soc)
@@ -193,32 +261,34 @@ class TestOptimizerTrajectories:
         return _counted(run)
 
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_minimize_tat_identical(self, monkeypatch, system):
-        cached = self._optimize(monkeypatch, system, True, "tat")
-        assert cached == self._optimize(monkeypatch, system, False, "tat")
+    def test_minimize_tat_identical(self, cold_cache, system):
+        warm = self._optimize(system, "tat")
+        with cold_cache():
+            assert warm == self._optimize(system, "tat")
 
     @pytest.mark.parametrize("system", SYSTEMS)
-    def test_minimize_area_identical(self, monkeypatch, system):
-        cached = self._optimize(monkeypatch, system, True, "area")
-        assert cached == self._optimize(monkeypatch, system, False, "area")
+    def test_minimize_area_identical(self, cold_cache, system):
+        warm = self._optimize(system, "area")
+        with cold_cache():
+            assert warm == self._optimize(system, "area")
 
 
 class TestPipelineCounters:
-    """The whole pipeline counts the same work with the cache off: a hit
+    """The whole pipeline counts the same work with a cold cache: a hit
     replays the planning counters of the plan it stands for."""
 
     @pytest.mark.parametrize("system", ["System1", "System2"])
-    def test_quick_run_counters_do_not_depend_on_the_cache(self, monkeypatch, system):
+    def test_quick_run_counters_do_not_depend_on_the_cache(self, cold_cache, system):
         from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
 
         def work(record):
             return {name: value for name, value in record["counters"].items()
                     if not name.startswith("exec.")}
 
-        cached = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
-        cache_off(monkeypatch)
-        uncached = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
-        assert uncached["counters"]["exec.cache.hits"] == 0
-        assert cached["counters"]["exec.cache.hits"] > 0
-        assert work(uncached) == work(cached)
-        assert uncached["results"] == cached["results"]
+        warm = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
+        with cold_cache():
+            cold = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)
+        assert cold["counters"]["exec.cache.hits"] == 0
+        assert warm["counters"]["exec.cache.hits"] > 0
+        assert work(cold) == work(warm)
+        assert cold["results"] == warm["results"]

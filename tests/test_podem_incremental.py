@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import pytest
 
 from repro.atpg import podem
-from repro.atpg.podem import PodemResult, PodemStatus
+from repro.atpg.podem import BACKTRACK_LIMIT, PodemResult, PodemStatus
 from repro.designs import build_cpu, build_gcd, build_x25
 from repro.elaborate import elaborate
 from repro.errors import AtpgError
@@ -310,7 +310,7 @@ class ReferencePodem:
 
 
 def reference_podem(
-    netlist: GateNetlist, fault: Fault, backtrack_limit: int = 200
+    netlist: GateNetlist, fault: Fault, backtrack_limit: int = BACKTRACK_LIMIT
 ) -> PodemResult:
     return ReferencePodem(netlist, fault, backtrack_limit).search()
 

@@ -237,6 +237,30 @@ class TestCliRegress:
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
         assert main(["regress"]) in (0, 3), capsys.readouterr().out
 
+    @pytest.mark.parametrize("baseline", [False, True], ids=["self-history", "baseline"])
+    def test_each_ledger_is_read_once(self, tmp_path, monkeypatch, capsys, baseline):
+        import repro.obs.ledger as ledger_module
+        from repro.cli import main
+
+        fresh, committed = tmp_path / "fresh.jsonl", tmp_path / "baseline.jsonl"
+        for bench in ("a", "b", "c"):
+            for _ in range(3):
+                RunLedger(fresh).append(record(bench, counters={"n": 1}))
+            RunLedger(committed).append(record(bench, counters={"n": 1}))
+        reads = []
+
+        def counting_open(path, *args, **kwargs):
+            reads.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ledger_module, "open", counting_open, raising=False)
+        argv = ["regress", "--ledger", str(fresh)]
+        if baseline:
+            argv += ["--baseline", str(committed)]
+        assert main(argv) == 0, capsys.readouterr().out
+        expected = [str(fresh)] + ([str(committed)] if baseline else [])
+        assert sorted(reads) == sorted(expected)
+
     @pytest.mark.parametrize("flag", [
         ["--window", "5"], ["--min-ratio", "1.25"], ["--alpha", "0.05"],
         ["--small-sample-ratio", "2"], ["--wall-gate", "off"],
