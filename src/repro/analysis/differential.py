@@ -31,6 +31,11 @@ from repro.gates import SequentialSimulator
 from repro.obs import METRICS, profile_section
 from repro.transparency.apply import apply_transparency_path
 
+#: every replay's random stimulus: the seed its per-path streams derive
+#: from, and the random words clocked through each proved path
+REPLAY_SEED = 2024
+REPLAY_TRIALS = 2
+
 
 @dataclass
 class ReplayResult:
@@ -123,8 +128,6 @@ def replay_path(
     proof: Optional[SliceProof] = None,
     core: str = "",
     version_index: int = 0,
-    seed: int = 2024,
-    trials: int = 2,
 ) -> ReplayResult:
     """Replay one *proved* path; ``ok`` iff every segment transports."""
     if proof is None:
@@ -143,8 +146,8 @@ def replay_path(
             f"proved path is unrealizable: {error}",
         )
     elab = elaborate(app.circuit)
-    rng = random.Random(f"{seed}:{core}:{version_index}:{path.direction}:{label}")
-    for trial in range(trials):
+    rng = random.Random(f"{REPLAY_SEED}:{core}:{version_index}:{path.direction}:{label}")
+    for trial in range(REPLAY_TRIALS):
         stimulus = _random_stimulus(circuit, app, rng)
         outputs = _run_mode(elab, app, stimulus, path.latency)
         problems = _segment_mismatches(proof, stimulus, outputs)
@@ -156,7 +159,7 @@ def replay_path(
             )
     METRICS.counter("analysis.replays").inc()
     return ReplayResult(
-        core, version_index, path.direction, label, path.latency, trials, True
+        core, version_index, path.direction, label, path.latency, REPLAY_TRIALS, True
     )
 
 
@@ -164,7 +167,6 @@ def replay_refutes(
     circuit,
     path,
     proof: Optional[SliceProof] = None,
-    seed: int = 2024,
 ) -> bool:
     """Confirm a refutation on real hardware.
 
@@ -185,7 +187,7 @@ def replay_refutes(
     except TransparencyError:
         return True
     elab = elaborate(app.circuit)
-    rng = random.Random(f"{seed}:refute:{path.direction}:{path.root}")
+    rng = random.Random(f"{REPLAY_SEED}:refute:{path.direction}:{path.root}")
     stimulus = _random_stimulus(circuit, app, rng)
     outputs = _run_mode(elab, app, stimulus, path.latency)
     if _segment_mismatches(proof, stimulus, outputs):
@@ -216,7 +218,7 @@ def replay_refutes(
     return False
 
 
-def replay_soc(soc, seed: int = 2024, trials: int = 2) -> List[ReplayResult]:
+def replay_soc(soc) -> List[ReplayResult]:
     """Replay every proved path of every version of every testable core.
 
     Paths are re-proved against arcs extracted from the shipped circuit
@@ -249,8 +251,6 @@ def replay_soc(soc, seed: int = 2024, trials: int = 2) -> List[ReplayResult]:
                             proof=proof,
                             core=core.name,
                             version_index=version.index,
-                            seed=seed,
-                            trials=trials,
                         )
                     )
     return results

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.bist.march import MARCH_C_MINUS, MarchTest
+from repro.bist.march import MARCH_C_MINUS
 from repro.soc.system import Soc
 
 #: cells for the shared BIST controller (counter, background gen, compare)
@@ -51,8 +51,8 @@ class MemoryBistPlan:
 _DEFAULT_GEOMETRY = {"RAM": (4096, 8), "ROM": (4096, 8)}
 
 
-def plan_memory_bist(soc: Soc, march: MarchTest = MARCH_C_MINUS) -> MemoryBistPlan:
-    """Plan BIST for every memory core of ``soc``."""
+def plan_memory_bist(soc: Soc) -> MemoryBistPlan:
+    """Plan March C- BIST for every memory core of ``soc``."""
     rows = []
     for core in soc.cores.values():
         if not core.is_memory:
@@ -65,8 +65,8 @@ def plan_memory_bist(soc: Soc, march: MarchTest = MARCH_C_MINUS) -> MemoryBistPl
                 core=core.name,
                 words=words,
                 width=width,
-                march=march.name,
-                cycles=march.cycle_count(words),
+                march=MARCH_C_MINUS.name,
+                cycles=MARCH_C_MINUS.cycle_count(words),
                 wrapper_cells=wrapper,
             )
         )

@@ -14,16 +14,16 @@ Usage (after ``pip install -e .``)::
     python -m repro lint System3 --json       # ...as machine-readable JSON
     python -m repro certify System3 --json    # transparency proof certificate
     python -m repro certify System1 --replay  # ...checked against the simulator
-    python -m repro profile System3           # per-stage time/counter breakdown
-    python -m repro report System1 --quick    # ...the same run as a markdown report
+    python -m repro profile System3           # the whole evaluation's run report
+    python -m repro profile System1 --quick --baseline L.jsonl  # ...with a counter diff
     python -m repro explain System1 --quick   # ...its repro-attrib artifact (JSON)
     python -m repro regress --ledger L.jsonl  # exact counter gate
     python -m repro validate cert.json L.jsonl  # schema check of any artifact
 
-``compare``, ``profile``, ``report`` and ``explain`` run the one flow
-driver once (:func:`repro.flow.profile.run_pipeline`, the paper's whole
-evaluation of the system) and render its one ledger record; ``plan``,
-``sweep``, ``schedule`` and ``export`` call the library directly.
+``compare``, ``profile`` and ``explain`` run the one flow driver once
+(:func:`repro.flow.profile.run_pipeline`, the paper's whole evaluation
+of the system) and render its one ledger record; ``plan``, ``sweep``,
+``schedule`` and ``export`` call the library directly.
 
 Global observability flags work on every subcommand (before or after
 it): ``--metrics`` appends the full instrument table, and ``-v``/``-vv``
@@ -99,6 +99,7 @@ def _write_output(path: str, text: str) -> None:
 
 # ----------------------------------------------------------------------
 def cmd_cores(_args) -> int:
+    from repro.designs.registry import MEMORY_CORES
     from repro.dft import insert_hscan
     from repro.elaborate import elaborate
 
@@ -106,7 +107,7 @@ def cmd_cores(_args) -> int:
     for name, builder in sorted(_core_builders().items()):
         circuit = builder()
         area = elaborate(circuit).netlist.area()
-        if name in ("RAM", "ROM"):
+        if name in MEMORY_CORES:
             rows.append([name, circuit.flip_flop_count(), area, "-", "(memory: BIST)"])
             continue
         plan = insert_hscan(circuit)
@@ -117,6 +118,7 @@ def cmd_cores(_args) -> int:
 
 
 def cmd_versions(args) -> int:
+    from repro.designs.registry import MEMORY_CORES
     from repro.dft import insert_hscan
     from repro.flow.profile import regenerate_atpg
     from repro.transparency.versions import generate_versions
@@ -124,6 +126,10 @@ def cmd_versions(args) -> int:
     builders = _core_builders()
     if args.core not in builders:
         raise UsageError(f"unknown core {args.core!r}; choose from {sorted(builders)}")
+    if args.core in MEMORY_CORES:
+        raise UsageError(
+            f"{args.core} is a memory core (BIST-tested): it has no transparency versions"
+        )
     circuit = builders[args.core]()
     versions = generate_versions(circuit, insert_hscan(circuit))
     _, atpg = regenerate_atpg(circuit, 0, None)
@@ -367,19 +373,22 @@ def _render_certificate(certificate, diagnostics) -> str:
     return "\n".join(lines)
 
 
-def _read_ledger(path: str, label: str):
+def _read_ledger(path: str, label: str, missing_ok: bool = False):
     """A user-supplied run ledger, checked with usage-grade errors.
 
-    A missing path, or a file that is not a run ledger (wrong schema,
-    not JSONL), is an exit-2 usage error naming the offending path --
-    never a traceback: pointing ``--ledger``/``--baseline`` at the
-    wrong file is an operator mistake, not a library failure.
+    A missing path (unless ``missing_ok``: an append creates it), a
+    directory, or a file that is not a run ledger (wrong schema, not
+    JSONL) is an exit-2 usage error naming the offending path -- never a
+    traceback: pointing ``--ledger``/``--baseline`` at the wrong file is
+    an operator mistake, not a library failure.
     """
     from repro.errors import LedgerSchemaError
     from repro.obs.ledger import RunLedger
 
     ledger = RunLedger(path)
     if not ledger.exists():
+        if missing_ok:
+            return ledger
         raise UsageError(f"{label} {path!r} does not exist")
     try:
         ledger.records()
@@ -399,20 +408,28 @@ def _run_pipeline(args, top_k: int = 10):
     )
 
 
-def _append_record(path: str, record: Dict) -> None:
-    from repro.obs.ledger import RunLedger
-
-    RunLedger(path).append(record)
-    print(f"appended {record['bench']} record to {path}", file=sys.stderr)
-
-
 def cmd_profile(args) -> int:
-    from repro.flow.profile import render_profile
+    from repro.flow.profile import series_key
+    from repro.flow.report import render_run_report
 
+    # check both ledgers before the measured run: a bad path should fail
+    # fast, not after minutes of pipeline work
+    ledger = _read_ledger(args.ledger, "ledger", missing_ok=True) if args.ledger else None
+    baseline = None
+    if args.baseline:
+        baseline = _read_ledger(args.baseline, "baseline ledger").latest(
+            series_key(args.system, args.quick)
+        )
     record = _run_pipeline(args)
-    print(render_profile(record))
-    if args.ledger:
-        _append_record(args.ledger, record)
+    if ledger is not None:
+        ledger.append(record)
+        print(f"appended {record['bench']} record to {args.ledger}", file=sys.stderr)
+    text = render_run_report(record, baseline)
+    if args.output:
+        _write_output(args.output, text)
+        print(f"wrote run report to {args.output}")
+    else:
+        print(text)
     return 0
 
 
@@ -428,39 +445,6 @@ def cmd_regress(args) -> int:
         raise UsageError(str(error))
     print(report.to_json() if args.json else report.render())
     return report.exit_code()
-
-
-def cmd_report(args) -> int:
-    from repro.flow.profile import series_key
-    from repro.obs.report import RunReport
-
-    # resolve the baseline before the measured run: a bad --baseline
-    # path should fail fast, not after minutes of pipeline work
-    baseline_record = None
-    if args.baseline:
-        baseline_record = _read_ledger(args.baseline, "baseline ledger").latest(
-            series_key(args.system, args.quick)
-        )
-    record = _run_pipeline(args, top_k=args.top)
-    if args.ledger:
-        _append_record(args.ledger, record)
-    report = RunReport(
-        title=f"{args.system} pipeline",
-        record=record,
-        baseline=baseline_record,
-        top_k=args.top,
-    )
-    rendered = {
-        "md": report.to_markdown,
-        "html": report.to_html,
-        "json": report.to_json,
-    }[args.format]()
-    if args.output:
-        _write_output(args.output, rendered)
-        print(f"wrote {args.format} report to {args.output}")
-    else:
-        print(rendered)
-    return 0
 
 
 def cmd_explain(args) -> int:
@@ -552,7 +536,7 @@ def _observability_parent() -> argparse.ArgumentParser:
 
 
 def _pipeline_parent() -> argparse.ArgumentParser:
-    """The arguments of one pipeline run (``profile``/``report``/``explain``)."""
+    """The arguments of one pipeline run (``profile``/``explain``)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("system")
     parent.add_argument("--seed", type=int, default=0, help="ATPG seed (default 0)")
@@ -700,14 +684,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.set_defaults(func=cmd_export)
 
     p_profile = sub.add_parser(
-        "profile", help="run the full pipeline, print a per-stage breakdown",
+        "profile", help="run the full pipeline, print its run report",
         parents=[obs, pipeline],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=(
+            "Prints one pipeline run as text tables: the run facts, the plan\n"
+            "summary, the stage table (self times plus the run's unaccounted\n"
+            "time, rows that sum to the total), the top-10 hotspots by self\n"
+            "time, the search-effort attribution (ATPG totals, hardest faults,\n"
+            "optimizer convergence), and an exact counter diff against the\n"
+            "baseline ledger's newest record of the same series.\n"
+        ),
     )
     p_profile.add_argument(
         "--ledger", metavar="FILE",
         help="append this run (samples + counters + attribution artifact + "
              "env fingerprint) to a JSONL run ledger",
     )
+    p_profile.add_argument(
+        "--baseline", metavar="FILE",
+        help="baseline ledger for the counter diff",
+    )
+    p_profile.add_argument("-o", "--output", metavar="FILE",
+                           help="output file (default stdout)")
     p_profile.set_defaults(func=cmd_profile)
 
     p_regress = sub.add_parser(
@@ -744,38 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_regress.set_defaults(func=cmd_regress)
 
-    p_report = sub.add_parser(
-        "report", help="run the pipeline, emit a markdown/HTML/JSON run report",
-        parents=[obs, pipeline],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "Renders one pipeline run: the plan summary, the stage table (self\n"
-            "times plus the run's unaccounted time), the top-k hotspots by self\n"
-            "time, the search-effort attribution (hardest faults and optimizer\n"
-            "convergence), and a counter diff against the baseline ledger's\n"
-            "newest record of the same series.\n"
-        ),
-    )
-    p_report.add_argument(
-        "-f", "--format", default="md", choices=["md", "html", "json"],
-        help="report format (default %(default)s)",
-    )
-    p_report.add_argument("-o", "--output", metavar="FILE",
-                          help="output file (default stdout)")
-    p_report.add_argument(
-        "--ledger", metavar="FILE",
-        help="also append this run's record to a JSONL run ledger",
-    )
-    p_report.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline ledger for the counter diff",
-    )
-    p_report.add_argument(
-        "--top", type=_positive_int, default=10, metavar="K",
-        help="hotspot sections and hard faults to show (default %(default)s)",
-    )
-    p_report.set_defaults(func=cmd_report)
-
     p_explain = sub.add_parser(
         "explain", help="run the pipeline, emit its search-effort artifact",
         parents=[obs, pipeline],
@@ -785,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run: the top-K hardest faults (PODEM effort ledger, reconciled\n"
             "exactly against the atpg.podem.* counters) and the optimizer's\n"
             "move trajectory.  Check it offline with 'repro validate FILE';\n"
-            "'repro report' renders the same planes.\n"
+            "'repro profile' prints the same planes as tables.\n"
         ),
     )
     p_explain.add_argument(

@@ -16,27 +16,17 @@ from repro.designs.cpu import build_cpu
 from repro.designs.display import build_display
 from repro.designs.memory_cores import build_ram, build_rom
 from repro.designs.preprocessor import build_preprocessor
+from repro.designs.registry import DEFAULT_VECTORS
 from repro.soc import Core, Soc
-
-#: precomputed combinational vector counts: fixed inputs of every plan,
-#: not regenerated (seed-0 ATPG on these cores gives other counts; see
-#: ROADMAP item 1)
-DEFAULT_VECTORS: Dict[str, int] = {
-    "CPU": 50,
-    "PREPROCESSOR": 34,
-    "DISPLAY": 19,
-}
 
 
 def build_system1(test_vectors: Optional[Dict[str, int]] = None) -> Soc:
     """Assemble System 1.
 
-    ``test_vectors`` overrides :data:`DEFAULT_VECTORS` entries: core
-    name to precomputed vector count.
+    ``test_vectors`` overrides :data:`~repro.designs.registry.DEFAULT_VECTORS`
+    entries: core name to precomputed vector count.
     """
-    vectors = dict(DEFAULT_VECTORS)
-    if test_vectors:
-        vectors.update(test_vectors)
+    vectors = {**DEFAULT_VECTORS, **(test_vectors or {})}
 
     soc = Soc("System1")
     cpu = Core.from_circuit(build_cpu(), test_vectors=vectors["CPU"])

@@ -12,6 +12,22 @@ from repro.designs.memory_cores import build_ram, build_rom
 from repro.designs.preprocessor import build_preprocessor
 from repro.designs.x25 import build_x25
 
+#: precomputed combinational vector counts of the example cores: fixed
+#: inputs of every plan, not regenerated (seed-0 ATPG on these cores
+#: gives other counts; see ROADMAP item 1)
+DEFAULT_VECTORS: Dict[str, int] = {
+    "CPU": 50,
+    "PREPROCESSOR": 34,
+    "DISPLAY": 19,
+    "GRAPHICS": 27,
+    "GCD": 43,
+    "X25": 18,
+}
+
+#: the example cores that are memories: BIST-tested, so they get no HSCAN,
+#: no transparency versions and no place in the CCG
+MEMORY_CORES = ("RAM", "ROM")
+
 
 def core_builders() -> Dict[str, Callable]:
     """Builders for every example core, keyed by core name."""

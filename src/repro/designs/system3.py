@@ -10,34 +10,20 @@ scheduler beats the serial test order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.designs.display import build_display
 from repro.designs.gcd import build_gcd
 from repro.designs.graphics import build_graphics
 from repro.designs.x25 import build_x25
+from repro.designs.registry import DEFAULT_VECTORS
 from repro.soc import Core, Soc
 
-#: precomputed combinational vector counts: fixed inputs of every plan,
-#: not regenerated (seed-0 ATPG on these cores gives other counts; see
-#: ROADMAP item 1)
-DEFAULT_VECTORS: Dict[str, int] = {
-    "GRAPHICS": 27,
-    "GCD": 43,
-    "X25": 18,
-    "DISPLAY": 19,
-}
 
-
-def build_system3(test_vectors: Optional[Dict[str, int]] = None) -> Soc:
-    vectors = dict(DEFAULT_VECTORS)
-    vectors.update(test_vectors or {})
-
+def build_system3() -> Soc:
     soc = Soc("System3")
-    graphics = Core.from_circuit(build_graphics(), test_vectors=vectors["GRAPHICS"])
-    gcd = Core.from_circuit(build_gcd(), test_vectors=vectors["GCD"])
-    x25 = Core.from_circuit(build_x25(), test_vectors=vectors["X25"])
-    display = Core.from_circuit(build_display(), test_vectors=vectors["DISPLAY"])
+    graphics = Core.from_circuit(build_graphics(), test_vectors=DEFAULT_VECTORS["GRAPHICS"])
+    gcd = Core.from_circuit(build_gcd(), test_vectors=DEFAULT_VECTORS["GCD"])
+    x25 = Core.from_circuit(build_x25(), test_vectors=DEFAULT_VECTORS["X25"])
+    display = Core.from_circuit(build_display(), test_vectors=DEFAULT_VECTORS["DISPLAY"])
     for core in (graphics, gcd, x25, display):
         soc.add_core(core)
 

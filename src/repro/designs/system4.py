@@ -9,34 +9,20 @@ the only thing forcing tests apart.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.designs.display import build_display
 from repro.designs.gcd import build_gcd
 from repro.designs.preprocessor import build_preprocessor
 from repro.designs.x25 import build_x25
+from repro.designs.registry import DEFAULT_VECTORS
 from repro.soc import Core, Soc
 
-#: precomputed combinational vector counts: fixed inputs of every plan,
-#: not regenerated (seed-0 ATPG on these cores gives other counts; see
-#: ROADMAP item 1)
-DEFAULT_VECTORS: Dict[str, int] = {
-    "PREPROCESSOR": 34,
-    "GCD": 43,
-    "X25": 18,
-    "DISPLAY": 19,
-}
 
-
-def build_system4(test_vectors: Optional[Dict[str, int]] = None) -> Soc:
-    vectors = dict(DEFAULT_VECTORS)
-    vectors.update(test_vectors or {})
-
+def build_system4() -> Soc:
     soc = Soc("System4")
-    pre = Core.from_circuit(build_preprocessor(), test_vectors=vectors["PREPROCESSOR"])
-    gcd = Core.from_circuit(build_gcd(), test_vectors=vectors["GCD"])
-    x25 = Core.from_circuit(build_x25(), test_vectors=vectors["X25"])
-    display = Core.from_circuit(build_display(), test_vectors=vectors["DISPLAY"])
+    pre = Core.from_circuit(build_preprocessor(), test_vectors=DEFAULT_VECTORS["PREPROCESSOR"])
+    gcd = Core.from_circuit(build_gcd(), test_vectors=DEFAULT_VECTORS["GCD"])
+    x25 = Core.from_circuit(build_x25(), test_vectors=DEFAULT_VECTORS["X25"])
+    display = Core.from_circuit(build_display(), test_vectors=DEFAULT_VECTORS["DISPLAY"])
     for core in (pre, gcd, x25, display):
         soc.add_core(core)
 

@@ -6,8 +6,10 @@
   evaluation of one system (ATPG, the design space and its named
   points, optimization, schedules, the FSCAN-BSCAN baseline, the
   Table 2 and Table 3 rows), timed and attributed, returned as one
-  ledger record that ``repro profile``, ``report``, ``explain`` and
-  ``compare`` render.
+  ledger record that ``repro profile``, ``explain`` and ``compare``
+  render.
+* :mod:`repro.flow.report` -- the paper's table rows and their text
+  tables, and ``repro profile``'s run report of one pipeline record.
 """
 
 from repro.flow.system_netlist import flatten_soc
@@ -24,6 +26,7 @@ from repro.flow.report import (
     render_area_table,
     render_grading_budget,
     render_metrics_table,
+    render_run_report,
     render_schedule_table,
     render_session_table,
     render_stage_table,
@@ -42,6 +45,7 @@ __all__ = [
     "render_area_table",
     "render_grading_budget",
     "render_metrics_table",
+    "render_run_report",
     "render_schedule_table",
     "render_session_table",
     "render_stage_table",

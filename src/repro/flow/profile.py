@@ -9,12 +9,11 @@ and compute the FSCAN-BSCAN baseline with the Table 2 and Table 3 rows.
 The paper's "min. area" design is the fewest-cells point throughout.
 
 It returns the run's ``repro-ledger`` record (kind ``profile``), and
-every renderer reads that record: ``repro profile`` prints its stage
-table and headline numbers (:func:`render_profile`), ``report`` renders
-it as markdown, HTML or JSON (:class:`repro.obs.report.RunReport`),
-``explain`` writes its ``repro-attrib`` artifact, and ``compare``, the
-Table 1-3 benches and ``examples/system2_report.py`` print its points
-and table rows (:func:`record_rows`).
+every renderer reads that record: ``repro profile`` prints its run
+report (:func:`repro.flow.report.render_run_report`), ``explain`` writes
+its ``repro-attrib`` artifact, and ``compare``, the Table 1-3 benches
+and ``examples/system2_report.py`` print its points and table rows
+(:func:`record_rows`).
 
 The record carries the run's total wall time (``samples``), every
 section's totals (``histograms``), the full counter snapshot, zeros
@@ -39,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import UsageError
 from repro.flow.report import AreaRow, ScheduleRow, TestabilityRow
-from repro.obs import METRICS, profile_section, stage_rows
+from repro.obs import METRICS, profile_section
 from repro.obs.attrib import build_artifact
 from repro.obs.ledger import make_record
 from repro.obs.profiler import ROOT_SECTION
@@ -69,23 +68,6 @@ def record_rows(record: Dict, table: str) -> List:
     """A record's ``area`` (Table 2), ``schedules`` or ``testability``
     (Table 3) rows, as the row objects the table renderers take."""
     return [_ROW_TYPES[table](**row) for row in record["results"][table]]
-
-
-def render_profile(record: Dict) -> str:
-    """``repro profile``'s text: a run record's stage table, total and plan."""
-    from repro.flow.report import render_stage_table
-    from repro.obs.report import headline
-
-    stages = stage_rows(record["histograms"], record["counters"])
-    title = f"{record['attrib']['system']}: pipeline profile"
-    lines = [render_stage_table(stages, title=title)]
-    lines.append(
-        f"\ntotal {record['samples'][0]:.3f}s (stage times are self times; "
-        "with unaccounted they sum to the total)"
-    )
-    pairs = ", ".join(f"{k} {v}" for k, v in headline(record["results"]).items())
-    lines.append(f"plan: {pairs}")
-    return "\n".join(lines)
 
 
 def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]):

@@ -1,8 +1,10 @@
 """Report rows mirroring the paper's tables, plus text rendering.
 
 Beyond the paper's tables this module renders the observability
-artifacts: the per-stage pipeline breakdown behind ``repro profile``
-and the metrics section printed by the global ``--metrics`` flag.
+artifacts: ``repro profile``'s run report of one pipeline record
+(:func:`render_run_report`) and the metrics section printed by the
+global ``--metrics`` flag.  Every table is plain ASCII from
+:func:`repro.util.render_table`.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.obs.profiler import ROOT_SECTION, stage_rows
+from repro.obs.regress import compare_counters
 from repro.util.tables import render_table
 
 
@@ -164,12 +168,17 @@ def _format_counters(counters: Dict[str, object], limit: int = 4) -> str:
     return ", ".join(shown) if shown else "-"
 
 
-def render_stage_table(stages: List[Dict], title: str = "pipeline profile") -> str:
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1000.0:.1f}"
+
+
+def render_stage_table(stages: List[Dict]) -> str:
     """The per-stage breakdown of one profiled pipeline run.
 
     ``stages`` rows come from :func:`repro.obs.stage_rows`: display
     name, self seconds, timed-section calls, and the stage's counters;
-    the last row is the run's ``unaccounted`` time.
+    the last row is the run's ``unaccounted`` time, and a ``total`` row
+    that the rows sum to follows it.
     """
     total = sum(row["self_seconds"] for row in stages)
     body = []
@@ -177,15 +186,148 @@ def render_stage_table(stages: List[Dict], title: str = "pipeline profile") -> s
         body.append(
             [
                 row["stage"],
-                f"{row['self_seconds'] * 1000.0:.1f}",
+                _ms(row["self_seconds"]),
                 f"{100.0 * row['self_seconds'] / total:.1f}" if total else "-",
                 row["calls"],
                 _format_counters(row["counters"]),
             ]
         )
+    body.append(["total", _ms(total), "100.0" if total else "-",
+                 sum(row["calls"] for row in stages), ""])
     return render_table(
-        ["Stage", "Self(ms)", "Share(%)", "Sections", "Key counters"], body, title=title
+        ["Stage", "Self(ms)", "Share(%)", "Sections", "Key counters"], body,
+        title="Stage times (self times; unaccounted is the time outside every "
+              "section; the rows sum to the total)",
     )
+
+
+def hotspots(sections: Dict[str, Dict], top_k: int = 10) -> List[Dict]:
+    """A record's ``top_k`` timed sections by self time, the root left out."""
+    rows = [
+        {
+            "section": name,
+            "self_seconds": totals["self"],
+            "seconds": totals["sum"],
+            "calls": totals["count"],
+        }
+        for name, totals in sections.items()
+        if name != ROOT_SECTION
+    ]
+    rows.sort(key=lambda row: (-row["self_seconds"], row["section"]))
+    return rows[:top_k]
+
+
+def headline(results: Dict) -> Dict:
+    """A run's headline numbers: the scalar entries of its ``results``
+    (the design points and table rows beside them are not headlines)."""
+    return {key: value for key, value in results.items() if not isinstance(value, (dict, list))}
+
+
+def counter_diff(candidate: Dict, baseline: Optional[Dict]) -> Dict:
+    """Changed/added/removed counters vs a baseline record's counters."""
+    if baseline is None:
+        return {"available": False, "changed": [], "unchanged": len(candidate)}
+    drifts = compare_counters(candidate, baseline, ignore=())
+    changed = [
+        {"counter": d.counter, "baseline": d.baseline, "candidate": d.candidate}
+        for d in drifts
+    ]
+    matched = len(set(candidate) & set(baseline)) - sum(
+        1 for d in drifts if d.baseline is not None and d.candidate is not None
+    )
+    return {"available": True, "changed": changed, "unchanged": matched}
+
+
+def _short_sha(record: Dict) -> str:
+    return (record.get("git_sha") or "unversioned")[:12]
+
+
+def render_run_report(record: Dict, baseline: Optional[Dict] = None) -> str:
+    """``repro profile``'s text: every view of one pipeline run's record.
+
+    ``record`` is a :func:`repro.flow.profile.run_pipeline` record and
+    ``baseline`` the newest record of its series in a baseline ledger
+    (or ``None``).  The sections: the run facts, the plan summary, the
+    stage table, the top-10 hotspots by self time (the root section is
+    never one: its inclusive time is the whole run), the search-effort
+    attribution of the record's ``repro-attrib`` artifact, and the exact
+    counter diff against ``baseline``.
+    """
+    samples = record["samples"]
+    env = record["env"]
+    facts = [
+        ["series", record["bench"]],
+        ["timestamp", record["timestamp"]],
+        ["git sha", _short_sha(record)],
+        ["wall time", f"{sum(samples) / len(samples):.3f}s over {len(samples)} sample(s)"],
+        ["environment", f"python {env['python']}, {env['platform']}, {env['cpus']} CPUs"],
+    ]
+    if baseline is not None:
+        facts.append(["baseline", f"{baseline['timestamp']} ({_short_sha(baseline)})"])
+    sections = record["histograms"]
+    atpg = record["attrib"]["planes"]["atpg"]
+    totals = atpg["totals"]
+    optimizer = record["attrib"]["planes"]["optimizer"]["summary"]
+    convergence = [
+        ["candidate moves", optimizer["candidates"]],
+        ["accepted", optimizer["accepted"]],
+        ["rejected", optimizer["rejected"]],
+        ["design-point revisits", optimizer["revisits"]],
+        ["trailing plateau", optimizer["plateau"]],
+        ["wasted-move ratio", optimizer["wasted_ratio"]],
+    ]
+    convergence.extend(
+        [f"{kind} moves accepted", f"{row['accepted']}/{row['candidates']}"]
+        for kind, row in sorted(optimizer["yield"].items())
+    )
+    blocks = [
+        render_table(["fact", "value"], facts,
+                     title=f"{record['attrib']['system']} pipeline run"),
+        render_table(["metric", "value"], list(headline(record["results"]).items()),
+                     title="Plan summary"),
+        render_stage_table(stage_rows(sections, record["counters"])),
+        render_table(
+            ["Section", "Self(ms)", "Inclusive(ms)", "Calls"],
+            [[row["section"], _ms(row["self_seconds"]), _ms(row["seconds"]), row["calls"]]
+             for row in hotspots(sections)],
+            title="Hotspots (top sections by self time; the root section is never one)",
+        ),
+        render_table(
+            ["PODEM calls", "effort", "decisions", "backtracks", "implications"],
+            [[totals["calls"], totals["effort"], totals["decisions"], totals["backtracks"],
+              totals["implications"]]],
+            title="Search-effort attribution: ATPG totals "
+                  "(effort = decisions + 2 x backtracks + implications)",
+        ),
+        render_table(
+            ["fault", "site", "kind", "depth", "effort", "backtracks", "status", "abort cause"],
+            [[row["fault"], row["site"], row["gate_kind"], row["cone_depth"], row["effort"],
+              row["backtracks"], row["status"], row["abort_cause"] or "-"]
+             for row in atpg["hard_faults"]],
+            title="Hardest faults",
+        ),
+        render_table(["metric", "value"], convergence, title="Optimizer convergence"),
+        _render_counter_diff(record["counters"], baseline),
+    ]
+    return "\n\n".join(blocks)
+
+
+def _render_counter_diff(counters: Dict, baseline: Optional[Dict]) -> str:
+    title = "Counters vs baseline"
+    diff = counter_diff(counters, baseline["counters"] if baseline is not None else None)
+    if not diff["available"]:
+        return f"{title}\nNo baseline record; counter diff skipped."
+    if not diff["changed"]:
+        return (f"{title}\nAll {diff['unchanged']} counters match the baseline exactly "
+                "(deterministic pipeline, unchanged work).")
+    rows = [
+        [row["counter"],
+         "absent" if row["baseline"] is None else row["baseline"],
+         "absent" if row["candidate"] is None else row["candidate"]]
+        for row in diff["changed"]
+    ]
+    table = render_table(["counter", "baseline", "current"], rows, title=title)
+    return f"{table}\n{diff['unchanged']} counters unchanged."
 
 
 def render_metrics_table(snapshot: Dict) -> str:

@@ -108,11 +108,8 @@ class RuleRegistry:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def rules(self, scope: Optional[str] = None) -> List[Rule]:
-        ordered = list(self._rules.values())
-        if scope is not None:
-            ordered = [r for r in ordered if r.scope == scope]
-        return ordered
+    def rules(self) -> List[Rule]:
+        return list(self._rules.values())
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules

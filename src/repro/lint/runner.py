@@ -62,16 +62,13 @@ def lint_schedule(schedule, registry: Optional[RuleRegistry] = None) -> LintRepo
     return registry.run(context, scopes=("schedule",))
 
 
-def lint_soc(
-    soc,
-    registry: Optional[RuleRegistry] = None,
-    selection=None,
-) -> LintReport:
+def lint_soc(soc, registry: Optional[RuleRegistry] = None) -> LintReport:
     """The full static pass over every artifact layer of one SOC.
 
-    When the structural layers report errors the plan and schedule
-    layers are skipped: building a plan on a broken SOC would raise
-    rather than lint.
+    The plan and schedule layers check the default plan (every core at
+    its first version).  When the structural layers report errors they
+    are skipped: building a plan on a broken SOC would raise rather than
+    lint.
     """
     registry = registry or default_registry()
     with profile_section("lint.pass"):
@@ -83,7 +80,7 @@ def lint_soc(
         from repro.soc.plan import plan_soc_test
 
         try:
-            context.plan = plan_soc_test(soc, selection)
+            context.plan = plan_soc_test(soc)
         except ReproError as error:
             context.plan_error = error
         registry.run(context, scopes=("plan",), report=report)

@@ -8,17 +8,18 @@ Zero-dependency subsystem; instrumentation never forks hot-path code:
   ...) and of timed-section totals;
 * :mod:`repro.obs.profiler` -- :func:`profile_section`, the one way code
   is timed: it keeps calls, inclusive and self seconds per section name,
-  and powers the per-stage self-time table of ``repro profile`` and
-  ``repro report``;
+  and :func:`stage_rows` rolls them into the per-stage self-time table
+  of ``repro profile``;
 * :mod:`repro.obs.attrib` -- the ``repro-attrib`` search-effort
   artifact, built from what a pipeline run returns (each ATPG outcome's
   PODEM results, the optimizer's moves), and its shape;
 * :mod:`repro.obs.ledger` -- the ``repro-ledger`` record, the one form a
   measured run (a bench, a pipeline run) takes, its shape, and the
   JSONL ledger that stores records;
-* :mod:`repro.obs.regress` -- the exact counter gate over ledgers, and
-  :mod:`repro.obs.report` -- one pipeline run's record as markdown,
-  HTML or JSON.
+* :mod:`repro.obs.regress` -- the exact counter gate over ledgers.
+
+One pipeline run's record is rendered as text tables by
+:func:`repro.flow.report.render_run_report` (``repro profile``).
 
 Typical instrumentation, cached at module scope::
 
@@ -46,7 +47,6 @@ from repro.obs.regress import (
     compare_ledgers,
     compare_records,
 )
-from repro.obs.report import RunReport
 
 #: the process-wide registry every instrumented module shares
 METRICS = DEFAULT_REGISTRY
@@ -65,7 +65,6 @@ __all__ = [
     "RegressionReport",
     "compare_ledgers",
     "compare_records",
-    "RunReport",
     "configure_logging",
 ]
 

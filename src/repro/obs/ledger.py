@@ -1,9 +1,12 @@
 """Append-only JSONL run ledger: the one form a measured run takes.
 
-Every measured run -- a benchmark's timing rounds or one pipeline run
-(``repro profile``, ``report``, ``explain``) -- is one ``repro-ledger``
-record, and a ledger file holds one record per line, so a run's history
-is a queryable series.  Records are self-describing and versioned::
+Every measured run -- a benchmark's timing rounds or one pipeline run --
+is one ``repro-ledger`` record, and a ledger file holds one record per
+line, so a run's history is a queryable series.  Benchmarks append
+their records to their results ledger, and ``repro profile --ledger``
+appends a pipeline run's (``repro explain`` writes no record, only the
+run's attribution artifact).  Records are self-describing and
+versioned::
 
     {
       "schema": "repro-ledger",

@@ -10,8 +10,8 @@ from repro.schedule.timeline import TestSchedule
 _AXIS_COLS = 60
 
 
-def render_gantt(schedule: TestSchedule, width: int = _AXIS_COLS) -> str:
-    """One bar per scheduled test, scaled to ``width`` columns.
+def render_gantt(schedule: TestSchedule) -> str:
+    """One bar per scheduled test, scaled to ``_AXIS_COLS`` columns.
 
     Example::
 
@@ -26,14 +26,14 @@ def render_gantt(schedule: TestSchedule, width: int = _AXIS_COLS) -> str:
         f"(serial {schedule.serial_tat}, {schedule.speedup:.2f}x)"
     ]
     for entry in sorted(schedule.entries, key=lambda e: (e.start, e.end, e.core)):
-        lo = round(entry.start * width / makespan)
-        hi = max(lo + 1, round(entry.end * width / makespan))
-        bar = "_" * lo + "#" * (hi - lo) + "_" * (width - hi)
+        lo = round(entry.start * _AXIS_COLS / makespan)
+        hi = max(lo + 1, round(entry.end * _AXIS_COLS / makespan))
+        bar = "_" * lo + "#" * (hi - lo) + "_" * (_AXIS_COLS - hi)
         tag = " bist" if entry.item.kind == "bist" else ""
         lines.append(
             f"{entry.core:<{name_width}} |{bar}| {entry.start}..{entry.end}{tag}"
         )
-    scale = f"0{'cycles':^{width - 1}}{makespan}"
+    scale = f"0{'cycles':^{_AXIS_COLS - 1}}{makespan}"
     lines.append(f"{' ' * name_width}  {scale}")
     for session in schedule.sessions():
         cores = ", ".join(sorted(e.core for e in session.entries))

@@ -1,7 +1,7 @@
 """Tests for search-effort attribution (:mod:`repro.obs.attrib`), its
 two sources (each ATPG outcome's PODEM results, the optimizer's moves),
 and the pipeline run (:func:`repro.flow.profile.run_pipeline`) that
-carries it to ``repro profile``, ``report`` and ``explain``."""
+carries it to ``repro profile`` and ``explain``."""
 
 import json
 import os
@@ -385,9 +385,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["explain", "System1", "--top", "0"],
         ["explain", "System1", "--quick", "--top", "-3"],
-        ["report", "System1", "--quick", "--top", "0"],
-        ["report", "System1", "--quick", "--top", "-2"],
-        ["report", "System1", "--quick", "--top", "many"],
+        ["explain", "System1", "--quick", "--top", "many"],
+        ["explain", "System1", "--top", "2.5"],
+        ["profile", "System1", "--quick", "--top", "3"],  # profile takes no --top
     ])
     def test_bad_top_exits_2_before_any_work(self, argv, capsys, monkeypatch):
         def pipeline(*_args, **_kwargs):
@@ -402,13 +402,17 @@ class TestCli:
         ["regress", "--ledger", "{ledger}", "--baseline", "{dir}"],
         ["regress", "--ledger", "{bogus}"],
         ["regress", "--ledger", "{ledger}", "--baseline", "{bogus}"],
-        ["report", "System1", "--quick", "--baseline", "{dir}"],
+        ["profile", "System1", "--quick", "--baseline", "{dir}"],
         ["explain", "System1", "--quick", "-o", "{dir}"],
         ["profile", "System1", "--quick", "--ledger", "{dir}"],
-        ["report", "System1", "--quick", "-o", "{dir}"],
+        ["profile", "System1", "--quick", "-o", "{dir}"],
         ["certify", "System1", "-o", "{dir}"],
         pytest.param(["export", "System1", "-o", "{full}"], marks=pytest.mark.skipif(
             not os.path.exists("/dev/full"), reason="no /dev/full device")),
+        ["profile", "System1", "--quick", "--ledger", "{bogus}"],
+        pytest.param(["profile", "System1", "--quick", "-o", "{full}"],
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full device")),
     ])
     def test_path_mistake_exits_2_with_one_line(self, argv, tmp_path, capsys):
         from repro.obs.ledger import RunLedger, make_record
@@ -435,7 +439,7 @@ class TestCli:
     def test_report_missing_baseline_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         code = self.run_cli(
-            ["report", "System1", "--quick", "--baseline", str(missing)]
+            ["profile", "System1", "--quick", "--baseline", str(missing)]
         )
         assert code == 2
         assert str(missing) in capsys.readouterr().err
@@ -444,7 +448,7 @@ class TestCli:
         bogus = tmp_path / "bogus.jsonl"
         bogus.write_text("this is not a ledger\n")
         code = self.run_cli(
-            ["report", "System1", "--quick", "--baseline", str(bogus)]
+            ["profile", "System1", "--quick", "--baseline", str(bogus)]
         )
         assert code == 2
         assert str(bogus) in capsys.readouterr().err
@@ -466,29 +470,6 @@ class TestCli:
         assert validate_artifact(payload) == []
         assert artifact_json(payload) == out
         assert payload["top_k"] == 3 and len(payload["planes"]["atpg"]["hard_faults"]) == 3
-
-    # the explain sections render through `repro report`, whose run
-    # record always carries the attribution artifact
-    def test_explain_markdown_report(self, capsys):
-        code = self.run_cli(["report", "System1", "--quick", "--top", "3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Search-effort attribution" in out
-        assert "Hardest faults" in out
-        assert "Optimizer convergence" in out
-        assert "| unaccounted |" in out
-        assert "`profile.total`" not in out  # the root is not a hotspot
-
-    def test_explain_html_report(self, tmp_path):
-        out = tmp_path / "report.html"
-        code = self.run_cli(
-            ["report", "System1", "--quick", "-f", "html", "-o", str(out)]
-        )
-        assert code == 0
-        text = out.read_text(encoding="utf-8")
-        assert "Search-effort attribution" in text
-        assert "Hardest faults" in text
-        assert text.lstrip().startswith("<")
 
     def test_profile_ledger_embeds_artifact(self, tmp_path):
         from repro.obs.ledger import RunLedger

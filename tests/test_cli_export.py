@@ -37,6 +37,16 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["versions", "NOPE"])
 
+    @pytest.mark.parametrize("core", ["RAM", "ROM"])
+    def test_versions_of_a_memory_core_is_a_usage_error(self, core, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["versions", core])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"repro: {core} is a memory core (BIST-tested): "
+            "it has no transparency versions\n"
+        )
+
     def test_plan_default(self, capsys):
         assert main(["plan", "System2"]) == 0
         out = capsys.readouterr().out

@@ -1,8 +1,7 @@
-"""Tests for run reports (:mod:`repro.obs.report`) and ``repro report``."""
+"""Tests for ``repro profile``'s run report
+(:func:`repro.flow.report.render_run_report`) and its view helpers."""
 
 import copy
-import html
-import json
 import os
 import re
 import subprocess
@@ -11,10 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.ledger import make_record
-from repro.obs.report import RunReport, counter_diff, hotspots
+from repro.flow.report import counter_diff, headline, hotspots, render_run_report
+from repro.obs.ledger import RunLedger, make_record
+from repro.obs.profiler import stage_rows
 
+ROOT = Path(__file__).resolve().parent.parent
 ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
+#: an ASCII locale: Python's stdout then encodes ASCII and raises on
+#: anything else
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+HEADINGS = (
+    "System1 pipeline run", "Plan summary", "Stage times", "Hotspots",
+    "Search-effort attribution", "Hardest faults", "Optimizer convergence",
+    "Counters vs baseline",
+)
 
 
 def record(counters=None, samples=(0.5,), sections=None, results=None):
@@ -39,6 +48,26 @@ def sections_of(totals):
     }
 
 
+def committed_record():
+    """The committed baseline's newest quick System1 pipeline record."""
+    ledger = RunLedger(ROOT / "benchmarks" / "baseline" / "ledger.jsonl")
+    return copy.deepcopy(ledger.latest("profile-System1-quick"))
+
+
+def blocks_of(text):
+    """The report's sections: title line -> the lines below it."""
+    blocks = {}
+    for block in text.split("\n\n"):
+        title, *lines = block.splitlines()
+        blocks[title] = lines
+    return blocks
+
+
+def block(blocks, prefix):
+    (lines,) = [lines for title, lines in blocks.items() if title.startswith(prefix)]
+    return lines
+
+
 class TestStageTable:
     def test_rows_are_self_times_plus_unaccounted(self):
         sections = sections_of({
@@ -47,18 +76,17 @@ class TestStageTable:
             "faultsim.run": (2, 0.125, 0.125),
             "corelevel.hscan": (3, 0.25, 0.25),
         })
-        report = RunReport("t", record(sections=sections))
-        by_stage = {row["stage"]: row for row in report.stages}
+        stages = stage_rows(sections, {})
+        by_stage = {row["stage"]: row for row in stages}
         assert by_stage["ATPG"]["self_seconds"] == 0.375
         assert by_stage["fault-sim"]["calls"] == 2
-        assert report.stages[-1]["stage"] == "unaccounted"
-        assert report.stages[-1]["self_seconds"] == 0.25
-        assert sum(row["self_seconds"] for row in report.stages) == 1.0
+        assert stages[-1]["stage"] == "unaccounted"
+        assert stages[-1]["self_seconds"] == 0.25
+        assert sum(row["self_seconds"] for row in stages) == 1.0
 
     def test_prefix_matching_is_exact_or_dotted(self):
         sections = sections_of({"atpgx.run": (1, 0.5, 0.5)})
-        report = RunReport("t", record(sections=sections))
-        by_stage = {row["stage"]: row for row in report.stages}
+        by_stage = {row["stage"]: row for row in stage_rows(sections, {})}
         assert by_stage["ATPG"]["self_seconds"] == 0.0
         assert by_stage["atpgx"]["self_seconds"] == 0.5  # "atpgx" is not "atpg"
 
@@ -98,87 +126,115 @@ class TestCounterDiff:
 
 
 class TestRunReport:
-    def build(self, baseline=None):
-        sections = sections_of({
+    def build(self, baseline=None, sections=None):
+        """A small run: the committed record's artifact, with two timed
+        sections, one headline number and two counters of its own."""
+        run = committed_record()
+        run.update(record(sections=sections or sections_of({
             "profile.total": (1, 0.5, 0.25),
             "atpg.run": (1, 0.25, 0.25),
-        })
-        return RunReport(
-            title="System1 pipeline",
-            record=record(sections=sections, results={"serial TAT": 17_000}),
-            baseline=baseline,
-        )
+        }), results={"serial TAT": 17_000}))
+        return render_run_report(run, baseline)
 
-    def test_markdown_contains_every_section(self):
-        text = self.build(baseline=record(counters={"a": 2})).to_markdown()
-        assert "# Run report — System1 pipeline" in text
-        assert "## Plan summary" in text and "17000" in text
-        assert "## Stage times" in text
-        assert "| ATPG | 250.0 | 50.0% | 1 |" in text
-        assert "| unaccounted | 250.0 | 50.0% | 1 |" in text
-        assert "| **total** | 500.0 | | |" in text
-        assert "## Hotspots" in text and "`atpg.run`" in text
-        assert "`profile.total`" not in text
-        assert "## Counters vs baseline" in text
-        assert "| `a` | 2 | 1 |" in text  # the drifted counter
+    def test_text_contains_every_section(self):
+        text = self.build(baseline=record(counters={"a": 2}))
+        blocks = blocks_of(text)
+        for heading in HEADINGS:
+            assert [title for title in blocks if title.startswith(heading)], heading
+        assert block(blocks, "Plan summary")[2].split() == ["serial", "TAT", "17000"]
+        stages = block(blocks, "Stage times")
+        assert next(line for line in stages if line.startswith("ATPG")).split()[:4] == [
+            "ATPG", "250.0", "50.0", "1"]
+        assert stages[-2].split() == ["unaccounted", "250.0", "50.0", "1", "-"]
+        assert stages[-1].split() == ["total", "500.0", "100.0", "2"]
+        assert [line.split()[0] for line in block(blocks, "Hotspots")[2:]] == ["atpg.run"]
+        assert "profile.total" not in "\n".join(block(blocks, "Hotspots"))
+        assert block(blocks, "Counters vs baseline")[2].split() == ["a", "2", "1"]
         assert "aaaaaaaaaaaa" in text  # the short git sha
 
-    def test_markdown_without_baseline(self):
-        text = self.build().to_markdown()
-        assert "counter diff skipped" in text
+    def test_without_baseline(self):
+        assert "No baseline record; counter diff skipped." in self.build()
 
-    def test_markdown_counters_all_match(self):
-        text = self.build(baseline=record()).to_markdown()
-        assert "counters match the baseline exactly" in text
-
-    def test_html_is_escaped_and_structured(self):
-        report = self.build(baseline=record(counters={"a": 2}))
-        report.title = "<System1 & pipeline>"
-        html = report.to_html()
-        assert "&lt;System1 &amp; pipeline&gt;" in html
-        assert "<h2>Stage times</h2>" in html
-        assert "<td>unaccounted</td><td>250.0</td>" in html
-        assert "<h2>Hotspots</h2>" in html
-        assert "<System1" not in html.replace("<System1 ", "")
-
-    def test_json_round_trip(self):
-        payload = json.loads(self.build().to_json())
-        assert payload["record"]["bench"] == "profile-System1"
-        assert payload["stages"][-1]["stage"] == "unaccounted"
-        assert [row["section"] for row in payload["hotspots"]] == ["atpg.run"]
-        assert payload["counter_diff"]["available"] is False
+    def test_counters_all_match(self):
+        text = self.build(baseline=record())
+        assert "All 2 counters match the baseline exactly" in text
 
     def test_zero_time_run_renders(self):
-        sections = sections_of({"profile.total": (1, 0.0, 0.0)})
-        report = RunReport(title="t", record=record(sections=sections))
-        assert "| unaccounted | 0.0 | - | 1 |" in report.to_markdown()
-        assert "unaccounted" in report.to_html()
+        text = self.build(sections=sections_of({"profile.total": (1, 0.0, 0.0)}))
+        stages = block(blocks_of(text), "Stage times")
+        assert stages[-2].split() == ["unaccounted", "0.0", "-", "1", "-"]
+        assert stages[-1].split() == ["total", "0.0", "-", "1"]
+
+    def test_every_value_of_a_record_appears(self):
+        """A fixed record rendered against itself as its own baseline."""
+        run = committed_record()
+        text = render_run_report(run, run)
+        assert text.isascii()
+        blocks = blocks_of(text)
+        summary = [line.split() for line in block(blocks, "Plan summary")[2:]]
+        assert summary == [key.split() + [str(value)]
+                           for key, value in headline(run["results"]).items()]
+        stages = {line.split()[0]: line for line in block(blocks, "Stage times")[2:]}
+        rows = stage_rows(run["histograms"], run["counters"])
+        for row in rows:
+            cells = re.split(r"\s{2,}", stages[row["stage"]])
+            assert int(cells[3]) == row["calls"], row["stage"]
+        shown = [float(line.split()[1]) for name, line in stages.items() if name != "total"]
+        assert sum(shown) == pytest.approx(float(stages["total"].split()[1]), abs=0.05 * len(rows))
+        assert [line.split()[0] for line in block(blocks, "Hotspots")[2:]] == [
+            row["section"] for row in hotspots(run["histograms"])]
+        atpg = run["attrib"]["planes"]["atpg"]
+        totals = block(blocks, "Search-effort attribution")[2].split()
+        assert totals == [str(atpg["totals"][key]) for key in (
+            "calls", "effort", "decisions", "backtracks", "implications")]
+        faults = block(blocks, "Hardest faults")[2:]
+        assert len(faults) == len(atpg["hard_faults"])
+        for line, fault in zip(faults, atpg["hard_faults"]):
+            cells = line.split()
+            assert (cells[0], cells[4], cells[6]) == (
+                fault["fault"], str(fault["effort"]), fault["status"])
+        summary = run["attrib"]["planes"]["optimizer"]["summary"]
+        convergence = dict(re.split(r"\s{2,}", line)
+                           for line in block(blocks, "Optimizer convergence")[2:])
+        for label, key in (("candidate moves", "candidates"), ("accepted", "accepted"),
+                           ("rejected", "rejected"), ("design-point revisits", "revisits"),
+                           ("trailing plateau", "plateau"),
+                           ("wasted-move ratio", "wasted_ratio")):
+            assert convergence[label] == str(summary[key]), label
+        for kind, row in summary["yield"].items():
+            assert convergence[f"{kind} moves accepted"] == (
+                f"{row['accepted']}/{row['candidates']}")
+        assert block(blocks, "Counters vs baseline") == [
+            f"All {len(run['counters'])} counters match the baseline exactly "
+            "(deterministic pipeline, unchanged work)."]
+
+
+def run_ascii(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ASCII_LOCALE)
+    return subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                          capture_output=True, cwd=cwd)
 
 
 class TestCliReport:
-    def test_report_markdown_to_file(self, tmp_path, capsys):
+    def test_report_to_file(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "report.md"
+        out = tmp_path / "report.txt"
         ledger = tmp_path / "ledger.jsonl"
         assert main([
-            "report", "System1", "--quick",
+            "profile", "System1", "--quick",
             "-o", str(out), "--ledger", str(ledger),
         ]) == 0
-        text = out.read_text()
-        assert "# Run report — System1 pipeline" in text
-        assert "## Stage times" in text and "| unaccounted |" in text
-        assert "## Hotspots" in text
-        assert "`profile.total`" not in text
-        from repro.obs.ledger import RunLedger
-
+        assert capsys.readouterr().out == f"wrote run report to {out}\n"
+        blocks = blocks_of(out.read_text())
+        assert block(blocks, "Stage times")[-2].startswith("unaccounted ")
+        assert "profile.total" not in "\n".join(block(blocks, "Hotspots"))
         (appended,) = RunLedger(ledger).records()
         assert appended["bench"] == "profile-System1-quick"
         assert appended["kind"] == "profile"
 
-    def test_report_json_with_baseline_diff(self, tmp_path, capsys):
+    def test_report_with_baseline_diff(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.obs.ledger import RunLedger
 
         baseline = tmp_path / "baseline.jsonl"
         RunLedger(baseline).append(
@@ -193,68 +249,63 @@ class TestCliReport:
             )
         )
         assert main([
-            "report", "System1", "--quick", "-f", "json",
-            "--baseline", str(baseline),
+            "profile", "System1", "--quick", "--baseline", str(baseline),
         ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["baseline"]["counters"] == {"phantom.counter": 3}
-        changed = {row["counter"] for row in payload["counter_diff"]["changed"]}
-        assert "phantom.counter" in changed  # absent in the fresh run
+        blocks = blocks_of(capsys.readouterr().out)
+        assert ["baseline", "2026-08-06T12:00:00Z", "(unversioned)"] in [
+            line.split() for line in block(blocks, "System1 pipeline run")]
+        diff = block(blocks, "Counters vs baseline")
+        assert ["phantom.counter", "3", "absent"] in [line.split() for line in diff]
+        assert diff[-1] == "0 counters unchanged."
 
     def test_missing_baseline_is_usage_error(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
             main([
-                "report", "System1", "--quick",
+                "profile", "System1", "--quick",
                 "--baseline", str(tmp_path / "none.jsonl"),
             ])
         assert exc.value.code == 2
 
-    def test_markdown_and_html_carry_the_same_sections(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["notes", "directory"])
+    def test_bad_ledger_fails_before_the_run(self, kind, tmp_path, capsys, monkeypatch):
         from repro.cli import main
-        from repro.flow import profile
-        from repro.obs.ledger import RunLedger
 
-        # one pipeline run, so one record and timestamp, behind both renderings
-        run = profile.run_pipeline("System1", max_faults=profile.QUICK_MAX_FAULTS)
-        monkeypatch.setattr(profile, "run_pipeline", lambda *_a, **_k: run)
-        drifted = copy.deepcopy(run)
-        drifted["counters"]["atpg.podem.calls"] += 1  # one counter-diff row
-        baseline = tmp_path / "baseline.jsonl"
-        RunLedger(baseline).append(drifted)
-        md, page = tmp_path / "report.md", tmp_path / "report.html"
-        common = ["report", "System1", "--quick", "--baseline", str(baseline)]
-        assert main(common + ["-o", str(md)]) == 0
-        assert main(common + ["-f", "html", "-o", str(page)]) == 0
-        text = md.read_text(encoding="utf-8")
-        body = page.read_text(encoding="utf-8").split("<body>", 1)[1]
+        def pipeline(*_args, **_kwargs):
+            raise AssertionError("the pipeline ran before --ledger was checked")
 
-        md_headings = [(len(marks), title) for marks, title
-                       in re.findall(r"^(#+) (.+)$", text, re.M)]
-        html_headings = [(int(level), html.unescape(title)) for level, title
-                         in re.findall(r"<h(\d)>(.*?)</h\1>", body)]
-        assert md_headings == html_headings
-        assert [title for level, title in md_headings if level == 2] == [
-            "Plan summary", "Stage times", "Hotspots",
-            "Search-effort attribution", "Counters vs baseline",
-        ]
-        number = re.compile(r"\d+(?:\.\d+)?")
-        html_text = html.unescape(re.sub(r"<[^>]+>", " ", body))
-        assert number.findall(text) == number.findall(html_text)
-        assert str(run["results"]["optimized TAT"]) in number.findall(text)
+        monkeypatch.setattr("repro.flow.profile.run_pipeline", pipeline)
+        path = tmp_path / "notes.txt"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"meeting notes, not a ledger\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "System1", "--quick", "--ledger", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and err.count("\n") == 1 and str(path) in err
+        if kind == "notes":
+            assert path.read_bytes() == b"meeting notes, not a ledger\n"
+
+    def test_report_subcommand_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "System1", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
+
+    def test_stdout_is_ascii_under_an_ascii_locale(self, tmp_path):
+        proc = run_ascii(["profile", "System1", "--quick"], tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        text = proc.stdout.decode("ascii")
+        for heading in HEADINGS:
+            assert f"\n{heading}" in "\n" + text, heading
 
     def test_output_file_is_utf8_under_an_ascii_locale(self, tmp_path):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-                   PYTHONPATH=str(root / "src"))
-        out = tmp_path / "report.md"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "report", "System1", "--quick",
-             "-o", str(out)],
-            env=env, capture_output=True, text=True, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert out.read_text(encoding="utf-8").startswith(
-            "# Run report — System1 pipeline"
-        )
+        out = tmp_path / "report.txt"
+        proc = run_ascii(["profile", "System1", "--quick", "-o", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert out.read_bytes().decode("ascii").startswith("System1 pipeline run\n")
