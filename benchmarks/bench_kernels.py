@@ -1,21 +1,21 @@
-"""Vectorized simulation kernels: compiled numpy programs vs the scalar reference.
+"""Fault-grading kernels: compiled programs on machine planes vs the scalar reference.
 
 Times the two fault-grading workloads that dominate the Table 3
 pipeline on the kernels and on the scalar reference graders
 (``FaultSimulator.reference_run``, ``reference_grade_sequence_group``)
 and asserts bit-identity between them.  Both kernels use one plane
-layout, the good machine in word block 0 and one block per fault, so
-one pass of the compiled program evaluates every machine: one pass per
-cycle in sequential grading, one for word 0 and one for the tail words
-in combinational grading.  The workloads:
+layout: every row is one Python int holding the good machine in block 0
+and one block per fault, so one pass of the compiled program evaluates
+every machine of the plane -- one pass per cycle in sequential grading,
+one per 64-pattern batch in combinational grading.  The workloads:
 
 * sequential whole-chip grading of the flattened System1 netlist (the
   ``Orig.``/``HSCAN`` row class) -- the headline kernel win, asserted
   against :data:`KERNEL_SPEEDUP_FLOOR` when the runner has real CPUs;
 * per-core combinational grading of System1's cores under 512 random
-  patterns (the scan row class) -- recorded, not floored, because the
-  scalar-parity replay loop (exact ``faultsim.*`` counters and fault
-  dropping order) bounds the win on small cores.
+  patterns (the scan row class) -- recorded, not floored: the
+  reference's batch loop with fault dropping (exact ``faultsim.*``
+  counters and fault-dropping order) bounds the win on small cores.
 
 Identity is checked the hard way: ``detected`` order, ``undetected``
 survivors, ``first_detection`` indices, and the per-run ``faultsim.*``
@@ -105,7 +105,7 @@ def _sequential_workload(soc):
         "faults": len(faults),
         "detected": len(vector[1].detected),
         "scalar_wall_s": scalar[0],
-        "numpy_wall_s": vector[0],
+        "kernel_wall_s": vector[0],
         "speedup": scalar[0] / max(vector[0], 1e-9),
     }
 
@@ -135,7 +135,7 @@ def _core_workloads(soc):
             "faults": len(faults),
             "detected": len(vector[1].detected),
             "scalar_wall_s": scalar[0],
-            "numpy_wall_s": vector[0],
+            "kernel_wall_s": vector[0],
             "speedup": scalar[0] / max(vector[0], 1e-9),
         }
     return out
@@ -174,7 +174,7 @@ def test_kernel_speedups(benchmark, results_dir, system1):
             sequential["gates"],
             sequential["faults"],
             f"{sequential['scalar_wall_s'] * 1000:.1f}",
-            f"{sequential['numpy_wall_s'] * 1000:.1f}",
+            f"{sequential['kernel_wall_s'] * 1000:.1f}",
             f"{sequential['speedup']:.1f}x",
         ]
     ]
@@ -186,13 +186,13 @@ def test_kernel_speedups(benchmark, results_dir, system1):
                 entry["gates"],
                 entry["faults"],
                 f"{entry['scalar_wall_s'] * 1000:.1f}",
-                f"{entry['numpy_wall_s'] * 1000:.1f}",
+                f"{entry['kernel_wall_s'] * 1000:.1f}",
                 f"{entry['speedup']:.1f}x",
             ]
         )
     text = render_table(
-        ["workload", "gates", "faults", "scalar (ms)", "numpy (ms)", "speedup"],
+        ["workload", "gates", "faults", "scalar (ms)", "kernel (ms)", "speedup"],
         rows,
-        title=f"Fault-grading kernels: scalar oracle vs compiled numpy ({cpus} CPUs)",
+        title=f"Fault-grading kernels: scalar oracle vs compiled programs ({cpus} CPUs)",
     )
     write_result(results_dir, "kernels", text)

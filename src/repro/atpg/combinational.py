@@ -9,9 +9,9 @@ a pattern that misses its target is an :class:`~repro.errors.AtpgError`,
 and fortuitous detections drop too.
 
 Every random bit comes from :func:`draw_bits`, the exact stream of one
-``getrandbits(1)`` per source.  A random batch is drawn as one
-``(patterns, sources)`` bit matrix and graded as it stands; only the
-patterns that first detect a fault become source -> bit mappings.
+``getrandbits(1)`` per source.  A random batch is drawn pattern by
+pattern and graded as one word per source (:class:`PatternWords`); only
+the patterns that first detect a fault become source -> bit mappings.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.errors import AtpgError
 from repro.faults.collapse import collapse_faults
 from repro.faults.coverage import CoverageReport
 from repro.faults.model import Fault, full_fault_universe
-from repro.faults.simulator import FaultSimulator
+from repro.faults.simulator import FaultSimulator, PatternWords, pack_columns
 from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS, profile_section
 
@@ -99,16 +99,18 @@ class CombinationalAtpg:
         for _ in range(RANDOM_BATCHES):
             if not alive or useless_batches >= 2:
                 break
-            # one row per pattern, one column per source: graded as it stands
-            batch = draw_bits(rng, RANDOM_BATCH_SIZE * len(self._sources))
-            batch = batch.reshape(RANDOM_BATCH_SIZE, len(self._sources))
-            result = simulator.run(batch, alive)
+            # pattern p's value of source s is bit p * width + s
+            width = len(self._sources)
+            bits = draw_bits(rng, RANDOM_BATCH_SIZE * width)
+            words = PatternWords(RANDOM_BATCH_SIZE, pack_columns(bits, width))
+            result = simulator.run(words, alive)
             if result.detected:
                 useless_batches = 0
                 random_detected += len(result.detected)
                 kept_indices = sorted({result.first_detection[f] for f in result.detected})
                 patterns.extend(
-                    dict(zip(self._sources, row)) for row in batch[kept_indices].tolist()
+                    dict(zip(self._sources, bits[p * width : (p + 1) * width]))
+                    for p in kept_indices
                 )
                 alive = result.undetected
             else:
@@ -171,21 +173,23 @@ class CombinationalAtpg:
         """PODEM's assignment with its unassigned sources drawn at random."""
         free = [name for name in self._sources if name not in assignment]
         pattern = dict(assignment)
-        pattern.update(zip(free, draw_bits(rng, len(free)).tolist()))
+        pattern.update(zip(free, draw_bits(rng, len(free))))
         return pattern
 
 
-def draw_bits(rng: random.Random, count: int):
-    """``count`` random bits as a uint32 array: the values of ``count``
+#: byte -> its top bit
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
+def draw_bits(rng: random.Random, count: int) -> bytes:
+    """``count`` random bits, one 0/1 byte each: the values of ``count``
     ``rng.getrandbits(1)`` calls, in order, leaving ``rng`` in the state
     those calls would.
 
     ``getrandbits(32 * count)`` consumes the same ``count`` Mersenne
     Twister outputs, output k in bits [32k, 32k + 32), and
-    ``getrandbits(1)`` is an output's top bit.  numpy is imported here,
-    not with the module, so importing the ATPG loads no numpy.
+    ``getrandbits(1)`` is an output's top bit: the top bit of byte
+    ``4k + 3`` of the little-endian bytes.
     """
-    import numpy as np
-
-    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return np.frombuffer(words, dtype="<u4") >> 31
+    data = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return data[3::4].translate(_TOP_BIT)

@@ -37,7 +37,10 @@ unknown system, or a path that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro import __version__
@@ -95,6 +98,20 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
     except OSError as error:
         raise UsageError(f"cannot write {path!r}: {error.strerror or error}")
+
+
+def _check_output(path: str) -> None:
+    """Fail before any work on an ``-o`` path that cannot become a file:
+    a directory, or one in a directory that does not exist.  Nothing is
+    created or truncated here; :func:`_write_output` writes after the run."""
+    target = Path(path)
+    if target.is_dir():
+        problem = errno.EISDIR
+    elif not target.parent.is_dir():
+        problem = errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write {path!r}: {os.strerror(problem)}")
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +429,16 @@ def cmd_profile(args) -> int:
     from repro.flow.profile import series_key
     from repro.flow.report import render_run_report
 
-    # check both ledgers before the measured run: a bad path should fail
-    # fast, not after minutes of pipeline work
+    # check every path before the measured run: a bad path should fail
+    # fast, not after minutes of pipeline work (and append no record)
     ledger = _read_ledger(args.ledger, "ledger", missing_ok=True) if args.ledger else None
     baseline = None
     if args.baseline:
         baseline = _read_ledger(args.baseline, "baseline ledger").latest(
             series_key(args.system, args.quick)
         )
+    if args.output:
+        _check_output(args.output)
     record = _run_pipeline(args)
     if ledger is not None:
         ledger.append(record)
@@ -450,6 +469,8 @@ def cmd_regress(args) -> int:
 def cmd_explain(args) -> int:
     from repro.obs.attrib import artifact_json
 
+    if args.output:
+        _check_output(args.output)
     text = artifact_json(_run_pipeline(args, top_k=args.top)["attrib"])
     if args.output:
         _write_output(args.output, text)

@@ -6,7 +6,7 @@ against the good machine at the observation points inside the cone.
 Detected faults are dropped, so later batches get cheaper -- the standard
 fault-simulation workhorse the paper's coverage numbers rest on.
 
-Grading always runs the compiled numpy kernels of
+Grading always runs the compiled kernels of
 :mod:`repro.faults.kernel`.  The scalar graders kept here
 (:meth:`FaultSimulator.reference_run`,
 :func:`reference_grade_sequence_group`) are the kernels' bit-identity
@@ -43,10 +43,39 @@ _SEQ_CHUNKS = METRICS.counter("faultsim.sequential.chunks")
 SEQUENCE_PACK_LIMIT = 256
 
 Pattern = Mapping[str, int]  # source gate name -> bit value
+
+
+@dataclass(frozen=True)
+class PatternWords:
+    """``count`` combinational patterns packed one word per source, in
+    :attr:`GateNetlist.sources` order: bit ``p`` of ``words[i]`` is
+    pattern ``p``'s value of source ``i`` (bits from ``count`` up are
+    ignored)."""
+
+    count: int
+    words: Sequence[int]
+
+    def patterns(self, sources: Sequence[str]) -> List[Dict[str, int]]:
+        """The same patterns as source -> bit mappings."""
+        return [
+            {name: (word >> p) & 1 for name, word in zip(sources, self.words)}
+            for p in range(self.count)
+        ]
+
+
 #: a combinational pattern set: a sequence of :data:`Pattern` mappings, or
-#: a ``(patterns, sources)`` 0/1 numpy matrix whose columns follow
-#: :attr:`GateNetlist.sources`
-Patterns = Union[Sequence[Pattern], "numpy.ndarray"]
+#: one :class:`PatternWords`
+Patterns = Union[Sequence[Pattern], PatternWords]
+
+#: 0/1 bytes -> ASCII binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack_columns(matrix: bytes, width: int) -> List[int]:
+    """One word per column of a row-major matrix of 0/1 bytes with
+    ``width`` columns and at least one row: bit ``r`` of word ``c`` is
+    ``matrix[r * width + c]``."""
+    return [int(matrix[c::width][::-1].translate(_DIGITS), 2) for c in range(width)]
 
 
 @dataclass
@@ -138,8 +167,8 @@ class FaultSimulator:
         alive: List[Fault] = list(faults)
         result = FaultSimResult(total=len(faults))
         source_names = self.netlist.sources
-        if is_matrix(patterns, source_names):
-            patterns = [dict(zip(source_names, row)) for row in patterns.tolist()]
+        if is_words(patterns, source_names):
+            patterns = patterns.patterns(source_names)
 
         for batch_start in range(0, len(patterns), 64):
             batch = patterns[batch_start : batch_start + 64]
@@ -244,16 +273,16 @@ def _lowest_bit(word: int) -> int:
     return (word & -word).bit_length() - 1
 
 
-def is_matrix(patterns: Patterns, sources: Sequence[str]) -> bool:
-    """Whether ``patterns`` is a pattern matrix rather than a sequence of
-    mappings; a matrix that is not ``(patterns, len(sources))`` is a
+def is_words(patterns: Patterns, sources: Sequence[str]) -> bool:
+    """Whether ``patterns`` is a :class:`PatternWords` rather than a
+    sequence of mappings; words that are not one per source are a
     :class:`SimulationError`."""
-    if not hasattr(patterns, "ndim"):
+    if not isinstance(patterns, PatternWords):
         return False
-    if patterns.ndim != 2 or patterns.shape[1] != len(sources):
+    if len(patterns.words) != len(sources):
         raise SimulationError(
-            f"pattern matrix has shape {patterns.shape}, expected "
-            f"(patterns, {len(sources)}): one column per source"
+            f"pattern words cover {len(patterns.words)} sources, expected "
+            f"{len(sources)}: one word per source"
         )
     return True
 

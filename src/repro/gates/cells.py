@@ -42,7 +42,7 @@ STATE_KINDS = (GateKind.DFF, GateKind.SDFF)
 #: Kinds whose value is a *source* to combinational evaluation: primary
 #: inputs, constants, and flip-flop outputs (pseudo-primary inputs in
 #: the combinational view).  Shared by the levelizer, both simulators,
-#: and the compiled numpy kernels -- one definition, one ordering.
+#: and the compiled kernels -- one definition, one ordering.
 SOURCE_KINDS = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1) + STATE_KINDS
 
 #: Area in cell units for each kind (multi-input gates add per extra pin).

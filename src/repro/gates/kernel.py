@@ -1,140 +1,162 @@
-"""Compiled numpy simulation kernels: levelized netlists as flat programs.
+"""Compiled simulation programs: levelized netlists as per-level gate groups.
 
-The scalar simulators walk the netlist gate by gate with Python-int
-words -- perfectly general, but every gate evaluation is an interpreter
-step.  This module lowers a levelized :class:`GateNetlist` once into a
-*flat numpy program*: contiguous fanin index arrays grouped by (level,
-gate kind), evaluated with vectorized ``uint64`` bitwise ops over
-``(rows, W)`` value planes (64 patterns per word, so a W=8 plane carries
-512 patterns per pass).  Many machines share one plane along the word
-axis: :mod:`repro.faults.kernel` gives the good machine and each faulty
-machine its own block of words and forces each fault inside its block
-between levels, so one pass evaluates hundreds of machines.
+The scalar simulator walks the netlist gate by gate through a dict of
+words.  This module lowers a levelized :class:`GateNetlist` once into a
+*program*: for every level, one group per gate kind, each a tuple of
+``(output row, fanin rows...)`` steps run by one tight loop over a list
+of Python ints, the *value plane* (one int per row).  An int is as wide
+as its plane: :mod:`repro.faults.kernel` lays the good machine and one
+machine per fault side by side in every row, each machine a block of
+one bit per pattern, so one pass of the program evaluates every machine
+of the plane.
 
 Fault grading always runs these programs; one-machine simulation
 (:class:`repro.gates.simulator.CombinationalSimulator`) stays on the
-scalar evaluator, which is faster for a single machine.  The scalar
-fault graders in :mod:`repro.faults.simulator` are the bit-identity
-oracle the kernels are tested against: the same decisions and
-``faultsim.*``/``atpg.*`` counters (see DESIGN.md, "Vectorized kernels").
+scalar evaluator.  The scalar fault graders in
+:mod:`repro.faults.simulator` are the bit-identity oracle the programs
+are tested against: the same decisions and ``faultsim.*``/``atpg.*``
+counters (see DESIGN.md, "Fault-grading kernels").
 
-Value-plane convention: row 0 is a reserved all-zeros word, row 1 a
-reserved all-ones word (identity padding for variable-arity gates);
-every gate owns one row from 2 up.  Bits beyond the pattern count are
-*unspecified* -- producers never mask mid-program, consumers mask at
-extraction -- which keeps every op a pure full-word bitwise instruction.
+Plane convention: row 0 holds 0 and row 1 the plane's all-ones mask
+(the identity operands of wide gates; NOT is XOR with it, so no value
+ever leaves the plane's width); every gate owns one row from 2 up.  A
+wide AND/OR/NAND/NOR gate is lowered to two-input steps on its own
+output row, and NAND/NOR/XNOR to their positive kind plus a NOT step
+there, so every group loop has one fixed arity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.gates.cells import SOURCE_KINDS, GateKind
+from repro.gates.cells import STATE_KINDS, GateKind
 from repro.gates.levelize import depth_levels
 from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.obs import METRICS, profile_section
 
 _COMPILES = METRICS.counter("kernel.compiles")
 _CACHE_REUSES = METRICS.counter("kernel.cache.reuses")
+#: machine-gate evaluations: gates times machines per pass
 _WORDS = METRICS.counter("kernel.words_evaluated")
 
-#: reserved value-plane rows (identity padding for variable-arity gates)
+#: reserved value-plane rows: all zeros, and the plane's all-ones mask
 ZERO_ROW = 0
 ONE_ROW = 1
 
-ALL_ONES = 0xFFFFFFFFFFFFFFFF
+Values = List[int]
+#: one group: the loop of its gate kind, and that loop's steps
+Group = Tuple[Callable[[Values, int, tuple], None], tuple]
 
 
-def word_count(pattern_count: int) -> int:
-    """Words needed for ``pattern_count`` packed patterns (64 per word)."""
-    if pattern_count <= 0:
-        raise SimulationError("pattern_count must be positive")
-    return (pattern_count + 63) // 64
+# ----------------------------------------------------------------------
+# one loop per gate kind
+# ----------------------------------------------------------------------
+def _buf(v: Values, ones: int, steps: tuple) -> None:
+    for out, a in steps:
+        v[out] = v[a]
 
 
-def tail_masks(pattern_count: int):
-    """Per-word valid-bit masks for ``pattern_count`` patterns, shape (W,)."""
-    W = word_count(pattern_count)
-    masks = [ALL_ONES] * W
-    tail = pattern_count - (W - 1) * 64
-    if tail < 64:
-        masks[W - 1] = (1 << tail) - 1
-    return np.array(masks, dtype=np.uint64)
+def _not(v: Values, ones: int, steps: tuple) -> None:
+    for out, a in steps:
+        v[out] = v[a] ^ ones
 
 
-def int_to_words(value: int, words: int):
-    """Split a packed Python-int word into ``words`` uint64 limbs (LSB first)."""
-    return np.array(
-        [(value >> (64 * w)) & ALL_ONES for w in range(words)], dtype=np.uint64
-    )
+def _and(v: Values, ones: int, steps: tuple) -> None:
+    for out, a, b in steps:
+        v[out] = v[a] & v[b]
+
+
+def _or(v: Values, ones: int, steps: tuple) -> None:
+    for out, a, b in steps:
+        v[out] = v[a] | v[b]
+
+
+def _xor(v: Values, ones: int, steps: tuple) -> None:
+    for out, a, b in steps:
+        v[out] = v[a] ^ v[b]
+
+
+def _mux2(v: Values, ones: int, steps: tuple) -> None:
+    for out, d0, d1, select in steps:
+        low = v[d0]
+        v[out] = low ^ ((low ^ v[d1]) & v[select])
+
+
+def force(v: Values, ones: int, steps: tuple) -> None:
+    """The forcing store: row ``out`` takes ``v[src] & keep | put``."""
+    for out, src, keep, put in steps:
+        v[out] = v[src] & keep | put
+
+
+#: the kinds' loops in their run order within one level: NOT runs last,
+#: after the steps it inverts in place (NAND, NOR, XNOR)
+_LOOPS = (_buf, _and, _or, _xor, _mux2, _not)
+_NOT = 5
+
+#: kind -> (index of its loop in _LOOPS, identity operand row of a wide
+#: kind or None, whether a NOT step follows on the output row)
+_LOWERING = {
+    GateKind.BUF: (0, None, False),
+    GateKind.OUTPUT: (0, None, False),
+    GateKind.AND: (1, ONE_ROW, False),
+    GateKind.NAND: (1, ONE_ROW, True),
+    GateKind.OR: (2, ZERO_ROW, False),
+    GateKind.NOR: (2, ZERO_ROW, True),
+    GateKind.XOR: (3, None, False),
+    GateKind.XNOR: (3, None, True),
+    GateKind.MUX2: (4, None, False),
+    GateKind.NOT: (_NOT, None, False),
+}
+
+
+def lower(
+    groups: Dict[Tuple[int, int], List[tuple]],
+    level: int,
+    kind: GateKind,
+    out: int,
+    fanins: Sequence[int],
+) -> None:
+    """Append the steps that compute one gate into row ``out`` to
+    ``groups[level, loop]``, ``loop`` indexing the kinds' run order.
+
+    A wide gate folds its fanins two at a time on its own output row
+    (padded with its identity row up to two); NAND, NOR and XNOR are
+    AND, OR and XOR followed by a NOT step on that row.
+    """
+    try:
+        loop, identity, invert = _LOWERING[kind]
+    except KeyError:
+        raise SimulationError(f"cannot compile gate kind {kind.value}") from None
+    if identity is None:
+        steps = [(out, *fanins)]
+    else:
+        rows = [*fanins, identity, identity][: max(2, len(fanins))]
+        steps = [(out, rows[0], rows[1])] + [(out, out, row) for row in rows[2:]]
+    groups.setdefault((level, loop), []).extend(steps)
+    if invert:
+        groups.setdefault((level, _NOT), []).append((out, out))
+
+
+def by_level(groups: Dict[Tuple[int, int], List[tuple]], depth: int) -> List[List[Group]]:
+    """Lowered ``groups`` as the kind groups of levels 0 to ``depth``,
+    each level's loops in run order."""
+    levels: List[List[Group]] = [[] for _ in range(depth + 1)]
+    for level, loop in sorted(groups):
+        levels[level].append((_LOOPS[loop], tuple(groups[level, loop])))
+    return levels
 
 
 # ----------------------------------------------------------------------
 # the compiled program
 # ----------------------------------------------------------------------
-class _OpGroup:
-    """One (level, kind) group: contiguous outputs, padded fanin matrix."""
-
-    __slots__ = ("kind", "out_rows", "fanin_rows")
-
-    def __init__(self, kind: GateKind, out_rows, fanin_rows) -> None:
-        self.kind = kind
-        self.out_rows = out_rows
-        self.fanin_rows = fanin_rows
-
-
-#: identity row used to pad a variable-arity gate's fanin list
-_PAD_ROW = {
-    GateKind.AND: ONE_ROW,
-    GateKind.NAND: ONE_ROW,
-    GateKind.OR: ZERO_ROW,
-    GateKind.NOR: ZERO_ROW,
-}
-
-#: deterministic evaluation order for kinds within one level
-_KIND_ORDER = {kind: i for i, kind in enumerate(GateKind)}
-
-
-def eval_group_ops(kind: GateKind, ops):
-    """Evaluate one gate kind over gathered operands ``(..., A, W)``.
-
-    Padding slots (identity rows) are already part of ``ops``; results
-    carry unspecified bits beyond the pattern count, masked by callers
-    at extraction.
-    """
-    if kind in (GateKind.BUF, GateKind.OUTPUT):
-        return ops[..., 0, :]
-    if kind is GateKind.NOT:
-        return ~ops[..., 0, :]
-    if kind is GateKind.AND:
-        return np.bitwise_and.reduce(ops, axis=-2)
-    if kind is GateKind.OR:
-        return np.bitwise_or.reduce(ops, axis=-2)
-    if kind is GateKind.NAND:
-        return ~np.bitwise_and.reduce(ops, axis=-2)
-    if kind is GateKind.NOR:
-        return ~np.bitwise_or.reduce(ops, axis=-2)
-    if kind is GateKind.XOR:
-        return ops[..., 0, :] ^ ops[..., 1, :]
-    if kind is GateKind.XNOR:
-        return ~(ops[..., 0, :] ^ ops[..., 1, :])
-    if kind is GateKind.MUX2:
-        select = ops[..., 2, :]
-        return (ops[..., 0, :] & ~select) | (ops[..., 1, :] & select)
-    raise SimulationError(f"cannot compile gate kind {kind.value}")
-
-
 class CompiledProgram:
-    """A levelized :class:`GateNetlist` lowered to flat numpy arrays.
+    """A levelized :class:`GateNetlist` lowered to per-level kind groups.
 
     Immutable once built; safe to share across simulators on the same
-    netlist (mirroring the shared fanout-cone cache).  All structural
-    queries the fault kernel needs -- rows, levels, source groups, flop
-    state plumbing -- are precomputed here so a grading sweep touches
-    only ndarray ops.
+    netlist.  Every structural fact the fault kernel needs -- rows,
+    levels, each gate's kind and fanin rows, sources, flop capture and
+    observation points -- is precomputed here and indexed by row.
     """
 
     def __init__(self, netlist: GateNetlist) -> None:
@@ -142,134 +164,89 @@ class CompiledProgram:
         names = list(netlist.names())
         #: gate name -> value-plane row (rows 0/1 are reserved)
         self.row: Dict[str, int] = {name: i + 2 for i, name in enumerate(names)}
-        self.names: List[str] = names
         self.rows = len(names) + 2
 
-        #: gate name -> level (sources 0, gates 1 + max fanin level)
-        level = dict(depth_levels(netlist))
-        self.level: Dict[str, int] = level
+        level = depth_levels(netlist)
         self.depth = max(level.values(), default=0)
-
-        # ---- (level, kind) op groups with identity-padded fanins ----
-        grouped: Dict[Tuple[int, GateKind], List[str]] = {}
-        for name in names:
-            gate = netlist.gate(name)
-            if gate.kind in SOURCE_KINDS:
-                continue
-            grouped.setdefault((level[name], gate.kind), []).append(name)
-        self.levels: List[List[_OpGroup]] = [[] for _ in range(self.depth + 1)]
-        op_outputs = 0
-        for (lvl, kind) in sorted(
-            grouped, key=lambda key: (key[0], _KIND_ORDER[key[1]])
-        ):
-            members = grouped[(lvl, kind)]
-            arity = max(len(netlist.gate(m).fanins) for m in members)
-            pad = _PAD_ROW.get(kind)
-            fanin_rows = np.full((len(members), arity), ZERO_ROW, dtype=np.intp)
-            out_rows = np.empty(len(members), dtype=np.intp)
-            for i, member in enumerate(members):
-                gate = netlist.gate(member)
-                out_rows[i] = self.row[member]
-                for a in range(arity):
-                    if a < len(gate.fanins):
-                        fanin_rows[i, a] = self.row[gate.fanins[a]]
-                    else:
-                        if pad is None:
-                            raise SimulationError(
-                                f"gate {member!r} of kind {kind.value} has "
-                                f"{len(gate.fanins)} fanins, group arity {arity}"
-                            )
-                        fanin_rows[i, a] = pad
-            self.levels[lvl].append(_OpGroup(kind, out_rows, fanin_rows))
-            op_outputs += len(members)
-        #: gate outputs computed per full eval (feeds kernel.words_evaluated)
-        self.op_outputs = op_outputs
-
-        # ---- source groups ----
-        def rows_of(kinds) -> "np.ndarray":
-            return np.array(
-                [self.row[g.name] for g in netlist.gates() if g.kind in kinds],
-                dtype=np.intp,
-            )
-
-        self.input_rows = rows_of((GateKind.INPUT,))
-        self.input_names = [g.name for g in netlist.inputs]
-        self.const1_rows = rows_of((GateKind.CONST1,))
+        row = self.row
+        #: per row: (level, kind, fanin rows); None for the reserved rows
+        self.gate_at: List[Optional[Tuple[int, GateKind, Tuple[int, ...]]]] = [None, None]
+        groups: Dict[Tuple[int, int], List[tuple]] = {}
+        flops = []
+        self.input_names: List[str] = []
         #: the netlist's sources, in :attr:`GateNetlist.sources` order
-        self.source_names = netlist.sources
-        self.source_rows = np.array(
-            [self.row[name] for name in self.source_names], dtype=np.intp
-        )
+        self.source_names: List[str] = []
+        self.const1_rows: List[int] = []
+        self.output_rows: List[int] = []
+        #: gates computed per pass (feeds kernel.words_evaluated)
+        self.gates = 0
+        for gate in netlist.gates():
+            kind = gate.kind
+            fanins = tuple(map(row.__getitem__, gate.fanins))
+            at = level[gate.name]
+            self.gate_at.append((at, kind, fanins))
+            if kind is GateKind.INPUT:
+                self.source_names.append(gate.name)
+                self.input_names.append(gate.name)
+            elif kind in STATE_KINDS:
+                self.source_names.append(gate.name)
+                flops.append(gate)
+            elif kind is GateKind.CONST1:
+                self.const1_rows.append(row[gate.name])
+            elif kind is not GateKind.CONST0:
+                lower(groups, at, kind, row[gate.name], fanins)
+                self.gates += 1
+                if kind is GateKind.OUTPUT:
+                    self.output_rows.append(row[gate.name])
+        #: per level, its kind groups in run order (level 0, the sources, has none)
+        self.levels = by_level(groups, self.depth)
+        #: the whole program in run order
+        self.groups: List[Group] = [group for level in self.levels for group in level]
 
-        # ---- flop state plumbing (netlist.flops order) ----
-        flops = netlist.flops
-        self.flop_rows = np.array(
-            [self.row[f.name] for f in flops], dtype=np.intp
-        )
-        dff_pos = [i for i, f in enumerate(flops) if f.kind is GateKind.DFF]
-        sdff_pos = [i for i, f in enumerate(flops) if f.kind is GateKind.SDFF]
-        self.dff_pos = np.array(dff_pos, dtype=np.intp)
-        self.dff_d_rows = np.array(
-            [self.row[flops[i].fanins[0]] for i in dff_pos], dtype=np.intp
-        )
-        self.sdff_pos = np.array(sdff_pos, dtype=np.intp)
-        self.sdff_d_rows = np.array(
-            [self.row[flops[i].fanins[0]] for i in sdff_pos], dtype=np.intp
-        )
-        self.sdff_si_rows = np.array(
-            [self.row[flops[i].fanins[1]] for i in sdff_pos], dtype=np.intp
-        )
-        self.sdff_se_rows = np.array(
-            [self.row[flops[i].fanins[2]] for i in sdff_pos], dtype=np.intp
-        )
-        self.output_rows = np.array(
-            [self.row[g.name] for g in netlist.outputs], dtype=np.intp
-        )
-        self.output_names = [g.name for g in netlist.outputs]
+        self.input_rows = [row[name] for name in self.input_names]
+        self.source_rows = [row[name] for name in self.source_names]
+        self.dff_captures = [
+            (row[f.name], row[f.fanins[0]]) for f in flops if f.kind is GateKind.DFF
+        ]
+        self.sdff_captures = [
+            (row[f.name], *(row[n] for n in f.fanins))
+            for f in flops
+            if f.kind is GateKind.SDFF
+        ]
+        #: flop rows in capture order: the DFFs, then the SDFFs
+        self.flop_rows = [c[0] for c in self.dff_captures + self.sdff_captures]
         #: observation points of combinational (full-scan) fault grading,
         #: ascending: every primary output and every flop's D net -- the
         #: set PODEM propagates to
-        self.observe_rows = np.array(
-            sorted({*self.output_rows.tolist(), *(self.row[f.fanins[0]] for f in flops)}),
-            dtype=np.intp,
-        )
-
-        #: per-fault lowering cache, populated by repro.faults.kernel --
-        #: lives here so it shares the program's lifetime and cache policy
-        self.plan_cache: Dict[object, object] = {}
+        self.observe_rows = sorted({*self.output_rows, *(row[f.fanins[0]] for f in flops)})
 
     # ------------------------------------------------------------------
-    def new_values(self, words: int):
-        """A fresh ``(rows, words)`` value plane with reserved and constant
-        rows filled."""
-        values = np.zeros((self.rows, words), dtype=np.uint64)
-        values[ONE_ROW] = np.uint64(ALL_ONES)
-        if len(self.const1_rows):
-            values[self.const1_rows] = np.uint64(ALL_ONES)
+    def new_values(self, ones: int, scratch: int = 0) -> Values:
+        """A fresh plane of all-ones mask ``ones``, reserved and constant
+        rows filled, every other row 0, plus ``scratch`` spare rows."""
+        values = [0] * (self.rows + scratch)
+        values[ONE_ROW] = ones
+        for row in self.const1_rows:
+            values[row] = ones
         return values
 
-    def eval(
-        self,
-        values,
-        after_level: Optional[Callable[[int, object], None]] = None,
-    ) -> None:
-        """Run the flat program over a ``(rows, words)`` plane in place.
+    def eval(self, values: Values, machines: int, groups: Optional[List[Group]] = None) -> None:
+        """Run the program (or ``groups``, a program with forcing spliced
+        in) over a plane of ``machines`` machines in place."""
+        _WORDS.inc(self.gates * machines)
+        ones = values[ONE_ROW]
+        for loop, steps in self.groups if groups is None else groups:
+            loop(values, ones, steps)
 
-        ``after_level(level, values)`` -- when given -- is called once
-        for level 0 *before* any op (source-row forcing) and once after
-        each computed level (stem forcing / faulty-pin corrections must
-        land before the next level reads the row).
-        """
-        _WORDS.inc(self.op_outputs * values.shape[1])
-        if after_level is not None:
-            after_level(0, values)
-        for lvl in range(1, self.depth + 1):
-            for group in self.levels[lvl]:
-                values[group.out_rows] = eval_group_ops(
-                    group.kind, values.take(group.fanin_rows, axis=0)
-                )
-            if after_level is not None:
-                after_level(lvl, values)
+    def clock(self, values: Values) -> None:
+        """Load every flop's row with the value it captures: a DFF its D,
+        an SDFF its D or, where scan enable is 1, its scan-in."""
+        captured = [values[d] for _, d in self.dff_captures]
+        for _, d, scan_in, enable in self.sdff_captures:
+            low = values[d]
+            captured.append(low ^ ((low ^ values[scan_in]) & values[enable]))
+        for row, value in zip(self.flop_rows, captured):
+            values[row] = value
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +260,10 @@ def compiled_program(netlist: GateNetlist) -> CompiledProgram:
 
     Cached per netlist object under the :class:`NetlistCache` rule:
     every fault simulator, ATPG pass, and compaction run on the same
-    netlist shares one program, and an edited netlist recompiles.  ``kernel.compiles`` / ``kernel.cache.reuses`` count
-    cache behaviour; :func:`clear_kernel_caches` restores cold-state
-    counting for the bench harness.
+    netlist shares one program, and an edited netlist recompiles.
+    ``kernel.compiles`` / ``kernel.cache.reuses`` count cache behaviour;
+    :func:`clear_kernel_caches` restores cold-state counting for the
+    bench harness.
     """
     program = _PROGRAMS.get(netlist)
     if program is not None:

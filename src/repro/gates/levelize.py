@@ -62,9 +62,9 @@ def depth_levels(netlist: GateNetlist) -> Dict[str, int]:
     """Logic depth of every gate: sources are level 0, a combinational
     gate is one past its deepest non-source fanin.
 
-    This is the level definition the compiled kernels group their ops
+    This is the level definition the compiled kernels group their steps
     by, shared here so scalar-side consumers (effort attribution, the
-    PODEM ledger) bucket identically without importing numpy.  Cached
+    PODEM ledger) bucket identically without compiling a program.  Cached
     per netlist like :func:`levelize`; treat the result as read-only.
     """
     return _DEPTH_CACHE.get(netlist, lambda: _depth_levels(netlist))

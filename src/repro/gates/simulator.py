@@ -6,10 +6,9 @@ arbitrary precision, any number of patterns can be evaluated in a single
 pass -- the fault simulator typically packs 64 at a time so that fault
 dropping stays responsive.
 
-This scalar evaluator is the one-machine simulator: a single machine
-runs faster here than on the compiled numpy programs of
-:mod:`repro.gates.kernel`, which fault grading uses to evaluate many
-machines per pass.
+This scalar evaluator is the one-machine simulator; fault grading runs
+the compiled programs of :mod:`repro.gates.kernel` instead, which
+evaluate many machines per pass.
 """
 
 from __future__ import annotations

@@ -156,8 +156,8 @@ class TestRandomDraw:
         """A random batch is the stream of per-source ``getrandbits(1)``
         calls, pattern by pattern, and leaves the generator where they do."""
         packed, single = random.Random(sources), random.Random(sources)
-        batch = combinational.draw_bits(packed, 32 * sources).reshape(32, sources)
-        assert batch.tolist() == [
+        bits = combinational.draw_bits(packed, 32 * sources)
+        assert [list(bits[p * sources : (p + 1) * sources]) for p in range(32)] == [
             [single.getrandbits(1) for _ in range(sources)] for _ in range(32)
         ]
         assert packed.getstate() == single.getstate()

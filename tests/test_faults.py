@@ -180,7 +180,7 @@ class TestSequentialGrade:
         result = sequential_fault_grade(n, sequences, faults, sample=2, seed=1)
         assert result.total == 2
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
+    @pytest.mark.parametrize("backend", ["scalar", "kernel"])
     def test_negative_sample_rejected(self, backend):
         from contextlib import nullcontext
 

@@ -1,8 +1,8 @@
-"""Differential tests: compiled numpy kernels vs the scalar reference.
+"""Differential tests: compiled kernels vs the scalar reference.
 
 The scalar reference graders (``FaultSimulator.reference_run`` and
 ``reference_grade_sequence_group``) are the bit-identity oracle
-(DESIGN.md, "Vectorized kernels"): the kernels must reproduce not just
+(DESIGN.md, "Fault-grading kernels"): the kernels must reproduce not just
 coverage numbers but the exact ``detected`` ordering, ``undetected``
 survivors, ``first_detection`` pattern indices, and every
 ``faultsim.*`` counter -- fault dropping makes grading order-sensitive,
@@ -12,7 +12,6 @@ so anything less than bit-identity silently changes results downstream.
 import random
 from contextlib import contextmanager, nullcontext
 
-import numpy as np
 import pytest
 
 from repro.analysis import replay_soc
@@ -22,19 +21,13 @@ from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_univ
 from repro.faults import kernel as fk
 from repro.faults.simulator import (
     SEQUENCE_PACK_LIMIT,
+    PatternWords,
     reference_grade_sequence_group,
     sequential_fault_grade,
 )
 from repro.flow.system_netlist import flatten_soc
 from repro.gates import CombinationalSimulator, GateKind, GateNetlist
-from repro.gates import kernel as gk
-from repro.gates.kernel import (
-    clear_kernel_caches,
-    compiled_program,
-    int_to_words,
-    tail_masks,
-    word_count,
-)
+from repro.gates.kernel import clear_kernel_caches, compiled_program
 from repro.obs import METRICS
 
 from tests.test_podem_property import random_netlist
@@ -85,11 +78,6 @@ def random_sequences(netlist: GateNetlist, count: int, cycles: int, seed: int):
     ]
 
 
-def limbs_to_int(limbs) -> int:
-    """Rebuild a Python int from uint64 limbs (LSB first)."""
-    return sum(int(limb) << (64 * w) for w, limb in enumerate(limbs))
-
-
 @contextmanager
 def reference_graders():
     """Grade with the scalar reference graders in place of the kernels."""
@@ -123,33 +111,6 @@ def assert_identical(out):
 
 
 # ----------------------------------------------------------------------
-# word packing helpers
-# ----------------------------------------------------------------------
-class TestWordPacking:
-    def test_word_count(self):
-        assert word_count(1) == 1
-        assert word_count(64) == 1
-        assert word_count(65) == 2
-        assert word_count(700) == 11
-
-    def test_word_count_rejects_nonpositive(self):
-        with pytest.raises(SimulationError):
-            word_count(0)
-
-    def test_tail_masks(self):
-        masks = tail_masks(130)
-        assert [int(m) for m in masks] == [gk.ALL_ONES, gk.ALL_ONES, 0b11]
-        assert int(tail_masks(64)[0]) == gk.ALL_ONES
-
-    def test_int_words_roundtrip(self):
-        rng = random.Random(7)
-        for bits in (1, 63, 64, 65, 500):
-            value = rng.getrandbits(bits)
-            limbs = int_to_words(value, word_count(max(bits, 1)))
-            assert limbs_to_int(limbs) == value
-
-
-# ----------------------------------------------------------------------
 # compiled-program cache
 # ----------------------------------------------------------------------
 class TestProgramCache:
@@ -173,11 +134,11 @@ class TestProgramCache:
     def test_words_evaluated_counter(self):
         program = compiled_program(random_netlist(5))
         before = METRICS.counters().get("kernel.words_evaluated", 0)
-        program.eval(program.new_values(1))
-        program.eval(program.new_values(3))
+        program.eval(program.new_values(1), 1)
+        program.eval(program.new_values(7), 3)
         after = METRICS.counters()["kernel.words_evaluated"]
-        # one 1-word pass plus one 3-word pass over every op output
-        assert after - before == program.op_outputs * (1 + 3)
+        # one 1-machine pass plus one 3-machine pass over every gate
+        assert after - before == program.gates * (1 + 3)
 
 
 # ----------------------------------------------------------------------
@@ -194,13 +155,11 @@ class TestCombinationalParity:
         }
         scalar = CombinationalSimulator(netlist).run(sources, pattern_count)
         program = compiled_program(netlist)
-        words = word_count(pattern_count)
-        values = program.new_values(words)
+        values = program.new_values((1 << pattern_count) - 1)
         for name in program.source_names:
-            values[program.row[name]] = int_to_words(sources[name], words)
-        program.eval(values)
-        values &= tail_masks(pattern_count)
-        vector = {name: limbs_to_int(values[row]) for name, row in program.row.items()}
+            values[program.row[name]] = sources[name]
+        program.eval(values, 1)
+        vector = {name: values[row] for name, row in program.row.items()}
         assert scalar == vector
 
 
@@ -303,10 +262,12 @@ class TestSequentialEdgeCases:
         netlist = random_seq_netlist(seed)
         faults = full_fault_universe(netlist)
         sequences = random_sequences(netlist, 70, 4, seed)
-        monkeypatch.setattr(fk, "FAULT_CHUNK", 3)
-        assert len(faults) > 2 * fk.FAULT_CHUNK
+        # planes of four 70-bit blocks: three faults beside the good machine
+        monkeypatch.setattr(fk, "PLANE_BITS", 4 * 70)
+        assert len(faults) > 2 * 3
         assert_identical(grade_sequential_both(netlist, sequences, faults))
-        # the combinational sweeps chunk by the same rule
+        # the combinational planes chunk by the same rule (three faults
+        # per plane of 64-pattern blocks)
         assert_identical(grade_combinational_both(netlist, faults, 130, seed))
 
     def test_duplicate_faults(self):
@@ -346,17 +307,31 @@ class TestSequentialEdgeCases:
         faults = full_fault_universe(netlist)
         rng = random.Random(2)
         sources = [g.name for g in netlist.inputs]
+
+        def run_on(patterns):
+            def run():
+                with pytest.raises(SimulationError) as error:
+                    FaultSimulator(netlist).run(patterns, faults)
+                return str(error.value)
+
+            return grade_both_backends(run)
+
         patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(40)]
         del patterns[5][sources[-1]]
-
-        def run():
-            with pytest.raises(SimulationError) as error:
-                FaultSimulator(netlist).run(patterns, faults)
-            return str(error.value)
-
-        out = grade_both_backends(run)
+        out = run_on(patterns)
         assert out["kernel"] == out["reference"]
-        assert out["kernel"][0] == f"pattern misses source {sources[-1]!r}"
+        assert out["kernel"] == (f"pattern misses source {sources[-1]!r}", {})
+
+        # a later batch fails after the batches before it were graded and
+        # counted, naming the first missing source in source order
+        patterns = [{name: rng.randint(0, 1) for name in sources} for _ in range(150)]
+        del patterns[100][sources[-1]]
+        del patterns[120][sources[0]]
+        out = run_on(patterns)
+        assert out["kernel"] == out["reference"]
+        message, delta = out["kernel"]
+        assert message == f"pattern misses source {sources[0]!r}"
+        assert delta["faultsim.batches"] == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_flops_identical(self, seed):
@@ -441,13 +416,23 @@ class TestSystemsParity:
 
 
 # ----------------------------------------------------------------------
-# pattern matrices (the ATPG's random batches)
+# pattern words (the ATPG's random batches)
 # ----------------------------------------------------------------------
+def pattern_words(sources, patterns) -> PatternWords:
+    return PatternWords(
+        len(patterns),
+        [sum(pattern[name] << p for p, pattern in enumerate(patterns)) for name in sources],
+    )
+
+
 class TestPatternMatrix:
+    """A pattern set packed as a bit matrix: one :class:`PatternWords`
+    word per source column."""
+
     @pytest.mark.parametrize("core", ["CPU", "PREPROCESSOR", "DISPLAY", "GRAPHICS", "GCD", "X25"])
     def test_matrix_grades_like_its_dicts(self, core):
-        """A ``(patterns, sources)`` bit matrix and the same patterns as
-        mappings grade alike, on the kernel and on the oracle."""
+        """Per-source words and the same patterns as mappings grade
+        alike, on the kernel and on the oracle."""
         from repro.atpg.combinational import draw_bits
         from repro.designs import core_builders
         from repro.elaborate import elaborate
@@ -455,29 +440,32 @@ class TestPatternMatrix:
         netlist = elaborate(core_builders()[core]()).netlist
         faults = collapse_faults(netlist, full_fault_universe(netlist))
         sources = netlist.sources
-        matrix = draw_bits(random.Random(9), 96 * len(sources)).reshape(96, len(sources))
-        dicts = [dict(zip(sources, row)) for row in matrix.tolist()]
+        width = len(sources)
+        bits = draw_bits(random.Random(9), 96 * width)
+        dicts = [dict(zip(sources, bits[p * width : (p + 1) * width])) for p in range(96)]
+        words = pattern_words(sources, dicts)
+        assert words.patterns(sources) == dicts
         as_dicts = grade_both_backends(lambda: FaultSimulator(netlist).run(dicts, faults))
-        as_matrix = grade_both_backends(lambda: FaultSimulator(netlist).run(matrix, faults))
-        assert_identical(as_matrix)
+        as_words = grade_both_backends(lambda: FaultSimulator(netlist).run(words, faults))
+        assert_identical(as_words)
         for side in ("reference", "kernel"):
-            (rd, dd), (rm, dm) = as_dicts[side], as_matrix[side]
-            assert rm.detected == rd.detected, side
-            assert rm.first_detection == rd.first_detection, side
-            assert dm == dd, side
-        assert as_matrix["kernel"][1]["faultsim.batches"] == 2
+            (rd, dd), (rw, dw) = as_dicts[side], as_words[side]
+            assert rw.detected == rd.detected, side
+            assert rw.first_detection == rd.first_detection, side
+            assert dw == dd, side
+        assert as_words["kernel"][1]["faultsim.batches"] == 2
 
     def test_matrix_of_the_wrong_shape_is_an_error(self):
         netlist = random_netlist(2)
         faults = full_fault_universe(netlist)
         width = len(netlist.sources)
-        for matrix in (np.zeros((4, width + 1), dtype=np.uint32), np.zeros(width)):
+        for words in (PatternWords(4, [0] * (width + 1)), PatternWords(4, [])):
 
             def run():
                 with pytest.raises(SimulationError) as error:
-                    FaultSimulator(netlist).run(matrix, faults)
+                    FaultSimulator(netlist).run(words, faults)
                 return str(error.value)
 
             out = grade_both_backends(run)
             assert out["kernel"] == out["reference"]
-            assert f"expected (patterns, {width})" in out["kernel"][0]
+            assert f"expected {width}: one word per source" in out["kernel"][0]

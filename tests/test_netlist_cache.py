@@ -20,8 +20,8 @@ from repro.gates.netlist import NetlistCache
 
 from tests.test_kernel import reference_graders
 
-#: "scalar" grades on the reference graders, "numpy" on the kernels
-BACKENDS = ["scalar", "numpy"]
+#: "scalar" grades on the reference graders, "kernel" on the kernels
+BACKENDS = ["scalar", "kernel"]
 
 
 def and_gate() -> GateNetlist:

@@ -289,6 +289,48 @@ class TestCliReport:
         if kind == "notes":
             assert path.read_bytes() == b"meeting notes, not a ledger\n"
 
+    @pytest.mark.parametrize("command", ["profile", "explain"])
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_bad_output_fails_before_the_run(self, command, kind, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        def pipeline(*_args, **_kwargs):
+            raise AssertionError("the pipeline ran before -o was checked")
+
+        monkeypatch.setattr("repro.flow.profile.run_pipeline", pipeline)
+        out = tmp_path / "report"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "report.txt"
+        ledger = tmp_path / "runs.jsonl"
+        argv = [command, "System1", "--quick", "-o", str(out)]
+        if command == "profile":
+            argv += ["--ledger", str(ledger)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot write ") and err.count("\n") == 1
+        assert str(out) in err
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "explain"])
+    def test_output_file_is_kept_when_the_run_fails(self, command, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.errors import ReproError
+
+        def pipeline(*_args, **_kwargs):
+            raise ReproError("the run failed")
+
+        monkeypatch.setattr("repro.flow.profile.run_pipeline", pipeline)
+        out = tmp_path / "report.txt"
+        out.write_text("an earlier report\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "System1", "--quick", "-o", str(out)])
+        assert exc.value.code == "repro: the run failed"
+        assert out.read_text() == "an earlier report\n"
+
     def test_report_subcommand_is_gone(self, capsys):
         from repro.cli import main
 
