@@ -63,12 +63,14 @@ class ReplayResult:
         }
 
 
-def _stimulus_words(elab, app, stimulus: Dict[str, int], step: int) -> Dict[str, int]:
+def _stimulus_words(
+    inputs: List[str], app, stimulus: Dict[str, int], step: int
+) -> Dict[str, int]:
     """Flatten per-port stimulus into the simulator's per-gate input map."""
     words = {}
-    for gate in elab.netlist.inputs:
-        port, _, bit = gate.name.rpartition(".")
-        words[gate.name] = (stimulus.get(port, 0) >> int(bit)) & 1
+    for name in inputs:
+        port, _, bit = name.rpartition(".")
+        words[name] = (stimulus.get(port, 0) >> int(bit)) & 1
     words[f"{app.mode_input}.0"] = 1
     for register, hold_name in sorted(app.hold_inputs.items()):
         words[f"{hold_name}.0"] = 1 if step in app.schedule.get(register, set()) else 0
@@ -78,10 +80,11 @@ def _stimulus_words(elab, app, stimulus: Dict[str, int], step: int) -> Dict[str,
 def _run_mode(elab, app, stimulus: Dict[str, int], latency: int) -> Dict[str, int]:
     """Clock one mode sequence; return the final-cycle output gate values."""
     sim = SequentialSimulator(elab.netlist)
+    inputs = [gate.name for gate in elab.netlist.inputs]
     for step in range(latency):
-        sim.step(_stimulus_words(elab, app, stimulus, step))
+        sim.step(_stimulus_words(inputs, app, stimulus, step))
     # outputs returned by a step reflect the state entering it
-    return sim.step(_stimulus_words(elab, app, stimulus, latency))
+    return sim.step(_stimulus_words(inputs, app, stimulus, latency))
 
 
 def _port_word(outputs: Dict[str, int], port: str, width: int) -> int:

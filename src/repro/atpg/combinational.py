@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.atpg.compaction import compact_patterns
 from repro.atpg.podem import BACKTRACK_LIMIT, PodemResult, PodemStatus, podem
 from repro.errors import AtpgError
-from repro.faults.collapse import collapse_faults
+from repro.faults.collapse import collapsed_fault_universe
 from repro.faults.coverage import CoverageReport
-from repro.faults.model import Fault, full_fault_universe
+from repro.faults.model import Fault
 from repro.faults.simulator import FaultSimulator, PatternWords, pack_columns
 from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS, profile_section
@@ -84,7 +84,7 @@ class CombinationalAtpg:
 
     def _run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgOutcome:
         if faults is None:
-            faults = collapse_faults(self.netlist, full_fault_universe(self.netlist))
+            faults = collapsed_fault_universe(self.netlist)
         faults = list(faults)
         total = len(faults)
         rng = random.Random(self.seed)

@@ -11,7 +11,10 @@ Implication is event-driven over a per-netlist compiled structure
 (:class:`_PodemNetlist`): after each decision, flip, or backtrack only
 the gates downstream of the sources that changed are re-evaluated, in
 topological order, and the D-frontier scan is confined to the fault
-site's fanout cone.  Net values are a pure function of the source
+site's fanout cone.  Each net holds one paired code ``3 * good +
+faulty``, so one lookup in the gate's table (:mod:`repro.atpg.values`)
+evaluates the good and the faulty machine together; only the fault site
+is evaluated apart.  Net values are a pure function of the source
 assignment, so re-propagating from the changed sources is exact and no
 value trail is kept (see DESIGN.md, "PODEM engine contract").
 
@@ -28,12 +31,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AtpgError
 from repro.obs import METRICS
 from repro.atpg.values import (
     CONTROLLING,
+    FOLD,
+    GOOD,
+    HAS_D,
     K_AND,
     K_BUF,
     K_CONST0,
@@ -50,9 +56,14 @@ from repro.atpg.values import (
     K_XOR,
     KIND_CODE,
     ONE,
+    PAIR_ONE,
+    PAIR_TABLES,
+    PAIR_X,
+    PAIR_ZERO,
+    UNKNOWN,
     X,
     ZERO,
-    eval3,
+    pair_eval,
     v_not,
 )
 from repro.faults.model import Fault
@@ -111,22 +122,26 @@ def podem(
     return result
 
 
+#: evaluation forms of a compiled gate: set (a source or constant, never
+#: evaluated), one operand, two, MUX2, a wide AND/OR/NAND/NOR, and the
+#: fault site of one search (:meth:`_PodemEngine._site_value`)
+_SET, _UNARY, _BINARY, _MUX, _WIDE, _SITE = range(6)
+
+
 class _PodemNetlist:
     """A netlist compiled for PODEM, shared by every call on it.
 
     Gate ids are positions in :func:`levelize` order, so sources and
     constants come first and every gate's id exceeds its fanins' ids:
     sorting ids *is* topological order.  Per id: a kind code, fanin ids,
+    an evaluation form with its paired-code table (:data:`PAIR_TABLES`),
     and the combinational readers (flip-flops excluded -- a D pin is
     observed, not propagated) in ascending id order.  ``base`` holds the
-    values with every source at X, followed by two stuck-value slots
-    (``base[stuck_slot + v] == v``) that pin faults read in place of the
-    faulty operand.
+    paired values with every source at X.
     """
 
     __slots__ = (
-        "names", "index", "codes", "fanins", "readers", "observe",
-        "base", "stuck_slot",
+        "names", "index", "codes", "fanins", "forms", "tables", "readers", "observe", "base",
     )
 
     def __init__(self, netlist: GateNetlist) -> None:
@@ -149,18 +164,27 @@ class _PodemNetlist:
         self.index: Dict[str, int] = index
         self.codes: List[int] = codes
         self.fanins: List[Tuple[int, ...]] = fanins
+        self.forms: List[int] = [_form(code, len(ops)) for code, ops in zip(codes, fanins)]
+        self.tables: List[Tuple[int, ...]] = [PAIR_TABLES.get(code, ()) for code in codes]
         self.readers: List[Tuple[int, ...]] = [tuple(r) for r in readers]
         self.observe: FrozenSet[int] = frozenset(observe)
-        self.stuck_slot = len(names)
-        base = [X] * len(names) + [ZERO, ONE]
+        base = [PAIR_X] * len(names)
         for gid, code in enumerate(codes):
             if code == K_CONST0:
-                base[gid] = ZERO
+                base[gid] = PAIR_ZERO
             elif code == K_CONST1:
-                base[gid] = ONE
+                base[gid] = PAIR_ONE
             elif code <= K_MUX2:
-                base[gid] = eval3(code, fanins[gid], base)
+                base[gid] = pair_eval(code, [base[f] for f in fanins[gid]])
         self.base: Tuple[int, ...] = tuple(base)
+
+
+def _form(code: int, arity: int) -> int:
+    if code > K_MUX2:
+        return _SET
+    if code == K_MUX2:
+        return _MUX
+    return _UNARY if arity == 1 else _BINARY if arity == 2 else _WIDE
 
 
 _COMPILED: "NetlistCache[_PodemNetlist]" = NetlistCache()
@@ -181,26 +205,27 @@ class _PodemEngine:
             raise AtpgError(f"fault site {fault.gate!r} is not in netlist {netlist.name!r}")
         self.site = site
         self.assignment: Dict[int, int] = {}
-        self.good: List[int] = list(net.base)
-        self.faulty: List[int] = list(net.base)
+        #: one paired code (3 * good + faulty) per net
+        self.values: List[int] = list(net.base)
         codes, fanins = net.codes, net.fanins
 
-        #: a stem site: the faulty value is forced, never evaluated
-        self.stem: Dict[int, int] = {}
-        #: a pin site on an evaluated gate: the faulty machine reads the
-        #: faulty operand from a stuck-value slot (flop pins have no
-        #: operand -- their fault is observed at capture)
-        self.faulty_fanins: Dict[int, Tuple[int, ...]] = {}
-        if fault.pin is None:
-            self.stem[site] = fault.stuck
-        elif codes[site] <= K_MUX2 and 0 <= fault.pin < len(fanins[site]):
-            operands = list(fanins[site])
-            operands[fault.pin] = net.stuck_slot + fault.stuck
-            self.faulty_fanins[site] = tuple(operands)
+        # the fault site is the one gate whose table alone does not give
+        # its pair: a stem site's faulty half is forced to the stuck value;
+        # a pin site on an evaluated gate reads the stuck value on that pin
+        # for its faulty half (flop pins have no operand -- their fault is
+        # observed at capture, and nothing is evaluated apart)
+        self.stem = fault.pin is None
+        self.stuck_pin: Optional[int] = None
+        if not self.stem and codes[site] <= K_MUX2 and 0 <= fault.pin < len(fanins[site]):
+            self.stuck_pin = fault.pin
+        roots = [site] if self.stem or self.stuck_pin is not None else []
+        #: per-gate evaluation forms, the site's :data:`_SITE` if it is special
+        self.forms = list(net.forms)
+        if roots and codes[site] <= K_MUX2:
+            self.forms[site] = _SITE
 
         # only the site's fanout cone can carry a D: the faulty machine
         # equals the good one everywhere else
-        roots = list(self.stem) + list(self.faulty_fanins)
         cone = set(roots)
         stack = list(roots)
         while stack:
@@ -208,7 +233,6 @@ class _PodemEngine:
                 if reader not in cone:
                     cone.add(reader)
                     stack.append(reader)
-        self.cone: Set[int] = cone
         self.cone_observe = [gid for gid in cone if gid in net.observe]
         #: D-frontier candidates (evaluated non-OUTPUT cone gates), deepest first
         self.frontier_scan = [
@@ -227,72 +251,87 @@ class _PodemEngine:
     # ------------------------------------------------------------------
     def _inject(self) -> None:
         """First implication pass: the fault site against all-X sources."""
-        net = self.net
-        dirty = list(self.faulty_fanins)
-        for gid, stuck in self.stem.items():
-            if net.codes[gid] > K_MUX2:  # source or constant: set, not evaluated
-                self.faulty[gid] = stuck
-                dirty.extend(net.readers[gid])
-            else:
-                dirty.append(gid)
+        net, site, values = self.net, self.site, self.values
+        dirty: Sequence[int] = ()  # a flop pin fault: nothing to inject
+        if self.forms[site] == _SITE:
+            dirty = (site,)
+        elif self.stem:  # a source or constant stem: set, not evaluated
+            values[site] = 3 * GOOD[values[site]] + self.fault.stuck
+            dirty = net.readers[site]
         self._propagate(dirty)
 
     def _imply(self, sources: Iterable[int]) -> None:
         """Implication pass after the assignment of ``sources`` changed."""
-        good, faulty, stem, readers = self.good, self.faulty, self.stem, self.net.readers
+        values, assignment, readers = self.values, self.assignment, self.net.readers
+        stem_source = self.site if self.stem else -1
         dirty: List[int] = []
         for source in sources:
-            value = self.assignment.get(source, X)
-            if good[source] != value:
-                good[source] = value
-                if source not in stem:
-                    faulty[source] = value
+            value = assignment.get(source, X)
+            code = 3 * value + (self.fault.stuck if source == stem_source else value)
+            if values[source] != code:
+                values[source] = code
                 dirty.extend(readers[source])
         self._propagate(dirty)
 
     def _propagate(self, dirty: Iterable[int]) -> None:
         """Re-evaluate ``dirty`` gates, and every reader of a gate whose
-        value pair changed, in topological (id) order."""
-        good, faulty = self.good, self.faulty
+        paired value changed, in topological (id) order."""
+        values = self.values
         net = self.net
-        codes, fanins, readers = net.codes, net.fanins, net.readers
-        cone, stem, faulty_fanins = self.cone, self.stem, self.faulty_fanins
-        heap = sorted(set(dirty))  # a sorted list is a valid heap
-        queued = set(heap)
+        codes, fanins, tables, readers = net.codes, net.fanins, net.tables, net.readers
+        forms = self.forms
+        heap = sorted(dirty)  # a sorted list is a valid heap
+        last = -1
         while heap:
             gid = heappop(heap)
-            code = codes[gid]
+            if gid == last:  # queued by more than one changed fanin
+                continue
+            last = gid
             operands = fanins[gid]
-            new_good = eval3(code, operands, good)
-            if gid not in cone:
-                new_faulty = new_good
-            elif gid in stem:
-                new_faulty = stem[gid]
+            form = forms[gid]
+            if form == _BINARY:
+                a, b = operands
+                value = tables[gid][9 * values[a] + values[b]]
+            elif form == _MUX:
+                d0, d1, select = operands
+                value = tables[gid][81 * values[d0] + 9 * values[d1] + values[select]]
+            elif form == _WIDE:  # fold the leading operands, then the gate's own table
+                fold = FOLD[codes[gid]]
+                value = values[operands[0]]
+                for source in operands[1:-1]:
+                    value = fold[9 * value + values[source]]
+                value = tables[gid][9 * value + values[operands[-1]]]
+            elif form == _UNARY:
+                value = tables[gid][values[operands[0]]]
             else:
-                new_faulty = eval3(code, faulty_fanins.get(gid, operands), faulty)
-            if new_good != good[gid] or new_faulty != faulty[gid]:
-                good[gid] = new_good
-                faulty[gid] = new_faulty
+                value = self._site_value()
+            if value != values[gid]:
+                values[gid] = value
                 for reader in readers[gid]:
-                    if reader not in queued:
-                        queued.add(reader)
-                        heappush(heap, reader)
+                    heappush(heap, reader)
+
+    def _site_value(self) -> int:
+        """The fault site's paired value: its faulty half forced (a stem)
+        or evaluated with the stuck pin (a pin fault)."""
+        values, site, stuck = self.values, self.site, self.fault.stuck
+        operands = [values[f] for f in self.net.fanins[site]]
+        if self.stuck_pin is not None:
+            operands[self.stuck_pin] = 3 * GOOD[operands[self.stuck_pin]] + stuck
+        value = pair_eval(self.net.codes[site], operands)
+        return 3 * GOOD[value] + stuck if self.stem else value
 
     # ------------------------------------------------------------------
     # predicates
     # ------------------------------------------------------------------
-    def _has_d(self, net: int) -> bool:
-        g, f = self.good[net], self.faulty[net]
-        return g != X and f != X and g != f
-
-    def _unknown(self, net: int) -> bool:
-        return self.good[net] == X or self.faulty[net] == X
-
     def detected(self) -> bool:
+        values = self.values
         if self.justify_only is not None:
             net, value = self.justify_only
-            return self.good[net] == value
-        return any(self._has_d(net) for net in self.cone_observe)
+            return GOOD[values[net]] == value
+        for net in self.cone_observe:
+            if HAS_D[values[net]]:
+                return True
+        return False
 
     def _activation_net(self) -> int:
         """The net whose good value must differ from the stuck value."""
@@ -302,15 +341,20 @@ class _PodemEngine:
 
     def _d_frontier(self) -> List[int]:
         """Gates with an X output and a D on an input, deepest first."""
-        fanins = self.net.fanins
-        return [
-            gid for gid in self.frontier_scan
-            if self._unknown(gid) and any(self._has_d(s) for s in fanins[gid])
-        ]
+        values, fanins = self.values, self.net.fanins
+        frontier = []
+        for gid in self.frontier_scan:
+            if UNKNOWN[values[gid]]:
+                for source in fanins[gid]:
+                    if HAS_D[values[source]]:
+                        frontier.append(gid)
+                        break
+        return frontier
 
     def _xpath_exists(self, frontier: Sequence[int]) -> bool:
         """Can a D still reach an observation point through X nets?"""
         observe, readers, codes = self.net.observe, self.net.readers, self.net.codes
+        values = self.values
         stack = list(frontier)
         visited = set(stack)
         while stack:
@@ -320,7 +364,7 @@ class _PodemEngine:
             for reader in readers[gid]:
                 if reader in visited:
                     continue
-                if codes[reader] == K_OUTPUT or self._unknown(reader):
+                if codes[reader] == K_OUTPUT or UNKNOWN[values[reader]]:
                     visited.add(reader)
                     stack.append(reader)
         return False
@@ -330,26 +374,27 @@ class _PodemEngine:
     # ------------------------------------------------------------------
     def objective(self) -> Optional[Tuple[int, int]]:
         """Next (net, value) goal, or None if the fault is blocked."""
+        values = self.values
         if self.justify_only is not None:
             net, value = self.justify_only
-            if self.good[net] == X:
+            if GOOD[values[net]] == X:
                 return (net, value)
             return None  # justified or conflicting; detected() decides
 
         activation = self._activation_net()
-        desired = v_not(self.fault.stuck)
-        if self.good[activation] == X:
-            return (activation, desired)
-        if self.good[activation] == self.fault.stuck:
+        good = GOOD[values[activation]]
+        if good == X:
+            return (activation, v_not(self.fault.stuck))
+        if good == self.fault.stuck:
             return None  # activation impossible under current assignment
 
         # a pin fault also needs the faulty gate's *other* pins sensitized
         # before a D appears at its output
-        if self.fault.pin is not None and not self._has_d(self.site):
+        if self.fault.pin is not None and not HAS_D[values[self.site]]:
             goal = self._expose_pin_fault()
             if goal is not None:
                 return goal
-            if not self._unknown(self.site):
+            if not UNKNOWN[values[self.site]]:
                 return None  # output fully known and equal: fault masked here
 
         frontier = self._d_frontier()
@@ -360,10 +405,11 @@ class _PodemEngine:
         # try frontier gates closest to an output first; the objective must
         # target an input that is X in the *good* machine (backtrace steers
         # good values -- faulty-only X inputs resolve via implication)
+        codes, fanins = self.net.codes, self.net.fanins
         for gid in frontier:
-            controlling = CONTROLLING.get(self.net.codes[gid])
-            for source in self.net.fanins[gid]:
-                if self.good[source] == X:
+            for source in fanins[gid]:
+                if GOOD[values[source]] == X:
+                    controlling = CONTROLLING.get(codes[gid])
                     if controlling is not None:
                         return (source, v_not(controlling))
                     return (source, ZERO)
@@ -373,28 +419,30 @@ class _PodemEngine:
         """Objective making the faulty gate's output show the pin difference."""
         code = self.net.codes[self.site]
         fanins = self.net.fanins[self.site]
+        values = self.values
         pin = self.fault.pin
         assert pin is not None
         if code == K_MUX2:
             d0, d1, select = fanins
             if pin in (0, 1):
                 # route the faulty data pin: select must equal the pin index
-                if self.good[select] == X:
+                if GOOD[values[select]] == X:
                     return (select, ONE if pin == 1 else ZERO)
                 return None
             # select-pin fault: the two data legs must differ
-            if self.good[d0] == X and self.good[d1] != X:
-                return (d0, v_not(self.good[d1]))
-            if self.good[d1] == X and self.good[d0] != X:
-                return (d1, v_not(self.good[d0]))
-            if self.good[d0] == X:
+            good_d0, good_d1 = GOOD[values[d0]], GOOD[values[d1]]
+            if good_d0 == X and good_d1 != X:
+                return (d0, v_not(good_d1))
+            if good_d1 == X and good_d0 != X:
+                return (d1, v_not(good_d0))
+            if good_d0 == X:
                 return (d0, ZERO)
             return None
         controlling = CONTROLLING.get(code)
         for index, source in enumerate(fanins):
             if index == pin:
                 continue
-            if self.good[source] == X:
+            if GOOD[values[source]] == X:
                 if controlling is not None:
                     return (source, v_not(controlling))
                 return (source, ZERO)
@@ -402,7 +450,7 @@ class _PodemEngine:
 
     def backtrace(self, net: int, value: int) -> Optional[Tuple[int, int]]:
         """Walk the objective back to an unassigned source."""
-        codes, fanins, good = self.net.codes, self.net.fanins, self.good
+        codes, fanins, values = self.net.codes, self.net.fanins, self.values
         current, target = net, value
         for _ in range(len(codes) + 1):
             code = codes[current]
@@ -422,7 +470,7 @@ class _PodemEngine:
                 if code in (K_NAND, K_NOR):
                     target = v_not(target)
                 controlling = CONTROLLING[K_AND if code in (K_AND, K_NAND) else K_OR]
-                unknowns = [s for s in fanins[current] if good[s] == X]
+                unknowns = [s for s in fanins[current] if GOOD[values[s]] == X]
                 if not unknowns:
                     return None
                 if target == controlling:
@@ -434,31 +482,31 @@ class _PodemEngine:
                 continue
             if code in (K_XOR, K_XNOR):
                 a, b = fanins[current]
+                good_a, good_b = GOOD[values[a]], GOOD[values[b]]
                 if code == K_XNOR:
                     target = v_not(target)
-                if good[a] == X:
-                    other = good[b]
-                    current, target = a, (target if other in (ZERO, X) else v_not(target))
-                elif good[b] == X:
-                    other = good[a]
-                    current, target = b, (target if other in (ZERO, X) else v_not(target))
+                if good_a == X:
+                    current, target = a, (target if good_b in (ZERO, X) else v_not(target))
+                elif good_b == X:
+                    current, target = b, (target if good_a in (ZERO, X) else v_not(target))
                 else:
                     return None
                 continue
             if code == K_MUX2:
                 d0, d1, select = fanins[current]
-                select_value = good[select]
+                select_value = GOOD[values[select]]
+                good_d0, good_d1 = GOOD[values[d0]], GOOD[values[d1]]
                 if select_value == ZERO:
                     current = d0
                 elif select_value == ONE:
                     current = d1
-                elif good[d0] == target and good[d0] != X:
+                elif good_d0 == target and good_d0 != X:
                     current, target = select, ZERO
-                elif good[d1] == target and good[d1] != X:
+                elif good_d1 == target and good_d1 != X:
                     current, target = select, ONE
-                elif good[d0] == X:
+                elif good_d0 == X:
                     current = d0
-                elif good[d1] == X:
+                elif good_d1 == X:
                     current, target = select, ONE
                 else:
                     current, target = select, ZERO

@@ -7,7 +7,7 @@ collapsed stuck-at universe of a gate netlist.
 """
 
 from repro.faults.model import Fault, full_fault_universe
-from repro.faults.collapse import collapse_faults
+from repro.faults.collapse import collapse_faults, collapsed_fault_universe
 from repro.faults.simulator import FaultSimulator, sequential_fault_grade
 from repro.faults.coverage import CoverageReport
 
@@ -15,6 +15,7 @@ __all__ = [
     "Fault",
     "full_fault_universe",
     "collapse_faults",
+    "collapsed_fault_universe",
     "FaultSimulator",
     "sequential_fault_grade",
     "CoverageReport",

@@ -9,10 +9,10 @@ one (fanout branches can diverge from the stem).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.gates.cells import GateKind
-from repro.gates.netlist import GateNetlist
+from repro.gates.netlist import Gate, GateNetlist
 from repro.gates.simulator import FaultSite
 
 _NO_STEM_FAULT = (GateKind.OUTPUT, GateKind.CONST0, GateKind.CONST1)
@@ -50,15 +50,22 @@ def full_fault_universe(netlist: GateNetlist) -> List[Fault]:
     OUTPUT markers are skipped too -- they are electrically the stem.
     """
     fanout = netlist.fanout_map()
-    faults: List[Fault] = []
-    for gate in netlist.gates():
-        if gate.kind not in _NO_STEM_FAULT:
-            faults.append(Fault(gate.name, None, 0))
-            faults.append(Fault(gate.name, None, 1))
-        if gate.kind is GateKind.OUTPUT:
-            continue
+    return [
+        Fault(gate.name, pin, stuck)
+        for gate in netlist.gates()
+        for pin, stuck in gate_fault_sites(gate, fanout)
+    ]
+
+
+def gate_fault_sites(gate: Gate, fanout: Dict[str, List[str]]) -> List[Tuple[Optional[int], int]]:
+    """The ``(pin, stuck)`` faults of one gate in the universe, in
+    :meth:`Fault.sort_key` order: its stem faults, then a branch's pin
+    faults wherever the driving net fans out to more than one reader."""
+    sites: List[Tuple[Optional[int], int]] = []
+    if gate.kind not in _NO_STEM_FAULT:
+        sites += ((None, 0), (None, 1))
+    if gate.kind is not GateKind.OUTPUT:
         for pin, source in enumerate(gate.fanins):
             if len(fanout[source]) > 1:
-                faults.append(Fault(gate.name, pin, 0))
-                faults.append(Fault(gate.name, pin, 1))
-    return faults
+                sites += ((pin, 0), (pin, 1))
+    return sites

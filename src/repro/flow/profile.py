@@ -79,13 +79,12 @@ def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]):
     """
     from repro.atpg.combinational import CombinationalAtpg
     from repro.elaborate import elaborate
-    from repro.faults.collapse import collapse_faults
-    from repro.faults.model import full_fault_universe
+    from repro.faults.collapse import collapsed_fault_universe
 
     netlist = elaborate(circuit).netlist
     faults = None
     if max_faults is not None:
-        universe = collapse_faults(netlist, full_fault_universe(netlist))
+        universe = collapsed_fault_universe(netlist)
         if len(universe) > max_faults:
             faults = random.Random(seed).sample(universe, max_faults)
     return netlist, CombinationalAtpg(netlist, seed=seed).run(faults)
@@ -98,14 +97,13 @@ def _functional_coverage(soc, with_hscan: bool, seed: int, sample: int) -> float
     gives no access to it (scan pins unrouted): core-level testability
     alone leaves the chip poorly testable.
     """
-    from repro.faults.collapse import collapse_faults
-    from repro.faults.model import full_fault_universe
+    from repro.faults.collapse import collapsed_fault_universe
     from repro.faults.simulator import sequential_fault_grade
     from repro.flow.system_netlist import flatten_soc
 
     with profile_section("faultsim.functional"):
         netlist = flatten_soc(soc, with_hscan=with_hscan, scan_access="none")
-        faults = collapse_faults(netlist, full_fault_universe(netlist))
+        faults = collapsed_fault_universe(netlist)
         rng = random.Random(seed)
         inputs = [g.name for g in netlist.inputs]
         stimuli = [

@@ -40,6 +40,7 @@ class GateNetlist:
         self.name = name
         self._gates: Dict[str, Gate] = {}
         self._fanout_cache: Optional[Dict[str, List[str]]] = None
+        self._sources_cache: Optional[List[str]] = None
         #: mutation stamp: bumped by every structural edit, so derived
         #: per-netlist structures (see :class:`NetlistCache`) can tell
         #: they went stale
@@ -68,6 +69,7 @@ class GateNetlist:
 
     def _mutated(self) -> None:
         self._fanout_cache = None
+        self._sources_cache = None
         self.stamp += 1
 
     # ------------------------------------------------------------------
@@ -111,12 +113,15 @@ class GateNetlist:
     def sources(self) -> List[str]:
         """The combinational view's sources -- primary inputs and
         flip-flops -- in gate order: the simulators' source order and the
-        column order of a pattern matrix."""
-        return [
-            g.name
-            for g in self._gates.values()
-            if g.kind is GateKind.INPUT or g.kind in STATE_KINDS
-        ]
+        column order of a pattern matrix.  Kept until the next edit; each
+        access returns a fresh copy."""
+        if self._sources_cache is None:
+            self._sources_cache = [
+                g.name
+                for g in self._gates.values()
+                if g.kind is GateKind.INPUT or g.kind in STATE_KINDS
+            ]
+        return list(self._sources_cache)
 
     def fanout_map(self) -> Dict[str, List[str]]:
         """Gate name -> names of gates that read it (cached)."""

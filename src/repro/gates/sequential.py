@@ -33,6 +33,8 @@ class SequentialSimulator:
         self._sim = CombinationalSimulator(netlist)
         self._fault = fault
         self._flops = netlist.flops
+        self._inputs = [gate.name for gate in netlist.inputs]
+        self._outputs = [gate.name for gate in netlist.outputs]
         self.states: Dict[str, int] = {flop.name: 0 for flop in self._flops}
         if initial_states:
             for name, word in initial_states.items():
@@ -43,13 +45,13 @@ class SequentialSimulator:
     def step(self, input_words: Mapping[str, int]) -> Dict[str, int]:
         """Apply one cycle; returns the packed primary-output values."""
         sources = dict(self.states)
-        for gate in self.netlist.inputs:
+        for name in self._inputs:
             try:
-                sources[gate.name] = input_words[gate.name] & self._mask
+                sources[name] = input_words[name] & self._mask
             except KeyError:
-                raise SimulationError(f"no value for input {gate.name!r}") from None
+                raise SimulationError(f"no value for input {name!r}") from None
         values = self._sim.run(sources, self.pattern_count, fault=self._fault)
-        outputs = {gate.name: values[gate.name] for gate in self.netlist.outputs}
+        outputs = {name: values[name] for name in self._outputs}
         for flop in self._flops:
             self.states[flop.name] = next_state_word(flop, values, self._mask)
             if self._fault is not None and self._fault.pin is None and self._fault.gate == flop.name:

@@ -2,8 +2,9 @@
 
 Evaluates an :class:`RTLCircuit` cycle by cycle at word level, entirely
 independently of the gate-level path (no netlists, no bit-blasting).
-The test suite cross-checks it against elaborate+simulate on random
-circuits, so a disagreement pinpoints a bug in one of the two layers.
+``test_crosscheck.py`` and ``test_structural_properties.py`` check
+elaborate+simulate against it on the designs and on random circuits, so
+a disagreement pinpoints a bug in one of the two layers.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.designs import core_builders
 from repro.elaborate import elaborate
 from repro.gates import SequentialSimulator
 from repro.rtl import CircuitBuilder, OpKind, Slice
-from repro.rtl.interp import RTLInterpreter
+from tests.rtl_interp import RTLInterpreter
 from repro.rtl.types import Concat, concat
 
 from tests.bits import int_to_bits

@@ -1,16 +1,24 @@
 """Tests for the fault model, collapsing, and fault simulation."""
 
+import random
+
 import pytest
 
+from repro.designs import core_builders, system_builders
+from repro.elaborate import elaborate
 from repro.faults import (
     Fault,
     FaultSimulator,
     collapse_faults,
+    collapsed_fault_universe,
     full_fault_universe,
     sequential_fault_grade,
 )
 from repro.faults.coverage import CoverageReport
+from repro.flow import flatten_soc
 from repro.gates import GateKind, GateNetlist
+
+from tests.test_podem_property import random_netlist
 
 
 def and_netlist():
@@ -84,6 +92,88 @@ class TestCollapse:
         # a/sa0, a/sa1, n1/sa0, n1/sa1: inverter merges nothing here (no pin faults
         # enumerated since fanout is 1), so 4 remain
         assert len(collapsed) == 4
+
+
+def reference_collapse(netlist, faults):
+    """Union-find collapsing over ``(gate, pin, stuck)`` tuples: union
+    every gate-local equivalence whose two faults are both present, then
+    keep each class's smallest member in sort order."""
+    present = {(f.gate, f.pin, f.stuck): f for f in faults}
+    parent = {key: key for key in present}
+
+    def find(key):
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    def union(a, b):
+        if a in present and b in present:
+            parent[find(b)] = find(a)
+
+    for gate in netlist.gates():
+        name, kind = gate.name, gate.kind
+        for pin in range(len(gate.fanins)):
+            if kind is GateKind.AND:
+                union((name, None, 0), (name, pin, 0))
+            elif kind is GateKind.NAND:
+                union((name, None, 1), (name, pin, 0))
+            elif kind is GateKind.OR:
+                union((name, None, 1), (name, pin, 1))
+            elif kind is GateKind.NOR:
+                union((name, None, 0), (name, pin, 1))
+            elif kind is GateKind.NOT:
+                union((name, None, 1), (name, pin, 0))
+                union((name, None, 0), (name, pin, 1))
+            elif kind in (GateKind.BUF, GateKind.OUTPUT, GateKind.DFF):
+                union((name, None, 0), (name, pin, 0))
+                union((name, None, 1), (name, pin, 1))
+    classes = {}
+    for key, fault in present.items():
+        classes.setdefault(find(key), []).append(fault)
+    return sorted((min(m, key=Fault.sort_key) for m in classes.values()), key=Fault.sort_key)
+
+
+CORES = ("CPU", "PREPROCESSOR", "DISPLAY", "GRAPHICS", "GCD", "X25")
+SYSTEMS = ("System1", "System2", "System3", "System4")
+#: the six cores, and each system's chip flattened without and with HSCAN
+NETLISTS = [(core, None) for core in CORES] + [
+    (system, hscan) for system in SYSTEMS for hscan in (False, True)
+]
+NETLIST_IDS = [
+    name if hscan is None else f"{name}-{'hscan' if hscan else 'orig'}" for name, hscan in NETLISTS
+]
+
+
+def _netlist(name, hscan):
+    if hscan is None:
+        return elaborate(core_builders()[name]()).netlist
+    return flatten_soc(system_builders()[name](), with_hscan=hscan, scan_access="none")
+
+
+class TestCollapsedUniverse:
+    @pytest.mark.parametrize("name,hscan", NETLISTS, ids=NETLIST_IDS)
+    def test_matches_union_find_collapse(self, name, hscan):
+        netlist = _netlist(name, hscan)
+        universe = full_fault_universe(netlist)
+        expected = reference_collapse(netlist, universe)
+        assert collapsed_fault_universe(netlist) == expected
+        assert collapse_faults(netlist, universe) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arbitrary_fault_lists_match(self, seed):
+        """Subsets, shuffled and with duplicates, plus faults the netlist
+        cannot hold (unknown gate, pin beyond the fanins), on a core and
+        on a random netlist of every gate kind (the cores hold no NAND or
+        NOR): a subset can hold a pin fault without the stem fault its
+        rule names."""
+        rng = random.Random(seed)
+        for netlist in (_netlist(CORES[seed], None), random_netlist(seed, flops=True)):
+            universe = full_fault_universe(netlist)
+            for share in (2, 3, 4):
+                faults = rng.sample(universe, len(universe) // share) * 2
+                faults += [Fault("no-such-gate", 0, 1), Fault(universe[-1].gate, 9, 0)]
+                rng.shuffle(faults)
+                assert collapse_faults(netlist, faults) == reference_collapse(netlist, faults)
 
 
 class TestFaultSimulator:

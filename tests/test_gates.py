@@ -181,3 +181,19 @@ class TestSequentialSimulator:
         sim = SequentialSimulator(self.counter_netlist(), fault=FaultSite("q", None, 0))
         outs = [sim.step({"en": 1})["Q"] for _ in range(3)]
         assert outs == [0, 0, 0]
+
+    def test_run_sequence_scans_no_netlist(self, monkeypatch):
+        """Inputs, outputs and flops are resolved once, in ``__init__``:
+        clocking the simulator makes no ``of_kind`` scan of the netlist."""
+        sim = SequentialSimulator(self.counter_netlist())
+        scans = []
+        original = GateNetlist.of_kind
+
+        def counting(netlist, *kinds):
+            scans.append(kinds)
+            return original(netlist, *kinds)
+
+        monkeypatch.setattr(GateNetlist, "of_kind", counting)
+        traces = sim.run_sequence([{"en": 1}] * 5)
+        assert [trace["Q"] for trace in traces] == [0, 1, 0, 1, 0]
+        assert scans == []

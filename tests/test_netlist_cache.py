@@ -78,6 +78,17 @@ class TestStaleCaches:
         assert depth_levels(n)["h"] == 2
         assert levelize(n) == levelize(n.copy())
 
+    def test_sources_see_edits(self):
+        n = and_gate()
+        sources = n.sources
+        assert sources == ["a", "b", "c"]
+        sources.append("caller's own list")
+        assert n.sources == ["a", "b", "c"]
+        n.add_gate("q", GateKind.DFF, ["g"])
+        assert n.sources == ["a", "b", "c", "q"]
+        n.replace_gate("b", GateKind.CONST0, [])
+        assert n.sources == ["a", "c", "q"] == n.copy().sources
+
     def test_podem_after_edit(self):
         n = and_gate()
         faults = full_fault_universe(n)

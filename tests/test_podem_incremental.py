@@ -13,11 +13,13 @@ over the fanout map, not through the production engine's cone.
 """
 
 import random
+from itertools import product
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
 from repro.atpg import podem
+from repro.atpg import values
 from repro.atpg.podem import BACKTRACK_LIMIT, PodemResult, PodemStatus
 from repro.designs import build_cpu, build_gcd, build_x25
 from repro.elaborate import elaborate
@@ -364,3 +366,41 @@ class TestEngineEdges:
         assert_same_decisions(n, faults)
         assert podem(n, Fault("one", None, 0)).status is PodemStatus.DETECTED
         assert podem(n, Fault("g", 1, 1)).status is PodemStatus.REDUNDANT
+
+
+#: (kind code, arity) of every gate form the engine evaluates
+EVALUATED = (
+    [(code, 1) for code in (values.K_BUF, values.K_NOT, values.K_OUTPUT)]
+    + [(code, 2) for code in (values.K_XOR, values.K_XNOR)]
+    + [(code, arity) for code in values.CONTROLLING for arity in (2, 3, 4)]
+    + [(values.K_MUX2, 3)]
+)
+
+
+def pair(good: int, faulty: int) -> int:
+    return 3 * good + faulty
+
+
+class TestPairedTables:
+    """One paired-code lookup is eval3 on each machine's half."""
+
+    @pytest.mark.parametrize("code,arity", EVALUATED, ids=[f"{c}x{a}" for c, a in EVALUATED])
+    def test_pair_eval_is_eval3_on_both_halves(self, code, arity):
+        pins = range(arity)
+        for operands in product(range(9), repeat=arity):
+            good = values.eval3(code, pins, [c // 3 for c in operands])
+            faulty = values.eval3(code, pins, [c % 3 for c in operands])
+            assert values.pair_eval(code, operands) == 3 * good + faulty, operands
+
+    def test_tables_index_operand_zero_first(self):
+        # AND(X, 0) = 0 in both machines; AND(0, X) likewise; MUX2 picks d1 on select 1
+        and2, mux = values.PAIR_TABLES[values.K_AND], values.PAIR_TABLES[values.K_MUX2]
+        assert and2[9 * values.PAIR_X + pair(1, 0)] == pair(X, 0)
+        assert mux[81 * values.PAIR_ZERO + 9 * values.PAIR_ONE + pair(1, 0)] == pair(1, 0)
+
+    def test_code_predicates(self):
+        for good, faulty in product((ZERO, ONE, X), repeat=2):
+            code = pair(good, faulty)
+            assert values.GOOD[code] == good
+            assert values.HAS_D[code] == (X not in (good, faulty) and good != faulty)
+            assert values.UNKNOWN[code] == (X in (good, faulty))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.dft import apply_hscan, insert_hscan
 from repro.elaborate import elaborate
 from repro.gates import SequentialSimulator
-from repro.rtl.interp import RTLInterpreter
+from tests.rtl_interp import RTLInterpreter
 from repro.transparency import generate_versions
 
 from tests.bits import int_to_bits
