@@ -1,13 +1,14 @@
 """Fault-grading kernels: compiled programs on machine planes vs the scalar reference.
 
 Times the two fault-grading workloads that dominate the Table 3
-pipeline on the kernels and on the scalar reference graders
-(``FaultSimulator.reference_run``, ``reference_grade_sequence_group``)
-and asserts bit-identity between them.  Both kernels use one plane
-layout: every row is one Python int holding the good machine in block 0
-and one block per fault, so one pass of the compiled program evaluates
-every machine of the plane -- one pass per cycle in sequential grading,
-one per 64-pattern batch in combinational grading.  The workloads:
+pipeline on the kernels and on the scalar reference graders of the test
+suite (``tests/reference_graders.py``: ``ReferenceGrader.run`` and
+``reference_grade_sequence_group``) and asserts bit-identity between
+them.  Both kernels use one plane layout: every row is one Python int
+holding the good machine in block 0 and one block per fault, so one pass
+of the compiled program evaluates every machine of the plane -- one pass
+per cycle in sequential grading, one per 64-pattern batch in
+combinational grading.  The workloads:
 
 * sequential whole-chip grading of the flattened System1 netlist (the
   ``Orig.``/``HSCAN`` row class) -- the headline kernel win, asserted
@@ -35,11 +36,13 @@ from conftest import SEED, record_bench, write_result
 from repro.elaborate import elaborate
 from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
 from repro.faults import kernel as fault_kernel
-from repro.faults.simulator import reference_grade_sequence_group, sequential_fault_grade
+from repro.faults.simulator import sequential_fault_grade
 from repro.flow.system_netlist import flatten_soc
 from repro.gates import GateKind
 from repro.obs import METRICS
 from repro.util import render_table
+
+from tests.reference_graders import ReferenceGrader, reference_grade_sequence_group
 
 ROUNDS = 1
 #: sequential whole-chip grading floor, asserted when cpus >= 4 (a
@@ -126,7 +129,7 @@ def _core_workloads(soc):
         ]
 
         scalar = _timed(
-            lambda: FaultSimulator(netlist).reference_run(patterns, faults), repeat=2
+            lambda: ReferenceGrader(netlist).run(patterns, faults), repeat=2
         )
         vector = _timed(lambda: FaultSimulator(netlist).run(patterns, faults), repeat=2)
         _assert_identical(core.name, scalar, vector)

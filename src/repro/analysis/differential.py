@@ -77,10 +77,13 @@ def _stimulus_words(
     return words
 
 
-def _run_mode(elab, app, stimulus: Dict[str, int], latency: int) -> Dict[str, int]:
-    """Clock one mode sequence; return the final-cycle output gate values."""
-    sim = SequentialSimulator(elab.netlist)
-    inputs = [gate.name for gate in elab.netlist.inputs]
+def _run_mode(
+    sim: SequentialSimulator, app, stimulus: Dict[str, int], latency: int
+) -> Dict[str, int]:
+    """Clock one mode sequence from zeroed flops on the mode netlist's
+    simulator; return the final-cycle output gate values."""
+    sim.states = dict.fromkeys(sim.states, 0)
+    inputs = [gate.name for gate in sim.netlist.inputs]
     for step in range(latency):
         sim.step(_stimulus_words(inputs, app, stimulus, step))
     # outputs returned by a step reflect the state entering it
@@ -148,11 +151,11 @@ def replay_path(
             core, version_index, path.direction, label, path.latency, 0, False,
             f"proved path is unrealizable: {error}",
         )
-    elab = elaborate(app.circuit)
+    sim = SequentialSimulator(elaborate(app.circuit).netlist)
     rng = random.Random(f"{REPLAY_SEED}:{core}:{version_index}:{path.direction}:{label}")
     for trial in range(REPLAY_TRIALS):
         stimulus = _random_stimulus(circuit, app, rng)
-        outputs = _run_mode(elab, app, stimulus, path.latency)
+        outputs = _run_mode(sim, app, stimulus, path.latency)
         problems = _segment_mismatches(proof, stimulus, outputs)
         if problems:
             METRICS.counter("analysis.replay.mismatches").inc()
@@ -189,10 +192,10 @@ def replay_refutes(
         app = apply_transparency_path(circuit, path)
     except TransparencyError:
         return True
-    elab = elaborate(app.circuit)
+    sim = SequentialSimulator(elaborate(app.circuit).netlist)
     rng = random.Random(f"{REPLAY_SEED}:refute:{path.direction}:{path.root}")
     stimulus = _random_stimulus(circuit, app, rng)
-    outputs = _run_mode(elab, app, stimulus, path.latency)
+    outputs = _run_mode(sim, app, stimulus, path.latency)
     if _segment_mismatches(proof, stimulus, outputs):
         return True
     # the tree's own claims, with no admissible-arc restriction: a path
@@ -213,7 +216,7 @@ def replay_refutes(
                 wanted = ((target >> (segment.root_lo - proof.root.lo))
                           & ((1 << segment.width) - 1)) << segment.terminal_lo
                 stimulus[segment.terminal] = (word & ~mask) | wanted
-            outputs = _run_mode(elab, app, stimulus, path.latency)
+            outputs = _run_mode(sim, app, stimulus, path.latency)
             observed = _port_word(outputs, proof.root.comp, circuit.get(proof.root.comp).width)
             root_mask = ((1 << width) - 1) << proof.root.lo
             if (observed & root_mask) != ((target << proof.root.lo) & root_mask):

@@ -66,7 +66,7 @@ from repro.atpg.values import (
     pair_eval,
     v_not,
 )
-from repro.faults.model import Fault
+from repro.faults.model import Fault, misfit
 from repro.gates.levelize import levelize
 from repro.gates.netlist import GateNetlist, NetlistCache
 
@@ -203,6 +203,9 @@ class _PodemEngine:
         site = net.index.get(fault.gate)
         if site is None:
             raise AtpgError(f"fault site {fault.gate!r} is not in netlist {netlist.name!r}")
+        problem = misfit(fault, len(net.fanins[site]), netlist)
+        if problem:
+            raise AtpgError(problem)
         self.site = site
         self.assignment: Dict[int, int] = {}
         #: one paired code (3 * good + faulty) per net
@@ -216,7 +219,7 @@ class _PodemEngine:
         # observed at capture, and nothing is evaluated apart)
         self.stem = fault.pin is None
         self.stuck_pin: Optional[int] = None
-        if not self.stem and codes[site] <= K_MUX2 and 0 <= fault.pin < len(fanins[site]):
+        if not self.stem and codes[site] <= K_MUX2:
             self.stuck_pin = fault.pin
         roots = [site] if self.stem or self.stuck_pin is not None else []
         #: per-gate evaluation forms, the site's :data:`_SITE` if it is special

@@ -266,6 +266,8 @@ def cmd_export(args) -> int:
     from repro.flow.export import plan_to_dict
     from repro.soc import plan_soc_test
 
+    if args.output:
+        _check_output(args.output)
     soc = _build_system(args.system)
     selection = _parse_selection(soc, args.select)
     plan = plan_soc_test(soc, selection)
@@ -316,6 +318,8 @@ def cmd_certify(args) -> int:
     from repro.analysis import certify_soc, path_location, replay_soc
     from repro.lint import Diagnostic, Severity
 
+    if args.output:
+        _check_output(args.output)
     try:
         fail_on = Severity.parse(args.fail_on)
     except ValueError as error:

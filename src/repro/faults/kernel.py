@@ -3,12 +3,12 @@
 Every fault grading in the flow runs here: :meth:`FaultSimulator.run`
 calls :func:`grade_combinational` and
 :func:`~repro.faults.simulator.sequential_fault_grade` calls
-:func:`grade_sequence_group`.  The scalar reference graders of
-:mod:`repro.faults.simulator` are the bit-identity *oracle*: this module
-reproduces their decisions -- the same detected/undetected fault lists
-in the same order, the same ``first_detection`` indices, and the same
-``faultsim.*`` counter values -- while evaluating many machines per
-pass.
+:func:`grade_sequence_group`.  Each evaluates many machines per pass and
+decides exactly as grading one faulty machine at a time would: the same
+detected/undetected fault lists in the same order, the same
+``first_detection`` indices, and the same ``faultsim.*`` counter values.
+The scalar one-machine graders in ``tests/reference_graders.py`` are the
+oracle the differential tests hold them to.
 
 Both graders share one plane layout.  A chunk of F faults runs as one
 plane of ``F + 1`` machines side by side in every row's int, each a
@@ -25,17 +25,17 @@ plane's width while every gate step costs a fixed overhead, so a plane
 holds at most :data:`PLANE_BITS` bits and wider fault lists run as
 several planes.
 
-Combinational grading runs the reference's own batch loop: 64 patterns
-per batch, each batch packed when it is reached (so a pattern missing a
-source fails at its batch, after the batches before it were counted),
-fault dropping between batches.  Upstream of a fault's site its block
+Combinational grading runs one batch loop: 64 patterns per batch,
+each batch packed when it is reached (so a pattern missing a source
+fails at its batch, after the batches before it were counted), fault
+dropping between batches.  Upstream of a fault's site its block
 equals the good machine, so a pin fault reads fault-free operands.
 Flop input-pin faults get no block: they are observed at scan capture,
 read off the good machine.
 
 Sequential grading runs every machine cycle by cycle with its flops'
-state carried in its block, mirroring the reference's per-fault
-:class:`SequentialSimulator` semantics (flop input-pin faults are inert
+state carried in its block, with the semantics of one
+:class:`SequentialSimulator` per fault (flop input-pin faults are inert
 there, stem faults force their row every cycle, and a pin fault's gate
 reads its own block, where corrupted state feeds back).
 """
@@ -47,24 +47,26 @@ from operator import truth
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.faults.model import Fault
-from repro.faults.simulator import FaultSimResult, Pattern, Patterns, is_words, pack_columns
+from repro.faults.model import Fault, misfit
+from repro.faults.simulator import (
+    _BATCHES,
+    _DROPPED,
+    _EVENTS,
+    FaultSimResult,
+    Pattern,
+    Patterns,
+    is_words,
+    pack_columns,
+)
 from repro.gates.cells import STATE_KINDS
 from repro.gates.kernel import ONE_ROW, CompiledProgram, Group, by_level, compiled_program, force, lower
 from repro.gates.netlist import GateNetlist
-from repro.obs import METRICS
-
-# the fault simulator's instruments, shared by name so the kernels and
-# the reference graders advance the very same counters
-_BATCHES = METRICS.counter("faultsim.batches")
-_EVENTS = METRICS.counter("faultsim.events")
-_DROPPED = METRICS.counter("faultsim.faults.dropped")
 
 #: widest plane, in bits: the fastest of 4,096 to 32,768 on Table 3-shaped
 #: and compaction-shaped gradings (README, "Fault-grading kernels")
 PLANE_BITS = 8192
 
-#: patterns per combinational batch: the reference's fault-dropping step
+#: patterns per combinational batch: the fault-dropping step
 BATCH = 64
 
 #: a fault as the planes see it: (row, pin or None, stuck value, and for
@@ -73,12 +75,17 @@ Site = Tuple[int, Optional[int], int, Optional[int]]
 
 
 def _sites(program: CompiledProgram, faults: Sequence[Fault]) -> List[Site]:
+    """Each fault's site; a fault its gate cannot hold is a
+    :class:`SimulationError` naming it and the netlist."""
     sites = []
     for fault in faults:
         at = program.row.get(fault.gate)
         if at is None:
             program.netlist.gate(fault.gate)  # raises the netlist's own error
         _, kind, fanins = program.gate_at[at]
+        problem = misfit(fault, len(fanins), program.netlist)
+        if problem:
+            raise SimulationError(problem)
         captured = fanins[fault.pin] if fault.pin is not None and kind in STATE_KINDS else None
         sites.append((at, fault.pin, fault.stuck, captured))
     return sites
@@ -187,7 +194,7 @@ def _differences(values: List[int], rows: Sequence[int], width: int, rep: int) -
 def _batches(names: Sequence[str], patterns: Patterns) -> Iterator[Tuple[int, List[int]]]:
     """Each batch as ``(count, one word per source)``, packed when reached,
     source by source: a batch whose patterns miss a source fails naming
-    the first such source, as the reference does."""
+    the first such source."""
     if is_words(patterns, names):
         for start in range(0, patterns.count, BATCH):
             count = min(BATCH, patterns.count - start)
@@ -204,14 +211,11 @@ def _batches(names: Sequence[str], patterns: Patterns) -> Iterator[Tuple[int, Li
         yield len(batch), pack_columns(b"".join(rows), len(names))
 
 
-def grade_combinational(fsim, patterns: Patterns, faults: Sequence[Fault]) -> FaultSimResult:
-    """The grading behind :meth:`FaultSimulator.run`.
-
-    ``fsim`` is the :class:`FaultSimulator` whose netlist defines the
-    grading; decisions and counters match its
-    :meth:`~FaultSimulator.reference_run` bit for bit.
-    """
-    program = compiled_program(fsim.netlist)
+def grade_combinational(
+    netlist: GateNetlist, patterns: Patterns, faults: Sequence[Fault]
+) -> FaultSimResult:
+    """The grading behind :meth:`FaultSimulator.run`, on ``netlist``'s program."""
+    program = compiled_program(netlist)
     result = FaultSimResult(total=len(faults))
     alive: List[Fault] = list(faults)
     sites = _sites(program, alive)
@@ -268,8 +272,7 @@ def _cycle_words(
     names: Sequence[str], sequences: Sequence[Sequence[Pattern]], length: int
 ) -> List[List[int]]:
     """Per cycle, one word per input: bit ``p`` is sequence ``p``'s value,
-    and a missing input reads 0 (no error), exactly like the reference's
-    packer."""
+    and a missing input reads 0 (no error)."""
     zeros = repeat(0)
     return [
         pack_columns(
@@ -290,12 +293,11 @@ def grade_sequence_group(
     alive: List[Fault],
     result: FaultSimResult,
 ) -> List[Fault]:
-    """The grading behind :func:`sequential_fault_grade`, checked
-    against :func:`reference_grade_sequence_group`.
+    """The grading behind :func:`sequential_fault_grade`.
 
     Grades one packed group (<= ``SEQUENCE_PACK_LIMIT`` sequences of
     ``length`` cycles each) and returns the survivors; detected faults
-    and ``first_detection`` cycles land in ``result`` in the reference's
+    and ``first_detection`` cycles land in ``result`` in fault-list
     order.
     """
     program = compiled_program(netlist)

@@ -42,6 +42,19 @@ class Fault:
         return f"{location}/sa{self.stuck}"
 
 
+def misfit(fault: Fault, pins: int, netlist: GateNetlist) -> Optional[str]:
+    """Why ``fault`` cannot sit on its gate of ``netlist``, which has
+    ``pins`` input pins, or None: the stuck value must be 0 or 1 and a
+    pin must index the gate's fanins."""
+    if fault.stuck not in (0, 1):
+        problem = f"stuck value {fault.stuck!r} is not 0 or 1"
+    elif fault.pin is not None and not 0 <= fault.pin < pins:
+        problem = f"gate {fault.gate!r} has {pins} input pins"
+    else:
+        return None
+    return f"fault {fault} does not fit netlist {netlist.name!r}: {problem}"
+
+
 def full_fault_universe(netlist: GateNetlist) -> List[Fault]:
     """Enumerate the uncollapsed stuck-at universe of ``netlist``.
 

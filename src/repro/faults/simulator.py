@@ -1,17 +1,18 @@
-"""Parallel-pattern single-fault-propagation simulation.
+"""Fault grading: its entry points, pattern sets and results.
 
-Patterns are packed 64 at a time into per-net words; for each still-alive
-fault only the fanout cone of the fault site is re-evaluated and compared
-against the good machine at the observation points inside the cone.
-Detected faults are dropped, so later batches get cheaper -- the standard
-fault-simulation workhorse the paper's coverage numbers rest on.
+:class:`FaultSimulator` grades combinational (full-scan view) pattern
+sets and :func:`sequential_fault_grade` functional input sequences
+against a fault list, with fault dropping -- the measurement instrument
+the paper's coverage numbers rest on.  Both run the compiled programs of
+:mod:`repro.faults.kernel` on Python-int machine planes: block 0 of every
+row's int is the good machine and each fault has a block of its own, one
+bit per pattern (or sequence), so one pass of a program evaluates every
+machine of a plane.  Combinational grading packs 64 patterns per batch
+and drops detected faults between batches; sequential grading clocks
+every machine from zeroed flops.
 
-Grading always runs the compiled kernels of
-:mod:`repro.faults.kernel`.  The scalar graders kept here
-(:meth:`FaultSimulator.reference_run`,
-:func:`reference_grade_sequence_group`) are the kernels' bit-identity
-oracle: the differential tests and the kernel bench call them by name,
-and nothing in the flow selects them.
+The ``faultsim.*`` counters are registered here, so importing
+:mod:`repro.faults` names them; the kernels advance these handles.
 """
 
 from __future__ import annotations
@@ -19,15 +20,11 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault
-from repro.gates.cells import GateKind
 from repro.gates.netlist import GateNetlist
-from repro.gates.simulator import CombinationalSimulator, eval_kind
-from repro.gates.sequential import SequentialSimulator
 from repro.obs import METRICS, profile_section
 
 logger = logging.getLogger("repro.faults.simulator")
@@ -102,175 +99,17 @@ class FaultSimulator:
     Good and faulty machines are compared at every primary output and
     every flip-flop D-pin net (the full-scan observation set, the one
     PODEM propagates to).
-
-    :meth:`run` grades on the compiled kernels; :meth:`reference_run` is
-    the scalar oracle they must match in results and ``faultsim.*``
-    counters.  The oracle's own structures are built on first use.
     """
 
     def __init__(self, netlist: GateNetlist) -> None:
         self.netlist = netlist
-        #: fault site -> its cone (the reference grader's walks only)
-        self._cone_cache: Dict[str, Tuple[List[str], List[str]]] = {}
 
-    @cached_property
-    def _sim(self) -> CombinationalSimulator:
-        return CombinationalSimulator(self.netlist)
-
-    @cached_property
-    def _level(self) -> Dict[str, int]:
-        return {name: i for i, name in enumerate(self._sim.order)}
-
-    @cached_property
-    def _observe(self) -> Set[str]:
-        observed = {g.name for g in self.netlist.outputs}
-        observed.update(flop.fanins[0] for flop in self.netlist.flops)
-        return observed
-
-    # ------------------------------------------------------------------
-    def _cone(self, site_gate: str) -> Tuple[List[str], List[str]]:
-        """(combinational gates downstream of site in level order, observed nets in cone)."""
-        cached = self._cone_cache.get(site_gate)
-        if cached is not None:
-            return cached
-        fanout = self.netlist.fanout_map()
-        visited: Set[str] = set()
-        stack = [site_gate]
-        while stack:
-            name = stack.pop()
-            if name in visited:
-                continue
-            visited.add(name)
-            for reader in fanout[name]:
-                kind = self.netlist.gate(reader).kind
-                if kind in (GateKind.DFF, GateKind.SDFF):
-                    continue  # the D net itself is observed; state stops the cone
-                stack.append(reader)
-        ordered = sorted(
-            (name for name in visited if name in self._level), key=self._level.__getitem__
-        )
-        observed = [name for name in visited if name in self._observe]
-        result = (ordered, observed)
-        self._cone_cache[site_gate] = result
-        return result
-
-    # ------------------------------------------------------------------
     def run(self, patterns: Patterns, faults: Sequence[Fault]) -> FaultSimResult:
         """Grade ``patterns`` against ``faults`` with fault dropping."""
         with profile_section("faultsim.run"):
             from repro.faults import kernel as _kernel
 
-            return _kernel.grade_combinational(self, patterns, faults)
-
-    def reference_run(self, patterns: Patterns, faults: Sequence[Fault]) -> FaultSimResult:
-        """Scalar grading, one fault at a time: the kernels' oracle."""
-        alive: List[Fault] = list(faults)
-        result = FaultSimResult(total=len(faults))
-        source_names = self.netlist.sources
-        if is_words(patterns, source_names):
-            patterns = patterns.patterns(source_names)
-
-        for batch_start in range(0, len(patterns), 64):
-            batch = patterns[batch_start : batch_start + 64]
-            count = len(batch)
-            mask = (1 << count) - 1
-            sources: Dict[str, int] = {}
-            for name in source_names:
-                word = 0
-                for position, pattern in enumerate(batch):
-                    try:
-                        if pattern[name]:
-                            word |= 1 << position
-                    except KeyError:
-                        raise SimulationError(f"pattern misses source {name!r}") from None
-                sources[name] = word
-            good = self._sim.run(sources, count)
-
-            _BATCHES.inc()
-            _EVENTS.inc(count * len(alive))
-
-            still_alive: List[Fault] = []
-            for fault in alive:
-                detected_word = self._reference_detect_word(fault, good, mask, count)
-                if detected_word:
-                    first = batch_start + _lowest_bit(detected_word)
-                    result.detected.append(fault)
-                    result.first_detection[fault] = first
-                else:
-                    still_alive.append(fault)
-            _DROPPED.inc(len(alive) - len(still_alive))
-            alive = still_alive
-            if not alive:
-                break
-
-        result.undetected = alive
-        return result
-
-    # ------------------------------------------------------------------
-    def _reference_detect_word(
-        self, fault: Fault, good: Dict[str, int], mask: int, count: int
-    ) -> int:
-        """Packed word of patterns on which ``fault`` is detected."""
-        gate = self.netlist.gate(fault.gate)
-        stuck_word = mask if fault.stuck else 0
-
-        if fault.pin is None:
-            # activation: patterns where the good value differs from the stuck value
-            if good[fault.gate] == stuck_word:
-                return 0
-            cone_root = fault.gate
-            overlay: Dict[str, int] = {fault.gate: stuck_word}
-        elif gate.kind in (GateKind.DFF, GateKind.SDFF):
-            # A flop input-pin fault is observed directly at scan capture:
-            # the captured value differs wherever the pin net toggles away
-            # from the stuck value.
-            source = gate.fanins[fault.pin]
-            return (good[source] ^ stuck_word) & mask
-        else:
-            # pin fault: re-evaluate the gate with the pin forced
-            operands = [good[s] for s in gate.fanins]
-            if operands[fault.pin] == stuck_word:
-                return 0
-            operands[fault.pin] = stuck_word
-            faulty_value = eval_kind(gate.kind, operands, mask)
-            if faulty_value == good[fault.gate]:
-                return 0
-            cone_root = fault.gate
-            overlay = {fault.gate: faulty_value}
-
-        cone, observed = self._cone(cone_root)
-        if not observed:
-            return 0
-
-        for name in cone:
-            if name in overlay:
-                continue  # the root's value is already forced
-            g = self.netlist.gate(name)
-            changed = False
-            operands = []
-            for source in g.fanins:
-                word = overlay.get(source)
-                if word is None:
-                    word = good[source]
-                else:
-                    changed = True
-                operands.append(word)
-            if not changed:
-                continue
-            new_value = eval_kind(g.kind, operands, mask)
-            if new_value != good[name]:
-                overlay[name] = new_value
-
-        detected = 0
-        for name in observed:
-            word = overlay.get(name)
-            if word is not None:
-                detected |= word ^ good[name]
-        return detected & mask
-
-
-def _lowest_bit(word: int) -> int:
-    return (word & -word).bit_length() - 1
+            return _kernel.grade_combinational(self.netlist, patterns, faults)
 
 
 def is_words(patterns: Patterns, sources: Sequence[str]) -> bool:
@@ -356,48 +195,3 @@ def _sequential_grade(
             break
     result.undetected = alive
     return result
-
-
-def reference_grade_sequence_group(
-    netlist: GateNetlist,
-    sequences: Sequence[Sequence[Pattern]],
-    length: int,
-    alive: List[Fault],
-    result: FaultSimResult,
-) -> List[Fault]:
-    """Scalar grading of one packed group of sequences, one faulty
-    machine at a time: the oracle of
-    :func:`repro.faults.kernel.grade_sequence_group`.  Returns the
-    surviving faults."""
-    count = len(sequences)
-
-    # per-cycle packed input words across sequences
-    cycle_inputs: List[Dict[str, int]] = []
-    input_names = [g.name for g in netlist.inputs]
-    for cycle in range(length):
-        words: Dict[str, int] = {name: 0 for name in input_names}
-        for position, sequence in enumerate(sequences):
-            pattern = sequence[cycle]
-            for name in input_names:
-                if pattern.get(name, 0):
-                    words[name] |= 1 << position
-        cycle_inputs.append(words)
-
-    good_sim = SequentialSimulator(netlist, pattern_count=count)
-    good_trace = good_sim.run_sequence(cycle_inputs)
-
-    survivors: List[Fault] = []
-    for fault in alive:
-        faulty_sim = SequentialSimulator(netlist, pattern_count=count, fault=fault.site())
-        detected = False
-        for cycle, outputs in enumerate(faulty_sim.run_sequence(cycle_inputs)):
-            good = good_trace[cycle]
-            if any(outputs[name] != good[name] for name in outputs):
-                detected = True
-                break
-        if detected:
-            result.detected.append(fault)
-            result.first_detection[fault] = cycle
-        else:
-            survivors.append(fault)
-    return survivors

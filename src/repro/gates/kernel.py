@@ -12,10 +12,8 @@ of the plane.
 
 Fault grading always runs these programs; one-machine simulation
 (:class:`repro.gates.simulator.CombinationalSimulator`) stays on the
-scalar evaluator.  The scalar fault graders in
-:mod:`repro.faults.simulator` are the bit-identity oracle the programs
-are tested against: the same decisions and ``faultsim.*``/``atpg.*``
-counters (see DESIGN.md, "Fault-grading kernels").
+scalar evaluator, and a program's good machine computes the same values
+as it does (see DESIGN.md, "Fault-grading kernels").
 
 Plane convention: row 0 holds 0 and row 1 the plane's all-ones mask
 (the identity operands of wide gates; NOT is XOR with it, so no value

@@ -3,8 +3,7 @@
 Each net carries a Python integer *word*; bit ``p`` of the word is the
 net's value under test pattern ``p``.  Because Python integers are
 arbitrary precision, any number of patterns can be evaluated in a single
-pass -- the fault simulator typically packs 64 at a time so that fault
-dropping stays responsive.
+pass.
 
 This scalar evaluator is the one-machine simulator; fault grading runs
 the compiled programs of :mod:`repro.gates.kernel` instead, which
@@ -45,11 +44,6 @@ class CombinationalSimulator:
             name for name in levelize(netlist) if netlist.gate(name).kind not in SOURCE_KINDS
         ]
         self._gates: Dict[str, Gate] = {name: netlist.gate(name) for name in netlist.names()}
-
-    @property
-    def order(self) -> Sequence[str]:
-        """Combinational gates in evaluation order."""
-        return self._order
 
     # ------------------------------------------------------------------
     def run(

@@ -16,7 +16,7 @@ from repro.obs.attrib import (
     validate_artifact,
 )
 
-from tests.test_kernel import reference_graders
+from tests.reference_graders import reference_graders
 
 #: bounds test runtime while keeping PODEM backtracking and fault-sim
 #: sweeps live on every example core

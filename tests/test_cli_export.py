@@ -95,6 +95,31 @@ class TestCli:
         payload = json.loads(target.read_text())
         assert payload["total_tat"] > 0
 
+    @pytest.mark.parametrize(
+        "command, work",
+        [("certify", "repro.analysis.certify_soc"), ("export", "repro.soc.plan_soc_test")],
+        ids=["certify", "export"],
+    )
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_bad_output_fails_before_the_work(
+        self, command, work, kind, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError(f"{command} worked before -o was checked")
+
+        monkeypatch.setattr(work, refuse)
+        out = tmp_path / "out.json"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "System1", "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot write ") and err.count("\n") == 1
+        assert str(out) in err
+
 
 class TestExport:
     @pytest.fixture(scope="class")

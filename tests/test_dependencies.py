@@ -51,9 +51,7 @@ def _run_probe(source):
     return proc.stdout
 
 
-def test_importing_repro_loads_only_numpy_beyond_the_stdlib():
-    # numpy has left the runtime, so the bound is now tighter than the
-    # name: importing loads nothing beyond the stdlib and repro itself
+def test_importing_repro_loads_nothing_beyond_the_stdlib_and_repro():
     out = _run_probe(PROBE.format(run=""))
     assert out.split() == ["repro"], out
 

@@ -63,6 +63,20 @@ class TestSystemsReplay:
         second = [r.to_dict() for r in replay_soc(build("System2"))]
         assert first == second
 
+    def test_one_simulator_per_replayed_path(self, monkeypatch):
+        from repro.analysis import differential
+
+        built = []
+
+        class Counted(differential.SequentialSimulator):
+            def __init__(self, netlist, *args, **kwargs):
+                built.append(netlist)
+                super().__init__(netlist, *args, **kwargs)
+
+        monkeypatch.setattr(differential, "SequentialSimulator", Counted)
+        results = replay_soc(build("System1"))
+        assert len(results) == len(built) == 69
+
 
 # ----------------------------------------------------------------------
 # refutations are observable on the same hardware

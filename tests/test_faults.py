@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.atpg import CombinationalAtpg, podem
 from repro.designs import core_builders, system_builders
 from repro.elaborate import elaborate
+from repro.errors import AtpgError, SimulationError
 from repro.faults import (
     Fault,
     FaultSimulator,
@@ -274,8 +276,7 @@ class TestSequentialGrade:
     def test_negative_sample_rejected(self, backend):
         from contextlib import nullcontext
 
-        from repro.errors import SimulationError
-        from tests.test_kernel import reference_graders
+        from tests.reference_graders import reference_graders
 
         n = self.toggle()
         faults = collapse_faults(n, full_fault_universe(n))
@@ -323,6 +324,28 @@ class TestSequentialGrade:
         result = sequential_fault_grade(n, sequences, [fault])
         assert result.total == 1
         assert fault in result.detected
+
+
+#: every entry point that meets a fault list with the netlist's structure
+ENTRY_POINTS = {
+    "FaultSimulator.run": lambda n, f: FaultSimulator(n).run([{"a": 1, "b": 1}], [f]),
+    "sequential_fault_grade": lambda n, f: sequential_fault_grade(n, [[{"a": 1, "b": 1}]], [f]),
+    "CombinationalAtpg.run": lambda n, f: CombinationalAtpg(n).run([f]),
+    "podem": podem,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "fault",
+    [Fault("y", 5, 0), Fault("y", -1, 0), Fault("y", None, 2), Fault("a", 0, 0)],
+    ids=["pin-beyond-fanins", "negative-pin", "stuck-2", "pin-of-an-input"],
+)
+def test_malformed_fault_is_a_named_error(entry, fault):
+    n = and_netlist()
+    with pytest.raises((SimulationError, AtpgError)) as error:
+        ENTRY_POINTS[entry](n, fault)
+    assert str(error.value).startswith(f"fault {fault} does not fit netlist 'and2': ")
 
 
 class TestSharedConeCache:

@@ -1,16 +1,17 @@
 """Differential tests: compiled kernels vs the scalar reference.
 
-The scalar reference graders (``FaultSimulator.reference_run`` and
-``reference_grade_sequence_group``) are the bit-identity oracle
-(DESIGN.md, "Fault-grading kernels"): the kernels must reproduce not just
-coverage numbers but the exact ``detected`` ordering, ``undetected``
-survivors, ``first_detection`` pattern indices, and every
+The scalar reference graders (``reference_run`` and
+``reference_grade_sequence_group`` in ``tests/reference_graders.py``)
+are the bit-identity oracle (DESIGN.md, "Fault-grading kernels"), swapped
+in for the kernel functions by ``reference_graders()``: the kernels must
+reproduce not just coverage numbers but the exact ``detected`` ordering,
+``undetected`` survivors, ``first_detection`` pattern indices, and every
 ``faultsim.*`` counter -- fault dropping makes grading order-sensitive,
 so anything less than bit-identity silently changes results downstream.
 """
 
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 import pytest
 
@@ -19,17 +20,13 @@ from repro.designs import build_system1, build_system2, build_system3, build_sys
 from repro.errors import SimulationError
 from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
 from repro.faults import kernel as fk
-from repro.faults.simulator import (
-    SEQUENCE_PACK_LIMIT,
-    PatternWords,
-    reference_grade_sequence_group,
-    sequential_fault_grade,
-)
+from repro.faults.simulator import SEQUENCE_PACK_LIMIT, PatternWords, sequential_fault_grade
 from repro.flow.system_netlist import flatten_soc
 from repro.gates import CombinationalSimulator, GateKind, GateNetlist
 from repro.gates.kernel import clear_kernel_caches, compiled_program
 from repro.obs import METRICS
 
+from tests.reference_graders import reference_graders
 from tests.test_podem_property import random_netlist
 
 _KINDS2 = [
@@ -76,15 +73,6 @@ def random_sequences(netlist: GateNetlist, count: int, cycles: int, seed: int):
         [{name: rng.randint(0, 1) for name in inputs} for _ in range(cycles)]
         for _ in range(count)
     ]
-
-
-@contextmanager
-def reference_graders():
-    """Grade with the scalar reference graders in place of the kernels."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fk, "grade_combinational", FaultSimulator.reference_run)
-        mp.setattr(fk, "grade_sequence_group", reference_grade_sequence_group)
-        yield
 
 
 def grade_both_backends(run):

@@ -18,7 +18,7 @@ from repro.gates import GateKind, GateNetlist, levelize
 from repro.gates.levelize import depth_levels
 from repro.gates.netlist import NetlistCache
 
-from tests.test_kernel import reference_graders
+from tests.reference_graders import reference_graders
 
 #: "scalar" grades on the reference graders, "kernel" on the kernels
 BACKENDS = ["scalar", "kernel"]

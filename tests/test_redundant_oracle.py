@@ -6,8 +6,8 @@ reaches.  Grading all 2^n assignments of an n-source support, with every
 other source at 0, is therefore a complete test: a fault none of them
 detects is undetectable.  Grading here uses the scalar reference path
 (:meth:`CombinationalSimulator.run` plus
-:meth:`FaultSimulator._reference_detect_word`), not the kernels the ATPG
-grades with.
+:meth:`ReferenceGrader.detect_word` of ``tests/reference_graders.py``),
+not the kernels the ATPG grades with.
 
 Each core's seed-0 ATPG over its full collapsed fault list is run once,
 recording every PODEM result.  Verdicts whose support is wider than
@@ -31,11 +31,13 @@ from repro.designs import (
     build_x25,
 )
 from repro.elaborate import elaborate
-from repro.faults import FaultSimulator, collapse_faults, full_fault_universe
+from repro.faults import collapse_faults, full_fault_universe
 from repro.faults.model import Fault
 from repro.gates.cells import STATE_KINDS, GateKind
 from repro.gates.netlist import GateNetlist
 from repro.gates.simulator import CombinationalSimulator
+
+from tests.reference_graders import ReferenceGrader
 
 BUILDERS = (build_cpu, build_preprocessor, build_display, build_graphics, build_gcd, build_x25)
 
@@ -93,7 +95,7 @@ class CoreRun:
 
     def __init__(self, netlist: GateNetlist) -> None:
         self.netlist = netlist
-        self.simulator = FaultSimulator(netlist)
+        self.grader = ReferenceGrader(netlist)
         self.evaluator = CombinationalSimulator(netlist)
         self.calls: Dict[Fault, PodemResult] = {}
 
@@ -111,7 +113,7 @@ class CoreRun:
         gate = self.netlist.gate(fault.gate)
         if fault.pin is not None and gate.kind in STATE_KINDS:
             return [gate.fanins[fault.pin]]  # a flop input pin is seen at capture
-        return self.simulator._cone(fault.gate)[1]
+        return self.grader.cone(fault.gate)[1]
 
     def support(self, fault: Fault) -> List[str]:
         """Sources in the fan-in of every observation point the fault reaches."""
@@ -141,7 +143,7 @@ class CoreRun:
             for bit, name in enumerate(outer):
                 words[name] = mask if chunk >> bit & 1 else 0
             good = self.evaluator.run(words, count)
-            if self.simulator._reference_detect_word(fault, good, mask, count):
+            if self.grader.detect_word(fault, good, mask, count):
                 return True
         return False
 
