@@ -45,7 +45,6 @@ from repro.analysis.certify import (
 from repro.analysis.differential import (
     ReplayResult,
     replay_path,
-    replay_refutes,
     replay_soc,
 )
 from repro.analysis.muxsat import (
@@ -78,6 +77,5 @@ __all__ = [
     "path_location",
     "prove_path",
     "replay_path",
-    "replay_refutes",
     "replay_soc",
 ]

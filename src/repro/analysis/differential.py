@@ -5,10 +5,10 @@ transparency path is *proved*, wiring that path's test mode into the
 core (:func:`~repro.transparency.apply.apply_transparency_path`),
 elaborating to gates, and clocking random data words through the
 declared mode sequence must show every proved segment transporting its
-bits verbatim -- and whenever the certifier *refutes* a path, the same
-replay must either fail to transport or the mode must be unrealizable
-outright.  :func:`replay_soc` runs this bargain over every version of
-every core of a system.
+bits verbatim.  :func:`replay_soc` runs this bargain over every version
+of every core of a system.  The converse, that a path the certifier
+*refutes* fails to transport or cannot be realized at all, is checked on
+the refuted fixtures by ``tests/test_differential.py``.
 
 Replay drives the proof's own segment map, not the path's summary
 claim: each trial picks an independent random word per terminal port
@@ -90,10 +90,6 @@ def _run_mode(
     return sim.step(_stimulus_words(inputs, app, stimulus, latency))
 
 
-def _port_word(outputs: Dict[str, int], port: str, width: int) -> int:
-    return sum((outputs[f"{port}.{i}"] & 1) << i for i in range(width))
-
-
 def _segment_mismatches(proof: SliceProof, stimulus: Dict[str, int], outputs: Dict[str, int]) -> List[str]:
     """Check every proved segment against one finished mode sequence."""
     problems: List[str] = []
@@ -142,7 +138,7 @@ def replay_path(
     if not proof.proved:
         return ReplayResult(
             core, version_index, path.direction, label, path.latency, 0, False,
-            "path is not proved; use replay_refutes for refuted paths",
+            "path is not proved",
         )
     try:
         app = apply_transparency_path(circuit, path)
@@ -167,61 +163,6 @@ def replay_path(
     return ReplayResult(
         core, version_index, path.direction, label, path.latency, REPLAY_TRIALS, True
     )
-
-
-def replay_refutes(
-    circuit,
-    path,
-    proof: Optional[SliceProof] = None,
-) -> bool:
-    """Confirm a refutation on real hardware.
-
-    True when the declared mode is unrealizable
-    (:func:`apply_transparency_path` refuses it), when a claimed-covered
-    segment fails to transport -- including segments the path tree
-    *claims* but the refuting proof rejected (e.g. arcs absent from the
-    circuit's RCG), or when the uncovered root bits cannot be steered to
-    both all-zeros and all-ones through the covered terminals.  False
-    means the hardware happens to transport anyway (e.g. via a route the
-    path tree never claimed) -- the refutation stands statically but is
-    not observable in this replay.
-    """
-    if proof is None:
-        proof = prove_path(circuit, path)
-    try:
-        app = apply_transparency_path(circuit, path)
-    except TransparencyError:
-        return True
-    sim = SequentialSimulator(elaborate(app.circuit).netlist)
-    rng = random.Random(f"{REPLAY_SEED}:refute:{path.direction}:{path.root}")
-    stimulus = _random_stimulus(circuit, app, rng)
-    outputs = _run_mode(sim, app, stimulus, path.latency)
-    if _segment_mismatches(proof, stimulus, outputs):
-        return True
-    # the tree's own claims, with no admissible-arc restriction: a path
-    # leaning on phantom arcs claims transport the hardware can't honor
-    declared = prove_path(circuit, path)
-    if _segment_mismatches(declared, stimulus, outputs):
-        return True
-    if proof.direction == "justify" and proof.proved_width < proof.root.width:
-        # controllability: can the covered terminals place 0 and ~0 on the
-        # whole root slice?  A genuinely narrowed path fails one of them.
-        width = proof.root.width
-        for target in (0, (1 << width) - 1):
-            stimulus = {port.name: (target & 1) * ((1 << port.width) - 1)
-                        for port in sorted(circuit.inputs, key=lambda p: p.name)}
-            for segment in proof.segments:
-                word = stimulus.get(segment.terminal, 0)
-                mask = ((1 << segment.width) - 1) << segment.terminal_lo
-                wanted = ((target >> (segment.root_lo - proof.root.lo))
-                          & ((1 << segment.width) - 1)) << segment.terminal_lo
-                stimulus[segment.terminal] = (word & ~mask) | wanted
-            outputs = _run_mode(sim, app, stimulus, path.latency)
-            observed = _port_word(outputs, proof.root.comp, circuit.get(proof.root.comp).width)
-            root_mask = ((1 << width) - 1) << proof.root.lo
-            if (observed & root_mask) != ((target << proof.root.lo) & root_mask):
-                return True
-    return False
 
 
 def replay_soc(soc) -> List[ReplayResult]:

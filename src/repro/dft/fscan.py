@@ -1,69 +1,14 @@
-"""Full-scan insertion (the FSCAN half of the FSCAN-BSCAN baseline).
+"""Full-scan area (the FSCAN half of the FSCAN-BSCAN baseline).
 
-Every flip-flop is replaced by a scan flip-flop and stitched into a
-single chain in deterministic order.  Works directly on the gate-level
-netlist so the scanned design remains simulatable.
+The baseline is priced, not built: every flip-flop becomes a scan
+flip-flop, and the paper's Table 2 charges the swap per flop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
 from repro.dft.scan import FSCAN_PER_FF
-from repro.errors import DftError
-from repro.gates.cells import GateKind
-from repro.gates.netlist import GateNetlist
-
-FSCAN_ENABLE = "scan_en"
-FSCAN_IN = "scan_in"
-FSCAN_OUT = "scan_out"
-
-
-@dataclass
-class FscanResult:
-    """Outcome of full-scan insertion on one netlist."""
-
-    netlist: GateNetlist
-    chain: List[str] = field(default_factory=list)
-    extra_area: int = 0
-
-    @property
-    def depth(self) -> int:
-        return len(self.chain)
 
 
 def fscan_overhead(flop_count: int) -> int:
     """Analytic full-scan area overhead in cells."""
     return FSCAN_PER_FF * flop_count
-
-
-def insert_fscan(netlist: GateNetlist) -> FscanResult:
-    """Plan (without modifying) full scan: chain order + analytic area."""
-    chain = sorted(flop.name for flop in netlist.flops)
-    return FscanResult(netlist=netlist, chain=chain, extra_area=fscan_overhead(len(chain)))
-
-
-def apply_fscan(netlist: GateNetlist, plan: Optional[FscanResult] = None) -> FscanResult:
-    """Return a scanned copy of ``netlist``.
-
-    Adds ``scan_en``/``scan_in`` inputs and a ``scan_out`` output; every
-    DFF becomes an SDFF whose scan-in is the previous chain element.
-    """
-    if plan is None:
-        plan = insert_fscan(netlist)
-    scanned = netlist.copy(netlist.name + "_fscan")
-    if not plan.chain:
-        raise DftError(f"netlist {netlist.name!r} has no flip-flops to scan")
-    scanned.add_gate(FSCAN_ENABLE, GateKind.INPUT)
-    scanned.add_gate(FSCAN_IN, GateKind.INPUT)
-    previous = FSCAN_IN
-    for flop_name in plan.chain:
-        flop = scanned.gate(flop_name)
-        if flop.kind is not GateKind.DFF:
-            raise DftError(f"{flop_name!r} is not a DFF")
-        scanned.replace_gate(flop_name, GateKind.SDFF, [flop.fanins[0], previous, FSCAN_ENABLE])
-        previous = flop_name
-    scanned.add_gate(FSCAN_OUT, GateKind.OUTPUT, [previous])
-    scanned.validate()
-    return FscanResult(netlist=scanned, chain=list(plan.chain), extra_area=plan.extra_area)

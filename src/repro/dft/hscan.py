@@ -60,12 +60,6 @@ class HscanResult:
     depth: int = 0
     chains: List[List[ScanUnit]] = field(default_factory=list)
 
-    def link_for(self, unit: ScanUnit) -> ScanLink:
-        for link in self.links:
-            if link.dest == unit:
-                return link
-        raise DftError(f"no scan link for unit {unit}")
-
 
 def insert_hscan(circuit: RTLCircuit) -> HscanResult:
     """Plan HSCAN for ``circuit`` (does not modify it; see apply_hscan)."""

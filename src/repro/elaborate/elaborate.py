@@ -15,6 +15,7 @@ from repro.errors import ElaborationError
 from repro.elaborate import mapping as macros
 from repro.gates.cells import GateKind
 from repro.gates.netlist import GateNetlist
+from repro.obs import profile_section
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.components import Constant, Input, Mux, Operator, Output, Register
 from repro.rtl.types import ComponentKind, Expr, OpKind, expr_parts
@@ -39,6 +40,11 @@ class Elaborated:
 
 def elaborate(circuit: RTLCircuit) -> Elaborated:
     """Elaborate ``circuit`` into a validated gate netlist."""
+    with profile_section("corelevel.elaborate"):
+        return _elaborate(circuit)
+
+
+def _elaborate(circuit: RTLCircuit) -> Elaborated:
     netlist = GateNetlist(circuit.name)
     names = NameGenerator()
     comp_bits: Dict[str, List[str]] = {}
@@ -89,10 +95,7 @@ def elaborate(circuit: RTLCircuit) -> Elaborated:
         elif isinstance(component, Operator):
             comp_bits[component.name] = _elaborate_operator(netlist, names, component, expr_to_bits)
 
-    # 3. patch register D pins (driver, then enable mux, then reset mux)
-    reset_bit = None
-    if circuit.reset_net is not None:
-        reset_bit = comp_bits[circuit.reset_net][0]
+    # 3. patch register D pins (driver, then enable mux)
     for register in circuit.registers:
         driver_bits = expr_to_bits(register.driver)  # type: ignore[arg-type]
         if register.enable is not None:
@@ -102,19 +105,6 @@ def elaborate(circuit: RTLCircuit) -> Elaborated:
                     names.fresh(f"{register.name}_en"),
                     GateKind.MUX2,
                     [comp_bits[register.name][i], driver_bits[i], enable_bit],
-                )
-                for i in range(register.width)
-            ]
-        if reset_bit is not None and register.reset_value is not None:
-            reset_bits = [
-                macros.const_bit(netlist, names, f"{register.name}_rst", (register.reset_value >> i) & 1)
-                for i in range(register.width)
-            ]
-            driver_bits = [
-                netlist.add_gate(
-                    names.fresh(f"{register.name}_rst"),
-                    GateKind.MUX2,
-                    [driver_bits[i], reset_bits[i], reset_bit],
                 )
                 for i in range(register.width)
             ]

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.faults.model import Fault, gate_fault_sites
 from repro.gates.cells import GateKind
 from repro.gates.netlist import Gate, GateNetlist
+from repro.obs import profile_section
 
 #: gate kind -> per pin stuck value (index 0, 1): the stuck value of the
 #: stem fault equal to that pin fault, or None where none is
@@ -62,15 +63,16 @@ def collapsed_fault_universe(netlist: GateNetlist) -> List[Fault]:
     building the uncollapsed list: gates in name order, each gate's faults
     in sort order, and a pin fault only where no stem fault equals it (a
     gate with pin faults always has its stem faults in the universe)."""
-    fanout = netlist.fanout_map()
-    faults = []
-    for name in sorted(netlist.names()):
-        gate = netlist.gate(name)
-        rule = _STEM_OF_PIN.get(gate.kind)
-        for pin, stuck in gate_fault_sites(gate, fanout):
-            if pin is None or rule is None or rule[stuck] is None:
-                faults.append(Fault(name, pin, stuck))
-    return faults
+    with profile_section("faultsim.universe"):
+        fanout = netlist.fanout_map()
+        faults = []
+        for name in sorted(netlist.names()):
+            gate = netlist.gate(name)
+            rule = _STEM_OF_PIN.get(gate.kind)
+            for pin, stuck in gate_fault_sites(gate, fanout):
+                if pin is None or rule is None or rule[stuck] is None:
+                    faults.append(Fault(name, pin, stuck))
+        return faults
 
 
 def _stem_of_pin(gate: Gate, pin: int, stuck: int) -> Optional[int]:

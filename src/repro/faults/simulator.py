@@ -52,13 +52,6 @@ class PatternWords:
     count: int
     words: Sequence[int]
 
-    def patterns(self, sources: Sequence[str]) -> List[Dict[str, int]]:
-        """The same patterns as source -> bit mappings."""
-        return [
-            {name: (word >> p) & 1 for name, word in zip(sources, self.words)}
-            for p in range(self.count)
-        ]
-
 
 #: a combinational pattern set: a sequence of :data:`Pattern` mappings, or
 #: one :class:`PatternWords`
@@ -162,8 +155,13 @@ def _sequential_grade(
     sequences: Sequence[Sequence[Pattern]],
     chosen: List[Fault],
 ) -> FaultSimResult:
+    from repro.faults import kernel as _kernel
+
     result = FaultSimResult(total=len(chosen))
     if not sequences:
+        # nothing is detected, but a fault the netlist cannot hold is the
+        # same error it is with stimuli (which check it in their group)
+        _kernel._sites(_kernel.compiled_program(netlist), chosen)
         result.undetected = chosen
         return result
 
@@ -184,8 +182,6 @@ def _sequential_grade(
             -(-len(sequences) // SEQUENCE_PACK_LIMIT),
             SEQUENCE_PACK_LIMIT,
         )
-    from repro.faults import kernel as _kernel
-
     alive = chosen
     for start in range(0, len(sequences), SEQUENCE_PACK_LIMIT):
         _SEQ_CHUNKS.inc()

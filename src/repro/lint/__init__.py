@@ -51,12 +51,7 @@ rules_analysis.register_rules(DEFAULT_REGISTRY)
 rules_plan.register_rules(DEFAULT_REGISTRY)
 rules_schedule.register_rules(DEFAULT_REGISTRY)
 
-from repro.lint.runner import (  # noqa: E402  (needs DEFAULT_REGISTRY)
-    lint_circuit,
-    lint_plan,
-    lint_schedule,
-    lint_soc,
-)
+from repro.lint.runner import lint_soc  # noqa: E402  (needs DEFAULT_REGISTRY)
 
 __all__ = [
     "Diagnostic",
@@ -68,8 +63,5 @@ __all__ = [
     "Rule",
     "RuleRegistry",
     "DEFAULT_REGISTRY",
-    "lint_circuit",
-    "lint_plan",
-    "lint_schedule",
     "lint_soc",
 ]

@@ -106,13 +106,6 @@ class LintReport:
     def errors(self) -> List[Diagnostic]:
         return self.of_severity(Severity.ERROR)
 
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return self.of_severity(Severity.WARNING)
-
-    def worst(self) -> Optional[Severity]:
-        return max((d.severity for d in self.diagnostics), default=None)
-
     def has_at_least(self, severity: Severity) -> bool:
         return any(d.severity >= severity for d in self.diagnostics)
 

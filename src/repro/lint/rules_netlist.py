@@ -73,17 +73,9 @@ def check_width_mismatch(ctx: LintContext) -> Iterator[Diagnostic]:
 
 # ----------------------------------------------------------------------
 def _reachable_from_inputs(circuit: RTLCircuit) -> Set[str]:
-    """Components whose value an input (or the reset pin) can influence.
-
-    Forward fixpoint over driver expressions; a register with a reset
-    value counts as reachable when the circuit declares a reset net
-    (the reset pulse loads it), matching free-running counters.
-    """
+    """Components whose value an input can influence (forward fixpoint
+    over driver expressions)."""
     reachable: Set[str] = {c.name for c in circuit.inputs}
-    if circuit.reset_net is not None:
-        for register in circuit.registers:
-            if register.reset_value is not None:
-                reachable.add(register.name)
     changed = True
     while changed:
         changed = False
@@ -100,7 +92,7 @@ def _reachable_from_inputs(circuit: RTLCircuit) -> Set[str]:
 def check_unreachable_registers(ctx: LintContext) -> Iterator[Diagnostic]:
     """rtl.unreachable-reg: every register is controllable from inputs.
 
-    A register no input (or reset) can influence holds test-irrelevant
+    A register no input can influence holds test-irrelevant
     state: ATPG cannot set it and transparency cannot route through it.
     """
     for label, circuit in ctx.circuits:
@@ -112,10 +104,9 @@ def check_unreachable_registers(ctx: LintContext) -> Iterator[Diagnostic]:
                     severity=Severity.WARNING,
                     location=location(ctx.system, ("core", label), ("net", register.name)),
                     message=(
-                        f"register {register.name!r} is not reachable from any "
-                        f"input or reset"
+                        f"register {register.name!r} is not reachable from any input"
                     ),
-                    hint="add a load path from an input, or a reset value plus reset net",
+                    hint="add a load path from an input",
                 )
 
 
@@ -124,44 +115,36 @@ def check_input_drivers(ctx: LintContext) -> Iterator[Diagnostic]:
     """soc.input-drivers: each testable-core input bit driven exactly once.
 
     Floating input bits make a core untestable through the interconnect;
-    multiply-driven bits are electrical contention.  (``Soc.validate``
-    raises on the first; this reports every port.)
+    multiply-driven bits are electrical contention.  The rule and
+    ``Soc.validate`` read the same :meth:`Soc.driver_problems`; validate
+    raises on the first port, the rule reports every one.
     """
-    soc = ctx.soc
-    if soc is None:
+    if ctx.soc is None:
         return
-    for core in soc.testable_cores():
-        for port in core.circuit.inputs:
-            seen_bits = 0
-            contended = 0
-            for net in soc.drivers_of(core.name, port.name):
-                mask = ((1 << net.dest.width) - 1) << net.dest.lo
-                contended |= seen_bits & mask
-                seen_bits |= mask
-            where = location(ctx.system, ("core", core.name), ("port", port.name))
-            if contended:
-                yield Diagnostic(
-                    rule="soc.input-drivers",
-                    severity=Severity.ERROR,
-                    location=where,
-                    message=(
-                        f"input {core.name}.{port.name} has multiply-driven bits "
-                        f"(mask {contended:#x})"
-                    ),
-                    hint="remove or re-slice the extra driver net",
-                )
-            missing = ((1 << port.width) - 1) & ~seen_bits
-            if missing:
-                yield Diagnostic(
-                    rule="soc.input-drivers",
-                    severity=Severity.ERROR,
-                    location=where,
-                    message=(
-                        f"input {core.name}.{port.name} has undriven bits "
-                        f"(mask {missing:#x})"
-                    ),
-                    hint="wire the missing bits from a chip pin or core output",
-                )
+    for core, port, contended, missing in ctx.soc.driver_problems():
+        where = location(ctx.system, ("core", core.name), ("port", port.name))
+        if contended:
+            yield Diagnostic(
+                rule="soc.input-drivers",
+                severity=Severity.ERROR,
+                location=where,
+                message=(
+                    f"input {core.name}.{port.name} has multiply-driven bits "
+                    f"(mask {contended:#x})"
+                ),
+                hint="remove or re-slice the extra driver net",
+            )
+        if missing:
+            yield Diagnostic(
+                rule="soc.input-drivers",
+                severity=Severity.ERROR,
+                location=where,
+                message=(
+                    f"input {core.name}.{port.name} has undriven bits "
+                    f"(mask {missing:#x})"
+                ),
+                hint="wire the missing bits from a chip pin or core output",
+            )
 
 
 def register_rules(registry) -> None:

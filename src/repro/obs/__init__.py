@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 
-from repro.obs.attrib import artifact_json, build_artifact, validate_artifact
+from repro.obs.attrib import artifact_json, build_artifact
 from repro.obs.metrics import Counter, DEFAULT_REGISTRY, MetricsRegistry
 from repro.obs.profiler import PIPELINE_STAGES, profile_section, stage_rows
 from repro.obs.regress import (
@@ -54,7 +54,6 @@ METRICS = DEFAULT_REGISTRY
 __all__ = [
     "artifact_json",
     "build_artifact",
-    "validate_artifact",
     "Counter",
     "MetricsRegistry",
     "METRICS",

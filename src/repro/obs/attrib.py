@@ -34,7 +34,7 @@ independent paths to the same totals.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
 
 from repro.util.schema import (
     ANY,
@@ -45,7 +45,6 @@ from repro.util.schema import (
     TEXT,
     ListOf,
     Object,
-    check,
     one_of,
     version,
 )
@@ -344,8 +343,3 @@ ARTIFACT_SHAPE = Object({
         rules=(_ok_is_agreement,),
     )),
 })
-
-
-def validate_artifact(payload: Any) -> List[str]:
-    """Return all schema problems of one artifact (empty when valid)."""
-    return check(ARTIFACT_SHAPE, payload)

@@ -102,18 +102,3 @@ def _trace(
         # operators/constants: lossy or valueless -- no arc
         offset += part.width
 
-
-def arcs_by_dest(arcs: List[Arc]) -> dict:
-    """Group arcs by destination component name."""
-    grouped: dict = {}
-    for arc in arcs:
-        grouped.setdefault(arc.dest, []).append(arc)
-    return grouped
-
-
-def arcs_by_source(arcs: List[Arc]) -> dict:
-    """Group arcs by source component name."""
-    grouped: dict = {}
-    for arc in arcs:
-        grouped.setdefault(arc.source.comp, []).append(arc)
-    return grouped

@@ -56,9 +56,8 @@ class CircuitBuilder:
         width: int,
         driver: Optional[ExprLike] = None,
         enable: Optional[ExprLike] = None,
-        reset_value: Optional[int] = None,
     ) -> Slice:
-        self._circuit.add(Register(name, width, driver=driver, enable=enable, reset_value=reset_value))
+        self._circuit.add(Register(name, width, driver=driver, enable=enable))
         return Slice(name, 0, width)
 
     def mux(self, name: str, inputs: Sequence[ExprLike], select: ExprLike, width: Optional[int] = None) -> Slice:
@@ -112,13 +111,6 @@ class CircuitBuilder:
                 component.enable = enable
         else:
             raise NetlistError(f"cannot drive component {component.name!r} of kind {component.kind}")
-
-    def set_reset(self, net_name: str) -> None:
-        """Designate a 1-bit input as the synchronous reset."""
-        component = self._circuit.get(net_name)
-        if component.width != 1:
-            raise NetlistError(f"reset net {net_name!r} must be 1 bit wide")
-        self._circuit.reset_net = net_name
 
     # ------------------------------------------------------------------
     def circuit(self) -> RTLCircuit:

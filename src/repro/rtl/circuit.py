@@ -30,8 +30,6 @@ class RTLCircuit:
     def __init__(self, name: str) -> None:
         self.name = name
         self._components: Dict[str, Component] = {}
-        #: name of the 1-bit input that acts as synchronous reset, if any
-        self.reset_net: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -72,14 +70,6 @@ class RTLCircuit:
     @property
     def registers(self) -> List[Register]:
         return self._of_kind(ComponentKind.REGISTER)  # type: ignore[return-value]
-
-    @property
-    def muxes(self) -> List[Mux]:
-        return self._of_kind(ComponentKind.MUX)  # type: ignore[return-value]
-
-    @property
-    def operators(self) -> List[Operator]:
-        return self._of_kind(ComponentKind.OPERATOR)  # type: ignore[return-value]
 
     @property
     def constants(self) -> List[Constant]:
@@ -131,7 +121,6 @@ class RTLCircuit:
         import copy as _copy
 
         clone = RTLCircuit(new_name or self.name)
-        clone.reset_net = self.reset_net
         for component in self._components.values():
             clone.add(_copy.deepcopy(component))
         return clone

@@ -53,13 +53,11 @@ class Register(Component):
 
     ``driver`` feeds the D input; if ``enable`` is given (a 1-bit
     expression) the register only loads when it is 1, otherwise it loads
-    every cycle.  ``reset_value`` is applied synchronously when the
-    circuit-level reset net (if any) is asserted.
+    every cycle.
     """
 
     driver: Optional[Expr] = None
     enable: Optional[Expr] = None
-    reset_value: Optional[int] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -28,8 +28,6 @@ from repro.rtl.circuit import RTLCircuit
 from repro.rtl.components import Component, Mux, Operator, Output, Register
 from repro.rtl.types import ComponentKind, Expr, OpKind, expr_parts, expr_width
 
-_COMPARISON_OPS = {OpKind.EQ, OpKind.LT, OpKind.REDUCE_OR, OpKind.REDUCE_AND}
-
 #: problem categories yielded by :func:`iter_circuit_problems`
 CATEGORY_IO = "io"  # circuit has no inputs / no outputs
 CATEGORY_REFERENCE = "reference"  # dangling or illegal component reference
@@ -101,10 +99,6 @@ def _check_component(circuit: RTLCircuit, component: Component) -> Iterator[Circ
                 yield CircuitProblem(
                     CATEGORY_WIDTH, name, f"register {name!r}: enable must be 1 bit"
                 )
-        if component.reset_value is not None and component.reset_value >= (1 << component.width):
-            yield CircuitProblem(
-                CATEGORY_WIDTH, name, f"register {name!r}: reset value exceeds width"
-            )
     elif isinstance(component, Mux):
         if len(component.inputs) < 2:
             yield CircuitProblem(
@@ -243,19 +237,6 @@ def iter_circuit_problems(circuit: RTLCircuit) -> Iterator[CircuitProblem]:
         )
     for component in circuit.components():
         yield from _check_component(circuit, component)
-    if circuit.reset_net is not None:
-        if circuit.reset_net not in circuit:
-            yield CircuitProblem(
-                CATEGORY_REFERENCE, circuit.reset_net,
-                f"reset net {circuit.reset_net!r} must be a 1-bit input",
-            )
-        else:
-            reset = circuit.get(circuit.reset_net)
-            if reset.kind is not ComponentKind.INPUT or reset.width != 1:
-                yield CircuitProblem(
-                    CATEGORY_REFERENCE, circuit.reset_net,
-                    f"reset net {circuit.reset_net!r} must be a 1-bit input",
-                )
     yield from _check_acyclic(circuit)
 
 

@@ -68,8 +68,8 @@ def schedule_plan(
 ) -> TestSchedule:
     """Schedule a finished SOC test plan into concurrent sessions.
 
-    The plan's internal invariants are :func:`repro.lint.lint_plan`'s to
-    check.
+    The plan's internal invariants are the ``plan.*`` lint rules' to
+    check (:func:`repro.lint.lint_soc`).
     """
     items = build_test_items(plan, include_bist=include_bist)
     scheduler = get_scheduler(algorithm, power_budget=power_budget)

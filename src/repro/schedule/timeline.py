@@ -40,9 +40,6 @@ class ScheduledTest:
     def end(self) -> int:
         return self.start + self.item.duration
 
-    def overlaps(self, other: "ScheduledTest") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass
 class Session:
@@ -107,12 +104,6 @@ class TestSchedule:
             )
             peak = max(peak, active)
         return peak
-
-    def entry(self, core: str) -> ScheduledTest:
-        for e in self.entries:
-            if e.core == core:
-                return e
-        raise KeyError(core)
 
     def sessions(self) -> List[Session]:
         """Maximal groups of transitively overlapping tests, in time order."""

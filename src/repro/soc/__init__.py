@@ -23,7 +23,6 @@ from repro.soc.optimizer import (
     SocetOptimizer,
     design_space,
 )
-from repro.soc.controller import TestController, synthesize_controller
 
 __all__ = [
     "Core",
@@ -36,6 +35,4 @@ __all__ = [
     "DesignPoint",
     "SocetOptimizer",
     "design_space",
-    "TestController",
-    "synthesize_controller",
 ]

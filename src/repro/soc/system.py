@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SocError
 from repro.obs import METRICS
+from repro.rtl.components import Input
 from repro.soc.core import Core
 
 _INVALIDATIONS = METRICS.counter("exec.cache.invalidations")
@@ -155,6 +156,22 @@ class Soc:
         """Cores tested through transparency (memories use BIST instead)."""
         return [c for c in self.cores.values() if not c.is_memory]
 
+    def driver_problems(self) -> Iterator[Tuple[Core, Input, int, int]]:
+        """Each testable-core input port whose bits are not driven exactly
+        once, as ``(core, port, contended mask, missing mask)``: the bits
+        with several drivers and the bits with none."""
+        for core in self.testable_cores():
+            for port in core.circuit.inputs:
+                seen_bits = 0
+                contended = 0
+                for net in self.drivers_of(core.name, port.name):
+                    mask = ((1 << net.dest.width) - 1) << net.dest.lo
+                    contended |= seen_bits & mask
+                    seen_bits |= mask
+                missing = ((1 << port.width) - 1) & ~seen_bits
+                if contended or missing:
+                    yield core, port, contended, missing
+
     def validate(self) -> "Soc":
         """Every input bit of every non-memory core must have one driver.
 
@@ -163,20 +180,13 @@ class Soc:
         """
         if self._validated:
             return self
-        for core in self.testable_cores():
-            for port in core.circuit.inputs:
-                covered = 0
-                seen_bits = 0
-                for net in self.drivers_of(core.name, port.name):
-                    mask = ((1 << net.dest.width) - 1) << net.dest.lo
-                    if seen_bits & mask:
-                        raise SocError(f"multiple drivers on {core.name}.{port.name}")
-                    seen_bits |= mask
-                    covered += net.dest.width
-                if covered != port.width:
-                    raise SocError(
-                        f"input {core.name}.{port.name} has {covered}/{port.width} bits driven"
-                    )
+        for core, port, contended, missing in self.driver_problems():
+            if contended:
+                raise SocError(f"multiple drivers on {core.name}.{port.name}")
+            covered = port.width - bin(missing).count("1")
+            raise SocError(
+                f"input {core.name}.{port.name} has {covered}/{port.width} bits driven"
+            )
         self._validated = True
         return self
 

@@ -31,7 +31,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults import kernel as fault_kernel
 from repro.faults.model import Fault
-from repro.faults.simulator import FaultSimResult, Pattern, Patterns, is_words
+from repro.faults.simulator import FaultSimResult, Pattern, PatternWords, Patterns, is_words
 from repro.gates.cells import SOURCE_KINDS, GateKind
 from repro.gates.levelize import levelize
 from repro.gates.netlist import GateNetlist, NetlistCache
@@ -44,6 +44,14 @@ from repro.obs import METRICS
 _BATCHES = METRICS.counter("faultsim.batches")
 _EVENTS = METRICS.counter("faultsim.events")
 _DROPPED = METRICS.counter("faultsim.faults.dropped")
+
+
+def word_patterns(words: PatternWords, sources: Sequence[str]) -> List[Dict[str, int]]:
+    """The patterns of ``words`` as source -> bit mappings."""
+    return [
+        {name: (word >> p) & 1 for name, word in zip(sources, words.words)}
+        for p in range(words.count)
+    ]
 
 
 class ReferenceGrader:
@@ -97,7 +105,7 @@ class ReferenceGrader:
         result = FaultSimResult(total=len(faults))
         source_names = self.netlist.sources
         if is_words(patterns, source_names):
-            patterns = patterns.patterns(source_names)
+            patterns = word_patterns(patterns, source_names)
 
         for batch_start in range(0, len(patterns), 64):
             batch = patterns[batch_start : batch_start + 64]

@@ -110,9 +110,6 @@ class RTLInterpreter:
         outputs = {
             port.name: self._eval_comp(port.name) for port in self.circuit.outputs
         }
-        reset_active = False
-        if self.circuit.reset_net is not None:
-            reset_active = bool(self._eval_comp(self.circuit.reset_net) & 1)
         next_state = dict(self.state)
         for register in self.circuit.registers:
             load = True
@@ -121,8 +118,6 @@ class RTLInterpreter:
             value = self.state[register.name]
             if load:
                 value = self._eval_expr(register.driver)
-            if reset_active and register.reset_value is not None:
-                value = register.reset_value
             next_state[register.name] = value & self._mask(register.width)
         self.state = next_state
         return outputs

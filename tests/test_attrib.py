@@ -9,12 +9,8 @@ import os
 import pytest
 
 from repro.errors import LedgerSchemaError, UsageError
-from repro.obs.attrib import (
-    artifact_json,
-    build_artifact,
-    effort_units,
-    validate_artifact,
-)
+from repro.obs.attrib import ARTIFACT_SHAPE, artifact_json, build_artifact, effort_units
+from repro.util.schema import check
 
 from tests.reference_graders import reference_graders
 
@@ -150,7 +146,7 @@ class TestOptimizerMoves:
         assert [move["seq"] for move in moves] == list(range(len(moves)))
         plane = artifact_of(moves=moves)["planes"]["optimizer"]
         assert plane["summary"]["candidates"] == len(moves)
-        assert validate_artifact(artifact_of(moves=moves)) == []
+        assert check(ARTIFACT_SHAPE, artifact_of(moves=moves)) == []
 
     def test_revisited_point_classifies_as_cache_hit(self):
         from repro.designs import build_system1
@@ -179,7 +175,7 @@ class TestOptimizerMoves:
 # ----------------------------------------------------------------------
 class TestExplain:
     def test_artifact_is_schema_valid(self):
-        assert validate_artifact(explain()["attrib"]) == []
+        assert check(ARTIFACT_SHAPE, explain()["attrib"]) == []
 
     def test_reconciliation_is_exact(self):
         artifact = explain()["attrib"]
@@ -242,7 +238,7 @@ class TestExplain:
         record = explain()
         assert record["kind"] == "profile"
         assert record["attrib"]["schema"] == "repro-attrib"
-        assert validate_artifact(record["attrib"]) == []
+        assert check(ARTIFACT_SHAPE, record["attrib"]) == []
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(record)
         assert ledger.latest(record["bench"])["attrib"] == record["attrib"]
@@ -266,31 +262,31 @@ class TestValidator:
                               quick=True, top_k=10)
 
     def test_empty_run_validates(self):
-        assert validate_artifact(self.artifact()) == []
+        assert check(ARTIFACT_SHAPE, self.artifact()) == []
 
     def test_rejects_non_object(self):
-        assert validate_artifact([]) != []
-        assert validate_artifact(None) != []
+        assert check(ARTIFACT_SHAPE, []) != []
+        assert check(ARTIFACT_SHAPE, None) != []
 
     def test_rejects_wrong_schema_marker(self):
         artifact = self.artifact()
         artifact["schema"] = "repro-ledger"
-        assert any("schema" in p for p in validate_artifact(artifact))
+        assert any("schema" in p for p in check(ARTIFACT_SHAPE, artifact))
 
     def test_rejects_newer_version(self):
         artifact = self.artifact()
         artifact["schema_version"] = 99
-        assert any("newer" in p for p in validate_artifact(artifact))
+        assert any("newer" in p for p in check(ARTIFACT_SHAPE, artifact))
 
     def test_rejects_negative_totals(self):
         artifact = self.artifact()
         artifact["planes"]["atpg"]["totals"]["decisions"] = -1
-        assert validate_artifact(artifact) != []
+        assert check(ARTIFACT_SHAPE, artifact) != []
 
     def test_rejects_v1_naming_its_version(self):
         artifact = self.artifact()
         artifact["schema_version"] = 1
-        assert validate_artifact(artifact) == [
+        assert check(ARTIFACT_SHAPE, artifact) == [
             "$.schema_version: v1 is no longer read (this checker reads v2)"
         ]
 
@@ -301,7 +297,7 @@ class TestValidator:
             "seq": 3, "subject": "CPU", "tat_after": 1, "tat_before": 2,
             "version_from": 1, "version_to": 2,
         }]
-        assert validate_artifact(artifact) == [
+        assert check(ARTIFACT_SHAPE, artifact) == [
             "$.planes.optimizer.events[0].seq: must be 0"
         ]
 
@@ -309,7 +305,7 @@ class TestValidator:
         artifact = self.artifact()
         name = sorted(artifact["reconciliation"])[0]
         artifact["reconciliation"][name]["ok"] = False
-        assert validate_artifact(artifact) == [
+        assert check(ARTIFACT_SHAPE, artifact) == [
             f"$.reconciliation['{name}'].ok: must be true: attrib 0, counter 0"
         ]
 
@@ -340,7 +336,7 @@ class TestValidator:
     def test_each_rule_names_its_path(self, mutate, problem):
         artifact = self.artifact()
         mutate(artifact)
-        assert validate_artifact(artifact) == [problem]
+        assert check(ARTIFACT_SHAPE, artifact) == [problem]
 
     def test_main_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
@@ -460,14 +456,14 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert validate_artifact(payload) == []
+        assert check(ARTIFACT_SHAPE, payload) == []
         assert artifact_json(payload) == out.read_text()
 
     def test_explain_stdout_is_the_artifact(self, capsys):
         assert self.run_cli(["explain", "System1", "--quick", "--top", "3"]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out)
-        assert validate_artifact(payload) == []
+        assert check(ARTIFACT_SHAPE, payload) == []
         assert artifact_json(payload) == out
         assert payload["top_k"] == 3 and len(payload["planes"]["atpg"]["hard_faults"]) == 3
 
@@ -480,7 +476,7 @@ class TestCli:
         ) == 0
         record = RunLedger(ledger).latest("profile-System1-quick")
         assert record["kind"] == "profile"
-        assert validate_artifact(record["attrib"]) == []
+        assert check(ARTIFACT_SHAPE, record["attrib"]) == []
         totals = record["attrib"]["planes"]["atpg"]["totals"]
         assert totals["calls"] == record["counters"]["atpg.podem.calls"] > 0
         # attribution reads the run's results: it keeps no counter of its own

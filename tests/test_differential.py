@@ -15,11 +15,20 @@ from repro.analysis import (
     fresh_known_arcs,
     prove_path,
     replay_path,
-    replay_refutes,
     replay_soc,
 )
+from repro.analysis.differential import (
+    REPLAY_SEED,
+    _random_stimulus,
+    _run_mode,
+    _segment_mismatches,
+)
+from repro.elaborate import elaborate
+from repro.errors import TransparencyError
+from repro.gates import SequentialSimulator
 from repro.rtl import CircuitBuilder
 from repro.soc import Core
+from repro.transparency.apply import apply_transparency_path
 
 SYSTEMS = ["System1", "System2", "System3", "System4"]
 
@@ -28,6 +37,61 @@ def build(system):
     from repro.designs import system_builders
 
     return system_builders()[system]()
+
+
+def _port_word(outputs, port, width):
+    return sum((outputs[f"{port}.{i}"] & 1) << i for i in range(width))
+
+
+def replay_refutes(circuit, path, proof=None):
+    """Confirm a refutation on real hardware.
+
+    True when the declared mode is unrealizable
+    (:func:`apply_transparency_path` refuses it), when a claimed-covered
+    segment fails to transport -- including segments the path tree
+    *claims* but the refuting proof rejected (e.g. arcs absent from the
+    circuit's RCG), or when the uncovered root bits cannot be steered to
+    both all-zeros and all-ones through the covered terminals.  False
+    means the hardware happens to transport anyway (e.g. via a route the
+    path tree never claimed) -- the refutation stands statically but is
+    not observable in this replay.
+    """
+    if proof is None:
+        proof = prove_path(circuit, path)
+    try:
+        app = apply_transparency_path(circuit, path)
+    except TransparencyError:
+        return True
+    sim = SequentialSimulator(elaborate(app.circuit).netlist)
+    rng = random.Random(f"{REPLAY_SEED}:refute:{path.direction}:{path.root}")
+    stimulus = _random_stimulus(circuit, app, rng)
+    outputs = _run_mode(sim, app, stimulus, path.latency)
+    if _segment_mismatches(proof, stimulus, outputs):
+        return True
+    # the tree's own claims, with no admissible-arc restriction: a path
+    # leaning on phantom arcs claims transport the hardware can't honor
+    declared = prove_path(circuit, path)
+    if _segment_mismatches(declared, stimulus, outputs):
+        return True
+    if proof.direction == "justify" and proof.proved_width < proof.root.width:
+        # controllability: can the covered terminals place 0 and ~0 on the
+        # whole root slice?  A genuinely narrowed path fails one of them.
+        width = proof.root.width
+        for target in (0, (1 << width) - 1):
+            stimulus = {port.name: (target & 1) * ((1 << port.width) - 1)
+                        for port in sorted(circuit.inputs, key=lambda p: p.name)}
+            for segment in proof.segments:
+                word = stimulus.get(segment.terminal, 0)
+                mask = ((1 << segment.width) - 1) << segment.terminal_lo
+                wanted = ((target >> (segment.root_lo - proof.root.lo))
+                          & ((1 << segment.width) - 1)) << segment.terminal_lo
+                stimulus[segment.terminal] = (word & ~mask) | wanted
+            outputs = _run_mode(sim, app, stimulus, path.latency)
+            observed = _port_word(outputs, proof.root.comp, circuit.get(proof.root.comp).width)
+            root_mask = ((1 << width) - 1) << proof.root.lo
+            if (observed & root_mask) != ((target << proof.root.lo) & root_mask):
+                return True
+    return False
 
 
 def version_paths(version):

@@ -1,10 +1,10 @@
-"""Tests for RTL-to-gate elaboration: operators, muxes, registers, resets."""
+"""Tests for RTL-to-gate elaboration: operators, muxes, registers."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.elaborate import area_report, elaborate
+from repro.elaborate import elaborate
 from repro.gates import CombinationalSimulator, SequentialSimulator
 from repro.rtl import CircuitBuilder, OpKind
 from repro.rtl.types import Concat
@@ -147,20 +147,6 @@ class TestRegisters:
         out = sim.step(_drive_inputs(elab, {"D": 0, "EN": 0}))
         assert sum((out[f"Q.{i}"] & 1) << i for i in range(4)) == 5
 
-    def test_synchronous_reset(self):
-        b = CircuitBuilder("r")
-        din = b.input("D", 4)
-        rst = b.input("RST", 1)
-        r = b.register("R", 4, reset_value=3)
-        b.drive(r, din)
-        b.output("Q", r)
-        b.set_reset("RST")
-        elab = elaborate(b.build())
-        sim = SequentialSimulator(elab.netlist)
-        sim.step(_drive_inputs(elab, {"D": 9, "RST": 1}))
-        out = sim.step(_drive_inputs(elab, {"D": 9, "RST": 0}))
-        assert sum((out[f"Q.{i}"] & 1) << i for i in range(4)) == 3
-
     def test_split_register_concat_driver(self):
         b = CircuitBuilder("r")
         a = b.input("A", 4)
@@ -176,17 +162,6 @@ class TestRegisters:
 
 
 class TestAreaReport:
-    def test_plain_circuit_has_no_overhead(self):
-        b = CircuitBuilder("a")
-        din = b.input("D", 4)
-        r = b.register("R", 4)
-        b.drive(r, din)
-        b.output("Q", r)
-        report = area_report(elaborate(b.build()).netlist)
-        assert report.overhead == 0
-        assert report.total == report.functional
-        assert report.total == 4 * 5  # four DFFs
-
     def test_flop_count_matches_rtl(self):
         b = CircuitBuilder("a")
         din = b.input("D", 4)

@@ -7,7 +7,7 @@ import pytest
 from repro.atpg import CombinationalAtpg, podem
 from repro.designs import core_builders, system_builders
 from repro.elaborate import elaborate
-from repro.errors import AtpgError, SimulationError
+from repro.errors import AtpgError, ReproError, SimulationError
 from repro.faults import (
     Fault,
     FaultSimulator,
@@ -346,6 +346,19 @@ def test_malformed_fault_is_a_named_error(entry, fault):
     with pytest.raises((SimulationError, AtpgError)) as error:
         ENTRY_POINTS[entry](n, fault)
     assert str(error.value).startswith(f"fault {fault} does not fit netlist 'and2': ")
+
+
+@pytest.mark.parametrize("fault", [Fault("y", 5, 0), Fault("nope", None, 0)], ids=str)
+def test_empty_stimuli_still_check_the_faults(fault):
+    """No stimulus detects nothing, but a fault the netlist cannot hold
+    fails as it does with one stimulus."""
+    n = and_netlist()
+    with pytest.raises(ReproError) as stimulated:
+        sequential_fault_grade(n, [[{"a": 1, "b": 1}]], [fault])
+    with pytest.raises(ReproError) as empty:
+        sequential_fault_grade(n, [], [fault])
+    assert (type(empty.value), str(empty.value)) == (type(stimulated.value), str(stimulated.value))
+    assert sequential_fault_grade(n, [], [Fault("y", 0, 0)]).undetected == [Fault("y", 0, 0)]
 
 
 class TestSharedConeCache:

@@ -12,6 +12,11 @@ from repro.rtl.types import Concat
 from tests.bits import int_to_bits
 
 
+def link_for(plan, unit):
+    """The scan link that loads ``unit``."""
+    return next(link for link in plan.links if link.dest == unit)
+
+
 def pipeline_circuit():
     """DIN -> R1 -> R2 -> R3 -> DOUT: a natural 3-deep chain, zero test muxes."""
     b = CircuitBuilder("pipe3")
@@ -70,14 +75,14 @@ class TestInsertHscan:
 
     def test_mux_path_reuse(self):
         plan = insert_hscan(mux_path_circuit())
-        r2_link = plan.link_for(ScanUnit("R2", 0, 8))
+        r2_link = link_for(plan, ScanUnit("R2", 0, 8))
         assert r2_link.kind == "mux"
         assert r2_link.cost == COST_MUX_PATH_LINK
         assert r2_link.source.comp == "R1"
 
     def test_isolated_register_gets_test_mux(self):
         plan = insert_hscan(isolated_register_circuit())
-        r2_link = plan.link_for(ScanUnit("R2", 0, 8))
+        r2_link = link_for(plan, ScanUnit("R2", 0, 8))
         assert r2_link.kind == "testmux"
         assert plan.scan_in_width == 8
 
@@ -116,7 +121,7 @@ class TestInsertHscan:
         b.output("O", r)
         # give validity: R only reachable from itself
         plan = insert_hscan(b.build())
-        link = plan.link_for(ScanUnit("R", 0, 8))
+        link = link_for(plan, ScanUnit("R", 0, 8))
         assert link.kind == "testmux"
 
 

@@ -26,7 +26,7 @@ from repro.gates import CombinationalSimulator, GateKind, GateNetlist
 from repro.gates.kernel import clear_kernel_caches, compiled_program
 from repro.obs import METRICS
 
-from tests.reference_graders import reference_graders
+from tests.reference_graders import reference_graders, word_patterns
 from tests.test_podem_property import random_netlist
 
 _KINDS2 = [
@@ -64,6 +64,21 @@ def random_seq_netlist(seed: int, outputs: bool = True) -> GateNetlist:
     for i, net in enumerate(nets[-2:] if outputs else ()):
         n.add_gate(f"O{i}", GateKind.OUTPUT, [net])
     return n.validate()
+
+
+def scan_chained(netlist: GateNetlist) -> GateNetlist:
+    """A copy of ``netlist`` with every DFF an SDFF on one scan chain, in
+    name order: ``scan_in`` feeds the first flop, each flop the next, and
+    the last drives ``scan_out``; ``scan_en`` selects the chain."""
+    scanned = netlist.copy(netlist.name + "_scan")
+    scanned.add_gate("scan_en", GateKind.INPUT)
+    previous = scanned.add_gate("scan_in", GateKind.INPUT)
+    for flop in sorted(gate.name for gate in netlist.flops):
+        data = scanned.gate(flop).fanins[0]
+        scanned.replace_gate(flop, GateKind.SDFF, [data, previous, "scan_en"])
+        previous = flop
+    scanned.add_gate("scan_out", GateKind.OUTPUT, [previous])
+    return scanned.validate()
 
 
 def random_sequences(netlist: GateNetlist, count: int, cycles: int, seed: int):
@@ -324,9 +339,7 @@ class TestSequentialEdgeCases:
     @pytest.mark.parametrize("seed", range(3))
     def test_scan_flops_identical(self, seed):
         """SDFF next state (scan-in reads the previous chain flop) matches."""
-        from repro.dft.fscan import apply_fscan
-
-        netlist = apply_fscan(random_seq_netlist(seed)).netlist
+        netlist = scan_chained(random_seq_netlist(seed))
         faults = full_fault_universe(netlist)
         out = grade_sequential_both(netlist, random_sequences(netlist, 20, 6, seed), faults)
         assert_identical(out)
@@ -432,7 +445,7 @@ class TestPatternMatrix:
         bits = draw_bits(random.Random(9), 96 * width)
         dicts = [dict(zip(sources, bits[p * width : (p + 1) * width])) for p in range(96)]
         words = pattern_words(sources, dicts)
-        assert words.patterns(sources) == dicts
+        assert word_patterns(words, sources) == dicts
         as_dicts = grade_both_backends(lambda: FaultSimulator(netlist).run(dicts, faults))
         as_words = grade_both_backends(lambda: FaultSimulator(netlist).run(words, faults))
         assert_identical(as_words)

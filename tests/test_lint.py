@@ -12,9 +12,6 @@ from repro.lint import (
     LintContext,
     Rule,
     Severity,
-    lint_circuit,
-    lint_plan,
-    lint_schedule,
     lint_soc,
 )
 
@@ -23,6 +20,11 @@ SYSTEMS = ["System1", "System2", "System3", "System4"]
 
 def fired(report):
     return {d.rule for d in report.diagnostics}
+
+
+def circuit_context(circuit):
+    """A lint context holding one bare RTL circuit."""
+    return LintContext(system=circuit.name, circuits=[(circuit.name, circuit)])
 
 
 # ----------------------------------------------------------------------
@@ -35,7 +37,7 @@ class TestSystemsClean:
 
         report = lint_soc(system_builders()[system]())
         assert report.errors == []
-        assert report.warnings == []
+        assert report.of_severity(Severity.WARNING) == []
         assert report.rules_run == len(DEFAULT_REGISTRY)
 
     @pytest.mark.parametrize("system", SYSTEMS)
@@ -73,7 +75,7 @@ class TestRulesFire:
         (bd.unreachable_register_circuit, "rtl.unreachable-reg"),
     ])
     def test_circuit_rules(self, fixture, rule):
-        report = lint_circuit(fixture())
+        report = DEFAULT_REGISTRY.run(circuit_context(fixture()), scopes=("circuit",))
         assert rule in fired(report)
 
     @pytest.mark.parametrize("fixture, rule", [
@@ -97,7 +99,7 @@ class TestRulesFire:
         """Proof rules land at WARNING; trans.latency-overrun demoted with them."""
         report = lint_soc(fixture())
         assert rule in fired(report)
-        assert rule in {d.rule for d in report.warnings}
+        assert rule in {d.rule for d in report.of_severity(Severity.WARNING)}
         assert report.errors == []
 
     def test_shared_select_is_advisory_only(self):
@@ -105,7 +107,7 @@ class TestRulesFire:
         report = lint_soc(bd.shared_select_soc())
         notes = [d for d in report.diagnostics if d.rule == "analysis.select-sharing"]
         assert notes and all(d.severity is Severity.INFO for d in notes)
-        assert report.errors == [] and report.warnings == []
+        assert report.errors == [] and report.of_severity(Severity.WARNING) == []
 
     def test_narrowed_diagnostics_name_slices(self):
         """Refutations carry the offending slice ranges, not just port names."""
@@ -122,7 +124,9 @@ class TestRulesFire:
         (bd.bad_selection_plan, "plan.selection-range"),
     ])
     def test_plan_rules(self, fixture, rule):
-        report = lint_plan(fixture())
+        plan = fixture()
+        context = LintContext(system=plan.soc.name, soc=plan.soc, plan=plan)
+        report = DEFAULT_REGISTRY.run(context, scopes=("plan",))
         assert rule in fired(report)
 
     @pytest.mark.parametrize("fixture, rule", [
@@ -130,7 +134,9 @@ class TestRulesFire:
         (bd.over_budget_schedule, "sched.power-budget"),
     ])
     def test_schedule_rules(self, fixture, rule):
-        report = lint_schedule(fixture())
+        schedule = fixture()
+        context = LintContext(system=schedule.soc_name, schedule=schedule)
+        report = DEFAULT_REGISTRY.run(context, scopes=("schedule",))
         assert rule in fired(report)
 
     def test_infeasible_rules(self):
@@ -151,7 +157,7 @@ class TestRulesFire:
 
     def test_broken_circuit_reports_all_problems(self):
         """The lint collects every problem, not just the first."""
-        report = lint_circuit(bd.undriven_circuit())
+        report = DEFAULT_REGISTRY.run(circuit_context(bd.undriven_circuit()), scopes=("circuit",))
         assert len(report.diagnostics) >= 2  # undriven + unreachable
 
 
@@ -162,7 +168,7 @@ class TestRegistry:
     def test_disable_suppresses_rule(self):
         registry = DEFAULT_REGISTRY.clone()
         registry.disable("rtl.comb-loop")
-        report = lint_circuit(bd.comb_loop_circuit(), registry=registry)
+        report = registry.run(circuit_context(bd.comb_loop_circuit()), scopes=("circuit",))
         assert "rtl.comb-loop" not in fired(report)
 
     def test_clone_is_independent(self):
@@ -246,7 +252,7 @@ class TestDiagnostics:
             Severity.parse("fatal")
 
     def test_report_sorts_errors_first(self):
-        report = lint_circuit(bd.undriven_circuit())
+        report = DEFAULT_REGISTRY.run(circuit_context(bd.undriven_circuit()), scopes=("circuit",))
         sorted_rules = [d.severity for d in report.sorted()]
         assert sorted_rules == sorted(sorted_rules, reverse=True)
 
@@ -273,7 +279,7 @@ class TestDiagnostics:
         from repro.obs import METRICS
 
         before = METRICS.counters().get("lint.rules.run", 0)
-        lint_circuit(bd.comb_loop_circuit())
+        DEFAULT_REGISTRY.run(circuit_context(bd.comb_loop_circuit()), scopes=("circuit",))
         after = METRICS.counters().get("lint.rules.run", 0)
         assert after > before
 
@@ -286,5 +292,7 @@ class TestDiagnostics:
         registry = DEFAULT_REGISTRY.clone()
         registry.register(Rule("test.always", "circuit", Severity.INFO,
                                "always fires", always))
-        report = lint_circuit(bd.unreachable_register_circuit(), registry=registry)
+        report = registry.run(
+            circuit_context(bd.unreachable_register_circuit()), scopes=("circuit",)
+        )
         assert "test.always" in fired(report)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.rtl import CircuitBuilder, OpKind, Slice, validate_circuit
+from repro.rtl import CircuitBuilder, OpKind, Slice
 from repro.rtl.types import Concat
 
 
@@ -140,12 +140,6 @@ class TestValidation:
         b.output("O", Slice("M", 0, 2))
         with pytest.raises(NetlistError, match="select"):
             b.build()
-
-    def test_reset_net_must_be_one_bit_input(self):
-        circuit = simple_pipe()
-        circuit.reset_net = "DIN"
-        with pytest.raises(NetlistError, match="reset"):
-            validate_circuit(circuit)
 
     def test_no_inputs_rejected(self):
         b = CircuitBuilder("c")

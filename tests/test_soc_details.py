@@ -10,11 +10,13 @@ from repro.flow.report import (
     render_area_table,
     render_testability_table,
 )
-from repro.soc import plan_soc_test, synthesize_controller
-from repro.soc.controller import clock_enable_trace, estimate_controller_area
+from repro.soc import plan_soc_test
+from repro.soc.controller import estimate_controller_area
 from repro.soc.plan import TestMux as SystemTestMux
 from repro.soc.optimizer import SocetOptimizer, design_space
 from repro.soc.system import PortRef
+
+from tests.reference_controller import synthesize_controller
 
 SYSTEMS = sorted(system_builders())
 
@@ -148,12 +150,6 @@ class TestControllerDetails:
         for plan in plans:
             assert estimate_controller_area(plan) == synthesize_controller(plan).area
             assert plan.controller_cells == synthesize_controller(plan).area
-
-    def test_trace_flush_is_free_running(self, system1_plan):
-        core_plan = system1_plan.core_plans["CPU"]
-        trace = list(clock_enable_trace(core_plan))
-        flush = trace[-core_plan.flush :] if core_plan.flush else []
-        assert all(flush)
 
 
 class TestInterconnect:
