@@ -122,7 +122,7 @@ def _core_workloads(soc):
         sources = [
             g.name
             for g in netlist.gates()
-            if g.kind in (GateKind.INPUT, GateKind.DFF, GateKind.SDFF)
+            if g.kind in (GateKind.INPUT, GateKind.DFF)
         ]
         patterns = [
             {name: rng.getrandbits(1) for name in sources} for _ in range(CORE_PATTERNS)

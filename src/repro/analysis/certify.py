@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.muxsat import SelectSolver, check_path_selects
 from repro.analysis.provenance import SliceProof, prove_path
 from repro.errors import ReproError
+from repro.lint import RULES
 from repro.lint.diagnostics import Diagnostic, Severity, location
 from repro.obs import METRICS, profile_section
 from repro.rtl.types import Slice
@@ -37,6 +38,9 @@ from repro.util.schema import ANY, INTEGER, ListOf, Object, one_of
 
 CERTIFICATE_SCHEMA_VERSION = 2
 CERTIFICATE_KIND = "repro-certificate"
+
+#: each rule's severity, as the lint table declares it
+_SEVERITY = {rule.rule_id: rule.severity for rule in RULES}
 
 
 def _status_agrees_with_problems(path):
@@ -354,13 +358,16 @@ class Certificate:
     def diagnostics(self, escalate: bool = False) -> List[Diagnostic]:
         """Render the certificate as lint diagnostics (see rules_analysis).
 
-        Coverage gaps are ``trans.input-propagation`` and
-        ``trans.output-justification`` ERRORs; a path whose proof derives
-        another latency than it declares is a ``trans.latency-overrun``
-        WARNING; refutations are ``analysis.*`` WARNINGs.
-        ``escalate=True`` (the ``repro certify`` CLI) reports refutations
-        that poison the *selected* configuration -- a refuted path in a
-        selected version, a refuted route, a failed plan -- as ERROR.
+        Each diagnostic carries the severity the lint table
+        (:data:`repro.lint.RULES`) declares for its rule: coverage gaps
+        are ``trans.input-propagation`` and ``trans.output-justification``
+        ERRORs; a path whose proof derives another latency than it
+        declares is a ``trans.latency-overrun`` WARNING; refutations are
+        ``analysis.*`` WARNINGs.  ``escalate=True`` (the ``repro
+        certify`` CLI) is the one place a severity is raised: it reports
+        refutations that poison the *selected* configuration -- a refuted
+        path in a selected version, a refuted route, a failed plan -- as
+        ERROR.
         """
         found: List[Diagnostic] = []
         for version in self.versions:
@@ -372,7 +379,7 @@ class Certificate:
                 found.append(
                     Diagnostic(
                         rule=rule,
-                        severity=Severity.ERROR,
+                        severity=_SEVERITY[rule],
                         location=path_location(self.system, version.core, version.index, port),
                         message=(
                             f"{kind} {port} has no {direction} path in "
@@ -394,7 +401,7 @@ class Certificate:
                 found.append(
                     Diagnostic(
                         rule="trans.latency-overrun",
-                        severity=Severity.WARNING,
+                        severity=_SEVERITY["trans.latency-overrun"],
                         location=where,
                         message=(
                             f"{proof.direction} path for {proof.label} declares latency "
@@ -411,7 +418,9 @@ class Certificate:
                 found.append(
                     Diagnostic(
                         rule=rule,
-                        severity=Severity.ERROR if escalate and selected else Severity.WARNING,
+                        severity=(
+                            Severity.ERROR if escalate and selected else _SEVERITY[rule]
+                        ),
                         location=where,
                         message=(
                             f"{proof.direction} path for {proof.label} is refuted: "
@@ -430,7 +439,7 @@ class Certificate:
                 found.append(
                     Diagnostic(
                         rule="analysis.select-sharing",
-                        severity=Severity.INFO,
+                        severity=_SEVERITY["analysis.select-sharing"],
                         location=where,
                         message=(
                             f"{proof.direction} path for {proof.label} drives a "
@@ -447,7 +456,7 @@ class Certificate:
             found.append(
                 Diagnostic(
                     rule="analysis.access-route",
-                    severity=Severity.ERROR if escalate else Severity.WARNING,
+                    severity=Severity.ERROR if escalate else _SEVERITY["analysis.access-route"],
                     location=location(self.system),
                     message=f"no test plan exists for this selection: {self.plan_error}",
                     hint="fix the planning failure before trusting TAT/area numbers",
@@ -458,7 +467,9 @@ class Certificate:
                 found.append(
                     Diagnostic(
                         rule="analysis.access-route",
-                        severity=Severity.ERROR if escalate else Severity.WARNING,
+                        severity=(
+                            Severity.ERROR if escalate else _SEVERITY["analysis.access-route"]
+                        ),
                         location=path_location(
                             self.system, route.core,
                             self.selection.get(route.core, 0), route.port,

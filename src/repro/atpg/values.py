@@ -51,7 +51,6 @@ KIND_CODE: Dict[GateKind, int] = {
     GateKind.MUX2: K_MUX2,
     GateKind.INPUT: K_INPUT,
     GateKind.DFF: K_STATE,
-    GateKind.SDFF: K_STATE,
     GateKind.CONST0: K_CONST0,
     GateKind.CONST1: K_CONST1,
 }

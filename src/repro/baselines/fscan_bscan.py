@@ -10,7 +10,7 @@ the method the paper's Tables 2 and 3 compare SOCET against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.dft.bscan import boundary_scan_overhead
 from repro.dft.fscan import fscan_overhead

@@ -10,7 +10,7 @@ Supports the classic RAM fault models March tests are graded on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)

@@ -282,13 +282,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.lint import DEFAULT_REGISTRY, Severity, lint_soc
+    from repro.lint import RULES, Severity, lint_soc
 
     if args.rules:
-        rows = [
-            [rule.rule_id, rule.scope, rule.severity.label, rule.title]
-            for rule in DEFAULT_REGISTRY.rules()
-        ]
+        rows = [[rule.rule_id, rule.scope, rule.severity.label, rule.title] for rule in RULES]
         print(render_table(["rule", "scope", "severity", "checks that"], rows,
                            title="registered lint rules"))
         return 0
@@ -298,15 +295,7 @@ def cmd_lint(args) -> int:
         fail_on = Severity.parse(args.fail_on)
     except ValueError as error:
         raise UsageError(str(error))
-    registry = DEFAULT_REGISTRY.clone()
-    for rule_id in args.disable or ():
-        if rule_id not in registry:
-            raise UsageError(
-                f"unknown rule {rule_id!r}; run 'repro lint --rules' for the list"
-            )
-        registry.disable(rule_id)
-    soc = _build_system(args.system)
-    report = lint_soc(soc, registry=registry)
+    report = lint_soc(_build_system(args.system))
     if args.json:
         print(report.to_json())
     else:
@@ -646,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
             "exit codes:\n"
             "  0  clean: no diagnostics at or above --fail-on\n"
             "  1  diagnostics at or above --fail-on were reported\n"
-            "  2  usage error (unknown system, rule, or severity)\n"
+            "  2  usage error (unknown system or severity)\n"
         ),
     )
     p_lint.add_argument("system", nargs="?",
@@ -661,12 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
              "warning, or info",
     )
     p_lint.add_argument(
-        "--disable", action="append", metavar="RULE",
-        help="disable a rule by id (repeatable)",
-    )
-    p_lint.add_argument(
         "--rules", action="store_true",
-        help="list the registered rules and exit",
+        help="list every lint rule and exit",
     )
     p_lint.set_defaults(func=cmd_lint)
 

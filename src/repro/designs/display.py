@@ -20,7 +20,7 @@ the longest HSCAN chain is 4", giving 105 x 5 = 525 HSCAN vectors).
 from __future__ import annotations
 
 from repro.rtl import CircuitBuilder, OpKind, RTLCircuit, Slice
-from repro.rtl.types import Concat, concat
+from repro.rtl.types import Concat
 
 
 def build_display() -> RTLCircuit:

@@ -16,7 +16,7 @@ one cycle).
 from __future__ import annotations
 
 from repro.rtl import CircuitBuilder, OpKind, RTLCircuit, Slice
-from repro.rtl.types import Concat, concat
+from repro.rtl.types import Concat
 
 
 def build_preprocessor() -> RTLCircuit:

@@ -37,7 +37,7 @@ from repro.obs import METRICS, profile_section
 from repro.rtl.arcs import Arc, extract_arcs
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.components import Mux, Operator, Register
-from repro.rtl.types import ComponentKind, Concat, OpKind, Slice, concat, slice_expr
+from repro.rtl.types import OpKind, Slice, concat, slice_expr
 
 _INSERTIONS = METRICS.counter("corelevel.hscan.insertions")
 

@@ -17,7 +17,7 @@ from repro.gates.cells import GateKind
 from repro.gates.netlist import GateNetlist
 from repro.obs import profile_section
 from repro.rtl.circuit import RTLCircuit
-from repro.rtl.components import Constant, Input, Mux, Operator, Output, Register
+from repro.rtl.components import Mux, Operator
 from repro.rtl.types import ComponentKind, Expr, OpKind, expr_parts
 from repro.util.namegen import NameGenerator
 

@@ -295,10 +295,9 @@ def grade_sequence_group(
 ) -> List[Fault]:
     """The grading behind :func:`sequential_fault_grade`.
 
-    Grades one packed group (<= ``SEQUENCE_PACK_LIMIT`` sequences of
-    ``length`` cycles each) and returns the survivors; detected faults
-    and ``first_detection`` cycles land in ``result`` in fault-list
-    order.
+    Grades every sequence (each ``length`` cycles long) as one group
+    and returns the survivors; detected faults and ``first_detection``
+    cycles land in ``result`` in fault-list order.
     """
     program = compiled_program(netlist)
     cycles = _cycle_words(program.input_names, sequences, length)

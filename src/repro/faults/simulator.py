@@ -17,7 +17,6 @@ The ``faultsim.*`` counters are registered here, so importing
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -27,17 +26,11 @@ from repro.faults.model import Fault
 from repro.gates.netlist import GateNetlist
 from repro.obs import METRICS, profile_section
 
-logger = logging.getLogger("repro.faults.simulator")
-
 _BATCHES = METRICS.counter("faultsim.batches")
 _EVENTS = METRICS.counter("faultsim.events")
 _DROPPED = METRICS.counter("faultsim.faults.dropped")
 _SEQ_FAULTS = METRICS.counter("faultsim.sequential.faults")
 _SEQ_CHUNKS = METRICS.counter("faultsim.sequential.chunks")
-
-#: sequences packed per word in sequential grading; longer stimulus sets
-#: are chunked transparently (fault dropping carries across chunks)
-SEQUENCE_PACK_LIMIT = 256
 
 Pattern = Mapping[str, int]  # source gate name -> bit value
 
@@ -173,21 +166,8 @@ def _sequential_grade(
                 f"{len(sequence)} cycles, expected {length}"
             )
 
-    # words pack one bit per sequence, so stimulus sets beyond the pack
-    # limit are graded in chunks; dropped faults carry across chunks
-    if len(sequences) > SEQUENCE_PACK_LIMIT:
-        logger.debug(
-            "packing %d sequences in %d chunks of <= %d",
-            len(sequences),
-            -(-len(sequences) // SEQUENCE_PACK_LIMIT),
-            SEQUENCE_PACK_LIMIT,
-        )
-    alive = chosen
-    for start in range(0, len(sequences), SEQUENCE_PACK_LIMIT):
-        _SEQ_CHUNKS.inc()
-        group = sequences[start : start + SEQUENCE_PACK_LIMIT]
-        alive = _kernel.grade_sequence_group(netlist, group, length, alive, result)
-        if not alive:
-            break
-    result.undetected = alive
+    # one group holds every sequence (one bit each in a plane's ints), so
+    # a fault's first detection is its earliest cycle over the whole set
+    _SEQ_CHUNKS.inc()
+    result.undetected = _kernel.grade_sequence_group(netlist, sequences, length, chosen, result)
     return result

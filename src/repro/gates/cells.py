@@ -33,11 +33,10 @@ class GateKind(enum.Enum):
     XNOR = "xnor"
     MUX2 = "mux2"  # fanins (d0, d1, select)
     DFF = "dff"  # fanins (d,); state element
-    SDFF = "sdff"  # scan flip-flop: fanins (d, scan_in, scan_enable)
 
 
 #: State-element kinds (flip-flops) -- break combinational cycles.
-STATE_KINDS = (GateKind.DFF, GateKind.SDFF)
+STATE_KINDS = (GateKind.DFF,)
 
 #: Kinds whose value is a *source* to combinational evaluation: primary
 #: inputs, constants, and flip-flop outputs (pseudo-primary inputs in
@@ -61,7 +60,6 @@ CELL_AREA: Dict[GateKind, int] = {
     GateKind.XNOR: 2,
     GateKind.MUX2: 2,
     GateKind.DFF: 5,
-    GateKind.SDFF: 7,
 }
 
 #: Extra area per fanin beyond the second for the simple n-input gates.

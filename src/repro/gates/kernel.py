@@ -203,16 +203,9 @@ class CompiledProgram:
 
         self.input_rows = [row[name] for name in self.input_names]
         self.source_rows = [row[name] for name in self.source_names]
-        self.dff_captures = [
-            (row[f.name], row[f.fanins[0]]) for f in flops if f.kind is GateKind.DFF
-        ]
-        self.sdff_captures = [
-            (row[f.name], *(row[n] for n in f.fanins))
-            for f in flops
-            if f.kind is GateKind.SDFF
-        ]
-        #: flop rows in capture order: the DFFs, then the SDFFs
-        self.flop_rows = [c[0] for c in self.dff_captures + self.sdff_captures]
+        #: (flop row, D row) per flop, in capture order
+        self.dff_captures = [(row[f.name], row[f.fanins[0]]) for f in flops]
+        self.flop_rows = [flop for flop, _ in self.dff_captures]
         #: observation points of combinational (full-scan) fault grading,
         #: ascending: every primary output and every flop's D net -- the
         #: set PODEM propagates to
@@ -237,12 +230,8 @@ class CompiledProgram:
             loop(values, ones, steps)
 
     def clock(self, values: Values) -> None:
-        """Load every flop's row with the value it captures: a DFF its D,
-        an SDFF its D or, where scan enable is 1, its scan-in."""
+        """Load every flop's row with the value its D captures."""
         captured = [values[d] for _, d in self.dff_captures]
-        for _, d, scan_in, enable in self.sdff_captures:
-            low = values[d]
-            captured.append(low ^ ((low ^ values[scan_in]) & values[enable]))
         for row, value in zip(self.flop_rows, captured):
             values[row] = value
 

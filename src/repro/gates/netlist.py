@@ -1,7 +1,7 @@
 """Flat gate-level netlist.
 
 A :class:`GateNetlist` is a dict of named single-output gates; a gate's
-fanins are names of other gates.  State elements (``DFF``/``SDFF``) break
+fanins are names of other gates.  State elements (``DFF``) break
 combinational cycles.  The *combinational view* used by scan-based ATPG
 treats flip-flop outputs as pseudo-primary inputs and flip-flop D pins as
 pseudo-primary outputs.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import NetlistError
-from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind, gate_area
+from repro.gates.cells import STATE_KINDS, GateKind, gate_area
 
 
 @dataclass
@@ -147,36 +147,16 @@ class GateNetlist:
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> "GateNetlist":
+        from repro.gates.levelize import levelize  # levelize.py imports this module
+
         for gate in self._gates.values():
             for source in gate.fanins:
                 if source not in self._gates:
                     raise NetlistError(f"gate {gate.name!r} reads unknown net {source!r}")
                 if self._gates[source].kind is GateKind.OUTPUT:
                     raise NetlistError(f"gate {gate.name!r} reads OUTPUT marker {source!r}")
-        # combinational cycle check: DFS skipping state/source gates
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self._gates}
-        for start, gate in self._gates.items():
-            if gate.kind in SOURCE_KINDS or color[start] != WHITE:
-                continue
-            stack: List[Tuple[str, Iterator[str]]] = [(start, iter(gate.fanins))]
-            color[start] = GREY
-            while stack:
-                node, iterator = stack[-1]
-                advanced = False
-                for source in iterator:
-                    if self._gates[source].kind in SOURCE_KINDS:
-                        continue
-                    if color[source] == GREY:
-                        raise NetlistError(f"combinational cycle through {source!r}")
-                    if color[source] == WHITE:
-                        color[source] = GREY
-                        stack.append((source, iter(self._gates[source].fanins)))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
+        # raises on a combinational cycle, and caches the evaluation order
+        levelize(self)
         return self
 
     # ------------------------------------------------------------------
@@ -231,8 +211,6 @@ def _check_arity(name: str, kind: GateKind, count: int) -> None:
     elif kind in (GateKind.XOR, GateKind.XNOR):
         expected = count == 2
     elif kind is GateKind.MUX2:
-        expected = count == 3
-    elif kind is GateKind.SDFF:
         expected = count == 3
     else:  # AND / OR / NAND / NOR
         expected = count >= 2

@@ -62,7 +62,7 @@ class CombinationalSimulator:
         mask = (1 << pattern_count) - 1
         values: Dict[str, int] = {}
         for gate in self._gates.values():
-            if gate.kind is GateKind.INPUT or gate.kind in (GateKind.DFF, GateKind.SDFF):
+            if gate.kind is GateKind.INPUT or gate.kind is GateKind.DFF:
                 try:
                     values[gate.name] = sources[gate.name] & mask
                 except KeyError:
@@ -139,7 +139,4 @@ def next_state_word(gate: Gate, values: Mapping[str, int], mask: int) -> int:
     """The value a flip-flop captures at the next clock edge."""
     if gate.kind is GateKind.DFF:
         return values[gate.fanins[0]] & mask
-    if gate.kind is GateKind.SDFF:
-        d, scan_in, scan_enable = (values[f] for f in gate.fanins)
-        return ((d & ~scan_enable) | (scan_in & scan_enable)) & mask
     raise SimulationError(f"{gate.name!r} is not a state element")

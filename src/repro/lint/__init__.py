@@ -41,17 +41,13 @@ from repro.lint.diagnostics import (
     Severity,
     location,
 )
-from repro.lint.registry import LintContext, Rule, RuleRegistry
+from repro.lint.registry import LintContext, Rule, run_rules
 from repro.lint import rules_analysis, rules_netlist, rules_plan, rules_schedule
+from repro.lint.runner import lint_soc
 
-#: the process-wide registry holding every built-in rule
-DEFAULT_REGISTRY = RuleRegistry()
-rules_netlist.register_rules(DEFAULT_REGISTRY)
-rules_analysis.register_rules(DEFAULT_REGISTRY)
-rules_plan.register_rules(DEFAULT_REGISTRY)
-rules_schedule.register_rules(DEFAULT_REGISTRY)
-
-from repro.lint.runner import lint_soc  # noqa: E402  (needs DEFAULT_REGISTRY)
+#: every rule, in the order a pass runs them and ``repro lint --rules``
+#: lists them
+RULES = rules_netlist.RULES + rules_analysis.RULES + rules_plan.RULES + rules_schedule.RULES
 
 __all__ = [
     "Diagnostic",
@@ -61,7 +57,7 @@ __all__ = [
     "location",
     "LintContext",
     "Rule",
-    "RuleRegistry",
-    "DEFAULT_REGISTRY",
+    "RULES",
+    "run_rules",
     "lint_soc",
 ]

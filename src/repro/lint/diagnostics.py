@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 
 class Severity(enum.IntEnum):
@@ -92,9 +92,6 @@ class LintReport:
     target: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
     rules_run: int = 0
-
-    def extend(self, diagnostics: Iterable[Diagnostic]) -> None:
-        self.diagnostics.extend(diagnostics)
 
     # ------------------------------------------------------------------
     # queries

@@ -1,11 +1,12 @@
-"""The lint rule registry: declaration, configuration, execution.
+"""The parts of the lint rule table and the one function that runs it.
 
 A :class:`Rule` couples a stable id with a *scope* -- the artifact layer
-it inspects -- and a check function that yields
-:class:`~repro.lint.diagnostics.Diagnostic` objects from a
-:class:`LintContext`.  The registry owns which rules are switched off:
-``repro lint --disable`` clones the default registry and disables the
-named rules without touching the rules themselves.
+it inspects -- a severity, and a check function that yields
+``(location, message, hint)`` findings from a :class:`LintContext`.
+Each ``rules_*`` module exports its rules as ``RULES``, and
+:data:`repro.lint.RULES` joins them; :func:`run_rules` runs that table
+and turns every finding into a :class:`Diagnostic` with its rule's id
+and severity.
 
 Scopes:
 
@@ -18,7 +19,7 @@ Scopes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.obs import METRICS
@@ -55,100 +56,39 @@ class LintContext:
     certificate: Optional[object] = None
 
 
-CheckFn = Callable[[LintContext], Iterable[Diagnostic]]
+#: one violation a check found: its location, message and fix hint
+Finding = Tuple[str, str, Optional[str]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rule:
-    """One registered design rule."""
+    """One design rule: every finding of ``check`` is reported under
+    ``rule_id`` at ``severity``."""
 
     rule_id: str
     scope: str
     severity: Severity
     title: str
-    check: CheckFn
+    check: Callable[[LintContext], Iterable[Finding]]
 
 
-class RuleRegistry:
-    """Ordered rule collection; a clone can switch rules off."""
+def run_rules(
+    context: LintContext, scopes: Iterable[str], report: Optional[LintReport] = None
+) -> LintReport:
+    """Run every rule of :data:`repro.lint.RULES` whose scope is in
+    ``scopes``, in table order, into ``report`` (a new one by default)."""
+    from repro.lint import RULES
 
-    def __init__(self) -> None:
-        self._rules: Dict[str, Rule] = {}
-        self._disabled: set = set()
-
-    # ------------------------------------------------------------------
-    # declaration
-    # ------------------------------------------------------------------
-    def register(self, rule: Rule) -> Rule:
-        if rule.scope not in SCOPES:
-            raise ValueError(f"rule {rule.rule_id!r} has unknown scope {rule.scope!r}")
-        if rule.rule_id in self._rules:
-            raise ValueError(f"duplicate rule id {rule.rule_id!r}")
-        self._rules[rule.rule_id] = rule
-        return rule
-
-    # ------------------------------------------------------------------
-    # configuration
-    # ------------------------------------------------------------------
-    def disable(self, rule_id: str) -> None:
-        if rule_id not in self._rules:
-            raise ValueError(f"unknown lint rule {rule_id!r}")
-        self._disabled.add(rule_id)
-
-    def is_enabled(self, rule_id: str) -> bool:
-        return rule_id in self._rules and rule_id not in self._disabled
-
-    def clone(self) -> "RuleRegistry":
-        """An independent copy for one-off configuration (CLI flags)."""
-        twin = RuleRegistry()
-        twin._rules = dict(self._rules)
-        twin._disabled = set(self._disabled)
-        return twin
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def rules(self) -> List[Rule]:
-        return list(self._rules.values())
-
-    def __contains__(self, rule_id: str) -> bool:
-        return rule_id in self._rules
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        context: LintContext,
-        scopes: Optional[Iterable[str]] = None,
-        report: Optional[LintReport] = None,
-    ) -> LintReport:
-        """Run every enabled rule whose scope is in ``scopes``.
-
-        Diagnostics carry their rule's severity, whatever severity the
-        check function emitted.
-        """
-        wanted = set(scopes) if scopes is not None else set(SCOPES)
-        if report is None:
-            report = LintReport(target=context.system)
-        for rule in self.rules():
-            if rule.scope not in wanted or not self.is_enabled(rule.rule_id):
-                continue
-            _RULES_RUN.inc()
-            report.rules_run += 1
-            severity = rule.severity
-            for diagnostic in rule.check(context):
-                if diagnostic.severity is not severity:
-                    diagnostic = Diagnostic(
-                        rule=diagnostic.rule,
-                        severity=severity,
-                        location=diagnostic.location,
-                        message=diagnostic.message,
-                        hint=diagnostic.hint,
-                    )
-                _DIAG_COUNTERS[severity].inc()
-                report.diagnostics.append(diagnostic)
-        return report
+    if report is None:
+        report = LintReport(target=context.system)
+    for rule in RULES:
+        if rule.scope not in scopes:
+            continue
+        _RULES_RUN.inc()
+        report.rules_run += 1
+        for where, message, hint in rule.check(context):
+            _DIAG_COUNTERS[rule.severity].inc()
+            report.diagnostics.append(
+                Diagnostic(rule.rule_id, rule.severity, where, message, hint)
+            )
+    return report

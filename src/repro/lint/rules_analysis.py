@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintContext, Rule
+from repro.lint.diagnostics import Severity
+from repro.lint.registry import Finding, LintContext, Rule
 
 
 def _certificate(ctx: LintContext):
@@ -51,20 +51,21 @@ def _certificate(ctx: LintContext):
     return ctx.certificate
 
 
-def _diagnostics(certificate, rule_id: str) -> List[Diagnostic]:
+def _findings(certificate, rule_id: str) -> List[Finding]:
     if certificate is None:
         return []
-    return [d for d in certificate.diagnostics() if d.rule == rule_id]
+    return [(d.location, d.message, d.hint)
+            for d in certificate.diagnostics() if d.rule == rule_id]
 
 
-def _version_rule(rule_id: str):
-    def check(ctx: LintContext) -> List[Diagnostic]:
-        return _diagnostics(_certificate(ctx), rule_id)
+def _version_check(rule_id: str):
+    def check(ctx: LintContext) -> List[Finding]:
+        return _findings(_certificate(ctx), rule_id)
 
     return check
 
 
-def check_access_routes(ctx: LintContext) -> List[Diagnostic]:
+def check_access_routes(ctx: LintContext) -> List[Finding]:
     """analysis.access-route: plan routes ride proved transparency only."""
     from repro.analysis import certify_plan
 
@@ -76,10 +77,11 @@ def check_access_routes(ctx: LintContext) -> List[Diagnostic]:
         certificate.routes = certify_plan(ctx.plan, certificate.versions)
     if ctx.plan_error is not None:
         certificate.plan_error = str(ctx.plan_error)
-    return _diagnostics(certificate, "analysis.access-route")
+    return _findings(certificate, "analysis.access-route")
 
 
-def register_rules(registry) -> None:
+RULES = tuple(
+    Rule(rule_id, "soc", severity, title, _version_check(rule_id))
     for rule_id, severity, title in (
         ("trans.input-propagation", Severity.ERROR,
          "every core input propagates to an output"),
@@ -93,10 +95,8 @@ def register_rules(registry) -> None:
          "transparency modes have satisfiable select demands"),
         ("analysis.select-sharing", Severity.INFO,
          "shared select nets need per-mux overrides in test mode"),
-    ):
-        registry.register(Rule(rule_id, "soc", severity, title, _version_rule(rule_id)))
-    registry.register(Rule(
-        "analysis.access-route", "plan", Severity.WARNING,
-        "plan access routes are certified by path proofs",
-        check_access_routes,
-    ))
+    )
+) + (
+    Rule("analysis.access-route", "plan", Severity.WARNING,
+         "plan access routes are certified by path proofs", check_access_routes),
+)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Set
 
-from repro.lint.diagnostics import Diagnostic, Severity, location
-from repro.lint.registry import LintContext
+from repro.lint.diagnostics import Severity, location
+from repro.lint.registry import Finding, LintContext, Rule
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.validate import (
     CATEGORY_IO,
@@ -24,51 +24,21 @@ from repro.rtl.validate import (
     iter_circuit_problems,
 )
 
-#: problem categories mapped onto each circuit-scope rule id
-_RULE_CATEGORIES = {
-    "rtl.comb-loop": {CATEGORY_LOOP},
-    "rtl.undriven": {CATEGORY_UNDRIVEN, CATEGORY_REFERENCE, CATEGORY_IO},
-    "rtl.width-mismatch": {CATEGORY_WIDTH, CATEGORY_SHAPE},
-}
 
-_HINTS = {
-    "rtl.comb-loop": "break the loop with a register or re-derive the driver expression",
-    "rtl.undriven": "connect the floating net or drop the dead component",
-    "rtl.width-mismatch": "slice or zero-extend the driver to the declared width",
-}
+def _circuit_check(categories, hint: str):
+    """A check reporting every circuit problem in ``categories``."""
 
+    def check(ctx: LintContext) -> Iterator[Finding]:
+        for label, circuit in ctx.circuits:
+            for problem in iter_circuit_problems(circuit):
+                if problem.category not in categories:
+                    continue
+                parts: List[object] = [ctx.system, ("core", label)]
+                if problem.component:
+                    parts.append(("net", problem.component))
+                yield location(*parts), problem.message, hint
 
-def _circuit_diagnostics(ctx: LintContext, rule_id: str, severity: Severity) -> Iterator[Diagnostic]:
-    wanted = _RULE_CATEGORIES[rule_id]
-    for label, circuit in ctx.circuits:
-        for problem in iter_circuit_problems(circuit):
-            if problem.category not in wanted:
-                continue
-            parts: List[object] = [ctx.system, ("core", label)]
-            if problem.component:
-                parts.append(("net", problem.component))
-            yield Diagnostic(
-                rule=rule_id,
-                severity=severity,
-                location=location(*parts),
-                message=problem.message,
-                hint=_HINTS[rule_id],
-            )
-
-
-def check_comb_loop(ctx: LintContext) -> Iterator[Diagnostic]:
-    """rtl.comb-loop: no combinational cycles (registers break loops)."""
-    return _circuit_diagnostics(ctx, "rtl.comb-loop", Severity.ERROR)
-
-
-def check_undriven(ctx: LintContext) -> Iterator[Diagnostic]:
-    """rtl.undriven: no floating nets, missing drivers, dangling refs."""
-    return _circuit_diagnostics(ctx, "rtl.undriven", Severity.ERROR)
-
-
-def check_width_mismatch(ctx: LintContext) -> Iterator[Diagnostic]:
-    """rtl.width-mismatch: driver/operand widths match declarations."""
-    return _circuit_diagnostics(ctx, "rtl.width-mismatch", Severity.ERROR)
+    return check
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +59,7 @@ def _reachable_from_inputs(circuit: RTLCircuit) -> Set[str]:
     return reachable
 
 
-def check_unreachable_registers(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_unreachable_registers(ctx: LintContext) -> Iterator[Finding]:
     """rtl.unreachable-reg: every register is controllable from inputs.
 
     A register no input can influence holds test-irrelevant
@@ -99,19 +69,15 @@ def check_unreachable_registers(ctx: LintContext) -> Iterator[Diagnostic]:
         reachable = _reachable_from_inputs(circuit)
         for register in circuit.registers:
             if register.name not in reachable:
-                yield Diagnostic(
-                    rule="rtl.unreachable-reg",
-                    severity=Severity.WARNING,
-                    location=location(ctx.system, ("core", label), ("net", register.name)),
-                    message=(
-                        f"register {register.name!r} is not reachable from any input"
-                    ),
-                    hint="add a load path from an input",
+                yield (
+                    location(ctx.system, ("core", label), ("net", register.name)),
+                    f"register {register.name!r} is not reachable from any input",
+                    "add a load path from an input",
                 )
 
 
 # ----------------------------------------------------------------------
-def check_input_drivers(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_input_drivers(ctx: LintContext) -> Iterator[Finding]:
     """soc.input-drivers: each testable-core input bit driven exactly once.
 
     Floating input bits make a core untestable through the interconnect;
@@ -124,49 +90,34 @@ def check_input_drivers(ctx: LintContext) -> Iterator[Diagnostic]:
     for core, port, contended, missing in ctx.soc.driver_problems():
         where = location(ctx.system, ("core", core.name), ("port", port.name))
         if contended:
-            yield Diagnostic(
-                rule="soc.input-drivers",
-                severity=Severity.ERROR,
-                location=where,
-                message=(
-                    f"input {core.name}.{port.name} has multiply-driven bits "
-                    f"(mask {contended:#x})"
-                ),
-                hint="remove or re-slice the extra driver net",
+            yield (
+                where,
+                f"input {core.name}.{port.name} has multiply-driven bits (mask {contended:#x})",
+                "remove or re-slice the extra driver net",
             )
         if missing:
-            yield Diagnostic(
-                rule="soc.input-drivers",
-                severity=Severity.ERROR,
-                location=where,
-                message=(
-                    f"input {core.name}.{port.name} has undriven bits "
-                    f"(mask {missing:#x})"
-                ),
-                hint="wire the missing bits from a chip pin or core output",
+            yield (
+                where,
+                f"input {core.name}.{port.name} has undriven bits (mask {missing:#x})",
+                "wire the missing bits from a chip pin or core output",
             )
 
 
-def register_rules(registry) -> None:
-    from repro.lint.registry import Rule
-
-    registry.register(Rule(
-        "rtl.comb-loop", "circuit", Severity.ERROR,
-        "no combinational cycles in core RTL", check_comb_loop,
-    ))
-    registry.register(Rule(
-        "rtl.undriven", "circuit", Severity.ERROR,
-        "no floating nets or missing drivers", check_undriven,
-    ))
-    registry.register(Rule(
-        "rtl.width-mismatch", "circuit", Severity.ERROR,
-        "driver and operand widths are consistent", check_width_mismatch,
-    ))
-    registry.register(Rule(
-        "rtl.unreachable-reg", "circuit", Severity.WARNING,
-        "every register is controllable from inputs", check_unreachable_registers,
-    ))
-    registry.register(Rule(
-        "soc.input-drivers", "soc", Severity.ERROR,
-        "every core input bit driven exactly once", check_input_drivers,
-    ))
+RULES = (
+    Rule("rtl.comb-loop", "circuit", Severity.ERROR,
+         "no combinational cycles in core RTL",
+         _circuit_check({CATEGORY_LOOP},
+                        "break the loop with a register or re-derive the driver expression")),
+    Rule("rtl.undriven", "circuit", Severity.ERROR,
+         "no floating nets or missing drivers",
+         _circuit_check({CATEGORY_UNDRIVEN, CATEGORY_REFERENCE, CATEGORY_IO},
+                        "connect the floating net or drop the dead component")),
+    Rule("rtl.width-mismatch", "circuit", Severity.ERROR,
+         "driver and operand widths are consistent",
+         _circuit_check({CATEGORY_WIDTH, CATEGORY_SHAPE},
+                        "slice or zero-extend the driver to the declared width")),
+    Rule("rtl.unreachable-reg", "circuit", Severity.WARNING,
+         "every register is controllable from inputs", check_unreachable_registers),
+    Rule("soc.input-drivers", "soc", Severity.ERROR,
+         "every core input bit driven exactly once", check_input_drivers),
+)

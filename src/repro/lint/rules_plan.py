@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Severity, location
-from repro.lint.registry import LintContext
+from repro.lint.diagnostics import Severity, location
+from repro.lint.registry import Finding, LintContext, Rule
 
 
 def _version_of(plan, core_name: str):
@@ -33,19 +33,17 @@ def _version_of(plan, core_name: str):
     return core.version(index)
 
 
-def check_infeasible(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_infeasible(ctx: LintContext) -> Iterator[Finding]:
     """plan.infeasible: the plan layer could be built at all."""
     if ctx.plan is None and ctx.plan_error is not None:
-        yield Diagnostic(
-            rule="plan.infeasible",
-            severity=Severity.ERROR,
-            location=location(ctx.system, "plan"),
-            message=f"test plan cannot be built: {ctx.plan_error}",
-            hint="fix the netlist/transparency errors above, or allow test muxes",
+        yield (
+            location(ctx.system, "plan"),
+            f"test plan cannot be built: {ctx.plan_error}",
+            "fix the netlist/transparency errors above, or allow test muxes",
         )
 
 
-def check_reservation_windows(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_reservation_windows(ctx: LintContext) -> Iterator[Finding]:
     """plan.reservation-overlap: cadence covers every resource's busy time.
 
     Each transparency transfer occupies its RCG arcs and terminal ports
@@ -80,33 +78,25 @@ def check_reservation_windows(ctx: LintContext) -> Iterator[Diagnostic]:
                 busy[(conduit, "port", port)] += count * path.latency
         where = location(ctx.system, ("core", core_name))
         if core_plan.cadence < longest:
-            yield Diagnostic(
-                rule="plan.reservation-overlap",
-                severity=Severity.ERROR,
-                location=where,
-                message=(
-                    f"cadence {core_plan.cadence} is shorter than the longest "
-                    f"delivery/observation path ({longest} cycles)"
-                ),
-                hint="cadence must be max(longest path, busiest resource)",
+            yield (
+                where,
+                f"cadence {core_plan.cadence} is shorter than the longest "
+                f"delivery/observation path ({longest} cycles)",
+                "cadence must be max(longest path, busiest resource)",
             )
         if busy:
             resource, total = max(busy.items(), key=lambda kv: (kv[1], repr(kv[0])))
             if core_plan.cadence < total:
-                yield Diagnostic(
-                    rule="plan.reservation-overlap",
-                    severity=Severity.ERROR,
-                    location=where,
-                    message=(
-                        f"cadence {core_plan.cadence} cannot hold the "
-                        f"{total}-cycle reservation on shared resource "
-                        f"{resource[0]}:{resource[1]}"
-                    ),
-                    hint="reservation windows on a shared CCG edge must not overlap",
+                yield (
+                    where,
+                    f"cadence {core_plan.cadence} cannot hold the "
+                    f"{total}-cycle reservation on shared resource "
+                    f"{resource[0]}:{resource[1]}",
+                    "reservation windows on a shared CCG edge must not overlap",
                 )
 
 
-def check_mux_bookkeeping(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_mux_bookkeeping(ctx: LintContext) -> Iterator[Finding]:
     """plan.mux-unrecorded: every test-mux fallback is a recorded TestMux."""
     plan = ctx.plan
     if plan is None:
@@ -118,38 +108,28 @@ def check_mux_bookkeeping(ctx: LintContext) -> Iterator[Diagnostic]:
     for core_name, core_plan in sorted(plan.core_plans.items()):
         for delivery in core_plan.deliveries:
             if delivery.via_test_mux and (core_name, delivery.port) not in input_muxes:
-                yield Diagnostic(
-                    rule="plan.mux-unrecorded",
-                    severity=Severity.ERROR,
-                    location=location(
-                        ctx.system, ("core", core_name), ("port", delivery.port)
-                    ),
-                    message=(
-                        f"delivery to {core_name}.{delivery.port} claims a test-mux "
-                        f"fallback but no input test mux is recorded"
-                    ),
-                    hint="the mux is real chip area; record it or re-plan",
+                yield (
+                    location(ctx.system, ("core", core_name), ("port", delivery.port)),
+                    f"delivery to {core_name}.{delivery.port} claims a test-mux "
+                    f"fallback but no input test mux is recorded",
+                    "the mux is real chip area; record it or re-plan",
                 )
         for observation in core_plan.observations:
             key = (core_name, observation.port, observation.lo, observation.width)
             if observation.via_test_mux and key not in output_muxes:
-                yield Diagnostic(
-                    rule="plan.mux-unrecorded",
-                    severity=Severity.ERROR,
-                    location=location(
+                yield (
+                    location(
                         ctx.system, ("core", core_name),
                         ("port", f"{observation.port}[{observation.lo}+{observation.width}]"),
                     ),
-                    message=(
-                        f"observation of {core_name}.{observation.port}"
-                        f"[{observation.lo}+{observation.width}] claims a test-mux "
-                        f"fallback but no output test mux is recorded"
-                    ),
-                    hint="the mux is real chip area; record it or re-plan",
+                    f"observation of {core_name}.{observation.port}"
+                    f"[{observation.lo}+{observation.width}] claims a test-mux "
+                    f"fallback but no output test mux is recorded",
+                    "the mux is real chip area; record it or re-plan",
                 )
 
 
-def check_tat_accounting(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_tat_accounting(ctx: LintContext) -> Iterator[Finding]:
     """plan.tat-consistency: scan steps and flush match their sources.
 
     ``scan_steps`` must equal the core's HSCAN vector count and
@@ -165,33 +145,25 @@ def check_tat_accounting(ctx: LintContext) -> Iterator[Diagnostic]:
             continue
         where = location(ctx.system, ("core", core_name))
         if core_plan.scan_steps != core.hscan_vectors:
-            yield Diagnostic(
-                rule="plan.tat-consistency",
-                severity=Severity.ERROR,
-                location=where,
-                message=(
-                    f"plan records {core_plan.scan_steps} scan steps but the "
-                    f"core's HSCAN test set needs {core.hscan_vectors}"
-                ),
-                hint="scan_steps = vectors x (depth+1); re-derive from the core",
+            yield (
+                where,
+                f"plan records {core_plan.scan_steps} scan steps but the "
+                f"core's HSCAN test set needs {core.hscan_vectors}",
+                "scan_steps = vectors x (depth+1); re-derive from the core",
             )
         expected_flush = max(0, core.scan_depth - 1) + max(
             (o.latency for o in core_plan.observations), default=0
         )
         if core_plan.flush != expected_flush:
-            yield Diagnostic(
-                rule="plan.tat-consistency",
-                severity=Severity.ERROR,
-                location=where,
-                message=(
-                    f"plan records flush {core_plan.flush} but depth and "
-                    f"observation latencies give {expected_flush}"
-                ),
-                hint="flush = (depth-1) + slowest observation latency",
+            yield (
+                where,
+                f"plan records flush {core_plan.flush} but depth and "
+                f"observation latencies give {expected_flush}",
+                "flush = (depth-1) + slowest observation latency",
             )
 
 
-def check_selection(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_selection(ctx: LintContext) -> Iterator[Finding]:
     """plan.selection-range: the version selection names real versions."""
     plan = ctx.plan
     if plan is None:
@@ -201,36 +173,28 @@ def check_selection(ctx: LintContext) -> Iterator[Diagnostic]:
         where = location(ctx.system, ("core", core_name))
         core = plan.soc.cores.get(core_name)
         if core is None or core_name not in testable:
-            yield Diagnostic(
-                rule="plan.selection-range",
-                severity=Severity.ERROR,
-                location=where,
-                message=f"selection names {core_name!r}, which is not a testable core",
-                hint="drop the entry (memory cores are BIST-tested)",
+            yield (
+                where,
+                f"selection names {core_name!r}, which is not a testable core",
+                "drop the entry (memory cores are BIST-tested)",
             )
             continue
         if not 0 <= index < core.version_count:
-            yield Diagnostic(
-                rule="plan.selection-range",
-                severity=Severity.ERROR,
-                location=where,
-                message=(
-                    f"selection asks for version {index + 1} of {core_name}, "
-                    f"which has versions 1..{core.version_count}"
-                ),
-                hint="pick an existing version index",
+            yield (
+                where,
+                f"selection asks for version {index + 1} of {core_name}, "
+                f"which has versions 1..{core.version_count}",
+                "pick an existing version index",
             )
     for name in sorted(testable - set(plan.selection)):
-        yield Diagnostic(
-            rule="plan.selection-range",
-            severity=Severity.ERROR,
-            location=location(ctx.system, ("core", name)),
-            message=f"testable core {name!r} is missing from the version selection",
-            hint="every testable core needs a selected version (default 0)",
+        yield (
+            location(ctx.system, ("core", name)),
+            f"testable core {name!r} is missing from the version selection",
+            "every testable core needs a selected version (default 0)",
         )
 
 
-def check_mux_usage_note(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_mux_usage_note(ctx: LintContext) -> Iterator[Finding]:
     """plan.mux-usage: advisory note for every test-mux fallback taken.
 
     Test muxes are the paper's last resort ("if there is no path
@@ -241,39 +205,24 @@ def check_mux_usage_note(ctx: LintContext) -> Iterator[Diagnostic]:
     if plan is None:
         return
     for mux in plan.test_muxes:
-        yield Diagnostic(
-            rule="plan.mux-usage",
-            severity=Severity.INFO,
-            location=location(ctx.system, ("core", mux.core), ("port", mux.port)),
-            message=f"test-mux fallback in use: {mux} ({mux.cost} cells)",
-            hint="a higher transparency version upstream may remove the need",
+        yield (
+            location(ctx.system, ("core", mux.core), ("port", mux.port)),
+            f"test-mux fallback in use: {mux} ({mux.cost} cells)",
+            "a higher transparency version upstream may remove the need",
         )
 
 
-def register_rules(registry) -> None:
-    from repro.lint.registry import Rule
-
-    registry.register(Rule(
-        "plan.infeasible", "plan", Severity.ERROR,
-        "the SOC test plan can be constructed", check_infeasible,
-    ))
-    registry.register(Rule(
-        "plan.reservation-overlap", "plan", Severity.ERROR,
-        "reservation windows fit the declared cadence", check_reservation_windows,
-    ))
-    registry.register(Rule(
-        "plan.mux-unrecorded", "plan", Severity.ERROR,
-        "test-mux fallbacks are recorded in the plan", check_mux_bookkeeping,
-    ))
-    registry.register(Rule(
-        "plan.tat-consistency", "plan", Severity.ERROR,
-        "TAT accounting is internally consistent", check_tat_accounting,
-    ))
-    registry.register(Rule(
-        "plan.selection-range", "plan", Severity.ERROR,
-        "the version selection names real versions", check_selection,
-    ))
-    registry.register(Rule(
-        "plan.mux-usage", "plan", Severity.INFO,
-        "advisory: test-mux fallbacks in use", check_mux_usage_note,
-    ))
+RULES = (
+    Rule("plan.infeasible", "plan", Severity.ERROR,
+         "the SOC test plan can be constructed", check_infeasible),
+    Rule("plan.reservation-overlap", "plan", Severity.ERROR,
+         "reservation windows fit the declared cadence", check_reservation_windows),
+    Rule("plan.mux-unrecorded", "plan", Severity.ERROR,
+         "test-mux fallbacks are recorded in the plan", check_mux_bookkeeping),
+    Rule("plan.tat-consistency", "plan", Severity.ERROR,
+         "TAT accounting is internally consistent", check_tat_accounting),
+    Rule("plan.selection-range", "plan", Severity.ERROR,
+         "the version selection names real versions", check_selection),
+    Rule("plan.mux-usage", "plan", Severity.INFO,
+         "advisory: test-mux fallbacks in use", check_mux_usage_note),
+)

@@ -10,23 +10,21 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.diagnostics import Diagnostic, Severity, location
-from repro.lint.registry import LintContext
+from repro.lint.diagnostics import Severity, location
+from repro.lint.registry import Finding, LintContext, Rule
 
 
-def check_infeasible(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_infeasible(ctx: LintContext) -> Iterator[Finding]:
     """sched.infeasible: the schedule layer could be built at all."""
     if ctx.schedule is None and ctx.schedule_error is not None:
-        yield Diagnostic(
-            rule="sched.infeasible",
-            severity=Severity.ERROR,
-            location=location(ctx.system, "schedule"),
-            message=f"test schedule cannot be built: {ctx.schedule_error}",
-            hint="relax the power budget or fix the plan errors above",
+        yield (
+            location(ctx.system, "schedule"),
+            f"test schedule cannot be built: {ctx.schedule_error}",
+            "relax the power budget or fix the plan errors above",
         )
 
 
-def check_resource_conflicts(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_resource_conflicts(ctx: LintContext) -> Iterator[Finding]:
     """sched.resource-conflict: overlapping tests never share a resource."""
     schedule = ctx.schedule
     if schedule is None:
@@ -34,19 +32,17 @@ def check_resource_conflicts(ctx: LintContext) -> Iterator[Diagnostic]:
     for violation in schedule.iter_violations():
         if violation.kind != "resource":
             continue
-        yield Diagnostic(
-            rule="sched.resource-conflict",
-            severity=Severity.ERROR,
-            location=location(
+        yield (
+            location(
                 ctx.system, ("schedule", schedule.algorithm),
                 ("cores", "+".join(violation.cores)),
             ),
-            message=violation.message,
-            hint="shift one test past the other or re-run the scheduler",
+            violation.message,
+            "shift one test past the other or re-run the scheduler",
         )
 
 
-def check_power_budget(ctx: LintContext) -> Iterator[Diagnostic]:
+def check_power_budget(ctx: LintContext) -> Iterator[Finding]:
     """sched.power-budget: concurrent scan activity stays under budget."""
     schedule = ctx.schedule
     if schedule is None:
@@ -54,30 +50,21 @@ def check_power_budget(ctx: LintContext) -> Iterator[Diagnostic]:
     for violation in schedule.iter_violations():
         if violation.kind != "power":
             continue
-        yield Diagnostic(
-            rule="sched.power-budget",
-            severity=Severity.ERROR,
-            location=location(
+        yield (
+            location(
                 ctx.system, ("schedule", schedule.algorithm),
                 ("cores", "+".join(violation.cores)),
             ),
-            message=violation.message,
-            hint="stagger the offending sessions or raise the budget",
+            violation.message,
+            "stagger the offending sessions or raise the budget",
         )
 
 
-def register_rules(registry) -> None:
-    from repro.lint.registry import Rule
-
-    registry.register(Rule(
-        "sched.infeasible", "schedule", Severity.ERROR,
-        "the concurrent schedule can be constructed", check_infeasible,
-    ))
-    registry.register(Rule(
-        "sched.resource-conflict", "schedule", Severity.ERROR,
-        "overlapping tests occupy disjoint resources", check_resource_conflicts,
-    ))
-    registry.register(Rule(
-        "sched.power-budget", "schedule", Severity.ERROR,
-        "concurrent scan activity respects the budget", check_power_budget,
-    ))
+RULES = (
+    Rule("sched.infeasible", "schedule", Severity.ERROR,
+         "the concurrent schedule can be constructed", check_infeasible),
+    Rule("sched.resource-conflict", "schedule", Severity.ERROR,
+         "overlapping tests occupy disjoint resources", check_resource_conflicts),
+    Rule("sched.power-budget", "schedule", Severity.ERROR,
+         "concurrent scan activity respects the budget", check_power_budget),
+)

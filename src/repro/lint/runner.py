@@ -1,4 +1,4 @@
-"""The lint entry point: build a context and run the registry over it.
+"""The lint entry point: build a context and run the rule table over it.
 
 ``lint_soc`` is the full four-layer pass the CLI runs: core RTL
 structure, chip wiring + transparency versions, then -- only when those
@@ -11,21 +11,19 @@ certificate its soc layer builds is reused by the plan layer.
 
 Callers that want a precondition check call it (or
 :func:`repro.analysis.certify_soc`) and act on the report's errors; a
-narrower check runs the registry over a :class:`LintContext` of its own
-(``DEFAULT_REGISTRY.run(context, scopes=("plan",))``).
+narrower check runs one layer's rules over a :class:`LintContext` of its
+own (``run_rules(context, scopes=("plan",))``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ReproError
 from repro.lint.diagnostics import LintReport
-from repro.lint.registry import LintContext, RuleRegistry
+from repro.lint.registry import LintContext, run_rules
 from repro.obs import profile_section
 
 
-def lint_soc(soc, registry: Optional[RuleRegistry] = None) -> LintReport:
+def lint_soc(soc) -> LintReport:
     """The full static pass over every artifact layer of one SOC.
 
     The plan and schedule layers check the default plan (every core at
@@ -33,16 +31,13 @@ def lint_soc(soc, registry: Optional[RuleRegistry] = None) -> LintReport:
     are skipped: building a plan on a broken SOC would raise rather than
     lint.
     """
-    from repro.lint import DEFAULT_REGISTRY
-
-    registry = registry or DEFAULT_REGISTRY
     with profile_section("lint.pass"):
         context = LintContext(
             system=soc.name,
             circuits=[(core.name, core.circuit) for core in soc.testable_cores()],
             soc=soc,
         )
-        report = registry.run(context, scopes=("circuit", "soc"))
+        report = run_rules(context, scopes=("circuit", "soc"))
         if report.errors:
             return report
 
@@ -52,12 +47,11 @@ def lint_soc(soc, registry: Optional[RuleRegistry] = None) -> LintReport:
             context.plan = plan_soc_test(soc)
         except ReproError as error:
             context.plan_error = error
-        registry.run(context, scopes=("plan",), report=report)
+        run_rules(context, scopes=("plan",), report=report)
         if context.plan is not None and not report.errors:
             try:
                 context.schedule = context.plan.schedule()
             except ReproError as error:
                 context.schedule_error = error
-            registry.run(context, scopes=("schedule",), report=report)
+            run_rules(context, scopes=("schedule",), report=report)
         return report
-

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.rtl.circuit import RTLCircuit
-from repro.rtl.components import Mux, Output, Register
+from repro.rtl.components import Mux
 from repro.rtl.types import ComponentKind, Expr, Slice, expr_parts, slice_expr
 
 

@@ -19,7 +19,7 @@ the full component width, so they compose directly into expressions via
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import NetlistError
 from repro.rtl.circuit import RTLCircuit

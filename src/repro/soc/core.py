@@ -9,8 +9,8 @@ evaluation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.dft.hscan import HscanResult, insert_hscan
 from repro.dft.tat import hscan_vector_count

@@ -23,7 +23,7 @@ value appears at the target output slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.errors import TransparencyError
 from repro.rtl.circuit import RTLCircuit

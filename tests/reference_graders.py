@@ -88,7 +88,7 @@ class ReferenceGrader:
             visited.add(name)
             for reader in fanout[name]:
                 kind = self.netlist.gate(reader).kind
-                if kind in (GateKind.DFF, GateKind.SDFF):
+                if kind is GateKind.DFF:
                     continue  # the D net itself is observed; state stops the cone
                 stack.append(reader)
         ordered = sorted(
@@ -154,7 +154,7 @@ class ReferenceGrader:
                 return 0
             cone_root = fault.gate
             overlay: Dict[str, int] = {fault.gate: stuck_word}
-        elif gate.kind in (GateKind.DFF, GateKind.SDFF):
+        elif gate.kind is GateKind.DFF:
             # A flop input-pin fault is observed directly at scan capture:
             # the captured value differs wherever the pin net toggles away
             # from the stuck value.

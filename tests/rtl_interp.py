@@ -14,7 +14,7 @@ from typing import Dict, Mapping
 from repro.errors import SimulationError
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.components import Constant, Input, Mux, Operator, Output, Register
-from repro.rtl.types import ComponentKind, Expr, OpKind, expr_parts
+from repro.rtl.types import Expr, OpKind, expr_parts
 
 
 class RTLInterpreter:

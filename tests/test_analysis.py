@@ -1,6 +1,5 @@
 """Tests for the symbolic transparency certifier (repro.analysis)."""
 
-import dataclasses
 import json
 import os
 import subprocess

@@ -6,7 +6,7 @@ from repro.baselines import fscan_bscan_report, evaluate_test_bus
 from repro.designs import build_system1, build_system2
 from repro.dft.tat import fscan_bscan_core_tat
 from repro.flow import flatten_soc
-from repro.gates import GateKind, SequentialSimulator
+from repro.gates import SequentialSimulator
 from repro.soc import plan_soc_test
 
 from tests.reference_controller import synthesize_controller

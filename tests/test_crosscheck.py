@@ -17,7 +17,7 @@ from repro.elaborate import elaborate
 from repro.gates import SequentialSimulator
 from repro.rtl import CircuitBuilder, OpKind, Slice
 from tests.rtl_interp import RTLInterpreter
-from repro.rtl.types import Concat, concat
+from repro.rtl.types import Concat
 
 from tests.bits import int_to_bits
 

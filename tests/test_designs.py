@@ -5,14 +5,9 @@ import pytest
 from repro.designs import (
     build_cpu,
     build_display,
-    build_gcd,
-    build_graphics,
     build_preprocessor,
-    build_ram,
-    build_rom,
     build_system1,
     build_system2,
-    build_x25,
     core_builders,
     system_builders,
 )

@@ -1,11 +1,10 @@
 """Tests for RTL-to-gate elaboration: operators, muxes, registers."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.elaborate import elaborate
-from repro.gates import CombinationalSimulator, SequentialSimulator
+from repro.gates import SequentialSimulator
 from repro.rtl import CircuitBuilder, OpKind
 from repro.rtl.types import Concat
 

@@ -18,7 +18,7 @@ from repro.faults import (
 )
 from repro.faults.coverage import CoverageReport
 from repro.flow import flatten_soc
-from repro.gates import GateKind, GateNetlist
+from repro.gates import GateKind, GateNetlist, SequentialSimulator
 
 from tests.test_podem_property import random_netlist
 
@@ -296,34 +296,62 @@ class TestSequentialGrade:
         with pytest.raises(SimulationError, match=r"sequence 1 has 2 cycles, expected 1"):
             sequential_fault_grade(n, [[{"en": 1}], [{"en": 1}, {"en": 0}]], [])
 
-    def test_more_sequences_than_pack_limit_chunks(self, monkeypatch):
-        """Beyond-pack-limit stimulus sets grade in chunks instead of raising."""
-        import repro.faults.simulator as fsim
+    def test_first_detection_is_the_earliest_over_every_sequence(self):
+        """300 sequences grade as one group: a fault's first detection is
+        its earliest cycle over the whole set, as a replay of the whole
+        set on the sequential simulator finds it, and dropping a fault
+        in one sequence never hides an earlier detection in another."""
+        n = and_netlist()
+        idle, hit = {"a": 0, "b": 0}, {"a": 1, "b": 1}
+        sequences = [[idle] * 8 for _ in range(300)]
+        sequences[0] = [idle] * 5 + [hit] + [idle] * 2  # y/sa0 at cycle 5
+        sequences[290] = [idle] * 2 + [hit] + [idle] * 5  # y/sa0 at cycle 2
+        faults = [Fault("y", None, 0), Fault("y", None, 1), Fault("a", None, 1)]
+        result = sequential_fault_grade(n, sequences, faults)
+        assert result.detected == faults[:2] and result.undetected == faults[2:]
+        assert result.first_detection == {faults[0]: 2, faults[1]: 0}
 
+        words = [
+            {name: sum(seq[cycle][name] << i for i, seq in enumerate(sequences))
+             for name in ("a", "b")}
+            for cycle in range(8)
+        ]
+        good = SequentialSimulator(n, pattern_count=300).run_sequence(words)
+        for fault in faults[:2]:
+            faulty = SequentialSimulator(n, pattern_count=300, fault=fault.site())
+            trace = faulty.run_sequence(words)
+            first = next(cycle for cycle in range(8) if trace[cycle] != good[cycle])
+            assert result.first_detection[fault] == first
+
+    def test_more_sequences_than_pack_limit_chunks(self):
+        """A set wider than a 256-sequence pack grades as one group to what
+        grading each distinct sequence alone finds: the detecting sequence
+        buried past the first 256 is still seen, at its own cycle."""
         n = self.toggle()
         faults = collapse_faults(n, full_fault_universe(n))
-        # one detecting sequence buried past the (shrunk) pack limit
-        sequences = [[{"en": 0}, {"en": 0}, {"en": 0}]] * 5 + [
-            [{"en": 1}, {"en": 0}, {"en": 0}]
-        ]
-        baseline = sequential_fault_grade(n, sequences, list(faults))
+        idle = [{"en": 0}, {"en": 0}, {"en": 0}]
+        toggling = [{"en": 1}, {"en": 0}, {"en": 0}]
+        sequences = [idle] * 300 + [toggling]
+        whole = sequential_fault_grade(n, sequences, list(faults))
 
-        monkeypatch.setattr(fsim, "SEQUENCE_PACK_LIMIT", 2)
-        chunked = sequential_fault_grade(n, sequences, list(faults))
-        assert set(chunked.detected) == set(baseline.detected)
-        assert set(chunked.undetected) == set(baseline.undetected)
-        assert chunked.total == baseline.total
+        alone = [sequential_fault_grade(n, [seq], list(faults)) for seq in (idle, toggling)]
+        detected = set().union(*(set(r.detected) for r in alone))
+        assert detected
+        assert set(whole.detected) == detected
+        assert set(whole.undetected) == set(faults) - detected
+        assert whole.total == len(faults)
+        for fault in detected:
+            earliest = min(r.first_detection[f] for r in alone for f in r.detected if f == fault)
+            assert whole.first_detection[fault] == earliest
 
-    def test_large_pack_no_longer_raises(self, monkeypatch):
-        import repro.faults.simulator as fsim
-
+    def test_large_pack_no_longer_raises(self):
         n = self.toggle()
         fault = Fault("q", None, 0)
-        monkeypatch.setattr(fsim, "SEQUENCE_PACK_LIMIT", 4)
-        sequences = [[{"en": 0}, {"en": 0}]] * 9 + [[{"en": 1}, {"en": 0}]] * 2
+        sequences = [[{"en": 0}, {"en": 0}]] * 1030 + [[{"en": 1}, {"en": 0}]] * 2
         result = sequential_fault_grade(n, sequences, [fault])
         assert result.total == 1
         assert fault in result.detected
+        assert result.first_detection[fault] == 1
 
 
 #: every entry point that meets a fault list with the netlist's structure

@@ -159,24 +159,6 @@ class TestSequentialSimulator:
         with pytest.raises(SimulationError):
             SequentialSimulator(self.counter_netlist(), initial_states={"nope": 1})
 
-    def test_sdff_scan_shift(self):
-        n = GateNetlist("scan")
-        n.add_gate("d", GateKind.INPUT)
-        n.add_gate("si", GateKind.INPUT)
-        n.add_gate("se", GateKind.INPUT)
-        n.add_gate("f1", GateKind.SDFF, ["d", "si", "se"])
-        n.add_gate("f2", GateKind.SDFF, ["d", "f1", "se"])
-        n.add_gate("O", GateKind.OUTPUT, ["f2"])
-        n.validate()
-        sim = SequentialSimulator(n)
-        # shift 1 then 0 through the chain with scan enable on
-        sim.step({"d": 0, "si": 1, "se": 1})
-        sim.step({"d": 0, "si": 0, "se": 1})
-        assert sim.states == {"f1": 0, "f2": 1}
-        # functional capture
-        sim.step({"d": 1, "si": 0, "se": 0})
-        assert sim.states == {"f1": 1, "f2": 1}
-
     def test_stuck_flop_fault(self):
         sim = SequentialSimulator(self.counter_netlist(), fault=FaultSite("q", None, 0))
         outs = [sim.step({"en": 1})["Q"] for _ in range(3)]

@@ -1,7 +1,5 @@
 """Tests for HSCAN insertion: chain construction, costs, and applied RTL."""
 
-import pytest
-
 from repro.dft import apply_hscan, insert_hscan
 from repro.dft.scan import COST_DIRECT_LINK, COST_MUX_PATH_LINK, ScanUnit
 from repro.elaborate import elaborate

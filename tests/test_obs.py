@@ -1,5 +1,8 @@
 """Tests for the observability layer (metrics, profiling, the file validator, CLI)."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -303,6 +306,46 @@ class TestCliObservability:
             main(["profile", "SystemX"])
         assert exc.value.code == 2  # usage errors exit 2, message on stderr
         assert "repro:" in capsys.readouterr().err
+
+
+#: a fresh quick System1 run that prints the ``repro`` modules first
+#: loaded inside the root section
+FIRST_LOADS = """
+import sys
+from contextlib import contextmanager
+
+from repro.flow import profile
+from repro.obs.profiler import ROOT_SECTION
+
+timed = profile.profile_section
+inside = []
+
+
+@contextmanager
+def section(name):
+    before = set(sys.modules) if name == ROOT_SECTION else None
+    with timed(name):
+        yield
+    if before is not None:
+        inside.extend(sorted(set(sys.modules) - before))
+
+
+profile.profile_section = section
+profile.run_pipeline("System1", max_faults=profile.QUICK_MAX_FAULTS)
+print(" ".join(name for name in inside if name.partition(".")[0] == "repro"))
+"""
+
+
+def test_root_section_first_loads_no_module():
+    """The stages' modules load before ``profile.total`` opens, so a
+    fresh run's ``unaccounted`` time holds no import."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_LOADS],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 class TestDeterminism:

@@ -6,14 +6,12 @@ from repro.errors import ScheduleError
 from repro.rtl import CircuitBuilder
 from repro.schedule import (
     ScheduledTest,
-    TestItem,
     TestSchedule,
     build_test_items,
     conflict_pairs,
     get_scheduler,
     render_gantt,
     resource_set,
-    schedule_plan,
 )
 from repro.soc import Core, Soc, plan_soc_test
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.designs import build_system1, build_system2, system_builders
+from repro.designs import build_system1, system_builders
 from repro.errors import SocError
 from repro.flow.report import (
     AreaRow,
