@@ -3,8 +3,11 @@
 This package is the one transparency checker.  It proves, at the
 bit-slice level, that every input of a core version propagates and
 every output slice justifies within the declared latency, and packages
-the result as a machine-checkable artifact; the lint layer's
-``trans.*`` and ``analysis.*`` rules report its verdicts:
+the result as a machine-checkable artifact, the certificate.  The
+certificate is the one verdict; everything else reads it: the lint
+layer's ``trans.*`` and ``analysis.*`` rules and ``repro certify``
+report its findings, each at the severity the lint rule table declares,
+and the gate-level replay replays the paths it proved.
 
 ``provenance``
     slice-provenance dataflow over path trees -- which terminal bits
@@ -16,12 +19,15 @@ the result as a machine-checkable artifact; the lint layer's
     demands are hard refutations, shared-select-net disagreements are
     advisories.
 ``certify``
-    per-version proofs and coverage gaps, and chip-level composition,
-    into a stable JSON :class:`Certificate` (:func:`certify_soc`) whose
-    shape is ``CERTIFICATE_SHAPE`` (``repro validate`` checks it).
+    per-version proofs and coverage gaps (each core's RCG extracted
+    once, :func:`certify_core`), and chip-level composition, into a
+    stable JSON :class:`Certificate` (:func:`certify_soc`) whose shape
+    is ``CERTIFICATE_SHAPE`` (``repro validate`` checks it) and whose
+    :meth:`~Certificate.findings` are severity-free records.
 ``differential``
-    the identity anchor: replay every proved path on the gate-level
-    simulator (:func:`replay_soc`) -- "proved" must mean "transports".
+    the identity anchor: replay every path a certificate proved on the
+    gate-level simulator, against the certificate's own segment map
+    (:func:`replay_soc`) -- "proved" must mean "transports".
 
 Everything here is deterministic by construction: iteration is over
 sorted sequences only (codestyle rule DET004), so certificates are
@@ -32,14 +38,14 @@ from repro.analysis.certify import (
     CERTIFICATE_KIND,
     CERTIFICATE_SCHEMA_VERSION,
     Certificate,
+    CertificateFinding,
     PathProof,
     RouteRecord,
     VersionCertificate,
+    certify_core,
     certify_plan,
     certify_soc,
-    certify_version,
     certify_versions,
-    fresh_known_arcs,
     path_location,
 )
 from repro.analysis.differential import (
@@ -59,6 +65,7 @@ __all__ = [
     "CERTIFICATE_KIND",
     "CERTIFICATE_SCHEMA_VERSION",
     "Certificate",
+    "CertificateFinding",
     "PathProof",
     "ProvenanceSegment",
     "ReplayResult",
@@ -68,12 +75,11 @@ __all__ = [
     "SelectSolver",
     "SliceProof",
     "VersionCertificate",
+    "certify_core",
     "certify_plan",
     "certify_soc",
-    "certify_version",
     "certify_versions",
     "check_path_selects",
-    "fresh_known_arcs",
     "path_location",
     "prove_path",
     "replay_path",

@@ -10,9 +10,11 @@ across the interconnect: a chip-level test plan's access routes
 (deliveries and observations) are certified only when every
 transparency usage they lean on is itself a proved path of the selected
 version.  The result is a :class:`Certificate` -- a stable JSON
-artifact (``repro certify SYSTEM --json``) that the lint rules
-(``trans.*`` and ``analysis.*``) and CI check instead of trusting
-declared version metadata.
+artifact (``repro certify SYSTEM --json``) and the one transparency
+verdict: the lint rules (``trans.*`` and ``analysis.*``) and ``repro
+certify`` report its :meth:`Certificate.findings`, and the gate-level
+replay (:func:`repro.analysis.replay_soc`) replays the paths it proved,
+instead of trusting declared version metadata.
 
 Determinism contract: every iteration in this module is over
 explicitly sorted sequences, so the same design always serializes to
@@ -24,24 +26,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.muxsat import SelectSolver, check_path_selects
 from repro.analysis.provenance import SliceProof, prove_path
 from repro.errors import ReproError
-from repro.lint import RULES
-from repro.lint.diagnostics import Diagnostic, Severity, location
+from repro.lint.diagnostics import location
 from repro.obs import METRICS, profile_section
 from repro.rtl.types import Slice
 from repro.transparency.rcg import RCG
+from repro.transparency.search import TransparencyPath
 from repro.util.schema import ANY, INTEGER, ListOf, Object, one_of
 
 CERTIFICATE_SCHEMA_VERSION = 2
 CERTIFICATE_KIND = "repro-certificate"
-
-#: each rule's severity, as the lint table declares it
-_SEVERITY = {rule.rule_id: rule.severity for rule in RULES}
-
 
 def _status_agrees_with_problems(path):
     """A proved path lists no problems; a refuted one lists at least one."""
@@ -121,50 +119,20 @@ def path_location(system: str, core: str, version_index: int, port: str) -> str:
     return location(system, ("core", core), ("version", version_index + 1), ("port", port))
 
 
-def fresh_known_arcs(circuit, version, hscan) -> Dict[Tuple, "object"]:
-    """Re-extract the admissible arc set from the *actual* netlist.
-
-    The RCG stored on a :class:`~repro.transparency.versions.CoreVersion`
-    was computed at generation time; if the shipped circuit has since
-    diverged (a tampered or mis-packaged core), its declared arcs can be
-    phantoms.  Proofs must therefore admit only arcs backed by the
-    circuit in hand:
-
-    * structural arcs re-derived by :meth:`RCG.from_circuit` -- plus any
-      HSCAN-plan arc that is an offset-aligned sub-slice of one (split
-      scan units ride real wires);
-    * the version's own added bypass muxes, which are materialized by
-      ``apply_transparency_path`` and so exist by construction.
-
-    HSCAN-plan arcs with *no* structural backing are dropped: the plan
-    is generation-time metadata and must not vouch for wiring the
-    netlist no longer has.
-    """
-    structural = RCG.from_circuit(circuit, None).arcs
-
-    def backed(arc) -> bool:
-        for real in structural:
-            if (
-                real.mux_path == arc.mux_path
-                and real.source.comp == arc.source.comp
-                and real.dest.comp == arc.dest.comp
-                and real.source.lo <= arc.source.lo
-                and arc.source.hi <= real.source.hi
-                and real.dest.lo <= arc.dest.lo
-                and arc.dest.hi <= real.dest.hi
-                and arc.source.lo - real.source.lo == arc.dest.lo - real.dest.lo
-            ):
-                return True
-        return False
-
-    known = {
-        arc.key(): arc
-        for arc in RCG.from_circuit(circuit, hscan).arcs
-        if backed(arc)
-    }
-    for arc in version.added_muxes:
-        known[arc.key()] = arc
-    return known
+def _rides_structure(arc, structural) -> bool:
+    """``arc`` is an offset-aligned sub-slice of a structural arc on the
+    same mux path: split scan units ride real wires."""
+    return any(
+        real.mux_path == arc.mux_path
+        and real.source.comp == arc.source.comp
+        and real.dest.comp == arc.dest.comp
+        and real.source.lo <= arc.source.lo
+        and arc.source.hi <= real.source.hi
+        and real.dest.lo <= arc.dest.lo
+        and arc.dest.hi <= real.dest.hi
+        and arc.source.lo - real.source.lo == arc.dest.lo - real.dest.lo
+        for real in structural
+    )
 
 
 @dataclass
@@ -176,6 +144,7 @@ class PathProof:
     version_name: str
     direction: str
     key: Tuple  # justify: (output, lo, width); propagate: (input,)
+    path: TransparencyPath
     proof: SliceProof
     solver: SelectSolver
     structure_problems: List[str] = field(default_factory=list)
@@ -255,10 +224,6 @@ class VersionCertificate:
     def proved(self) -> bool:
         return not self.missing and all(path.proved for path in self.paths)
 
-    def lookup(self) -> Dict[Tuple[str, Tuple], PathProof]:
-        """(direction, path key) -> proof, for plan-route certification."""
-        return {(p.direction, p.key): p for p in self.paths}
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "core": self.core,
@@ -296,6 +261,24 @@ class RouteRecord:
         }
 
 
+@dataclass(frozen=True)
+class CertificateFinding:
+    """One thing a certificate reports, without a severity.
+
+    ``rule`` is the lint rule id it reports under; the lint rule table is
+    the one place that rule's severity is declared.  ``refutes_selection``
+    marks a refutation of the selected configuration -- a refuted path of
+    a selected version, a refuted route, a failed plan -- which ``repro
+    certify`` reports as an error.
+    """
+
+    rule: str
+    location: str
+    message: str
+    hint: str
+    refutes_selection: bool
+
+
 @dataclass
 class Certificate:
     """The full chip-level analysis result for one system + selection."""
@@ -309,10 +292,7 @@ class Certificate:
     replays: Optional[List[Dict[str, object]]] = None
 
     def iter_paths(self) -> List[PathProof]:
-        found: List[PathProof] = []
-        for version in self.versions:
-            found.extend(version.paths)
-        return found
+        return [path for version in self.versions for path in version.paths]
 
     def summary(self) -> Dict[str, int]:
         paths = self.iter_paths()
@@ -355,222 +335,208 @@ class Certificate:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    def diagnostics(self, escalate: bool = False) -> List[Diagnostic]:
-        """Render the certificate as lint diagnostics (see rules_analysis).
+    def findings(self) -> Iterator[CertificateFinding]:
+        """Every finding, in one walk: coverage gaps, path verdicts, routes.
 
-        Each diagnostic carries the severity the lint table
-        (:data:`repro.lint.RULES`) declares for its rule: coverage gaps
-        are ``trans.input-propagation`` and ``trans.output-justification``
-        ERRORs; a path whose proof derives another latency than it
-        declares is a ``trans.latency-overrun`` WARNING; refutations are
-        ``analysis.*`` WARNINGs.  ``escalate=True`` (the ``repro
-        certify`` CLI) is the one place a severity is raised: it reports
-        refutations that poison the *selected* configuration -- a refuted
-        path in a selected version, a refuted route, a failed plan -- as
-        ERROR.
+        Coverage gaps report under ``trans.input-propagation`` and
+        ``trans.output-justification``; a path whose proof derives another
+        latency than it declares under ``trans.latency-overrun``;
+        refutations under ``analysis.*``.
         """
-        found: List[Diagnostic] = []
         for version in self.versions:
             for direction, port in version.missing:
                 rule, kind = (
                     ("trans.input-propagation", "input") if direction == "propagate"
                     else ("trans.output-justification", "output slice")
                 )
-                found.append(
-                    Diagnostic(
-                        rule=rule,
-                        severity=_SEVERITY[rule],
-                        location=path_location(self.system, version.core, version.index, port),
-                        message=(
-                            f"{kind} {port} has no {direction} path in "
-                            f"{version.name} of {version.core}"
-                        ),
-                        hint=(
-                            "regenerate the version with "
-                            "repro.transparency.generate_versions (Core.from_circuit "
-                            "runs it), or add a transparency mux"
-                        ),
-                    )
+                yield CertificateFinding(
+                    rule=rule,
+                    location=path_location(self.system, version.core, version.index, port),
+                    message=(
+                        f"{kind} {port} has no {direction} path in "
+                        f"{version.name} of {version.core}"
+                    ),
+                    hint=(
+                        "regenerate the version with "
+                        "repro.transparency.generate_versions (Core.from_circuit "
+                        "runs it), or add a transparency mux"
+                    ),
+                    refutes_selection=False,
                 )
         for proof in self.iter_paths():
             if proof.proved and not proof.solver.advisories:
                 continue
             where = path_location(self.system, proof.core, proof.version_index, proof.label)
-            selected = self.selection.get(proof.core) == proof.version_index
             if proof.latency_overrun:
-                found.append(
-                    Diagnostic(
-                        rule="trans.latency-overrun",
-                        severity=_SEVERITY["trans.latency-overrun"],
-                        location=where,
-                        message=(
-                            f"{proof.direction} path for {proof.label} declares latency "
-                            f"{proof.proof.claimed_latency} but its proof derives "
-                            f"{proof.proof.derived_latency}"
-                        ),
-                        hint="recompute the path latency; the TAT model relies on it",
-                    )
+                yield CertificateFinding(
+                    rule="trans.latency-overrun",
+                    location=where,
+                    message=(
+                        f"{proof.direction} path for {proof.label} declares latency "
+                        f"{proof.proof.claimed_latency} but its proof derives "
+                        f"{proof.proof.derived_latency}"
+                    ),
+                    hint="recompute the path latency; the TAT model relies on it",
+                    refutes_selection=False,
                 )
             if not proof.proved:
                 conflict = bool(proof.solver.conflicts or proof.solver.structural)
-                rule = "analysis.mux-conflict" if conflict else "analysis.slice-provenance"
                 reasons = proof.problems()
-                found.append(
-                    Diagnostic(
-                        rule=rule,
-                        severity=(
-                            Severity.ERROR if escalate and selected else _SEVERITY[rule]
-                        ),
-                        location=where,
-                        message=(
-                            f"{proof.direction} path for {proof.label} is refuted: "
-                            + "; ".join(reasons[:3])
-                            + ("; ..." if len(reasons) > 3 else "")
-                        ),
-                        hint=(
-                            "the declared transparency mode cannot transport this "
-                            "slice; regenerate the version with "
-                            "repro.transparency.generate_versions (Core.from_circuit "
-                            "does this) or select a different version"
-                        ),
-                    )
+                yield CertificateFinding(
+                    rule="analysis.mux-conflict" if conflict else "analysis.slice-provenance",
+                    location=where,
+                    message=(
+                        f"{proof.direction} path for {proof.label} is refuted: "
+                        + "; ".join(reasons[:3])
+                        + ("; ..." if len(reasons) > 3 else "")
+                    ),
+                    hint=(
+                        "the declared transparency mode cannot transport this "
+                        "slice; regenerate the version with "
+                        "repro.transparency.generate_versions (Core.from_circuit "
+                        "does this) or select a different version"
+                    ),
+                    refutes_selection=self.selection.get(proof.core) == proof.version_index,
                 )
             for advisory in proof.solver.advisories:
-                found.append(
-                    Diagnostic(
-                        rule="analysis.select-sharing",
-                        severity=_SEVERITY["analysis.select-sharing"],
-                        location=where,
-                        message=(
-                            f"{proof.direction} path for {proof.label} drives a "
-                            f"shared select net both ways: {advisory}"
-                        ),
-                        hint=(
-                            "realizable in test mode (per-mux tsel overrides "
-                            "decouple the shared net) but costs one extra select "
-                            "override mux"
-                        ),
-                    )
+                yield CertificateFinding(
+                    rule="analysis.select-sharing",
+                    location=where,
+                    message=(
+                        f"{proof.direction} path for {proof.label} drives a "
+                        f"shared select net both ways: {advisory}"
+                    ),
+                    hint=(
+                        "realizable in test mode (per-mux tsel overrides "
+                        "decouple the shared net) but costs one extra select "
+                        "override mux"
+                    ),
+                    refutes_selection=False,
                 )
         if self.plan_error is not None:
-            found.append(
-                Diagnostic(
-                    rule="analysis.access-route",
-                    severity=Severity.ERROR if escalate else _SEVERITY["analysis.access-route"],
-                    location=location(self.system),
-                    message=f"no test plan exists for this selection: {self.plan_error}",
-                    hint="fix the planning failure before trusting TAT/area numbers",
-                )
+            yield CertificateFinding(
+                rule="analysis.access-route",
+                location=location(self.system),
+                message=f"no test plan exists for this selection: {self.plan_error}",
+                hint="fix the planning failure before trusting TAT/area numbers",
+                refutes_selection=True,
             )
         for route in self.routes:
             if route.status == "refuted":
-                found.append(
-                    Diagnostic(
-                        rule="analysis.access-route",
-                        severity=(
-                            Severity.ERROR if escalate else _SEVERITY["analysis.access-route"]
-                        ),
-                        location=path_location(
-                            self.system, route.core,
-                            self.selection.get(route.core, 0), route.port,
-                        ),
-                        message=(
-                            f"{route.kind} route for {route.core}.{route.port} leans "
-                            f"on unproved transparency: " + "; ".join(route.problems[:3])
-                        ),
-                        hint=(
-                            "the plan counts cycles through a path the certifier "
-                            "refuted; regenerate versions or change the selection"
-                        ),
-                    )
+                yield CertificateFinding(
+                    rule="analysis.access-route",
+                    location=path_location(
+                        self.system, route.core,
+                        self.selection.get(route.core, 0), route.port,
+                    ),
+                    message=(
+                        f"{route.kind} route for {route.core}.{route.port} leans "
+                        f"on unproved transparency: " + "; ".join(route.problems[:3])
+                    ),
+                    hint=(
+                        "the plan counts cycles through a path the certifier "
+                        "refuted; regenerate versions or change the selection"
+                    ),
+                    refutes_selection=True,
                 )
-        return found
 
 
 # ----------------------------------------------------------------------
-def certify_version(
-    circuit, version, hscan, core_name: Optional[str] = None
-) -> VersionCertificate:
-    """Prove (or refute) every declared path of one transparency version.
+def _structure_problems(direction: str, key: Tuple, path) -> List[str]:
+    """Where a stored path contradicts its table, its key or its own tree."""
+    found: List[str] = []
+    if path.direction != direction:
+        found.append(
+            f"stored in the {direction} table but declares direction "
+            f"{path.direction!r}"
+        )
+    if direction == "justify":
+        declared_root = Slice(key[0], key[1], key[2])
+        if path.root != declared_root:
+            found.append(f"keyed as {declared_root} but the path root is {path.root}")
+    elif path.root.comp != key[0]:
+        found.append(f"keyed as input {key[0]!r} but the path root is {path.root}")
+    tree_arcs = frozenset(arc.key() for arc in path.tree.walk_arcs())
+    if frozenset(path.arcs_used) != tree_arcs:
+        found.append("declared resource set (arcs_used) disagrees with the path tree")
+    if sorted(map(str, path.terminals)) != sorted(map(str, path.tree.walk_terminals())):
+        found.append("declared terminal list disagrees with the path tree's leaves")
+    return found
 
-    Proofs admit only arcs re-extracted from ``circuit`` and the core's
-    ``hscan`` plan (:func:`fresh_known_arcs`), never the version's
-    recorded RCG.  Coverage is judged on the same circuit: every input
-    of its RCG needs a propagate path and every output slice a justify
-    path.
+
+def certify_core(core) -> List[VersionCertificate]:
+    """Prove (or refute) every declared path of every version of one core.
+
+    The RCG stored on a :class:`~repro.transparency.versions.CoreVersion`
+    was computed at generation time; if the shipped circuit has since
+    diverged (a tampered or mis-packaged core), its declared arcs can be
+    phantoms.  Proofs therefore admit only arcs backed by the circuit in
+    hand, extracted once for all the core's versions:
+
+    * structural arcs of the circuit's RCG with the core's HSCAN plan --
+      an HSCAN-plan arc counts only as an offset-aligned sub-slice of a
+      structural arc, since the plan is generation-time metadata and must
+      not vouch for wiring the netlist no longer has;
+    * each version's own added bypass muxes, which
+      ``apply_transparency_path`` materializes, so they exist by
+      construction.
+
+    Coverage is judged on the same RCG: every input needs a propagate
+    path and every output slice a justify path.
     """
-    core_name = core_name or version.core
-    known_arcs = fresh_known_arcs(circuit, version, hscan)
-    rcg = RCG.from_circuit(circuit, hscan)
-    missing = sorted(
-        [
-            ("justify", str(piece))
-            for output in rcg.output_names()
-            for piece in rcg.output_slices(output)
-            if (piece.comp, piece.lo, piece.width) not in version.justify_paths
+    circuit = core.circuit
+    structural = RCG.from_circuit(circuit, None).arcs
+    rcg = RCG.from_circuit(circuit, core.hscan)
+    backed = {arc.key(): arc for arc in rcg.arcs if _rides_structure(arc, structural)}
+    pieces = [piece for output in rcg.output_names() for piece in rcg.output_slices(output)]
+    certificates: List[VersionCertificate] = []
+    for version in core.versions:
+        known_arcs = dict(backed)
+        known_arcs.update((arc.key(), arc) for arc in version.added_muxes)
+        missing = sorted(
+            [
+                ("justify", str(piece))
+                for piece in pieces
+                if (piece.comp, piece.lo, piece.width) not in version.justify_paths
+            ]
+            + [
+                ("propagate", name)
+                for name in rcg.input_names()
+                if name not in version.propagate_paths
+            ]
+        )
+        declared = [
+            ("justify", key, version.justify_paths[key])
+            for key in sorted(version.justify_paths)
+        ] + [
+            ("propagate", (port,), version.propagate_paths[port])
+            for port in sorted(version.propagate_paths)
         ]
-        + [
-            ("propagate", name)
-            for name in rcg.input_names()
-            if name not in version.propagate_paths
-        ]
-    )
-    proofs: List[PathProof] = []
-
-    def examine(direction: str, key: Tuple, path) -> None:
-        structure: List[str] = []
-        if path.direction != direction:
-            structure.append(
-                f"stored in the {direction} table but declares direction "
-                f"{path.direction!r}"
-            )
-        if direction == "justify":
-            declared_root = Slice(key[0], key[1], key[2])
-            if path.root != declared_root:
-                structure.append(
-                    f"keyed as {declared_root} but the path root is {path.root}"
-                )
-        elif path.root.comp != key[0]:
-            structure.append(
-                f"keyed as input {key[0]!r} but the path root is {path.root}"
-            )
-        tree_arcs = frozenset(arc.key() for arc in path.tree.walk_arcs())
-        if frozenset(path.arcs_used) != tree_arcs:
-            structure.append(
-                "declared resource set (arcs_used) disagrees with the path tree"
-            )
-        if sorted(map(str, path.terminals)) != sorted(map(str, path.tree.walk_terminals())):
-            structure.append(
-                "declared terminal list disagrees with the path tree's leaves"
-            )
-        proofs.append(
+        proofs = [
             PathProof(
-                core=core_name,
+                core=core.name,
                 version_index=version.index,
                 version_name=version.name,
                 direction=direction,
                 key=key,
+                path=path,
                 proof=prove_path(circuit, path, known_arcs=known_arcs),
                 solver=check_path_selects(circuit, path),
-                structure_problems=structure,
+                structure_problems=_structure_problems(direction, key, path),
             )
-        )
-
-    for key in sorted(version.justify_paths):
-        examine("justify", key, version.justify_paths[key])
-    for port in sorted(version.propagate_paths):
-        examine("propagate", (port,), version.propagate_paths[port])
-
-    certificate = VersionCertificate(
-        core=core_name, index=version.index, name=version.name, paths=proofs,
-        missing=missing,
-    )
-    METRICS.counter("analysis.paths.proved").inc(sum(1 for p in proofs if p.proved))
-    METRICS.counter("analysis.paths.refuted").inc(sum(1 for p in proofs if not p.proved))
+            for direction, key, path in declared
+        ]
+        certificates.append(VersionCertificate(
+            core=core.name, index=version.index, name=version.name, paths=proofs,
+            missing=missing,
+        ))
+    paths = [path for certificate in certificates for path in certificate.paths]
+    METRICS.counter("analysis.paths.proved").inc(sum(1 for p in paths if p.proved))
+    METRICS.counter("analysis.paths.refuted").inc(sum(1 for p in paths if not p.proved))
     METRICS.counter("analysis.mux.conflicts").inc(
-        sum(len(p.solver.conflicts) for p in proofs)
+        sum(len(p.solver.conflicts) for p in paths)
     )
-    return certificate
+    return certificates
 
 
 def certify_plan(plan, versions: List[VersionCertificate]) -> List[RouteRecord]:
@@ -583,7 +549,8 @@ def certify_plan(plan, versions: List[VersionCertificate]) -> List[RouteRecord]:
     the planner already matched slice widths net by net.
     """
     lookups: Dict[Tuple[str, int], Dict[Tuple[str, Tuple], PathProof]] = {
-        (version.core, version.index): version.lookup() for version in versions
+        (version.core, version.index): {(p.direction, p.key): p for p in version.paths}
+        for version in versions
     }
 
     def usage_problems(usages) -> List[str]:
@@ -608,46 +575,26 @@ def certify_plan(plan, versions: List[VersionCertificate]) -> List[RouteRecord]:
     routes: List[RouteRecord] = []
     for core_name in sorted(plan.core_plans):
         core_plan = plan.core_plans[core_name]
-        for delivery in sorted(
-            core_plan.deliveries, key=lambda d: (d.port, d.latency)
-        ):
-            problems = usage_problems(delivery.usages)
-            if delivery.via_test_mux or (not delivery.usages and delivery.latency == 0):
+        accesses = [
+            ("delivery", delivery.port, delivery)
+            for delivery in sorted(core_plan.deliveries, key=lambda d: (d.port, d.latency))
+        ] + [
+            ("observation", str(Slice(observation.port, observation.lo, observation.width)),
+             observation)
+            for observation in sorted(
+                core_plan.observations, key=lambda o: (o.port, o.lo, o.width, o.latency)
+            )
+        ]
+        for kind, port, access in accesses:
+            problems = usage_problems(access.usages)
+            if access.via_test_mux or (not access.usages and access.latency == 0):
                 status = "pin"
             else:
                 status = "refuted" if problems else "certified"
-            routes.append(
-                RouteRecord(
-                    core=core_name,
-                    kind="delivery",
-                    port=delivery.port,
-                    latency=delivery.latency,
-                    via_test_mux=delivery.via_test_mux,
-                    status=status,
-                    problems=problems,
-                )
-            )
-        for observation in sorted(
-            core_plan.observations, key=lambda o: (o.port, o.lo, o.width, o.latency)
-        ):
-            problems = usage_problems(observation.usages)
-            if observation.via_test_mux or (
-                not observation.usages and observation.latency == 0
-            ):
-                status = "pin"
-            else:
-                status = "refuted" if problems else "certified"
-            routes.append(
-                RouteRecord(
-                    core=core_name,
-                    kind="observation",
-                    port=str(Slice(observation.port, observation.lo, observation.width)),
-                    latency=observation.latency,
-                    via_test_mux=observation.via_test_mux,
-                    status=status,
-                    problems=problems,
-                )
-            )
+            routes.append(RouteRecord(
+                core=core_name, kind=kind, port=port, latency=access.latency,
+                via_test_mux=access.via_test_mux, status=status, problems=problems,
+            ))
     refuted = sum(1 for route in routes if route.status == "refuted")
     METRICS.counter("analysis.routes.certified").inc(len(routes) - refuted)
     METRICS.counter("analysis.routes.refuted").inc(refuted)
@@ -657,9 +604,9 @@ def certify_plan(plan, versions: List[VersionCertificate]) -> List[RouteRecord]:
 def certify_versions(soc) -> List[VersionCertificate]:
     """Certify every version of every testable core, cores in name order."""
     return [
-        certify_version(core.circuit, version, core.hscan, core_name=core.name)
+        certificate
         for core in sorted(soc.testable_cores(), key=lambda c: c.name)
-        for version in core.versions
+        for certificate in certify_core(core)
     ]
 
 

@@ -1,14 +1,16 @@
 """Differential replay: certified paths versus the gate-level simulator.
 
-The certifier's identity anchor: whenever :mod:`repro.analysis` says a
-transparency path is *proved*, wiring that path's test mode into the
-core (:func:`~repro.transparency.apply.apply_transparency_path`),
-elaborating to gates, and clocking random data words through the
-declared mode sequence must show every proved segment transporting its
-bits verbatim.  :func:`replay_soc` runs this bargain over every version
-of every core of a system.  The converse, that a path the certifier
-*refutes* fails to transport or cannot be realized at all, is checked on
-the refuted fixtures by ``tests/test_differential.py``.
+The certifier's identity anchor: whenever a certificate
+(:func:`repro.analysis.certify_soc`) says a transparency path is
+*proved*, wiring that path's test mode into the core
+(:func:`~repro.transparency.apply.apply_transparency_path`), elaborating
+to gates, and clocking random data words through the declared mode
+sequence must show every proved segment transporting its bits verbatim.
+:func:`replay_soc` runs this bargain over every path the certificate
+proved, in every version of every core of a system; it proves nothing
+itself.  The converse, that a path the certifier *refutes* fails to
+transport or cannot be realized at all, is checked on the refuted
+fixtures by ``tests/test_differential.py``.
 
 Replay drives the proof's own segment map, not the path's summary
 claim: each trial picks an independent random word per terminal port
@@ -22,9 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.provenance import SliceProof, prove_path
+from repro.analysis.provenance import SliceProof
 from repro.elaborate import elaborate
 from repro.errors import TransparencyError
 from repro.gates import SequentialSimulator
@@ -124,80 +126,49 @@ def _random_stimulus(circuit, app, rng: random.Random) -> Dict[str, int]:
     return stimulus
 
 
-def replay_path(
-    circuit,
-    path,
-    proof: Optional[SliceProof] = None,
-    core: str = "",
-    version_index: int = 0,
-) -> ReplayResult:
-    """Replay one *proved* path; ``ok`` iff every segment transports."""
-    if proof is None:
-        proof = prove_path(circuit, path)
+def replay_path(circuit, proof) -> ReplayResult:
+    """Replay one certified path (a :class:`~repro.analysis.PathProof`);
+    ``ok`` iff every segment of its proof transports.  A refuted path
+    is not simulated: it is reported not ok."""
+    path = proof.path
     label = str(path.root)
+
+    def result(trials: int, problem: str) -> ReplayResult:
+        """The outcome: the path transports when no problem was found."""
+        return ReplayResult(proof.core, proof.version_index, path.direction, label,
+                            path.latency, trials, not problem, problem)
+
     if not proof.proved:
-        return ReplayResult(
-            core, version_index, path.direction, label, path.latency, 0, False,
-            "path is not proved",
-        )
+        return result(0, "path is not proved")
     try:
         app = apply_transparency_path(circuit, path)
     except TransparencyError as error:
-        return ReplayResult(
-            core, version_index, path.direction, label, path.latency, 0, False,
-            f"proved path is unrealizable: {error}",
-        )
+        return result(0, f"proved path is unrealizable: {error}")
     sim = SequentialSimulator(elaborate(app.circuit).netlist)
-    rng = random.Random(f"{REPLAY_SEED}:{core}:{version_index}:{path.direction}:{label}")
+    rng = random.Random(
+        f"{REPLAY_SEED}:{proof.core}:{proof.version_index}:{path.direction}:{label}"
+    )
     for trial in range(REPLAY_TRIALS):
         stimulus = _random_stimulus(circuit, app, rng)
         outputs = _run_mode(sim, app, stimulus, path.latency)
-        problems = _segment_mismatches(proof, stimulus, outputs)
+        problems = _segment_mismatches(proof.proof, stimulus, outputs)
         if problems:
             METRICS.counter("analysis.replay.mismatches").inc()
-            return ReplayResult(
-                core, version_index, path.direction, label, path.latency,
-                trial + 1, False, "; ".join(problems[:3]),
-            )
+            return result(trial + 1, "; ".join(problems[:3]))
     METRICS.counter("analysis.replays").inc()
-    return ReplayResult(
-        core, version_index, path.direction, label, path.latency, REPLAY_TRIALS, True
-    )
+    return result(REPLAY_TRIALS, "")
 
 
-def replay_soc(soc) -> List[ReplayResult]:
-    """Replay every proved path of every version of every testable core.
+def replay_soc(soc, certificate) -> List[ReplayResult]:
+    """Replay every path ``certificate`` proved, on its core's circuit.
 
-    Paths are re-proved against arcs extracted from the shipped circuit
-    (matching :func:`repro.analysis.certify.certify_soc`), so a path the
-    certifier refutes is skipped here rather than reported as a replay
-    mismatch.
+    The certificate is the one verdict: a path it refutes -- on slice
+    provenance, select demands or its own structure -- is not replayed,
+    and each replay checks the certificate's own segment map.
     """
-    from repro.analysis.certify import fresh_known_arcs
-
     with profile_section("analysis.replay"):
-        results: List[ReplayResult] = []
-        for core in sorted(soc.testable_cores(), key=lambda c: c.name):
-            for version in core.versions:
-                known_arcs = fresh_known_arcs(core.circuit, version, core.hscan)
-                paths = [
-                    version.justify_paths[key]
-                    for key in sorted(version.justify_paths)
-                ] + [
-                    version.propagate_paths[port]
-                    for port in sorted(version.propagate_paths)
-                ]
-                for path in paths:
-                    proof = prove_path(core.circuit, path, known_arcs=known_arcs)
-                    if not proof.proved:
-                        continue
-                    results.append(
-                        replay_path(
-                            core.circuit,
-                            path,
-                            proof=proof,
-                            core=core.name,
-                            version_index=version.index,
-                        )
-                    )
-    return results
+        return [
+            replay_path(soc.cores[proof.core].circuit, proof)
+            for proof in certificate.iter_paths()
+            if proof.proved
+        ]

@@ -305,7 +305,7 @@ def cmd_lint(args) -> int:
 
 def cmd_certify(args) -> int:
     from repro.analysis import certify_soc, path_location, replay_soc
-    from repro.lint import Diagnostic, Severity
+    from repro.lint import RULES, Diagnostic, Severity
 
     if args.output:
         _check_output(args.output)
@@ -316,9 +316,18 @@ def cmd_certify(args) -> int:
     soc = _build_system(args.system)
     selection = _parse_selection(soc, args.select)
     certificate = certify_soc(soc, selection=selection)
-    diagnostics = certificate.diagnostics(escalate=True)
+    severity = {rule.rule_id: rule.severity for rule in RULES}
+    # the one escalation: a refutation of the selected configuration is an error
+    diagnostics = [
+        Diagnostic(
+            found.rule,
+            Severity.ERROR if found.refutes_selection else severity[found.rule],
+            found.location, found.message, found.hint,
+        )
+        for found in certificate.findings()
+    ]
     if args.replay:
-        replays = replay_soc(soc)
+        replays = replay_soc(soc, certificate)
         certificate.replays = [result.to_dict() for result in replays]
         for result in replays:
             if not result.ok:

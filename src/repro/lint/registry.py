@@ -19,7 +19,7 @@ Scopes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.obs import METRICS
@@ -51,9 +51,18 @@ class LintContext:
     schedule: Optional[object] = None
     plan_error: Optional[Exception] = None
     schedule_error: Optional[Exception] = None
+    #: each circuit's problems, scanned once per pass by the circuit
+    #: rules (:mod:`repro.lint.rules_netlist`)
+    circuit_problems: Optional[List[Tuple[str, List[object]]]] = field(
+        default=None, init=False
+    )
     #: the transparency certificate, built once per pass by the
-    #: certifier-backed rules (:mod:`repro.lint.rules_analysis`)
+    #: certifier-backed rules (:mod:`repro.lint.rules_analysis`), and its
+    #: findings by rule id, walked once per state of the certificate
     certificate: Optional[object] = None
+    certificate_findings: Optional[Dict[str, List[Finding]]] = field(
+        default=None, init=False
+    )
 
 
 #: one violation a check found: its location, message and fix hint

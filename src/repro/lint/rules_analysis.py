@@ -23,14 +23,17 @@ all seven rule ids:
   leans on a transparency path the certifier refuted, or on a path
   the selected version never declared.
 
-Versions are certified once, in the soc pass; the plan pass adds only
-the plan's routes.  The certifier import stays inside the check
-functions so that :mod:`repro.analysis` stays off the ``repro profile``
-import path and the baseline counter ledgers are unaffected.
+Versions are certified once, in the soc pass, whose six rules share one
+walk of the certificate's findings; the plan pass adds the plan's routes
+and walks it once more.  Each rule keeps its own findings, at the
+severity this table declares.  The certifier import stays inside the
+check functions so that :mod:`repro.analysis` stays off the ``repro
+profile`` import path and the baseline counter ledgers are unaffected.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from repro.lint.diagnostics import Severity
@@ -51,18 +54,16 @@ def _certificate(ctx: LintContext):
     return ctx.certificate
 
 
-def _findings(certificate, rule_id: str) -> List[Finding]:
-    if certificate is None:
-        return []
-    return [(d.location, d.message, d.hint)
-            for d in certificate.diagnostics() if d.rule == rule_id]
-
-
-def _version_check(rule_id: str):
-    def check(ctx: LintContext) -> List[Finding]:
-        return _findings(_certificate(ctx), rule_id)
-
-    return check
+def _findings(ctx: LintContext, rule_id: str) -> List[Finding]:
+    """``rule_id``'s findings, from one walk of the certificate as it stands."""
+    if ctx.certificate_findings is None:
+        ctx.certificate_findings = {}
+        certificate = _certificate(ctx)
+        for found in certificate.findings() if certificate is not None else ():
+            ctx.certificate_findings.setdefault(found.rule, []).append(
+                (found.location, found.message, found.hint)
+            )
+    return ctx.certificate_findings.get(rule_id, [])
 
 
 def check_access_routes(ctx: LintContext) -> List[Finding]:
@@ -77,11 +78,12 @@ def check_access_routes(ctx: LintContext) -> List[Finding]:
         certificate.routes = certify_plan(ctx.plan, certificate.versions)
     if ctx.plan_error is not None:
         certificate.plan_error = str(ctx.plan_error)
-    return _findings(certificate, "analysis.access-route")
+    ctx.certificate_findings = None  # the plan changed the certificate
+    return _findings(ctx, "analysis.access-route")
 
 
 RULES = tuple(
-    Rule(rule_id, "soc", severity, title, _version_check(rule_id))
+    Rule(rule_id, "soc", severity, title, partial(_findings, rule_id=rule_id))
     for rule_id, severity, title in (
         ("trans.input-propagation", Severity.ERROR,
          "every core input propagates to an output"),

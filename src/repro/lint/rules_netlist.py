@@ -26,11 +26,17 @@ from repro.rtl.validate import (
 
 
 def _circuit_check(categories, hint: str):
-    """A check reporting every circuit problem in ``categories``."""
+    """A check reporting every circuit problem in ``categories``; the
+    three circuit rules share one scan of each circuit per pass."""
 
     def check(ctx: LintContext) -> Iterator[Finding]:
-        for label, circuit in ctx.circuits:
-            for problem in iter_circuit_problems(circuit):
+        if ctx.circuit_problems is None:
+            ctx.circuit_problems = [
+                (label, list(iter_circuit_problems(circuit)))
+                for label, circuit in ctx.circuits
+            ]
+        for label, problems in ctx.circuit_problems:
+            for problem in problems:
                 if problem.category not in categories:
                     continue
                 parts: List[object] = [ctx.system, ("core", label)]

@@ -9,15 +9,15 @@ from pathlib import Path
 import pytest
 
 from tests.fixtures import broken_designs as bd
+from repro import cli
 from repro.analysis import (
     certify_soc,
     check_path_selects,
-    fresh_known_arcs,
     prove_path,
 )
 from repro.analysis.certify import CERTIFICATE_SHAPE
 from repro.cli import main
-from repro.lint import Severity
+from repro.lint import RULES, Severity
 from repro.util.schema import check
 
 SYSTEMS = ["System1", "System2", "System3", "System4"]
@@ -67,12 +67,11 @@ class TestProvenance:
         assert any("latency" in reason for reason in proof.reasons)
 
     def test_unknown_arc_is_refuted_with_slices(self):
-        soc = bd.narrowed_transparency_soc()
-        core = soc.cores["A"]
-        version = core.versions[0]
-        known = fresh_known_arcs(core.circuit, version, core.hscan)
-        path = version.propagate_paths["INHI"]
-        proof = prove_path(core.circuit, path, known_arcs=known)
+        certificate = certify_soc(bd.narrowed_transparency_soc())
+        proof = next(
+            record.proof for record in certificate.iter_paths()
+            if record.version_index == 0 and record.key == ("INHI",)
+        )
         assert not proof.proved
         assert any("INHI[3:0]" in r and "R0[7:4]" in r for r in proof.reasons)
 
@@ -167,10 +166,8 @@ class TestRefutations:
         certificate = certify_soc(fixture())
         assert not certificate.certified
         assert certificate.versions[0].missing
-        assert any(
-            d.rule == rule and d.severity is Severity.ERROR
-            for d in certificate.diagnostics()
-        )
+        assert rule in {found.rule for found in certificate.findings()}
+        assert next(r.severity for r in RULES if r.rule_id == rule) is Severity.ERROR
 
     def test_refuted_certificate_json_still_validates(self):
         payload = json.loads(certify_soc(bd.narrowed_transparency_soc()).to_json())
@@ -178,13 +175,21 @@ class TestRefutations:
         assert payload["certified"] is False
         assert payload["summary"]["refuted"] > 0
 
-    def test_escalation_only_hits_selected_versions(self):
+    def test_escalation_only_hits_selected_versions(self, monkeypatch, capsys):
         certificate = certify_soc(bd.mux_conflict_soc())
-        escalated = certificate.diagnostics(escalate=True)
-        errors = [d for d in escalated if d.severity is Severity.ERROR]
-        assert errors  # version 0 is the selected default
-        relaxed = certificate.diagnostics()
-        assert all(d.severity < Severity.ERROR for d in relaxed)
+        found = list(certificate.findings())
+        severity = {rule.rule_id: rule.severity for rule in RULES}
+        assert all(severity[f.rule] < Severity.ERROR for f in found)
+        escalated = [f for f in found if f.refutes_selection]
+        assert escalated  # version 0 is the selected default
+        assert all("/version:1/" in f.location for f in escalated)
+        # repro certify escalates the selected version's refutation only
+        monkeypatch.setattr(cli, "_build_system", lambda name: bd.mux_conflict_soc())
+        assert main(["certify", "muxconflict"]) == 1
+        assert "error[analysis.mux-conflict]" in capsys.readouterr().out
+        assert main(["certify", "muxconflict", "-s", "A=2"]) == 0
+        out = capsys.readouterr().out
+        assert "warning[analysis.mux-conflict]" in out and "error[" not in out
 
 
 # ----------------------------------------------------------------------
@@ -192,11 +197,12 @@ class TestRefutations:
 # ----------------------------------------------------------------------
 class TestFreshArcs:
     def test_fresh_arcs_match_declared_on_honest_core(self):
-        core = bd.shared_select_soc().cores["A"]
-        for version in core.versions:
-            fresh = set(fresh_known_arcs(core.circuit, version, core.hscan))
-            declared = {arc.key() for arc in version.rcg.arcs}
-            assert declared <= fresh
+        """The arcs extracted from an honest core admit every arc its
+        versions' paths declare: nothing is refuted as a phantom."""
+        certificate = certify_soc(bd.shared_select_soc())
+        paths = certificate.iter_paths()
+        assert paths and all(path.proved for path in paths)
+        assert all(path.proof.segments for path in paths)
 
 
 # ----------------------------------------------------------------------
@@ -234,11 +240,25 @@ class TestCliCertify:
         payload = json.loads(target.read_text())
         assert check(CERTIFICATE_SHAPE, payload) == []
 
-    def test_replay_embeds_results(self, capsys):
-        assert main(["certify", "System2", "--json", "--replay"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_replay_embeds_results(self, tmp_path, capsys):
+        target = tmp_path / "cert.json"
+        assert main(["certify", "System2", "--json", "--replay", "-o", str(target)]) == 0
+        payload = json.loads(target.read_text())
         assert payload["replays"]
         assert all(entry["ok"] for entry in payload["replays"])
+        # repro validate accepts a certificate that embeds its replays
+        assert main(["validate", str(target)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok   {target}")
+
+    def test_replay_reports_no_refuted_path(self, monkeypatch, capsys):
+        """A path the certificate refutes is not replayed, so it cannot be
+        reported as a certifier bug; the refutation stays the error."""
+        monkeypatch.setattr(cli, "_build_system", lambda name: bd.mux_conflict_soc())
+        assert main(["certify", "muxconflict", "--replay"]) == 1
+        out = capsys.readouterr().out
+        assert "gate-level replay: 7 proved paths, 0 mismatched" in out
+        assert "analysis.replay" not in out
+        assert "error[analysis.mux-conflict]" in out
 
 
 # ----------------------------------------------------------------------

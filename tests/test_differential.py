@@ -11,8 +11,8 @@ import pytest
 
 from tests.fixtures import broken_designs as bd
 from repro.analysis import (
-    certify_version,
-    fresh_known_arcs,
+    certify_core,
+    certify_soc,
     prove_path,
     replay_path,
     replay_soc,
@@ -37,6 +37,11 @@ def build(system):
     from repro.designs import system_builders
 
     return system_builders()[system]()
+
+
+def replay(soc):
+    """Replay what the system's certificate proved, as ``repro certify --replay`` does."""
+    return replay_soc(soc, certify_soc(soc))
 
 
 def _port_word(outputs, port, width):
@@ -94,26 +99,20 @@ def replay_refutes(circuit, path, proof=None):
     return False
 
 
-def version_paths(version):
-    paths = [version.justify_paths[key] for key in sorted(version.justify_paths)]
-    paths += [version.propagate_paths[key] for key in sorted(version.propagate_paths)]
-    return paths
-
-
 # ----------------------------------------------------------------------
 # every proved path of every system transports on the simulator
 # ----------------------------------------------------------------------
 class TestSystemsReplay:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_all_proved_paths_transport(self, system):
-        results = replay_soc(build(system))
+        results = replay(build(system))
         assert results
         failing = [r for r in results if not r.ok]
         assert failing == []
 
     def test_replay_covers_every_version(self):
         soc = build("System2")
-        results = replay_soc(soc)
+        results = replay(soc)
         covered = {(r.core, r.version_index) for r in results}
         expected = {
             (core.name, version.index)
@@ -123,8 +122,8 @@ class TestSystemsReplay:
         assert covered == expected
 
     def test_replay_is_deterministic(self):
-        first = [r.to_dict() for r in replay_soc(build("System2"))]
-        second = [r.to_dict() for r in replay_soc(build("System2"))]
+        first = [r.to_dict() for r in replay(build("System2"))]
+        second = [r.to_dict() for r in replay(build("System2"))]
         assert first == second
 
     def test_one_simulator_per_replayed_path(self, monkeypatch):
@@ -138,7 +137,7 @@ class TestSystemsReplay:
                 super().__init__(netlist, *args, **kwargs)
 
         monkeypatch.setattr(differential, "SequentialSimulator", Counted)
-        results = replay_soc(build("System1"))
+        results = replay(build("System1"))
         assert len(results) == len(built) == 69
 
 
@@ -148,18 +147,9 @@ class TestSystemsReplay:
 class TestRefutationsReplay:
     def refuted(self, soc):
         core = soc.cores["A"]
-        for version in core.versions:
-            certificate = certify_version(
-                core.circuit, version, core_name=core.name, hscan=core.hscan
-            )
-            for record in certificate.paths:
-                if record.proved:
-                    continue
-                if record.direction == "justify":
-                    path = version.justify_paths[record.key]
-                else:
-                    path = version.propagate_paths[record.key[0]]
-                yield core, path, record.proof
+        for record in certify_soc(soc).iter_paths():
+            if record.core == "A" and not record.proved:
+                yield core, record.path, record.proof
 
     def test_narrowed_core_fails_on_hardware(self):
         found = list(self.refuted(bd.narrowed_transparency_soc()))
@@ -175,19 +165,35 @@ class TestRefutationsReplay:
 
     def test_unproved_path_is_not_replayed_as_ok(self):
         soc = bd.narrowed_transparency_soc()
-        core = soc.cores["A"]
-        version = core.versions[0]
-        path = version.propagate_paths["INHI"]
-        result = replay_path(core.circuit, path, core="A")
-        # replay_path re-proves against the declared tree; this path's
-        # claims fail on the tampered netlist either way
+        refuted = next(
+            record for record in certify_soc(soc).iter_paths()
+            if record.version_index == 0 and record.key == ("INHI",)
+        )
+        assert not refuted.proved
+        result = replay_path(soc.cores["A"].circuit, refuted)
         assert not result.ok
+        assert (result.trials, result.detail) == (0, "path is not proved")
 
     def test_replay_soc_skips_refuted_paths(self):
-        results = replay_soc(bd.narrowed_transparency_soc())
+        results = replay(bd.narrowed_transparency_soc())
         assert all(r.ok for r in results)
         ports = {r.port for r in results}
         assert not any("INHI" in port for port in ports)
+
+    def test_replay_skips_a_path_refuted_on_its_select_demands(self):
+        """The refuted mux-conflict path proves its slices but not its
+        selects: replay reads the certificate's verdict and skips it."""
+        soc = bd.mux_conflict_soc()
+        certificate = certify_soc(soc)
+        refuted = [(p.core, p.version_index, p.direction, p.label)
+                   for p in certificate.iter_paths() if not p.proved]
+        assert refuted == [("A", 0, "justify", "OUT[7:0]")]
+        results = replay_soc(soc, certificate)
+        assert len(results) == 7
+        assert all(r.ok for r in results)
+        assert ("A", 0, "justify", "OUT[7:0]") not in {
+            (r.core, r.version_index, r.direction, r.port) for r in results
+        }
 
 
 # ----------------------------------------------------------------------
@@ -221,15 +227,11 @@ class TestRandomCores:
         core = random_core(seed)
         assert core.versions
         checked = 0
-        for version in core.versions:
-            known = fresh_known_arcs(core.circuit, version, core.hscan)
-            for path in version_paths(version):
-                proof = prove_path(core.circuit, path, known_arcs=known)
-                assert proof.proved, f"seed {seed}: {path.root}: {proof.reasons}"
-                result = replay_path(
-                    core.circuit, path, proof=proof,
-                    core=core.name, version_index=version.index,
-                )
-                assert result.ok, f"seed {seed}: {path.root}: {result.detail}"
+        for version in certify_core(core):
+            for proof in version.paths:
+                root = proof.path.root
+                assert proof.proved, f"seed {seed}: {root}: {proof.problems()}"
+                result = replay_path(core.circuit, proof)
+                assert result.ok, f"seed {seed}: {root}: {result.detail}"
                 checked += 1
         assert checked > 0

@@ -15,7 +15,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.analysis import replay_soc
+from repro.analysis import certify_soc, replay_soc
 from repro.designs import build_system1, build_system2, build_system3, build_system4
 from repro.errors import SimulationError
 from repro.faults import Fault, FaultSimulator, collapse_faults, full_fault_universe
@@ -157,8 +157,9 @@ class TestCombinationalParity:
 class TestOneMachineSimulation:
     def test_replay_compiles_and_evaluates_no_program(self):
         soc = build_system1()
+        certificate = certify_soc(soc)
         before = METRICS.counters("kernel.")
-        assert replay_soc(soc)
+        assert replay_soc(soc, certificate)
         after = METRICS.counters("kernel.")
         for name in ("kernel.compiles", "kernel.words_evaluated"):
             assert after.get(name, 0) == before.get(name, 0), name

@@ -64,6 +64,35 @@ class TestSystemsClean:
         lint_soc(soc)
         assert proofs() - before == declared
 
+    def test_lint_reads_each_circuit_and_certificate_state_once(self, monkeypatch):
+        """One pass over System1's three cores: one problem scan and two RCG
+        extractions per core, one findings walk per certificate state."""
+        from repro.analysis import Certificate
+        from repro.designs import build_system1
+        from repro.lint import rules_netlist
+        from repro.transparency.rcg import RCG
+
+        calls = {"problems": 0, "rcg": 0, "walks": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rules_netlist, "iter_circuit_problems",
+                            counted("problems", rules_netlist.iter_circuit_problems))
+        monkeypatch.setattr(RCG, "from_circuit",
+                            classmethod(counted("rcg", RCG.from_circuit.__func__)))
+        monkeypatch.setattr(Certificate, "findings",
+                            counted("walks", Certificate.findings))
+        soc = build_system1()
+        calls.update(problems=0, rcg=0, walks=0)
+        lint_soc(soc)
+        assert calls["problems"] == 3
+        assert calls["rcg"] == 6
+        assert calls["walks"] <= 2
+
 
 # ----------------------------------------------------------------------
 # every rule fires on its broken fixture
@@ -255,8 +284,8 @@ class TestDiagnostics:
         report = lint_soc(bd.lying_latency_soc())
         rules = {"trans.latency-overrun", "analysis.slice-provenance"}
         linted = [d for d in report.diagnostics if d.rule in rules]
-        certified = [d for d in certify_soc(bd.lying_latency_soc()).diagnostics()
-                     if d.rule in rules]
+        certified = [f for f in certify_soc(bd.lying_latency_soc()).findings()
+                     if f.rule in rules]
         assert {d.rule for d in linted} == {d.rule for d in certified} == rules
         assert {d.location for d in linted + certified} == {
             "lyinglatency/core:A/version:1/port:IN"
