@@ -582,6 +582,8 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.schedule import PLACEMENTS
+
     obs = _observability_parent()
     pipeline = _pipeline_parent()
     parser = argparse.ArgumentParser(
@@ -624,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.add_argument("system")
     p_schedule.add_argument("-s", "--select", help="version selection, e.g. CPU=3")
     p_schedule.add_argument(
-        "-a", "--algorithm", default="greedy", choices=["greedy", "sessions"],
+        "-a", "--algorithm", default="greedy", choices=sorted(PLACEMENTS),
         help="scheduler: greedy list (default) or session packer",
     )
     p_schedule.add_argument(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.obs.profiler import ROOT_SECTION, stage_rows
-from repro.obs.regress import compare_counters
+from repro.obs.regress import COUNTER_IGNORE, compare_counters
 from repro.util.tables import render_table
 
 
@@ -223,21 +223,6 @@ def headline(results: Dict) -> Dict:
     return {key: value for key, value in results.items() if not isinstance(value, (dict, list))}
 
 
-def counter_diff(candidate: Dict, baseline: Optional[Dict]) -> Dict:
-    """Changed/added/removed counters vs a baseline record's counters."""
-    if baseline is None:
-        return {"available": False, "changed": [], "unchanged": len(candidate)}
-    drifts = compare_counters(candidate, baseline, ignore=())
-    changed = [
-        {"counter": d.counter, "baseline": d.baseline, "candidate": d.candidate}
-        for d in drifts
-    ]
-    matched = len(set(candidate) & set(baseline)) - sum(
-        1 for d in drifts if d.baseline is not None and d.candidate is not None
-    )
-    return {"available": True, "changed": changed, "unchanged": matched}
-
-
 def _short_sha(record: Dict) -> str:
     return (record.get("git_sha") or "unversioned")[:12]
 
@@ -313,21 +298,28 @@ def render_run_report(record: Dict, baseline: Optional[Dict] = None) -> str:
 
 
 def _render_counter_diff(counters: Dict, baseline: Optional[Dict]) -> str:
+    """The counter gate's comparison (:func:`compare_counters` with
+    ``COUNTER_IGNORE``, as ``repro regress`` runs it) as a table."""
     title = "Counters vs baseline"
-    diff = counter_diff(counters, baseline["counters"] if baseline is not None else None)
-    if not diff["available"]:
+    if baseline is None:
         return f"{title}\nNo baseline record; counter diff skipped."
-    if not diff["changed"]:
-        return (f"{title}\nAll {diff['unchanged']} counters match the baseline exactly "
+    base = baseline["counters"]
+    drifts = compare_counters(counters, base, ignore=COUNTER_IGNORE)
+    unchanged = sum(
+        1 for name, value in counters.items()
+        if name in base and base[name] == value and not name.startswith(COUNTER_IGNORE)
+    )
+    if not drifts:
+        return (f"{title}\nAll {unchanged} counters match the baseline exactly "
                 "(deterministic pipeline, unchanged work).")
     rows = [
-        [row["counter"],
-         "absent" if row["baseline"] is None else row["baseline"],
-         "absent" if row["candidate"] is None else row["candidate"]]
-        for row in diff["changed"]
+        [d.counter,
+         "absent" if d.baseline is None else d.baseline,
+         "absent" if d.candidate is None else d.candidate]
+        for d in drifts
     ]
     table = render_table(["counter", "baseline", "current"], rows, title=title)
-    return f"{table}\n{diff['unchanged']} counters unchanged."
+    return f"{table}\n{unchanged} counters unchanged."
 
 
 def render_metrics_table(snapshot: Dict) -> str:

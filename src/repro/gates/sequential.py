@@ -12,8 +12,8 @@ from repro.gates.simulator import CombinationalSimulator, FaultSite, next_state_
 class SequentialSimulator:
     """Cycle-by-cycle simulation with word-parallel patterns.
 
-    All flip-flops start at the given initial value (default 0 across all
-    patterns; pass ``initial_states`` for something else).  Each call to
+    All flip-flops start at 0 across all patterns (``states`` holds each
+    flop's word; set one before stepping to start elsewhere).  Each call to
     :meth:`step` applies one input assignment, evaluates the combinational
     logic, records the primary outputs, and clocks the state.
     """
@@ -22,7 +22,6 @@ class SequentialSimulator:
         self,
         netlist: GateNetlist,
         pattern_count: int = 1,
-        initial_states: Optional[Mapping[str, int]] = None,
         fault: Optional[FaultSite] = None,
     ) -> None:
         if pattern_count <= 0:
@@ -36,11 +35,6 @@ class SequentialSimulator:
         self._inputs = [gate.name for gate in netlist.inputs]
         self._outputs = [gate.name for gate in netlist.outputs]
         self.states: Dict[str, int] = {flop.name: 0 for flop in self._flops}
-        if initial_states:
-            for name, word in initial_states.items():
-                if name not in self.states:
-                    raise SimulationError(f"{name!r} is not a flip-flop")
-                self.states[name] = word & self._mask
 
     def step(self, input_words: Mapping[str, int]) -> Dict[str, int]:
         """Apply one cycle; returns the packed primary-output values."""

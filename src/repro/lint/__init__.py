@@ -1,6 +1,6 @@
 """Static design-rule checking and plan verification (``repro lint``).
 
-A fast, simulation-free pass over the four artifact layers of the SOCET
+A fast, simulation-free pass over the three artifact layers of the SOCET
 flow, emitting structured :class:`Diagnostic` objects with stable rule
 ids (see DESIGN.md, "Diagnostic contract"):
 
@@ -14,9 +14,10 @@ ids (see DESIGN.md, "Diagnostic contract"):
   satisfiable mux-select demands), and plan access routes ride proved
   paths only;
 * **plan** -- reservation windows fit their cadences, test-mux
-  fallbacks are recorded, TAT accounting is internally consistent;
-* **schedule** -- shared resources never double-booked, scan-power
-  budget respected.
+  fallbacks are recorded, TAT accounting is internally consistent.
+
+A concurrent schedule is not linted: :meth:`repro.schedule.TestSchedule.validate`
+is its one check, run on every schedule the scheduler builds.
 
 Alongside the domain rules, :mod:`repro.lint.codestyle` is an AST-based
 determinism lint for the codebase itself (``python -m
@@ -42,12 +43,12 @@ from repro.lint.diagnostics import (
     location,
 )
 from repro.lint.registry import LintContext, Rule, run_rules
-from repro.lint import rules_analysis, rules_netlist, rules_plan, rules_schedule
+from repro.lint import rules_analysis, rules_netlist, rules_plan
 from repro.lint.runner import lint_soc
 
 #: every rule, in the order a pass runs them and ``repro lint --rules``
 #: lists them
-RULES = rules_netlist.RULES + rules_analysis.RULES + rules_plan.RULES + rules_schedule.RULES
+RULES = rules_netlist.RULES + rules_analysis.RULES + rules_plan.RULES
 
 __all__ = [
     "Diagnostic",

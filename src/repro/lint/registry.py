@@ -12,8 +12,7 @@ Scopes:
 
 * ``circuit`` -- per-core RTL structure (loops, undriven, widths);
 * ``soc`` -- chip-level wiring and transparency versions;
-* ``plan`` -- a finished :class:`~repro.soc.plan.SocTestPlan`;
-* ``schedule`` -- a concurrent :class:`~repro.schedule.TestSchedule`.
+* ``plan`` -- a finished :class:`~repro.soc.plan.SocTestPlan`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ _DIAG_COUNTERS = {
     for severity in Severity
 }
 
-SCOPES = ("circuit", "soc", "plan", "schedule")
+SCOPES = ("circuit", "soc", "plan")
 
 
 @dataclass
@@ -39,18 +38,16 @@ class LintContext:
 
     ``circuits`` carries ``(label, circuit)`` pairs -- the label becomes
     the location prefix (a core name, or the circuit name when linting a
-    bare circuit).  ``plan_error``/``schedule_error`` record why a layer
-    could not be built, so the corresponding rules can report the cause
-    instead of silently skipping.
+    bare circuit).  ``plan_error`` records why the plan could not be
+    built, so ``plan.infeasible`` can report the cause instead of
+    silently skipping.
     """
 
     system: str
     circuits: List[Tuple[str, object]] = field(default_factory=list)
     soc: Optional[object] = None
     plan: Optional[object] = None
-    schedule: Optional[object] = None
     plan_error: Optional[Exception] = None
-    schedule_error: Optional[Exception] = None
     #: each circuit's problems, scanned once per pass by the circuit
     #: rules (:mod:`repro.lint.rules_netlist`)
     circuit_problems: Optional[List[Tuple[str, List[object]]]] = field(

@@ -1,13 +1,14 @@
 """The lint entry point: build a context and run the rule table over it.
 
-``lint_soc`` is the full four-layer pass the CLI runs: core RTL
+``lint_soc`` is the full three-layer pass the CLI runs: core RTL
 structure, chip wiring + transparency versions, then -- only when those
-layers are error-free -- a default test plan and its concurrent
-schedule.  The layer staging matters: planning a malformed SOC raises,
-so the plan/schedule layers run on demand and a construction failure
-becomes a ``plan.infeasible``/``sched.infeasible`` diagnostic instead
-of a crash.  One context carries the pass, so the transparency
-certificate its soc layer builds is reused by the plan layer.
+layers are error-free -- a default test plan.  The layer staging
+matters: planning a malformed SOC raises, so the plan layer runs on
+demand and a construction failure becomes a ``plan.infeasible``
+diagnostic instead of a crash.  One context carries the pass, so the
+transparency certificate its soc layer builds is reused by the plan
+layer.  No schedule is built: :meth:`repro.schedule.TestSchedule.validate`
+checks every schedule where the scheduler builds it.
 
 Callers that want a precondition check call it (or
 :func:`repro.analysis.certify_soc`) and act on the report's errors; a
@@ -26,10 +27,10 @@ from repro.obs import profile_section
 def lint_soc(soc) -> LintReport:
     """The full static pass over every artifact layer of one SOC.
 
-    The plan and schedule layers check the default plan (every core at
-    its first version).  When the structural layers report errors they
-    are skipped: building a plan on a broken SOC would raise rather than
-    lint.
+    The plan layer checks the default plan (every core at its first
+    version), the one artifact the pass constructs.  When the
+    structural layers report errors it is skipped: building a plan on a
+    broken SOC would raise rather than lint.
     """
     with profile_section("lint.pass"):
         context = LintContext(
@@ -47,11 +48,4 @@ def lint_soc(soc) -> LintReport:
             context.plan = plan_soc_test(soc)
         except ReproError as error:
             context.plan_error = error
-        run_rules(context, scopes=("plan",), report=report)
-        if context.plan is not None and not report.errors:
-            try:
-                context.schedule = context.plan.schedule()
-            except ReproError as error:
-                context.schedule_error = error
-            run_rules(context, scopes=("schedule",), report=report)
-        return report
+        return run_rules(context, scopes=("plan",), report=report)

@@ -5,12 +5,14 @@ under a shared-resource conflict model (see :mod:`repro.schedule.conflicts`):
 
 * :func:`build_test_items` derives each core test's resource set from a
   finished :class:`~repro.soc.plan.SocTestPlan`,
-* two schedulers behind a common interface -- a greedy list scheduler
-  and a session graph-coloring packer -- place the items on one chip
-  timeline (:mod:`repro.schedule.packers`),
-* the resulting :class:`~repro.schedule.timeline.TestSchedule` carries
-  per-core start cycles, session makeup, a validator, and a ``makespan``
-  that replaces the serial TAT sum,
+* two placements -- greedy list scheduling and session graph coloring,
+  plain functions named in :data:`PLACEMENTS` -- put the items on one
+  chip timeline (:mod:`repro.schedule.packers`),
+* :func:`schedule_plan` runs one of them and returns a
+  :class:`~repro.schedule.timeline.TestSchedule` with per-core start
+  cycles, session makeup and a ``makespan`` that replaces the serial
+  TAT sum; :meth:`TestSchedule.validate` is the one check of a schedule,
+  run on every schedule built here,
 * an optional scan-power budget caps concurrent activity from day one.
 
 Chained topologies (System1/System2) serialize -- every core's test
@@ -18,6 +20,10 @@ borrows its neighbours' transparency -- while SOCs with independent
 subsystems (System3/System4) overlap and the makespan drops.
 """
 
+import logging
+
+from repro.errors import ScheduleError
+from repro.obs import METRICS, profile_section
 from repro.schedule.conflicts import (
     Resource,
     TestItem,
@@ -26,19 +32,8 @@ from repro.schedule.conflicts import (
     resource_set,
 )
 from repro.schedule.gantt import render_gantt
-from repro.schedule.packers import (
-    SCHEDULERS,
-    GreedyListScheduler,
-    Scheduler,
-    SessionPacker,
-    get_scheduler,
-)
-from repro.schedule.timeline import (
-    ScheduledTest,
-    ScheduleViolation,
-    Session,
-    TestSchedule,
-)
+from repro.schedule.packers import PLACEMENTS
+from repro.schedule.timeline import ScheduledTest, Session, TestSchedule
 
 __all__ = [
     "Resource",
@@ -47,17 +42,17 @@ __all__ = [
     "conflict_pairs",
     "resource_set",
     "render_gantt",
-    "SCHEDULERS",
-    "GreedyListScheduler",
-    "Scheduler",
-    "SessionPacker",
-    "get_scheduler",
+    "PLACEMENTS",
     "ScheduledTest",
-    "ScheduleViolation",
     "Session",
     "TestSchedule",
     "schedule_plan",
 ]
+
+logger = logging.getLogger("repro.schedule")
+
+_ITEMS = METRICS.counter("schedule.items")
+_SESSIONS = METRICS.counter("schedule.sessions.packed")
 
 
 def schedule_plan(
@@ -68,9 +63,38 @@ def schedule_plan(
 ) -> TestSchedule:
     """Schedule a finished SOC test plan into concurrent sessions.
 
-    The plan's internal invariants are the ``plan.*`` lint rules' to
-    check (:func:`repro.lint.lint_soc`).
+    ``algorithm`` names a placement of :data:`PLACEMENTS`.  The plan's
+    internal invariants are the ``plan.*`` lint rules' to check
+    (:func:`repro.lint.lint_soc`); the schedule is checked here, by
+    :meth:`TestSchedule.validate`.
     """
     items = build_test_items(plan, include_bist=include_bist)
-    scheduler = get_scheduler(algorithm, power_budget=power_budget)
-    return scheduler.schedule(plan.soc.name, items)
+    try:
+        place = PLACEMENTS[algorithm]
+    except KeyError:
+        raise ScheduleError(
+            f"unknown scheduler {algorithm!r}; choose from {sorted(PLACEMENTS)}"
+        ) from None
+    soc_name = plan.soc.name
+    with profile_section("schedule.pack"):
+        _ITEMS.inc(len(items))
+        if power_budget is not None:
+            worst = max(items, key=lambda i: i.activity, default=None)
+            if worst is not None and worst.activity > power_budget:
+                raise ScheduleError(
+                    f"{worst.core} alone has scan activity {worst.activity} "
+                    f"> power budget {power_budget}"
+                )
+        schedule = TestSchedule(
+            soc_name=soc_name,
+            algorithm=algorithm,
+            entries=place(items, power_budget),
+            power_budget=power_budget,
+        ).validate()
+    sessions = len(schedule.sessions())
+    _SESSIONS.inc(sessions)
+    logger.debug(
+        "%s/%s: %d items -> %d sessions, makespan %d",
+        soc_name, algorithm, len(items), sessions, schedule.makespan,
+    )
+    return schedule

@@ -10,19 +10,10 @@ serial TAT sum whenever scheduling is enabled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ScheduleError
 from repro.schedule.conflicts import TestItem
-
-
-@dataclass(frozen=True)
-class ScheduleViolation:
-    """One resource-sharing or power violation found on a timeline."""
-
-    kind: str  # "resource" | "power"
-    cores: Tuple[str, ...]
-    message: str
 
 
 @dataclass(frozen=True)
@@ -122,13 +113,11 @@ class TestSchedule:
             sessions.append(Session(index=len(sessions) + 1, entries=current))
         return sessions
 
-    # ------------------------------------------------------------------
-    def iter_violations(self) -> Iterator[ScheduleViolation]:
-        """Yield every resource or power violation on the timeline.
+    def validate(self) -> "TestSchedule":
+        """Assert no overlapping tests share a resource or break power.
 
-        Used both by :meth:`validate` (which raises on the first) and by
-        the static design-rule checker (:mod:`repro.lint`), which
-        collects them all as diagnostics.
+        The one check of a schedule: raises :class:`ScheduleError` on the
+        first violation; returns ``self`` so callers can chain.
         """
         ordered = sorted(self.entries, key=lambda e: e.start)
         for i, a in enumerate(ordered):
@@ -137,14 +126,9 @@ class TestSchedule:
                     break
                 shared = a.item.resources & b.item.resources
                 if shared:
-                    example = sorted(shared)[0]
-                    yield ScheduleViolation(
-                        kind="resource",
-                        cores=(a.core, b.core),
-                        message=(
-                            f"{a.core} [{a.start},{a.end}) and {b.core} "
-                            f"[{b.start},{b.end}) overlap but share {example}"
-                        ),
+                    raise ScheduleError(
+                        f"{a.core} [{a.start},{a.end}) and {b.core} "
+                        f"[{b.start},{b.end}) overlap but share {sorted(shared)[0]}"
                     )
         if self.power_budget is not None:
             for probe in ordered:
@@ -152,21 +136,8 @@ class TestSchedule:
                 total = sum(e.item.activity for e in active)
                 if total > self.power_budget:
                     names = ", ".join(e.core for e in active)
-                    yield ScheduleViolation(
-                        kind="power",
-                        cores=tuple(e.core for e in active),
-                        message=(
-                            f"cycle {probe.start}: activity {total} of ({names}) "
-                            f"exceeds power budget {self.power_budget}"
-                        ),
+                    raise ScheduleError(
+                        f"cycle {probe.start}: activity {total} of ({names}) "
+                        f"exceeds power budget {self.power_budget}"
                     )
-
-    def validate(self) -> "TestSchedule":
-        """Assert no overlapping tests share a resource or break power.
-
-        Raises :class:`ScheduleError` on the first violation; returns
-        ``self`` so callers can chain.
-        """
-        for violation in self.iter_violations():
-            raise ScheduleError(violation.message)
         return self

@@ -103,22 +103,18 @@ class Soc:
         source_port: str,
         dest_core: Optional[str],
         dest_port: str,
-        width: Optional[int] = None,
-        source_lo: int = 0,
-        dest_lo: int = 0,
     ) -> Net:
-        """Convenience wrapper around :meth:`connect`."""
+        """:meth:`connect` the whole source port (or chip input) to ``dest``."""
+        width = (
+            self.chip_inputs.get(source_port)
+            if source_core is None
+            else self.cores[source_core].port_width(source_port)
+        )
         if width is None:
-            width = (
-                self.chip_inputs.get(source_port)
-                if source_core is None
-                else self.cores[source_core].port_width(source_port)
-            )
-            if width is None:
-                raise SocError(f"cannot infer width of {source_core}.{source_port}")
+            raise SocError(f"cannot infer width of {source_core}.{source_port}")
         return self.connect(
-            PortRef(source_core, source_port, source_lo, width),
-            PortRef(dest_core, dest_port, dest_lo, width),
+            PortRef(source_core, source_port, 0, width),
+            PortRef(dest_core, dest_port, 0, width),
         )
 
     # ------------------------------------------------------------------

@@ -4,9 +4,8 @@ Every fixture here violates exactly one design rule (plus whatever that
 implies) and is built *without* running the construction-time
 validators: circuits come from ``CircuitBuilder.circuit`` (the
 unvalidated container) or are tampered with after a valid build, plans
-and schedules are corrupted after construction.  None of these are
-registered with the example-design registry -- ``repro lint SystemN``
-never sees them.
+are corrupted after construction.  None of these are registered with
+the example-design registry -- ``repro lint SystemN`` never sees them.
 
 Keep each builder minimal: the lint tests assert that the *named* rule
 fires on its fixture, so an incidental second violation makes the test
@@ -19,8 +18,7 @@ import dataclasses
 
 from repro.rtl import CircuitBuilder, OpKind, Slice
 from repro.rtl.types import Concat
-from repro.schedule import ScheduledTest, TestSchedule
-from repro.soc import Core, Soc, plan_soc_test
+from repro.soc import Core, PortRef, Soc, plan_soc_test
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +99,7 @@ def partially_driven_soc() -> Soc:
     soc.add_core(Core.from_circuit(_passthrough("A"), test_vectors=4))
     soc.add_input("PIN", 8)
     soc.add_output("POUT", 8)
-    soc.wire(None, "PIN", "A", "IN", width=4)
+    soc.connect(PortRef(None, "PIN", 0, 4), PortRef("A", "IN", 0, 4))
     soc.wire("A", "OUT", None, "POUT")
     return soc
 
@@ -109,7 +107,7 @@ def partially_driven_soc() -> Soc:
 def doubly_driven_soc() -> Soc:
     """Two nets landing on the same input bits: soc.input-drivers."""
     soc = _single_core_soc("doubledriver")
-    soc.wire(None, "PIN", "A", "IN", width=4)
+    soc.connect(PortRef(None, "PIN", 0, 4), PortRef("A", "IN", 0, 4))
     return soc
 
 
@@ -297,26 +295,3 @@ def bad_selection_plan():
     plan = plan_soc_test(_chain_soc("badselection"))
     plan.selection["A"] = 99
     return plan
-
-
-# ----------------------------------------------------------------------
-# schedule-scope fixtures (sched.*)
-# ----------------------------------------------------------------------
-def double_booked_schedule() -> TestSchedule:
-    """Chained cores forced to start together: sched.resource-conflict."""
-    plan = plan_soc_test(_chain_soc("doublebooked"))
-    good = plan.schedule()
-    entries = [ScheduledTest(item=e.item, start=0) for e in good.entries]
-    return TestSchedule(soc_name=plan.soc.name, algorithm="manual", entries=entries)
-
-
-def over_budget_schedule() -> TestSchedule:
-    """A valid schedule re-labelled with an impossible power budget: sched.power-budget."""
-    plan = plan_soc_test(_chain_soc("overbudget"))
-    good = plan.schedule()
-    return TestSchedule(
-        soc_name=plan.soc.name,
-        algorithm="manual",
-        entries=list(good.entries),
-        power_budget=1,
-    )

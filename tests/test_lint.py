@@ -159,24 +159,11 @@ class TestRulesFire:
         report = run_rules(context, scopes=("plan",))
         assert rule in fired(report)
 
-    @pytest.mark.parametrize("fixture, rule", [
-        (bd.double_booked_schedule, "sched.resource-conflict"),
-        (bd.over_budget_schedule, "sched.power-budget"),
-    ])
-    def test_schedule_rules(self, fixture, rule):
-        schedule = fixture()
-        context = LintContext(system=schedule.soc_name, schedule=schedule)
-        report = run_rules(context, scopes=("schedule",))
-        assert rule in fired(report)
-
     def test_infeasible_rules(self):
-        """plan/sched.infeasible translate construction failures."""
+        """plan.infeasible translates a construction failure."""
         context = LintContext(system="X", plan_error=RuntimeError("no route"))
         report = run_rules(context, scopes=("plan",))
         assert "plan.infeasible" in fired(report)
-        context = LintContext(system="X", schedule_error=RuntimeError("stuck"))
-        report = run_rules(context, scopes=("schedule",))
-        assert "sched.infeasible" in fired(report)
 
     def test_mux_usage_advisory_fires_on_system1(self):
         from repro.designs import build_system1
@@ -204,15 +191,14 @@ class TestRegistry:
             "trans.latency-overrun", "plan.infeasible",
             "plan.reservation-overlap", "plan.mux-unrecorded",
             "plan.tat-consistency", "plan.selection-range", "plan.mux-usage",
-            "sched.infeasible", "sched.resource-conflict", "sched.power-budget",
             "analysis.slice-provenance", "analysis.mux-conflict",
             "analysis.select-sharing", "analysis.access-route",
         }
 
     def test_table_holds_each_rule_once(self):
-        """21 rules, each id once, each scope one of SCOPES, the layers in run order."""
+        """18 rules, each id once, each scope one of SCOPES, the layers in run order."""
         ids = [rule.rule_id for rule in RULES]
-        assert len(ids) == len(set(ids)) == 21
+        assert len(ids) == len(set(ids)) == 18
         assert all(rule.scope in SCOPES for rule in RULES)
         order = [SCOPES.index(rule.scope) for rule in RULES]
         assert order == sorted(order)
@@ -235,7 +221,7 @@ class TestCliLint:
     def test_rules_listing(self, capsys):
         assert main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        assert "rtl.comb-loop" in out and "sched.power-budget" in out
+        assert "rtl.comb-loop" in out and "plan.mux-usage" in out
 
     def test_unknown_system_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow.report import counter_diff, headline, hotspots, render_run_report
+from repro.flow.report import headline, hotspots, render_run_report
 from repro.obs.ledger import RunLedger, make_record
 from repro.obs.profiler import stage_rows
+from repro.obs.regress import COUNTER_IGNORE, compare_records
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
@@ -111,20 +112,6 @@ class TestHotspots:
         assert [row["section"] for row in rows] == ["atpg.run"]
 
 
-class TestCounterDiff:
-    def test_no_baseline(self):
-        diff = counter_diff({"a": 1}, None)
-        assert diff["available"] is False
-
-    def test_zero_vs_absent_is_a_change(self):
-        diff = counter_diff({"a": 1, "z": 0}, {"a": 1})
-        assert diff["available"] is True
-        assert diff["changed"] == [
-            {"counter": "z", "baseline": None, "candidate": 0}
-        ]
-        assert diff["unchanged"] == 1
-
-
 class TestRunReport:
     def build(self, baseline=None, sections=None):
         """A small run: the committed record's artifact, with two timed
@@ -158,6 +145,21 @@ class TestRunReport:
     def test_counters_all_match(self):
         text = self.build(baseline=record())
         assert "All 2 counters match the baseline exactly" in text
+
+    def test_exec_counters_are_ignored_as_the_gate_ignores_them(self):
+        """Plan-cache warmth (``exec.*``) is no drift, as in ``repro regress``."""
+        run = committed_record()
+        run.update(record(counters={"a": 1, "z": 0, "exec.cache.hits": 5}))
+        baseline = record(counters={"a": 1, "z": 0, "exec.cache.hits": 0})
+        assert compare_records(run, baseline).drifts == []
+        text = render_run_report(run, baseline)
+        assert "All 2 counters match the baseline exactly" in text
+
+    def test_zero_vs_absent_is_a_change(self):
+        text = self.build(baseline=record(counters={"a": 1}))
+        rows = block(blocks_of(text), "Counters vs baseline")
+        assert rows[2].split() == ["z", "absent", "0"]
+        assert rows[-1] == "1 counters unchanged."
 
     def test_zero_time_run_renders(self):
         text = self.build(sections=sections_of({"profile.total": (1, 0.0, 0.0)}))
@@ -204,8 +206,9 @@ class TestRunReport:
         for kind, row in summary["yield"].items():
             assert convergence[f"{kind} moves accepted"] == (
                 f"{row['accepted']}/{row['candidates']}")
+        gated = [name for name in run["counters"] if not name.startswith(COUNTER_IGNORE)]
         assert block(blocks, "Counters vs baseline") == [
-            f"All {len(run['counters'])} counters match the baseline exactly "
+            f"All {len(gated)} counters match the baseline exactly "
             "(deterministic pipeline, unchanged work)."]
 
 

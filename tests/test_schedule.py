@@ -9,7 +9,6 @@ from repro.schedule import (
     TestSchedule,
     build_test_items,
     conflict_pairs,
-    get_scheduler,
     render_gantt,
     resource_set,
 )
@@ -144,8 +143,9 @@ class TestSchedulers:
         assert sorted(e.core for e in schedule.entries) == sorted(plan.core_plans)
 
     def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ScheduleError, match="unknown scheduler"):
-            get_scheduler("quantum")
+        plan = plan_soc_test(parallel_soc())
+        with pytest.raises(ScheduleError, match="unknown scheduler 'quantum'"):
+            plan.schedule(algorithm="quantum")
 
 
 class TestPowerBudget:
@@ -257,6 +257,46 @@ class TestRegisteredDesigns:
         assert schedule.makespan == max(p.tat for p in plan.core_plans.values())
 
 
+class TestDesignSpaceOracle:
+    """Every design point of Systems 1-4: its plan passes the plan-scope
+    lint rules, and both placements, with and without a power budget,
+    place every core once within the budget (``validate()`` runs on
+    each schedule as it is built)."""
+
+    @pytest.mark.parametrize("system, points, budget", [
+        ("System1", 27, 132), ("System2", 18, 100),
+        ("System3", 54, 132), ("System4", 54, 132),
+    ])
+    def test_every_point_plans_and_schedules(self, system, points, budget):
+        """``budget`` is twice the system's largest core flip-flop count."""
+        from repro.designs import system_builders
+        from repro.lint import LintContext, Severity, run_rules
+        from repro.soc import design_space
+
+        soc = system_builders()[system]()
+        assert budget == 2 * max(core.flip_flops for core in soc.testable_cores())
+        space = design_space(soc)
+        assert len(space) == points
+        certificate = None
+        for point in space:
+            context = LintContext(
+                system=soc.name, soc=soc, plan=point.plan, certificate=certificate
+            )
+            report = run_rules(context, scopes=("plan",))
+            certificate = context.certificate
+            assert report.errors == [], report.render()
+            assert report.of_severity(Severity.WARNING) == [], report.render()
+            cores = sorted(point.plan.core_plans)
+            for algorithm in ("greedy", "sessions"):
+                for power_budget in (None, budget):
+                    schedule = point.plan.schedule(
+                        algorithm=algorithm, power_budget=power_budget
+                    )
+                    assert sorted(e.core for e in schedule.entries) == cores
+                    if power_budget is not None:
+                        assert schedule.peak_activity <= power_budget
+
+
 class TestScheduleCli:
     def test_schedule_subcommand(self, capsys):
         from repro.cli import main
@@ -266,3 +306,26 @@ class TestScheduleCli:
         assert "serial TAT" in out
         assert "scheduled TAT" in out
         assert "peak scan activity" in out
+
+    @pytest.mark.parametrize("argv, line", [
+        (["System3"], "scheduled TAT: 921 cycles"),
+        (["System4", "-a", "sessions", "-p", "120", "--bist"],
+         "peak scan activity: 111 FFs (budget 120)"),
+    ])
+    def test_schedule_prints(self, argv, line, capsys):
+        from repro.cli import main
+
+        assert main(["schedule", *argv]) == 0
+        assert line in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-p", "1"], "> power budget 1"),
+        (["-a", "quantum"], "invalid choice: 'quantum'"),
+    ])
+    def test_bad_arguments_exit_2(self, argv, message, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["schedule", "System4", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
