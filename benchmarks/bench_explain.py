@@ -1,10 +1,11 @@
 """Search-effort attribution: hard-fault stability.
 
-The artifact of ``repro explain`` is a pure function of the pipeline
-run's own results (each ATPG outcome's PODEM results and the
-optimizer's moves), so there is no collector to switch and no overhead
-arm to time: recording is always on, and its cost is part of every
-end-to-end measurement of the run.  This bench pins the artifact
+The search-effort artifact a pipeline run's record carries (its
+``attrib`` field, written by ``repro profile --ledger``) is a pure
+function of the run's own results (each ATPG outcome's PODEM results
+and the optimizer's moves), so there is no collector to switch and no
+overhead arm to time: recording is always on, and its cost is part of
+every end-to-end measurement of the run.  This bench pins the artifact
 itself: System1's quick artifact must be byte-identical when re-run at
 the same seed, and the top-10 hardest-fault table is recorded per seed
 (0, 1, 2) so the difficulty ranking's trajectory is diffable across
@@ -33,7 +34,7 @@ def _hard_fault_tables():
         runs += [record, rerun]
         artifact = record["attrib"]
         assert artifact_json(artifact) == artifact_json(rerun["attrib"]), (
-            f"seed {seed}: explain artifact is not byte-stable across runs"
+            f"seed {seed}: attribution artifact is not byte-stable across runs"
         )
         tables[str(seed)] = [
             {"fault": entry["fault"], "effort": entry["effort"],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from conftest import record_bench, write_result
 
-from repro.dft.tat import fscan_bscan_core_tat
+from repro.baselines.fscan_bscan import fscan_bscan_core_tat
 from repro.soc import plan_soc_test
 from repro.util import render_table
 

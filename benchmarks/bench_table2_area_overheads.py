@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from conftest import record_bench, write_result
 
-from repro.flow import render_area_table
-from repro.flow.profile import record_rows, run_pipeline
+from repro.flow import record_rows, render_area_table
+from repro.flow.profile import run_pipeline
 
 
 def both_runs():

@@ -34,8 +34,8 @@ from conftest import SEED, record_bench, write_result
 from repro.atpg.combinational import CombinationalAtpg
 from repro.elaborate import elaborate
 from repro.faults.coverage import CoverageReport
-from repro.flow import render_grading_budget, render_testability_table
-from repro.flow.profile import record_rows, run_pipeline
+from repro.flow import record_rows, render_grading_budget, render_testability_table
+from repro.flow.profile import run_pipeline
 from repro.obs import METRICS
 
 #: PODEM backtrack limits of E7's check: the default, which the flow

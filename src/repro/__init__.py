@@ -7,32 +7,12 @@ insertion, transparency synthesis, chip-level planning -- implemented
 from scratch.  See DESIGN.md for the architecture and EXPERIMENTS.md
 for the reproduced tables and figures.
 
-The most-used entry points are re-exported here; the subpackages hold
-the rest (``repro.rtl``, ``repro.gates``, ``repro.elaborate``,
-``repro.faults``, ``repro.atpg``, ``repro.dft``, ``repro.transparency``,
-``repro.soc``, ``repro.baselines``, ``repro.bist``, ``repro.designs``,
+The package itself imports nothing, so a command loads only the layers
+it runs; the subpackages hold the library (``repro.rtl``,
+``repro.gates``, ``repro.elaborate``, ``repro.faults``, ``repro.atpg``,
+``repro.dft``, ``repro.transparency``, ``repro.soc``,
+``repro.baselines``, ``repro.bist``, ``repro.designs``,
 ``repro.flow``).
 """
 
-from repro.rtl import CircuitBuilder, OpKind, RTLCircuit, Slice
-from repro.dft import insert_hscan
-from repro.transparency import generate_versions
-from repro.soc import Core, Soc, design_space, plan_soc_test
-from repro.soc.optimizer import SocetOptimizer
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "CircuitBuilder",
-    "OpKind",
-    "RTLCircuit",
-    "Slice",
-    "insert_hscan",
-    "generate_versions",
-    "Core",
-    "Soc",
-    "design_space",
-    "plan_soc_test",
-    "SocetOptimizer",
-    "__version__",
-]

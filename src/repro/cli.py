@@ -1,4 +1,4 @@
-"""Command-line interface: inspect cores, sweep systems, compare methods.
+"""Command-line interface: inspect cores, plan and sweep systems, profile a run.
 
 Usage (after ``pip install -e .``)::
 
@@ -7,27 +7,25 @@ Usage (after ``pip install -e .``)::
     python -m repro plan System1              # test plan (min-area versions)
     python -m repro plan System1 -s CPU=3     # ...with the CPU at Version 3
     python -m repro sweep System1             # Figure 10's design space
-    python -m repro compare System2           # SOCET vs FSCAN-BSCAN (Tables 2, 3)
     python -m repro schedule System3          # concurrent-session schedule
     python -m repro schedule System4 -p 80    # ...under a scan-power budget
     python -m repro lint System3              # static design-rule check
     python -m repro lint System3 --json       # ...as machine-readable JSON
     python -m repro certify System3 --json    # transparency proof certificate
     python -m repro certify System1 --replay  # ...checked against the simulator
-    python -m repro profile System3           # the whole evaluation's run report
+    python -m repro profile System2           # the whole evaluation: Tables 2, 3 + run report
     python -m repro profile System1 --quick --baseline L.jsonl  # ...with a counter diff
-    python -m repro explain System1 --quick   # ...its repro-attrib artifact (JSON)
+    python -m repro profile System1 --quick --ledger L.jsonl    # ...appended as a ledger record
     python -m repro regress --ledger L.jsonl  # exact counter gate
     python -m repro validate cert.json L.jsonl  # schema check of any artifact
 
-``compare``, ``profile`` and ``explain`` run the one flow driver once
+``profile`` is the one command that runs the flow driver
 (:func:`repro.flow.profile.run_pipeline`, the paper's whole evaluation
-of the system) and render its one ledger record; ``plan``, ``sweep``,
-``schedule`` and ``export`` call the library directly.
-
-Global observability flags work on every subcommand (before or after
-it): ``--metrics`` appends the full instrument table, and ``-v``/``-vv``
-turn on INFO/DEBUG logging from the library.
+of the system): it prints the run's one ledger record as a report, and
+``--ledger`` appends the record, search-effort artifact included, as
+its machine-readable form.  ``plan``, ``sweep``, ``schedule`` and
+``export`` call the library directly.  Each command imports only what
+it runs.
 
 Exit codes: 0 success, 1 a runtime failure (or the subcommand's own
 "found something" verdict), 2 a usage error -- bad arguments, an
@@ -203,31 +201,6 @@ def cmd_sweep(args) -> int:
     best = min(points, key=lambda p: (p.tat, p.chip_cells))
     print(f"\nmin-area: point 1 ({points[0].tat} cycles); "
           f"min-TAT: point {best.index} ({best.tat} cycles, {best.label()})")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    from repro.flow import (
-        render_area_table,
-        render_grading_budget,
-        render_schedule_table,
-        render_testability_table,
-    )
-    from repro.flow.profile import record_rows, run_pipeline
-
-    record = run_pipeline(args.system)
-    print(render_area_table(record_rows(record, "area")))
-    print()
-    print(render_schedule_table(record_rows(record, "schedules")))
-    print()
-    testability = record_rows(record, "testability")
-    print(render_testability_table(testability))
-    print(render_grading_budget(record["results"]["grading"]))
-    tat = {row.configuration: row.tat for row in testability}
-    ratio = tat["FSCAN-BSCAN"] / max(1, tat["SOCET Min. TApp."])
-    print(f"\nFSCAN-BSCAN: {tat['FSCAN-BSCAN']} cycles; "
-          f"SOCET: {tat['SOCET Min. Area']} (min area) / "
-          f"{tat['SOCET Min. TApp.']} (min TApp) -- {ratio:.1f}x faster")
     return 0
 
 
@@ -416,19 +389,8 @@ def _read_ledger(path: str, label: str, missing_ok: bool = False):
     return ledger
 
 
-def _run_pipeline(args, top_k: int = 10):
-    from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
-
-    return run_pipeline(
-        args.system,
-        seed=args.seed,
-        max_faults=QUICK_MAX_FAULTS if args.quick else None,
-        top_k=top_k,
-    )
-
-
 def cmd_profile(args) -> int:
-    from repro.flow.profile import series_key
+    from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline, series_key
     from repro.flow.report import render_run_report
 
     # check every path before the measured run: a bad path should fail
@@ -441,7 +403,9 @@ def cmd_profile(args) -> int:
         )
     if args.output:
         _check_output(args.output)
-    record = _run_pipeline(args)
+    record = run_pipeline(
+        args.system, seed=args.seed, max_faults=QUICK_MAX_FAULTS if args.quick else None
+    )
     if ledger is not None:
         ledger.append(record)
         print(f"appended {record['bench']} record to {args.ledger}", file=sys.stderr)
@@ -466,20 +430,6 @@ def cmd_regress(args) -> int:
         raise UsageError(str(error))
     print(report.to_json() if args.json else report.render())
     return report.exit_code()
-
-
-def cmd_explain(args) -> int:
-    from repro.obs.attrib import artifact_json
-
-    if args.output:
-        _check_output(args.output)
-    text = artifact_json(_run_pipeline(args, top_k=args.top)["attrib"])
-    if args.output:
-        _write_output(args.output, text)
-        print(f"wrote attrib artifact to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def cmd_validate(args) -> int:
@@ -539,95 +489,38 @@ def _validate_file(path: str):
 
 
 # ----------------------------------------------------------------------
-def _observability_parent() -> argparse.ArgumentParser:
-    """The global flags, attachable before *or* after the subcommand.
-
-    Defaults are ``SUPPRESS`` so a subparser never clobbers a value the
-    main parser already set; ``main`` reads them with ``getattr``.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("observability")
-    group.add_argument(
-        "--metrics", action="store_true", default=argparse.SUPPRESS,
-        help="print the full metrics table after the command",
-    )
-    group.add_argument(
-        "-v", "--verbose", action="count", default=argparse.SUPPRESS,
-        help="library logging: -v for INFO, -vv for DEBUG",
-    )
-    return parent
-
-
-def _pipeline_parent() -> argparse.ArgumentParser:
-    """The arguments of one pipeline run (``profile``/``explain``)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("system")
-    parent.add_argument("--seed", type=int, default=0, help="ATPG seed (default 0)")
-    parent.add_argument(
-        "--quick", action="store_true",
-        help="cap per-core ATPG at a sampled fault subset (seconds, not minutes)",
-    )
-    return parent
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
-    from repro.schedule import PLACEMENTS
-
-    obs = _observability_parent()
-    pipeline = _pipeline_parent()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SOCET core-based SOC test planning (DAC'98 reproduction)",
-        parents=[obs],
     )
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cores = sub.add_parser("cores", help="list the example cores", parents=[obs])
+    p_cores = sub.add_parser("cores", help="list the example cores")
     p_cores.set_defaults(func=cmd_cores)
 
-    p_versions = sub.add_parser(
-        "versions", help="a core's transparency versions", parents=[obs]
-    )
+    p_versions = sub.add_parser("versions", help="a core's transparency versions")
     p_versions.add_argument("core")
     p_versions.set_defaults(func=cmd_versions)
 
-    p_plan = sub.add_parser("plan", help="plan an SOC test", parents=[obs])
+    p_plan = sub.add_parser("plan", help="plan an SOC test")
     p_plan.add_argument("system")
     p_plan.add_argument("-s", "--select", help="version selection, e.g. CPU=3,DISPLAY=1")
     p_plan.set_defaults(func=cmd_plan)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="sweep the version design space", parents=[obs]
-    )
+    p_sweep = sub.add_parser("sweep", help="sweep the version design space")
     p_sweep.add_argument("system")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_compare = sub.add_parser("compare", help="SOCET vs FSCAN-BSCAN", parents=[obs])
-    p_compare.add_argument("system")
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_schedule = sub.add_parser(
-        "schedule", help="concurrent test-session schedule", parents=[obs]
-    )
+    p_schedule = sub.add_parser("schedule", help="concurrent test-session schedule")
     p_schedule.add_argument("system")
     p_schedule.add_argument("-s", "--select", help="version selection, e.g. CPU=3")
     p_schedule.add_argument(
-        "-a", "--algorithm", default="greedy", choices=sorted(PLACEMENTS),
-        help="scheduler: greedy list (default) or session packer",
+        "-a", "--algorithm", default="greedy",
+        help="scheduler: greedy (list scheduling, the default) or sessions",
     )
     p_schedule.add_argument(
         "-p", "--power-budget", type=int,
@@ -640,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.set_defaults(func=cmd_schedule)
 
     p_lint = sub.add_parser(
-        "lint", help="static design-rule check of a system", parents=[obs],
+        "lint", help="static design-rule check of a system",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
@@ -668,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser(
         "certify", help="symbolic transparency certification of a system",
-        parents=[obs],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
@@ -698,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("-o", "--output", help="output file (default stdout)")
     p_certify.set_defaults(func=cmd_certify)
 
-    p_export = sub.add_parser("export", help="export a test plan as JSON", parents=[obs])
+    p_export = sub.add_parser("export", help="export a test plan as JSON")
     p_export.add_argument("system")
     p_export.add_argument("-s", "--select", help="version selection, e.g. CPU=3")
     p_export.add_argument("-o", "--output", help="output file (default stdout)")
@@ -706,16 +598,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile", help="run the full pipeline, print its run report",
-        parents=[obs, pipeline],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "Prints one pipeline run as text tables: the run facts, the plan\n"
-            "summary, the stage table (self times plus the run's unaccounted\n"
-            "time, rows that sum to the total), the top-10 hotspots by self\n"
-            "time, the search-effort attribution (ATPG totals, hardest faults,\n"
-            "optimizer convergence), and an exact counter diff against the\n"
-            "baseline ledger's newest record of the same series.\n"
+            "summary, SOCET against FSCAN-BSCAN (Table 2, the schedule rows,\n"
+            "Table 3 with its grading budget, the speedup line), the stage\n"
+            "table (self times plus the run's unaccounted time, rows that sum\n"
+            "to the total), the top-10 hotspots by self time, the search-effort\n"
+            "attribution (ATPG totals, hardest faults, optimizer convergence),\n"
+            "and an exact counter diff against the baseline ledger's newest\n"
+            "record of the same series.  The --ledger record is the run's\n"
+            "machine-readable form; its attrib field is the repro-attrib\n"
+            "artifact.\n"
         ),
+    )
+    p_profile.add_argument("system")
+    p_profile.add_argument("--seed", type=int, default=0, help="ATPG seed (default 0)")
+    p_profile.add_argument(
+        "--quick", action="store_true",
+        help="cap per-core ATPG at a sampled fault subset (seconds, not minutes)",
     )
     p_profile.add_argument(
         "--ledger", metavar="FILE",
@@ -732,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_regress = sub.add_parser(
         "regress", help="exact counter gate over a run ledger",
-        parents=[obs],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
@@ -764,29 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_regress.set_defaults(func=cmd_regress)
 
-    p_explain = sub.add_parser(
-        "explain", help="run the pipeline, emit its search-effort artifact",
-        parents=[obs, pipeline],
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "Writes the byte-stable 'repro-attrib' artifact of one pipeline\n"
-            "run: the top-K hardest faults (PODEM effort ledger, reconciled\n"
-            "exactly against the atpg.podem.* counters) and the optimizer's\n"
-            "move trajectory.  Check it offline with 'repro validate FILE';\n"
-            "'repro profile' prints the same planes as tables.\n"
-        ),
-    )
-    p_explain.add_argument(
-        "--top", type=_positive_int, default=10, metavar="K",
-        help="hard faults to rank in the artifact (default %(default)s)",
-    )
-    p_explain.add_argument("-o", "--output", metavar="FILE",
-                           help="output file (default stdout)")
-    p_explain.set_defaults(func=cmd_explain)
-
     p_validate = sub.add_parser(
         "validate", help="check certificates, ledgers and attribution artifacts",
-        parents=[obs],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "A .jsonl file is a run ledger, checked line by line; any other\n"
@@ -806,13 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.obs import METRICS, configure_logging
-
     args = build_parser().parse_args(argv)
-    show_metrics = getattr(args, "metrics", False)
-    configure_logging(getattr(args, "verbose", 0))
     try:
-        status = args.func(args)
+        return args.func(args)
     except UsageError as error:
         # bad arguments exit 2, like argparse's own errors; real failures exit 1
         print(f"repro: {error}", file=sys.stderr)
@@ -826,12 +701,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit(2)
     except ReproError as error:
         raise SystemExit(f"repro: {error}")
-    if show_metrics:
-        from repro.flow.report import render_metrics_table
-
-        print()
-        print(render_metrics_table(METRICS.snapshot()))
-    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Scan-architecture data model shared by HSCAN and FSCAN insertion.
+"""Scan-architecture data model of HSCAN insertion.
 
 A *scan unit* is a contiguous slice of a register that shifts as one
 piece; HSCAN chains are sequences of units connected by *scan links*
@@ -25,8 +25,6 @@ COST_TEST_MUX_PER_BIT = 2
 COST_OBS_MUX = 2
 #: cells charged for routing a chain tail to a new scan-out pin
 COST_NEW_SCAN_OUT = 4
-#: per-flip-flop cells for full-scan (DFF -> scan-FF mux)
-FSCAN_PER_FF = 2
 
 
 @dataclass(frozen=True, order=True)

@@ -1,13 +1,9 @@
-"""Test-application-time formulas used throughout the paper.
+"""The HSCAN test-application-time formula.
 
-* HSCAN vectors: a full-scan (combinational) vector takes ``depth``
-  shift cycles plus one apply cycle through chains of sequential depth
-  ``depth`` -- the paper's DISPLAY needs 105 x (4+1) = 525 HSCAN vectors.
-* FSCAN-BSCAN per-core time: the core's flip-flops and the boundary-scan
-  cells on its internal inputs form one serial chain of length
-  ``L = ff + internal_inputs``; V vectors cost ``L*V + L - 1`` cycles
-  (shift-in overlapped with shift-out, plus the final flush) -- the
-  paper's (66+20) x 105 + 85 = 9,115 cycles for the DISPLAY.
+A full-scan (combinational) vector takes ``depth`` shift cycles plus one
+apply cycle through chains of sequential depth ``depth`` -- the paper's
+DISPLAY needs 105 x (4+1) = 525 HSCAN vectors.  The FSCAN-BSCAN
+baseline's formula is :func:`repro.baselines.fscan_bscan.fscan_bscan_core_tat`.
 """
 
 from __future__ import annotations
@@ -18,11 +14,3 @@ def hscan_vector_count(combinational_vectors: int, depth: int) -> int:
     if combinational_vectors < 0 or depth < 0:
         raise ValueError("vector count and depth must be non-negative")
     return combinational_vectors * (depth + 1)
-
-
-def fscan_bscan_core_tat(ff_count: int, internal_input_bits: int, vectors: int) -> int:
-    """Cycles to test one core in the FSCAN-BSCAN scheme."""
-    chain_length = ff_count + internal_input_bits
-    if vectors == 0 or chain_length == 0:
-        return 0
-    return chain_length * vectors + chain_length - 1

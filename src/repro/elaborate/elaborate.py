@@ -34,9 +34,6 @@ class Elaborated:
     def input_bits(self, port: str) -> List[str]:
         return list(self.comp_bits[port])
 
-    def output_bits(self, port: str) -> List[str]:
-        return [f"{port}.{i}" for i in range(self.circuit.get(port).width)]
-
 
 def elaborate(circuit: RTLCircuit) -> Elaborated:
     """Elaborate ``circuit`` into a validated gate netlist."""

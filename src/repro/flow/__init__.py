@@ -6,10 +6,10 @@
   evaluation of one system (ATPG, the design space and its named
   points, optimization, schedules, the FSCAN-BSCAN baseline, the
   Table 2 and Table 3 rows), timed and attributed, returned as one
-  ledger record that ``repro profile``, ``explain`` and ``compare``
-  render.
+  ledger record that ``repro profile`` renders.
 * :mod:`repro.flow.report` -- the paper's table rows and their text
-  tables, and ``repro profile``'s run report of one pipeline record.
+  tables, and ``repro profile``'s run report of one pipeline record,
+  those tables included.
 """
 
 from repro.flow.system_netlist import flatten_soc
@@ -23,9 +23,9 @@ from repro.flow.report import (
     AreaRow,
     ScheduleRow,
     TestabilityRow,
+    record_rows,
     render_area_table,
     render_grading_budget,
-    render_metrics_table,
     render_run_report,
     render_schedule_table,
     render_session_table,
@@ -42,9 +42,9 @@ __all__ = [
     "AreaRow",
     "ScheduleRow",
     "TestabilityRow",
+    "record_rows",
     "render_area_table",
     "render_grading_budget",
-    "render_metrics_table",
     "render_run_report",
     "render_schedule_table",
     "render_session_table",

@@ -10,10 +10,11 @@ The paper's "min. area" design is the fewest-cells point throughout.
 
 It returns the run's ``repro-ledger`` record (kind ``profile``), and
 every renderer reads that record: ``repro profile`` prints its run
-report (:func:`repro.flow.report.render_run_report`), ``explain`` writes
-its ``repro-attrib`` artifact, and ``compare``, the Table 1-3 benches
-and ``examples/system2_report.py`` print its points and table rows
-(:func:`record_rows`).
+report, Tables 2 and 3 included
+(:func:`repro.flow.report.render_run_report`), and ``--ledger`` appends
+it, its ``repro-attrib`` artifact with it; the Table 1-3 benches and
+``examples/system2_report.py`` print its points and table rows
+(:func:`repro.flow.report.record_rows`).
 
 The record carries the run's total wall time (``samples``), every
 section's totals (``histograms``), the full counter snapshot, zeros
@@ -31,7 +32,6 @@ reconciliation section can hold the PODEM totals of the outcomes to the
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -43,8 +43,6 @@ from repro.obs.attrib import build_artifact
 from repro.obs.ledger import make_record
 from repro.obs.profiler import ROOT_SECTION
 
-logger = logging.getLogger("repro.flow.profile")
-
 #: quick mode's per-core fault cap (``--quick`` in the CLI): small
 #: enough for seconds-long runs, large enough that PODEM still
 #: backtracks on every example core
@@ -55,19 +53,11 @@ QUICK_MAX_FAULTS = 60
 #: flattened chip's faults (quick mode caps the sample at its fault cap)
 GRADING_BUDGET = {"sequences": 16, "cycles": 12, "faults": 120}
 
-_ROW_TYPES = {"area": AreaRow, "schedules": ScheduleRow, "testability": TestabilityRow}
-
 
 def series_key(system: str, quick: bool) -> str:
     """The ledger series of a run (quick runs do less work, so they
     must not share a baseline window with full runs)."""
     return f"profile-{system}" + ("-quick" if quick else "")
-
-
-def record_rows(record: Dict, table: str) -> List:
-    """A record's ``area`` (Table 2), ``schedules`` or ``testability``
-    (Table 3) rows, as the row objects the table renderers take."""
-    return [_ROW_TYPES[table](**row) for row in record["results"][table]]
 
 
 def regenerate_atpg(circuit, seed: int, max_faults: Optional[int]):
@@ -141,7 +131,6 @@ def run_stages(
         # core-level + transparency: building the SOC runs HSCAN
         # insertion and version synthesis for every core
         soc = build()
-        logger.info("built %s (HSCAN + transparency versions)", soc.name)
         cores = soc.testable_cores()
 
         # ATPG + fault-sim: each core's test set, once (the plans size
@@ -225,14 +214,12 @@ def run_pipeline(
     system: str,
     seed: int = 0,
     max_faults: Optional[int] = None,
-    top_k: int = 10,
 ) -> Dict:
     """Run every stage on ``system`` and return the run's record.
 
     ``max_faults`` caps the per-core ATPG fault list and the functional
     grading sample at seeded samples -- the CLI's ``--quick`` mode, which
     keeps every stage and counter live while cutting the run's work.
-    ``top_k`` is the artifact's hard-fault table length.
     """
     from repro.designs import system_builders
 
@@ -250,7 +237,6 @@ def run_pipeline(
         system=system,
         seed=seed,
         quick=max_faults is not None,
-        top_k=top_k,
     )
 
     return make_record(

@@ -1,9 +1,9 @@
 """Report rows mirroring the paper's tables, plus text rendering.
 
-Beyond the paper's tables this module renders the observability
-artifacts: ``repro profile``'s run report of one pipeline record
-(:func:`render_run_report`) and the metrics section printed by the
-global ``--metrics`` flag.  Every table is plain ASCII from
+``repro profile``'s run report (:func:`render_run_report`) renders one
+pipeline record: the paper's Tables 2 and 3 and the schedule rows,
+rebuilt from the record by :func:`record_rows`, beside the run's
+timing and search-effort views.  Every table is plain ASCII from
 :func:`repro.util.render_table`.
 """
 
@@ -159,6 +159,15 @@ class TestabilityRow:
     tat: Optional[int] = None
 
 
+_ROW_TYPES = {"area": AreaRow, "schedules": ScheduleRow, "testability": TestabilityRow}
+
+
+def record_rows(record: Dict, table: str) -> List:
+    """A record's ``area`` (Table 2), ``schedules`` or ``testability``
+    (Table 3) rows, as the row objects the table renderers take."""
+    return [_ROW_TYPES[table](**row) for row in record["results"][table]]
+
+
 def _format_counters(counters: Dict[str, object], limit: int = 4) -> str:
     """Compact ``name=value`` list, largest values first."""
     ordered = sorted(counters.items(), key=lambda kv: (-float(kv[1]), kv[0]))
@@ -232,11 +241,13 @@ def render_run_report(record: Dict, baseline: Optional[Dict] = None) -> str:
 
     ``record`` is a :func:`repro.flow.profile.run_pipeline` record and
     ``baseline`` the newest record of its series in a baseline ledger
-    (or ``None``).  The sections: the run facts, the plan summary, the
-    stage table, the top-10 hotspots by self time (the root section is
-    never one: its inclusive time is the whole run), the search-effort
-    attribution of the record's ``repro-attrib`` artifact, and the exact
-    counter diff against ``baseline``.
+    (or ``None``).  The sections: the run facts, the plan summary,
+    SOCET against FSCAN-BSCAN (Table 2, the schedule rows, Table 3 with
+    its grading budget, and the baseline's TAT over the least-TAT
+    design's), the stage table, the top-10 hotspots by self time (the
+    root section is never one: its inclusive time is the whole run),
+    the search-effort attribution of the record's ``repro-attrib``
+    artifact, and the exact counter diff against ``baseline``.
     """
     samples = record["samples"]
     env = record["env"]
@@ -265,11 +276,21 @@ def render_run_report(record: Dict, baseline: Optional[Dict] = None) -> str:
         [f"{kind} moves accepted", f"{row['accepted']}/{row['candidates']}"]
         for kind, row in sorted(optimizer["yield"].items())
     )
+    testability = record_rows(record, "testability")
+    tat = {row.configuration: row.tat for row in testability}
     blocks = [
         render_table(["fact", "value"], facts,
                      title=f"{record['attrib']['system']} pipeline run"),
         render_table(["metric", "value"], list(headline(record["results"]).items()),
                      title="Plan summary"),
+        render_area_table(record_rows(record, "area")),
+        render_schedule_table(record_rows(record, "schedules")),
+        render_testability_table(testability) + "\n"
+        + render_grading_budget(record["results"]["grading"]),
+        f"FSCAN-BSCAN: {tat['FSCAN-BSCAN']} cycles; "
+        f"SOCET: {tat['SOCET Min. Area']} (min area) / "
+        f"{tat['SOCET Min. TApp.']} (min TApp) -- "
+        f"{tat['FSCAN-BSCAN'] / max(1, tat['SOCET Min. TApp.']):.1f}x faster",
         render_stage_table(stage_rows(sections, record["counters"])),
         render_table(
             ["Section", "Self(ms)", "Inclusive(ms)", "Calls"],
@@ -320,25 +341,6 @@ def _render_counter_diff(counters: Dict, baseline: Optional[Dict]) -> str:
     ]
     table = render_table(["counter", "baseline", "current"], rows, title=title)
     return f"{table}\n{unchanged} counters unchanged."
-
-
-def render_metrics_table(snapshot: Dict) -> str:
-    """The ``--metrics`` section: every counter and timed section.
-
-    ``snapshot`` is :meth:`repro.obs.MetricsRegistry.snapshot` output.
-    """
-    rows = []
-    for name, value in snapshot.get("counters", {}).items():
-        rows.append([name, "counter", f"{value:,}"])
-    for name, totals in snapshot.get("sections", {}).items():
-        rendered = (
-            f"n={totals['count']} sum={totals['sum']:.4g}s "
-            f"self={totals['self']:.4g}s"
-        )
-        rows.append([name, "section", rendered])
-    if not rows:
-        rows.append(["(no instruments recorded)", "-", "-"])
-    return render_table(["Instrument", "Kind", "Value"], rows, title="Metrics")
 
 
 def render_testability_table(rows: List[TestabilityRow]) -> str:

@@ -140,9 +140,6 @@ class GateNetlist:
         """Total area in cell units."""
         return sum(gate.area() for gate in self._gates.values())
 
-    def flop_count(self) -> int:
-        return len(self.flops)
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------

@@ -36,8 +36,6 @@ See DESIGN.md ("Observability") for the instrument naming contract.
 
 from __future__ import annotations
 
-import logging
-
 from repro.obs.attrib import artifact_json, build_artifact
 from repro.obs.metrics import Counter, DEFAULT_REGISTRY, MetricsRegistry
 from repro.obs.profiler import PIPELINE_STAGES, profile_section, stage_rows
@@ -64,29 +62,5 @@ __all__ = [
     "RegressionReport",
     "compare_ledgers",
     "compare_records",
-    "configure_logging",
 ]
 
-
-def configure_logging(verbosity: int = 0, stream=None) -> logging.Logger:
-    """Configure the ``repro`` logger tree from a ``-v`` count.
-
-    0 leaves the library silent (WARNING), 1 enables INFO, 2+ DEBUG.
-    Handlers are installed once on the ``repro`` root logger so repeated
-    CLI invocations in one process do not duplicate output lines.
-    """
-    level = logging.WARNING
-    if verbosity == 1:
-        level = logging.INFO
-    elif verbosity >= 2:
-        level = logging.DEBUG
-    logger = logging.getLogger("repro")
-    logger.setLevel(level)
-    if not logger.handlers:
-        handler = logging.StreamHandler(stream)
-        handler.setFormatter(
-            logging.Formatter("%(levelname).1s %(name)s: %(message)s")
-        )
-        logger.addHandler(handler)
-        logger.propagate = False
-    return logger

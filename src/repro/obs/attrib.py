@@ -55,6 +55,10 @@ ATTRIB_SCHEMA_VERSION = 2
 
 _PODEM_STATUSES = ("detected", "aborted", "redundant")
 
+#: rows of the hard-fault table, the most effortful faults first (the
+#: artifact's ``top_k`` field)
+HARD_FAULTS = 10
+
 #: abort-cause label per terminal PODEM status
 ABORT_CAUSES = {
     "detected": None,
@@ -124,7 +128,7 @@ def _fault_id(record: Mapping[str, Any]) -> str:
     return f"{record['netlist']}::{location}/sa{record['stuck']}"
 
 
-def _atpg_plane(records: Iterator[Dict[str, Any]], top_k: int) -> Dict[str, Any]:
+def _atpg_plane(records: Iterator[Dict[str, Any]]) -> Dict[str, Any]:
     totals = {
         "aborted": 0, "backtracks": 0, "calls": 0, "decisions": 0,
         "detected": 0, "effort": 0, "implications": 0, "redundant": 0,
@@ -190,7 +194,7 @@ def _atpg_plane(records: Iterator[Dict[str, Any]], top_k: int) -> Dict[str, Any]
         "classes": classes,
         "difficulty": difficulty,
         "faults": len(by_fault),
-        "hard_faults": ranked[:top_k],
+        "hard_faults": ranked[:HARD_FAULTS],
         "totals": totals,
     }
 
@@ -234,7 +238,6 @@ def build_artifact(
     system: str,
     seed: int,
     quick: bool,
-    top_k: int,
 ) -> Dict[str, Any]:
     """Assemble the byte-stable ``repro-attrib`` artifact.
 
@@ -245,7 +248,7 @@ def build_artifact(
     section can hold the ATPG plane to the ``atpg.podem.*`` counters
     *exactly*.
     """
-    atpg_plane = _atpg_plane(_search_records(atpg), top_k)
+    atpg_plane = _atpg_plane(_search_records(atpg))
     totals = atpg_plane["totals"]
     checks = (
         ("atpg.podem.calls", totals["calls"], counters.get("atpg.podem.calls", 0)),
@@ -274,7 +277,7 @@ def build_artifact(
         "schema_version": ATTRIB_SCHEMA_VERSION,
         "seed": seed,
         "system": system,
-        "top_k": top_k,
+        "top_k": HARD_FAULTS,
     }
 
 

@@ -4,9 +4,9 @@ Every measured run -- a benchmark's timing rounds or one pipeline run --
 is one ``repro-ledger`` record, and a ledger file holds one record per
 line, so a run's history is a queryable series.  Benchmarks append
 their records to their results ledger, and ``repro profile --ledger``
-appends a pipeline run's (``repro explain`` writes no record, only the
-run's attribution artifact).  Records are self-describing and
-versioned::
+appends a pipeline run's, the one machine-readable form of that run
+(its ``attrib`` field is the run's search-effort artifact).  Records
+are self-describing and versioned::
 
     {
       "schema": "repro-ledger",
@@ -82,7 +82,7 @@ LEDGER_SCHEMA = "repro-ledger"
 #: 4 -- adds the optional ``attrib`` field (a full ``repro-attrib``
 #: search-effort artifact, checked against the artifact's own shape on
 #: append; every profile record carries one) and a kind "explain", since
-#: retired (``repro explain`` writes no ledger record)
+#: retired (no command writes it)
 LEDGER_SCHEMA_VERSION = 4
 
 #: record kinds the schema admits

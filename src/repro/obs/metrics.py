@@ -122,13 +122,6 @@ class MetricsRegistry:
             if name.startswith(prefix) and s.calls
         }
 
-    def snapshot(self) -> Dict[str, Dict]:
-        """JSON-ready view of every instrument with data."""
-        return {
-            "counters": {k: v for k, v in self.counters().items() if v},
-            "sections": self.sections(),
-        }
-
     def reset(self) -> None:
         """Zero every instrument in place (cached references stay live)."""
         for table in (self._counters, self._sections):

@@ -20,8 +20,6 @@ borrows its neighbours' transparency -- while SOCs with independent
 subsystems (System3/System4) overlap and the makespan drops.
 """
 
-import logging
-
 from repro.errors import ScheduleError
 from repro.obs import METRICS, profile_section
 from repro.schedule.conflicts import (
@@ -49,8 +47,6 @@ __all__ = [
     "schedule_plan",
 ]
 
-logger = logging.getLogger("repro.schedule")
-
 _ITEMS = METRICS.counter("schedule.items")
 _SESSIONS = METRICS.counter("schedule.sessions.packed")
 
@@ -75,7 +71,6 @@ def schedule_plan(
         raise ScheduleError(
             f"unknown scheduler {algorithm!r}; choose from {sorted(PLACEMENTS)}"
         ) from None
-    soc_name = plan.soc.name
     with profile_section("schedule.pack"):
         _ITEMS.inc(len(items))
         if power_budget is not None:
@@ -86,15 +81,10 @@ def schedule_plan(
                     f"> power budget {power_budget}"
                 )
         schedule = TestSchedule(
-            soc_name=soc_name,
+            soc_name=plan.soc.name,
             algorithm=algorithm,
             entries=place(items, power_budget),
             power_budget=power_budget,
         ).validate()
-    sessions = len(schedule.sessions())
-    _SESSIONS.inc(sessions)
-    logger.debug(
-        "%s/%s: %d items -> %d sessions, makespan %d",
-        soc_name, algorithm, len(items), sessions, schedule.makespan,
-    )
+    _SESSIONS.inc(len(schedule.sessions()))
     return schedule

@@ -24,7 +24,6 @@ possible test time, exactly as the paper notes.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -33,8 +32,6 @@ from repro.obs import METRICS, profile_section
 from repro.soc.plan import SocTestPlan, plan_soc_test
 from repro.soc.system import Soc
 from repro.transparency.versions import CoreVersion
-
-logger = logging.getLogger("repro.soc.optimizer")
 
 _ACCEPTED = METRICS.counter("optimizer.moves.accepted")
 _REJECTED = METRICS.counter("optimizer.moves.rejected")
@@ -230,10 +227,6 @@ class SocetOptimizer:
                     self._record_move(
                         move, plan, candidate_plan, "reject-budget", forced
                     )
-                    logger.debug(
-                        "reject upgrade %s: %d cells over budget %d",
-                        best_core, candidate_plan.chip_dft_cells, max_chip_cells,
-                    )
                     candidate_plan = None
             if candidate_plan is None:
                 # escalate: test mux on the most critical port
@@ -260,7 +253,6 @@ class SocetOptimizer:
                 forced = new_forced
                 candidate_plan = mux_plan
                 _ESCALATIONS.inc()
-                logger.info("escalate: test mux on %s.%s", *critical)
             if candidate_plan.total_tat >= plan.total_tat and candidate_plan.selection == plan.selection:
                 _REJECTED.inc()
                 self._record_move(move, plan, candidate_plan, "reject-no-gain", forced)
@@ -269,10 +261,6 @@ class SocetOptimizer:
             plan = candidate_plan
             _ACCEPTED.inc()
             self._record_move(move, previous, candidate_plan, "accept", forced)
-            logger.debug(
-                "accept move %d: TAT %d, %d cells",
-                step, plan.total_tat, plan.chip_dft_cells,
-            )
             trajectory.append(self._point(step, plan))
             step += 1
         return plan, trajectory
@@ -318,9 +306,6 @@ class SocetOptimizer:
                      previous.selection[best[1]] + 1, new_selection[best[1]] + 1),
                     previous, plan, "accept", forced,
                 )
-                logger.debug(
-                    "accept move %d: upgrade %s, TAT %d", step, best[1], plan.total_tat
-                )
             else:
                 critical = self.most_critical_port(plan)
                 if critical is None:
@@ -336,7 +321,6 @@ class SocetOptimizer:
                     ("mux", f"{critical[0]}.{critical[1]}", version, version),
                     previous, plan, "accept", forced,
                 )
-                logger.info("escalate: test mux on %s.%s", *critical)
             trajectory.append(self._point(step, plan))
             step += 1
         return plan, trajectory

@@ -47,8 +47,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import logging
-
 from repro.obs import METRICS, profile_section
 from repro.soc.controller import estimate_controller_area
 from repro.soc.system import Net, Soc
@@ -59,8 +57,6 @@ UsageKey = Tuple[str, str, Tuple]
 
 #: what one search found: latency, transfers used, interconnect nets ridden
 _Route = Tuple[int, Counter, List[Net]]
-
-logger = logging.getLogger("repro.soc.plan")
 
 _PLANS = METRICS.counter("chiplevel.plans")
 _DELIVERIES = METRICS.counter("chiplevel.deliveries")
@@ -381,7 +377,6 @@ class _Planner:
         if key not in self.test_muxes:
             width = self.soc.cores[core_name].port_width(port)
             self.test_muxes[key] = TestMux("input", core_name, port, 0, width)
-            logger.debug("test mux added: PI => %s.%s", core_name, port)
 
     # ------------------------------------------------------------------
     # observation side

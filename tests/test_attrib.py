@@ -1,7 +1,7 @@
 """Tests for search-effort attribution (:mod:`repro.obs.attrib`), its
 two sources (each ATPG outcome's PODEM results, the optimizer's moves),
-and the pipeline run (:func:`repro.flow.profile.run_pipeline`) that
-carries it to ``repro profile`` and ``explain``."""
+and the pipeline run (:func:`repro.flow.profile.run_pipeline`) whose
+ledger record carries it (``repro profile --ledger``)."""
 
 import json
 import os
@@ -26,11 +26,10 @@ HARD_FAULT = {
 }
 
 
-def artifact_of(atpg=(), moves=(), top_k=5):
+def artifact_of(atpg=(), moves=()):
     """The ``repro-attrib`` artifact of ``(netlist, AtpgOutcome)`` pairs
     and optimizer moves."""
-    return build_artifact(list(atpg), list(moves), {}, system="t", seed=0,
-                          quick=True, top_k=top_k)
+    return build_artifact(list(atpg), list(moves), {}, system="t", seed=0, quick=True)
 
 
 def explain(system="System1", **kwargs):
@@ -42,7 +41,7 @@ def explain(system="System1", **kwargs):
 
 
 def explained_json(system="System1", **kwargs):
-    """The artifact text ``repro explain`` would write for the run."""
+    """The run's artifact as canonical JSON (the golden fixture's form)."""
     return artifact_json(explain(system, **kwargs)["attrib"])
 
 
@@ -72,9 +71,9 @@ class TestPodemPlane:
             searched = result.decisions or result.status is not PodemStatus.REDUNDANT
             assert result.implications >= (1 if searched else 0)
             assert result.restarts >= 0
-        atpg = artifact_of([(netlist, outcome)], top_k=6)["planes"]["atpg"]
-        assert atpg["totals"]["calls"] == len(outcome.searches) > 6
-        assert len(atpg["hard_faults"]) == 6
+        atpg = artifact_of([(netlist, outcome)])["planes"]["atpg"]
+        assert atpg["totals"]["calls"] == len(outcome.searches) > 10
+        assert len(atpg["hard_faults"]) == 10
         for entry in atpg["hard_faults"]:
             assert entry["site"] in ("stem", "pin", "flop-pin")
             assert entry["status"] in ("detected", "aborted", "redundant")
@@ -97,7 +96,7 @@ class TestPodemPlane:
         faults = [Fault("g", None, 0), Fault("g", 0, 0), Fault("q", 0, 1)]
         outcome = AtpgOutcome([], CoverageReport(total=3, detected=0),
                               searches=[(fault, podem(netlist, fault)) for fault in faults])
-        hard = artifact_of([(netlist, outcome)], top_k=3)["planes"]["atpg"]["hard_faults"]
+        hard = artifact_of([(netlist, outcome)])["planes"]["atpg"]["hard_faults"]
         assert {entry["fault"]: (entry["site"], entry["gate_kind"]) for entry in hard} == {
             "n::g/sa0": ("stem", "and"),
             "n::g.pin0/sa0": ("pin", "and"),
@@ -226,9 +225,9 @@ class TestExplain:
         assert sum(row["candidates"] for row in yields.values()) == len(events)
 
     def test_hard_faults_ranked_by_effort(self):
-        artifact = explain(top_k=5)["attrib"]
+        artifact = explain()["attrib"]
         hard = artifact["planes"]["atpg"]["hard_faults"]
-        assert len(hard) <= 5
+        assert 0 < len(hard) <= artifact["top_k"] == 10
         efforts = [row["effort"] for row in hard]
         assert efforts == sorted(efforts, reverse=True)
 
@@ -258,8 +257,7 @@ class TestExplain:
 # ----------------------------------------------------------------------
 class TestValidator:
     def artifact(self):
-        return build_artifact([], [], {}, system="System1", seed=0,
-                              quick=True, top_k=10)
+        return build_artifact([], [], {}, system="System1", seed=0, quick=True)
 
     def test_empty_run_validates(self):
         assert check(ARTIFACT_SHAPE, self.artifact()) == []
@@ -378,12 +376,12 @@ class TestCli:
         except SystemExit as error:
             return error.code
 
-    @pytest.mark.parametrize("argv", [
-        ["explain", "System1", "--top", "0"],
-        ["explain", "System1", "--quick", "--top", "-3"],
-        ["explain", "System1", "--quick", "--top", "many"],
-        ["explain", "System1", "--top", "2.5"],
-        ["profile", "System1", "--quick", "--top", "3"],  # profile takes no --top
+    @pytest.mark.parametrize("argv", [  # no command takes --top, in any form
+        ["profile", "System1", "--top", "0"],
+        ["profile", "System1", "--quick", "--top", "-3"],
+        ["profile", "System1", "--quick", "--top", "many"],
+        ["profile", "System1", "--top", "2.5"],
+        ["profile", "System1", "--quick", "--top", "3"],
     ])
     def test_bad_top_exits_2_before_any_work(self, argv, capsys, monkeypatch):
         def pipeline(*_args, **_kwargs):
@@ -399,7 +397,7 @@ class TestCli:
         ["regress", "--ledger", "{bogus}"],
         ["regress", "--ledger", "{ledger}", "--baseline", "{bogus}"],
         ["profile", "System1", "--quick", "--baseline", "{dir}"],
-        ["explain", "System1", "--quick", "-o", "{dir}"],
+        ["export", "System1", "-o", "{dir}"],
         ["profile", "System1", "--quick", "--ledger", "{dir}"],
         ["profile", "System1", "--quick", "-o", "{dir}"],
         ["certify", "System1", "-o", "{dir}"],
@@ -448,24 +446,6 @@ class TestCli:
         )
         assert code == 2
         assert str(bogus) in capsys.readouterr().err
-
-    def test_explain_json_writes_valid_artifact(self, tmp_path):
-        out = tmp_path / "attrib.json"
-        code = self.run_cli(
-            ["explain", "System1", "--quick", "-o", str(out)]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert check(ARTIFACT_SHAPE, payload) == []
-        assert artifact_json(payload) == out.read_text()
-
-    def test_explain_stdout_is_the_artifact(self, capsys):
-        assert self.run_cli(["explain", "System1", "--quick", "--top", "3"]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out)
-        assert check(ARTIFACT_SHAPE, payload) == []
-        assert artifact_json(payload) == out
-        assert payload["top_k"] == 3 and len(payload["planes"]["atpg"]["hard_faults"]) == 3
 
     def test_profile_ledger_embeds_artifact(self, tmp_path):
         from repro.obs.ledger import RunLedger

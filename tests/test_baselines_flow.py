@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import fscan_bscan_report, evaluate_test_bus
 from repro.designs import build_system1, build_system2
-from repro.dft.tat import fscan_bscan_core_tat
+from repro.baselines.fscan_bscan import fscan_bscan_core_tat
 from repro.flow import flatten_soc
 from repro.gates import SequentialSimulator
 from repro.soc import plan_soc_test
@@ -107,7 +107,8 @@ class TestFlowDriver:
     @pytest.mark.parametrize("system", ["System1", "System2", "System3", "System4"])
     def test_named_points_and_rows(self, system):
         from repro.designs import system_builders
-        from repro.flow.profile import QUICK_MAX_FAULTS, record_rows, run_pipeline
+        from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline
+        from repro.flow.report import record_rows
         from repro.soc.optimizer import design_space
 
         record = run_pipeline(system, max_faults=QUICK_MAX_FAULTS)

@@ -80,7 +80,8 @@ class TestCli:
         assert "design space" in out and "min-TAT" in out
 
     def test_compare(self, capsys):
-        assert main(["compare", "System2"]) == 0
+        """SOCET against FSCAN-BSCAN: part of ``profile``'s run report."""
+        assert main(["profile", "System2", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "FSCAN-BSCAN" in out and "faster" in out
 

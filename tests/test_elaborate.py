@@ -170,4 +170,4 @@ class TestAreaReport:
         b.drive(r2, r1)
         b.output("Q", r2)
         elab = elaborate(b.build())
-        assert elab.netlist.flop_count() == 8
+        assert len(elab.netlist.flops) == 8

@@ -1,4 +1,4 @@
-"""Golden ``repro explain System1 --quick`` artifact.
+"""Golden search-effort artifact of a quick System1 pipeline run.
 
 The artifact records, per PODEM call, the decisions, backtracks,
 implication passes, and restarts, reconciled exactly against the
@@ -8,7 +8,11 @@ ATPG engine made the same decisions as when the fixture was written.
 A change that alters decisions *on purpose* (a new backtrace heuristic,
 a different fault order) regenerates the fixture with::
 
-    PYTHONPATH=src python -m repro explain System1 --quick \\
+    PYTHONPATH=src python -c "import sys; \\
+    from repro.flow.profile import QUICK_MAX_FAULTS, run_pipeline; \\
+    from repro.obs.attrib import artifact_json; \\
+    sys.stdout.write(artifact_json(run_pipeline('System1', \\
+        max_faults=QUICK_MAX_FAULTS)['attrib']))" \\
         > tests/fixtures/attrib-System1-quick.json
 
 and records the regeneration, and why, in CHANGES.md.

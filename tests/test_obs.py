@@ -49,8 +49,6 @@ class TestMetrics:
         registry.counter("atpg.a").inc()
         registry.counter("schedule.b").inc(2)
         assert set(registry.counters("atpg.")) == {"atpg.a"}
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"atpg.a": 1, "schedule.b": 2}
 
 
 class Clock:
@@ -290,15 +288,6 @@ class TestCliObservability:
             assert stage in stdout
         assert "backtracks" in stdout
 
-    def test_metrics_flag_appends_table(self, capsys):
-        from repro.cli import main
-
-        assert main(["--metrics", "plan", "System1"]) == 0
-        stdout = capsys.readouterr().out
-        assert "Metrics" in stdout
-        assert "chiplevel.plans" in stdout
-        assert "section" in stdout and "self=" in stdout
-
     def test_usage_errors_become_systemexit(self, capsys):
         from repro.cli import main
 
@@ -346,6 +335,24 @@ def test_root_section_first_loads_no_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_cli_import_loads_no_library_layer():
+    """``import repro.cli`` loads the package, the CLI, its errors and the
+    table renderer only: each command imports the layers it runs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(*(name for name in sys.modules "
+         "if name.partition('.')[0] == 'repro'))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "repro.cli" in loaded
+    allowed = {"repro", "repro.cli", "repro.errors", "repro.util"}
+    assert [name for name in loaded
+            if name not in allowed and not name.startswith("repro.util.")] == []
 
 
 class TestDeterminism:

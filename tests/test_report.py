@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.flow.report import headline, hotspots, render_run_report
+from repro.flow.report import headline, hotspots, record_rows, render_run_report
 from repro.obs.ledger import RunLedger, make_record
 from repro.obs.profiler import stage_rows
 from repro.obs.regress import COUNTER_IGNORE, compare_records
@@ -21,9 +21,9 @@ ENV = {"python": "3.12.0", "platform": "linux", "cpus": 8}
 #: anything else
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 HEADINGS = (
-    "System1 pipeline run", "Plan summary", "Stage times", "Hotspots",
-    "Search-effort attribution", "Hardest faults", "Optimizer convergence",
-    "Counters vs baseline",
+    "System1 pipeline run", "Plan summary", "Table 2", "Concurrent test-session scheduling",
+    "Table 3", "FSCAN-BSCAN:", "Stage times", "Hotspots", "Search-effort attribution",
+    "Hardest faults", "Optimizer convergence", "Counters vs baseline",
 )
 
 
@@ -114,13 +114,16 @@ class TestHotspots:
 
 class TestRunReport:
     def build(self, baseline=None, sections=None):
-        """A small run: the committed record's artifact, with two timed
-        sections, one headline number and two counters of its own."""
+        """A small run: the committed record's artifact and paper tables,
+        with two timed sections, one headline number and two counters of
+        its own."""
         run = committed_record()
+        tables = {key: run["results"][key]
+                  for key in ("area", "schedules", "testability", "grading")}
         run.update(record(sections=sections or sections_of({
             "profile.total": (1, 0.5, 0.25),
             "atpg.run": (1, 0.25, 0.25),
-        }), results={"serial TAT": 17_000}))
+        }), results={"serial TAT": 17_000, **tables}))
         return render_run_report(run, baseline)
 
     def test_text_contains_every_section(self):
@@ -176,6 +179,36 @@ class TestRunReport:
         summary = [line.split() for line in block(blocks, "Plan summary")[2:]]
         assert summary == [key.split() + [str(value)]
                            for key, value in headline(run["results"]).items()]
+        area = [re.split(r"\s{2,}", line) for line in block(blocks, "Table 2")[2:]]
+        assert area == [
+            [row.system, str(row.original_area), f"{row.fscan_percent:.1f}",
+             f"{row.hscan_percent:.1f}", f"{row.bscan_percent:.1f}", row.socet_variant,
+             f"{row.socet_chip_percent:.1f}", f"{row.fscan_bscan_total_percent:.1f}",
+             f"{row.socet_total_percent:.1f}"]
+            for row in record_rows(run, "area")]
+        schedules = [re.split(r"\s{2,}", line)
+                     for line in block(blocks, "Concurrent test-session scheduling")[2:]]
+        assert schedules == [
+            [row.system, row.variant, row.algorithm, str(row.serial_tat),
+             str(row.makespan), str(row.sessions), f"{row.speedup:.2f}x"]
+            for row in record_rows(run, "schedules")]
+        testability = record_rows(run, "testability")
+        *lines, grading = block(blocks, "Table 3")[2:]
+        assert [re.split(r"\s{2,}", line) for line in lines] == [
+            [row.system, row.configuration, f"{row.fault_coverage:.1f}",
+             f"{row.test_efficiency:.1f}", "-" if row.tat is None else str(row.tat)]
+            for row in testability]
+        budget = run["results"]["grading"]
+        assert grading == (
+            f"Orig. and HSCAN: {budget['sequences']} random sequences x "
+            f"{budget['cycles']} cycles, graded over a {budget['faults']}-fault "
+            f"sample (seed {budget['seed']})")
+        tat = {row.configuration: row.tat for row in testability}
+        (speedup,) = [title for title in blocks if title.startswith("FSCAN-BSCAN:")]
+        assert speedup == (
+            f"FSCAN-BSCAN: {tat['FSCAN-BSCAN']} cycles; SOCET: {tat['SOCET Min. Area']} "
+            f"(min area) / {tat['SOCET Min. TApp.']} (min TApp) -- "
+            f"{tat['FSCAN-BSCAN'] / tat['SOCET Min. TApp.']:.1f}x faster")
         stages = {line.split()[0]: line for line in block(blocks, "Stage times")[2:]}
         rows = stage_rows(run["histograms"], run["counters"])
         for row in rows:
@@ -292,7 +325,7 @@ class TestCliReport:
         if kind == "notes":
             assert path.read_bytes() == b"meeting notes, not a ledger\n"
 
-    @pytest.mark.parametrize("command", ["profile", "explain"])
+    @pytest.mark.parametrize("command", ["profile"])
     @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
     def test_bad_output_fails_before_the_run(self, command, kind, tmp_path, capsys, monkeypatch):
         from repro.cli import main
@@ -307,18 +340,15 @@ class TestCliReport:
         else:
             out = tmp_path / "missing" / "report.txt"
         ledger = tmp_path / "runs.jsonl"
-        argv = [command, "System1", "--quick", "-o", str(out)]
-        if command == "profile":
-            argv += ["--ledger", str(ledger)]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([command, "System1", "--quick", "-o", str(out), "--ledger", str(ledger)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: cannot write ") and err.count("\n") == 1
         assert str(out) in err
         assert not ledger.exists()
 
-    @pytest.mark.parametrize("command", ["profile", "explain"])
+    @pytest.mark.parametrize("command", ["profile"])
     def test_output_file_is_kept_when_the_run_fails(self, command, tmp_path, monkeypatch):
         from repro.cli import main
         from repro.errors import ReproError
@@ -341,6 +371,29 @@ class TestCliReport:
             main(["report", "System1", "--quick"])
         assert exc.value.code == 2
         assert "invalid choice: 'report'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["compare", "System1"], "invalid choice: 'compare'"),
+        (["explain", "System1", "--quick"], "invalid choice: 'explain'"),
+        (["--metrics", "plan", "System1"], "unrecognized arguments: --metrics"),
+        (["plan", "System1", "--metrics"], "unrecognized arguments: --metrics"),
+        (["-v", "plan", "System1"], "unrecognized arguments: -v"),
+        (["-vv", "profile", "System1", "--quick"], "unrecognized arguments: -vv"),
+    ])
+    def test_retired_surfaces_are_gone(self, argv, error, capsys, monkeypatch):
+        """``profile`` is the one view of a pipeline run: the commands and
+        global flags that printed other slices of it exit 2 from argparse,
+        before any work."""
+        from repro.cli import main
+
+        def pipeline(*_args, **_kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr("repro.flow.profile.run_pipeline", pipeline)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
 
     def test_stdout_is_ascii_under_an_ascii_locale(self, tmp_path):
         proc = run_ascii(["profile", "System1", "--quick"], tmp_path)

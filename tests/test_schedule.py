@@ -320,7 +320,7 @@ class TestScheduleCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["-p", "1"], "> power budget 1"),
-        (["-a", "quantum"], "invalid choice: 'quantum'"),
+        (["-a", "quantum"], "unknown scheduler 'quantum'"),
     ])
     def test_bad_arguments_exit_2(self, argv, message, capsys):
         from repro.cli import main

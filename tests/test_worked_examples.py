@@ -8,7 +8,8 @@ must keep coming out of the generic pipeline exactly.
 import pytest
 
 from repro.designs import build_system1
-from repro.dft.tat import fscan_bscan_core_tat, hscan_vector_count
+from repro.baselines.fscan_bscan import fscan_bscan_core_tat
+from repro.dft.tat import hscan_vector_count
 from repro.soc import plan_soc_test
 from repro.soc.optimizer import SocetOptimizer
 
