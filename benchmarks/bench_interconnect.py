@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from conftest import record_bench, write_result
 
-from repro.flow import bus_interconnect_report, interconnect_report
+from repro.flow.interconnect import bus_interconnect_report, interconnect_report
 from repro.obs import METRICS
 from repro.soc import plan_soc_test
 from repro.util import render_table

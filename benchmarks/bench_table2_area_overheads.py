@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from conftest import record_bench, write_result
 
-from repro.flow import record_rows, render_area_table
+from repro.flow.report import record_rows, render_area_table
 from repro.flow.profile import run_pipeline
 
 

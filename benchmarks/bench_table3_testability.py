@@ -34,7 +34,7 @@ from conftest import SEED, record_bench, write_result
 from repro.atpg.combinational import CombinationalAtpg
 from repro.elaborate import elaborate
 from repro.faults.coverage import CoverageReport
-from repro.flow import record_rows, render_grading_budget, render_testability_table
+from repro.flow.report import record_rows, render_grading_budget, render_testability_table
 from repro.flow.profile import run_pipeline
 from repro.obs import METRICS
 

@@ -9,12 +9,12 @@ Run:  python examples/system2_report.py
 """
 
 from repro.designs import build_system2
-from repro.flow import (
+from repro.flow.profile import run_pipeline
+from repro.flow.report import (
     record_rows,
     render_area_table,
     render_grading_budget,
     render_testability_table,
-    run_pipeline,
 )
 from repro.bist import plan_memory_bist
 

@@ -206,7 +206,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_schedule(args) -> int:
     from repro.errors import ScheduleError
-    from repro.flow import render_session_table
+    from repro.flow.report import render_session_table
     from repro.schedule import render_gantt
     from repro.soc import plan_soc_test
 

@@ -33,8 +33,9 @@ equals the good machine, so a pin fault reads fault-free operands.
 Flop input-pin faults get no block: they are observed at scan capture,
 read off the good machine.
 
-Sequential grading runs every machine cycle by cycle with its flops'
-state carried in its block, with the semantics of one
+Sequential grading packs its whole stimulus set once, then runs every
+machine cycle by cycle with its flops' state carried in its block, with
+the semantics of one
 :class:`SequentialSimulator` per fault (flop input-pin faults are inert
 there, stem faults force their row every cycle, and a pin fault's gate
 reads its own block, where corrupted state feeds back).
@@ -42,9 +43,9 @@ reads its own block, where corrupted state feeds back).
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import truth
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import itemgetter, truth
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault, misfit
@@ -105,7 +106,8 @@ def _forced(program: CompiledProgram, sites: Sequence[Site], width: int) -> Tupl
     and the scratch rows it needs beyond the program's own.
 
     After each level's own groups come its pin faults' gates again, over
-    scratch rows that hold their faulty operands, then one group of
+    scratch rows that hold their faulty operands, and the muxes folded on
+    a constant row a stem fault forces, as MUX2s; then one group of
     forcing stores: the level's stem faults, and the operand stores of
     the next level's pin faults.  Faults on one row (or one pin) share
     one store.
@@ -140,6 +142,10 @@ def _forced(program: CompiledProgram, sites: Sequence[Site], width: int) -> Tupl
         operand_stores[level].append((scratch, fanins[pin], ones ^ where, put))
         operands.setdefault(row, list(fanins))[pin] = scratch
         scratch += 1
+    # a forced constant can switch the muxes the program folded on it
+    for row in stems:
+        for mux in program.folded.get(row, ()):
+            operands.setdefault(mux, list(gate_at[mux][2]))
     for row, rows in operands.items():
         level, kind, _ = gate_at[row]
         lower(reruns, level, kind, row, rows)
@@ -189,12 +195,39 @@ def _differences(values: List[int], rows: Sequence[int], width: int, rep: int) -
 
 
 # ----------------------------------------------------------------------
+# reading dict patterns
+# ----------------------------------------------------------------------
+def _reader(names: Sequence[str]) -> Callable[[Pattern], tuple]:
+    """pattern -> the tuple of its values of ``names``, through one
+    itemgetter; a missing name is a KeyError."""
+    if len(names) == 1:
+        one = itemgetter(names[0])
+        return lambda pattern: (one(pattern),)
+    return itemgetter(*names) if names else lambda pattern: ()
+
+
+def _matrix(names: Sequence[str], patterns: Sequence[Pattern]) -> bytes:
+    """The 0/1 matrix of ``patterns`` over ``names``, row-major, one row
+    per pattern read once; a value other than 0 or 1 reads as its truth.
+    A pattern missing a name is a KeyError."""
+    read = _reader(names)
+    try:
+        matrix = b"".join(map(bytes, map(read, patterns)))
+    except (TypeError, ValueError):  # a value that is not a byte
+        pass
+    else:
+        if not matrix.translate(None, b"\x00\x01"):
+            return matrix
+    return b"".join(bytes(map(truth, read(pattern))) for pattern in patterns)
+
+
+# ----------------------------------------------------------------------
 # combinational grading
 # ----------------------------------------------------------------------
 def _batches(names: Sequence[str], patterns: Patterns) -> Iterator[Tuple[int, List[int]]]:
-    """Each batch as ``(count, one word per source)``, packed when reached,
-    source by source: a batch whose patterns miss a source fails naming
-    the first such source."""
+    """Each batch as ``(count, one word per source)``, packed when reached:
+    a batch whose patterns miss a source fails naming the first such
+    source."""
     if is_words(patterns, names):
         for start in range(0, patterns.count, BATCH):
             count = min(BATCH, patterns.count - start)
@@ -204,11 +237,11 @@ def _batches(names: Sequence[str], patterns: Patterns) -> Iterator[Tuple[int, Li
     for start in range(0, len(patterns), BATCH):
         batch = patterns[start : start + BATCH]
         try:
-            rows = [bytes(map(truth, map(pattern.__getitem__, names))) for pattern in batch]
+            matrix = _matrix(names, batch)
         except KeyError:
             missing = next(name for name in names if any(name not in p for p in batch))
             raise SimulationError(f"pattern misses source {missing!r}") from None
-        yield len(batch), pack_columns(b"".join(rows), len(names))
+        yield len(batch), pack_columns(matrix, len(names))
 
 
 def grade_combinational(
@@ -272,17 +305,26 @@ def _cycle_words(
     names: Sequence[str], sequences: Sequence[Sequence[Pattern]], length: int
 ) -> List[List[int]]:
     """Per cycle, one word per input: bit ``p`` is sequence ``p``'s value,
-    and a missing input reads 0 (no error)."""
-    zeros = repeat(0)
+    and a missing input reads 0 (no error).
+
+    Every pattern is read once, cycle by cycle, into one matrix whose
+    columns are packed once over the whole stimulus set; cycle ``c``'s
+    words are the columns' ``width`` bits from ``c * width`` up.
+    """
+    if not length:
+        return []
+    patterns = list(chain.from_iterable(zip(*sequences)))
+    try:
+        matrix = _matrix(names, patterns)
+    except KeyError:
+        zeros = repeat(0)
+        matrix = b"".join(bytes(map(truth, map(p.get, names, zeros))) for p in patterns)
+    width = len(sequences)
+    mask = (1 << width) - 1
+    columns = pack_columns(matrix, len(names))
     return [
-        pack_columns(
-            b"".join(
-                bytes(map(truth, map(sequence[cycle].get, names, zeros)))
-                for sequence in sequences
-            ),
-            len(names),
-        )
-        for cycle in range(length)
+        [(column >> shift) & mask for column in columns]
+        for shift in range(0, length * width, width)
     ]
 
 

@@ -10,44 +10,9 @@
 * :mod:`repro.flow.report` -- the paper's table rows and their text
   tables, and ``repro profile``'s run report of one pipeline record,
   those tables included.
+* :mod:`repro.flow.interconnect` -- which chip wires a plan's deliveries
+  and observations ride.
+
+The package re-exports nothing: each caller imports the submodule it
+uses, so flattening a chip loads no report or ledger code.
 """
-
-from repro.flow.system_netlist import flatten_soc
-from repro.flow.profile import run_pipeline
-from repro.flow.interconnect import (
-    InterconnectReport,
-    bus_interconnect_report,
-    interconnect_report,
-)
-from repro.flow.report import (
-    AreaRow,
-    ScheduleRow,
-    TestabilityRow,
-    record_rows,
-    render_area_table,
-    render_grading_budget,
-    render_run_report,
-    render_schedule_table,
-    render_session_table,
-    render_stage_table,
-    render_testability_table,
-)
-
-__all__ = [
-    "flatten_soc",
-    "run_pipeline",
-    "InterconnectReport",
-    "interconnect_report",
-    "bus_interconnect_report",
-    "AreaRow",
-    "ScheduleRow",
-    "TestabilityRow",
-    "record_rows",
-    "render_area_table",
-    "render_grading_budget",
-    "render_run_report",
-    "render_schedule_table",
-    "render_session_table",
-    "render_stage_table",
-    "render_testability_table",
-]

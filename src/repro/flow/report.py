@@ -210,8 +210,8 @@ def render_stage_table(stages: List[Dict]) -> str:
     )
 
 
-def hotspots(sections: Dict[str, Dict], top_k: int = 10) -> List[Dict]:
-    """A record's ``top_k`` timed sections by self time, the root left out."""
+def hotspots(sections: Dict[str, Dict]) -> List[Dict]:
+    """A record's ten timed sections of most self time, the root left out."""
     rows = [
         {
             "section": name,
@@ -223,7 +223,7 @@ def hotspots(sections: Dict[str, Dict], top_k: int = 10) -> List[Dict]:
         if name != ROOT_SECTION
     ]
     rows.sort(key=lambda row: (-row["self_seconds"], row["section"]))
-    return rows[:top_k]
+    return rows[:10]
 
 
 def headline(results: Dict) -> Dict:

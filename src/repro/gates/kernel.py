@@ -20,7 +20,11 @@ Plane convention: row 0 holds 0 and row 1 the plane's all-ones mask
 ever leaves the plane's width); every gate owns one row from 2 up.  A
 wide AND/OR/NAND/NOR gate is lowered to two-input steps on its own
 output row, and NAND/NOR/XNOR to their positive kind plus a NOT step
-there, so every group loop has one fixed arity.
+there, so every group loop has one fixed arity.  A MUX2 whose select is
+a CONST0/CONST1 gate cannot switch: it is lowered as a BUF of the input
+that constant picks, and :attr:`CompiledProgram.folded` lists it under
+the constant's row, so a plane that forces that row runs it again as a
+MUX2.
 """
 
 from __future__ import annotations
@@ -176,7 +180,12 @@ class CompiledProgram:
         self.source_names: List[str] = []
         self.const1_rows: List[int] = []
         self.output_rows: List[int] = []
-        #: gates computed per pass (feeds kernel.words_evaluated)
+        #: constant row -> the rows of the MUX2s it selects: each runs as a
+        #: BUF of the input the constant picks (a plane forcing that row
+        #: reruns them as MUX2s)
+        self.folded: Dict[int, List[int]] = {}
+        #: gates computed per pass, folded muxes included (feeds
+        #: kernel.words_evaluated)
         self.gates = 0
         for gate in netlist.gates():
             kind = gate.kind
@@ -192,7 +201,13 @@ class CompiledProgram:
             elif kind is GateKind.CONST1:
                 self.const1_rows.append(row[gate.name])
             elif kind is not GateKind.CONST0:
-                lower(groups, at, kind, row[gate.name], fanins)
+                select = netlist.gate(gate.fanins[2]).kind if kind is GateKind.MUX2 else None
+                if select is GateKind.CONST0 or select is GateKind.CONST1:
+                    picked = fanins[1 if select is GateKind.CONST1 else 0]
+                    lower(groups, at, GateKind.BUF, row[gate.name], (picked,))
+                    self.folded.setdefault(fanins[2], []).append(row[gate.name])
+                else:
+                    lower(groups, at, kind, row[gate.name], fanins)
                 self.gates += 1
                 if kind is GateKind.OUTPUT:
                     self.output_rows.append(row[gate.name])

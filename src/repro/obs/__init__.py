@@ -18,6 +18,10 @@ Zero-dependency subsystem; instrumentation never forks hot-path code:
   JSONL ledger that stores records;
 * :mod:`repro.obs.regress` -- the exact counter gate over ledgers.
 
+The package loads only the first two; the instrumented layers import
+nothing else from it, and the artifact, ledger and gate modules are
+imported by name where they are used.
+
 One pipeline run's record is rendered as text tables by
 :func:`repro.flow.report.render_run_report` (``repro profile``).
 
@@ -36,31 +40,17 @@ See DESIGN.md ("Observability") for the instrument naming contract.
 
 from __future__ import annotations
 
-from repro.obs.attrib import artifact_json, build_artifact
 from repro.obs.metrics import Counter, DEFAULT_REGISTRY, MetricsRegistry
 from repro.obs.profiler import PIPELINE_STAGES, profile_section, stage_rows
-from repro.obs.regress import (
-    COUNTER_IGNORE,
-    RegressionReport,
-    compare_ledgers,
-    compare_records,
-)
 
 #: the process-wide registry every instrumented module shares
 METRICS = DEFAULT_REGISTRY
 
 __all__ = [
-    "artifact_json",
-    "build_artifact",
     "Counter",
     "MetricsRegistry",
     "METRICS",
     "PIPELINE_STAGES",
     "profile_section",
     "stage_rows",
-    "COUNTER_IGNORE",
-    "RegressionReport",
-    "compare_ledgers",
-    "compare_records",
 ]
-

@@ -284,10 +284,6 @@ class RunLedger:
                 loaded.append(record)
         return loaded
 
-    def benches(self) -> List[str]:
-        """The distinct series keys, sorted."""
-        return sorted({record["bench"] for record in self.records()})
-
     def latest(self, bench: str) -> Optional[Dict]:
         """The newest record of one series (file order, not timestamps)."""
         series = self.records(bench)

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import fscan_bscan_report, evaluate_test_bus
 from repro.designs import build_system1, build_system2
 from repro.baselines.fscan_bscan import fscan_bscan_core_tat
-from repro.flow import flatten_soc
+from repro.flow.system_netlist import flatten_soc
 from repro.gates import SequentialSimulator
 from repro.soc import plan_soc_test
 

@@ -17,7 +17,7 @@ from repro.faults import (
     sequential_fault_grade,
 )
 from repro.faults.coverage import CoverageReport
-from repro.flow import flatten_soc
+from repro.flow.system_netlist import flatten_soc
 from repro.gates import GateKind, GateNetlist, SequentialSimulator
 
 from tests.test_podem_property import random_netlist

@@ -310,6 +310,10 @@ class TestSequentialEdgeCases:
         out = run_on(patterns)
         assert out["kernel"] == out["reference"]
         assert out["kernel"] == (f"pattern misses source {sources[-1]!r}", {})
+        # a one-pattern batch (PODEM's confirmations) is read the same way
+        out = run_on(patterns[5:6])
+        assert out["kernel"] == out["reference"]
+        assert out["kernel"] == (f"pattern misses source {sources[-1]!r}", {})
 
         # a later batch fails after the batches before it were graded and
         # counted, naming the first missing source in source order
@@ -336,6 +340,232 @@ class TestSequentialEdgeCases:
         out = grade_sequential_both(netlist, random_sequences(netlist, 6, 3, 8), faults)
         assert_identical(out)
         assert out["kernel"][0].undetected == faults
+
+
+# ----------------------------------------------------------------------
+# stimulus packing
+# ----------------------------------------------------------------------
+def one_input_netlist() -> GateNetlist:
+    """One input feeding a two-flop state machine and two outputs."""
+    n = GateNetlist("one_input")
+    n.add_gate("i0", GateKind.INPUT)
+    n.add_gate("x", GateKind.XOR, ["i0", "ff1"])
+    n.add_gate("y", GateKind.AND, ["x", "ff0"])
+    n.add_gate("ff0", GateKind.DFF, ["x"])
+    n.add_gate("ff1", GateKind.DFF, ["y"])
+    n.add_gate("O0", GateKind.OUTPUT, ["y"])
+    n.add_gate("O1", GateKind.OUTPUT, ["x"])
+    return n.validate()
+
+
+def cycle_by_cycle(names, sequences, length):
+    """The stimulus words packed one cycle at a time: bit ``p`` of an
+    input's word is the truth of sequence ``p``'s value, missing reads 0."""
+    return [
+        [
+            sum(bool(seq[cycle].get(name, 0)) << p for p, seq in enumerate(sequences))
+            for name in names
+        ]
+        for cycle in range(length)
+    ]
+
+
+#: values that are not 0 or 1: each reads as its truth
+ODD_VALUES = (2, -1, 256, True, False, 1.0, 0.0)
+
+
+class TestStimulusPacking:
+    """Sequential grading reads every (sequence, cycle) pattern once and
+    packs each input's column once over the whole stimulus set; the
+    words must equal packing cycle by cycle, and grading must match the
+    reference."""
+
+    @pytest.mark.parametrize("inputs, count, cycles", [
+        (1, 5, 4), (3, 1, 6), (1, 1, 1), (4, 70, 3), (3, 4, 0), (0, 3, 2),
+    ])
+    def test_words_equal_cycle_by_cycle_packing(self, inputs, count, cycles):
+        rng = random.Random(inputs * 100 + count)
+        names = [f"i{i}" for i in range(inputs)]
+        sequences = [
+            [{name: rng.randint(0, 1) for name in names} for _ in range(cycles)]
+            for _ in range(count)
+        ]
+        words = fk._cycle_words(names, sequences, cycles)
+        assert words == cycle_by_cycle(names, sequences, cycles)
+        assert len(words) == cycles
+
+    def test_missing_inputs_and_odd_values(self):
+        rng = random.Random(3)
+        names = ["a", "b", "c"]
+        sequences = [
+            [{name: rng.randint(0, 1) for name in names} for _ in range(5)] for _ in range(6)
+        ]
+        del sequences[2][3]["b"]
+        del sequences[5][0]["a"], sequences[5][0]["c"]
+        words = fk._cycle_words(names, sequences, 5)
+        assert words == cycle_by_cycle(names, sequences, 5)
+        assert not words[3][1] >> 2 & 1
+        for value in ODD_VALUES:
+            odd = [[dict(pattern) for pattern in seq] for seq in sequences]
+            odd[4][1]["c"] = value
+            words = fk._cycle_words(names, odd, 5)
+            assert words == cycle_by_cycle(names, odd, 5)
+            assert (words[1][2] >> 4 & 1) == bool(value)
+
+    def test_one_input_grades_like_the_reference(self):
+        netlist = one_input_netlist()
+        faults = full_fault_universe(netlist)
+        for count in (1, 9):
+            sequences = random_sequences(netlist, count, 6, count)
+            assert_identical(grade_sequential_both(netlist, sequences, faults))
+        assert_identical(grade_combinational_both(netlist, faults, 70, 1))
+
+    def test_one_sequence_grades_like_the_reference(self):
+        netlist = random_seq_netlist(5)
+        faults = full_fault_universe(netlist)
+        sequences = random_sequences(netlist, 1, 7, 5)
+        assert_identical(grade_sequential_both(netlist, sequences, faults))
+
+    def test_missing_input_reads_zero_like_the_reference(self):
+        netlist = random_seq_netlist(9)
+        faults = full_fault_universe(netlist)
+        sequences = random_sequences(netlist, 6, 5, 9)
+        names = [g.name for g in netlist.inputs]
+        zeroed = [[dict(pattern) for pattern in seq] for seq in sequences]
+        for seq in zeroed:
+            for pattern in seq[::2]:
+                pattern[names[0]] = 0
+        for seq in sequences:
+            for pattern in seq[::2]:
+                del pattern[names[0]]
+        missing = grade_sequential_both(netlist, sequences, faults)
+        assert_identical(missing)
+        explicit = grade_sequential_both(netlist, zeroed, faults)
+        assert missing["kernel"][0].first_detection == explicit["kernel"][0].first_detection
+
+    @pytest.mark.parametrize("value", ODD_VALUES)
+    def test_odd_value_reads_as_its_truth_like_the_reference(self, value):
+        netlist = random_seq_netlist(10)
+        faults = full_fault_universe(netlist)
+        sequences = random_sequences(netlist, 5, 4, 10)
+        name = netlist.inputs[-1].name
+        odd = [[dict(pattern) for pattern in seq] for seq in sequences]
+        plain = [[dict(pattern) for pattern in seq] for seq in sequences]
+        for seq_odd, seq_plain in zip(odd, plain):
+            seq_odd[1][name] = value
+            seq_plain[1][name] = int(bool(value))
+        out = grade_sequential_both(netlist, odd, faults)
+        assert_identical(out)
+        assert out["kernel"][0].first_detection == (
+            grade_sequential_both(netlist, plain, faults)["kernel"][0].first_detection
+        )
+        # combinational patterns read the same way, a one-pattern batch too
+        rng = random.Random(10)
+        sources = netlist.sources
+        for count in (1, 70):
+            patterns = [{s: rng.randint(0, 1) for s in sources} for _ in range(count)]
+            patterns[0][sources[0]] = value
+            assert_identical(
+                grade_both_backends(lambda: FaultSimulator(netlist).run(patterns, faults))
+            )
+
+
+# ----------------------------------------------------------------------
+# constant-select muxes, compiled as buffers
+# ----------------------------------------------------------------------
+def folded_muxes(netlist: GateNetlist):
+    """The MUX2s whose select is a CONST0/CONST1 gate, by name."""
+    constants = (GateKind.CONST0, GateKind.CONST1)
+    return [
+        gate.name
+        for gate in netlist.gates()
+        if gate.kind is GateKind.MUX2 and netlist.gate(gate.fanins[2]).kind in constants
+    ]
+
+
+def mux_faults(muxes):
+    """Every stem and pin fault of each mux."""
+    return [Fault(mux, pin, stuck) for mux in muxes for pin in (None, 0, 1, 2) for stuck in (0, 1)]
+
+
+def tied_select_netlist() -> GateNetlist:
+    """One mux tied to CONST1 (picks the flop), one tied to CONST0 (picks
+    input b), one free mux, in a small state machine."""
+    n = GateNetlist("tied_select")
+    n.add_gate("a", GateKind.INPUT)
+    n.add_gate("b", GateKind.INPUT)
+    n.add_gate("one", GateKind.CONST1)
+    n.add_gate("zero", GateKind.CONST0)
+    n.add_gate("m1", GateKind.MUX2, ["a", "ff", "one"])
+    n.add_gate("m0", GateKind.MUX2, ["b", "a", "zero"])
+    n.add_gate("x", GateKind.XOR, ["m1", "m0"])
+    n.add_gate("m", GateKind.MUX2, ["x", "one", "a"])
+    n.add_gate("ff", GateKind.DFF, ["m"])
+    n.add_gate("O0", GateKind.OUTPUT, ["x"])
+    n.add_gate("O1", GateKind.OUTPUT, ["m1"])
+    return n.validate()
+
+
+class TestFoldedMuxes:
+    """A MUX2 whose select is a constant runs as a BUF of the input the
+    constant picks; a plane that forces the constant runs it as a MUX2
+    again, so every verdict and counter stays the reference's."""
+
+    def test_const1_and_const0_selects_fold(self):
+        netlist = tied_select_netlist()
+        program = compiled_program(netlist)
+        row = program.row
+        assert program.folded == {row["one"]: [row["m1"]], row["zero"]: [row["m0"]]}
+        assert program.gates == 6  # folded muxes still count
+        values = program.new_values(0b11)
+        values[row["a"]], values[row["b"]], values[row["ff"]] = 0b01, 0b10, 0b11
+        program.eval(values, 1)
+        assert (values[row["m1"]], values[row["m0"]]) == (0b11, 0b10)
+
+    def test_tied_select_netlist_grades_like_the_reference(self):
+        netlist = tied_select_netlist()
+        universe = full_fault_universe(netlist)
+        constants = [Fault(name, None, stuck) for name in ("one", "zero") for stuck in (0, 1)]
+        sequences = random_sequences(netlist, 8, 6, 3)
+        # stem faults only (every folded mux stays a buffer), the forced
+        # constants alone (no pin fault reruns their muxes), then both
+        # beside every fault of the folded muxes and the universe
+        stems = [fault for fault in universe if fault.pin is None]
+        everything = universe + constants + mux_faults(["m1", "m0"])
+        for faults in (stems, constants, everything):
+            out = grade_sequential_both(netlist, sequences, faults)
+            assert_identical(out)
+            for count in (1, 70):
+                assert_identical(grade_combinational_both(netlist, faults, count, count))
+            if faults is not stems:
+                # both forced constants switch their mux, and it shows
+                forced = {Fault("one", None, 0), Fault("zero", None, 1)}
+                assert forced <= set(out["kernel"][0].detected)
+
+    def test_system2_hscan_chip_grades_like_the_reference(self):
+        """Stem faults on the chip's CONST0 gates (the tied scan enables,
+        which the universe never holds) and every pin and stem fault of a
+        sample of the muxes folded on them, on both graders."""
+        netlist = flatten_soc(build_system2(), with_hscan=True, scan_access="none")
+        program = compiled_program(netlist)
+        muxes = folded_muxes(netlist)
+        assert sorted(r for rows in program.folded.values() for r in rows) == sorted(
+            program.row[name] for name in muxes
+        )
+        assert len(muxes) == 133
+        zeros = [g.name for g in netlist.gates() if g.kind is GateKind.CONST0]
+        faults = [Fault(name, None, stuck) for name in zeros for stuck in (0, 1)]
+        faults += mux_faults(random.Random(2).sample(muxes, 7))
+        assert len(faults) == 100
+        rng = random.Random(0)
+        inputs = [g.name for g in netlist.inputs]
+        sequences = [
+            [{name: rng.getrandbits(1) for name in inputs} for _ in range(8)] for _ in range(8)
+        ]
+        out = grade_sequential_both(netlist, sequences, faults)
+        assert_identical(out)
+        assert any(f.gate in zeros and f.stuck for f in out["kernel"][0].detected)
+        assert_identical(grade_combinational_both(netlist, faults, 70, 0))
 
 
 # ----------------------------------------------------------------------

@@ -167,7 +167,6 @@ class TestRunLedger:
         ledger.append(record(bench="parallel", samples=[0.002]))
         ledger.append(record(samples=[0.003]))
         assert ledger.exists()
-        assert ledger.benches() == ["parallel", "schedule"]
         schedule = ledger.records("schedule")
         assert [r["samples"] for r in schedule] == [[0.001], [0.003]]
         assert ledger.latest("schedule")["samples"] == [0.003]

@@ -355,6 +355,54 @@ def test_cli_import_loads_no_library_layer():
             if name not in allowed and not name.startswith("repro.util.")] == []
 
 
+def test_grading_and_planning_load_no_report_or_ledger_module():
+    """The ``repro.obs`` and ``repro.flow`` packages re-export nothing
+    from their artifact, ledger, gate and report modules, so the layers
+    a grading or a plan runs load none of them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.faults.simulator, repro.soc.optimizer, "
+         "repro.flow.system_netlist; print(*(name for name in sys.modules "
+         "if name.partition('.')[0] == 'repro'))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "repro.flow.system_netlist" in loaded
+    heavy = {
+        "repro.obs.attrib", "repro.obs.regress", "repro.obs.ledger",
+        "repro.util.schema", "repro.flow.report", "repro.flow.profile",
+    }
+    assert sorted(loaded & heavy) == []
+
+
+def test_bench_imports_register_every_module_instrument():
+    """A bench record holds every instrument of the shared registry, zeros
+    included, and ``repro regress`` reads 0 against absent as drift, so
+    ``benchmarks/conftest.py`` imports the instrumented modules up front:
+    a bench run alone registers what loading every module registers."""
+    root = Path(__file__).resolve().parent.parent
+
+    def instruments(setup: str) -> list:
+        proc = subprocess.run(
+            [sys.executable, "-c", setup + "; from repro.obs import METRICS; "
+             "print(*sorted(METRICS.counters()), *sorted(METRICS.sections()))"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    conftest = root / "benchmarks" / "conftest.py"
+    every_module = (
+        "import importlib, pkgutil, repro; "
+        "[importlib.import_module(m.name) for m in pkgutil.walk_packages("
+        "repro.__path__, 'repro.') if not m.name.endswith('__main__')]"
+    )
+    assert instruments(f"import runpy; runpy.run_path({str(conftest)!r})") == instruments(every_module)
+
+
 class TestDeterminism:
     def test_atpg_is_seed_deterministic(self):
         import random

@@ -98,9 +98,12 @@ class TestHotspots:
             "fast.run": (1, 0.1, 0.1),
             "slow.run": (2, 3.0, 0.5),
             "busy.run": (1, 1.0, 1.0),
+            **{f"tiny{i:02d}.run": (1, 0.01, 0.01 - i / 1e4) for i in range(12)},
         })
-        rows = hotspots(sections, top_k=2)
-        assert [row["section"] for row in rows] == ["busy.run", "slow.run"]
+        rows = hotspots(sections)
+        assert [row["section"] for row in rows] == [
+            "busy.run", "slow.run", "fast.run", *(f"tiny{i:02d}.run" for i in range(7))
+        ]
         assert rows[1]["seconds"] == pytest.approx(3.0)
         assert rows[1]["calls"] == 2
 

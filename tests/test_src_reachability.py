@@ -1,7 +1,13 @@
 """Every definition in ``src/repro`` is reached by the program: a
-top-level function or class, or a method, whose name no code in
-``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` loads is
-either dead or a test helper, and belongs in ``tests/`` or nowhere."""
+top-level function or class, or a method, that no code in ``src/``,
+``benchmarks/``, ``examples/`` or ``perfbench/`` reaches is either dead
+or a test helper, and belongs in ``tests/`` or nowhere.
+
+A method is reached only through an attribute load of its name
+(``obj.name``) or a string constant naming it (``getattr(obj, "name")``):
+a local variable that happens to share its name does not keep it.  A
+top-level definition is reached through a name load, an import or an
+attribute load (``module.name``)."""
 
 import ast
 from pathlib import Path
@@ -15,17 +21,23 @@ def _sources(directory):
     return sorted((ROOT / directory).rglob("*.py"))
 
 
-def _loaded_names():
-    """Every name read as a variable or attribute anywhere in the program."""
-    names = set()
+def _references():
+    """``(names that reach a method, names that reach a top-level
+    definition)`` over the whole program."""
+    methods, top_level = set(), set()
     for directory in PROGRAM_DIRS:
         for path in _sources(directory):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    methods.add(node.attr)
+                    top_level.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    methods.add(node.value)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    top_level.add(node.id)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    top_level.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return methods, top_level
 
 
 def _is_visitor(cls):
@@ -50,14 +62,15 @@ def _definitions(path):
 
 
 def _unreached():
-    loaded = _loaded_names()
+    methods, top_level = _references()
     found = []
     for path in _sources("src/repro"):
         module = path.relative_to(PACKAGE).as_posix()
         for qualname, exempt in _definitions(path):
-            name = qualname.rpartition(".")[2]
+            owner, _, name = qualname.rpartition(".")
             dunder = name.startswith("__") and name.endswith("__")
-            if not (exempt or dunder or name in loaded):
+            reached = methods if owner else top_level
+            if not (exempt or dunder or name in reached):
                 found.append(f"{module}::{qualname}")
     return found
 
