@@ -42,9 +42,9 @@ def main():
     print("RCG nodes (paper Figure 7 style):")
     for node in rcg.nodes.values():
         tags = []
-        if node.c_split:
+        if rcg.is_c_split(node.name):
             tags.append("C-split")
-        if node.o_split:
+        if rcg.is_o_split(node.name):
             tags.append("O-split")
         print(f"  {node.name:8s} {node.kind:9s} width={node.width:2d} {' '.join(tags)}")
     print("\nRCG edges (# marks HSCAN edges):")

@@ -25,7 +25,7 @@ byte-stability tests).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.muxsat import SelectSolver, check_path_selects
@@ -33,6 +33,7 @@ from repro.analysis.provenance import SliceProof, prove_path
 from repro.errors import ReproError
 from repro.lint.diagnostics import location
 from repro.obs import METRICS, profile_section
+from repro.rtl.arcs import extract_arcs
 from repro.rtl.types import Slice
 from repro.transparency.rcg import RCG
 from repro.transparency.search import TransparencyPath
@@ -486,7 +487,8 @@ def certify_core(core) -> List[VersionCertificate]:
     """
     circuit = core.circuit
     structural = RCG.from_circuit(circuit, None).arcs
-    rcg = RCG.from_circuit(circuit, core.hscan)
+    # the plan's HSCAN flags over the circuit's arcs, not the plan's own copy
+    rcg = RCG.from_circuit(circuit, replace(core.hscan, arcs=extract_arcs(circuit)))
     backed = {arc.key(): arc for arc in rcg.arcs if _rides_structure(arc, structural)}
     pieces = [piece for output in rcg.output_names() for piece in rcg.output_slices(output)]
     certificates: List[VersionCertificate] = []

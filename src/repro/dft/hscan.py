@@ -51,6 +51,8 @@ class HscanResult:
     """Everything HSCAN insertion decided for one core."""
 
     circuit: RTLCircuit
+    #: the circuit's transfer arcs the plan was built from
+    arcs: List[Arc]
     units: List[ScanUnit] = field(default_factory=list)
     links: List[ScanLink] = field(default_factory=list)
     observations: List[ObservationLink] = field(default_factory=list)
@@ -263,6 +265,7 @@ def _insert_hscan(circuit: RTLCircuit) -> HscanResult:
     extra_area = sum(link.cost for link in links) + sum(obs.cost for obs in observations)
     return HscanResult(
         circuit=circuit,
+        arcs=arcs,
         units=units,
         links=links,
         observations=observations,

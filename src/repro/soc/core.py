@@ -10,6 +10,7 @@ evaluation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 from repro.dft.hscan import HscanResult, insert_hscan
@@ -102,11 +103,14 @@ class Core:
     def port_width(self, port: str) -> int:
         return self.circuit.get(port).width
 
+    @cached_property
     def output_slices(self) -> List[Slice]:
         """Every output port cut at its incoming-arc boundaries, ports by name.
 
         The slicing is the core's, not a version's: ``RCG.output_slices``
         skips the arcs a version adds, so every version cuts alike.
+        Computed on first use, once: :meth:`repro.soc.Soc.invalidate`
+        drops it after an in-place edit.
         """
         rcg = self.versions[0].rcg
         assert rcg is not None

@@ -56,7 +56,7 @@ from repro.transparency.versions import CoreVersion, _tmux_cost
 UsageKey = Tuple[str, str, Tuple]
 
 #: what one search found: latency, transfers used, interconnect nets ridden
-_Route = Tuple[int, Counter, List[Net]]
+_Route = Tuple[int, Dict[UsageKey, int], List[Net]]
 
 _PLANS = METRICS.counter("chiplevel.plans")
 _DELIVERIES = METRICS.counter("chiplevel.deliveries")
@@ -308,7 +308,7 @@ class _Planner:
             return None
         visited = visited | {key}
         worst = 0
-        usages: Counter = Counter()
+        usages: Dict[UsageKey, int] = {}
         nets: List[Net] = []
         for net in self.soc.drivers_of(core_name, port):
             nets.append(net)
@@ -324,7 +324,7 @@ class _Planner:
                 return None
             latency, sub_usages, sub_nets = result
             worst = max(worst, latency)
-            usages.update(sub_usages)
+            _add(usages, sub_usages)
             nets.extend(sub_nets)
         return worst, usages, nets
 
@@ -341,12 +341,12 @@ class _Planner:
         if not keys:
             return None
         latency = version.combined_justify_latency(keys)
-        usages: Counter = Counter()
+        usages: Dict[UsageKey, int] = {}
         nets: List[Net] = []
         needed_inputs: Set[str] = set()
         for k in keys:
             path = version.justify_paths[k]
-            usages[(core_name, "justify", k)] += 1
+            usages[(core_name, "justify", k)] = 1
             needed_inputs.update(path.terminal_ports)
         feed = 0
         for input_port in sorted(needed_inputs):
@@ -354,7 +354,7 @@ class _Planner:
                 core_name, input_port, visited
             )
             feed = max(feed, feed_latency)
-            usages.update(feed_usages)
+            _add(usages, feed_usages)
             nets.extend(feed_nets)
         return latency + feed, usages, nets
 
@@ -364,12 +364,12 @@ class _Planner:
             port,
         ) in self.forced_input_muxes:
             self._note_input_mux(core_name, port)
-            return 0, Counter(), []
+            return 0, {}, []
         result = self.deliver(core_name, port, visited)
         if result is None:
             self._fallbacks += 1
             self._note_input_mux(core_name, port)
-            return 0, Counter(), []
+            return 0, {}, []
         return result
 
     def _note_input_mux(self, core_name: str, port: str) -> None:
@@ -409,7 +409,7 @@ class _Planner:
         if covered < width:
             return None  # some bits go nowhere (or only into excluded cores)
         worst = 0
-        usages: Counter = Counter()
+        usages: Dict[UsageKey, int] = {}
         ridden: List[Net] = []
         for net in nets:
             ridden.append(net)
@@ -419,9 +419,10 @@ class _Planner:
             path = version.propagate_paths.get(net.dest.port)
             if path is None:
                 return None
-            usages[(net.dest.core, "propagate", net.dest.port)] += 1
+            key = (net.dest.core, "propagate", net.dest.port)
+            usages[key] = usages.get(key, 0) + 1
             deepest = 0
-            onward_merged: Counter = Counter()
+            onward_merged: Dict[UsageKey, int] = {}
             for terminal in path.terminals:
                 onward_latency, onward_usages, onward_nets = self._observe_or_mux(
                     net.dest.core, terminal.comp, terminal.lo, terminal.width, visited
@@ -429,9 +430,9 @@ class _Planner:
                 deepest = max(deepest, onward_latency)
                 # all terminals of one propagation travel onward together
                 for key, count in onward_usages.items():
-                    onward_merged[key] = max(onward_merged[key], count)
+                    onward_merged[key] = max(onward_merged.get(key, 0), count)
                 ridden.extend(onward_nets)
-            usages.update(onward_merged)
+            _add(usages, onward_merged)
             worst = max(worst, path.latency + deepest)
         return worst, usages, ridden
 
@@ -443,12 +444,12 @@ class _Planner:
             port,
         ) in self.forced_output_muxes:
             self._note_output_mux(core_name, port, lo, width)
-            return 0, Counter(), []
+            return 0, {}, []
         result = self.observe_slice(core_name, port, lo, width, visited)
         if result is None:
             self._fallbacks += 1
             self._note_output_mux(core_name, port, lo, width)
-            return 0, Counter(), []
+            return 0, {}, []
         return result
 
     def _note_output_mux(self, core_name: str, port: str, lo: int, width: int) -> None:
@@ -477,14 +478,14 @@ class _Planner:
                     core=core_name,
                     port=port,
                     latency=latency,
-                    usages=usages,
+                    usages=Counter(usages),
                     via_test_mux=("input", core_name, port) in self.test_muxes,
                     nets=tuple(dict.fromkeys(nets)),
                 )
             )
 
         observations: List[Observation] = []
-        for piece in core.output_slices():
+        for piece in core.output_slices:
             output = piece.comp
             latency, usages, nets = self._observe_or_mux(
                 core_name, output, piece.lo, piece.width, frozenset()
@@ -496,7 +497,7 @@ class _Planner:
                     lo=piece.lo,
                     width=piece.width,
                     latency=latency,
-                    usages=usages,
+                    usages=Counter(usages),
                     via_test_mux=("output", core_name, output, piece.lo, piece.width)
                     in self.test_muxes,
                     nets=tuple(dict.fromkeys(nets)),
@@ -516,6 +517,12 @@ class _Planner:
         )
         added = itertools.islice(self.test_muxes.items(), muxes_before, None)
         return CachedPlan(plan, self._deps, dict(added), self._fallbacks, reserved)
+
+
+def _add(usages: Dict[UsageKey, int], more: Dict[UsageKey, int]) -> None:
+    """Add ``more``'s transfer counts into ``usages``."""
+    for key, count in more.items():
+        usages[key] = usages.get(key, 0) + count
 
 
 def _cadence(
@@ -544,10 +551,8 @@ def _cadence(
             path = version.propagate_paths.get(key)
         if path is None:
             continue
-        for resource in path.arcs_used:
+        for resource in path.resources:
             busy[(core_name, resource)] += count * path.latency
-        for port in path.terminal_ports:
-            busy[(core_name, "port", port)] += count * path.latency
     busiest = max(busy.values(), default=0)
     return max(longest, busiest), sum(busy.values())
 

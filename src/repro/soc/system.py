@@ -199,10 +199,11 @@ class Soc:
     def invalidate(self) -> None:
         """Drop what was derived from the SOC.
 
-        That is the passed wiring check, the plan cache, each version's
-        mux-select names and the functional area.  :meth:`add_core` and
-        :meth:`connect` call it; code that edits a core's circuit or a
-        version's paths in place must call it too.
+        That is the passed wiring check, the plan cache, each core's
+        output slicing, each version's mux-select names and the
+        functional area.  :meth:`add_core` and :meth:`connect` call it;
+        code that edits a core's circuit or a version's paths in place
+        must call it too.
         """
         self._validated = False
         self._functional_area = None
@@ -210,5 +211,6 @@ class Soc:
             _INVALIDATIONS.inc()
             self.plan_cache = None
         for core in self.cores.values():
+            core.__dict__.pop("output_slices", None)
             for version in core.versions:
                 version.__dict__.pop("mux_selects", None)

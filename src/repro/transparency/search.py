@@ -23,10 +23,11 @@ it), matching the paper's Status-register freeze.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.obs import METRICS, profile_section
-from repro.rtl.types import ComponentKind, Slice
+from repro.rtl.types import Slice
 from repro.transparency.rcg import RCG, TransArc
 
 #: cells to freeze a register that already has a load enable
@@ -46,7 +47,9 @@ class PathNode:
     ``branches`` pair the arc taken with the subtree beyond it; all
     branches are required (they cover disjoint sub-slices of ``piece``).
     ``latency`` is the cycles between this node's data being valid and
-    the terminal end of the subtree.
+    the terminal end of the subtree.  :meth:`walk_arcs` and
+    :meth:`walk_terminals` re-derive from the tree what the search
+    recorded on its path; the certifier compares the two.
     """
 
     piece: Slice
@@ -81,12 +84,15 @@ class TransparencyPath:
     terminals: List[Slice]
     freezes: List[Tuple[str, int]]  # (register, cycles held)
 
-    @property
+    @cached_property
     def terminal_ports(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for terminal in self.terminals:
-            seen.setdefault(terminal.comp, None)
-        return list(seen)
+        """The ports the terminals lie on, first seen first; computed once."""
+        return list(dict.fromkeys(terminal.comp for terminal in self.terminals))
+
+    @cached_property
+    def resources(self) -> FrozenSet:
+        """What a transfer along the path holds busy: its arcs and ``("port", p)``."""
+        return self.arcs_used | {("port", port) for port in self.terminal_ports}
 
 
 class TransparencySearch:
@@ -109,7 +115,7 @@ class TransparencySearch:
         """Find how to set output/register slice ``target`` from inputs."""
         _JUSTIFY_CALLS.inc()
         with profile_section("transparency.search"):
-            tree = self._search(target, backwards=True, stack=frozenset())
+            tree = self._tree(target, backwards=True)
         if tree is None:
             return None
         return self._finish("justify", target, tree)
@@ -118,111 +124,102 @@ class TransparencySearch:
         """Find how input/register slice ``source`` reaches outputs."""
         _PROPAGATE_CALLS.inc()
         with profile_section("transparency.search"):
-            tree = self._search(source, backwards=False, stack=frozenset())
+            tree = self._tree(source, backwards=False)
         if tree is None:
             return None
         return self._finish("propagate", source, tree)
 
     # ------------------------------------------------------------------
+    def _tree(self, root: Slice, backwards: bool) -> Optional[PathNode]:
+        """The min-latency path tree from ``root``, or None.
+
+        Each piece is cut where an arc boundary falls strictly inside it;
+        every segment takes the candidate arc with the least ``(latency,
+        avoided, non-HSCAN, source)`` score, the first one on a tie.  A
+        component already on the walk's stack is a cycle and fails.
+        """
+        rows_of = self.rcg.search_rows(backwards, self.hscan_only)
+        terminals = self.rcg.terminals[backwards]
+        avoid = self.avoid_arcs
+        stack: Set[str] = set()
+        expansions = 0
+
+        def expand(comp: str, lo: int, hi: int) -> Optional[PathNode]:
+            nonlocal expansions
+            expansions += 1
+            if comp in terminals:
+                return PathNode(Slice(comp, lo, hi - lo), 0)
+            if comp in stack:
+                return None
+            rows = []
+            inner = set()  # arc boundaries strictly inside the piece
+            for row in rows_of.get(comp, ()):
+                own_lo, own_hi = row.own_lo, row.own_hi
+                if own_lo < hi and lo < own_hi:
+                    rows.append(row)
+                    if lo < own_lo:
+                        inner.add(own_lo)
+                    if own_hi < hi:
+                        inner.add(own_hi)
+            if not rows:
+                return None
+            bounds = [lo, *sorted(inner), hi]
+            stack.add(comp)
+            branches: List[Tuple[TransArc, PathNode]] = []
+            latency = 0
+            for seg_lo, seg_hi in zip(bounds, bounds[1:]):
+                best = best_score = None
+                for own_lo, own_hi, far, offset, arc_latency, key, non_hscan, source, arc in rows:
+                    if own_lo <= seg_lo and seg_hi <= own_hi:
+                        sub = expand(far, seg_lo + offset, seg_hi + offset)
+                        if sub is None:
+                            continue
+                        score = (arc_latency + sub.latency, key in avoid, non_hscan, source)
+                        if best is None or score < best_score:
+                            best, best_score = (arc, sub), score
+                if best is None:
+                    stack.remove(comp)
+                    return None
+                branches.append(best)
+                latency = max(latency, best_score[0])
+            stack.remove(comp)
+            return PathNode(Slice(comp, lo, hi - lo), latency, branches)
+
+        tree = expand(root.comp, root.lo, root.hi)
+        _EXPANSIONS.inc(expansions)
+        return tree
+
     def _finish(self, direction: str, root: Slice, tree: PathNode) -> TransparencyPath:
+        """Arc keys, terminals and freezes of ``tree`` in one walk.
+
+        A branch that completes before its node's slowest one holds its
+        data in place for the difference, which costs freeze logic when
+        the holder is a register.
+        """
+        registers = self.rcg.registers
+        keys: List[Tuple] = []
+        terminals: List[Slice] = []
         freezes: List[Tuple[str, int]] = []
-        self._collect_freezes(tree, freezes)
+
+        def walk(node: PathNode) -> None:
+            if not node.branches:
+                terminals.append(node.piece)
+                return
+            for arc, sub in node.branches:
+                total = arc.latency + sub.latency
+                if total < node.latency and sub.piece.comp in registers:
+                    freezes.append((sub.piece.comp, node.latency - total))
+            for arc, sub in node.branches:
+                keys.append(arc.key())
+                walk(sub)
+
+        walk(tree)
         return TransparencyPath(
             direction=direction,
             root=root,
             tree=tree,
             latency=tree.latency,
-            arcs_used=frozenset(arc.key() for arc in tree.walk_arcs()),
-            terminals=tree.walk_terminals(),
+            arcs_used=frozenset(keys),
+            terminals=terminals,
             freezes=freezes,
         )
-
-    def _collect_freezes(self, node: PathNode, out: List[Tuple[str, int]]) -> None:
-        if node.branches:
-            totals = [arc.latency + sub.latency for arc, sub in node.branches]
-            longest = max(totals)
-            for (arc, sub), total in zip(node.branches, totals):
-                if total < longest:
-                    holder = sub.piece.comp
-                    kind = self.rcg.circuit.get(holder).kind
-                    if kind is ComponentKind.REGISTER:
-                        out.append((holder, longest - total))
-        for _, sub in node.branches:
-            self._collect_freezes(sub, out)
-
-    # ------------------------------------------------------------------
-    def _allowed(self, arc: TransArc) -> bool:
-        return arc.hscan or not self.hscan_only
-
-    def _terminal_kind(self, backwards: bool) -> ComponentKind:
-        return ComponentKind.INPUT if backwards else ComponentKind.OUTPUT
-
-    def _search(
-        self, piece: Slice, backwards: bool, stack: FrozenSet[str]
-    ) -> Optional[PathNode]:
-        _EXPANSIONS.inc()
-        kind = self.rcg.circuit.get(piece.comp).kind
-        if kind is self._terminal_kind(backwards):
-            return PathNode(piece, 0)
-        if piece.comp in stack:
-            return None
-        next_stack = stack | {piece.comp}
-
-        if backwards:
-            arcs = [
-                a
-                for a in self.rcg.arcs_into(piece.comp)
-                if self._allowed(a) and a.dest.lo < piece.hi and piece.lo < a.dest.hi
-            ]
-        else:
-            arcs = [
-                a
-                for a in self.rcg.arcs_from(piece.comp)
-                if self._allowed(a) and a.source.lo < piece.hi and piece.lo < a.source.hi
-            ]
-        if not arcs:
-            return None
-
-        segments = self._segments(piece, arcs, backwards)
-        branches: List[Tuple[TransArc, PathNode]] = []
-        for segment in segments:
-            best: Optional[Tuple[Tuple, TransArc, PathNode]] = None
-            for arc in arcs:
-                own = arc.dest if backwards else arc.source
-                if not (own.lo <= segment.lo and segment.hi <= own.hi):
-                    continue
-                far = arc.source if backwards else arc.dest
-                sub_piece = far.sub(segment.lo - own.lo, segment.width)
-                sub = self._search(sub_piece, backwards, next_stack)
-                if sub is None:
-                    continue
-                total = arc.latency + sub.latency
-                score = (
-                    total,
-                    1 if arc.key() in self.avoid_arcs else 0,
-                    0 if arc.hscan else 1,
-                    str(arc.source),
-                )
-                if best is None or score < best[0]:
-                    best = (score, arc, sub)
-            if best is None:
-                return None
-            branches.append((best[1], best[2]))
-
-        latency = max(arc.latency + sub.latency for arc, sub in branches)
-        return PathNode(piece, latency, branches)
-
-    @staticmethod
-    def _segments(piece: Slice, arcs: Sequence[TransArc], backwards: bool) -> List[Slice]:
-        """Cut ``piece`` at the boundaries of the arcs touching it."""
-        cuts = {piece.lo, piece.hi}
-        for arc in arcs:
-            own = arc.dest if backwards else arc.source
-            if piece.lo < own.lo < piece.hi:
-                cuts.add(own.lo)
-            if piece.lo < own.hi < piece.hi:
-                cuts.add(own.hi)
-        ordered = sorted(cuts)
-        return [
-            Slice(piece.comp, lo, hi - lo) for lo, hi in zip(ordered, ordered[1:])
-        ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.dft.hscan import HscanResult, insert_hscan
 from repro.errors import TransparencyError
@@ -27,7 +27,12 @@ from repro.obs import METRICS, profile_section
 from repro.rtl.circuit import RTLCircuit
 from repro.rtl.types import ComponentKind, Slice
 from repro.transparency.rcg import RCG, TransArc
-from repro.transparency.search import TransparencyPath, TransparencySearch
+from repro.transparency.search import (
+    FREEZE_COST_NO_ENABLE,
+    FREEZE_COST_WITH_ENABLE,
+    TransparencyPath,
+    TransparencySearch,
+)
 
 #: cells for an added transparency multiplexer of width w: per-bit mux + select
 TMUX_BASE_COST = 2
@@ -111,25 +116,17 @@ class CoreVersion:
         return (justify, propagate)
 
 
-def _path_resources(path: TransparencyPath) -> Set:
-    resources: Set = set(path.arcs_used)
-    for port in path.terminal_ports:
-        resources.add(("port", port))
-    return resources
-
-
 def _combined_latency(paths: List[TransparencyPath]) -> int:
-    groups: List[Tuple[Set, int]] = []  # (resources, summed latency)
+    groups: List[Tuple[FrozenSet, int]] = []  # (resources, summed latency)
     for path in paths:
-        resources = _path_resources(path)
-        merged_resources, merged_latency = set(resources), path.latency
+        merged_resources, merged_latency = path.resources, path.latency
         remaining = []
         for group_resources, group_latency in groups:
-            if group_resources & merged_resources:
-                merged_resources |= group_resources
-                merged_latency += group_latency
-            else:
+            if group_resources.isdisjoint(merged_resources):
                 remaining.append((group_resources, group_latency))
+            else:
+                merged_resources = merged_resources | group_resources
+                merged_latency += group_latency
         remaining.append((merged_resources, merged_latency))
         groups = remaining
     return max((latency for _, latency in groups), default=0)
@@ -214,11 +211,14 @@ def _improve_worst_pair(
         extra = _fallback_propagate_mux(base.rcg, source)
     if not extra:
         return None
-    working = base.rcg.with_extra_arcs(extra)
-    version = _solve_version(circuit, working, name=f"Version {index + 1}", index=index, hscan_first=False)
-    version.added_muxes = list(base.added_muxes) + extra
-    version.extra_cells = _version_cost(circuit, working, version, version.added_muxes)
-    return version
+    return _solve_version(
+        circuit,
+        base.rcg.with_extra_arcs(extra),
+        name=f"Version {index + 1}",
+        index=index,
+        hscan_first=False,
+        carried=base.added_muxes + extra,
+    )
 
 
 def _iter_targets(rcg: RCG) -> Tuple[List[Slice], List[Slice]]:
@@ -237,7 +237,9 @@ def _solve_version(
     name: str,
     index: int,
     hscan_first: bool,
+    carried: Sequence[TransArc] = (),
 ) -> CoreVersion:
+    """Solve every port on ``rcg``; ``carried`` are the muxes it already holds."""
     version = CoreVersion(core=circuit.name, name=name, index=index, extra_cells=0, rcg=rcg)
     output_slices, input_slices = _iter_targets(rcg)
     used_arcs: Set[Tuple] = set()
@@ -291,9 +293,9 @@ def _solve_version(
         version.propagate_paths[source.comp] = path
         used_arcs |= set(path.arcs_used)
 
-    version.added_muxes = added
+    version.added_muxes = [*carried, *added]
     version.rcg = working_rcg
-    version.extra_cells = _version_cost(circuit, working_rcg, version, added)
+    version.extra_cells = _version_cost(circuit, version)
     return version
 
 
@@ -360,36 +362,25 @@ def _fallback_propagate_mux(rcg: RCG, source: Slice) -> List[TransArc]:
     return arcs if remaining == 0 else []
 
 
-def _version_cost(
-    circuit: RTLCircuit,
-    rcg: RCG,
-    version: CoreVersion,
-    added_muxes: List[TransArc],
-) -> int:
-    """Extra transparency cells: freezes + non-HSCAN steering + muxes."""
-    added_keys = {arc.key() for arc in added_muxes}
-    cells = 0
-    frozen: Set[str] = set()
-    non_hscan: Set[Tuple] = set()
-    all_paths = list(version.justify_paths.values()) + list(version.propagate_paths.values())
-    arc_by_key = {arc.key(): arc for arc in rcg.arcs}
-    for path in all_paths:
-        for register_name, _ in path.freezes:
-            frozen.add(register_name)
-        for key in path.arcs_used:
-            arc = arc_by_key.get(key)
-            if arc is None or key in added_keys:
-                continue
-            if not arc.hscan:
-                non_hscan.add(key)
-    from repro.transparency.search import FREEZE_COST_NO_ENABLE, FREEZE_COST_WITH_ENABLE
+def _version_cost(circuit: RTLCircuit, version: CoreVersion) -> int:
+    """Extra transparency cells: freezes + non-HSCAN steering + muxes.
 
+    Each arc is charged once however many paths ride it; the set
+    operations reuse the hashes the paths' ``arcs_used`` already hold.
+    """
+    paths = [*version.justify_paths.values(), *version.propagate_paths.values()]
+    frozen = {register_name for path in paths for register_name, _ in path.freezes}
+    added_keys = {arc.key() for arc in version.added_muxes}
+    steered = frozenset().union(*(path.arcs_used for path in paths)) - added_keys
+    cells = 0
     for register_name in frozen:
         register = circuit.get(register_name)
         has_enable = getattr(register, "enable", None) is not None
         cells += FREEZE_COST_WITH_ENABLE if has_enable else FREEZE_COST_NO_ENABLE
-    for key in non_hscan:
-        cells += _non_hscan_arc_cost(arc_by_key[key])
-    for arc in added_muxes:
+    for key in steered:
+        arc = version.rcg.arc_by_key.get(key)
+        if arc is not None and not arc.hscan:
+            cells += _non_hscan_arc_cost(arc)
+    for arc in version.added_muxes:
         cells += _tmux_cost(arc.width)
     return cells

@@ -92,7 +92,7 @@ class TestCacheLifecycle:
                     for output in sorted(rcg.output_names())
                     for piece in rcg.output_slices(output)
                 ]
-                assert pieces == core.output_slices(), (core.name, version.name)
+                assert pieces == core.output_slices, (core.name, version.name)
 
     def test_structural_change_invalidates(self):
         from repro.designs import build_gcd

@@ -1,8 +1,12 @@
 """Tests for the RCG, transparency search, and version generation."""
 
+import hashlib
+
 import pytest
 
+from repro.designs.registry import system_builders
 from repro.dft import insert_hscan
+from repro.obs import METRICS
 from repro.rtl import CircuitBuilder, OpKind, Slice
 from repro.rtl.types import Concat
 from repro.transparency import RCG, TransparencySearch, generate_versions
@@ -47,8 +51,8 @@ class TestRCG:
 
     def test_c_split_detection(self):
         rcg = RCG.from_circuit(split_core())
-        assert rcg.nodes["R"].c_split
-        assert not rcg.nodes["S"].c_split
+        assert rcg.is_c_split("R")
+        assert not rcg.is_c_split("S")
 
     def test_o_split_detection(self):
         b = CircuitBuilder("osplit")
@@ -62,7 +66,7 @@ class TestRCG:
         b.output("O1", lo)
         b.output("O2", hi)
         rcg = RCG.from_circuit(b.build())
-        assert rcg.nodes["R"].o_split
+        assert rcg.is_o_split("R")
 
     def test_hscan_edges_flagged(self):
         circuit = chain_core()
@@ -222,3 +226,69 @@ class TestVersions:
         v = versions[0]
         combined = v.combined_justify_latency([("O1", 0, 4), ("O2", 0, 4)])
         assert combined == 2  # 1 + 1: both paths start at DIN
+
+
+def _render_tree(node, depth):
+    lines = [f"{'  ' * depth}{node.piece} @{node.latency}"]
+    for arc, sub in node.branches:
+        lines.append(f"{'  ' * depth}via {arc.key()!r} lat={arc.latency} hscan={arc.hscan}")
+        lines.extend(_render_tree(sub, depth + 1))
+    return lines
+
+
+def _render_path(label, path):
+    return [
+        f"  {label} {path.direction} {path.root} latency={path.latency}",
+        f"    arcs={sorted(repr(key) for key in path.arcs_used)!r}",
+        f"    terminals={[str(t) for t in path.terminals]!r} freezes={path.freezes!r}",
+        *_render_tree(path.tree, 3),
+    ]
+
+
+def _render_synthesis(systems):
+    """Every version of every core, canonically: nothing depends on hash order."""
+    lines = []
+    for system in systems:
+        soc = system_builders()[system]()
+        for core in sorted(soc.testable_cores(), key=lambda c: c.name):
+            for version in core.versions:
+                lines.append(f"{system} {core.name} {version.name} cells={version.extra_cells}")
+                for key in sorted(version.justify_paths):
+                    lines.extend(_render_path(key, version.justify_paths[key]))
+                for key in sorted(version.propagate_paths):
+                    lines.extend(_render_path(key, version.propagate_paths[key]))
+                lines.append(f"  added={[repr(arc.key()) for arc in version.added_muxes]!r}")
+                lines.append(f"  mux_selects={version.mux_selects!r}")
+                rcg = version.rcg
+                for name in sorted(rcg.nodes):
+                    lines.append(
+                        f"  {name} c_split={rcg.is_c_split(name)} o_split={rcg.is_o_split(name)}"
+                    )
+    return "\n".join(lines) + "\n"
+
+
+class TestSynthesisPin:
+    """Systems 1-4 synthesize exactly the versions they always have.
+
+    A rewrite of the RCG or the search must keep every path, tree,
+    freeze, cost and split flag, and explore the same number of pieces.
+    """
+
+    SYSTEMS = ("System1", "System2", "System3", "System4")
+
+    def test_versions_render_to_pinned_digest(self):
+        digest = hashlib.sha256(_render_synthesis(self.SYSTEMS).encode()).hexdigest()
+        assert digest == "5f02c040fe829b5032f13a65a55927293b956eba58d02c17550ace9c76b0cb27"
+
+    def test_building_the_systems_counts_the_same_search_work(self):
+        names = (
+            "transparency.search.expansions",
+            "transparency.search.justify",
+            "transparency.search.propagate",
+            "transparency.versions.synthesized",
+        )
+        before = METRICS.counters()
+        for system in self.SYSTEMS:
+            system_builders()[system]()
+        after = METRICS.counters()
+        assert [after[n] - before.get(n, 0) for n in names] == [2651, 230, 142, 39]
