@@ -38,14 +38,18 @@ machine cycle by cycle with its flops' state carried in its block, with
 the semantics of one
 :class:`SequentialSimulator` per fault (flop input-pin faults are inert
 there, stem faults force their row every cycle, and a pin fault's gate
-reads its own block, where corrupted state feeds back).
+reads its own block, where corrupted state feeds back).  It runs only
+the program's :attr:`~repro.gates.kernel.CompiledProgram.cone`, the rows
+some primary output reads in some cycle: a fault whose site lies outside
+it can never differ at an output, so like a flop input-pin fault it gets
+no block and stays undetected.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import itemgetter, truth
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import truth
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.faults.model import Fault, misfit
@@ -60,7 +64,17 @@ from repro.faults.simulator import (
     pack_columns,
 )
 from repro.gates.cells import STATE_KINDS
-from repro.gates.kernel import ONE_ROW, CompiledProgram, Group, by_level, compiled_program, force, lower
+from repro.gates.kernel import (
+    ONE_ROW,
+    CompiledProgram,
+    Cone,
+    Group,
+    by_level,
+    compiled_program,
+    force,
+    lower,
+    tuple_getter,
+)
 from repro.gates.netlist import GateNetlist
 
 #: widest plane, in bits: the fastest of 4,096 to 32,768 on Table 3-shaped
@@ -74,17 +88,21 @@ BATCH = 64
 #: a flop input-pin fault the row of the net its flop captures, else None)
 Site = Tuple[int, Optional[int], int, Optional[int]]
 
+#: what a plane runs: the whole program (combinational grading) or its
+#: cone (sequential grading); each has ``levels``, ``folded`` and ``gates``
+Part = Union[CompiledProgram, Cone]
 
-def _sites(program: CompiledProgram, faults: Sequence[Fault]) -> List[Site]:
-    """Each fault's site; a fault its gate cannot hold is a
-    :class:`SimulationError` naming it and the netlist."""
+
+def _sites(program: CompiledProgram, netlist: GateNetlist, faults: Sequence[Fault]) -> List[Site]:
+    """Each fault's site on ``netlist``'s program; a fault its gate
+    cannot hold is a :class:`SimulationError` naming it and the netlist."""
     sites = []
     for fault in faults:
         at = program.row.get(fault.gate)
         if at is None:
-            program.netlist.gate(fault.gate)  # raises the netlist's own error
+            netlist.gate(fault.gate)  # raises the netlist's own error
         _, kind, fanins = program.gate_at[at]
-        problem = misfit(fault, len(fanins), program.netlist)
+        problem = misfit(fault, len(fanins), netlist)
         if problem:
             raise SimulationError(problem)
         captured = fanins[fault.pin] if fault.pin is not None and kind in STATE_KINDS else None
@@ -92,25 +110,26 @@ def _sites(program: CompiledProgram, faults: Sequence[Fault]) -> List[Site]:
     return sites
 
 
-def _chunks(sites: List[Site], width: int) -> Iterator[List[int]]:
-    """The indices of the sites that get a block (all but flop input
-    pins), at most one plane's worth at a time; at least one chunk."""
-    forced = [i for i, site in enumerate(sites) if site[3] is None]
+def _chunks(forced: List[int], width: int) -> List[List[int]]:
+    """``forced``, the indices of the sites that get a block, cut into
+    one chunk per plane."""
     per_plane = max(1, PLANE_BITS // width - 1)
-    for start in range(0, max(len(forced), 1), per_plane):
-        yield forced[start : start + per_plane]
+    return [forced[start : start + per_plane] for start in range(0, len(forced), per_plane)]
 
 
-def _forced(program: CompiledProgram, sites: Sequence[Site], width: int) -> Tuple[List[Group], int]:
-    """The program of a plane holding ``sites[f]`` in block ``f + 1``,
-    and the scratch rows it needs beyond the program's own.
+def _forced(
+    program: CompiledProgram, part: Part, sites: Sequence[Site], width: int
+) -> Tuple[List[Group], int]:
+    """``part``'s levels as the program of a plane holding ``sites[f]``
+    in block ``f + 1``, and the scratch rows it needs beyond the
+    program's own.
 
     After each level's own groups come its pin faults' gates again, over
-    scratch rows that hold their faulty operands, and the muxes folded on
-    a constant row a stem fault forces, as MUX2s; then one group of
-    forcing stores: the level's stem faults, and the operand stores of
-    the next level's pin faults.  Faults on one row (or one pin) share
-    one store.
+    scratch rows that hold their faulty operands, and the muxes of
+    ``part`` folded on a constant row a stem fault forces, as MUX2s;
+    then one group of forcing stores: the level's stem faults, and the
+    operand stores of the next level's pin faults.  Faults on one row
+    (or one pin) share one store.
     """
     block = (1 << width) - 1
     ones = (1 << (width * (len(sites) + 1))) - 1
@@ -144,7 +163,7 @@ def _forced(program: CompiledProgram, sites: Sequence[Site], width: int) -> Tupl
         scratch += 1
     # a forced constant can switch the muxes the program folded on it
     for row in stems:
-        for mux in program.folded.get(row, ()):
+        for mux in part.folded.get(row, ()):
             operands.setdefault(mux, list(gate_at[mux][2]))
     for row, rows in operands.items():
         level, kind, _ = gate_at[row]
@@ -154,7 +173,7 @@ def _forced(program: CompiledProgram, sites: Sequence[Site], width: int) -> Tupl
     rerun_at = by_level(reruns, depth)
 
     groups: List[Group] = []
-    for level, own in enumerate(program.levels):
+    for level, own in enumerate(part.levels):
         groups += own
         groups += rerun_at[level]
         stores = stem_stores[level] + operand_stores[level + 1]
@@ -163,10 +182,11 @@ def _forced(program: CompiledProgram, sites: Sequence[Site], width: int) -> Tupl
     return groups, scratch - program.rows
 
 
-def _plane(program: CompiledProgram, sites: Sequence[Site], width: int):
-    """A fresh plane for ``sites``: ``(values, groups, machines, rep)``,
-    where ``rep`` times a ``width``-bit word repeats it in every block."""
-    groups, scratch = _forced(program, sites, width)
+def _plane(program: CompiledProgram, part: Part, sites: Sequence[Site], width: int):
+    """A fresh plane for ``sites`` running ``part``: ``(values, groups,
+    machines, rep)``, where ``rep`` times a ``width``-bit word repeats it
+    in every block."""
+    groups, scratch = _forced(program, part, sites, width)
     machines = len(sites) + 1
     ones = (1 << (width * machines)) - 1
     return program.new_values(ones, scratch), groups, machines, ones // ((1 << width) - 1)
@@ -197,20 +217,11 @@ def _differences(values: List[int], rows: Sequence[int], width: int, rep: int) -
 # ----------------------------------------------------------------------
 # reading dict patterns
 # ----------------------------------------------------------------------
-def _reader(names: Sequence[str]) -> Callable[[Pattern], tuple]:
-    """pattern -> the tuple of its values of ``names``, through one
-    itemgetter; a missing name is a KeyError."""
-    if len(names) == 1:
-        one = itemgetter(names[0])
-        return lambda pattern: (one(pattern),)
-    return itemgetter(*names) if names else lambda pattern: ()
-
-
 def _matrix(names: Sequence[str], patterns: Sequence[Pattern]) -> bytes:
     """The 0/1 matrix of ``patterns`` over ``names``, row-major, one row
     per pattern read once; a value other than 0 or 1 reads as its truth.
     A pattern missing a name is a KeyError."""
-    read = _reader(names)
+    read = tuple_getter(names)
     try:
         matrix = b"".join(map(bytes, map(read, patterns)))
     except (TypeError, ValueError):  # a value that is not a byte
@@ -251,7 +262,7 @@ def grade_combinational(
     program = compiled_program(netlist)
     result = FaultSimResult(total=len(faults))
     alive: List[Fault] = list(faults)
-    sites = _sites(program, alive)
+    sites = _sites(program, netlist, alive)
     start = 0
     for count, words in _batches(program.source_names, patterns):
         _BATCHES.inc()
@@ -280,9 +291,10 @@ def _first_detections(
 ) -> List[Optional[int]]:
     """Per site, the first of ``width`` patterns that detects it, or None."""
     first: List[Optional[int]] = [None] * len(sites)
+    forced = [i for i, site in enumerate(sites) if site[3] is None]
     # an empty chunk still runs the good machine, for the flop input pins
-    for chunk in _chunks(sites, width):
-        values, groups, machines, rep = _plane(program, [sites[i] for i in chunk], width)
+    for chunk in _chunks(forced, width) or [[]]:
+        values, groups, machines, rep = _plane(program, program, [sites[i] for i in chunk], width)
         for row, word in zip(program.source_rows, words):
             values[row] = word * rep
         program.eval(values, machines, groups)
@@ -344,12 +356,17 @@ def grade_sequence_group(
     program = compiled_program(netlist)
     cycles = _cycle_words(program.input_names, sequences, length)
     width = len(sequences)
-    sites = _sites(program, alive)
+    sites = _sites(program, netlist, alive)
+    cone = program.cone
     found: List[Optional[int]] = [None] * len(sites)
     # flop input-pin faults never perturb the sequential simulation
-    # (flops are sources, never re-evaluated): inert, so never in a chunk
-    for chunk in _chunks(sites, width):
-        for b, cycle in _grade_plane(program, [sites[i] for i in chunk], cycles, width):
+    # (flops are sources, never re-evaluated), and a fault outside the
+    # cone never reaches an output: neither is in a chunk
+    forced = [
+        i for i, (row, _, _, captured) in enumerate(sites) if captured is None and row in cone.rows
+    ]
+    for chunk in _chunks(forced, width):
+        for b, cycle in _grade_plane(program, cone, [sites[i] for i in chunk], cycles, width):
             found[chunk[b]] = cycle
 
     survivors: List[Fault] = []
@@ -363,17 +380,18 @@ def grade_sequence_group(
 
 
 def _grade_plane(
-    program: CompiledProgram, sites: List[Site], cycles: List[List[int]], width: int
+    program: CompiledProgram, cone: Cone, sites: List[Site], cycles: List[List[int]], width: int
 ) -> Iterator[Tuple[int, int]]:
-    """Run the good machine and ``sites`` on one plane through every
-    cycle; yield ``(f, cycle)`` at the first cycle that detects ``sites[f]``."""
-    values, groups, machines, rep = _plane(program, sites, width)
+    """Run the good machine and ``sites`` (at least one, each in the
+    cone) on one plane of the cone through every cycle; yield
+    ``(f, cycle)`` at the first cycle that detects ``sites[f]``."""
+    values, groups, machines, rep = _plane(program, cone, sites, width)
     block = (1 << width) - 1
     pending = values[ONE_ROW] ^ block
-    for cycle, words in enumerate(cycles if sites else ()):
+    for cycle, words in enumerate(cycles):
         for row, word in zip(program.input_rows, words):
             values[row] = word * rep
-        program.eval(values, machines, groups)
+        program.eval(values, machines, groups, cone.gates)
         hit = _differences(values, program.output_rows, width, rep) & pending
         if hit:
             for b, _ in _blocks(hit >> width, width):
@@ -381,4 +399,4 @@ def _grade_plane(
                 yield b, cycle
             if not pending:
                 return
-        program.clock(values)
+        cone.clock(values)

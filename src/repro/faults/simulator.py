@@ -154,7 +154,7 @@ def _sequential_grade(
     if not sequences:
         # nothing is detected, but a fault the netlist cannot hold is the
         # same error it is with stimuli (which check it in their group)
-        _kernel._sites(_kernel.compiled_program(netlist), chosen)
+        _kernel._sites(_kernel.compiled_program(netlist), netlist, chosen)
         result.undetected = chosen
         return result
 

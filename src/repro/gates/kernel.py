@@ -25,14 +25,20 @@ a CONST0/CONST1 gate cannot switch: it is lowered as a BUF of the input
 that constant picks, and :attr:`CompiledProgram.folded` lists it under
 the constant's row, so a plane that forces that row runs it again as a
 MUX2.
+
+Sequential grading runs a program's :attr:`~CompiledProgram.cone`
+instead: the levels kept to the rows some primary output reads, within a
+cycle or across cycles through a flop's D input.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.gates.cells import STATE_KINDS, GateKind
+from repro.gates.cells import SOURCE_KINDS, STATE_KINDS, GateKind
 from repro.gates.levelize import depth_levels
 from repro.gates.netlist import GateNetlist, NetlistCache
 from repro.obs import METRICS, profile_section
@@ -149,6 +155,15 @@ def by_level(groups: Dict[Tuple[int, int], List[tuple]], depth: int) -> List[Lis
     return levels
 
 
+def tuple_getter(keys: Sequence[Any]) -> Callable[[Any], tuple]:
+    """``items -> (items[key] for key in keys)`` as a tuple, through one
+    :func:`operator.itemgetter`; a missing key raises as indexing does."""
+    if len(keys) == 1:
+        one = itemgetter(keys[0])
+        return lambda items: (one(items),)
+    return itemgetter(*keys) if keys else lambda items: ()
+
+
 # ----------------------------------------------------------------------
 # the compiled program
 # ----------------------------------------------------------------------
@@ -158,11 +173,12 @@ class CompiledProgram:
     Immutable once built; safe to share across simulators on the same
     netlist.  Every structural fact the fault kernel needs -- rows,
     levels, each gate's kind and fanin rows, sources, flop capture and
-    observation points -- is precomputed here and indexed by row.
+    observation points -- is precomputed here and indexed by row; the
+    sequential :attr:`cone` is derived on first use.  A program keeps
+    no reference to its netlist, so the cache entry dies with it.
     """
 
     def __init__(self, netlist: GateNetlist) -> None:
-        self.netlist = netlist
         names = list(netlist.names())
         #: gate name -> value-plane row (rows 0/1 are reserved)
         self.row: Dict[str, int] = {name: i + 2 for i, name in enumerate(names)}
@@ -185,7 +201,7 @@ class CompiledProgram:
         #: reruns them as MUX2s)
         self.folded: Dict[int, List[int]] = {}
         #: gates computed per pass, folded muxes included (feeds
-        #: kernel.words_evaluated)
+        #: kernel.words_evaluated on a combinational pass)
         self.gates = 0
         for gate in netlist.gates():
             kind = gate.kind
@@ -220,7 +236,6 @@ class CompiledProgram:
         self.source_rows = [row[name] for name in self.source_names]
         #: (flop row, D row) per flop, in capture order
         self.dff_captures = [(row[f.name], row[f.fanins[0]]) for f in flops]
-        self.flop_rows = [flop for flop, _ in self.dff_captures]
         #: observation points of combinational (full-scan) fault grading,
         #: ascending: every primary output and every flop's D net -- the
         #: set PODEM propagates to
@@ -236,18 +251,79 @@ class CompiledProgram:
             values[row] = ones
         return values
 
-    def eval(self, values: Values, machines: int, groups: Optional[List[Group]] = None) -> None:
-        """Run the program (or ``groups``, a program with forcing spliced
-        in) over a plane of ``machines`` machines in place."""
-        _WORDS.inc(self.gates * machines)
+    def eval(
+        self,
+        values: Values,
+        machines: int,
+        groups: Optional[List[Group]] = None,
+        gates: Optional[int] = None,
+    ) -> None:
+        """Run the program over a plane of ``machines`` machines in place,
+        or ``groups`` instead: ``gates`` gates (the program's by default)
+        with forcing spliced in."""
+        _WORDS.inc((self.gates if gates is None else gates) * machines)
         ones = values[ONE_ROW]
         for loop, steps in self.groups if groups is None else groups:
             loop(values, ones, steps)
 
+    @cached_property
+    def cone(self) -> "Cone":
+        """The program's sequential cone, derived on first use: a netlist
+        graded only combinationally never pays for it."""
+        return Cone(self)
+
+
+class Cone:
+    """The *sequential cone* of a program: every row a primary output
+    reads within a cycle, or across cycles through a flop's D input, and
+    the program kept to those rows.
+
+    No value outside the cone reaches an output in any cycle, so
+    sequential grading evaluates only the cone and gives a fault whose
+    site lies outside it no machine.  The walk follows every fanin of a
+    gate, the select and unpicked input of a folded mux included, so a
+    plane that forces a constant in the cone finds its muxes' inputs
+    evaluated.
+    """
+
+    def __init__(self, program: CompiledProgram) -> None:
+        gate_at = program.gate_at
+        rows: Set[int] = set()
+        stack = list(program.output_rows)
+        while stack:
+            row = stack.pop()
+            if row not in rows:
+                rows.add(row)
+                stack.extend(gate_at[row][2])
+        #: the rows in the cone
+        self.rows = frozenset(rows)
+        #: per level, its kind groups kept to the steps computing a row in
+        #: the cone; groups left empty are dropped
+        self.levels: List[List[Group]] = [
+            [
+                (loop, kept)
+                for loop, steps in level
+                if (kept := tuple(step for step in steps if step[0] in rows))
+            ]
+            for level in program.levels
+        ]
+        #: constant row -> the rows of its folded muxes in the cone
+        self.folded: Dict[int, List[int]] = {
+            const: kept
+            for const, muxes in program.folded.items()
+            if (kept := [mux for mux in muxes if mux in rows])
+        }
+        #: gates computed per pass (feeds kernel.words_evaluated on a
+        #: sequential pass)
+        self.gates = sum(gate_at[row][1] not in SOURCE_KINDS for row in rows)
+        captures = [(flop, d) for flop, d in program.dff_captures if flop in rows]
+        #: the cone's flop rows, in capture order
+        self.flop_rows = [flop for flop, _ in captures]
+        self._capture = tuple_getter([d for _, d in captures])
+
     def clock(self, values: Values) -> None:
-        """Load every flop's row with the value its D captures."""
-        captured = [values[d] for _, d in self.dff_captures]
-        for row, value in zip(self.flop_rows, captured):
+        """Load every flop row of the cone with the value its D captures."""
+        for row, value in zip(self.flop_rows, self._capture(values)):
             values[row] = value
 
 

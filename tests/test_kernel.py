@@ -10,7 +10,9 @@ reproduce not just coverage numbers but the exact ``detected`` ordering,
 so anything less than bit-identity silently changes results downstream.
 """
 
+import gc
 import random
+import weakref
 from contextlib import nullcontext
 
 import pytest
@@ -23,6 +25,8 @@ from repro.faults import kernel as fk
 from repro.faults.simulator import PatternWords, sequential_fault_grade
 from repro.flow.system_netlist import flatten_soc
 from repro.gates import CombinationalSimulator, GateKind, GateNetlist
+from repro.gates.cells import SOURCE_KINDS
+from repro.gates import kernel as gk
 from repro.gates.kernel import clear_kernel_caches, compiled_program
 from repro.obs import METRICS
 
@@ -118,6 +122,18 @@ class TestProgramCache:
         first = compiled_program(netlist)
         clear_kernel_caches()
         assert compiled_program(netlist) is not first
+
+    def test_cache_releases_a_dropped_netlist(self):
+        """A program keeps no reference to its netlist, so the cache's
+        weak key dies with the netlist and takes the entry with it."""
+        clear_kernel_caches()
+        netlist = random_netlist(6)
+        assert compiled_program(netlist).cone.gates
+        alive = weakref.ref(netlist)
+        del netlist
+        gc.collect()
+        assert alive() is None
+        assert not len(gk._PROGRAMS._entries)
 
     def test_words_evaluated_counter(self):
         program = compiled_program(random_netlist(5))
@@ -566,6 +582,204 @@ class TestFoldedMuxes:
         assert_identical(out)
         assert any(f.gate in zeros and f.stuck for f in out["kernel"][0].detected)
         assert_identical(grade_combinational_both(netlist, faults, 70, 0))
+
+
+# ----------------------------------------------------------------------
+# the sequential cone
+# ----------------------------------------------------------------------
+def fanin_cone(netlist: GateNetlist):
+    """The gates some primary output reads, within a cycle or through a
+    flop's D input: a fan-in walk over ``netlist.gates()``."""
+    fanins = {gate.name: gate.fanins for gate in netlist.gates()}
+    seen = set()
+    stack = [gate.name for gate in netlist.gates() if gate.kind is GateKind.OUTPUT]
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack.extend(fanins[name])
+    return seen
+
+
+def cone_names(program):
+    return {name for name, row in program.row.items() if row in program.cone.rows}
+
+
+def words_delta(run):
+    before = METRICS.counters().get("kernel.words_evaluated", 0)
+    result = run()
+    return result, METRICS.counters().get("kernel.words_evaluated", 0) - before
+
+
+#: per chip: gates outside the cone, and collapsed faults on them
+OUT_OF_CONE = {
+    ("System1", False): (268, 832),
+    ("System1", True): (320, 1088),
+    ("System2", False): (134, 442),
+    ("System2", True): (207, 735),
+    ("System3", False): (136, 333),
+    ("System3", True): (169, 445),
+    ("System4", False): (120, 327),
+    ("System4", True): (130, 347),
+}
+
+
+def dead_loop_netlist() -> GateNetlist:
+    """A live path from the inputs to an output beside a flop loop, fed
+    by an input, that no output reads."""
+    n = GateNetlist("dead_loop")
+    n.add_gate("a", GateKind.INPUT)
+    n.add_gate("b", GateKind.INPUT)
+    n.add_gate("x", GateKind.XOR, ["a", "ff"])
+    n.add_gate("ff", GateKind.DFF, ["x"])
+    n.add_gate("O0", GateKind.OUTPUT, ["x"])
+    # the dead loop: d0 -> fd -> d1 -> d0, read by nothing live
+    n.add_gate("d0", GateKind.AND, ["b", "d1"])
+    n.add_gate("fd", GateKind.DFF, ["d0"])
+    n.add_gate("d1", GateKind.NOT, ["fd"])
+    return n.validate()
+
+
+def shared_stem_netlist() -> GateNetlist:
+    """Stem ``s`` read by a live gate (to an output) and a dead one."""
+    n = GateNetlist("shared_stem")
+    n.add_gate("a", GateKind.INPUT)
+    n.add_gate("b", GateKind.INPUT)
+    n.add_gate("s", GateKind.XOR, ["a", "b"])
+    n.add_gate("live", GateKind.XOR, ["s", "ff"])
+    n.add_gate("dead", GateKind.AND, ["s", "ff"])
+    n.add_gate("ff", GateKind.DFF, ["live"])
+    n.add_gate("O0", GateKind.OUTPUT, ["live"])
+    return n.validate()
+
+
+def split_folded_netlist() -> GateNetlist:
+    """One CONST1 selecting two folded muxes: one feeds an output, the
+    other only a dead gate."""
+    n = GateNetlist("split_folded")
+    n.add_gate("a", GateKind.INPUT)
+    n.add_gate("b", GateKind.INPUT)
+    n.add_gate("one", GateKind.CONST1)
+    n.add_gate("m_in", GateKind.MUX2, ["a", "ff", "one"])
+    n.add_gate("m_out", GateKind.MUX2, ["b", "a", "one"])
+    n.add_gate("dead", GateKind.AND, ["m_out", "b"])
+    n.add_gate("x", GateKind.XOR, ["m_in", "b"])
+    n.add_gate("ff", GateKind.DFF, ["x"])
+    n.add_gate("O0", GateKind.OUTPUT, ["x"])
+    return n.validate()
+
+
+class TestCone:
+    """Sequential grading runs only the rows an output reads in some
+    cycle; faults outside them get no block and stay undetected, and
+    every verdict and counter stays the reference's."""
+
+    @pytest.mark.parametrize("build", [build_system1, build_system2, build_system3, build_system4])
+    @pytest.mark.parametrize("with_hscan", [False, True], ids=["orig", "hscan"])
+    def test_chip_cone_is_the_outputs_fanin(self, build, with_hscan):
+        soc = build()
+        netlist = flatten_soc(soc, with_hscan=with_hscan, scan_access="none")
+        program = compiled_program(netlist)
+        cone = program.cone
+        walk = fanin_cone(netlist)
+        assert cone_names(program) == walk
+        out_gates, out_faults = OUT_OF_CONE[soc.name, with_hscan]
+        assert len(program.row) - len(walk) == out_gates
+        faults = collapse_faults(netlist, full_fault_universe(netlist))
+        assert sum(fault.gate not in walk for fault in faults) == out_faults
+        # the cone's levels are the program's, kept to the cone's rows
+        for own, kept in zip(program.levels, cone.levels):
+            expect = [(loop, tuple(s for s in steps if s[0] in cone.rows)) for loop, steps in own]
+            assert kept == [(loop, steps) for loop, steps in expect if steps]
+        computed = {name for name in walk if netlist.gate(name).kind not in SOURCE_KINDS}
+        assert cone.gates == len(computed)
+        flops = [program.row[f.name] for f in netlist.flops if f.name in walk]
+        assert cone.flop_rows == flops
+
+    def test_flop_loop_reaching_no_output(self):
+        netlist = dead_loop_netlist()
+        assert cone_names(compiled_program(netlist)) == {"a", "x", "ff", "O0"}
+        faults = full_fault_universe(netlist)
+        out = grade_sequential_both(netlist, random_sequences(netlist, 9, 6, 1), faults)
+        assert_identical(out)
+        dead = [f for f in faults if f.gate in ("b", "d0", "fd", "d1")]
+        assert dead and not set(dead) & set(out["kernel"][0].detected)
+
+    def test_stem_read_by_a_dead_and_a_live_gate(self):
+        netlist = shared_stem_netlist()
+        assert "dead" not in cone_names(compiled_program(netlist))
+        faults = full_fault_universe(netlist)
+        assert {Fault("s", None, 0), Fault("dead", 0, 0), Fault("live", 0, 0)} <= set(faults)
+        out = grade_sequential_both(netlist, random_sequences(netlist, 8, 5, 2), faults)
+        assert_identical(out)
+        detected = set(out["kernel"][0].detected)
+        assert Fault("s", None, 1) in detected
+        assert not {f for f in faults if f.gate == "dead"} & detected
+
+    def test_forced_constant_reruns_only_its_muxes_in_the_cone(self):
+        netlist = split_folded_netlist()
+        program = compiled_program(netlist)
+        row = program.row
+        assert program.folded == {row["one"]: [row["m_in"], row["m_out"]]}
+        assert program.cone.folded == {row["one"]: [row["m_in"]]}
+        # a plane forcing the constant writes no row outside the cone
+        sites = fk._sites(program, netlist, [Fault("one", None, 0)])
+        groups, _ = fk._forced(program, program.cone, sites, 8)
+        written = {step[0] for _, steps in groups for step in steps}
+        assert row["m_in"] in written and written <= program.cone.rows
+        faults = full_fault_universe(netlist) + [Fault("one", None, 0), Fault("one", None, 1)]
+        faults += mux_faults(["m_in", "m_out"])
+        out = grade_sequential_both(netlist, random_sequences(netlist, 8, 6, 4), faults)
+        assert_identical(out)
+        detected = set(out["kernel"][0].detected)
+        assert Fault("one", None, 0) in detected
+        assert not {f for f in faults if f.gate in ("m_out", "dead")} & detected
+        # combinational grading observes flop D nets: the whole program runs
+        for count in (1, 70):
+            assert_identical(grade_combinational_both(netlist, faults, count, count))
+
+    def test_all_dead_fault_list_evaluates_no_plane(self, monkeypatch):
+        netlist = dead_loop_netlist()
+        faults = [f for f in full_fault_universe(netlist) if f.gate in ("b", "d0", "fd", "d1")]
+        faults += [Fault("ff", 0, 1)]  # a flop input pin, inert as well
+        sequences = random_sequences(netlist, 5, 4, 3)
+        assert_identical(grade_sequential_both(netlist, sequences, faults))
+        planes = []
+        plane = fk._plane
+        monkeypatch.setattr(fk, "_plane", lambda *args: planes.append(args) or plane(*args))
+        result, words = words_delta(lambda: sequential_fault_grade(netlist, sequences, faults))
+        assert (planes, words) == ([], 0)
+        assert result.detected == [] and result.undetected == faults
+
+    @pytest.mark.parametrize(
+        "fault", [Fault("d0", 2, 0), Fault("d1", None, 2), Fault("x", 2, 0)], ids=str
+    )
+    def test_misfit_fault_raises_inside_the_cone_or_out(self, fault):
+        """Every fault is checked before any is left out: a misfit on a
+        dead gate fails as one on a live gate does, and as combinational
+        grading (which runs the whole program) fails."""
+        netlist = dead_loop_netlist()
+        faults = full_fault_universe(netlist)
+        faults.insert(3, fault)
+        sequences = random_sequences(netlist, 4, 3, 5)
+        with pytest.raises(SimulationError) as sequential:
+            sequential_fault_grade(netlist, sequences, faults)
+        with pytest.raises(SimulationError) as combinational:
+            FaultSimulator(netlist).run([dict(sequences[0][0], ff=0, fd=0)], faults)
+        assert str(sequential.value) == str(combinational.value)
+        assert str(sequential.value).startswith(f"fault {fault} does not fit netlist 'dead_loop': ")
+
+    def test_sequential_pass_counts_the_cone_gates(self):
+        """kernel.words_evaluated counts the gates a pass evaluates times
+        its machines: the cone's on a sequential pass."""
+        netlist = shared_stem_netlist()
+        program = compiled_program(netlist)
+        assert (program.gates, program.cone.gates) == (4, 3)
+        fault = Fault("s", None, 0)
+        sequences = random_sequences(netlist, 3, 4, 6)
+        result, words = words_delta(lambda: sequential_fault_grade(netlist, sequences, [fault]))
+        cycles = 1 + result.first_detection[fault] if result.detected else 4
+        assert words == program.cone.gates * 2 * cycles
 
 
 # ----------------------------------------------------------------------
